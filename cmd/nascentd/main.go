@@ -88,8 +88,6 @@ func run(argv []string) int {
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive quarantines that trip a (scheme, engine) breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "breaker cooldown before a recovery probe")
 	progCacheDir := fs.String("progcache", "", "disk-backed compiled-program cache directory (warm restarts skip the frontend)")
-	tierOptRuns := fs.Uint64("tier-opt-runs", 0, "runs before a tiered program promotes to vmopt (0 = default)")
-	tierJitRuns := fs.Uint64("tier-jit-runs", 0, "runs before a tiered program promotes to vmjit (0 = default)")
 	fleetN := fs.Int("fleet", 0, "shard /report runs across N worker processes (0 = in-process)")
 	fleetWorker := fs.Bool("fleet-worker", false, "serve the fleet worker protocol on stdin/stdout (internal; spawned by -fleet)")
 	fleetHedge := fs.Duration("fleet-hedge", 0, "hedge a still-pending fleet attempt after this delay (negative = adaptive from the latency EWMA, 0 = off)")
@@ -132,8 +130,6 @@ func run(argv []string) int {
 		AuditEvery:       *auditEvery,
 		ScrubInterval:    *scrubInterval,
 	}
-	cfg.TierThresholds.OptRuns = *tierOptRuns
-	cfg.TierThresholds.JitRuns = *tierJitRuns
 	if *fleetN > 0 {
 		cfg.FleetWorkers = *fleetN
 		cfg.FleetHedgeAfter = *fleetHedge

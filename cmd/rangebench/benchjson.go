@@ -19,7 +19,6 @@ import (
 	"nascent"
 	"nascent/internal/suite"
 	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // benchDoc mirrors the committed BENCH_*.json schema.
@@ -112,8 +111,8 @@ func prepare(name, source string) (*benchProg, error) {
 		return nil, fmt.Errorf("run: %w", err)
 	}
 	// The jit fuses what the profile says this program executes. Its
-	// input is the guard/deopt (vmrce) bytecode — the same pairing the
-	// tier controller ships — so the profile comes from that program.
+	// input is the guard/deopt (vmrce) bytecode — the same pairing
+	// vm.JitHandle warms — so the profile comes from that program.
 	_, ds, err := rce.RunDispatch(nascent.RunConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("profile run: %w", err)
@@ -122,27 +121,16 @@ func prepare(name, source string) (*benchProg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jit compile: %w", err)
 	}
-	// Tiered steady state: warm the controller past all three promotion
-	// points so the timed runs measure the top tier plus the (cheap)
-	// hotness bookkeeping, which is what a long-lived program pays.
-	tp := tier.FromBytecode(bc, tier.Thresholds{OptRuns: 1, RceRuns: 2, JitRuns: 3})
-	for i := 0; i < 5; i++ {
-		if _, err := tp.Run(nascent.RunConfig{}); err != nil {
-			return nil, fmt.Errorf("tiered warm-up: %w", err)
-		}
-	}
-	tp.Settle()
 
 	return &benchProg{
 		name:   name,
 		instrs: res.Instructions,
 		run: map[string]func() error{
-			"tree":   func() error { _, err := cp.RunWith(nascent.RunConfig{}); return err },
-			"vm":     func() error { _, err := bc.Run(nascent.RunConfig{}); return err },
-			"vmopt":  func() error { _, err := opt.Run(nascent.RunConfig{}); return err },
-			"vmrce":  func() error { _, err := rce.Run(nascent.RunConfig{}); return err },
-			"vmjit":  func() error { _, err := jp.Run(nascent.RunConfig{}); return err },
-			"tiered": func() error { _, err := tp.Run(nascent.RunConfig{}); return err },
+			"tree":  func() error { _, err := cp.RunWith(nascent.RunConfig{}); return err },
+			"vm":    func() error { _, err := bc.Run(nascent.RunConfig{}); return err },
+			"vmopt": func() error { _, err := opt.Run(nascent.RunConfig{}); return err },
+			"vmrce": func() error { _, err := rce.Run(nascent.RunConfig{}); return err },
+			"vmjit": func() error { _, err := jp.Run(nascent.RunConfig{}); return err },
 		},
 	}, nil
 }
@@ -200,14 +188,13 @@ func runBenchJSON(path string) int {
 		Description: "Suite-wide execution of the 10 Table-1 programs compiled naive " +
 			"(all range checks live) under every registered engine: tree-walking " +
 			"reference interpreter, bytecode VM, superinstruction-optimized VM, " +
-			"guard/deopt range-check-eliminated VM, profile-guided " +
-			"closure-compiled jit (over the vmrce bytecode), and the tiering " +
-			"controller at steady state. Programs are compiled (and the jit " +
-			"closure-compiled against a real dispatch profile) outside the " +
-			"timer; ns/op and allocs/op are pure execution, best of three " +
-			"interleaved repetitions per engine. All engines produce identical " +
-			"observables (conformance-pinned), so ns/op ratios are true engine " +
-			"speedups.",
+			"guard/deopt range-check-eliminated VM, and profile-guided " +
+			"closure-compiled jit (over the vmrce bytecode). Programs are " +
+			"compiled (and the jit closure-compiled against a real dispatch " +
+			"profile) outside the timer; ns/op and allocs/op are pure " +
+			"execution, best of three interleaved repetitions per engine. All " +
+			"engines produce identical observables (conformance-pinned), so " +
+			"ns/op ratios are true engine speedups.",
 		Date: time.Now().Format("2006-01-02"),
 		Host: benchHost{
 			GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
@@ -223,11 +210,8 @@ func runBenchJSON(path string) int {
 			"originals, eliminated checks bulk-counted); vmjit compiles each " +
 			"basic block of the vmrce bytecode into chained Go closures and " +
 			"fuses the digrams/trigrams the program's own dispatch profile " +
-			"ranks hot; tiered starts on vm and promotes through vmopt and " +
-			"vmrce to vmjit in the background as hotness thresholds are " +
-			"crossed (measured here fully warm). Every observable (counters, " +
-			"traps, output) is pinned identical by the conformance corpus and " +
-			"golden tables.",
+			"ranks hot. Every observable (counters, traps, output) is pinned " +
+			"identical by the conformance corpus and golden tables.",
 	}
 	// Best of three interleaved repetitions per engine: single
 	// repetitions on a shared box swing ±15%, and interleaving

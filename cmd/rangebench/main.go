@@ -4,9 +4,8 @@
 // Usage:
 //
 //	rangebench [-table N] [-jobs N] [-fleet N]
-//	           [-engine tree|vm|vmopt|vmrce|vmjit|tiered]
+//	           [-engine tree|vm|vmopt|vmrce|vmjit]
 //	           [-times] [-trace] [-benchjson path]
-//	           [-benchdiff [-benchdiff-floor F] old.json new.json]
 //	           [-chaos seed:rate[:site]]
 //	           [-cpuprofile file] [-memprofile file]
 //
@@ -16,23 +15,16 @@
 //
 // -engine selects the execution substrate: the tree-walking reference
 // interpreter (default), the bytecode VM, the superinstruction-
-// optimized VM, the guard/deopt range-check-eliminated VM, the
-// closure-compiled jit, or the tiering controller that promotes hot
-// programs through those tiers in the background. Table output is
-// byte-identical under every engine — the CI pipeline diffs them — so
-// the flag only changes wall-clock.
+// optimized VM, the guard/deopt range-check-eliminated VM, or the
+// closure-compiled jit. Table output is byte-identical under every
+// engine — the CI pipeline diffs them — so the flag only changes
+// wall-clock.
 //
 // -benchjson path benchmarks the whole suite under every registered
 // engine (with a per-program breakdown per engine) and writes one
 // BENCH-schema JSON document to path ("-" for stdout) instead of
 // printing tables; the committed BENCH_*.json files are regenerated
 // this way.
-//
-// -benchdiff old.json new.json compares two such documents and prints
-// per-engine and per-program speedup ratios (old over new); any shared
-// row whose ratio falls below -benchdiff-floor (default 0.8) is marked
-// REGRESSION and makes the command exit 1. CI's bench smoke runs this
-// against the committed baselines.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
 // chasing interpreter hot spots (`go tool pprof`).
@@ -95,8 +87,6 @@ func main() {
 	worker := flag.Bool("worker", false, "serve the fleet worker protocol on stdin/stdout (internal; spawned by -fleet)")
 	engineFlag := flag.String("engine", "tree", "execution engine: "+strings.Join(nascent.EngineNames(), "|"))
 	benchJSON := flag.String("benchjson", "", "benchmark every registered engine and write BENCH-schema JSON to this path (- for stdout)")
-	benchDiff := flag.Bool("benchdiff", false, "compare two BENCH-schema JSON files (old.json new.json as positional args) and exit 1 on regression")
-	diffFloor := flag.Float64("benchdiff-floor", 0.8, "with -benchdiff, minimum new-over-old speedup before a row counts as a regression")
 	times := flag.Bool("times", false, "include wall-clock columns (non-reproducible) in tables 2-3")
 	trace := flag.Bool("trace", false, "log per-job stage timings to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -127,14 +117,6 @@ func main() {
 			os.Exit(1)
 		}
 		os.Exit(0)
-	}
-
-	if *benchDiff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "rangebench: -benchdiff needs exactly two arguments: old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(runBenchDiff(flag.Arg(0), flag.Arg(1), *diffFloor))
 	}
 
 	if *benchJSON != "" {

@@ -248,7 +248,7 @@ func FuzzPipeline(f *testing.F) {
 // FuzzEngineIdentity fuzzes the execution-engine contract directly:
 // for any input that compiles, every registered engine — the
 // tree-walking reference, the bytecode VM, the optimized VM, the
-// closure-compiled jit, and the tiering controller — must produce
+// guard/deopt VM, and the closure-compiled jit — must produce
 // identical observables — instruction and check counters, output, trap
 // note/class/position — or identical error text. The seed corpus is
 // the conformance suite, whose cases pin exactly these observables,

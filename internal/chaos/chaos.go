@@ -96,11 +96,10 @@ const (
 	// (the job still completes correctly). Keyed by job name.
 	SiteWorkerSlow Site = "pool.worker.slow"
 	// SiteTierPromote fails a background tier promotion (the
-	// Optimize/JITCompile recompilation the tiering controller runs off
-	// the hot path). The program must keep serving runs at its current
-	// tier — promotion failure is contained, never observable in
-	// results. Keyed by the target tier name ("vmopt", "vmrce", or
-	// "vmjit").
+	// JITCompile a vm.JitHandle runs off the hot path). The program must
+	// keep serving runs at its current tier — promotion failure is
+	// contained, never observable in results. Keyed by the target tier
+	// name ("vmjit").
 	SiteTierPromote Site = "tier.promote.fail"
 	// SiteFleetKill terminates a fleet worker PROCESS mid-job
 	// (os.Exit, not a panic): the coordinator must observe the pipe

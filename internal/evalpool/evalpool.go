@@ -35,7 +35,6 @@ import (
 	"nascent"
 	"nascent/internal/progcache"
 	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // Job is one independent evaluation: compile Source under Opts and
@@ -142,9 +141,9 @@ type Metrics struct {
 	FrontendCompiles int
 	FrontendHits     int
 	// BytecodeCompiles / BytecodeHits split the bytecode memo's traffic
-	// (EngineVM and EngineVMOpt jobs only; tree-walker jobs never touch
-	// it). BytecodeDiskHits counts memo fills satisfied by the disk
-	// cache — a decode instead of a compile.
+	// (bytecode-engine jobs only; tree-walker jobs never touch it).
+	// BytecodeDiskHits counts memo fills satisfied by the disk cache — a
+	// decode instead of a compile.
 	BytecodeCompiles int
 	BytecodeHits     int
 	BytecodeDiskHits int
@@ -195,11 +194,10 @@ type feKey struct {
 // optimized vmopt rewrite are distinct programs). The whole compile
 // pipeline is deterministic, so two jobs with equal keys lower to
 // equivalent IR and can share one immutable vm.Program. For the vmjit
-// and tiered engines the entry additionally carries the mutable tier
-// state — hotness counters, the accumulating profile, the
-// closure-compiled program once promotion lands — keyed alongside the
-// same content hash, so every job for the same (source, options,
-// engine) warms the same handle.
+// engine the entry additionally carries the mutable tier state — run
+// counters, the closure-compiled program once the background compile
+// lands — keyed alongside the same content hash, so every job for the
+// same (source, options, engine) warms the same handle.
 type bcKey struct {
 	fe     feKey
 	opts   nascent.Options
@@ -207,12 +205,11 @@ type bcKey struct {
 }
 
 // bcEntry is a once-guarded bytecode memo slot, like feEntry. Exactly
-// one of prog/jit/trd is set after a successful fill, by engine.
+// one of prog/jit is set after a successful fill, by engine.
 type bcEntry struct {
 	once sync.Once
-	prog *vm.Program     // vm / vmopt: shared immutable program
-	jit  *tier.JitHandle // vmjit: profile-on-first-run closure handle
-	trd  *tier.Program   // tiered: hotness-driven tiering controller
+	prog *vm.Program   // vm / vmopt / vmrce: shared immutable program
+	jit  *vm.JitHandle // vmjit: profile-on-first-run closure handle
 	err  error
 }
 
@@ -366,8 +363,7 @@ func (p *Pool) frontend(job *Job, key feKey) (*nascent.Frontend, time.Duration, 
 // bytecodeEngine reports whether eng runs through the bytecode memo.
 func bytecodeEngine(eng nascent.Engine) bool {
 	switch eng {
-	case nascent.EngineVM, nascent.EngineVMOpt, nascent.EngineVMRCE,
-		nascent.EngineVMJit, nascent.EngineTiered:
+	case nascent.EngineVM, nascent.EngineVMOpt, nascent.EngineVMRCE, nascent.EngineVMJit:
 		return true
 	}
 	return false
@@ -378,12 +374,10 @@ func bytecodeEngine(eng nascent.Engine) bool {
 // share compiled programs through the bytecode memo: the compile
 // pipeline is deterministic, so every job with the same (source,
 // filename, options, engine) lowers to equivalent IR, and one
-// immutable vm.Program serves them all — EngineVMOpt entries
-// additionally run the superinstruction optimizer once, EngineVMRCE
-// entries the guard/deopt range-check-elimination pipeline, and both
-// share the rewritten program, while EngineVMJit and EngineTiered entries hold
-// a mutable tier handle whose hotness state persists across jobs (the
-// second job for the same source runs warmer than the first). A
+// immutable vm.Program serves them all — vm.CompileEngine picks each
+// engine's pipeline once per entry — while EngineVMJit entries hold a
+// mutable JitHandle whose warm-up persists across jobs (the second job
+// for the same source runs warmer than the first). A
 // Mutate hook (the oracle's miscompilation injector) changes the IR
 // after compilation, so mutated jobs bypass the memo and run through
 // the ordinary per-run dispatch.
@@ -418,7 +412,7 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 				// Warm start: the program comes off disk bit-identical to
 				// a fresh compile (the codec round-trip is pinned by the
 				// progio suite), so the bytecode stage costs one decode.
-				// Tier handles still start cold — hotness is process
+				// Jit handles still start cold — warm-up is process
 				// state, not program state.
 				vp = ent.Prog
 				diskHit = true
@@ -432,27 +426,13 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 			}
 		}
 		if vp == nil {
-			switch eng {
-			case nascent.EngineVMOpt:
-				vp, e.err = vm.CompileOptimized(prog.IR)
-			case nascent.EngineVMRCE, nascent.EngineVMJit:
-				// The guard/deopt rewrite plus the optimizer: vmrce runs
-				// it on the switch VM, vmjit closure-compiles the same
-				// stream (vmrce is the jit's input tier).
-				vp, e.err = vm.CompileRCE(prog.IR)
-			default:
-				vp, e.err = vm.Compile(prog.IR)
-			}
-			if e.err != nil {
+			if vp, e.err = vm.CompileEngine(prog.IR, eng); e.err != nil {
 				return
 			}
 		}
-		switch eng {
-		case nascent.EngineVMJit:
-			e.jit = tier.NewJitHandle(vp)
-		case nascent.EngineTiered:
-			e.trd = tier.FromBytecode(vp, p.cfg.TierThresholds)
-		default:
+		if eng == nascent.EngineVMJit {
+			e.jit = vm.NewJitHandle(vp)
+		} else {
 			e.prog = vp
 		}
 	})
@@ -469,37 +449,26 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 	if e.err != nil {
 		return nascent.RunResult{}, e.err
 	}
-	switch {
-	case e.jit != nil:
+	if e.jit != nil {
 		return e.jit.Run(job.Run)
-	case e.trd != nil:
-		return e.trd.Run(job.Run)
 	}
 	return e.prog.Run(job.Run)
 }
 
-// SettleTiers blocks until no background tier promotion (a vmjit
-// closure compile or a tiered-engine recompilation) is in flight.
-// Promotion is asynchronous by design; tests and deterministic
+// SettleTiers blocks until no background vmjit closure compile is in
+// flight. Promotion is asynchronous by design; tests and deterministic
 // snapshots drain it here.
 func (p *Pool) SettleTiers() {
 	p.mu.Lock()
-	var hs []*tier.JitHandle
-	var ts []*tier.Program
+	var hs []*vm.JitHandle
 	for _, e := range p.bcMemo {
 		if e.jit != nil {
 			hs = append(hs, e.jit)
-		}
-		if e.trd != nil {
-			ts = append(ts, e.trd)
 		}
 	}
 	p.mu.Unlock()
 	for _, h := range hs {
 		h.Settle()
-	}
-	for _, t := range ts {
-		t.Settle()
 	}
 }
 
@@ -620,17 +589,17 @@ type MetricsSnapshot struct {
 	WorkerDeaths     int    `json:"worker_deaths"`
 	Timeouts         int    `json:"timeouts"`
 	Quarantined      int    `json:"quarantined"`
-	// Tiering state, summed across the pool's vmjit/tiered memo
-	// entries; TierPrograms breaks it down per program handle, sorted
-	// by key then engine so the wire form is deterministic.
+	// Tiering state, summed across the pool's vmjit memo entries;
+	// TierPrograms breaks it down per program handle, sorted by key then
+	// engine so the wire form is deterministic.
 	TierPromotions uint64                `json:"tier_promotions"`
 	TierDemotions  uint64                `json:"tier_demotions"`
 	TierPrograms   []TierProgramSnapshot `json:"tier_programs,omitempty"`
 }
 
-// TierProgramSnapshot is the wire form of one vmjit/tiered memo
-// entry's controller state: which tier the program is serving from and
-// the hotness/promotion counters that got it there.
+// TierProgramSnapshot is the wire form of one vmjit entry's JitHandle
+// state: which tier the program is serving from and the run and
+// promotion counters that got it there.
 type TierProgramSnapshot struct {
 	// Key identifies the program: a hex prefix of its source hash (the
 	// same content hash that keys the bytecode memo).
@@ -642,6 +611,20 @@ type TierProgramSnapshot struct {
 	ProfiledRuns uint64 `json:"profiled_runs"`
 	Promotions   uint64 `json:"promotions"`
 	Demotions    uint64 `json:"demotions"`
+}
+
+// TierRow converts one JitHandle snapshot to its wire row.
+func TierRow(key, engine string, s vm.Snapshot) TierProgramSnapshot {
+	return TierProgramSnapshot{
+		Key:          key,
+		Engine:       engine,
+		Tier:         s.Tier,
+		Runs:         s.Runs,
+		Instructions: s.Instrs,
+		ProfiledRuns: s.ProfiledRuns,
+		Promotions:   s.Promotions,
+		Demotions:    s.Demotions,
+	}
 }
 
 // Snapshot converts the counters to their wire form.
@@ -667,45 +650,27 @@ func (m Metrics) Snapshot() MetricsSnapshot {
 }
 
 // MetricsSnapshot returns the pool's aggregate counters in wire form,
-// including the per-program tier state of every vmjit/tiered memo
-// entry.
+// including the per-program tier state of every vmjit memo entry.
 func (p *Pool) MetricsSnapshot() MetricsSnapshot {
 	snap := p.Metrics().Snapshot()
-	type handle struct {
-		key string
-		eng string
-		s   tier.Snapshot
-	}
-	var hs []handle
 	p.mu.Lock()
 	for k, e := range p.bcMemo {
-		switch {
-		case e.jit != nil:
-			hs = append(hs, handle{hex.EncodeToString(k.fe.hash[:8]), k.engine.String(), e.jit.Snapshot()})
-		case e.trd != nil:
-			hs = append(hs, handle{hex.EncodeToString(k.fe.hash[:8]), k.engine.String(), e.trd.Snapshot()})
+		if e.jit != nil {
+			row := TierRow(hex.EncodeToString(k.fe.hash[:8]), k.engine.String(), e.jit.Snapshot())
+			snap.TierPrograms = append(snap.TierPrograms, row)
 		}
 	}
 	p.mu.Unlock()
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].key != hs[j].key {
-			return hs[i].key < hs[j].key
+	sort.Slice(snap.TierPrograms, func(i, j int) bool {
+		a, b := snap.TierPrograms[i], snap.TierPrograms[j]
+		if a.Key != b.Key {
+			return a.Key < b.Key
 		}
-		return hs[i].eng < hs[j].eng
+		return a.Engine < b.Engine
 	})
-	for _, h := range hs {
-		snap.TierPromotions += h.s.Promotions
-		snap.TierDemotions += h.s.Demotions
-		snap.TierPrograms = append(snap.TierPrograms, TierProgramSnapshot{
-			Key:          h.key,
-			Engine:       h.eng,
-			Tier:         h.s.Tier,
-			Runs:         h.s.Runs,
-			Instructions: h.s.Instrs,
-			ProfiledRuns: h.s.ProfiledRuns,
-			Promotions:   h.s.Promotions,
-			Demotions:    h.s.Demotions,
-		})
+	for _, r := range snap.TierPrograms {
+		snap.TierPromotions += r.Promotions
+		snap.TierDemotions += r.Demotions
 	}
 	return snap
 }

@@ -15,9 +15,9 @@ func TestMetricsSnapshotFields(t *testing.T) {
 	src := "program p\n  real a(4)\n  integer i\n  do i = 1, 4\n    a(i) = float(i)\n  enddo\n  print a(4)\nend\n"
 	res := p.Evaluate([]Job{
 		{Name: "snap", Source: src, Opts: nascent.Options{BoundsChecks: true}},
-		// A tiered job populates the per-program tier rows.
-		{Name: "snap-tiered", Source: src, Opts: nascent.Options{BoundsChecks: true},
-			Run: nascent.RunConfig{Engine: nascent.EngineTiered}},
+		// A vmjit job populates the per-program tier rows.
+		{Name: "snap-vmjit", Source: src, Opts: nascent.Options{BoundsChecks: true},
+			Run: nascent.RunConfig{Engine: nascent.EngineVMJit}},
 	})
 	for i := range res {
 		if res[i].Err != nil {
@@ -68,8 +68,8 @@ func TestMetricsSnapshotFields(t *testing.T) {
 	if len(row) != len(wantRow) {
 		t.Errorf("tier_programs row has %d fields, want %d: %v", len(row), len(wantRow), row)
 	}
-	if row["engine"] != "tiered" {
-		t.Errorf("tier_programs row engine = %v, want tiered", row["engine"])
+	if row["engine"] != "vmjit" || row["tier"] != "vmjit" {
+		t.Errorf("tier_programs row engine/tier = %v/%v, want vmjit/vmjit", row["engine"], row["tier"])
 	}
 
 	snap := p.MetricsSnapshot()

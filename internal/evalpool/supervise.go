@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"nascent/internal/chaos"
-	"nascent/internal/vm/tier"
 )
 
 // Config configures a supervised pool. The zero value of every field
@@ -37,10 +36,6 @@ type Config struct {
 	// attempt, capped at MaxBackoff (defaults 1ms, capped at 250ms).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// TierThresholds configures promotion for EngineTiered jobs (zero
-	// fields select the tier package defaults). It does not affect the
-	// other engines.
-	TierThresholds tier.Thresholds
 }
 
 const (

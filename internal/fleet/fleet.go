@@ -18,7 +18,6 @@ import (
 	"nascent/internal/progcache"
 	"nascent/internal/progio"
 	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // Config configures a Fleet. Every zero field selects a default except
@@ -66,9 +65,6 @@ type Config struct {
 	HedgeAfter time.Duration
 	// Logf receives member lifecycle lines (default: discard).
 	Logf func(format string, args ...any)
-	// TierThresholds tune the tiered engine's coordinator-local
-	// promotion points (zero fields select the tier package defaults).
-	TierThresholds tier.Thresholds
 }
 
 // Fleet shards job runs across worker processes. It implements
@@ -94,9 +90,8 @@ type Fleet struct {
 	rollMu sync.Mutex // at most one Roll at a time (TryLock, never queue)
 
 	mu        sync.Mutex
-	encMemo   map[encKey]*encEntry
-	tierRuns  map[progcache.Key]uint64 // completed-run counts for tiered jobs
-	jobEwmaMs float64                  // fleet-wide job latency EWMA (adaptive hedging)
+	encMemo   map[progcache.Key]*encEntry
+	jobEwmaMs float64 // fleet-wide job latency EWMA (adaptive hedging)
 	extra     extraMetrics
 }
 
@@ -122,33 +117,11 @@ type extraMetrics struct {
 }
 
 // encEntry is a once-guarded progio encoding memo slot: every variant
-// sharing one (source, options, engine, optimization level) ships the
-// same bytes.
+// sharing one (source, options, engine) ships the same bytes.
 type encEntry struct {
 	once sync.Once
 	data []byte
 	err  error
-}
-
-// encLevel is the rewrite pipeline a shipped program went through:
-// the base lowering, the optimized stream, or the guard/deopt
-// range-check-eliminated stream (which vmrce runs and vmjit
-// closure-compiles).
-type encLevel uint8
-
-const (
-	encBase encLevel = iota
-	encOpt
-	encRce
-)
-
-// encKey addresses one encoding memo slot. The rewrite level is
-// separate from the content key because the tiered engine ships the
-// same (source, options, engine) at different levels as its programs
-// heat up.
-type encKey struct {
-	key   progcache.Key
-	level encLevel
 }
 
 // New starts a fleet: Workers processes are spawned lazily on first
@@ -173,12 +146,11 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	f := &Fleet{
-		cfg:      cfg,
-		pool:     evalpool.New(0),
-		slots:    make(chan *member, cfg.Workers*cfg.MaxInFlight),
-		stop:     make(chan struct{}),
-		encMemo:  make(map[encKey]*encEntry),
-		tierRuns: make(map[progcache.Key]uint64),
+		cfg:     cfg,
+		pool:    evalpool.New(0),
+		slots:   make(chan *member, cfg.Workers*cfg.MaxInFlight),
+		stop:    make(chan struct{}),
+		encMemo: make(map[progcache.Key]*encEntry),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m := &member{fleet: f, idx: i}
@@ -291,49 +263,21 @@ func (f *Fleet) Evaluate(jobs []evalpool.Job) []evalpool.Result {
 	}
 	compiled := f.pool.Evaluate(compiles)
 
-	// Stage 2, remote: ship each run to a member slot. Tiers for the
-	// tiered engine are resolved HERE, sequentially in job order, so the
-	// decision depends only on the job list — never on worker scheduling
-	// — and every worker receives its tier explicitly.
+	// Stage 2, remote: ship each run to a member slot.
 	var wg sync.WaitGroup
 	for k, i := range remoteIdx {
 		results[i] = compiled[k]
 		if results[i].Err != nil {
 			continue // compile failed locally; nothing to ship
 		}
-		tierName := f.resolveTier(&jobs[i])
 		wg.Add(1)
-		go func(i int, tierName string) {
+		go func(i int) {
 			defer wg.Done()
-			f.runRemote(&results[i], &jobs[i], tierName)
-		}(i, tierName)
+			f.runRemote(&results[i], &jobs[i])
+		}(i)
 	}
 	wg.Wait()
 	return results
-}
-
-// resolveTier makes the coordinator-local promotion decision for one
-// job: vmjit jobs always ship the jit tier (the worker compiles the
-// closures from the optimized bytes it receives), tiered jobs consult
-// the per-program completed-run counter against the promotion
-// thresholds — the same entry-time, completed-runs semantics as
-// tier.Program, so a program evaluated once never recompiles. All
-// other engines carry no tier.
-func (f *Fleet) resolveTier(job *evalpool.Job) string {
-	switch job.Run.Engine {
-	case nascent.EngineVMJit:
-		return tier.TierVMJit
-	case nascent.EngineTiered:
-		opts := job.Opts
-		opts.Filename = ""
-		key := progcache.KeyOf(job.Source, filenameOr(job.Filename), opts, job.Run.Engine)
-		f.mu.Lock()
-		runs := f.tierRuns[key]
-		f.tierRuns[key] = runs + 1
-		f.mu.Unlock()
-		return f.cfg.TierThresholds.TierForRuns(runs)
-	}
-	return ""
 }
 
 // filenameOr mirrors the cache layers' canonical default.
@@ -344,13 +288,13 @@ func filenameOr(name string) string {
 	return name
 }
 
-// encoded returns the progio stream for a bytecode job, compiling and
-// encoding once per (source, filename, options, engine, rewrite
-// level).
-func (f *Fleet) encoded(job *evalpool.Job, prog *nascent.Program, level encLevel) ([]byte, error) {
+// encoded returns the progio stream for a bytecode job, compiling
+// through the engine's pipeline and encoding once per (source,
+// filename, options, engine).
+func (f *Fleet) encoded(job *evalpool.Job, prog *nascent.Program) ([]byte, error) {
 	opts := job.Opts
 	opts.Filename = ""
-	key := encKey{progcache.KeyOf(job.Source, filenameOr(job.Filename), opts, job.Run.Engine), level}
+	key := progcache.KeyOf(job.Source, filenameOr(job.Filename), opts, job.Run.Engine)
 	f.mu.Lock()
 	e := f.encMemo[key]
 	if e == nil {
@@ -359,16 +303,7 @@ func (f *Fleet) encoded(job *evalpool.Job, prog *nascent.Program, level encLevel
 	}
 	f.mu.Unlock()
 	e.once.Do(func() {
-		var vp *vm.Program
-		var err error
-		switch level {
-		case encRce:
-			vp, err = vm.CompileRCE(prog.IR)
-		case encOpt:
-			vp, err = vm.CompileOptimized(prog.IR)
-		default:
-			vp, err = vm.Compile(prog.IR)
-		}
+		vp, err := vm.CompileEngine(prog.IR, job.Run.Engine)
 		if err != nil {
 			e.err = err
 			return
@@ -392,7 +327,7 @@ type shipment struct {
 }
 
 // buildShipment turns one compiled job into its wire forms.
-func (f *Fleet) buildShipment(job *evalpool.Job, res *evalpool.Result, tierName string) (*shipment, error) {
+func (f *Fleet) buildShipment(job *evalpool.Job, res *evalpool.Result) (*shipment, error) {
 	sh := &shipment{
 		name: job.Name,
 		src: &request{
@@ -404,29 +339,16 @@ func (f *Fleet) buildShipment(job *evalpool.Job, res *evalpool.Result, tierName 
 		},
 	}
 	switch job.Run.Engine {
-	case nascent.EngineVM, nascent.EngineVMOpt, nascent.EngineVMRCE,
-		nascent.EngineVMJit, nascent.EngineTiered:
-		// vmopt jobs ship optimized bytes; vmrce and vmjit (whose input
-		// tier is the guard/deopt rewrite) ship rce bytes; vm and cold
-		// tiered jobs ship the base lowering; warm tiered jobs ship the
-		// bytes of the tier they resolved to.
-		level := encBase
-		switch job.Run.Engine {
-		case nascent.EngineVMOpt:
-			level = encOpt
-		case nascent.EngineVMRCE, nascent.EngineVMJit:
-			level = encRce
-		case nascent.EngineTiered:
-			switch tierName {
-			case tier.TierVMOpt:
-				level = encOpt
-			case tier.TierVMRCE, tier.TierVMJit:
-				level = encRce
-			}
-		}
-		data, err := f.encoded(job, res.Prog, level)
+	case nascent.EngineVM, nascent.EngineVMOpt, nascent.EngineVMRCE, nascent.EngineVMJit:
+		// Each engine ships the bytes of its own pipeline; vmjit ships
+		// the vmrce stream and asks the worker for the closure tier.
+		data, err := f.encoded(job, res.Prog)
 		if err != nil {
 			return nil, err
+		}
+		tierName := ""
+		if job.Run.Engine == nascent.EngineVMJit {
+			tierName = nascent.EngineVMJit.String()
 		}
 		sh.prog = &request{
 			Name: job.Name,
@@ -444,8 +366,8 @@ func (f *Fleet) buildShipment(job *evalpool.Job, res *evalpool.Result, tierName 
 // exponential backoff on whatever member is free next; a job whose
 // every attempt fails abnormally is quarantined behind the same typed
 // *evalpool.PoisonedInputError the in-process pool uses.
-func (f *Fleet) runRemote(res *evalpool.Result, job *evalpool.Job, tierName string) {
-	sh, err := f.buildShipment(job, res, tierName)
+func (f *Fleet) runRemote(res *evalpool.Result, job *evalpool.Job) {
+	sh, err := f.buildShipment(job, res)
 	if err != nil {
 		res.Err = fmt.Errorf("%s: %w", job.Name, err)
 		f.count(func(e *extraMetrics) { e.errors++ })

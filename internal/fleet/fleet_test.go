@@ -87,18 +87,16 @@ func TestIdentityTables(t *testing.T) {
 		{"table1/tree", nascent.EngineTree, (*report.Runner).Table1},
 		{"table2/vm", nascent.EngineVM, (*report.Runner).Table2},
 		{"table3/vmopt", nascent.EngineVMOpt, (*report.Runner).Table3},
-		// The top tier and the tiering controller shard too: the
-		// coordinator resolves tiers in submission order and ships them
-		// on the wire, so the fleet table must match the in-process one
-		// byte for byte even though promotion state never leaves the
-		// coordinator.
+		// The top tier shards too: the coordinator ships the vmrce
+		// bytes with the vmjit tier on the wire and the worker
+		// closure-compiles them, so the fleet table must match the
+		// in-process one byte for byte.
 		{"table2/vmjit", nascent.EngineVMJit, (*report.Runner).Table2},
 		// The guard/deopt engine ships at the rce encoding level: the
 		// preheader guards and bulk-counted checks cross the wire baked
 		// into the bytecode, so workers replay the exact elimination the
 		// coordinator compiled.
 		{"table2/vmrce", nascent.EngineVMRCE, (*report.Runner).Table2},
-		{"table3/tiered", nascent.EngineTiered, (*report.Runner).Table3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

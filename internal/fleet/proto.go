@@ -107,11 +107,10 @@ type request struct {
 	Filename string       `json:"filename,omitempty"`
 	Opts     *wireOptions `json:"opts,omitempty"`
 
-	// Tier is the execution tier for a program-shipped job ("vm",
-	// "vmopt", or "vmjit"; empty means: run the bytes as shipped on the
-	// switch VM). The coordinator decides it — for the tiered engine in
-	// job-submission order — so workers never make promotion decisions
-	// and the shipped bytes plus this field fully determine execution.
+	// Tier is the execution tier for a program-shipped job: "vmjit"
+	// asks the worker to closure-compile the shipped bytes, empty runs
+	// them as shipped on the switch VM. The shipped bytes plus this
+	// field fully determine execution.
 	Tier string `json:"tier,omitempty"`
 
 	Run     wireLimits `json:"run"`

@@ -12,7 +12,6 @@ import (
 	"nascent/internal/interp"
 	"nascent/internal/progio"
 	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // ServeWorker speaks the fleet protocol on (r, w) until r reaches EOF:
@@ -117,9 +116,9 @@ func serve(req *request) *response {
 			return resp
 		}
 		run = prog.Run
-		if req.Tier == tier.TierVMJit {
-			// The coordinator promoted this program: compile the closure
-			// tier from the shipped bytes. A jit compile failure degrades
+		if req.Tier == nascent.EngineVMJit.String() {
+			// A vmjit job: compile the closure tier from the shipped
+			// bytes. A jit compile failure degrades
 			// to the switch VM — bit-identical, so degradation is silent.
 			if jp, err := vm.JITCompile(prog, nil); err == nil {
 				run = jp.Run

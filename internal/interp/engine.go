@@ -47,19 +47,11 @@ const (
 	// switch) with profile-guided superinstruction selection. Same
 	// observables as the other engines. Linked together with EngineVM.
 	EngineVMJit
-	// EngineTiered is the profile-guided tiering controller
-	// (internal/vm/tier): a program starts on EngineVM and is promoted in
-	// the background to EngineVMOpt and then EngineVMJit as its hotness
-	// counters cross the promotion thresholds. Promotion never changes an
-	// observable — every tier implements the same contract — so tiering
-	// only moves wall-clock. Importing nascent (or internal/vm/tier
-	// itself) links it.
-	EngineTiered
 
 	numEngines = iota
 )
 
-var engineNames = [numEngines]string{"tree", "vm", "vmopt", "vmrce", "vmjit", "tiered"}
+var engineNames = [numEngines]string{"tree", "vm", "vmopt", "vmrce", "vmjit"}
 
 func (e Engine) String() string {
 	if int(e) < len(engineNames) {
@@ -68,15 +60,15 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", uint8(e))
 }
 
-// ParseEngine maps a flag value ("tree", "vm", "vmopt", "vmrce",
-// "vmjit", or "tiered") to an Engine.
+// ParseEngine maps a flag value ("tree", "vm", "vmopt", "vmrce", or
+// "vmjit") to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	for i, n := range engineNames {
 		if s == n {
 			return Engine(i), nil
 		}
 	}
-	return EngineTree, fmt.Errorf("interp: unknown engine %q (want tree, vm, vmopt, vmrce, vmjit, or tiered)", s)
+	return EngineTree, fmt.Errorf("interp: unknown engine %q (want tree, vm, vmopt, vmrce, or vmjit)", s)
 }
 
 // EngineNames lists every engine's flag spelling in Engine order. The

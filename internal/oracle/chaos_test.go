@@ -58,16 +58,16 @@ func oracleSweepConfig() ChaosConfig {
 }
 
 // TestChaosSweepTierPromote arms ONLY the tier.promote.fail site at
-// rate 1 and sweeps the vmjit and tiered engines: every promotion
-// attempt is killed, so every run must be served by a lower tier with
-// observables identical to the chaos-off reference — a failed
-// promotion is invisible, never an error and never a wrong result.
+// rate 1 and sweeps the vmjit engine: every background closure compile
+// is killed, so every run must be served by vmrce with observables
+// identical to the chaos-off reference — a failed promotion is
+// invisible, never an error and never a wrong result.
 func TestChaosSweepTierPromote(t *testing.T) {
 	rep, err := ChaosSweep(sweepSrc, ChaosConfig{
 		Seeds:      []uint64{1, 2, 3},
 		Rate:       1,
 		Site:       chaos.SiteTierPromote,
-		Engines:    []nascent.Engine{nascent.EngineVMJit, nascent.EngineTiered},
+		Engines:    []nascent.Engine{nascent.EngineVMJit},
 		Jobs:       8,
 		JobTimeout: 250 * time.Millisecond,
 	})
@@ -79,6 +79,9 @@ func TestChaosSweepTierPromote(t *testing.T) {
 	}
 	if rep.TypedErrors != 0 {
 		t.Errorf("failed promotions surfaced %d errors; degradation must be silent", rep.TypedErrors)
+	}
+	if rep.Faults == 0 {
+		t.Error("sweep failed no promotion — tier.promote.fail never fired")
 	}
 }
 

@@ -185,39 +185,6 @@ func TestGoldenTablesVMRCE(t *testing.T) {
 	}
 }
 
-// TestGoldenTablesTiered regenerates Tables 1–3 under the tiering
-// controller at several worker counts and diffs each against the same
-// golden files. This is the determinism half of the tiering claim:
-// promotion points depend on per-program run counts and background
-// recompilation timing, yet no schedule — sequential or 16-way — may
-// move a byte of any table.
-func TestGoldenTablesTiered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full tables in short mode")
-	}
-	for _, jobs := range []int{1, 4, 16} {
-		jobs := jobs
-		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
-			funcs := tableFuncs(report.New(report.Config{Jobs: jobs, Engine: nascent.EngineTiered}))
-			for n := 1; n <= 3; n++ {
-				got, err := funcs[n]()
-				if err != nil {
-					t.Fatalf("table %d at jobs=%d: %v", n, jobs, err)
-				}
-				path := filepath.Join("testdata", "golden", fmt.Sprintf("table%d.txt", n))
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (run TestGoldenTables with -update to create)", err)
-				}
-				if got != string(want) {
-					t.Errorf("table %d under the tiered engine at jobs=%d drifted from golden %s\n--- tiered ---\n%s\n--- golden ---\n%s",
-						n, jobs, path, got, want)
-				}
-			}
-		})
-	}
-}
-
 // TestParallelMatchesSequential is the engine's core safety claim: a
 // pool with many workers renders byte-identical tables to the
 // sequential pool. Run under -race in CI, it doubles as a data-race

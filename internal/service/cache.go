@@ -11,7 +11,6 @@ import (
 	"nascent/internal/evalpool"
 	"nascent/internal/progcache"
 	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // cacheKey is the content address of one compiled program: sha256 over
@@ -38,8 +37,7 @@ func contentKey(source, filename string, opts nascent.Options, engine nascent.En
 type compiled struct {
 	prog         *nascent.Program
 	vmProg       *vm.Program
-	jit          *tier.JitHandle // vmjit entries: warm tier state per cache entry
-	trd          *tier.Program   // tiered entries: hotness controller per cache entry
+	jit          *vm.JitHandle // vmjit entries: warm tier state per cache entry
 	engine       nascent.Engine
 	staticChecks int
 	opt          *nascent.OptReport
@@ -47,31 +45,28 @@ type compiled struct {
 
 // Run executes the cached program under cfg; it satisfies
 // evalpool.Runner so cache hits ride the pool's supervision unchanged.
-// vmjit and tiered entries run through their tier handles, so repeated
-// requests for the same cache entry warm the same counters and the
-// closure tier compiles once per entry, in the background.
+// vmjit entries run through their JitHandle, so repeated requests for
+// the same cache entry warm the same counters and the closure tier
+// compiles once per entry, in the background.
 func (c *compiled) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
 	switch {
 	case c.jit != nil:
 		return c.jit.Run(cfg)
-	case c.trd != nil:
-		return c.trd.Run(cfg)
 	case c.vmProg != nil:
 		return c.vmProg.Run(cfg)
 	}
 	return c.prog.RunWith(cfg)
 }
 
-// tierSnapshot returns the entry's tier state (zero Snapshot and false
-// for non-tiered entries).
-func (c *compiled) tierSnapshot() (tier.Snapshot, bool) {
-	switch {
-	case c.jit != nil:
-		return c.jit.Snapshot(), true
-	case c.trd != nil:
-		return c.trd.Snapshot(), true
+// wrapJit attaches a JitHandle to a vmjit entry: its first run profiles
+// on the optimized switch VM and closure compilation happens in the
+// background. The handle lives exactly as long as the cache entry, so
+// an eviction also resets the entry's warm-up — by design, since tier
+// state must never outlive the artifact it describes.
+func (c *compiled) wrapJit() {
+	if c.vmProg != nil && c.engine == nascent.EngineVMJit {
+		c.jit = vm.NewJitHandle(c.vmProg)
 	}
-	return tier.Snapshot{}, false
 }
 
 // cacheEntry is a once-guarded singleflight slot: the first request
@@ -168,8 +163,8 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// tierPrograms snapshots the tier state of every filled vmjit/tiered
-// cache entry, sorted by key for a stable wire order. The rows share
+// tierPrograms snapshots the tier state of every filled vmjit cache
+// entry, sorted by key for a stable wire order. The rows share
 // evalpool's wire type so operators read one schema whether a program
 // warmed through the service cache or the pool's bytecode memo.
 func (c *Cache) tierPrograms() []evalpool.TierProgramSnapshot {
@@ -190,23 +185,11 @@ func (c *Cache) tierPrograms() []evalpool.TierProgramSnapshot {
 		// published yet and must not be raced (filled is stored after
 		// c, so observing it true makes c safe to read).
 		ent := s.ent
-		if !ent.filled.Load() || ent.c == nil {
+		if !ent.filled.Load() || ent.c == nil || ent.c.jit == nil {
 			continue
 		}
-		snap, ok := ent.c.tierSnapshot()
-		if !ok {
-			continue
-		}
-		rows = append(rows, evalpool.TierProgramSnapshot{
-			Key:          hex.EncodeToString(s.key[:8]),
-			Engine:       ent.c.engine.String(),
-			Tier:         snap.Tier,
-			Runs:         snap.Runs,
-			Instructions: snap.Instrs,
-			ProfiledRuns: snap.ProfiledRuns,
-			Promotions:   snap.Promotions,
-			Demotions:    snap.Demotions,
-		})
+		row := evalpool.TierRow(hex.EncodeToString(s.key[:8]), ent.c.engine.String(), ent.c.jit.Snapshot())
+		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
 	return rows

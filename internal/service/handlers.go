@@ -140,18 +140,17 @@ func (s *Server) resolve(req *RunRequest) (*resolved, *Error) {
 	r.probe = probe
 	if degraded {
 		// A tripped top tier degrades down the ladder, not to the floor:
-		// vmjit and tiered fall to the guard/deopt switch VM (vmrce),
-		// vmrce to the optimized switch VM (vmopt) — identical
-		// observables, a tier's worth of speed each step — skipping any
-		// rung whose own circuit is open; when the whole ladder is open
-		// the reference configuration serves.
+		// vmjit falls to the guard/deopt switch VM (vmrce), vmrce to the
+		// optimized switch VM (vmopt) — identical observables, a tier's
+		// worth of speed each step — skipping any rung whose own circuit
+		// is open; when the whole ladder is open the reference
+		// configuration serves.
 		toScheme, toEngine := nascent.Naive, nascent.EngineTree
 		switch {
-		case (engine == nascent.EngineVMJit || engine == nascent.EngineTiered) &&
+		case engine == nascent.EngineVMJit &&
 			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMRCE):
 			toScheme, toEngine = opts.Scheme, nascent.EngineVMRCE
-		case (engine == nascent.EngineVMJit || engine == nascent.EngineTiered ||
-			engine == nascent.EngineVMRCE) &&
+		case (engine == nascent.EngineVMJit || engine == nascent.EngineVMRCE) &&
 			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMOpt):
 			toScheme, toEngine = opts.Scheme, nascent.EngineVMOpt
 		}
@@ -461,7 +460,7 @@ type metricsDoc struct {
 	DiskCache *progcache.Metrics       `json:"disk_cache,omitempty"`
 	Breaker   breakerStats             `json:"breaker"`
 	Pool      evalpool.MetricsSnapshot `json:"pool"`
-	// Tiers lists per-entry tier state for vmjit/tiered programs
+	// Tiers lists per-entry tier state for vmjit programs
 	// resolved through the service cache (the pool's own tier rows
 	// appear under pool.tier_programs).
 	Tiers []evalpool.TierProgramSnapshot `json:"tiers,omitempty"`

@@ -41,8 +41,8 @@ func TestMetricsDocFields(t *testing.T) {
 		c.ProgCacheDir = t.TempDir()
 		c.AuditEvery = 1
 	})
-	// A tiered run populates the tiers section and one audit sample.
-	req := RunRequest{CompileRequest: CompileRequest{Source: progOK, Engine: "tiered"}}
+	// A vmjit run populates the tiers section and one audit sample.
+	req := RunRequest{CompileRequest: CompileRequest{Source: progOK, Engine: "vmjit"}}
 	if w := do(t, s, "POST", "/run", req, nil); w.Code != http.StatusOK {
 		t.Fatalf("run status = %d, body %s", w.Code, w.Body.String())
 	}

@@ -17,7 +17,6 @@ import (
 	"nascent/internal/fleet"
 	"nascent/internal/progcache"
 	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // Config configures a Server. Every zero field selects a production
@@ -61,13 +60,6 @@ type Config struct {
 	// circuit breaker (defaults 3 consecutive quarantines, 30 s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	// TierThresholds tune the tiered engine's promotion points (zero
-	// fields select the tier package defaults). Hotness is process
-	// state: cache entries — memory or disk — always start at the cold
-	// tier, so thresholds only shape when a warm entry recompiles, never
-	// what any run observes.
-	TierThresholds tier.Thresholds
 
 	// FleetWorkers, when > 0, shards /report measurement runs across
 	// worker processes instead of the in-process pool; FleetCommand
@@ -429,7 +421,7 @@ func (s *Server) compile(source, filename string, opts nascent.Options, engine n
 				}
 				// Tier state is process state — warm bytecode from disk
 				// still starts at the cold tier.
-				s.wrapTier(out)
+				out.wrapJit()
 				return out, nil
 			}
 		}
@@ -439,20 +431,12 @@ func (s *Server) compile(source, filename string, opts nascent.Options, engine n
 			return nil, err
 		}
 		out := &compiled{prog: prog, engine: engine, staticChecks: prog.StaticChecks(), opt: prog.Opt}
-		switch engine {
-		case nascent.EngineVM, nascent.EngineTiered:
-			out.vmProg, err = vm.Compile(prog.IR)
-		case nascent.EngineVMOpt:
-			out.vmProg, err = vm.CompileOptimized(prog.IR)
-		case nascent.EngineVMRCE, nascent.EngineVMJit:
-			// Guard/deopt range-check elimination plus the optimizer;
-			// vmjit closure-compiles the same stream.
-			out.vmProg, err = vm.CompileRCE(prog.IR)
+		if bytecode {
+			if out.vmProg, err = vm.CompileEngine(prog.IR, engine); err != nil {
+				return nil, err
+			}
 		}
-		if err != nil {
-			return nil, err
-		}
-		s.wrapTier(out)
+		out.wrapJit()
 		if s.disk != nil && bytecode {
 			// Best-effort persist; a write failure only costs the next
 			// cold start its warm path.
@@ -461,25 +445,6 @@ func (s *Server) compile(source, filename string, opts nascent.Options, engine n
 		return out, nil
 	})
 	return c, key, hit, err
-}
-
-// wrapTier attaches the tier handle for engines that execute through
-// one: vmjit entries warm a JitHandle (first run profiles on the
-// optimized switch VM, closure compilation happens in the background),
-// tiered entries get a hotness controller seeded at the cold tier. The
-// handle lives exactly as long as the cache entry, so an eviction also
-// resets the entry's hotness — by design, since promotion state must
-// never outlive the artifact it describes.
-func (s *Server) wrapTier(c *compiled) {
-	if c.vmProg == nil {
-		return
-	}
-	switch c.engine {
-	case nascent.EngineVMJit:
-		c.jit = tier.NewJitHandle(c.vmProg)
-	case nascent.EngineTiered:
-		c.trd = tier.FromBytecode(c.vmProg, s.cfg.TierThresholds)
-	}
 }
 
 // Drain performs graceful shutdown: flip the drain gate (new requests

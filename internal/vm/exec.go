@@ -14,16 +14,6 @@ import (
 	"nascent/internal/source"
 )
 
-func init() {
-	interp.RegisterEngine(interp.EngineVM, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-		vp, err := Compile(p)
-		if err != nil {
-			return interp.Result{}, err
-		}
-		return vp.Run(cfg)
-	})
-}
-
 // pollInterval matches the reference engine's deadline/cancellation
 // cadence: one poll per 2^14 counted instructions.
 const pollInterval = 1 << 14

@@ -37,26 +37,6 @@ import (
 	"nascent/internal/source"
 )
 
-func init() {
-	interp.RegisterEngine(interp.EngineVMJit, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-		// The jit compiles the guard/deopt-rewritten, optimized bytecode:
-		// vmrce is the jit's input tier, so closure chains inherit the
-		// guard-free fast loop bodies (see DESIGN.md, "Check elimination
-		// in the VM").
-		vp, err := CompileRCE(p)
-		if err != nil {
-			return interp.Result{}, err
-		}
-		jp, err := JITCompile(vp, nil)
-		if err != nil {
-			// Contained jit-compile failure: degrade to the optimized
-			// switch VM (the vmrce tier), never to the tree.
-			return vp.Run(cfg)
-		}
-		return jp.Run(cfg)
-	})
-}
-
 // jop is one compiled closure: execute, then return the successor
 // closure (nil stops the trampoline — halt, fault, or trap, told apart
 // by the machine's result fields).

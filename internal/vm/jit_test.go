@@ -11,8 +11,8 @@ import (
 
 // jitSuite closure-compiles the optimized suite with a real profile:
 // one RunDispatch pass per program collects the digram matrix the
-// fuser selects from — the same flow the tiering controller uses at
-// promotion time.
+// fuser selects from — the same flow vm.JitHandle uses when it
+// promotes.
 func jitSuite(tb testing.TB) []*vm.JITProgram {
 	progs := compileSuite(tb, true)
 	var out []*vm.JITProgram

@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"nascent/internal/guard"
-	"nascent/internal/interp"
 	"nascent/internal/ir"
 )
 
@@ -151,16 +150,6 @@ func CompileOptimized(p *ir.Program) (*Program, error) {
 		return ovp, nil
 	}
 	return vp, nil
-}
-
-func init() {
-	interp.RegisterEngine(interp.EngineVMOpt, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-		vp, err := CompileOptimized(p)
-		if err != nil {
-			return interp.Result{}, err
-		}
-		return vp.Run(cfg)
-	})
 }
 
 // Optimize rewrites a freshly compiled program (it must not already be

@@ -69,16 +69,6 @@ import (
 	"nascent/internal/ir"
 )
 
-func init() {
-	interp.RegisterEngine(interp.EngineVMRCE, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-		vp, err := CompileRCE(p)
-		if err != nil {
-			return interp.Result{}, err
-		}
-		return vp.Run(cfg)
-	})
-}
-
 // loopMeta is the compile-time residue of one ir.DoLoopInfo in
 // bytecode-pc terms, captured by compiler.captureLoops. It is
 // transient analysis metadata — progio deliberately does not serialize
@@ -112,18 +102,6 @@ func CompileRCE(p *ir.Program) (*Program, error) {
 		return ovp, nil
 	}
 	return rp, nil
-}
-
-// OptimizeRCE is RCE followed by Optimize, for callers that already
-// hold freshly compiled bytecode (the tier controller promotes a
-// program's base bytecode this way). An RCE failure degrades to plain
-// Optimize; an Optimize failure is the caller's promotion failure.
-func OptimizeRCE(vp *Program) (*Program, error) {
-	rp, rerr := RCE(vp)
-	if rerr != nil {
-		rp = vp
-	}
-	return Optimize(rp)
 }
 
 // RCEApplied reports whether this program went through RCE.

@@ -177,7 +177,16 @@ func TestEngineNames(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v", tc.s, e, err)
 		}
 	}
-	if _, err := interp.ParseEngine("jit"); err == nil {
-		t.Error("ParseEngine(jit) succeeded")
+	for _, s := range []string{"jit", "tiered"} {
+		if _, err := interp.ParseEngine(s); err == nil {
+			t.Errorf("ParseEngine(%s) succeeded", s)
+		}
+	}
+	want := []string{"tree", "vm", "vmopt", "vmrce", "vmjit"}
+	if got := interp.EngineNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("EngineNames() = %v, want %v", got, want)
+	}
+	if n := len(interp.AllEngines()); n != len(want) {
+		t.Errorf("AllEngines() has %d engines, want %d", n, len(want))
 	}
 }

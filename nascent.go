@@ -31,11 +31,10 @@ import (
 	"nascent/internal/rangecheck"
 	"nascent/internal/sem"
 
-	// Link the bytecode VM and the tiering controller so
-	// RunConfig{Engine: EngineVM} (and vmopt/vmjit/tiered) is available
-	// to every importer of the public API.
+	// Link the bytecode VM so RunConfig{Engine: EngineVM} (and
+	// vmopt/vmrce/vmjit) is available to every importer of the public
+	// API.
 	_ "nascent/internal/vm"
-	_ "nascent/internal/vm/tier"
 )
 
 // InternalError is a recovered internal invariant violation, tagged with
@@ -231,15 +230,10 @@ const (
 	// profile-guided superinstruction selection. Same observables, no
 	// dispatch switch.
 	EngineVMJit = interp.EngineVMJit
-	// EngineTiered is the profile-guided tiering controller: runs start
-	// on EngineVM and are promoted in the background through EngineVMOpt
-	// and EngineVMRCE to EngineVMJit as hotness thresholds are crossed.
-	// Promotion never changes an observable.
-	EngineTiered = interp.EngineTiered
 )
 
-// ParseEngine maps a flag spelling ("tree", "vm", "vmopt", "vmrce",
-// "vmjit", or "tiered") to an Engine.
+// ParseEngine maps a flag spelling ("tree", "vm", "vmopt", "vmrce", or
+// "vmjit") to an Engine.
 func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 
 // EngineNames lists every engine's flag spelling in Engine order.
