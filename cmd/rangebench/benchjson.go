@@ -80,8 +80,8 @@ func cpuModel() string {
 }
 
 // benchProg is one suite program prepared for every engine: all
-// compiles (and the jit's profile-guided closure compile) happen here,
-// outside any timer.
+// compiles (and the jit's closure compile) happen here, outside any
+// timer.
 type benchProg struct {
 	name   string
 	instrs uint64
@@ -110,14 +110,7 @@ func prepare(name, source string) (*benchProg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("run: %w", err)
 	}
-	// The jit fuses what the profile says this program executes. Its
-	// input is the guard/deopt (vmrce) bytecode — the same pairing
-	// vm.JitHandle warms — so the profile comes from that program.
-	_, ds, err := rce.RunDispatch(nascent.RunConfig{})
-	if err != nil {
-		return nil, fmt.Errorf("profile run: %w", err)
-	}
-	jp, err := vm.JITCompile(rce, &ds)
+	jp, err := vm.JITCompile(rce, nil)
 	if err != nil {
 		return nil, fmt.Errorf("jit compile: %w", err)
 	}
@@ -188,10 +181,9 @@ func runBenchJSON(path string) int {
 		Description: "Suite-wide execution of the 10 Table-1 programs compiled naive " +
 			"(all range checks live) under every registered engine: tree-walking " +
 			"reference interpreter, bytecode VM, superinstruction-optimized VM, " +
-			"guard/deopt range-check-eliminated VM, and profile-guided " +
-			"closure-compiled jit (over the vmrce bytecode). Programs are " +
-			"compiled (and the jit closure-compiled against a real dispatch " +
-			"profile) outside the timer; ns/op and allocs/op are pure " +
+			"guard/deopt range-check-eliminated VM, and closure-compiled jit " +
+			"(over the vmrce bytecode). Programs are compiled (and the jit " +
+			"closure-compiled) outside the timer; ns/op and allocs/op are pure " +
 			"execution, best of three interleaved repetitions per engine. All " +
 			"engines produce identical observables (conformance-pinned), so " +
 			"ns/op ratios are true engine speedups.",
@@ -208,9 +200,8 @@ func runBenchJSON(path string) int {
 			"range-check elimination on top (one preheader guard per proven " +
 			"loop family, guard-free fast copies, deopt to the fully checked " +
 			"originals, eliminated checks bulk-counted); vmjit compiles each " +
-			"basic block of the vmrce bytecode into chained Go closures and " +
-			"fuses the digrams/trigrams the program's own dispatch profile " +
-			"ranks hot. Every observable (counters, traps, output) is pinned " +
+			"instruction of the vmrce bytecode into a chained Go closure. " +
+			"Every observable (counters, traps, output) is pinned " +
 			"identical by the conformance corpus and golden tables.",
 	}
 	// Best of three interleaved repetitions per engine: single

@@ -95,9 +95,9 @@ const (
 	// SiteWorkerSlow delays a worker briefly before the job runs
 	// (the job still completes correctly). Keyed by job name.
 	SiteWorkerSlow Site = "pool.worker.slow"
-	// SiteTierPromote fails a background tier promotion (the
-	// JITCompile a vm.JitHandle runs off the hot path). The program must
-	// keep serving runs at its current tier — promotion failure is
+	// SiteTierPromote fails the vmjit closure compile at cache fill
+	// (the JITCompile vm.NewJitHandle runs once, at construction). The
+	// program must keep serving runs on vmrce — promotion failure is
 	// contained, never observable in results. Keyed by the target tier
 	// name ("vmjit").
 	SiteTierPromote Site = "tier.promote.fail"

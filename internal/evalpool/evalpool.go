@@ -194,10 +194,10 @@ type feKey struct {
 // optimized vmopt rewrite are distinct programs). The whole compile
 // pipeline is deterministic, so two jobs with equal keys lower to
 // equivalent IR and can share one immutable vm.Program. For the vmjit
-// engine the entry additionally carries the mutable tier state — run
-// counters, the closure-compiled program once the background compile
-// lands — keyed alongside the same content hash, so every job for the
-// same (source, options, engine) warms the same handle.
+// engine the entry instead carries a JitHandle — the closure-compiled
+// program plus its run and tier counters — keyed alongside the same
+// content hash, so every job for the same (source, options, engine)
+// runs on the same handle.
 type bcKey struct {
 	fe     feKey
 	opts   nascent.Options
@@ -209,7 +209,7 @@ type bcKey struct {
 type bcEntry struct {
 	once sync.Once
 	prog *vm.Program   // vm / vmopt / vmrce: shared immutable program
-	jit  *vm.JitHandle // vmjit: profile-on-first-run closure handle
+	jit  *vm.JitHandle // vmjit: closure tier compiled at fill
 	err  error
 }
 
@@ -376,11 +376,10 @@ func bytecodeEngine(eng nascent.Engine) bool {
 // filename, options, engine) lowers to equivalent IR, and one
 // immutable vm.Program serves them all — vm.CompileEngine picks each
 // engine's pipeline once per entry — while EngineVMJit entries hold a
-// mutable JitHandle whose warm-up persists across jobs (the second job
-// for the same source runs warmer than the first). A
-// Mutate hook (the oracle's miscompilation injector) changes the IR
-// after compilation, so mutated jobs bypass the memo and run through
-// the ordinary per-run dispatch.
+// JitHandle whose closure compile happens once, at fill, and whose
+// counters persist across jobs. A Mutate hook (the oracle's
+// miscompilation injector) changes the IR after compilation, so mutated
+// jobs bypass the memo and run through the ordinary per-run dispatch.
 func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunResult, error) {
 	eng := job.Run.Engine
 	if !bytecodeEngine(eng) || job.Mutate != nil {
@@ -412,8 +411,8 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 				// Warm start: the program comes off disk bit-identical to
 				// a fresh compile (the codec round-trip is pinned by the
 				// progio suite), so the bytecode stage costs one decode.
-				// Jit handles still start cold — warm-up is process
-				// state, not program state.
+				// The closure tier is process state, not program state:
+				// NewJitHandle below compiles it afresh.
 				vp = ent.Prog
 				diskHit = true
 			} else {
@@ -453,23 +452,6 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 		return e.jit.Run(job.Run)
 	}
 	return e.prog.Run(job.Run)
-}
-
-// SettleTiers blocks until no background vmjit closure compile is in
-// flight. Promotion is asynchronous by design; tests and deterministic
-// snapshots drain it here.
-func (p *Pool) SettleTiers() {
-	p.mu.Lock()
-	var hs []*vm.JitHandle
-	for _, e := range p.bcMemo {
-		if e.jit != nil {
-			hs = append(hs, e.jit)
-		}
-	}
-	p.mu.Unlock()
-	for _, h := range hs {
-		h.Settle()
-	}
 }
 
 func (p *Pool) runJob(i int, job *Job) Result {
@@ -608,7 +590,6 @@ type TierProgramSnapshot struct {
 	Tier         string `json:"tier"`
 	Runs         uint64 `json:"runs"`
 	Instructions uint64 `json:"instructions"`
-	ProfiledRuns uint64 `json:"profiled_runs"`
 	Promotions   uint64 `json:"promotions"`
 	Demotions    uint64 `json:"demotions"`
 }
@@ -621,7 +602,6 @@ func TierRow(key, engine string, s vm.Snapshot) TierProgramSnapshot {
 		Tier:         s.Tier,
 		Runs:         s.Runs,
 		Instructions: s.Instrs,
-		ProfiledRuns: s.ProfiledRuns,
 		Promotions:   s.Promotions,
 		Demotions:    s.Demotions,
 	}

@@ -24,8 +24,6 @@ func TestMetricsSnapshotFields(t *testing.T) {
 			t.Fatalf("evaluate %d: %v", i, res[i].Err)
 		}
 	}
-	p.SettleTiers()
-
 	raw, err := json.Marshal(p.MetricsSnapshot())
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -59,7 +57,7 @@ func TestMetricsSnapshotFields(t *testing.T) {
 		t.Fatalf("tier_programs = %v, want one row", m["tier_programs"])
 	}
 	row, _ := rows[0].(map[string]any)
-	wantRow := []string{"key", "engine", "tier", "runs", "instructions", "profiled_runs", "promotions", "demotions"}
+	wantRow := []string{"key", "engine", "tier", "runs", "instructions", "promotions", "demotions"}
 	for _, k := range wantRow {
 		if _, ok := row[k]; !ok {
 			t.Errorf("tier_programs row missing field %q", k)

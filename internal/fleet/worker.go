@@ -117,12 +117,10 @@ func serve(req *request) *response {
 		}
 		run = prog.Run
 		if req.Tier == nascent.EngineVMJit.String() {
-			// A vmjit job: compile the closure tier from the shipped
-			// bytes. A jit compile failure degrades
-			// to the switch VM — bit-identical, so degradation is silent.
-			if jp, err := vm.JITCompile(prog, nil); err == nil {
-				run = jp.Run
-			}
+			// A vmjit job runs the shipped bytes through a JitHandle,
+			// like every other vmjit caller: a jit failure degrades to
+			// the switch VM — bit-identical, so degradation is silent.
+			run = vm.NewJitHandle(prog).Run
 		}
 	case req.Source != "":
 		opts := nascent.Options{Filename: req.Filename}

@@ -44,8 +44,8 @@ const (
 	// EngineVMJit is the closure-compiled top tier: every basic block of
 	// the guard/deopt-rewritten, optimized bytecode is compiled into a
 	// chain of Go closures (computed-goto-style dispatch, no central
-	// switch) with profile-guided superinstruction selection. Same
-	// observables as the other engines. Linked together with EngineVM.
+	// switch). Same observables as the other engines. Linked together
+	// with EngineVM.
 	EngineVMJit
 
 	numEngines = iota

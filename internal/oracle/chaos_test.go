@@ -58,10 +58,10 @@ func oracleSweepConfig() ChaosConfig {
 }
 
 // TestChaosSweepTierPromote arms ONLY the tier.promote.fail site at
-// rate 1 and sweeps the vmjit engine: every background closure compile
-// is killed, so every run must be served by vmrce with observables
-// identical to the chaos-off reference — a failed promotion is
-// invisible, never an error and never a wrong result.
+// rate 1 and sweeps the vmjit engine: every closure compile is killed
+// at handle construction, so every run must be served by vmrce with
+// observables identical to the chaos-off reference — a failed
+// promotion is invisible, never an error and never a wrong result.
 func TestChaosSweepTierPromote(t *testing.T) {
 	rep, err := ChaosSweep(sweepSrc, ChaosConfig{
 		Seeds:      []uint64{1, 2, 3},

@@ -37,7 +37,7 @@ func contentKey(source, filename string, opts nascent.Options, engine nascent.En
 type compiled struct {
 	prog         *nascent.Program
 	vmProg       *vm.Program
-	jit          *vm.JitHandle // vmjit entries: warm tier state per cache entry
+	jit          *vm.JitHandle // vmjit entries: closure tier and tier counters per cache entry
 	engine       nascent.Engine
 	staticChecks int
 	opt          *nascent.OptReport
@@ -46,8 +46,8 @@ type compiled struct {
 // Run executes the cached program under cfg; it satisfies
 // evalpool.Runner so cache hits ride the pool's supervision unchanged.
 // vmjit entries run through their JitHandle, so repeated requests for
-// the same cache entry warm the same counters and the closure tier
-// compiles once per entry, in the background.
+// the same cache entry share its counters and its closure tier, which
+// compiled once, at fill.
 func (c *compiled) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
 	switch {
 	case c.jit != nil:
@@ -58,11 +58,11 @@ func (c *compiled) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
 	return c.prog.RunWith(cfg)
 }
 
-// wrapJit attaches a JitHandle to a vmjit entry: its first run profiles
-// on the optimized switch VM and closure compilation happens in the
-// background. The handle lives exactly as long as the cache entry, so
-// an eviction also resets the entry's warm-up — by design, since tier
-// state must never outlive the artifact it describes.
+// wrapJit attaches a JitHandle to a vmjit entry, closure-compiling it
+// inside the entry's once-guarded fill. The handle lives exactly as
+// long as the cache entry, so an eviction also drops its tier state —
+// by design, since tier state must never outlive the artifact it
+// describes.
 func (c *compiled) wrapJit() {
 	if c.vmProg != nil && c.engine == nascent.EngineVMJit {
 		c.jit = vm.NewJitHandle(c.vmProg)
@@ -166,7 +166,7 @@ func (c *Cache) evictLocked() {
 // tierPrograms snapshots the tier state of every filled vmjit cache
 // entry, sorted by key for a stable wire order. The rows share
 // evalpool's wire type so operators read one schema whether a program
-// warmed through the service cache or the pool's bytecode memo.
+// ran through the service cache or the pool's bytecode memo.
 func (c *Cache) tierPrograms() []evalpool.TierProgramSnapshot {
 	c.mu.Lock()
 	type slot struct {

@@ -419,8 +419,8 @@ func (s *Server) compile(source, filename string, opts nascent.Options, engine n
 					staticChecks: ent.StaticChecks,
 					opt:          ent.Opt,
 				}
-				// Tier state is process state — warm bytecode from disk
-				// still starts at the cold tier.
+				// Tier state is process state — bytecode from disk gets
+				// its closure tier compiled here, at fill.
 				out.wrapJit()
 				return out, nil
 			}

@@ -1,13 +1,11 @@
 package vm
 
 // engine.go — the engine → bytecode pipeline map, the engine registry
-// entries, and the vmjit warm-up handle the service cache and the
-// evalpool memo share.
+// entries, and the vmjit handle every layer runs that engine through.
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nascent/internal/chaos"
@@ -51,53 +49,51 @@ func init() {
 		if err != nil {
 			return interp.Result{}, err
 		}
-		jp, err := JITCompile(vp, nil)
-		if err != nil {
-			// Contained jit-compile failure: degrade to the optimized
-			// switch VM (the vmrce tier), never to the tree.
-			return vp.Run(cfg)
-		}
-		return jp.Run(cfg)
+		return NewJitHandle(vp).Run(cfg)
 	})
 }
 
-// JitHandle wraps an already-optimized program with the vmjit engine's
-// warm-up protocol: the first run executes on the switch VM with
-// dispatch accounting and hands the profile to a background
-// JITCompile, so superinstruction selection fuses the digrams this
-// program actually executes and no run ever blocks on the compile.
-// A contained jit failure (compile, a tier.promote.fail injection, or
-// run) tombstones the closure tier and the handle keeps serving on the
-// optimized switch VM — never the tree. The evalpool bytecode memo and
-// the nascentd compile cache share this type for their vmjit entries.
+// JitHandle is how every layer runs a vmjit program: the registry
+// above, the fleet worker, and the service cache and evalpool memo,
+// which keep one handle per entry. The closure compile happens once, in
+// NewJitHandle — inside the once-guarded fill of a cache or memo entry
+// — so no run ever profiles, blocks on, or races a compile. A failed
+// compile (or a tier.promote.fail injection) leaves the handle on the
+// optimized switch VM, and a contained jit run failure tombstones the
+// closure tier there — never the tree.
 type JitHandle struct {
-	vp        *Program
-	profiling atomic.Bool
-	jit       atomic.Pointer[JITProgram]
-	dead      atomic.Bool
+	vp   *Program
+	jit  *JITProgram // nil when the closure compile failed
+	dead atomic.Bool
 
-	runs       atomic.Uint64
-	instrs     atomic.Uint64
-	profiled   atomic.Uint64
-	promotions atomic.Uint64
-	demotions  atomic.Uint64
-
-	wg sync.WaitGroup
+	runs      atomic.Uint64
+	instrs    atomic.Uint64
+	demotions atomic.Uint64
 }
 
-// NewJitHandle wraps a rewritten bytecode program. The caller is
-// responsible for vp being the jit's defined input — the guard/deopt-
-// rewritten, optimized stream (CompileEngine for vmjit). The closure
-// compiler accepts plain optimized (or even naive) bytecode too, but
-// then the handle serves that lower tier while warming.
-func NewJitHandle(vp *Program) *JitHandle { return &JitHandle{vp: vp} }
+// NewJitHandle closure-compiles a rewritten bytecode program. The
+// caller is responsible for vp being the jit's defined input — the
+// guard/deopt-rewritten, optimized stream (CompileEngine for vmjit).
+// The closure compiler accepts plain optimized (or even naive)
+// bytecode too, but then a failed compile serves that lower tier.
+func NewJitHandle(vp *Program) *JitHandle {
+	h := &JitHandle{vp: vp}
+	if chaos.Active() && chaos.Fire(chaos.SiteTierPromote, interp.EngineVMJit.String()) {
+		return h
+	}
+	if jp, err := JITCompile(vp, nil); err == nil {
+		h.jit = jp
+	}
+	return h
+}
 
-// Run executes one request: on the closure tier once it exists, else
-// on the optimized switch VM (the first run doubling as the profiling
-// pass).
+// Run executes one request: on the closure tier unless it failed to
+// compile or was tombstoned, else on the optimized switch VM.
 func (h *JitHandle) Run(cfg interp.Config) (interp.Result, error) {
-	if jp := h.jit.Load(); jp != nil && !h.dead.Load() {
-		res, err := jp.Run(cfg)
+	var res interp.Result
+	var err error
+	if h.jit != nil && !h.dead.Load() {
+		res, err = h.jit.Run(cfg)
 		var ie *guard.InternalError
 		if err != nil && errors.As(err, &ie) {
 			// Contained closure-tier failure: tombstone and replay on
@@ -106,59 +102,29 @@ func (h *JitHandle) Run(cfg interp.Config) (interp.Result, error) {
 			h.demotions.Add(1)
 			res, err = h.vp.Run(cfg)
 		}
-		h.record(res)
-		return res, err
+	} else {
+		res, err = h.vp.Run(cfg)
 	}
-	if !h.dead.Load() && h.profiling.CompareAndSwap(false, true) {
-		res, ds, err := h.vp.RunDispatch(cfg)
-		h.profiled.Add(1)
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			if chaos.Active() && chaos.Fire(chaos.SiteTierPromote, interp.EngineVMJit.String()) {
-				h.dead.Store(true)
-				return
-			}
-			jp, jerr := JITCompile(h.vp, &ds)
-			if jerr != nil {
-				h.dead.Store(true)
-				return
-			}
-			h.jit.Store(jp)
-			h.promotions.Add(1)
-		}()
-		h.record(res)
-		return res, err
-	}
-	res, err := h.vp.Run(cfg)
-	h.record(res)
-	return res, err
-}
-
-func (h *JitHandle) record(res interp.Result) {
 	h.runs.Add(1)
 	h.instrs.Add(res.Instructions)
+	return res, err
 }
-
-// Settle blocks until no background closure compile is in flight.
-func (h *JitHandle) Settle() { h.wg.Wait() }
 
 // Snapshot is a JitHandle's observable state, exported towards evalpool
 // metrics and the nascentd /metrics wire form.
 type Snapshot struct {
-	// Tier is the engine tier the NEXT run will execute on: "vmjit" once
-	// the closure tier serves, else the tier of the wrapped program
-	// ("vmrce" for the usual CompileRCE input, "vmopt" otherwise).
+	// Tier is the engine tier the NEXT run will execute on: "vmjit"
+	// while the closure tier serves, else the tier of the wrapped
+	// program ("vmrce" for the usual CompileRCE input, "vmopt"
+	// otherwise).
 	Tier string
 	// Runs and Instrs count completed runs and their cumulative
 	// instructions.
 	Runs   uint64
 	Instrs uint64
-	// ProfiledRuns counts the switch-VM runs whose dispatch profile fed
-	// the closure compile.
-	ProfiledRuns uint64
-	// Promotions counts closure compiles that landed; Demotions counts
-	// jit tombstones after a contained closure-tier run failure.
+	// Promotions is 1 when the closure compile at construction landed,
+	// else 0; Demotions counts jit tombstones after a contained
+	// closure-tier run failure.
 	Promotions uint64
 	Demotions  uint64
 }
@@ -169,15 +135,18 @@ func (h *JitHandle) Snapshot() Snapshot {
 	if h.vp.RCEApplied() {
 		t = interp.EngineVMRCE
 	}
-	if h.jit.Load() != nil && !h.dead.Load() {
-		t = interp.EngineVMJit
+	var promotions uint64
+	if h.jit != nil {
+		promotions = 1
+		if !h.dead.Load() {
+			t = interp.EngineVMJit
+		}
 	}
 	return Snapshot{
-		Tier:         t.String(),
-		Runs:         h.runs.Load(),
-		Instrs:       h.instrs.Load(),
-		ProfiledRuns: h.profiled.Load(),
-		Promotions:   h.promotions.Load(),
-		Demotions:    h.demotions.Load(),
+		Tier:       t.String(),
+		Runs:       h.runs.Load(),
+		Instrs:     h.instrs.Load(),
+		Promotions: promotions,
+		Demotions:  h.demotions.Load(),
 	}
 }

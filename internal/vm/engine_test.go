@@ -3,6 +3,7 @@ package vm_test
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"nascent"
@@ -46,7 +47,7 @@ func TestCompileEngine(t *testing.T) {
 }
 
 // jitHandle compiles src through the vmjit pipeline and wraps it in a
-// fresh warm-up handle.
+// fresh handle.
 func jitHandle(tb testing.TB, src string) *vm.JitHandle {
 	tb.Helper()
 	cp, err := nascent.Compile(src, nascent.Options{BoundsChecks: true})
@@ -60,25 +61,30 @@ func jitHandle(tb testing.TB, src string) *vm.JitHandle {
 	return vm.NewJitHandle(vp)
 }
 
-// TestJitHandleSuiteIdentity pins the handle's core contract: the first
-// run profiles on the vmrce switch VM, the background closure compile
-// lands at Settle, and every later run on the jit returns bit-identical
-// observables to the profiled one.
+// TestJitHandleSuiteIdentity pins the handle's core contract: the
+// closure compile happens in NewJitHandle, so a fresh handle already
+// reports vmjit with its one promotion, and every run on the jit
+// returns observables bit-identical to the vmrce switch VM over the
+// same bytecode.
 func TestJitHandleSuiteIdentity(t *testing.T) {
 	for _, p := range suite.Programs {
 		h := jitHandle(t, p.Source)
-		if s := h.Snapshot(); s.Tier != "vmrce" || s.Runs != 0 {
-			t.Fatalf("%s: fresh handle not cold on vmrce: %+v", p.Name, s)
+		if s := h.Snapshot(); s.Tier != "vmjit" || s.Promotions != 1 || s.Runs != 0 {
+			t.Fatalf("%s: fresh handle not on vmjit: %+v", p.Name, s)
 		}
-		want, err := h.Run(interp.Config{})
+		cp, err := nascent.Compile(p.Source, nascent.Options{BoundsChecks: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vp, err := vm.CompileEngine(cp.IR, interp.EngineVMRCE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := vp.Run(interp.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		h.Settle()
-		if s := h.Snapshot(); s.Tier != "vmjit" || s.ProfiledRuns != 1 || s.Promotions != 1 {
-			t.Fatalf("%s: no promotion after the profiled run: %+v", p.Name, s)
-		}
-		for i := 1; i < 4; i++ {
+		for i := 0; i < 3; i++ {
 			got, err := h.Run(interp.Config{})
 			if err != nil {
 				t.Fatalf("%s run %d: %v", p.Name, i, err)
@@ -87,27 +93,32 @@ func TestJitHandleSuiteIdentity(t *testing.T) {
 				t.Fatalf("%s run %d diverged on the jit:\n got %+v\nwant %+v", p.Name, i, got, want)
 			}
 		}
-		if s := h.Snapshot(); s.Runs != 4 || s.ProfiledRuns != 1 || s.Demotions != 0 {
+		if s := h.Snapshot(); s.Tier != "vmjit" || s.Runs != 3 || s.Promotions != 1 || s.Demotions != 0 {
 			t.Fatalf("%s: counter mismatch: %+v", p.Name, s)
 		}
 	}
 }
 
 // TestJitHandlePromoteChaosFail pins the tier.promote.fail containment:
-// a failed background compile tombstones the closure tier, the handle
-// keeps serving identical results on vmrce, and nothing surfaces to
+// a failed closure compile leaves the handle on vmrce from
+// construction, serving identical results, and nothing surfaces to
 // callers.
 func TestJitHandlePromoteChaosFail(t *testing.T) {
-	defer chaos.Disable()
-	chaos.Enable(chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteTierPromote})
-
-	h := jitHandle(t, suite.Programs[0].Source)
-	want, err := h.Run(interp.Config{})
+	want, err := jitHandle(t, suite.Programs[0].Source).Run(interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		h.Settle()
+
+	defer chaos.Disable()
+	chaos.Enable(chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteTierPromote})
+	h := jitHandle(t, suite.Programs[0].Source)
+	if s := h.Snapshot(); s.Tier != "vmrce" || s.Promotions != 0 {
+		t.Fatalf("promotion succeeded under tier.promote.fail: %+v", s)
+	}
+	if chaos.Fired() == 0 {
+		t.Fatal("tier.promote.fail never fired")
+	}
+	for i := 0; i < 3; i++ {
 		got, err := h.Run(interp.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -116,8 +127,8 @@ func TestJitHandlePromoteChaosFail(t *testing.T) {
 			t.Fatalf("run %d diverged under failed promotion:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if s := h.Snapshot(); s.Tier != "vmrce" || s.Promotions != 0 {
-		t.Fatalf("promotion succeeded under tier.promote.fail: %+v", s)
+	if s := h.Snapshot(); s.Tier != "vmrce" || s.Promotions != 0 || s.Runs != 3 {
+		t.Fatalf("failed promotion state changed: %+v", s)
 	}
 }
 
@@ -127,12 +138,8 @@ func TestJitHandlePromoteChaosFail(t *testing.T) {
 // tier reports, and the handle never re-promotes.
 func TestJitHandleDemotion(t *testing.T) {
 	h := jitHandle(t, suite.Programs[0].Source)
-	if _, err := h.Run(interp.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	h.Settle()
 	if got := h.Snapshot().Tier; got != "vmjit" {
-		t.Fatalf("warm-up never reached vmjit: %q", got)
+		t.Fatalf("fresh handle not on vmjit: %q", got)
 	}
 
 	// vm.poll.panic fires identically in the jit and the switch VM, so
@@ -157,7 +164,6 @@ func TestJitHandleDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Settle()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-demotion runs diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -166,11 +172,40 @@ func TestJitHandleDemotion(t *testing.T) {
 	}
 }
 
+// TestJitHandleConcurrentRuns pins that one handle — as a cache or memo
+// entry shares it between requests — serves concurrent runs with
+// identical results and exact counters.
+func TestJitHandleConcurrentRuns(t *testing.T) {
+	h := jitHandle(t, suite.Programs[0].Source)
+	want, err := h.Run(interp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, runs = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				got, err := h.Run(interp.Config{})
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent run diverged: %+v (%v)", got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := h.Snapshot(); s.Tier != "vmjit" || s.Runs != 1+workers*runs || s.Instrs != s.Runs*want.Instructions {
+		t.Fatalf("counters after concurrent runs: %+v", s)
+	}
+}
+
 // TestCorpusTopTiers pins the conformance corpus observables — exact
 // instruction counts, check counts, outputs, and trap fields — under
 // the closure-compiled jit, both through the engine registry and
-// through a JitHandle across its profiled run and its post-Settle jit
-// runs.
+// through repeated runs of one JitHandle.
 func TestCorpusTopTiers(t *testing.T) {
 	for _, c := range conformance.Corpus {
 		c := c
@@ -222,7 +257,6 @@ func TestCorpusTopTiers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("handle run %d: %v", i, err)
 				}
-				h.Settle()
 				check("handle", res)
 			}
 			if got := h.Snapshot().Tier; got != "vmjit" {

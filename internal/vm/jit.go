@@ -9,10 +9,9 @@ package vm
 // metadata becomes precomputed base/extent constants — so the run-time
 // body is pure arithmetic on the machine state. Straight-line closures
 // return their successor to a small trampoline; branch closures return
-// one of their captured targets. Profile-guided superinstruction
-// selection (jitfuse.go) additionally collapses the opcode digrams and
-// trigrams a DispatchStats profile reports hot into single fused
-// closures.
+// one of their captured targets. There is no jit-level fusion: the
+// superinstructions it runs are the ones Optimize (fuse.go) already
+// fused into the bytecode.
 //
 // The observable contract is exec.go's, bit for bit: identical
 // instruction and check counters (including the deferred-cost charge
@@ -42,50 +41,22 @@ import (
 // by the machine's result fields).
 type jop func(*jmach) jop
 
-// JITStats describes one JITCompile's static output, the deterministic
-// proxy CI pins for superinstruction selection.
-type JITStats struct {
-	// Static is the number of bytecode instructions compiled.
-	Static int
-	// FusedDigrams / FusedTrigrams count the sites entered through a
-	// fused two- or three-instruction closure; FusedRuns counts sites
-	// compiled as a longer straight-line run (4..runCap instructions
-	// walked by one closure).
-	FusedDigrams  int
-	FusedTrigrams int
-	FusedRuns     int
-	// HotSites counts adjacent-in-code sites whose digram the profile
-	// reported hot (fused or not); FusedDigrams+FusedTrigrams+FusedRuns
-	// over HotSites is the selection coverage.
-	HotSites int
-	// Pairs maps "opname+opname" (and trigram "a+b+c") to fused site
-	// counts.
-	Pairs map[string]int
-}
-
 // JITProgram is a closure-compiled program. Like Program it is
 // immutable after JITCompile and safe for concurrent Run calls; the
 // mutable state lives in pooled per-run machines.
 type JITProgram struct {
 	vp    *Program
 	heads []jop
-	stats JITStats
 	mpool *sync.Pool
 }
-
-// Stats returns the compile-time superinstruction selection stats.
-func (jp *JITProgram) Stats() JITStats { return jp.stats }
 
 // Source returns the bytecode Program this jit was compiled from.
 func (jp *JITProgram) Source() *Program { return jp.vp }
 
-// JITCompile closure-compiles a bytecode program. prof, when non-nil,
-// drives superinstruction selection: adjacent opcode digrams (and
-// trigrams) whose dynamic pair count clears the hotness floor are
-// fused into single closures. A nil profile compiles plain chains —
-// selection is profile-guided by design, there is no static fallback
-// table. Panics during compilation are contained as stage "vm-jit"
-// internal errors.
+// JITCompile closure-compiles a bytecode program, one closure per pc.
+// prof is unused: the parameter is kept so existing callers that pass
+// a dispatch profile still compile. Panics during compilation are
+// contained as stage "vm-jit" internal errors.
 func JITCompile(vp *Program, prof *DispatchStats) (jp *JITProgram, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -93,23 +64,14 @@ func JITCompile(vp *Program, prof *DispatchStats) (jp *JITProgram, err error) {
 			err = &guard.InternalError{Stage: "vm-jit", Recovered: r}
 		}
 	}()
-	b := &jitBuilder{
-		vp:    vp,
-		prof:  prof,
-		heads: make([]jop, len(vp.code)+1),
-		stats: JITStats{Static: len(vp.code), Pairs: map[string]int{}},
-	}
+	b := &jitBuilder{vp: vp, heads: make([]jop, len(vp.code)+1)}
 	// Build backward so every fallthrough successor heads[pc+1] is a
 	// value by the time pc is compiled; only backward branch targets
 	// need the extra pointer indirection (see target).
 	for pc := len(vp.code) - 1; pc >= 0; pc-- {
-		if f := b.fused(int32(pc)); f != nil {
-			b.heads[pc] = f
-			continue
-		}
 		b.heads[pc] = b.build1(int32(pc))
 	}
-	return &JITProgram{vp: vp, heads: b.heads, stats: b.stats, mpool: &sync.Pool{}}, nil
+	return &JITProgram{vp: vp, heads: b.heads, mpool: &sync.Pool{}}, nil
 }
 
 // jmach is the mutable state of one jit run: mach's fields plus the
@@ -317,9 +279,7 @@ func (j *jmach) fault(e error) jop {
 
 type jitBuilder struct {
 	vp    *Program
-	prof  *DispatchStats
 	heads []jop
-	stats JITStats
 }
 
 // target resolves a branch target for a closure under construction.
@@ -1305,8 +1265,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 // holds one instruction's fully decoded operands; exec runs the
 // exec.go body against them and returns false when the trampoline must
 // stop (fault, trap, or failed deferred charge — j's fields say
-// which). Singles wrap one executor; fused superinstructions
-// (jitfuse.go) chain several with direct method calls.
+// which). Each build1 arm wraps one executor.
 // ---------------------------------------------------------------------
 
 // jpair is one lo/hi check pair on a single register: two

@@ -5,23 +5,37 @@ import (
 	"reflect"
 	"testing"
 
+	"nascent"
 	"nascent/internal/interp"
+	"nascent/internal/suite"
 	"nascent/internal/vm"
 )
 
-// jitSuite closure-compiles the optimized suite with a real profile:
-// one RunDispatch pass per program collects the digram matrix the
-// fuser selects from — the same flow vm.JitHandle uses when it
-// promotes.
-func jitSuite(tb testing.TB) []*vm.JITProgram {
-	progs := compileSuite(tb, true)
-	var out []*vm.JITProgram
-	for _, vp := range progs {
-		_, ds, err := vp.RunDispatch(interp.Config{})
+// compileJitInputs compiles every Table-1 program naive (all range
+// checks live) through the vmjit engine's bytecode pipeline — the
+// guard/deopt-rewritten, optimized stream the closure tier runs.
+func compileJitInputs(tb testing.TB) []*vm.Program {
+	var out []*vm.Program
+	for _, p := range suite.Programs {
+		cp, err := nascent.Compile(p.Source, nascent.Options{BoundsChecks: true})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		jp, err := vm.JITCompile(vp, &ds)
+		vp, err := vm.CompileEngine(cp.IR, interp.EngineVMJit)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, vp)
+	}
+	return out
+}
+
+// jitSuite closure-compiles the vmjit engine's input for every suite
+// program.
+func jitSuite(tb testing.TB, progs []*vm.Program) []*vm.JITProgram {
+	var out []*vm.JITProgram
+	for _, vp := range progs {
+		jp, err := vm.JITCompile(vp, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -31,37 +45,23 @@ func jitSuite(tb testing.TB) []*vm.JITProgram {
 }
 
 // TestJITSuiteIdentity pins the closure tier's observable contract:
-// for every suite program, vmjit (profiled and cold, over optimized
-// and unoptimized bytecode) must produce bit-identical results to the
-// switch VM.
+// for every suite program, vmjit must produce bit-identical results to
+// the switch VM over the bytecode it was compiled from — the vmjit
+// pipeline's output, and plain unoptimized bytecode as the one input
+// with every generic opcode still live.
 func TestJITSuiteIdentity(t *testing.T) {
-	for _, opt := range []bool{false, true} {
-		progs := compileSuite(t, opt)
-		for i, vp := range progs {
-			want, wantErr := vp.Run(interp.Config{})
-
-			// Cold jit: no profile, plain chains.
-			jp, err := vm.JITCompile(vp, nil)
-			if err != nil {
-				t.Fatalf("prog %d opt=%v: JITCompile: %v", i, opt, err)
-			}
+	for _, in := range []struct {
+		name  string
+		progs []*vm.Program
+	}{
+		{"vmjit", compileJitInputs(t)},
+		{"naive", compileSuite(t, false)},
+	} {
+		for i, jp := range jitSuite(t, in.progs) {
+			want, wantErr := in.progs[i].Run(interp.Config{})
 			got, gotErr := jp.Run(interp.Config{})
 			if !reflect.DeepEqual(got, want) || !errors.Is(gotErr, wantErr) && (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("prog %d opt=%v cold jit diverged:\n got %+v (%v)\nwant %+v (%v)", i, opt, got, gotErr, want, wantErr)
-			}
-
-			// Profiled jit: fused superinstructions active.
-			_, ds, err := vp.RunDispatch(interp.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jp, err = vm.JITCompile(vp, &ds)
-			if err != nil {
-				t.Fatalf("prog %d opt=%v: JITCompile(prof): %v", i, opt, err)
-			}
-			got, gotErr = jp.Run(interp.Config{})
-			if !reflect.DeepEqual(got, want) || (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("prog %d opt=%v profiled jit diverged:\n got %+v (%v)\nwant %+v (%v)", i, opt, got, gotErr, want, wantErr)
+				t.Fatalf("prog %d (%s input) jit diverged:\n got %+v (%v)\nwant %+v (%v)", i, in.name, got, gotErr, want, wantErr)
 			}
 		}
 	}
@@ -69,11 +69,12 @@ func TestJITSuiteIdentity(t *testing.T) {
 
 // TestJITBudgetIdentity pins that budget errors and partial counters
 // match the switch VM exactly when the instruction budget bites
-// mid-run, across a sweep of budgets that land inside fused closures'
-// deferred charges as well as central ones.
+// mid-run, across a sweep of budgets that land inside fused opcodes'
+// deferred charges and check blocks' whole-block fast paths as well as
+// central charges.
 func TestJITBudgetIdentity(t *testing.T) {
-	progs := compileSuite(t, true)
-	jits := jitSuite(t)
+	progs := compileJitInputs(t)
+	jits := jitSuite(t, progs)
 	for i, vp := range progs {
 		for _, budget := range []uint64{1, 7, 100, 5000, 123457} {
 			cfg := interp.Config{MaxInstructions: budget}
@@ -89,47 +90,11 @@ func TestJITBudgetIdentity(t *testing.T) {
 	}
 }
 
-// TestJITFusionCoverage pins profile-guided selection: with the
-// suite's own profile, the fuser must actually fuse — every hot
-// adjacent digram with an available combinator becomes a
-// superinstruction, and the dominant loop-latch pattern is among them.
-func TestJITFusionCoverage(t *testing.T) {
-	jits := jitSuite(t)
-	var fused, hot, runs int
-	latch := 0
-	for _, jp := range jits {
-		st := jp.Stats()
-		fused += st.FusedDigrams + st.FusedTrigrams + st.FusedRuns
-		runs += st.FusedRuns
-		hot += st.HotSites
-		for name, n := range st.Pairs {
-			if name == "movi+incbrlei" {
-				latch += n
-			}
-		}
-	}
-	if fused == 0 {
-		t.Fatal("profiled jit compiled zero superinstructions on the suite")
-	}
-	if runs == 0 {
-		t.Fatal("no straight-line run compiled despite the suite's long hot chains")
-	}
-	if latch == 0 {
-		t.Fatal("movi+incbrlei loop latch not fused despite being the suite's hottest simple digram")
-	}
-	// Selection coverage: at least half the profile-hot sites must
-	// have a combinator. Ratchet up as combinators are added.
-	if 2*fused < hot {
-		t.Fatalf("fusion coverage too low: %d fused of %d hot sites", fused, hot)
-	}
-}
-
 // TestJITSteadyStateAllocs pins the closure tier's machine reuse:
 // like the switch VM, repeated runs must stay at ~1 allocation per run
 // (the output string).
 func TestJITSteadyStateAllocs(t *testing.T) {
-	jits := jitSuite(t)
-	jp := jits[0]
+	jp := jitSuite(t, compileJitInputs(t)[:1])[0]
 	if _, err := jp.Run(interp.Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +109,7 @@ func TestJITSteadyStateAllocs(t *testing.T) {
 }
 
 func BenchmarkSuiteVMJit(b *testing.B) {
-	jits := jitSuite(b)
+	jits := jitSuite(b, compileJitInputs(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -44,13 +44,6 @@ type DispatchStats struct {
 	Static     int            // instructions in the compiled program
 	Dispatched uint64         // dynamic dispatch-loop iterations
 	ByOp       [numOps]uint64 // Dispatched, split by opcode
-	// Pairs counts consecutive dispatch digrams: Pairs[a][b] is how
-	// often opcode b was dispatched immediately after opcode a
-	// (including across taken branches). The closure compiler's
-	// profile-guided superinstruction selection (jit.go) reads this to
-	// fuse the digrams a workload actually executes instead of a fixed
-	// pattern table.
-	Pairs [numOps][numOps]uint64
 
 	// ChecksEliminated counts dynamic checks that were counted in bulk
 	// without being evaluated (opCkAdd stand-ins from the rce pass,
@@ -59,49 +52,11 @@ type DispatchStats struct {
 	// identical across engines regardless. CheckStats (rce.go) derives
 	// the executed-check count from it.
 	ChecksEliminated uint64
-
-	last uint8 // previous dispatched opcode (valid when Dispatched > 0)
 }
 
 func (s *DispatchStats) count(op uint8) {
-	if s.Dispatched != 0 {
-		s.Pairs[s.last][op]++
-	}
-	s.last = op
 	s.Dispatched++
 	s.ByOp[op]++
-}
-
-// Merge folds another run's dispatch counts into s. The tiering
-// controller accumulates one profile per program across its vmopt-tier
-// runs this way before handing the sum to JITCompile. Static and the
-// cross-run digram seam (o's first opcode after s's last) follow the
-// donor: Static is per-program anyway, and the seam pair is noise far
-// below any fusion floor.
-func (s *DispatchStats) Merge(o *DispatchStats) {
-	s.Static = o.Static
-	s.Dispatched += o.Dispatched
-	for i := range o.ByOp {
-		s.ByOp[i] += o.ByOp[i]
-	}
-	for i := range o.Pairs {
-		for k, n := range o.Pairs[i] {
-			if n != 0 {
-				s.Pairs[i][k] += n
-			}
-		}
-	}
-	s.ChecksEliminated += o.ChecksEliminated
-	s.last = o.last
-}
-
-// PairCount returns how often opcode b dispatched immediately after
-// opcode a during the profiled run.
-func (s *DispatchStats) PairCount(a, b uint8) uint64 {
-	if int(a) >= numOps || int(b) >= numOps {
-		return 0
-	}
-	return s.Pairs[a][b]
 }
 
 // String renders the totals and the hottest opcodes, for -trace style

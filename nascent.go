@@ -226,9 +226,8 @@ const (
 	// as the other engines — eliminated checks are still counted.
 	EngineVMRCE = interp.EngineVMRCE
 	// EngineVMJit is the closure-compiled top tier: guard/deopt-rewritten,
-	// optimized bytecode compiled into chained Go closures with
-	// profile-guided superinstruction selection. Same observables, no
-	// dispatch switch.
+	// optimized bytecode compiled into chained Go closures. Same
+	// observables, no dispatch switch.
 	EngineVMJit = interp.EngineVMJit
 )
 
