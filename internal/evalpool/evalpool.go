@@ -68,6 +68,11 @@ type Job struct {
 	// for concurrent Run calls — the service layer shares one compiled
 	// program across every request that hits its cache entry.
 	Precompiled Runner
+	// RunMemo, when non-nil, shares this job's run with every other job
+	// carrying the same memo whose compiled program has the same
+	// fingerprint, engine and limits (see RunMemo). Jobs with a Mutate
+	// hook never consult it. nil means no sharing.
+	RunMemo *RunMemo
 }
 
 // Runner is a precompiled program handle a Precompiled job executes
@@ -156,6 +161,10 @@ type Metrics struct {
 	// successfully executed job.
 	Instructions uint64
 	Checks       uint64
+	// SharedRuns counts jobs whose run was served from a Job.RunMemo
+	// instead of executing. Their counters still add to Instructions and
+	// Checks, so those totals do not depend on sharing.
+	SharedRuns int
 	// Supervision counters. Retries counts attempts re-dispatched after
 	// an abnormal failure; WorkerDeaths counts recovered worker panics;
 	// Timeouts counts attempts abandoned at Config.JobTimeout;
@@ -215,7 +224,8 @@ type bcEntry struct {
 
 // feEntry is a once-guarded memo slot: the first job to need a front
 // end compiles it, concurrent jobs for the same source block on the
-// same entry instead of duplicating work.
+// same entry instead of duplicating work. A failed fill is dropped from
+// the table, so only the jobs already waiting on it share the error.
 type feEntry struct {
 	once sync.Once
 	fe   *nascent.Frontend
@@ -353,6 +363,15 @@ func (p *Pool) frontend(job *Job, key feKey) (*nascent.Frontend, time.Duration, 
 		t0 := time.Now()
 		e.fe, e.err = nascent.Analyze(job.Source, job.Filename)
 		e.dur = time.Since(t0)
+		if e.err != nil {
+			// A failure is not memoized: an injected or transient fault
+			// must not outlive the jobs that raced into it.
+			p.mu.Lock()
+			if p.memo[key] == e {
+				delete(p.memo, key)
+			}
+			p.mu.Unlock()
+		}
 	})
 	if hit {
 		return e.fe, 0, true, e.err
@@ -369,7 +388,29 @@ func bytecodeEngine(eng nascent.Engine) bool {
 	return false
 }
 
-// execute runs a compiled job under its configured engine. Bytecode
+// execute runs a compiled job under its configured engine. A job with a
+// RunMemo and no Mutate hook first looks its program up there by
+// fingerprint, engine and limits; a miss runs, and a successful run is
+// stored for the next identical program.
+func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunResult, error) {
+	if job.RunMemo == nil || job.Mutate != nil {
+		return p.executeRun(job, key, prog)
+	}
+	rk := runKeyOf(prog, job.Run)
+	if rr, ok := job.RunMemo.get(rk); ok {
+		p.mu.Lock()
+		p.metrics.SharedRuns++
+		p.mu.Unlock()
+		return rr, nil
+	}
+	rr, err := p.executeRun(job, key, prog)
+	if err == nil {
+		job.RunMemo.put(rk, rr)
+	}
+	return rr, err
+}
+
+// executeRun runs a compiled job on its engine. Bytecode
 // jobs (every engine except the tree walker) without a Mutate hook
 // share compiled programs through the bytecode memo: the compile
 // pipeline is deterministic, so every job with the same (source,
@@ -380,7 +421,7 @@ func bytecodeEngine(eng nascent.Engine) bool {
 // counters persist across jobs. A Mutate hook (the oracle's
 // miscompilation injector) changes the IR after compilation, so mutated
 // jobs bypass the memo and run through the ordinary per-run dispatch.
-func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunResult, error) {
+func (p *Pool) executeRun(job *Job, key feKey, prog *nascent.Program) (nascent.RunResult, error) {
 	eng := job.Run.Engine
 	if !bytecodeEngine(eng) || job.Mutate != nil {
 		return prog.RunWith(job.Run)
@@ -567,6 +608,7 @@ type MetricsSnapshot struct {
 	RunTimeNS        int64  `json:"run_time_ns"`
 	Instructions     uint64 `json:"instructions"`
 	Checks           uint64 `json:"checks"`
+	SharedRuns       int    `json:"shared_runs"`
 	Retries          int    `json:"retries"`
 	WorkerDeaths     int    `json:"worker_deaths"`
 	Timeouts         int    `json:"timeouts"`
@@ -622,6 +664,7 @@ func (m Metrics) Snapshot() MetricsSnapshot {
 		RunTimeNS:        m.RunTime.Nanoseconds(),
 		Instructions:     m.Instructions,
 		Checks:           m.Checks,
+		SharedRuns:       m.SharedRuns,
 		Retries:          m.Retries,
 		WorkerDeaths:     m.WorkerDeaths,
 		Timeouts:         m.Timeouts,
@@ -666,6 +709,9 @@ func (m Metrics) String() string {
 		m.CompileTime.Round(time.Millisecond),
 		m.RunTime.Round(time.Millisecond),
 		m.Instructions, m.Checks)
+	if m.SharedRuns != 0 {
+		s += fmt.Sprintf(", %d runs shared", m.SharedRuns)
+	}
 	if m.Retries != 0 || m.WorkerDeaths != 0 || m.Timeouts != 0 || m.Quarantined != 0 {
 		s += fmt.Sprintf(", %d retries, %d worker deaths, %d timeouts, %d quarantined",
 			m.Retries, m.WorkerDeaths, m.Timeouts, m.Quarantined)

@@ -38,7 +38,7 @@ func TestMetricsSnapshotFields(t *testing.T) {
 		"frontend_compiles", "frontend_hits",
 		"bytecode_compiles", "bytecode_hits", "bytecode_disk_hits",
 		"frontend_time_ns", "compile_time_ns", "run_time_ns",
-		"instructions", "checks",
+		"instructions", "checks", "shared_runs",
 		"retries", "worker_deaths", "timeouts", "quarantined",
 		"tier_promotions", "tier_demotions", "tier_programs",
 	}
@@ -76,6 +76,9 @@ func TestMetricsSnapshotFields(t *testing.T) {
 	}
 	if snap.Checks == 0 || snap.Instructions == 0 {
 		t.Errorf("counters not populated: %+v", snap)
+	}
+	if snap.SharedRuns != 0 {
+		t.Errorf("shared runs = %d without a run memo, want 0", snap.SharedRuns)
 	}
 	if snap.Retries != 0 || snap.WorkerDeaths != 0 || snap.Timeouts != 0 || snap.Quarantined != 0 {
 		t.Errorf("supervision counters nonzero on a clean run: %+v", snap)

@@ -13,6 +13,7 @@ package report
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"nascent"
@@ -54,10 +55,35 @@ type Evaluator interface {
 // Runner generates tables on a (possibly concurrent) evaluation pool.
 // The pool's front-end memo table is shared across tables: generating
 // Tables 1–3 on one Runner parses each suite program exactly once.
+//
+// The tables also measure overlapping configurations — Tables 2 and 3
+// divide by Table 1's naive checked run, and Table 3's full-implication
+// rows are Table 2's — so a Runner shares work at two levels, both
+// scoped to itself. It keeps every successful job result and evaluates
+// only jobs it has not measured before; and it stamps one
+// evalpool.RunMemo on its jobs, so configurations that compile to the
+// same program share one run. Failures are never kept.
 type Runner struct {
 	pool    Evaluator
 	timings bool
 	engine  nascent.Engine
+	runs    *evalpool.RunMemo
+
+	mu   sync.Mutex
+	done map[jobKey]evalpool.Result // successful results by job input
+}
+
+// jobKey is every input that can change a Runner job's result; the
+// engine and run limits are fixed per Runner.
+type jobKey struct {
+	source, filename string
+	opts             nascent.Options
+}
+
+func keyOf(job *evalpool.Job) jobKey {
+	opts := job.Opts
+	opts.Filename = "" // ignored by the pool; the Filename field counts
+	return jobKey{source: job.Source, filename: job.Filename, opts: opts}
 }
 
 // New returns a Runner with the given configuration.
@@ -70,7 +96,7 @@ func New(cfg Config) *Runner {
 	if cfg.Trace != nil {
 		pool.SetTrace(cfg.Trace)
 	}
-	return &Runner{pool: pool, timings: cfg.Timings, engine: cfg.Engine}
+	return NewOnEvaluator(pool, cfg)
 }
 
 // NewOnPool returns a Runner that measures on an existing pool instead
@@ -86,15 +112,58 @@ func NewOnPool(pool *evalpool.Pool, cfg Config) *Runner {
 // rangebench's -fleet mode hands it a process fleet. Config.Jobs and
 // Config.Trace are ignored; the evaluator owns its concurrency.
 func NewOnEvaluator(ev Evaluator, cfg Config) *Runner {
-	return &Runner{pool: ev, timings: cfg.Timings, engine: cfg.Engine}
+	return &Runner{
+		pool:    ev,
+		timings: cfg.Timings,
+		engine:  cfg.Engine,
+		runs:    evalpool.NewRunMemo(),
+		done:    make(map[jobKey]evalpool.Result),
+	}
 }
 
-// withEngine stamps the Runner's engine onto every job's run config.
-func (r *Runner) withEngine(jobs []evalpool.Job) []evalpool.Job {
+// evaluate returns one result per job, in job order. Jobs the Runner
+// has measured successfully before reuse that result; the rest go to
+// the pool once per distinct key, stamped with the Runner's engine and
+// run memo. Stored results are shared, so callers must not mutate them.
+func (r *Runner) evaluate(jobs []evalpool.Job) []evalpool.Result {
+	results := make([]evalpool.Result, len(jobs))
+	slot := make([]int, len(jobs)) // index into todo, or -1 when stored
+	first := make(map[jobKey]int)
+	var todo []evalpool.Job
+	r.mu.Lock()
 	for i := range jobs {
-		jobs[i].Run.Engine = r.engine
+		k := keyOf(&jobs[i])
+		if res, ok := r.done[k]; ok {
+			results[i], slot[i] = res, -1
+			continue
+		}
+		t, ok := first[k]
+		if !ok {
+			t = len(todo)
+			first[k] = t
+			job := jobs[i]
+			job.Run.Engine = r.engine
+			job.RunMemo = r.runs
+			todo = append(todo, job)
+		}
+		slot[i] = t
 	}
-	return jobs
+	r.mu.Unlock()
+
+	evaluated := r.pool.Evaluate(todo)
+	r.mu.Lock()
+	for k, t := range first {
+		if evaluated[t].Err == nil {
+			r.done[k] = evaluated[t]
+		}
+	}
+	r.mu.Unlock()
+	for i, t := range slot {
+		if t >= 0 {
+			results[i] = evaluated[t]
+		}
+	}
+	return results
 }
 
 // Metrics returns the aggregate counters of the Runner's pool.
@@ -143,10 +212,11 @@ func buildRow1(p suite.Program, plain, checked evalpool.Result) (Table1Row, erro
 		return row, fmt.Errorf("%s: naive run trapped: %s", p.Name, checked.Res.TrapNote)
 	}
 	row.DynChk = checked.Res.Checks
-	// Loop analysis inserts preheader blocks, so it runs last, once
-	// every measured quantity has been taken from the IR.
+	// Loop analysis inserts preheader blocks, so it runs on a snapshot:
+	// the Runner may hand the same result to a later table.
 	for _, f := range plain.Prog.IR.Funcs {
-		forest := loops.Analyze(f, dom.Compute(f))
+		snap := f.Snapshot()
+		forest := loops.Analyze(snap, dom.Compute(snap))
 		row.Loops += len(forest.Loops)
 	}
 	row.StaticRatio = 100 * float64(row.StaticChk) / float64(row.StaticInstr)
@@ -156,8 +226,7 @@ func buildRow1(p suite.Program, plain, checked evalpool.Result) (Table1Row, erro
 
 // Measure1 computes Table 1 for one program.
 func Measure1(p suite.Program) (Table1Row, error) {
-	r := New(Config{})
-	results := r.pool.Evaluate(table1Jobs(p))
+	results := New(Config{}).evaluate(table1Jobs(p))
 	return buildRow1(p, results[0], results[1])
 }
 
@@ -224,9 +293,8 @@ func buildCell(name string, res evalpool.Result, naiveChecks uint64) Table2Cell 
 // Measure2 runs one scheme/kind over one program and reports the
 // elimination percentage against the naive dynamic check count.
 func Measure2(p suite.Program, scheme nascent.Scheme, kind nascent.CheckKind, impl nascent.Implications, naiveChecks uint64) (Table2Cell, error) {
-	r := New(Config{})
 	job := optJob(p, scheme, kind, impl)
-	res := r.pool.Evaluate([]evalpool.Job{job})[0]
+	res := New(Config{}).evaluate([]evalpool.Job{job})[0]
 	cell := buildCell(job.Name, res, naiveChecks)
 	return cell, cell.Err
 }

@@ -26,7 +26,7 @@ func (r *Runner) measure1() ([]Table1Row, []error) {
 	for _, p := range suite.Programs {
 		jobs = append(jobs, table1Jobs(p)...)
 	}
-	results := r.pool.Evaluate(r.withEngine(jobs))
+	results := r.evaluate(jobs)
 	rows := make([]Table1Row, len(suite.Programs))
 	errs := make([]error, len(suite.Programs))
 	for i, p := range suite.Programs {
@@ -109,7 +109,7 @@ func (r *Runner) grid(rows []rowSpec) []rowResult {
 			jobs = append(jobs, optJob(p, row.Scheme, row.Kind, row.Impl))
 		}
 	}
-	results := r.pool.Evaluate(r.withEngine(jobs))
+	results := r.evaluate(jobs)
 
 	naive := results[:nprog]
 	out := make([]rowResult, len(rows))

@@ -77,6 +77,24 @@ func TestMetricsDocFields(t *testing.T) {
 		"errors_4xx", "errors_5xx", "healed", "contained_panics",
 	})
 
+	// The pool section is evalpool's MetricsSnapshot; tier_programs is
+	// omitted while empty (a /run's vmjit handle lives in the service
+	// cache, reported under tiers). /run jobs are Precompiled and never
+	// consult a run memo, so shared_runs stays 0.
+	pool, _ := m["pool"].(map[string]any)
+	assertFields(t, "pool", pool, []string{
+		"jobs", "errors",
+		"frontend_compiles", "frontend_hits",
+		"bytecode_compiles", "bytecode_hits", "bytecode_disk_hits",
+		"frontend_time_ns", "compile_time_ns", "run_time_ns",
+		"instructions", "checks", "shared_runs",
+		"retries", "worker_deaths", "timeouts", "quarantined",
+		"tier_promotions", "tier_demotions",
+	})
+	if pool["shared_runs"].(float64) != 0 {
+		t.Errorf("pool.shared_runs = %v after a /run, want 0", pool["shared_runs"])
+	}
+
 	disk, _ := m["disk_cache"].(map[string]any)
 	assertFields(t, "disk_cache", disk, []string{
 		"hits", "misses", "corrupt", "bad_version", "puts", "write_errors",
