@@ -1,0 +1,70 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"nascent/internal/core"
+	"nascent/internal/ir"
+	"nascent/internal/rangecheck"
+	"nascent/internal/suite"
+	"nascent/internal/testutil"
+)
+
+// tableConfigs lists the distinct optimizer configurations of Tables
+// 2 and 3 (Table 1 runs no optimizer): the seven placement schemes ×
+// {PRX, INX} with full implications, plus the primed NI′, SE′ (no
+// implications) and LLS′ (cross-family only) rows.
+func tableConfigs() []core.Options {
+	var out []core.Options
+	for _, kind := range []core.CheckKind{core.PRX, core.INX} {
+		for _, sch := range core.Schemes {
+			out = append(out, core.Options{Scheme: sch, Kind: kind})
+		}
+		out = append(out,
+			core.Options{Scheme: core.NI, Kind: kind, Mode: rangecheck.ImplyNone},
+			core.Options{Scheme: core.SE, Kind: kind, Mode: rangecheck.ImplyNone},
+			core.Options{Scheme: core.LLS, Kind: kind, Mode: rangecheck.ImplyCross})
+	}
+	return out
+}
+
+// optimizeAllocBudget is the ceiling on bytes allocated by core.Optimize
+// over the 10 suite programs × 20 table configurations. Before check
+// families were interned to dense ids and the dataflow moved to slabs,
+// the optimizer allocated 88,786,176 bytes for this sweep (median of
+// three runs, go1.24, linux/amd64); the ceiling is 80% of that.
+const optimizeAllocBudget = 71_028_940
+
+// TestOptimizeAllocBudget is a deterministic allocation gate on the
+// range check optimizer: it sums runtime.MemStats.TotalAlloc growth
+// across core.Optimize calls only (IR construction is outside the
+// measured window), on a single goroutine.
+func TestOptimizeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full optimizer sweep in short mode")
+	}
+	var total uint64
+	var before, after runtime.MemStats
+	for _, p := range suite.Programs {
+		for _, opts := range tableConfigs() {
+			prog := testutil.BuildIR(t, p.Source, true)
+			total += measureOptimize(t, prog, opts, &before, &after)
+		}
+	}
+	t.Logf("core.Optimize allocated %d bytes (budget %d)", total, optimizeAllocBudget)
+	if total > optimizeAllocBudget {
+		t.Errorf("core.Optimize allocated %d bytes over the table sweep, budget %d", total, optimizeAllocBudget)
+	}
+}
+
+func measureOptimize(t *testing.T, p *ir.Program, opts core.Options, before, after *runtime.MemStats) uint64 {
+	t.Helper()
+	runtime.ReadMemStats(before)
+	_, err := core.Optimize(p, opts)
+	runtime.ReadMemStats(after)
+	if err != nil {
+		t.Fatalf("optimize %v: %v", opts, err)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}

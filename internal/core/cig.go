@@ -3,7 +3,6 @@ package core
 import (
 	"nascent/internal/dataflow"
 	"nascent/internal/ir"
-	"nascent/internal/linform"
 	"nascent/internal/rangecheck"
 )
 
@@ -18,58 +17,21 @@ import (
 // explicit graph exists for reporting, tooling (nacc -cig), and the
 // paper's Figure 3/4 semantics.
 func BuildCIG(f *ir.Func, mode rangecheck.Mode) *rangecheck.CIG {
-	env := dataflow.NewEnv(f, mode)
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(mode))
 	g := rangecheck.NewCIG(env.Reg)
-
-	byTerms := make(map[string][]*rangecheck.Family)
-	for _, fam := range env.Reg.Families {
-		k := ir.FamilyKey(fam.Terms)
-		byTerms[k] = append(byTerms[k], fam)
-	}
-
+	// The edges are the availability transfer's affine shifts: for each
+	// family F containing the defined variable x with a direct
+	// coefficient cx, the source family substitutes cx·x by (cx·sign)·y;
+	// performing (src ≤ k) implies (F ≤ k + cx·c). Self-shifts such as
+	// i := i + 1 are within-family and need no edge.
 	f.ForEachStmt(func(_ *ir.Block, _ int, s ir.Stmt) {
 		a, ok := s.(*ir.AssignStmt)
-		if !ok || a.Dst.Type != ir.Int {
+		if !ok {
 			return
 		}
-		form := linform.Decompose(a.Src)
-		if len(form.Terms) != 1 {
-			return
-		}
-		t := form.Terms[0]
-		vr, isVar := t.Atom.(*ir.VarRef)
-		if !isVar || (t.Coef != 1 && t.Coef != -1) {
-			return
-		}
-		y, sign, c := vr.Var, t.Coef, form.Const
-
-		// For each family F containing the defined variable x with a
-		// direct coefficient, the source family substitutes cx·x by
-		// (cx·sign)·y; performing (src ≤ k) implies (F ≤ k + cx·c).
-		for _, fam := range env.Reg.Families {
-			var cx int64
-			for _, ft := range fam.Terms {
-				if fvr, ok := ft.Atom.(*ir.VarRef); ok && fvr.Var == a.Dst {
-					cx = ft.Coef
-				}
-			}
-			if cx == 0 {
-				continue
-			}
-			src := make([]ir.CheckTerm, 0, len(fam.Terms))
-			for _, ft := range fam.Terms {
-				if fvr, ok := ft.Atom.(*ir.VarRef); ok && fvr.Var == a.Dst {
-					src = append(src, ir.CheckTerm{Coef: cx * sign, Atom: &ir.VarRef{Var: y}})
-				} else {
-					src = append(src, ft)
-				}
-			}
-			src = ir.NormalizeTerms(src)
-			for _, g2 := range byTerms[ir.FamilyKey(src)] {
-				if g2 == fam {
-					continue
-				}
-				g.AddEdge(g2, fam, cx*c)
+		for _, sh := range env.Shifts(a) {
+			if sh.From != sh.To {
+				g.AddEdge(sh.From, sh.To, sh.Weight)
 			}
 		}
 	})

@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"nascent/internal/chaos"
 	"nascent/internal/dataflow"
@@ -185,7 +186,10 @@ type funcCtx struct {
 	forest *loops.Forest
 	ssa    *ssa.Info
 	ind    *induction.Analysis
-	res    *Result
+	// reg interns the function's check families once; every Env the
+	// passes build shares it.
+	reg *rangecheck.Registry
+	res *Result
 }
 
 // failFunc, when set by tests (see export_test.go), makes optimizeFunc
@@ -214,7 +218,8 @@ func optimizeFunc(f *ir.Func, opts Options, res *Result) error {
 	info := ssa.Build(f, tree)
 	ind := induction.Analyze(f, forest, info)
 
-	c := &funcCtx{fn: f, opts: opts, dom: tree, pdom: dom.ComputePost(f), forest: forest, ssa: info, ind: ind, res: res}
+	c := &funcCtx{fn: f, opts: opts, dom: tree, pdom: dom.ComputePost(f), forest: forest, ssa: info, ind: ind,
+		reg: rangecheck.NewRegistry(opts.Mode), res: res}
 
 	if opts.Kind == INX {
 		c.rewriteINX()
@@ -268,14 +273,17 @@ func (c *funcCtx) diagnoseCompileTime() {
 	})
 }
 
+// newEnv snapshots the function's current checks for one analysis.
+func (c *funcCtx) newEnv() *dataflow.Env { return dataflow.NewEnv(c.fn, c.reg) }
+
 // ---------------------------------------------------------------------------
 // Step 4: availability-based elimination
 
 func (c *funcCtx) eliminate() {
-	env := dataflow.NewEnv(c.fn, c.opts.Mode)
-	availIn, _ := env.Availability()
-	for _, b := range c.fn.ReversePostorder() {
-		st := availIn[b].Clone()
+	env := c.newEnv()
+	availIn := env.Availability(dataflow.In)
+	for _, b := range env.Order() {
+		st := availIn.At(b).Clone()
 		kept := b.Stmts[:0]
 		for _, s := range b.Stmts {
 			if chk, ok := s.(*ir.CheckStmt); ok && chk.Guard == nil {
@@ -323,10 +331,10 @@ func (c *funcCtx) compileTime() {
 // CS: check strengthening (Gupta), paper §3.3
 
 func (c *funcCtx) strengthen() {
-	env := dataflow.NewEnv(c.fn, c.opts.Mode)
-	_, antOut := env.Anticipatability()
-	for _, b := range c.fn.ReversePostorder() {
-		st := antOut[b].Clone()
+	env := c.newEnv()
+	antOut := env.Anticipatability(dataflow.Out)
+	for _, b := range env.Order() {
+		st := antOut.At(b).Clone()
 		for i := len(b.Stmts) - 1; i >= 0; i-- {
 			s := b.Stmts[i]
 			if chk, ok := s.(*ir.CheckStmt); ok && chk.Guard == nil {
@@ -353,29 +361,35 @@ type placement struct {
 	at    int
 	value int64
 	fam   *rangecheck.Family
+	rank  int // fam's position in the Env's family list
 }
 
-// antPoints returns the anticipatability state before each statement
-// position of b: states[i] holds just before b.Stmts[i], and
-// states[len(Stmts)] equals antOut.
-func antPoints(env *dataflow.Env, b *ir.Block, antOut dataflow.State) []dataflow.State {
-	states := make([]dataflow.State, len(b.Stmts)+1)
-	st := antOut.Clone()
-	states[len(b.Stmts)] = st.Clone()
-	for i := len(b.Stmts) - 1; i >= 0; i-- {
-		env.TransferBackward(st, b.Stmts[i])
-		states[i] = st.Clone()
+// antPoints fills pts with the anticipatability state before each
+// statement position of b, as rows of width w: row i holds the state
+// just before b.Stmts[i], and row len(Stmts) equals antOut. pts is
+// reused across calls; the grown slab is returned.
+func antPoints(env *dataflow.Env, b *ir.Block, antOut dataflow.State, pts []int64) []int64 {
+	w, n := len(antOut), len(b.Stmts)+1
+	if cap(pts) < n*w {
+		pts = make([]int64, n*w)
 	}
-	return states
+	pts = pts[:n*w]
+	copy(pts[(n-1)*w:], antOut)
+	for i := n - 2; i >= 0; i-- {
+		st := pts[i*w : (i+1)*w]
+		copy(st, pts[(i+1)*w:(i+2)*w])
+		env.TransferBackward(st, b.Stmts[i])
+	}
+	return pts
 }
 
 // kills reports whether s kills family fam.
-func kills(env *dataflow.Env, s ir.Stmt, fam *rangecheck.Family) bool {
+func kills(s ir.Stmt, fam *rangecheck.Family) bool {
 	switch s := s.(type) {
 	case *ir.AssignStmt:
-		return fam.KillVars[s.Dst.ID]
+		return fam.KillsVar(s.Dst.ID)
 	case *ir.StoreStmt:
-		return fam.KillArrays[s.Arr.ID]
+		return fam.KillsArray(s.Arr.ID)
 	case *ir.CallStmt:
 		return fam.KilledByCall
 	}
@@ -388,39 +402,43 @@ func kills(env *dataflow.Env, s ir.Stmt, fam *rangecheck.Family) bool {
 // entry, after a kill, or on an edge from a block where it is neither
 // anticipatable nor available.
 func (c *funcCtx) earliestPlacements(env *dataflow.Env) []placement {
-	_, antOut := env.Anticipatability()
-	_, availOut := env.Availability()
+	antOut := env.Anticipatability(dataflow.Out)
+	availOut := env.Availability(dataflow.Out)
 
 	var out []placement
+	var pts []int64
+	w := env.NumFamilies()
 	entry := c.fn.Entry()
-	for _, b := range c.fn.ReversePostorder() {
-		pts := antPoints(env, b, antOut[b])
-		for idx, fam := range env.Reg.Families {
+	for _, b := range env.Order() {
+		pts = antPoints(env, b, antOut.At(b), pts)
+		for rank, fam := range env.Families {
+			idx := fam.Index
 			// Block entry placement: anticipatable at entry of b and not
 			// covered from every predecessor.
-			v := pts[0][idx]
+			v := pts[idx]
 			if v != rangecheck.None && v != rangecheck.AllChecks {
 				earliest := b == entry
 				for _, p := range b.Preds {
-					down := antOut[p][idx] != rangecheck.AllChecks && antOut[p][idx] <= v
-					up := availOut[p][idx] != rangecheck.AllChecks && availOut[p][idx] <= v
+					pa, pv := antOut.At(p)[idx], availOut.At(p)[idx]
+					down := pa != rangecheck.AllChecks && pa <= v
+					up := pv != rangecheck.AllChecks && pv <= v
 					if !down && !up {
 						earliest = true
 					}
 				}
 				if earliest {
-					out = append(out, placement{block: b, at: 0, value: v, fam: fam})
+					out = append(out, placement{block: b, at: 0, value: v, fam: fam, rank: rank})
 				}
 			}
 			// Intra-block: immediately after each kill where the family
 			// becomes anticipatable again.
 			for i, s := range b.Stmts {
-				if !kills(env, s, fam) {
+				if !kills(s, fam) {
 					continue
 				}
-				w := pts[i+1][idx]
-				if w != rangecheck.None && w != rangecheck.AllChecks {
-					out = append(out, placement{block: b, at: i + 1, value: w, fam: fam})
+				u := pts[(i+1)*w+idx]
+				if u != rangecheck.None && u != rangecheck.AllChecks {
+					out = append(out, placement{block: b, at: i + 1, value: u, fam: fam, rank: rank})
 				}
 			}
 		}
@@ -439,7 +457,7 @@ func (c *funcCtx) insertCheckAt(b *ir.Block, at int, fam *rangecheck.Family, v i
 }
 
 func (c *funcCtx) placeEarliest() {
-	env := dataflow.NewEnv(c.fn, c.opts.Mode)
+	env := c.newEnv()
 	placements := c.earliestPlacements(env)
 	// Insert back-to-front per block so earlier positions stay valid.
 	sort.SliceStable(placements, func(i, j int) bool {
@@ -464,32 +482,32 @@ func (c *funcCtx) placeEarliest() {
 // never uses it (no insertion there), or reaches a merge some other path
 // of which cannot delay (insert on the incoming edge).
 func (c *funcCtx) placeLatest() {
-	env := dataflow.NewEnv(c.fn, c.opts.Mode)
+	env := c.newEnv()
 	placements := c.earliestPlacements(env)
 
 	type key struct {
-		idx int
-		v   int64
+		rank int
+		v    int64
 	}
 	grouped := make(map[key][]placement)
 	var orderKeys []key
 	for _, pl := range placements {
-		k := key{pl.fam.Index, pl.value}
+		k := key{pl.rank, pl.value}
 		if _, seen := grouped[k]; !seen {
 			orderKeys = append(orderKeys, k)
 		}
 		grouped[k] = append(grouped[k], pl)
 	}
 	sort.Slice(orderKeys, func(i, j int) bool {
-		if orderKeys[i].idx != orderKeys[j].idx {
-			return orderKeys[i].idx < orderKeys[j].idx
+		if orderKeys[i].rank != orderKeys[j].rank {
+			return orderKeys[i].rank < orderKeys[j].rank
 		}
 		return orderKeys[i].v < orderKeys[j].v
 	})
 
-	order := c.fn.ReversePostorder()
+	order := env.Order()
 	for _, k := range orderKeys {
-		fam := env.Reg.Families[k.idx]
+		fam := env.Families[k.rank]
 		v := k.v
 
 		// strengthenFirstOcc delays a placement through the statements of
@@ -508,7 +526,7 @@ func (c *funcCtx) placeLatest() {
 					// the delayed placement is unnecessary on this path.
 					return true
 				}
-				if kills(env, s, fam) {
+				if kills(s, fam) {
 					return true // path dies; ant guaranteed no use first
 				}
 			}
@@ -534,7 +552,7 @@ func (c *funcCtx) placeLatest() {
 					occ[b] = true
 					break
 				}
-				if kills(env, s, fam) {
+				if kills(s, fam) {
 					kill[b] = true
 					break
 				}
@@ -618,19 +636,18 @@ func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
 		return // provably zero-trip (or unavailable): nothing to hoist
 	}
 
-	env := dataflow.NewEnv(c.fn, c.opts.Mode)
-	antIn, _ := env.Anticipatability()
-	bodyAnt := antIn[l.Do.BodyEntry]
+	env := c.newEnv()
+	bodyAnt := env.Anticipatability(dataflow.In).At(l.Do.BodyEntry)
 	headerVals := c.ssa.OutValues[l.Header]
 
 	// Profitability (paper §2.1 step 3): hoisting must make some check in
 	// the loop body redundant. Record, per family terms, the weakest
 	// constant occurring on an unguarded in-loop check.
-	inLoopMax := make(map[string]int64)
+	inLoopMax := make(map[rangecheck.TermsID]int64)
 	for _, b := range l.SortedBlocks() {
 		for _, s := range b.Stmts {
 			if chk, ok := s.(*ir.CheckStmt); ok && chk.Guard == nil {
-				k := ir.FamilyKey(chk.Terms)
+				k := c.reg.TermsID(chk.Terms)
 				if cur, seen := inLoopMax[k]; !seen || chk.Const > cur {
 					inLoopMax[k] = chk.Const
 				}
@@ -639,14 +656,14 @@ func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
 	}
 
 	hKey := ir.Key(&ir.VarRef{Var: c.ind.HVar(l)})
-	inserted := make(map[string]bool)
+	inserted := make(map[hoistKey]bool)
 
-	for idx, fam := range env.Reg.Families {
-		v := bodyAnt[idx]
+	for _, fam := range env.Families {
+		v := bodyAnt[fam.Index]
 		if v == rangecheck.None || v == rangecheck.AllChecks {
 			continue
 		}
-		if maxC, ok := inLoopMax[ir.FamilyKey(fam.Terms)]; !ok || maxC < v {
+		if maxC, ok := inLoopMax[fam.TermsID()]; !ok || maxC < v {
 			continue // nothing in the loop would be covered: unprofitable
 		}
 		ie := c.ind.IEOfFormAt(fam.Terms, l, headerVals)
@@ -671,7 +688,7 @@ func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
 
 		terms := ir.NormalizeTerms(cloneTerms(hoisted.Terms))
 		konst := v - hoisted.Const
-		dedupe := fmt.Sprintf("%s<=%d", ir.FamilyKey(terms), konst)
+		dedupe := hoistKey{c.reg.TermsID(terms), konst}
 		if !inserted[dedupe] {
 			inserted[dedupe] = true
 			var g ir.Expr
@@ -682,7 +699,7 @@ func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
 				Terms: terms,
 				Const: konst,
 				Guard: g,
-				Note:  fmt.Sprintf("hoisted from loop b%d", l.Header.ID),
+				Note:  "hoisted from loop b" + strconv.Itoa(l.Header.ID),
 			}
 			pre := l.Preheader
 			pre.InsertStmts(len(pre.Stmts), chk)
@@ -692,8 +709,14 @@ func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
 		// The hoisted check covers every iteration's instance: eliminate
 		// the loop-body checks it implies (the preheader→body CIG edge,
 		// paper §3.4 / Table 3's "only important implications").
-		c.eliminateCovered(l, env, fam, v)
+		c.eliminateCovered(l, fam, v)
 	}
+}
+
+// hoistKey identifies a hoisted check: range-expression and constant.
+type hoistKey struct {
+	terms rangecheck.TermsID
+	konst int64
 }
 
 // eliminateCovered removes unguarded checks of fam with constant ≥ v
@@ -704,20 +727,19 @@ func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
 // reads a different value and must stay. This mirrors the paper's
 // dataflow formulation, where the preheader→body cover fact is killed by
 // such a definition.
-func (c *funcCtx) eliminateCovered(l *loops.Loop, env *dataflow.Env, fam *rangecheck.Family, v int64) {
-	famTerms := ir.FamilyKey(fam.Terms)
-	unkilledIn := c.unkilledAtEntry(l, env, fam)
+func (c *funcCtx) eliminateCovered(l *loops.Loop, fam *rangecheck.Family, v int64) {
+	unkilledIn := c.unkilledAtEntry(l, fam)
 	for _, b := range l.SortedBlocks() {
 		state := unkilledIn[b]
 		kept := b.Stmts[:0]
 		for _, s := range b.Stmts {
 			if chk, ok := s.(*ir.CheckStmt); ok && chk.Guard == nil && state {
-				if ir.FamilyKey(chk.Terms) == famTerms && chk.Const >= v {
+				if c.reg.TermsID(chk.Terms) == fam.TermsID() && chk.Const >= v {
 					c.res.EliminatedCover++
 					continue
 				}
 			}
-			if kills(env, s, fam) {
+			if kills(s, fam) {
 				state = false
 			}
 			kept = append(kept, s)
@@ -730,12 +752,12 @@ func (c *funcCtx) eliminateCovered(l *loops.Loop, env *dataflow.Env, fam *rangec
 // range-expression still holds its loop-body-entry value on every path
 // to the block's entry within one iteration. The loop header resets the
 // fact (each iteration re-reads the family at body entry).
-func (c *funcCtx) unkilledAtEntry(l *loops.Loop, env *dataflow.Env, fam *rangecheck.Family) map[*ir.Block]bool {
+func (c *funcCtx) unkilledAtEntry(l *loops.Loop, fam *rangecheck.Family) map[*ir.Block]bool {
 	blocks := l.SortedBlocks()
 	killsBlock := make(map[*ir.Block]bool, len(blocks))
 	for _, b := range blocks {
 		for _, s := range b.Stmts {
-			if kills(env, s, fam) {
+			if kills(s, fam) {
 				killsBlock[b] = true
 				break
 			}
@@ -891,9 +913,9 @@ func (c *funcCtx) rewriteINX() {
 			}
 			chk.Terms = newTerms
 			chk.Const -= ie.Const
-			hk := ir.Key(&ir.VarRef{Var: c.ind.HVar(l)})
+			h := c.ind.HVar(l)
 			for _, t := range newTerms {
-				if ir.Key(t.Atom) == hk {
+				if vr, ok := t.Atom.(*ir.VarRef); ok && vr.Var.ID == h.ID {
 					needH[l] = true
 				}
 			}

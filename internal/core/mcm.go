@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
-	"nascent/internal/dataflow"
 	"nascent/internal/induction"
 	"nascent/internal/ir"
 	"nascent/internal/linform"
@@ -50,17 +49,16 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 	}
 	hKey := ir.Key(&ir.VarRef{Var: c.ind.HVar(l)})
 	headerVals := c.ssa.OutValues[l.Header]
-	inserted := make(map[string]bool)
+	inserted := make(map[hoistKey]bool)
 
 	// Like the LLS cover (see eliminateCovered): a hoisted check covers
 	// the value at loop-body entry, so an occurrence downstream of an
 	// in-body definition of its variable must stay.
-	env := dataflow.NewEnv(c.fn, c.opts.Mode)
 	unkilledMemo := make(map[*rangecheck.Family]map[*ir.Block]bool)
 	unkilledAt := func(fam *rangecheck.Family, b *ir.Block) bool {
 		m, ok := unkilledMemo[fam]
 		if !ok {
-			m = c.unkilledAtEntry(l, env, fam)
+			m = c.unkilledAtEntry(l, fam)
 			unkilledMemo[fam] = m
 		}
 		return m[b]
@@ -78,10 +76,10 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 				kept = append(kept, s)
 				continue
 			}
-			fam := env.FamilyOf(chk)
+			fam := c.reg.FamilyOf(chk)
 			killedHere := false
 			for _, prev := range orig[:i] {
-				if kills(env, prev, fam) {
+				if kills(prev, fam) {
 					killedHere = true
 					break
 				}
@@ -114,7 +112,7 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 			}
 			terms := ir.NormalizeTerms(cloneTerms(hoisted.Terms))
 			konst := chk.Const - hoisted.Const
-			key := fmt.Sprintf("%s<=%d", ir.FamilyKey(terms), konst)
+			key := hoistKey{c.reg.TermsID(terms), konst}
 			if !inserted[key] {
 				inserted[key] = true
 				var g ir.Expr
@@ -126,7 +124,7 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 					Terms: terms,
 					Const: konst,
 					Guard: g,
-					Note:  fmt.Sprintf("MCM hoisted from loop b%d", l.Header.ID),
+					Note:  "MCM hoisted from loop b" + strconv.Itoa(l.Header.ID),
 				})
 				c.res.Inserted++
 			}

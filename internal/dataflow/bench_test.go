@@ -31,14 +31,14 @@ func benchFunc(b *testing.B) *dataflow.Env {
 	}
 	f := ir.FuncByName("factor")
 	f.SplitCriticalEdges()
-	return dataflow.NewEnv(f, rangecheck.ImplyFull)
+	return dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
 }
 
 func BenchmarkAvailability(b *testing.B) {
 	env := benchFunc(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Availability()
+		env.Availability(dataflow.Out)
 	}
 }
 
@@ -46,6 +46,6 @@ func BenchmarkAnticipatability(b *testing.B) {
 	env := benchFunc(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Anticipatability()
+		env.Anticipatability(dataflow.Out)
 	}
 }

@@ -37,13 +37,13 @@ func TestAvailabilityStraightLine(t *testing.T) {
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	availIn, _ := env.Availability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	availIn := env.Availability(dataflow.In)
 
 	// Walk the entry block and check availability just before the third
 	// check (the second access's lower check).
 	b := f.Entry()
-	st := availIn[b].Clone()
+	st := availIn.At(b).Clone()
 	seen := 0
 	for _, s := range b.Stmts {
 		if c, ok := s.(*ir.CheckStmt); ok {
@@ -73,10 +73,10 @@ func TestAvailabilityKilledByAssign(t *testing.T) {
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	availIn, _ := env.Availability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	availIn := env.Availability(dataflow.In)
 	b := f.Entry()
-	st := availIn[b].Clone()
+	st := availIn.At(b).Clone()
 	seen := 0
 	for _, s := range b.Stmts {
 		if c, ok := s.(*ir.CheckStmt); ok {
@@ -105,10 +105,10 @@ func TestAvailabilityShiftOnIncrement(t *testing.T) {
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	availIn, _ := env.Availability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	availIn := env.Availability(dataflow.In)
 	b := f.Entry()
-	st := availIn[b].Clone()
+	st := availIn.At(b).Clone()
 	var lowFam, upFam int = -1, -1
 	for _, s := range b.Stmts {
 		if c, ok := s.(*ir.CheckStmt); ok {
@@ -149,8 +149,8 @@ end
 `, true)
 	f := p.Main()
 	f.SplitCriticalEdges()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	availIn, _ := env.Availability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	availIn := env.Availability(dataflow.In)
 	// The join block: family i upper has 10 on then-path, 6 on
 	// else-path => merged to 10 (weakest).
 	var join *ir.Block
@@ -166,7 +166,7 @@ end
 	_, _, c := findCheck(f, 1) // i <= 10 (second check of then branch)
 	env2 := env
 	fam := env2.FamilyOf(c)
-	got := availIn[join][fam.Index]
+	got := availIn.At(join)[fam.Index]
 	if got != 10 {
 		t.Errorf("merged availability = %d, want 10", got)
 	}
@@ -182,8 +182,8 @@ func TestAnticipatabilityBasics(t *testing.T) {
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	antIn, _ := env.Anticipatability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	antIn := env.Anticipatability(dataflow.In)
 	// At entry of the entry block: i is defined by i=n first, which
 	// kills anticipatability; so at function entry the checks on i are
 	// NOT anticipatable, but just after i=n they are. Walk forward to
@@ -192,8 +192,8 @@ end
 	_ = antIn
 	st := env.NewState(rangecheck.AllChecks)
 	// Recompute backward by hand: start from block-out.
-	_, antOut := env.Anticipatability()
-	st = antOut[b].Clone()
+	antOut := env.Anticipatability(dataflow.Out)
+	st = antOut.At(b).Clone()
 	// process statements in reverse until we pass j = i (position 1)
 	var states []dataflow.State
 	for i := len(b.Stmts) - 1; i >= 0; i-- {
@@ -226,14 +226,14 @@ end
 `, true)
 	f := p.Main()
 	f.SplitCriticalEdges()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	_, antOut := env.Anticipatability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	antOut := env.Anticipatability(dataflow.Out)
 	// At exit of the entry block: upper checks (i<=10) and (i<=6) on the
 	// two arms anticipate as max = 10 (paper: the weaker of the two).
 	entry := f.Entry()
 	_, _, c := findCheck(f, 1)
 	fam := env.FamilyOf(c)
-	if got := antOut[entry][fam.Index]; got != 10 {
+	if got := antOut.At(entry)[fam.Index]; got != 10 {
 		t.Errorf("ant at branch = %d, want 10", got)
 	}
 }
@@ -252,10 +252,10 @@ subroutine f()
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	availIn, _ := env.Availability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	availIn := env.Availability(dataflow.In)
 	b := f.Entry()
-	st := availIn[b].Clone()
+	st := availIn.At(b).Clone()
 	checkIdx := 0
 	for _, s := range b.Stmts {
 		if c, ok := s.(*ir.CheckStmt); ok {
@@ -283,10 +283,10 @@ func TestStoreKillsLoadFamilies(t *testing.T) {
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	availIn, _ := env.Availability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	availIn := env.Availability(dataflow.In)
 	blk := f.Entry()
-	st := availIn[blk].Clone()
+	st := availIn.At(blk).Clone()
 	var afterStore bool
 	for _, s := range blk.Stmts {
 		if _, ok := s.(*ir.StoreStmt); ok {
@@ -332,7 +332,7 @@ end
 		Guard: guard,
 	}
 	f.Entry().InsertStmts(1, cc)
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
 	st := env.NewState(rangecheck.None)
 	env.TransferForward(st, cc)
 	fam := env.FamilyOf(cc)
@@ -356,7 +356,7 @@ func TestModeNoneNoShift(t *testing.T) {
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyNone)
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyNone))
 	st := env.NewState(rangecheck.None)
 	for _, s := range f.Entry().Stmts {
 		env.TransferForward(st, s)

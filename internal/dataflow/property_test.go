@@ -99,7 +99,7 @@ subroutine f()
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
 
 	var stmts []ir.Stmt
 	f.ForEachStmt(func(_ *ir.Block, _ int, s ir.Stmt) { stmts = append(stmts, s) })
@@ -140,7 +140,7 @@ func TestCheckGenIdempotent(t *testing.T) {
 end
 `, true)
 	f := p.Main()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
 	var chk *ir.CheckStmt
 	f.ForEachStmt(func(_ *ir.Block, _ int, s ir.Stmt) {
 		if c, ok := s.(*ir.CheckStmt); ok && chk == nil {
@@ -181,24 +181,24 @@ end
 `, true)
 	f := p.Main()
 	f.SplitCriticalEdges()
-	env := dataflow.NewEnv(f, rangecheck.ImplyFull)
-	in1, out1 := env.Availability()
-	in2, out2 := env.Availability()
+	env := dataflow.NewEnv(f, rangecheck.NewRegistry(rangecheck.ImplyFull))
+	in1, out1 := env.Availability(dataflow.In), env.Availability(dataflow.Out)
+	in2, out2 := env.Availability(dataflow.In), env.Availability(dataflow.Out)
 	for _, b := range f.ReversePostorder() {
-		for i := range in1[b] {
-			if in1[b][i] != in2[b][i] || out1[b][i] != out2[b][i] {
+		for i := range in1.At(b) {
+			if in1.At(b)[i] != in2.At(b)[i] || out1.At(b)[i] != out2.At(b)[i] {
 				t.Fatalf("solver nondeterministic at block b%d family %d", b.ID, i)
 			}
 		}
 		// Consistency: transfer(in) == out.
-		st := in1[b].Clone()
+		st := in1.At(b).Clone()
 		for _, s := range b.Stmts {
 			env.TransferForward(st, s)
 		}
 		for i := range st {
-			if st[i] != out1[b][i] {
+			if st[i] != out1.At(b)[i] {
 				t.Fatalf("out inconsistent with transfer at b%d family %d: %d vs %d",
-					b.ID, i, st[i], out1[b][i])
+					b.ID, i, st[i], out1.At(b)[i])
 			}
 		}
 	}

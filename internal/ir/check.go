@@ -2,33 +2,45 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // NormalizeTerms sorts terms by atom key, merges duplicates, and drops zero
 // coefficients, producing the canonical ordering of paper §2.2.
 func NormalizeTerms(terms []CheckTerm) []CheckTerm {
-	byKey := make(map[string]*CheckTerm, len(terms))
+	out := make([]CheckTerm, 0, len(terms))
+	if len(terms) == 1 { // nothing to merge or sort: skip the keys
+		if terms[0].Coef != 0 {
+			out = append(out, terms[0])
+		}
+		return out
+	}
 	keys := make([]string, 0, len(terms))
+next:
 	for _, t := range terms {
 		k := Key(t.Atom)
-		if prev, ok := byKey[k]; ok {
-			prev.Coef += t.Coef
-			continue
+		for i, prev := range keys {
+			if prev == k {
+				out[i].Coef += t.Coef
+				continue next
+			}
 		}
-		ct := t
-		byKey[k] = &ct
 		keys = append(keys, k)
+		out = append(out, t)
 	}
-	sort.Strings(keys)
-	out := make([]CheckTerm, 0, len(keys))
-	for _, k := range keys {
-		if byKey[k].Coef != 0 {
-			out = append(out, *byKey[k])
+	for i := 1; i < len(keys); i++ { // insertion sort: term lists are short
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out
+	kept := out[:0]
+	for _, t := range out {
+		if t.Coef != 0 {
+			kept = append(kept, t)
+		}
+	}
+	return kept
 }
 
 // FamilyKey returns the family identity of a check: the canonical string
@@ -39,8 +51,9 @@ func FamilyKey(terms []CheckTerm) string {
 		if i > 0 {
 			b.WriteByte('|')
 		}
-		fmt.Fprintf(&b, "%d*", t.Coef)
-		b.WriteString(Key(t.Atom))
+		writeInt(&b, t.Coef)
+		b.WriteByte('*')
+		writeKey(&b, t.Atom)
 	}
 	return b.String()
 }

@@ -202,13 +202,18 @@ func Key(e Expr) string {
 func writeKey(b *strings.Builder, e Expr) {
 	switch e := e.(type) {
 	case *ConstInt:
-		fmt.Fprintf(b, "#%d", e.V)
+		b.WriteByte('#')
+		writeInt(b, e.V)
 	case *ConstFloat:
-		fmt.Fprintf(b, "#f%s", strconv.FormatFloat(e.V, 'b', -1, 64))
+		b.WriteString("#f")
+		b.WriteString(strconv.FormatFloat(e.V, 'b', -1, 64))
 	case *VarRef:
-		fmt.Fprintf(b, "v%d", e.Var.ID)
+		b.WriteByte('v')
+		writeInt(b, int64(e.Var.ID))
 	case *Load:
-		fmt.Fprintf(b, "a%d[", e.Arr.ID)
+		b.WriteByte('a')
+		writeInt(b, int64(e.Arr.ID))
+		b.WriteByte('[')
 		for i, ix := range e.Idx {
 			if i > 0 {
 				b.WriteByte(',')
@@ -217,17 +222,22 @@ func writeKey(b *strings.Builder, e Expr) {
 		}
 		b.WriteByte(']')
 	case *Bin:
-		fmt.Fprintf(b, "(%d ", int(e.Op))
+		b.WriteByte('(')
+		writeInt(b, int64(e.Op))
+		b.WriteByte(' ')
 		writeKey(b, e.L)
 		b.WriteByte(' ')
 		writeKey(b, e.R)
 		b.WriteByte(')')
 	case *Un:
-		fmt.Fprintf(b, "(u%d ", int(e.Op))
+		b.WriteString("(u")
+		writeInt(b, int64(e.Op))
+		b.WriteByte(' ')
 		writeKey(b, e.X)
 		b.WriteByte(')')
 	case *Call:
-		fmt.Fprintf(b, "(c%d", int(e.Fn))
+		b.WriteString("(c")
+		writeInt(b, int64(e.Fn))
 		for _, a := range e.Args {
 			b.WriteByte(' ')
 			writeKey(b, a)
@@ -236,6 +246,12 @@ func writeKey(b *strings.Builder, e Expr) {
 	default:
 		fmt.Fprintf(b, "<%T>", e)
 	}
+}
+
+// writeInt appends the decimal form of v.
+func writeInt(b *strings.Builder, v int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], v, 10))
 }
 
 // WalkExpr visits e and all subexpressions pre-order.

@@ -62,10 +62,10 @@ func TestFamilyKillSets(t *testing.T) {
 		{Coef: 1, Atom: load},
 		term(vs["g"], -1),
 	}, 7)
-	if !f.KillVars[vs["n"].ID] || !f.KillVars[vs["g"].ID] {
+	if !f.KillsVar(vs["n"].ID) || !f.KillsVar(vs["g"].ID) {
 		t.Error("kill vars incomplete")
 	}
-	if !f.KillArrays[arr.ID] {
+	if !f.KillsArray(arr.ID) {
 		t.Error("kill arrays incomplete")
 	}
 	if !f.KilledByCall {
