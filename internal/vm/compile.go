@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"nascent/internal/guard"
 	"nascent/internal/ir"
@@ -239,9 +238,9 @@ type Program struct {
 	// has no loops left to rewrite.
 	loops []loopMeta
 
-	// mpool recycles machines (register files + array slabs) across
+	// mcache recycles machines (register files + array slabs) across
 	// runs of this program; a pointer so Program copies stay legal.
-	mpool     *sync.Pool
+	mcache    *machCache[mach]
 	optimized bool // rewritten by Optimize (opt.go)
 	rce       bool // rewritten by RCE (rce.go)
 }
@@ -291,7 +290,7 @@ func Compile(p *ir.Program) (vp *Program, err error) {
 	out.nFloatRegs = int(b.fScratch) + int(c2.maxDepthF)
 	out.numVars = p.NumVars
 	out.mainIdx = int32(p.Main().Index)
-	out.mpool = new(sync.Pool)
+	out.mcache = new(machCache[mach])
 	return out, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"nascent/internal/chaos"
@@ -115,9 +117,8 @@ func (vp *Program) runWith(cfg interp.Config, disp *DispatchStats) (res interp.R
 // variables zero, constants in place, slabs zero, no active frames, no
 // output. The steady state of a repeated run is allocation-free.
 func (vp *Program) getMach(cfg interp.Config) *mach {
-	if vp.mpool != nil {
-		if v := vp.mpool.Get(); v != nil {
-			m := v.(*mach)
+	if vp.mcache != nil {
+		if m := vp.mcache.get(); m != nil {
 			clear(m.ireg)
 			clear(m.freg)
 			copy(m.ireg[vp.numVars:], vp.iconsts)
@@ -148,8 +149,37 @@ func (vp *Program) getMach(cfg interp.Config) *mach {
 }
 
 func (vp *Program) putMach(m *mach) {
-	if vp.mpool != nil {
-		vp.mpool.Put(m)
+	if vp.mcache != nil {
+		vp.mcache.put(m)
+	}
+}
+
+// machCache recycles a program's machines across runs. A one-slot cache
+// owned by the program handle sits in front of a sync.Pool: a single
+// caller always gets its previous machine back from the slot, so its
+// steady state never depends on the pool retaining items (the race
+// detector drops pooled items at random), while concurrent callers
+// overflow to the pool.
+type machCache[M any] struct {
+	slot atomic.Pointer[M]
+	pool sync.Pool
+}
+
+// get returns a recycled machine, or nil when none is cached.
+func (c *machCache[M]) get() *M {
+	if m := c.slot.Swap(nil); m != nil {
+		return m
+	}
+	if v := c.pool.Get(); v != nil {
+		return v.(*M)
+	}
+	return nil
+}
+
+// put recycles m: into the slot when it is empty, else into the pool.
+func (c *machCache[M]) put(m *M) {
+	if !c.slot.CompareAndSwap(nil, m) {
+		c.pool.Put(m)
 	}
 }
 

@@ -10,7 +10,6 @@ package vm
 
 import (
 	"fmt"
-	"sync"
 
 	"nascent/internal/ir"
 	"nascent/internal/source"
@@ -297,7 +296,7 @@ func FromImage(im *Image) (*Program, error) {
 		fCells:     im.FCells,
 		numVars:    int(im.NumVars),
 		mainIdx:    im.MainIdx,
-		mpool:      new(sync.Pool),
+		mcache:     new(machCache[mach]),
 		optimized:  im.Optimized,
 		rce:        im.RCE,
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"nascent/internal/chaos"
@@ -45,9 +44,9 @@ type jop func(*jmach) jop
 // immutable after JITCompile and safe for concurrent Run calls; the
 // mutable state lives in pooled per-run machines.
 type JITProgram struct {
-	vp    *Program
-	heads []jop
-	mpool *sync.Pool
+	vp     *Program
+	heads  []jop
+	mcache *machCache[jmach]
 }
 
 // Source returns the bytecode Program this jit was compiled from.
@@ -71,7 +70,7 @@ func JITCompile(vp *Program, prof *DispatchStats) (jp *JITProgram, err error) {
 	for pc := len(vp.code) - 1; pc >= 0; pc-- {
 		b.heads[pc] = b.build1(int32(pc))
 	}
-	return &JITProgram{vp: vp, heads: b.heads, mpool: &sync.Pool{}}, nil
+	return &JITProgram{vp: vp, heads: b.heads, mcache: new(machCache[jmach])}, nil
 }
 
 // jmach is the mutable state of one jit run: mach's fields plus the
@@ -147,8 +146,7 @@ func (jp *JITProgram) Run(cfg interp.Config) (res interp.Result, err error) {
 
 func (jp *JITProgram) getMach(cfg interp.Config) *jmach {
 	vp := jp.vp
-	if v := jp.mpool.Get(); v != nil {
-		j := v.(*jmach)
+	if j := jp.mcache.get(); j != nil {
 		clear(j.ireg)
 		clear(j.freg)
 		copy(j.ireg[vp.numVars:], vp.iconsts)
@@ -180,7 +178,7 @@ func (jp *JITProgram) getMach(cfg interp.Config) *jmach {
 	return j
 }
 
-func (jp *JITProgram) putMach(j *jmach) { jp.mpool.Put(j) }
+func (jp *JITProgram) putMach(j *jmach) { jp.mcache.put(j) }
 
 func (j *jmach) run() (interp.Result, error) {
 	vp := j.p.vp

@@ -20,7 +20,7 @@
 //     loop-nest-weighted order so the hottest blocks fuse first.
 //  4. Physical compaction with pc remapping.
 //
-// Frame reuse (the sync.Pool of machines in exec.go) is the fourth
+// Frame reuse (the machine cache in exec.go) is the fourth
 // layer of the ISSUE's pipeline; it lives with the executor because it
 // also serves unoptimized programs.
 package vm
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nascent/internal/guard"
 	"nascent/internal/ir"
@@ -176,8 +175,8 @@ func newOptimizer(vp *Program) *optimizer {
 	}
 	cp := *vp
 	cp.optimized = true
-	cp.loops = nil            // pc-based loop metadata is stale after compaction
-	cp.mpool = new(sync.Pool) // fresh machine pool for the rewritten program
+	cp.loops = nil                   // pc-based loop metadata is stale after compaction
+	cp.mcache = new(machCache[mach]) // fresh machine cache for the rewritten program
 	o.out = &cp
 	return o
 }

@@ -62,7 +62,6 @@ import (
 	"math"
 	"runtime/debug"
 	"sort"
-	"sync"
 
 	"nascent/internal/guard"
 	"nascent/internal/interp"
@@ -134,7 +133,7 @@ func RCE(vp *Program) (out *Program, err error) {
 	cp := *vp
 	cp.rce = true
 	cp.loops = nil
-	cp.mpool = new(sync.Pool)
+	cp.mcache = new(machCache[mach])
 	if len(vp.loops) == 0 {
 		return &cp, nil
 	}
