@@ -264,7 +264,7 @@ func BenchmarkTableRegeneration(b *testing.B) {
 // pool shards the table matrix (on a single-core host jobs=4 simply
 // matches jobs=1). Both engines execute identical dynamic instruction
 // streams — the conformance suite pins that — so the ns/op ratio is
-// the VM's speedup, recorded in BENCH_vm.json.
+// the VM's speedup (bench/ records the end-to-end numbers).
 func BenchmarkEngines(b *testing.B) {
 	progs := make([]*nascent.Program, len(suite.Programs))
 	bytecode := make([]*vm.Program, len(suite.Programs))

@@ -5,7 +5,7 @@
 //
 //	rangebench [-table N] [-jobs N] [-fleet N]
 //	           [-engine tree|vm|vmopt|vmrce|vmjit]
-//	           [-times] [-trace] [-benchjson path]
+//	           [-times] [-trace]
 //	           [-chaos seed:rate[:site]]
 //	           [-cpuprofile file] [-memprofile file]
 //
@@ -19,12 +19,6 @@
 // closure-compiled jit. Table output is byte-identical under every
 // engine — the CI pipeline diffs them — so the flag only changes
 // wall-clock.
-//
-// -benchjson path benchmarks the whole suite under every registered
-// engine (with a per-program breakdown per engine) and writes one
-// BENCH-schema JSON document to path ("-" for stdout) instead of
-// printing tables; the committed BENCH_*.json files are regenerated
-// this way.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
 // chasing interpreter hot spots (`go tool pprof`).
@@ -86,7 +80,6 @@ func main() {
 	fleetN := flag.Int("fleet", 0, "shard runs across N worker processes (0 = in-process; overrides -jobs for the run stage)")
 	worker := flag.Bool("worker", false, "serve the fleet worker protocol on stdin/stdout (internal; spawned by -fleet)")
 	engineFlag := flag.String("engine", "tree", "execution engine: "+strings.Join(nascent.EngineNames(), "|"))
-	benchJSON := flag.String("benchjson", "", "benchmark every registered engine and write BENCH-schema JSON to this path (- for stdout)")
 	times := flag.Bool("times", false, "include wall-clock columns (non-reproducible) in tables 2-3")
 	trace := flag.Bool("trace", false, "log per-job stage timings to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -117,10 +110,6 @@ func main() {
 			os.Exit(1)
 		}
 		os.Exit(0)
-	}
-
-	if *benchJSON != "" {
-		os.Exit(runBenchJSON(*benchJSON))
 	}
 
 	// Profiles are flushed before the final os.Exit, so the run body

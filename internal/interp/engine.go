@@ -78,8 +78,8 @@ func EngineNames() []string {
 }
 
 // AllEngines lists every engine in registry order (tree first). Tools
-// that sweep "all engines" (rangebench -benchjson, the oracle's
-// engine-identity mode) iterate this instead of hard-coding the list,
+// that sweep "all engines" (the oracle's engine-identity mode,
+// FuzzEngineIdentity, nacc) iterate this instead of hard-coding the list,
 // so a newly registered engine is covered automatically.
 func AllEngines() []Engine {
 	es := make([]Engine, numEngines)

@@ -33,8 +33,8 @@ func compileSuite(tb testing.TB, opt bool) []*vm.Program {
 	return out
 }
 
-// BenchmarkSuiteVM and BenchmarkSuiteVMOpt are the engine-ratio pair
-// behind BENCH_vmopt.json: identical dynamic instruction streams, so
+// BenchmarkSuiteVM and BenchmarkSuiteVMOpt are the engine-ratio pair:
+// identical dynamic instruction streams, so
 // ns/op divides into a true dispatch-engine speedup. Programs compile
 // outside the timer.
 func BenchmarkSuiteVM(b *testing.B) {
