@@ -97,18 +97,34 @@ func (f *Func) SplitCriticalEdges() int {
 // ReversePostorder returns the blocks of f in reverse postorder from the
 // entry. Unreachable blocks are omitted.
 func (f *Func) ReversePostorder() []*Block {
-	seen := make(map[*Block]bool, len(f.Blocks))
-	var order []*Block
+	// Block IDs are unique within a function, so visited marks live in a
+	// slice indexed by ID (grown for a successor outside f.Blocks).
+	n := 0
+	for _, b := range f.Blocks {
+		n = max(n, b.ID+1)
+	}
+	seen := make([]bool, n)
+	visit := func(b *Block) bool {
+		if b.ID >= len(seen) {
+			seen = append(seen, make([]bool, b.ID+1-len(seen))...)
+		}
+		if seen[b.ID] {
+			return false
+		}
+		seen[b.ID] = true
+		return true
+	}
+	order := make([]*Block, 0, len(f.Blocks))
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
-		seen[b] = true
 		for _, s := range b.Succs() {
-			if !seen[s] {
+			if visit(s) {
 				dfs(s)
 			}
 		}
 		order = append(order, b)
 	}
+	visit(f.Entry())
 	dfs(f.Entry())
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
