@@ -31,10 +31,6 @@
 //	                                           assert correct-or-typed-error on
 //	                                           all oracle variants; incompatible
 //	                                           with -chaos
-//	-worker                                    serve the fleet worker protocol
-//	                                           on stdin/stdout (internal; any
-//	                                           installed nacc can be a fleet
-//	                                           member — see internal/fleet)
 //
 // Exit codes:
 //
@@ -62,7 +58,6 @@ import (
 
 	"nascent"
 	"nascent/internal/chaos"
-	"nascent/internal/fleet"
 	"nascent/internal/oracle"
 )
 
@@ -108,7 +103,6 @@ func run(argv []string, stdout, stderr *os.File) int {
 	verify := fs.Bool("verify", false, "cross-check all schemes against naive with the soundness oracle")
 	chaosFlag := fs.String("chaos", "", "deterministic fault injection spec: seed:rate[:site]")
 	chaosSweep := fs.Bool("chaossweep", false, "sweep chaos seeds 1..8 through the oracle and assert correct-or-typed-error")
-	worker := fs.Bool("worker", false, "serve the fleet worker protocol on stdin/stdout (internal; see internal/fleet)")
 	if err := fs.Parse(argv); err != nil {
 		return exitUsage
 	}
@@ -124,16 +118,6 @@ func run(argv []string, stdout, stderr *os.File) int {
 		}
 		chaos.Enable(spec)
 	}
-	if *worker {
-		// Fleet worker mode: any installed nacc can serve as a fleet
-		// member. -chaos composes, arming the fleet sites in-process.
-		if err := fleet.ServeWorker(os.Stdin, stdout); err != nil {
-			fmt.Fprintf(stderr, "nacc: worker: %v\n", err)
-			return exitTrap
-		}
-		return exitOK
-	}
-
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: nacc [flags] file.mf")
 		fs.Usage()

@@ -22,18 +22,11 @@
 //     carrying a replayable chaos spec
 //   - a circuit breaker degrades a repeatedly-quarantining
 //     (scheme, engine) pair to naive/tree and probes for recovery
-//   - SIGTERM/SIGINT drain gracefully: stop admitting, finish or
-//     cancel in-flight work within -drain-timeout, flush metrics
+//   - SIGTERM/SIGINT/SIGHUP drain gracefully: stop admitting, finish
+//     or cancel in-flight work within -drain-timeout, flush metrics
 //   - -progcache dir persists compiled bytecode programs on disk
 //     (content-addressed, CRC-sealed): a restarted server answers
 //     /compile and /run for known programs without parsing source
-//   - -fleet N shards /report measurement runs across N worker
-//     processes (this binary self-exec'd with -fleet-worker), with
-//     member loss supervised by retry and quarantine, heartbeat
-//     health scoring, and optional hedged retries (-fleet-hedge)
-//   - SIGHUP rolls the fleet: each worker is drained, restarted, and
-//     re-handshaken in turn with zero request downtime; a version-
-//     skewed worker degrades to source shipment instead of failing
 //   - -audit-every N re-executes every Nth /run on the tree reference
 //     engine off the hot path; a divergence is a typed
 //     SelfAuditViolation that trips the pair's breaker
@@ -41,7 +34,7 @@
 //     decode→re-encode fixpoint; corrupt entries unlinked and healed
 //     by the next compile)
 //   - -chaos arms a deterministic fault-injection spec in this
-//     process and every fleet worker, for soak drills
+//     process, for soak drills
 //
 // Usage:
 //
@@ -56,13 +49,11 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"nascent/internal/chaos"
-	"nascent/internal/fleet"
 	"nascent/internal/service"
 )
 
@@ -88,12 +79,9 @@ func run(argv []string) int {
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive quarantines that trip a (scheme, engine) breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "breaker cooldown before a recovery probe")
 	progCacheDir := fs.String("progcache", "", "disk-backed compiled-program cache directory (warm restarts skip the frontend)")
-	fleetN := fs.Int("fleet", 0, "shard /report runs across N worker processes (0 = in-process)")
-	fleetWorker := fs.Bool("fleet-worker", false, "serve the fleet worker protocol on stdin/stdout (internal; spawned by -fleet)")
-	fleetHedge := fs.Duration("fleet-hedge", 0, "hedge a still-pending fleet attempt after this delay (negative = adaptive from the latency EWMA, 0 = off)")
 	auditEvery := fs.Int("audit-every", 16, "re-execute every Nth /run on the tree reference engine and compare observables (0 = off)")
 	scrubInterval := fs.Duration("scrub-interval", time.Minute, "background disk-cache scrub period (0 = off; needs -progcache)")
-	chaosSpec := fs.String("chaos", "", `arm deterministic fault injection "seed:rate[:site,...]" in this process and every fleet worker`)
+	chaosSpec := fs.String("chaos", "", `arm deterministic fault injection "seed:rate[:site,...]" in this process`)
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -109,14 +97,6 @@ func run(argv []string) int {
 		}
 		chaos.Enable(spec)
 	}
-	if *fleetWorker {
-		if err := fleet.ServeWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "nascentd: fleet worker: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
 	cfg := service.Config{
 		MaxConcurrent:    *maxConcurrent,
 		MaxQueue:         *maxQueue,
@@ -129,20 +109,6 @@ func run(argv []string) int {
 		BreakerCooldown:  *breakerCooldown,
 		AuditEvery:       *auditEvery,
 		ScrubInterval:    *scrubInterval,
-	}
-	if *fleetN > 0 {
-		cfg.FleetWorkers = *fleetN
-		cfg.FleetHedgeAfter = *fleetHedge
-		cfg.FleetCommand = func(i int) *exec.Cmd {
-			args := []string{"-fleet-worker"}
-			if *chaosSpec != "" {
-				// Workers share the soak's injection spec: worker-side
-				// sites (kill, hang, heartbeat drop, stale version) fire
-				// deterministically in the spawned processes too.
-				args = append(args, "-chaos", *chaosSpec)
-			}
-			return exec.Command(os.Args[0], args...)
-		}
 	}
 	cfg.Ceilings.MaxInstructions = *maxInstr
 	cfg.Ceilings.MaxArrayCells = *maxCells
@@ -167,45 +133,27 @@ func run(argv []string) int {
 
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT, syscall.SIGHUP)
-	for {
-		select {
-		case sig := <-sigCh:
-			if sig == syscall.SIGHUP {
-				// Rolling fleet restart: each worker drains, restarts, and
-				// re-handshakes in turn while the rest keep serving. Runs
-				// off the signal loop so a drain signal still lands; a
-				// HUP during a roll is reported and dropped (never queued).
-				go func() {
-					rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Minute)
-					defer rcancel()
-					if err := srv.RollFleet(rctx); err != nil {
-						log.Printf("nascentd: rolling restart: %v", err)
-						return
-					}
-					log.Printf("nascentd: rolling restart complete")
-				}()
-				continue
-			}
-			log.Printf("nascentd: %v: draining (deadline %s)", sig, *drainTimeout)
-			// Drain first: the gate flips to 503, in-flight work finishes or
-			// is cancelled at the drain deadline (engine poll points make
-			// cancellation prompt). Then shut the listener down; handlers
-			// have already returned, so Shutdown is quick.
-			dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout+2*time.Second)
-			defer cancel()
-			srv.Drain(dctx)
-			if err := httpSrv.Shutdown(dctx); err != nil {
-				log.Printf("nascentd: shutdown: %v", err)
-				return 1
-			}
-			log.Printf("nascentd: drained cleanly")
-			return 0
-		case err := <-errCh:
-			if err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("nascentd: %v", err)
-				return 1
-			}
-			return 0
+	select {
+	case sig := <-sigCh:
+		log.Printf("nascentd: %v: draining (deadline %s)", sig, *drainTimeout)
+		// Drain first: the gate flips to 503, in-flight work finishes or
+		// is cancelled at the drain deadline (engine poll points make
+		// cancellation prompt). Then shut the listener down; handlers
+		// have already returned, so Shutdown is quick.
+		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout+2*time.Second)
+		defer cancel()
+		srv.Drain(dctx)
+		if err := httpSrv.Shutdown(dctx); err != nil {
+			log.Printf("nascentd: shutdown: %v", err)
+			return 1
 		}
+		log.Printf("nascentd: drained cleanly")
+		return 0
+	case err := <-errCh:
+		if err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("nascentd: %v", err)
+			return 1
+		}
+		return 0
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	rangebench [-table N] [-jobs N] [-fleet N]
+//	rangebench [-table N] [-jobs N]
 //	           [-engine tree|vm|vmopt|vmrce|vmjit]
 //	           [-times] [-trace]
 //	           [-chaos seed:rate[:site]]
@@ -29,16 +29,6 @@
 // deterministic — so parallelism only changes wall-clock. The golden
 // tests in internal/report pin this.
 //
-// -fleet N shards the run stage across N worker processes instead of
-// in-process goroutines: the coordinator compiles every job once,
-// ships compiled bytecode over the progio wire codec, and supervises
-// member loss with retry and quarantine (see internal/fleet). Workers
-// are this same binary re-executed with the internal -worker flag.
-// Table output is byte-identical to every in-process configuration —
-// the fleet identity tests pin this — and -chaos composes: the spec is
-// forwarded to every worker process, arming the fleet.worker.kill and
-// fleet.worker.hang sites.
-//
 // -times appends the wall-clock columns (Range/Nascent) to Tables 2–3.
 // They vary run to run, so they are excluded by default to keep the
 // output reproducible.
@@ -62,7 +52,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -70,15 +59,12 @@ import (
 	"nascent"
 	"nascent/internal/chaos"
 	"nascent/internal/evalpool"
-	"nascent/internal/fleet"
 	"nascent/internal/report"
 )
 
 func main() {
 	table := flag.Int("table", 0, "table to print (1, 2, or 3; 0 = all)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "number of parallel evaluation workers")
-	fleetN := flag.Int("fleet", 0, "shard runs across N worker processes (0 = in-process; overrides -jobs for the run stage)")
-	worker := flag.Bool("worker", false, "serve the fleet worker protocol on stdin/stdout (internal; spawned by -fleet)")
 	engineFlag := flag.String("engine", "tree", "execution engine: "+strings.Join(nascent.EngineNames(), "|"))
 	times := flag.Bool("times", false, "include wall-clock columns (non-reproducible) in tables 2-3")
 	trace := flag.Bool("trace", false, "log per-job stage timings to stderr")
@@ -101,23 +87,12 @@ func main() {
 		chaos.Enable(spec)
 	}
 
-	if *worker {
-		// Worker mode: serve job frames until the coordinator closes our
-		// stdin. -chaos composes (it was enabled above), arming the
-		// fleet kill/hang sites inside this process.
-		if err := fleet.ServeWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "rangebench: worker: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-
 	// Profiles are flushed before the final os.Exit, so the run body
 	// lives in a function whose defers complete first.
-	os.Exit(run(*table, *jobs, *fleetN, *chaosFlag, engine, *times, *trace, *cpuprofile, *memprofile))
+	os.Exit(run(*table, *jobs, engine, *times, *trace, *cpuprofile, *memprofile))
 }
 
-func run(table, jobs, fleetN int, chaosSpec string, engine nascent.Engine, times, trace bool, cpuprofile, memprofile string) int {
+func run(table, jobs int, engine nascent.Engine, times, trace bool, cpuprofile, memprofile string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -161,32 +136,7 @@ func run(table, jobs, fleetN int, chaosSpec string, engine nascent.Engine, times
 				ev.Job, ev.Name, ev.Stage, ev.Duration, status)
 		}
 	}
-	var r *report.Runner
-	if fleetN > 0 {
-		f, err := fleet.New(fleet.Config{
-			Workers: fleetN,
-			Command: func(i int) *exec.Cmd {
-				args := []string{"-worker"}
-				if chaosSpec != "" {
-					args = append(args, "-chaos", chaosSpec)
-				}
-				return exec.Command(os.Args[0], args...)
-			},
-			Logf: func(format string, fargs ...any) {
-				if trace {
-					fmt.Fprintf(os.Stderr, format+"\n", fargs...)
-				}
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rangebench: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		r = report.NewOnEvaluator(f, cfg)
-	} else {
-		r = report.New(cfg)
-	}
+	r := report.New(cfg)
 
 	tables := []struct {
 		n int

@@ -255,10 +255,14 @@ type Index struct {
 	NamePos   source.Pos
 }
 
-// Binary applies a binary operator.
+// Binary applies a binary operator. StartPos is L's position, recorded
+// by the parser: semantic checking asks every operand for its position,
+// so deriving it by walking the left spine would make checking a long
+// left-associated sum quadratic.
 type Binary struct {
-	Op   Op
-	L, R Expr
+	Op       Op
+	L, R     Expr
+	StartPos source.Pos
 }
 
 // Unary applies Neg or Not.
@@ -272,7 +276,7 @@ func (e *IntLit) Pos() source.Pos  { return e.LitPos }
 func (e *RealLit) Pos() source.Pos { return e.LitPos }
 func (e *Name) Pos() source.Pos    { return e.NamePos }
 func (e *Index) Pos() source.Pos   { return e.NamePos }
-func (e *Binary) Pos() source.Pos  { return e.L.Pos() }
+func (e *Binary) Pos() source.Pos  { return e.StartPos }
 func (e *Unary) Pos() source.Pos   { return e.OpPos }
 
 func (*IntLit) expr()  {}

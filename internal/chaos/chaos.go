@@ -101,29 +101,6 @@ const (
 	// contained, never observable in results. Keyed by the target tier
 	// name ("vmjit").
 	SiteTierPromote Site = "tier.promote.fail"
-	// SiteFleetKill terminates a fleet worker PROCESS mid-job
-	// (os.Exit, not a panic): the coordinator must observe the pipe
-	// close, fail the in-flight attempts as member loss, respawn the
-	// member, and retry elsewhere. Keyed by "job#attempt", so a retried
-	// attempt re-rolls its fate.
-	SiteFleetKill Site = "fleet.worker.kill"
-	// SiteFleetHang stalls a fleet worker process indefinitely; the
-	// coordinator's attempt deadline must kill and replace the member.
-	// Keyed by "job#attempt".
-	SiteFleetHang Site = "fleet.worker.hang"
-	// SiteFleetHeartbeatDrop makes a fleet worker swallow a heartbeat
-	// probe (no response frame): the coordinator must count the miss,
-	// score the member down, and after enough consecutive misses
-	// proactively recycle the seat instead of waiting for a mid-job
-	// death. Keyed by "member#beat" (per-process beat sequence), so a
-	// respawned member re-rolls its fate.
-	SiteFleetHeartbeatDrop Site = "fleet.heartbeat.drop"
-	// SiteFleetStaleVersion makes a fleet worker advertise a stale
-	// progio wire-format version in its hello handshake (simulated
-	// version skew mid-rolling-restart): the coordinator must degrade
-	// to shipping source instead of compiled bytes to that member, and
-	// results must stay byte-identical. Keyed by the member index.
-	SiteFleetStaleVersion Site = "fleet.member.stale_version"
 	// SiteScrubCorrupt flips a byte of a disk-cache entry as the
 	// progcache scrubber reads it (simulated bit rot): the CRC must
 	// catch it, the entry must be unlinked and counted, and the next
@@ -146,8 +123,6 @@ var Sites = []Site{
 	SiteRCEGuardFail,
 	SiteWorkerKill, SiteWorkerHang, SiteWorkerSlow,
 	SiteTierPromote,
-	SiteFleetKill, SiteFleetHang,
-	SiteFleetHeartbeatDrop, SiteFleetStaleVersion,
 	SiteScrubCorrupt, SiteAuditMismatch,
 }
 
@@ -169,7 +144,7 @@ type Spec struct {
 	Rate float64
 	// Site restricts injection to a set of sites: "" means every site,
 	// one site name means that site only, and a comma-separated list
-	// ("fleet.worker.kill,fleet.heartbeat.drop") arms exactly those
+	// ("pool.worker.kill,progcache.scrub.corrupt") arms exactly those
 	// sites — the form soak drills use to combine faults under one
 	// seed while leaving the rest of the pipeline quiet.
 	Site Site
@@ -186,7 +161,7 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses "seed:rate[:site[,site...]]" (e.g. "42:0.05",
-// "7:1:pool.worker.kill", "9:0.2:fleet.worker.kill,fleet.worker.hang").
+// "7:1:pool.worker.kill", "9:0.2:pool.worker.kill,pool.worker.hang").
 func ParseSpec(text string) (Spec, error) {
 	parts := strings.SplitN(text, ":", 3)
 	if len(parts) < 2 {

@@ -92,8 +92,8 @@ func TestSiteFilter(t *testing.T) {
 }
 
 func TestMultiSiteSpec(t *testing.T) {
-	armed := []Site{SiteFleetKill, SiteFleetHeartbeatDrop, SiteScrubCorrupt}
-	text := "11:1:fleet.worker.kill,fleet.heartbeat.drop,progcache.scrub.corrupt"
+	armed := []Site{SiteWorkerKill, SiteWorkerHang, SiteScrubCorrupt}
+	text := "11:1:pool.worker.kill,pool.worker.hang,progcache.scrub.corrupt"
 	spec, err := ParseSpec(text)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", text, err)
@@ -115,7 +115,7 @@ func TestMultiSiteSpec(t *testing.T) {
 		}
 	}
 	// A list with one bad entry is rejected wholesale.
-	if _, err := ParseSpec("11:1:fleet.worker.kill,no.such.site"); err == nil {
+	if _, err := ParseSpec("11:1:pool.worker.kill,no.such.site"); err == nil {
 		t.Error("ParseSpec accepted a list containing an unknown site")
 	}
 }

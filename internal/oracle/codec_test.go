@@ -17,8 +17,8 @@ import (
 // indistinguishable — output, counters, traps, errors — from the
 // freshly compiled one, under both bytecode pipelines, and both must
 // agree with the tree reference. This is the invariant the disk cache
-// and the fleet lean on: a warm start or a remote worker runs decoded
-// bytes, never the original in-memory program.
+// leans on: a warm start runs decoded bytes, never the original
+// in-memory program.
 func TestCodecEngineIdentity(t *testing.T) {
 	programs := suite.Programs
 	variants := oracle.DefaultVariants()

@@ -55,9 +55,10 @@ func Parse(filename, src string) (*ast.File, error) {
 }
 
 type parser struct {
-	toks []lexer.Token
-	i    int
-	errs *source.ErrorList
+	toks  []lexer.Token
+	i     int
+	errs  *source.ErrorList
+	depth int // open parenthesized groups; see maxNesting
 }
 
 func (p *parser) tok() lexer.Token     { return p.toks[p.i] }
@@ -390,11 +391,46 @@ func (p *parser) parseWhile() ast.Stmt {
 
 func (p *parser) parseExpr() ast.Expr { return p.parseOr() }
 
+func binary(op ast.Op, l, r ast.Expr) *ast.Binary {
+	return &ast.Binary{Op: op, L: l, R: r, StartPos: l.Pos()}
+}
+
+// maxNesting bounds how deeply parenthesized groups (subexpressions and
+// index or call argument lists) may nest. Each level costs nine parser
+// frames, so without a bound a source under the service's 1 MiB cap
+// can overflow the goroutine stack: a fatal error that no recover can
+// contain.
+const maxNesting = 10000
+
+// enter opens one nesting level for the group whose "(" at pos was just
+// consumed. Past maxNesting it reports a positioned error, skips the
+// rest of the group (up to its closing ")" or the end of the line), and
+// returns false; the caller then returns a placeholder instead of
+// recursing. Callers that get true must call p.leave.
+func (p *parser) enter(pos source.Pos) bool {
+	if p.depth < maxNesting {
+		p.depth++
+		return true
+	}
+	p.errs.Add(pos, "expression nested more than %d levels deep", maxNesting)
+	for open := 1; open > 0 && !p.at(token.Newline) && !p.at(token.EOF); {
+		switch p.next().Kind {
+		case token.LParen:
+			open++
+		case token.RParen:
+			open--
+		}
+	}
+	return false
+}
+
+func (p *parser) leave() { p.depth-- }
+
 func (p *parser) parseOr() ast.Expr {
 	e := p.parseAnd()
 	for p.at(token.KwOr) {
 		p.next()
-		e = &ast.Binary{Op: ast.Or, L: e, R: p.parseAnd()}
+		e = binary(ast.Or, e, p.parseAnd())
 	}
 	return e
 }
@@ -403,7 +439,7 @@ func (p *parser) parseAnd() ast.Expr {
 	e := p.parseNot()
 	for p.at(token.KwAnd) {
 		p.next()
-		e = &ast.Binary{Op: ast.And, L: e, R: p.parseNot()}
+		e = binary(ast.And, e, p.parseNot())
 	}
 	return e
 }
@@ -426,7 +462,7 @@ func (p *parser) parseComparison() ast.Expr {
 	e := p.parseAdditive()
 	if op, ok := relOps[p.tok().Kind]; ok {
 		p.next()
-		e = &ast.Binary{Op: op, L: e, R: p.parseAdditive()}
+		e = binary(op, e, p.parseAdditive())
 	}
 	return e
 }
@@ -437,10 +473,10 @@ func (p *parser) parseAdditive() ast.Expr {
 		switch p.tok().Kind {
 		case token.Plus:
 			p.next()
-			e = &ast.Binary{Op: ast.Add, L: e, R: p.parseMultiplicative()}
+			e = binary(ast.Add, e, p.parseMultiplicative())
 		case token.Minus:
 			p.next()
-			e = &ast.Binary{Op: ast.Sub, L: e, R: p.parseMultiplicative()}
+			e = binary(ast.Sub, e, p.parseMultiplicative())
 		default:
 			return e
 		}
@@ -453,10 +489,10 @@ func (p *parser) parseMultiplicative() ast.Expr {
 		switch p.tok().Kind {
 		case token.Star:
 			p.next()
-			e = &ast.Binary{Op: ast.Mul, L: e, R: p.parseUnary()}
+			e = binary(ast.Mul, e, p.parseUnary())
 		case token.Slash:
 			p.next()
-			e = &ast.Binary{Op: ast.Div, L: e, R: p.parseUnary()}
+			e = binary(ast.Div, e, p.parseUnary())
 		default:
 			return e
 		}
@@ -495,8 +531,10 @@ func (p *parser) parsePrimary() ast.Expr {
 	case token.Ident:
 		p.next()
 		if p.at(token.LParen) {
-			p.next()
 			ix := &ast.Index{Name: t.Text, NamePos: t.Pos}
+			if !p.enter(p.next().Pos) {
+				return ix
+			}
 			if !p.at(token.RParen) {
 				for {
 					ix.Args = append(ix.Args, p.parseExpr())
@@ -506,13 +544,18 @@ func (p *parser) parsePrimary() ast.Expr {
 					p.next()
 				}
 			}
+			p.leave()
 			p.expect(token.RParen)
 			return ix
 		}
 		return &ast.Name{Ident: t.Text, NamePos: t.Pos}
 	case token.LParen:
 		p.next()
+		if !p.enter(t.Pos) {
+			return &ast.IntLit{Value: 0, LitPos: t.Pos}
+		}
 		e := p.parseExpr()
+		p.leave()
 		p.expect(token.RParen)
 		return e
 	default:

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -104,5 +105,43 @@ func TestDeepExpressionNesting(t *testing.T) {
 	_, err := Parse("deepexpr.mf", "program p\n  i = "+expr+"\nend\n")
 	if err != nil {
 		t.Fatalf("deep expression failed: %v", err)
+	}
+}
+
+// TestNestingBound pins maxNesting: exactly maxNesting parenthesized
+// levels parse, one more is a positioned error at the "(" that crosses
+// the bound, and the same holds for nested index argument lists.
+func TestNestingBound(t *testing.T) {
+	nest := func(open, close string, n int) string {
+		return "program p\n  i = " + strings.Repeat(open, n) + "1" + strings.Repeat(close, n) + "\nend\n"
+	}
+	if _, err := Parse("ok.mf", nest("(", ")", maxNesting)); err != nil {
+		t.Fatalf("%d levels: %v", maxNesting, err)
+	}
+	for _, tc := range []struct{ name, open string }{{"parens", "("}, {"index", "a("}} {
+		_, err := Parse("deep.mf", nest(tc.open, ")", maxNesting+1))
+		// "  i = " is six columns; the failing "(" is the last one opened.
+		col := 7 + len(tc.open)*(maxNesting+1) - 1
+		want := fmt.Sprintf("2:%d: expression nested more than %d levels deep", col, maxNesting)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s, %d levels: err = %v, want exactly %q", tc.name, maxNesting+1, err, want)
+		}
+	}
+}
+
+// TestDeepParensAtSourceCap parses "i = " followed by 524k nested
+// parentheses: a 1,048,044-byte source, just under nascentd's 1 MiB
+// source cap. Without the nesting bound this overflowed the goroutine
+// stack and killed the process.
+func TestDeepParensAtSourceCap(t *testing.T) {
+	const depth = 524000
+	src := "program p\n  integer i\n  i = " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "\n  print i\nend\n"
+	if len(src) != 1048044 {
+		t.Fatalf("source is %d bytes, want 1048044", len(src))
+	}
+	_, err := Parse("deep.mf", src)
+	want := fmt.Sprintf("3:%d: expression nested more than %d levels deep", 7+maxNesting, maxNesting)
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want exactly %q", err, want)
 	}
 }

@@ -128,9 +128,9 @@ func TestGoldenVersionGuard(t *testing.T) {
 // format version 1, exactly as they shipped before the guard/deopt
 // metadata rev; the current reader must reject each with a typed
 // *VersionError naming the old version — never a generic corruption
-// error, and never a successful decode. This is the contract a cache
-// or fleet node relies on to know "re-encode" rather than "discard as
-// damaged" when it meets its own stale artifacts after an upgrade.
+// error, and never a successful decode. This is the contract the disk
+// cache relies on to know "re-encode" rather than "discard as damaged"
+// when it meets its own stale artifacts after an upgrade.
 func TestOldVersionFixtures(t *testing.T) {
 	old, err := filepath.Glob(filepath.Join("testdata", "v1", "*.bin"))
 	if err != nil {

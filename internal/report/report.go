@@ -42,16 +42,6 @@ type Config struct {
 	Trace evalpool.TraceFunc
 }
 
-// Evaluator is the measurement substrate a Runner renders tables
-// from: the in-process evalpool.Pool, or a fleet.Fleet sharding runs
-// across worker processes. Both contracts are identical — ordered
-// results, deterministic counters — so table bytes never depend on
-// which one is underneath (the fleet identity tests pin this).
-type Evaluator interface {
-	Evaluate(jobs []evalpool.Job) []evalpool.Result
-	Metrics() evalpool.Metrics
-}
-
 // Runner generates tables on a (possibly concurrent) evaluation pool.
 // The pool's front-end memo table is shared across tables: generating
 // Tables 1–3 on one Runner parses each suite program exactly once.
@@ -64,7 +54,7 @@ type Evaluator interface {
 // evalpool.RunMemo on its jobs, so configurations that compile to the
 // same program share one run. Failures are never kept.
 type Runner struct {
-	pool    Evaluator
+	pool    *evalpool.Pool
 	timings bool
 	engine  nascent.Engine
 	runs    *evalpool.RunMemo
@@ -96,7 +86,7 @@ func New(cfg Config) *Runner {
 	if cfg.Trace != nil {
 		pool.SetTrace(cfg.Trace)
 	}
-	return NewOnEvaluator(pool, cfg)
+	return NewOnPool(pool, cfg)
 }
 
 // NewOnPool returns a Runner that measures on an existing pool instead
@@ -105,15 +95,8 @@ func New(cfg Config) *Runner {
 // across requests. Config.Jobs and Config.Trace are ignored — the pool
 // owns both.
 func NewOnPool(pool *evalpool.Pool, cfg Config) *Runner {
-	return NewOnEvaluator(pool, cfg)
-}
-
-// NewOnEvaluator returns a Runner measuring on any Evaluator —
-// rangebench's -fleet mode hands it a process fleet. Config.Jobs and
-// Config.Trace are ignored; the evaluator owns its concurrency.
-func NewOnEvaluator(ev Evaluator, cfg Config) *Runner {
 	return &Runner{
-		pool:    ev,
+		pool:    pool,
 		timings: cfg.Timings,
 		engine:  cfg.Engine,
 		runs:    evalpool.NewRunMemo(),

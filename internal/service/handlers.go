@@ -10,7 +10,6 @@ import (
 
 	"nascent"
 	"nascent/internal/evalpool"
-	"nascent/internal/fleet"
 	"nascent/internal/guard"
 	"nascent/internal/interp"
 	"nascent/internal/oracle"
@@ -405,15 +404,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// With a fleet configured, measurement runs shard across the worker
-	// processes; table bytes are identical either way (the fleet
-	// identity tests pin this), so the choice is purely operational.
-	var runner *report.Runner
-	if s.fleet != nil {
-		runner = report.NewOnEvaluator(s.fleet, report.Config{Engine: engine})
-	} else {
-		runner = report.NewOnPool(s.pool, report.Config{Engine: engine})
-	}
+	runner := report.NewOnPool(s.pool, report.Config{Engine: engine})
 	doc, err := runner.Doc(table)
 	if err != nil && doc == nil {
 		s.fail(w, &Error{Class: ClassInternal, Message: err.Error(), Status: http.StatusInternalServerError, NaccExit: -1})
@@ -430,18 +421,12 @@ type healthDoc struct {
 	UptimeMS int64  `json:"uptime_ms"`
 	InFlight int    `json:"in_flight"`
 	Queued   int64  `json:"queued"`
-	// Fleet lists per-member worker health (id, score, version,
-	// last-heartbeat age) when a fleet is configured.
-	Fleet []fleet.MemberHealth `json:"fleet,omitempty"`
 }
 
 // handleHealthz serves GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.limiter.stats()
 	doc := healthDoc{Status: "ok", UptimeMS: s.uptime().Milliseconds(), InFlight: st.InFlight, Queued: st.Queued}
-	if s.fleet != nil {
-		doc.Fleet = s.fleet.Health()
-	}
 	status := http.StatusOK
 	if s.draining.Load() {
 		doc.Status = "draining"
@@ -464,9 +449,6 @@ type metricsDoc struct {
 	// resolved through the service cache (the pool's own tier rows
 	// appear under pool.tier_programs).
 	Tiers []evalpool.TierProgramSnapshot `json:"tiers,omitempty"`
-	// Fleet carries the worker fleet's soak counters and per-member
-	// health when a fleet is configured.
-	Fleet *fleet.Stats `json:"fleet,omitempty"`
 	// Audit is the self-audit section (every=0 when disabled).
 	Audit auditStats `json:"audit"`
 	Chaos chaosDoc   `json:"chaos"`
@@ -488,11 +470,6 @@ type requestCounters struct {
 // supervision snapshot. It stays available while draining (operators
 // watch it to confirm the drain).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var fleetStats *fleet.Stats
-	if s.fleet != nil {
-		st := s.fleet.Stats()
-		fleetStats = &st
-	}
 	writeJSON(w, http.StatusOK, metricsDoc{
 		UptimeMS: s.uptime().Milliseconds(),
 		Draining: s.draining.Load(),
@@ -513,7 +490,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Breaker:   s.breaker.stats(),
 		Pool:      s.pool.MetricsSnapshot(),
 		Tiers:     s.cache.tierPrograms(),
-		Fleet:     fleetStats,
 		Audit:     s.auditSnapshot(),
 		Chaos:     currentChaos(),
 	})

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-
-	"nascent/internal/fleet"
 )
 
 // assertFields pins one wire object's exact field set, following the
@@ -32,10 +30,8 @@ func assertFields(t *testing.T, label string, v any, want []string) {
 	}
 }
 
-// TestMetricsDocFields pins the top-level field set of GET /metrics,
-// with every optional section populated except fleet (pinned
-// separately — spawning worker processes is the fleet package's
-// business).
+// TestMetricsDocFields pins the field set of GET /metrics, top level
+// and every section, with every optional section populated.
 func TestMetricsDocFields(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.ProgCacheDir = t.TempDir()
@@ -100,28 +96,29 @@ func TestMetricsDocFields(t *testing.T) {
 		"hits", "misses", "corrupt", "bad_version", "puts", "write_errors",
 		"scrub_passes", "scrub_scanned", "scrub_corrupt", "scrub_removed",
 	})
+
+	admission, _ := m["admission"].(map[string]any)
+	assertFields(t, "admission", admission, []string{
+		"max_concurrent", "max_queue", "in_flight", "queued", "admitted", "shed",
+	})
+	cache, _ := m["cache"].(map[string]any)
+	assertFields(t, "cache", cache, []string{"entries", "capacity", "hits", "misses", "evictions"})
+	// breaker.open is omitted while no pair is tripped.
+	breaker, _ := m["breaker"].(map[string]any)
+	assertFields(t, "breaker", breaker, []string{"threshold", "cooldown_ms", "trips", "probes", "degraded"})
+	tiers, _ := m["tiers"].([]any)
+	if len(tiers) == 0 {
+		t.Fatalf("tiers = %v, want the vmjit run's entry", m["tiers"])
+	}
+	assertFields(t, "tiers[0]", tiers[0], []string{
+		"key", "engine", "tier", "runs", "instructions", "promotions", "demotions",
+	})
+	// chaos.spec is omitted while no spec is armed.
+	chaosSec, _ := m["chaos"].(map[string]any)
+	assertFields(t, "chaos", chaosSec, []string{"active", "fired"})
 }
 
-// TestFleetWireFields pins the fleet sections nascentd serves under
-// /metrics (fleet.Stats) and /healthz (fleet.MemberHealth). The
-// structs are marshaled directly: their wire shape is the contract,
-// regardless of whether a fleet is running.
-func TestFleetWireFields(t *testing.T) {
-	st := fleet.Stats{Members: []fleet.MemberHealth{{PID: 42}}}
-	assertFields(t, "fleet stats", st, []string{
-		"hedges", "hedge_wins", "hedge_mismatches", "skew_degrades",
-		"heartbeat_misses", "proactive_respawns", "rolls", "members",
-	})
-	assertFields(t, "fleet member", st.Members[0], []string{
-		"id", "up", "pid", "score", "latency_ewma_ms", "consec_fails",
-		"heartbeat_misses", "beats", "last_beat_age_ms",
-		"proto_version", "progio_version", "skewed", "draining",
-		"respawns", "in_flight",
-	})
-}
-
-// TestHealthzFields pins GET /healthz: the base field set without a
-// fleet, and the fleet key's presence in the document type.
+// TestHealthzFields pins GET /healthz's exact field set.
 func TestHealthzFields(t *testing.T) {
 	s := newTestServer(t, nil)
 	var m map[string]any
@@ -129,7 +126,4 @@ func TestHealthzFields(t *testing.T) {
 		t.Fatalf("healthz status = %d", w.Code)
 	}
 	assertFields(t, "healthz", m, []string{"status", "uptime_ms", "in_flight", "queued"})
-
-	doc := healthDoc{Fleet: []fleet.MemberHealth{{}}}
-	assertFields(t, "healthz with fleet", doc, []string{"status", "uptime_ms", "in_flight", "queued", "fleet"})
 }

@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"os/exec"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"nascent"
 	"nascent/internal/chaos"
 	"nascent/internal/evalpool"
-	"nascent/internal/fleet"
 	"nascent/internal/progcache"
 	"nascent/internal/vm"
 )
@@ -60,19 +57,6 @@ type Config struct {
 	// circuit breaker (defaults 3 consecutive quarantines, 30 s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	// FleetWorkers, when > 0, shards /report measurement runs across
-	// worker processes instead of the in-process pool; FleetCommand
-	// builds the command for worker i (required then — nascentd
-	// self-execs with -fleet-worker). A fleet that fails to start is
-	// logged and disabled: /report falls back to the in-process pool.
-	FleetWorkers int
-	FleetCommand func(i int) *exec.Cmd
-	// FleetHedgeAfter passes through to fleet.Config.HedgeAfter:
-	// positive duplicates a still-pending fleet attempt after that
-	// fixed delay, negative enables the adaptive (latency-EWMA-based)
-	// hedging quantile, zero disables hedging.
-	FleetHedgeAfter time.Duration
 
 	// AuditEvery > 0 enables the in-service differential self-audit:
 	// every AuditEvery-th successful /run on a non-tree engine is
@@ -146,7 +130,6 @@ type Server struct {
 	pool    *evalpool.Pool
 	cache   *Cache
 	disk    *progcache.Cache // nil when ProgCacheDir is empty
-	fleet   *fleet.Fleet     // nil unless FleetWorkers > 0
 	limiter *limiter
 	breaker *breaker
 	mux     *http.ServeMux
@@ -218,23 +201,6 @@ func New(cfg Config) *Server {
 			if cfg.ScrubInterval > 0 {
 				s.scrubStop = disk.StartScrubber(cfg.ScrubInterval, cfg.Logf)
 			}
-		}
-	}
-	if cfg.FleetWorkers > 0 {
-		fl, err := fleet.New(fleet.Config{
-			Workers: cfg.FleetWorkers,
-			Command: cfg.FleetCommand,
-			// The pool's per-attempt deadline applies to remote attempts
-			// too: a hung worker process is killed and the job retried,
-			// exactly like a hung in-process worker.
-			JobTimeout: cfg.Pool.JobTimeout,
-			HedgeAfter: cfg.FleetHedgeAfter,
-			Logf:       cfg.Logf,
-		})
-		if err != nil {
-			cfg.Logf("nascentd: fleet disabled: %v", err)
-		} else {
-			s.fleet = fl
 		}
 	}
 	mux := http.NewServeMux()
@@ -485,26 +451,7 @@ func (s *Server) Drain(ctx context.Context) {
 	if s.scrubStop != nil {
 		s.scrubStop()
 	}
-	if s.fleet != nil {
-		s.fleet.Close()
-	}
 	s.cfg.Logf("nascentd: drained; %s", s.pool.Metrics().String())
-}
-
-// ErrNoFleet reports a fleet operation on a server running without a
-// worker fleet.
-var ErrNoFleet = errors.New("service: no fleet configured")
-
-// RollFleet performs a zero-downtime rolling restart of the worker
-// fleet: each member is drained, stopped, respawned, and re-handshaken
-// in turn while the rest keep serving (fleet.Roll). nascentd wires it
-// to SIGHUP; a second roll while one is in flight returns
-// fleet.ErrRollInProgress.
-func (s *Server) RollFleet(ctx context.Context) error {
-	if s.fleet == nil {
-		return ErrNoFleet
-	}
-	return s.fleet.Roll(ctx)
 }
 
 // diskStats snapshots the disk cache counters (nil when disabled).

@@ -219,6 +219,32 @@ func TestRunCompileError(t *testing.T) {
 	}
 }
 
+// TestDeepNestingIsCompileError posts "i = " followed by 524k nested
+// parentheses, a source just under the default 1 MiB cap. It must come
+// back as a typed compile error (the parser bounds nesting depth) rather
+// than overflowing the stack, and the same server must keep serving.
+func TestDeepNestingIsCompileError(t *testing.T) {
+	s := newTestServer(t, nil)
+	const depth = 524000
+	src := "program p\n  integer i\n  i = " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "\n  print i\nend\n"
+	if len(src) > s.cfg.MaxSourceBytes {
+		t.Fatalf("source is %d bytes, over the %d-byte cap", len(src), s.cfg.MaxSourceBytes)
+	}
+	w := do(t, s, "POST", "/compile", CompileRequest{Source: src}, nil)
+	e := wantError(t, w, http.StatusUnprocessableEntity, ClassCompile)
+	if e.NaccExit != 3 || !strings.Contains(e.Message, "3:10007: expression nested more than") {
+		t.Errorf("nacc_exit = %d, message %q; want 3 and a positioned nesting error", e.NaccExit, e.Message)
+	}
+
+	var resp RunResponse
+	if w := do(t, s, "POST", "/run", RunRequest{CompileRequest: CompileRequest{Source: progOK}}, &resp); w.Code != http.StatusOK {
+		t.Fatalf("run after the deep source: status = %d, body %s", w.Code, w.Body.String())
+	}
+	if resp.Output != "10\n" {
+		t.Errorf("run output = %q, want %q", resp.Output, "10\n")
+	}
+}
+
 func TestRunResourceExhausted(t *testing.T) {
 	s := newTestServer(t, nil)
 	w := do(t, s, "POST", "/run", RunRequest{

@@ -209,8 +209,7 @@ type trapInfo struct {
 // Compile and safe for concurrent Run calls: all mutable execution
 // state lives in the per-run machine. It holds no references into the
 // IR it was compiled from — every field is plain data, which is what
-// makes it serializable (internal/progio) and shippable to worker
-// processes (internal/fleet).
+// makes it serializable (internal/progio).
 type Program struct {
 	code   []instr
 	funcs  []funcInfo

@@ -1,8 +1,11 @@
 package nascent_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"nascent"
 	"nascent/internal/ir"
@@ -248,4 +251,29 @@ end
 		t.Error("no mutant reached the oracle: sampling threshold too high")
 	}
 	t.Logf("mutants compiled: %d, ran: %d, oracle-verified: %d", compiled, ran, verified)
+}
+
+// TestLongSumCompilesInLinearTime compiles "i = 1+1+...+1" with 520k
+// terms, about the 1 MiB source cap nascentd accepts. Semantic checking
+// asks every operand for its position; when a Binary's position walked
+// its whole left spine, this took quadratic time (9 s at only 32k
+// terms). It now takes well under a second, so the bound is generous.
+func TestLongSumCompilesInLinearTime(t *testing.T) {
+	const terms = 520000
+	src := "program p\n  integer i\n  i = " + strings.Repeat("1+", terms-1) + "1\n  print i\nend\n"
+	start := time.Now()
+	prog, err := nascent.Compile(src, nascent.Options{})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("compiling a %d-term sum took %v, want under 10s", terms, d)
+	}
+	res, err := prog.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if want := fmt.Sprintf("%d\n", terms); res.Output != want {
+		t.Errorf("output = %q, want %q", res.Output, want)
+	}
 }
