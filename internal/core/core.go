@@ -190,6 +190,9 @@ type funcCtx struct {
 	// passes build shares it.
 	reg *rangecheck.Registry
 	res *Result
+	// hoistVisits is the dataflow work preheader insertion has spent;
+	// see hoistBudget.
+	hoistVisits int
 }
 
 // failFunc, when set by tests (see export_test.go), makes optimizeFunc
@@ -613,11 +616,27 @@ func (c *funcCtx) placeLatest() {
 // When lls is true, linear checks are hoisted via loop-limit substitution
 // in addition to invariant checks.
 func (c *funcCtx) preheaderInsert(lls bool) {
-	for _, l := range c.forest.Loops { // innermost first
+	for i, l := range c.forest.Loops { // innermost first
+		if c.hoistVisits > hoistBudget {
+			c.res.Diagnostics = append(c.res.Diagnostics, fmt.Sprintf(
+				"%s: preheader insertion stopped after %d dataflow block visits (budget %d); checks kept in %d of %d loops",
+				c.fn.Name, c.hoistVisits, hoistBudget, len(c.forest.Loops)-i, len(c.forest.Loops)))
+			return
+		}
 		c.hoistLoop(l, lls)
 		c.rehoistCondChecks(l)
 	}
 }
+
+// hoistBudget bounds the work of preheader insertion in one function.
+// Each loop's hoist solves anticipatability over the whole function, so
+// the work grows with loops × blocks: quadratic in a long run of loops,
+// cubic in a deep nest. Once the solves have made more than
+// hoistBudget block visits, the remaining loops are left as they are
+// (their checks stay, which is sound) and Result.Diagnostics says so.
+// The largest function of the benchmark suite spends 1,160 visits
+// under any scheme, kind and mode, so the budget never binds there.
+const hoistBudget = 1_000_000
 
 // hoistLoop hoists anticipatable invariant (and, with lls, linear)
 // checks of loop l into its preheader as (cond-)checks.
@@ -638,6 +657,7 @@ func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
 
 	env := c.newEnv()
 	bodyAnt := env.Anticipatability(dataflow.In).At(l.Do.BodyEntry)
+	c.hoistVisits += env.Visits
 	headerVals := c.ssa.OutValues[l.Header]
 
 	// Profitability (paper §2.1 step 3): hoisting must make some check in

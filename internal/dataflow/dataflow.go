@@ -56,6 +56,11 @@ type Env struct {
 	// first-occurrence order (block order, then statement order).
 	Families []*rangecheck.Family
 
+	// Visits counts the block visits e's solvers have made, one per
+	// block per sweep: the deterministic measure of solver work that
+	// core's optimizer budget charges.
+	Visits int
+
 	width   int    // state width: the registry's size at NewEnv
 	present []bool // family index -> listed in Families
 	// shifts caches the affine-copy transfer of each assignment.
@@ -346,6 +351,7 @@ func (e *Env) Availability(side Side) Solution {
 	changed := true
 	for changed {
 		changed = false
+		e.Visits += n
 		for i, b := range order {
 			inB := row(in, i, w)
 			if i != 0 {
@@ -407,6 +413,7 @@ func (e *Env) Anticipatability(side Side) Solution {
 	changed := true
 	for changed {
 		changed = false
+		e.Visits += n
 		for i := n - 1; i >= 0; i-- {
 			b := order[i]
 			e.antExit(st, b, in)
@@ -426,6 +433,7 @@ func (e *Env) Anticipatability(side Side) Solution {
 		return Solution{rows: e.rows, width: w, slab: in}
 	}
 	out := make([]int64, n*w)
+	e.Visits += n
 	for i, b := range order {
 		e.antExit(row(out, i, w), b, in)
 	}

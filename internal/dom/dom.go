@@ -7,18 +7,17 @@ import "nascent/internal/ir"
 
 // Tree is the dominator tree of a function.
 type Tree struct {
-	fn       *ir.Func
 	order    []*ir.Block       // reverse postorder
 	rpoIndex map[*ir.Block]int // block -> position in order
 	idom     map[*ir.Block]*ir.Block
 	children map[*ir.Block][]*ir.Block
 	frontier map[*ir.Block][]*ir.Block
+	nest     nesting
 }
 
 // Compute builds the dominator tree of f. Unreachable blocks are ignored.
 func Compute(f *ir.Func) *Tree {
 	t := &Tree{
-		fn:       f,
 		order:    f.ReversePostorder(),
 		rpoIndex: make(map[*ir.Block]int),
 		idom:     make(map[*ir.Block]*ir.Block),
@@ -84,21 +83,80 @@ func (t *Tree) Reachable(b *ir.Block) bool {
 	return ok
 }
 
-// Dominates reports whether a dominates b (every block dominates itself).
+// Dominates reports whether a dominates b (every block dominates
+// itself). The first call numbers the tree (see nesting), like
+// Frontier computes frontiers on first use.
 func (t *Tree) Dominates(a, b *ir.Block) bool {
 	if !t.Reachable(a) || !t.Reachable(b) {
 		return false
 	}
-	entry := t.fn.Entry()
-	for {
-		if a == b {
-			return true
-		}
-		if b == entry {
-			return false
-		}
-		b = t.idom[b]
+	if t.nest.enter == nil {
+		t.nest = newNesting(t.order, t.IDom)
 	}
+	return t.nest.contains(a, b)
+}
+
+// nesting numbers a forest of blocks in DFS order, so that "a is b or
+// an ancestor of b" is one interval test rather than a walk up the
+// tree: in a deep loop nest that walk is as long as the nest. Indexed
+// by block ID.
+type nesting struct{ enter, exit []int32 }
+
+// newNesting numbers blocks. parent maps each block to its parent,
+// which must be among blocks, or to nil or the block itself for a root.
+func newNesting(blocks []*ir.Block, parent func(*ir.Block) *ir.Block) nesting {
+	m := 0
+	for _, b := range blocks {
+		m = max(m, b.ID+1)
+	}
+	// One slab: enter and exit, then each block's parent, first child
+	// and next sibling, stored as ID+1 so that 0 means none.
+	slab := make([]int32, 5*m)
+	n := nesting{enter: slab[:m:m], exit: slab[m : 2*m : 2*m]}
+	up, first, next := slab[2*m:3*m], slab[3*m:4*m], slab[4*m:]
+	for _, b := range blocks {
+		if p := parent(b); p != nil && p != b {
+			up[b.ID] = int32(p.ID) + 1
+			next[b.ID] = first[p.ID]
+			first[p.ID] = int32(b.ID) + 1
+		}
+	}
+	clock := int32(0)
+	for _, r := range blocks {
+		if up[r.ID] != 0 {
+			continue
+		}
+		root := int32(r.ID)
+		id := root
+	walk:
+		for {
+			n.enter[id] = clock
+			clock++
+			if c := first[id]; c != 0 {
+				id = c - 1
+				continue
+			}
+			for {
+				n.exit[id] = clock
+				clock++
+				if id == root {
+					break walk
+				}
+				if s := next[id]; s != 0 {
+					id = s - 1
+					continue walk
+				}
+				id = up[id] - 1
+			}
+		}
+	}
+	return n
+}
+
+// contains reports whether a is b or an ancestor of b. Both must be
+// among the numbered blocks.
+func (n nesting) contains(a, b *ir.Block) bool {
+	return n.enter[a.ID] <= n.enter[b.ID] && n.exit[b.ID] <= n.exit[a.ID]
 }
 
 // Order returns the blocks in reverse postorder.

@@ -5,6 +5,7 @@ import (
 
 	"nascent/internal/dom"
 	"nascent/internal/ir"
+	"nascent/internal/suite"
 	"nascent/internal/testutil"
 )
 
@@ -111,4 +112,61 @@ end
 	if tree.Order()[0] != f.Entry() {
 		t.Error("RPO does not start at entry")
 	}
+}
+
+// TestIntervalsMatchTreeWalk checks the interval form of Dominates and
+// PostDominates against a walk up the idom and ipdom chains, for every
+// pair of blocks of every suite function (critical edges split, as the
+// optimizer sees them).
+func TestIntervalsMatchTreeWalk(t *testing.T) {
+	for _, sp := range suite.Programs {
+		p := testutil.BuildIR(t, sp.Source, true)
+		for _, f := range p.Funcs {
+			f.SplitCriticalEdges()
+			tree, post := dom.Compute(f), dom.ComputePost(f)
+			for _, a := range f.Blocks {
+				for _, b := range f.Blocks {
+					if got, want := tree.Dominates(a, b), walkDominates(tree, a, b); got != want {
+						t.Fatalf("%s/%s: Dominates(b%d, b%d) = %v, tree walk says %v", sp.Name, f.Name, a.ID, b.ID, got, want)
+					}
+					if got, want := post.PostDominates(a, b), walkPostDominates(post, a, b); got != want {
+						t.Fatalf("%s/%s: PostDominates(b%d, b%d) = %v, tree walk says %v", sp.Name, f.Name, a.ID, b.ID, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func walkDominates(t *dom.Tree, a, b *ir.Block) bool {
+	if !t.Reachable(a) || !t.Reachable(b) {
+		return false
+	}
+	for {
+		if a == b {
+			return true
+		}
+		if t.IDom(b) == b {
+			return false
+		}
+		b = t.IDom(b)
+	}
+}
+
+func walkPostDominates(t *dom.PostTree, a, b *ir.Block) bool {
+	cur := t.IPDom(b)
+	if cur == nil {
+		return false
+	}
+	if a == b {
+		return true
+	}
+	for cur != a {
+		next := t.IPDom(cur)
+		if next == nil || next == cur {
+			return false
+		}
+		cur = next
+	}
+	return true
 }

@@ -11,6 +11,7 @@ type PostTree struct {
 	order    []*ir.Block // reverse postorder of the reversed CFG
 	rpoIndex map[*ir.Block]int
 	ipdom    map[*ir.Block]*ir.Block // nil for virtual-exit roots
+	nest     nesting
 }
 
 // ComputePost builds the postdominator tree of f.
@@ -110,24 +111,15 @@ func (t *PostTree) intersect(a, b *ir.Block) *ir.Block {
 func (t *PostTree) IPDom(b *ir.Block) *ir.Block { return t.ipdom[b] }
 
 // PostDominates reports whether a postdominates b (every block
-// postdominates itself).
+// postdominates itself). The first call numbers the tree (see nesting).
 func (t *PostTree) PostDominates(a, b *ir.Block) bool {
-	if a == b {
-		_, ok := t.ipdom[b]
-		return ok
-	}
-	cur, ok := t.ipdom[b]
-	if !ok {
+	_, okA := t.ipdom[a]
+	_, okB := t.ipdom[b]
+	if !okA || !okB {
 		return false
 	}
-	for {
-		if cur == a {
-			return true
-		}
-		next := t.ipdom[cur]
-		if next == nil || next == cur {
-			return a == cur
-		}
-		cur = next
+	if t.nest.enter == nil {
+		t.nest = newNesting(t.order, t.IPDom)
 	}
+	return t.nest.contains(a, b)
 }

@@ -101,7 +101,8 @@ type builder struct {
 	cur   *ir.Block
 	exit  *ir.Block
 	tempN int
-	err   error // first lowering failure (see failf)
+	mods  *modIndex // the unit's modifications, for DO bound invariance
+	err   error     // first lowering failure (see failf)
 }
 
 func irType(t sem.Type) ir.Type {
@@ -170,6 +171,7 @@ func (b *builder) lowerUnit(u *sem.Unit) error {
 	b.f = f
 	b.unit = u
 	b.tempN = 0
+	b.mods = indexMods(u.AST.Body)
 
 	entry := f.NewBlock("entry")
 	b.exit = f.NewBlock("exit")
@@ -295,46 +297,108 @@ func (b *builder) lowerIf(s *ast.IfStmt) {
 	}
 }
 
-// simpleInvariantBound reports whether e can be used directly as a DO
-// bound without copying to a temp: every scalar it reads is unassigned in
-// the loop body, and every array it loads is unmodified there (calls make
-// globals and global arrays unsafe). Keeping the original bound
-// expression (e.g. 2*n in paper Figure 6) lets hoisted checks share
-// families across loops and constant-fold; modified bounds are copied to
-// a temp to preserve Fortran's fixed-trip-count semantics.
-func (b *builder) simpleInvariantBound(e ir.Expr, body []ast.Stmt) bool {
-	// Collect what the body can modify.
-	assigned := make(map[string]bool)
-	stored := make(map[string]bool)
-	hasCall := false
-	ast.WalkStmts(body, func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.AssignStmt:
-			if len(s.Indexes) == 0 {
-				assigned[s.Name] = true
-			} else {
-				stored[s.Name] = true
-			}
-		case *ast.DoStmt:
-			assigned[s.Var] = true
-		case *ast.CallStmt:
-			hasCall = true
-		}
-	})
+// simpleInvariantBound reports whether e can be used directly as the
+// bound of DO s without copying to a temp: every scalar it reads is
+// unassigned in the loop body, and every array it loads is unmodified
+// there (calls make globals and global arrays unsafe). Keeping the
+// original bound expression (e.g. 2*n in paper Figure 6) lets hoisted
+// checks share families across loops and constant-fold; modified bounds
+// are copied to a temp to preserve Fortran's fixed-trip-count semantics.
+func (b *builder) simpleInvariantBound(e ir.Expr, s *ast.DoStmt) bool {
+	m := b.mods
+	body := m.body[s]
+	hasCall := anyIn(m.calls, body)
 	safe := true
 	ir.WalkExpr(e, func(x ir.Expr) {
 		switch x := x.(type) {
 		case *ir.VarRef:
-			if assigned[x.Var.Name] || (hasCall && x.Var.Global) {
+			if anyIn(m.assigned[x.Var.Name], body) || (hasCall && x.Var.Global) {
 				safe = false
 			}
 		case *ir.Load:
-			if stored[x.Arr.Name] || (hasCall && x.Arr.Global) {
+			if anyIn(m.stored[x.Arr.Name], body) || (hasCall && x.Arr.Global) {
 				safe = false
 			}
 		}
 	})
 	return safe
+}
+
+// modIndex records, in one pre-order walk of a unit's statements, the
+// positions at which a call is made and at which each name a DO bound
+// reads is assigned (scalars) or stored (arrays). A DO body is a
+// contiguous range of pre-order positions, so whether the body modifies
+// a name is one binary search, and lowering a loop nest costs time
+// linear in its size rather than walking every enclosing body again.
+type modIndex struct {
+	assigned map[string][]int32       // scalar -> plain assignments and DO headers
+	stored   map[string][]int32       // array -> element stores
+	calls    []int32                  // call statements
+	body     map[*ast.DoStmt][2]int32 // DO -> [start, end) of its body
+}
+
+func indexMods(stmts []ast.Stmt) *modIndex {
+	// Only names that some DO bound reads are ever asked about.
+	read := make(map[string]bool)
+	note := func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.Name:
+			read[e.Ident] = true
+		case *ast.Index:
+			read[e.Name] = true
+		}
+	}
+	ast.WalkStmts(stmts, func(s ast.Stmt) {
+		if d, ok := s.(*ast.DoStmt); ok {
+			ast.WalkExprs(d.Lo, note)
+			ast.WalkExprs(d.Hi, note)
+		}
+	})
+	m := &modIndex{
+		assigned: make(map[string][]int32),
+		stored:   make(map[string][]int32),
+		body:     make(map[*ast.DoStmt][2]int32),
+	}
+	add := func(to map[string][]int32, name string, at int32) {
+		if read[name] {
+			to[name] = append(to[name], at)
+		}
+	}
+	n := int32(0)
+	var walk func([]ast.Stmt)
+	walk = func(stmts []ast.Stmt) {
+		for _, s := range stmts {
+			at := n
+			n++
+			switch s := s.(type) {
+			case *ast.AssignStmt:
+				if len(s.Indexes) == 0 {
+					add(m.assigned, s.Name, at)
+				} else {
+					add(m.stored, s.Name, at)
+				}
+			case *ast.CallStmt:
+				m.calls = append(m.calls, at)
+			case *ast.IfStmt:
+				walk(s.Then)
+				walk(s.Else)
+			case *ast.DoStmt:
+				add(m.assigned, s.Var, at)
+				walk(s.Body)
+				m.body[s] = [2]int32{at + 1, n}
+			case *ast.WhileStmt:
+				walk(s.Body)
+			}
+		}
+	}
+	walk(stmts)
+	return m
+}
+
+// anyIn reports whether the ascending positions ps include one in r.
+func anyIn(ps []int32, r [2]int32) bool {
+	i := sort.Search(len(ps), func(i int) bool { return ps[i] >= r[0] })
+	return i < len(ps) && ps[i] < r[1]
 }
 
 func (b *builder) lowerDo(s *ast.DoStmt) {
@@ -365,13 +429,13 @@ func (b *builder) lowerDo(s *ast.DoStmt) {
 	// Fortran semantics: the limit is fixed at loop entry. Use the bound
 	// expression directly when provably invariant, else copy to a temp.
 	limit := hi
-	if !b.simpleInvariantBound(hi, s.Body) {
+	if !b.simpleInvariantBound(hi, s) {
 		t := b.newTemp("lim")
 		b.emit(&ir.AssignStmt{Dst: t, Src: hi, SrcPos: s.Pos()})
 		limit = &ir.VarRef{Var: t}
 	}
 	loVal := lo
-	if !b.simpleInvariantBound(lo, s.Body) {
+	if !b.simpleInvariantBound(lo, s) {
 		t := b.newTemp("lo")
 		b.emit(&ir.AssignStmt{Dst: t, Src: lo, SrcPos: s.Pos()})
 		loVal = &ir.VarRef{Var: t}

@@ -21,8 +21,8 @@ type Token struct {
 	Text string
 }
 
-// Lexer scans MF source text.
-type Lexer struct {
+// scanner turns MF source text into raw tokens, newlines included.
+type scanner struct {
 	src  string
 	off  int // byte offset of next unread character
 	line int
@@ -30,29 +30,43 @@ type Lexer struct {
 	errs *source.ErrorList
 }
 
-// New returns a Lexer for src reporting errors to errs.
-func New(src string, errs *source.ErrorList) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1, errs: errs}
+// Stream yields the parser's token sequence one token at a time, so no
+// token slice is ever built. Consecutive newlines are collapsed and
+// leading newlines skipped, so the parser never sees an empty
+// statement. After EOF every call returns EOF again.
+type Stream struct {
+	lx   scanner
+	prev token.Kind // last kind returned; Newline before the first token
 }
 
-// Scan scans the entire input and returns its tokens, ending with EOF.
-// Consecutive newlines are collapsed and leading newlines skipped so the
-// parser never sees an empty statement.
-func Scan(src string, errs *source.ErrorList) []Token {
+// NewStream returns a stream over src reporting errors to errs.
+func NewStream(src string, errs *source.ErrorList) Stream {
 	if chaos.Active() {
 		if err := chaos.InjectError(chaos.SiteLexError, chaos.SourceKey(src)); err != nil {
 			errs.Add(source.Pos{Line: 1, Col: 1}, "%s", err.Error())
 		}
 	}
-	lx := New(src, errs)
+	return Stream{lx: scanner{src: src, line: 1, col: 1, errs: errs}, prev: token.Newline}
+}
+
+// Next returns the next token of the stream.
+func (s *Stream) Next() Token {
+	for {
+		t := s.lx.next()
+		if t.Kind == token.Newline && s.prev == token.Newline {
+			continue
+		}
+		s.prev = t.Kind
+		return t
+	}
+}
+
+// Scan collects the whole stream, ending with EOF.
+func Scan(src string, errs *source.ErrorList) []Token {
+	s := NewStream(src, errs)
 	var toks []Token
 	for {
-		t := lx.Next()
-		if t.Kind == token.Newline {
-			if len(toks) == 0 || toks[len(toks)-1].Kind == token.Newline {
-				continue
-			}
-		}
+		t := s.Next()
 		toks = append(toks, t)
 		if t.Kind == token.EOF {
 			return toks
@@ -60,23 +74,23 @@ func Scan(src string, errs *source.ErrorList) []Token {
 	}
 }
 
-func (l *Lexer) pos() source.Pos { return source.Pos{Line: l.line, Col: l.col} }
+func (l *scanner) pos() source.Pos { return source.Pos{Line: l.line, Col: l.col} }
 
-func (l *Lexer) peek() byte {
+func (l *scanner) peek() byte {
 	if l.off >= len(l.src) {
 		return 0
 	}
 	return l.src[l.off]
 }
 
-func (l *Lexer) peek2() byte {
+func (l *scanner) peek2() byte {
 	if l.off+1 >= len(l.src) {
 		return 0
 	}
 	return l.src[l.off+1]
 }
 
-func (l *Lexer) advance() byte {
+func (l *scanner) advance() byte {
 	c := l.src[l.off]
 	l.off++
 	if c == '\n' {
@@ -96,8 +110,8 @@ func isAlpha(c byte) bool {
 
 func isAlnum(c byte) bool { return isAlpha(c) || isDigit(c) }
 
-// Next returns the next token.
-func (l *Lexer) Next() Token {
+// next returns the next raw token.
+func (l *scanner) next() Token {
 	for {
 		c := l.peek()
 		switch {
@@ -180,7 +194,7 @@ func (l *Lexer) Next() Token {
 	return Token{Kind: token.Illegal, Pos: p, Text: string(c)}
 }
 
-func (l *Lexer) scanNumber(p source.Pos) Token {
+func (l *scanner) scanNumber(p source.Pos) Token {
 	start := l.off
 	for isDigit(l.peek()) {
 		l.advance()

@@ -40,8 +40,8 @@ func Parse(filename, src string) (*ast.File, error) {
 		}
 	}
 	var errs source.ErrorList
-	toks := lexer.Scan(src, &errs)
-	p := &parser{toks: toks, errs: &errs}
+	p := &parser{toks: lexer.NewStream(src, &errs), errs: &errs}
+	p.cur = p.toks.Next()
 	file := &ast.File{Name: filename}
 	p.skipNewlines()
 	for !p.at(token.EOF) {
@@ -54,20 +54,22 @@ func Parse(filename, src string) (*ast.File, error) {
 	return file, errs.Err()
 }
 
+// parser pulls tokens from the lexer one at a time: the grammar needs
+// exactly one token of lookahead, cur.
 type parser struct {
-	toks  []lexer.Token
-	i     int
+	toks  lexer.Stream
+	cur   lexer.Token
 	errs  *source.ErrorList
 	depth int // open parenthesized groups; see maxNesting
 }
 
-func (p *parser) tok() lexer.Token     { return p.toks[p.i] }
-func (p *parser) at(k token.Kind) bool { return p.toks[p.i].Kind == k }
+func (p *parser) tok() lexer.Token     { return p.cur }
+func (p *parser) at(k token.Kind) bool { return p.cur.Kind == k }
 
 func (p *parser) next() lexer.Token {
-	t := p.toks[p.i]
+	t := p.cur
 	if t.Kind != token.EOF {
-		p.i++
+		p.cur = p.toks.Next()
 	}
 	return t
 }

@@ -226,19 +226,25 @@ func (c *Cache) count(f func(*Metrics)) {
 	c.mu.Unlock()
 }
 
-// encodeEnvelope serializes an entry to its on-disk form.
+// encodeEnvelope serializes an entry to its on-disk form. The header,
+// meta and progio payload are written straight into one buffer of the
+// envelope's exact size; the payload length is patched in once the
+// payload is written.
 func encodeEnvelope(e *Entry) ([]byte, error) {
 	meta, err := json.Marshal(cacheMeta{StaticChecks: e.StaticChecks, Opt: e.Opt})
 	if err != nil {
 		return nil, err
 	}
-	payload := progio.Encode(e.Prog)
-	out := append([]byte(nil), envelopeMagic[:]...)
+	im := e.Prog.Image()
+	out := make([]byte, 0, len(envelopeMagic)+2+4+len(meta)+4+progio.EncodedSize(im)+4)
+	out = append(out, envelopeMagic[:]...)
 	out = progio.AppendUint16(out, envelopeVersion)
 	out = progio.AppendUint32(out, uint32(len(meta)))
 	out = append(out, meta...)
-	out = progio.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
+	lenAt := len(out)
+	out = progio.AppendUint32(out, 0)
+	out = progio.AppendImage(out, im)
+	binary.LittleEndian.PutUint32(out[lenAt:], uint32(len(out)-lenAt-4))
 	return progio.AppendUint32(out, crc32.Checksum(out, crcTable)), nil
 }
 

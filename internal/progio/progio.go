@@ -278,10 +278,52 @@ func readInt64s(src []byte) ([]int64, []byte, bool) {
 	return vs, rest, true
 }
 
+// EncodedSize returns the exact length of im's encoding, computed from
+// its section lengths, so an encoder can allocate its buffer once.
+func EncodedSize(im *vm.Image) int {
+	const (
+		count  = 4 // uint32 element count or string length prefix
+		posLen = 8 // two int32s
+	)
+	n := len(magic) + 2 + 1 + 4 + 4 + 8 + 8 + 4 + 4 // header
+	n += count + instrSize*len(im.Code)
+	n += count
+	for _, f := range im.Funcs {
+		n += count + len(f.Name) + 4 + 4 + count + 4*len(f.ZeroVars) + count + 4*len(f.ClrArrs)
+	}
+	n += count
+	for _, a := range im.Arrays {
+		n += count + len(a.Name) + 1 + 8 + 8 + count + dimSize*len(a.Dims)
+	}
+	n += count + 4*len(im.ArrOrder)
+	n += count + 8*len(im.Pool) + count + 8*len(im.IConsts) + count + 8*len(im.FConsts)
+	n += count
+	for _, cs := range im.Checks {
+		n += count + len(cs.Str) + count + len(cs.Note) + posLen
+	}
+	n += count
+	for _, ts := range im.Traps {
+		n += count + len(ts.Note) + posLen
+	}
+	n += count
+	for _, f := range im.Fails {
+		n += count + len(f)
+	}
+	return n + 4 // CRC-32C trailer
+}
+
 // EncodeImage serializes an Image in the current format version.
 func EncodeImage(im *vm.Image) []byte {
+	return AppendImage(make([]byte, 0, EncodedSize(im)), im)
+}
+
+// AppendImage appends the encoding of im to dst. Its checksum trailer
+// covers only the appended span, so the bytes are the same whatever
+// dst already holds.
+func AppendImage(dst []byte, im *vm.Image) []byte {
+	start := len(dst)
 	// Header: magic, version, flags, scalar sizes.
-	b := append([]byte(nil), magic[:]...)
+	b := append(dst, magic[:]...)
 	b = AppendUint16(b, Version)
 	flags := uint8(0)
 	if im.Optimized {
@@ -361,7 +403,7 @@ func EncodeImage(im *vm.Image) []byte {
 	}
 
 	// Integrity trailer over everything above.
-	return AppendUint32(b, crc32.Checksum(b, castagnoli))
+	return AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
 }
 
 // Encode serializes a compiled program in the current format version.

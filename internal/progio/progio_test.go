@@ -36,6 +36,26 @@ func compileVM(t testing.TB, src, filename string, opts nascent.Options, optimiz
 	return vp
 }
 
+// TestEncodedSizeExact checks that EncodedSize predicts every suite
+// encoding to the byte, so EncodeImage fills its buffer without
+// regrowing it, and that AppendImage's bytes do not depend on what the
+// destination already holds.
+func TestEncodedSizeExact(t *testing.T) {
+	for _, p := range suite.Programs {
+		for _, optimized := range []bool{false, true} {
+			im := compileVM(t, p.Source, p.Name+".mf", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, optimized).Image()
+			enc := progio.EncodeImage(im)
+			if n := progio.EncodedSize(im); n != len(enc) || cap(enc) != len(enc) {
+				t.Errorf("%s: EncodedSize %d, encoding len %d cap %d", p.Name, n, len(enc), cap(enc))
+			}
+			prefix := []byte("prefix")
+			if got := progio.AppendImage(prefix, im); !bytes.Equal(got[len(prefix):], enc) {
+				t.Errorf("%s: AppendImage after a prefix differs from EncodeImage", p.Name)
+			}
+		}
+	}
+}
+
 // TestRoundTripSuite pins the core codec contract over the whole
 // benchmark suite under several optimizer schemes and both bytecode
 // pipelines: encode→decode→re-encode is byte-identical, and the

@@ -269,12 +269,14 @@ func Compile(p *ir.Program) (vp *Program, err error) {
 		return nil, fmt.Errorf("vm: no program")
 	}
 
-	// Pass 1 discovers the constant pools and scratch depths; its code
-	// is discarded. Pass 2 re-emits with the final register bases. The
+	// Pass 1 discovers the constant pools, scratch depths and section
+	// lengths; its code is discarded, so it captures no loop metadata
+	// and renders no check text. Pass 2 re-emits with the final
+	// register bases into sections allocated at pass 1's lengths. The
 	// traversal is deterministic, so both passes agree on every pool
 	// offset, jump target, and constant index.
 	nv := int32(p.NumVars)
-	c1 := newCompiler(p, bases{iConst: nv, iScratch: nv, fConst: nv, fScratch: nv})
+	c1 := newCompiler(p, bases{iConst: nv, iScratch: nv, fConst: nv, fScratch: nv}, nil)
 	c1.compileAll()
 	b := bases{
 		iConst:   nv,
@@ -282,7 +284,7 @@ func Compile(p *ir.Program) (vp *Program, err error) {
 		fConst:   nv,
 		fScratch: nv + int32(len(c1.prog.fconsts)),
 	}
-	c2 := newCompiler(p, b)
+	c2 := newCompiler(p, b, c1.prog)
 	c2.compileAll()
 	out := c2.prog
 	out.nIntRegs = int(b.iScratch) + int(c2.maxDepthI)
@@ -318,17 +320,35 @@ type compiler struct {
 	curFn   *ir.Func
 	blockPC map[*ir.Block]int32
 	patches []patch
+
+	// final marks the kept pass: only it captures loop metadata and
+	// renders check text.
+	final bool
 }
 
-func newCompiler(p *ir.Program, b bases) *compiler {
-	return &compiler{
+// newCompiler returns a compiler for one pass. A nil sized makes the
+// discarded sizing pass; otherwise sized is that pass's output, and the
+// kept pass allocates every growing section at its exact length.
+func newCompiler(p *ir.Program, b bases, sized *Program) *compiler {
+	c := &compiler{
 		p:         p,
 		prog:      &Program{},
 		bases:     b,
 		iconstIdx: make(map[int64]int32),
 		fconstIdx: make(map[uint64]int32),
 		pairable:  -1,
+		final:     sized != nil,
 	}
+	if sized != nil {
+		c.prog.code = make([]instr, 0, len(sized.code))
+		c.prog.pool = make([]int64, 0, len(sized.pool))
+		c.prog.iconsts = make([]int64, 0, len(sized.iconsts))
+		c.prog.fconsts = make([]float64, 0, len(sized.fconsts))
+		c.prog.checks = make([]checkInfo, 0, len(sized.checks))
+		c.prog.traps = make([]trapInfo, 0, len(sized.traps))
+		c.prog.fails = make([]string, 0, len(sized.fails))
+	}
+	return c
 }
 
 func (c *compiler) compileAll() {
@@ -461,7 +481,9 @@ func (c *compiler) fn(f *ir.Func) funcInfo {
 	for _, a := range f.Arrays {
 		fi.clrArrs = append(fi.clrArrs, int32(a.ID))
 	}
-	c.captureLoops(f)
+	if c.final {
+		c.captureLoops(f)
+	}
 	return fi
 }
 
@@ -622,7 +644,11 @@ func (c *compiler) stmt(s ir.Stmt) {
 		}
 		c.costFree = false
 		ci := int32(len(c.prog.checks))
-		c.prog.checks = append(c.prog.checks, checkInfo{str: s.String(), note: s.Note, pos: s.SrcPos})
+		ck := checkInfo{note: s.Note, pos: s.SrcPos}
+		if c.final {
+			ck.str = s.String()
+		}
+		c.prog.checks = append(c.prog.checks, ck)
 		switch {
 		case len(pairs) == 1 && pairs[0].coef == int64(int32(pairs[0].coef)):
 			// The dominant shape: one term with a small coefficient

@@ -526,6 +526,9 @@ loop:
 			// per-iteration opCkAdds; if that product would overflow it
 			// deopts, keeping the count exact the slow way.
 			pass, trip := rangeGuardPass(pool, in.b, ireg)
+			if disp != nil {
+				disp.GuardTerms += uint64(pool[in.b+3])
+			}
 			if pass && chaos.Active() && chaos.Fire(chaos.SiteRCEGuardFail, funcs[m.fn].name) {
 				pass = false
 			}

@@ -51,6 +51,11 @@ type DispatchStats struct {
 	// identical across engines regardless. CheckStats (rce.go) derives
 	// the executed-check count from it.
 	ChecksEliminated uint64
+
+	// GuardTerms counts the guard entries the run's range guards
+	// carried, one per sub-check per guard dispatch: the deterministic
+	// proxy for rangeGuardPass's work.
+	GuardTerms uint64
 }
 
 func (s *DispatchStats) count(op uint8) {

@@ -58,6 +58,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -505,10 +506,6 @@ func planLoopGuard(vp *Program, code []instr, pool []int64, lm loopMeta, claimed
 		return nil, nil
 	}
 
-	type subCheck struct {
-		k, cv int64
-		inv   [][2]int64 // (coef, reg), sorted by reg for determinism
-	}
 	var subs []subCheck
 
 	// addCheck folds one inequality's raw (coef, reg) terms: terms on
@@ -588,6 +585,7 @@ func planLoopGuard(vp *Program, code []instr, pool []int64, lm loopMeta, claimed
 		return nil, nil
 	}
 
+	subs = onePerForm(subs)
 	tuple = []int64{int64(lm.vReg), int64(lm.limReg), lm.step, int64(len(subs))}
 	for _, sc := range subs {
 		tuple = append(tuple, sc.k, sc.cv, int64(len(sc.inv)))
@@ -596,6 +594,36 @@ func planLoopGuard(vp *Program, code []instr, pool []int64, lm loopMeta, claimed
 		}
 	}
 	return tuple, claims
+}
+
+// subCheck is one guard entry: cv·v + Σ coef·reg ≤ k over the loop's
+// induction variable v and invariant registers.
+type subCheck struct {
+	k, cv int64
+	inv   [][2]int64 // (coef, reg), sorted by reg for determinism
+}
+
+// onePerForm keeps one entry per linear form (cv, inv), at the minimum
+// k, in first-occurrence order. This is the paper's check implication
+// on one range expression: the check with the smaller constant implies
+// the other, so the guard passes exactly when it did with every entry.
+func onePerForm(subs []subCheck) []subCheck {
+	at := make(map[string]int, len(subs))
+	kept := subs[:0]
+	var key []byte
+	for _, sc := range subs {
+		key = binary.AppendVarint(key[:0], sc.cv)
+		for _, iv := range sc.inv {
+			key = binary.AppendVarint(binary.AppendVarint(key, iv[0]), iv[1])
+		}
+		if i, ok := at[string(key)]; ok {
+			kept[i].k = min(kept[i].k, sc.k)
+			continue
+		}
+		at[string(key)] = len(kept)
+		kept = append(kept, sc)
+	}
+	return kept
 }
 
 // rangeGuardPass evaluates one opRangeGuard tuple against the current

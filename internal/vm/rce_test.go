@@ -123,6 +123,41 @@ func TestSuiteCheckStatsGuard(t *testing.T) {
 	t.Logf("suite executed checks: vmrce=%d vmopt=%d (%.1f%%)", totRce, totOpt, pct(totRce, totOpt))
 }
 
+// TestSuiteGuardTermsCeiling pins the guard entries the vmrce rewrite
+// evaluates per suite program. Guard synthesis keeps one entry per
+// linear form at its minimum constant (onePerForm), so each ceiling
+// sits at the deduplicated count. Like
+// TestSuiteCheckStatsGuard it is an exact function of (program,
+// pipeline): a rise means guard synthesis stopped applying the
+// implication.
+func TestSuiteGuardTermsCeiling(t *testing.T) {
+	// Before onePerForm the same runs evaluated 3,446 / 10,044 /
+	// 4,800 / 9,100 / 97,344 / 5,616 / 7,692 / 19,968 / 4,454 / 10,706
+	// entries (173,170 in total).
+	ceiling := map[string]uint64{
+		"vortex": 694, "arc2d": 2292, "bdna": 1078, "dyfesm": 5254, "mdg": 16224,
+		"qcd": 1800, "spec77": 3610, "trfd": 8016, "linpackd": 1738, "simple": 1554,
+	}
+	rce := compileRCESuite(t)
+	var total uint64
+	for i, p := range suite.Programs {
+		_, ds, err := rce[i].RunDispatch(interp.Config{})
+		if err != nil {
+			t.Fatalf("%s: vmrce run: %v", p.Name, err)
+		}
+		limit, ok := ceiling[p.Name]
+		if !ok {
+			t.Errorf("%s: no ceiling pinned (guard terms %d)", p.Name, ds.GuardTerms)
+		}
+		if ds.GuardTerms > limit {
+			t.Errorf("%s: guard terms %d, ceiling %d", p.Name, ds.GuardTerms, limit)
+		}
+		t.Logf("%-10s guard terms=%8d", p.Name, ds.GuardTerms)
+		total += ds.GuardTerms
+	}
+	t.Logf("suite guard terms: %d", total)
+}
+
 func pct(a, b uint64) float64 {
 	if b == 0 {
 		return 0

@@ -277,3 +277,81 @@ func TestLongSumCompilesInLinearTime(t *testing.T) {
 		t.Errorf("output = %q, want %q", res.Output, want)
 	}
 }
+
+// loopSource builds the two loop shapes that once made compile time
+// superlinear: n DO loops one after another, or one nest n deep. Every
+// loop shares the variable i and the invariant bound n = 1, and the
+// innermost body (or every flat body) updates a(i).
+func loopSource(n int, nested bool) string {
+	var b strings.Builder
+	b.WriteString("program p\n  integer i, n\n  real a(10)\n  n = 1\n")
+	if nested {
+		b.WriteString(strings.Repeat("do i = 1, n\n", n))
+		b.WriteString("a(i) = a(i) + 1.0\n")
+		b.WriteString(strings.Repeat("enddo\n", n))
+	} else {
+		b.WriteString(strings.Repeat("  do i = 1, n\n    a(i) = a(i) + 1.0\n  enddo\n", n))
+	}
+	b.WriteString("  print a(1)\nend\n")
+	return b.String()
+}
+
+// TestDeepDoNestCompilesNaive lowers a 40,000-deep DO nest (a 0.7 MB
+// source). Deciding whether each DO bound is invariant used to walk the
+// whole loop body, which is quadratic in the depth: 76 s for this
+// source. One pre-order index per unit makes it a range query, and the
+// compile takes well under a second, so the bound is generous.
+func TestDeepDoNestCompilesNaive(t *testing.T) {
+	src := loopSource(40000, true)
+	start := time.Now()
+	if _, err := nascent.Compile(src, nascent.Options{BoundsChecks: true}); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("compiling a 40,000-deep nest took %v, want under 5s", d)
+	}
+}
+
+// TestHoistBudgetBoundsManyLoops compiles 2,000 loops in a row and a
+// 1,000-deep nest under LLS. Preheader insertion solves a whole-function
+// dataflow problem per loop, so before its work budget the first took
+// 10 s and the second 75 s. Both now stop hoisting
+// once the budget is spent, keep the remaining checks, say so in the
+// diagnostics, and print what the naive build prints.
+func TestHoistBudgetBoundsManyLoops(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		nested bool
+	}{{"flat2000", 2000, false}, {"nest1000", 1000, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			src := loopSource(c.n, c.nested)
+			start := time.Now()
+			opt, err := nascent.Compile(src, nascent.Options{BoundsChecks: true, Scheme: nascent.LLS})
+			if err != nil {
+				t.Fatalf("LLS compile: %v", err)
+			}
+			if d := time.Since(start); d > 20*time.Second {
+				t.Fatalf("LLS compile took %v, want under 20s", d)
+			}
+			if !strings.Contains(strings.Join(opt.Opt.Diagnostics, "\n"), "preheader insertion stopped") {
+				t.Errorf("diagnostics do not report the spent budget: %q", opt.Opt.Diagnostics)
+			}
+			naive, err := nascent.Compile(src, nascent.Options{BoundsChecks: true})
+			if err != nil {
+				t.Fatalf("naive compile: %v", err)
+			}
+			want, err := naive.Run()
+			if err != nil {
+				t.Fatalf("naive run: %v", err)
+			}
+			got, err := opt.Run()
+			if err != nil {
+				t.Fatalf("LLS run: %v", err)
+			}
+			if got.Output != want.Output || got.Trapped != want.Trapped {
+				t.Errorf("LLS output %q (trapped %v), naive %q (trapped %v)", got.Output, got.Trapped, want.Output, want.Trapped)
+			}
+		})
+	}
+}
