@@ -65,6 +65,11 @@ var schemeNames = [...]string{NI: "NI", CS: "CS", LNI: "LNI", SE: "SE", LI: "LI"
 
 func (s Scheme) String() string { return schemeNames[s] }
 
+// hoists reports whether s moves checks out of loops (preheader
+// insertion or MCM), the passes that read SSA, induction and
+// dominators.
+func (s Scheme) hoists() bool { return s == LI || s == LLS || s == ALL || s == MCM }
+
 // Schemes lists the paper's placement schemes in Table 2 order (MCM, the
 // §5 comparison algorithm, is not part of Table 2).
 var Schemes = []Scheme{NI, CS, LNI, SE, LI, LLS, ALL}
@@ -177,7 +182,9 @@ func optimizeFuncSafe(f *ir.Func, opts Options, res *Result) (err error) {
 	return optimizeFunc(f, opts, res)
 }
 
-// funcCtx bundles the per-function analyses.
+// funcCtx bundles the per-function analyses. dom, ssa and ind are nil
+// unless the scheme hoists or the kind is INX, and pdom is nil unless
+// the scheme is MCM (see optimizeFunc).
 type funcCtx struct {
 	fn     *ir.Func
 	opts   Options
@@ -194,6 +201,15 @@ type funcCtx struct {
 	// see hoistBudget.
 	hoistVisits int
 }
+
+// The analyses optimizeFunc builds; tests (export_test.go) wrap them to
+// count the calls.
+var (
+	domCompute       = dom.Compute
+	ssaBuild         = ssa.Build
+	inductionAnalyze = induction.Analyze
+	computePost      = dom.ComputePost
+)
 
 // failFunc, when set by tests (see export_test.go), makes optimizeFunc
 // panic on the named function to exercise containment and degradation.
@@ -212,17 +228,27 @@ func optimizeFunc(f *ir.Func, opts Options, res *Result) error {
 		rotateWhileLoops(f)
 	}
 	f.SplitCriticalEdges()
-	tree := dom.Compute(f)
+	tree := domCompute(f)
+	// Loop analysis may create preheaders. The CFG topology is frozen
+	// from here on (schemes only insert/remove statements).
 	forest := loops.Analyze(f, tree)
-	// Loop analysis may create preheaders; recompute dominators so SSA
-	// and the placement schemes see the final topology. The CFG topology
-	// is frozen from here on (schemes only insert/remove statements).
-	tree = dom.Compute(f)
-	info := ssa.Build(f, tree)
-	ind := induction.Analyze(f, forest, info)
+	c := &funcCtx{fn: f, opts: opts, forest: forest, reg: rangecheck.NewRegistry(opts.Mode), res: res}
 
-	c := &funcCtx{fn: f, opts: opts, dom: tree, pdom: dom.ComputePost(f), forest: forest, ssa: info, ind: ind,
-		reg: rangecheck.NewRegistry(opts.Mode), res: res}
+	// Each analysis is built only for the passes that read it: SSA,
+	// induction and dominators for preheader insertion, MCM and INX
+	// rewriting; post-dominators for MCM alone. NI, CS, SE and LNI over
+	// PRX checks read none of them.
+	if opts.Kind == INX || opts.Scheme.hoists() {
+		if forest.NewPreheaders > 0 {
+			tree = domCompute(f)
+		}
+		c.dom = tree
+		c.ssa = ssaBuild(f, tree)
+		c.ind = inductionAnalyze(f, forest, c.ssa)
+	}
+	if opts.Scheme == MCM {
+		c.pdom = computePost(f)
+	}
 
 	if opts.Kind == INX {
 		c.rewriteINX()

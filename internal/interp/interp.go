@@ -213,6 +213,7 @@ func Run(p *ir.Program, cfg Config) (res Result, err error) {
 	// forces polling; with injection off (the normal case) this reads one
 	// atomic and adds nothing to the hot path.
 	m.timed = !cfg.Deadline.IsZero() || cfg.Context != nil || chaos.Active()
+	m.setNext()
 	// Frame scratch, hoisted out of the call path: the non-param locals
 	// each function must zero on entry are computed once per run, not
 	// once per call.
@@ -246,6 +247,10 @@ func Run(p *ir.Program, cfg Config) (res Result, err error) {
 
 	defer func() {
 		if r := recover(); r != nil {
+			if m.inCheck {
+				// A check term faulted: its work is not charged.
+				m.instr = m.checkBase
+			}
 			switch sig := r.(type) {
 			case trapSignal:
 				res = m.result()
@@ -280,15 +285,23 @@ func allArrays(p *ir.Program) []*ir.Array {
 }
 
 type machine struct {
-	prog      *ir.Program
-	cfg       Config
-	ivals     []int64
-	fvals     []float64
-	iarrs     [][]int64
-	farrs     [][]float64
-	instr     uint64
-	checks    uint64
+	prog  *ir.Program
+	cfg   Config
+	ivals []int64
+	fvals []float64
+	iarrs [][]int64
+	farrs [][]float64
+	instr uint64
+	// next is the count at which cost leaves its fast path: one past
+	// MaxInstructions, or the next poll when that comes first.
+	next   uint64
+	checks uint64
+	// inCheck says a CheckStmt's terms are being evaluated, and
+	// checkBase is the instruction count from before that check began.
+	// Only Run's recover reads them, to put the count back when a term
+	// faults.
 	inCheck   bool
+	checkBase uint64
 	out       strings.Builder
 	active    []bool      // call-active bit per Func.Index (recursion guard)
 	zeroLists [][]*ir.Var // per Func.Index: non-param locals zeroed on entry
@@ -305,13 +318,19 @@ func (m *machine) fail(err error) {
 	panic(runtimeError{err})
 }
 
+// cost charges n instructions: one add and one compare against next.
+// Crossing next means the budget is blown or a poll is due; costSlow
+// tells them apart.
 func (m *machine) cost(n uint64) {
-	if m.inCheck {
-		// Work done inside a range check (guard + term evaluation) is
-		// part of the check, which is counted separately.
-		return
-	}
 	m.instr += n
+	if m.instr >= m.next {
+		m.costSlow()
+	}
+}
+
+// costSlow exits on a blown instruction budget, runs a due
+// deadline/context/chaos poll, and sets the next threshold.
+func (m *machine) costSlow() {
 	if m.instr > m.cfg.MaxInstructions {
 		m.fail(&ResourceError{Resource: ResInstructions, Limit: m.cfg.MaxInstructions})
 	}
@@ -330,6 +349,19 @@ func (m *machine) cost(n uint64) {
 		if !m.cfg.Deadline.IsZero() && time.Now().After(m.cfg.Deadline) {
 			m.fail(&ResourceError{Resource: ResDeadline})
 		}
+	}
+	m.setNext()
+}
+
+// setNext points next at whichever comes first: one past the
+// instruction budget, or (timed runs) the next poll.
+func (m *machine) setNext() {
+	m.next = m.cfg.MaxInstructions + 1
+	if m.next == 0 { // a budget of MaxUint64 cannot be exceeded
+		m.next = math.MaxUint64
+	}
+	if m.timed && m.nextPoll < m.next {
+		m.next = m.nextPoll
 	}
 }
 
@@ -421,12 +453,21 @@ func (m *machine) execStmt(s ir.Stmt) {
 			}
 		}
 		m.checks++
-		m.inCheck = true
+		// Term evaluation is part of the check, which is counted
+		// separately: with next raised, cost stays on its fast path (no
+		// budget exit, no poll), and the count is put back afterwards.
+		next := m.next
+		m.next = math.MaxUint64
+		m.inCheck, m.checkBase = true, m.instr
 		lhs := int64(0)
 		for _, t := range s.Terms {
-			lhs += t.Coef * m.evalInt(t.Atom)
+			if v, ok := t.Atom.(*ir.VarRef); ok {
+				lhs += t.Coef * m.ivals[v.Var.ID]
+			} else {
+				lhs += t.Coef * m.evalInt(t.Atom)
+			}
 		}
-		m.inCheck = false
+		m.instr, m.next, m.inCheck = m.checkBase, next, false
 		if lhs > s.Const {
 			panic(trapSignal{
 				note:  fmt.Sprintf("%s failed (lhs=%d) [%s]", s.String(), lhs, s.Note),
@@ -524,8 +565,17 @@ func clearF(s []float64) {
 func (m *machine) elemOffset(a *ir.Array, idx []ir.Expr) int64 {
 	off := int64(0)
 	for k, e := range idx {
-		v := m.evalInt(e)
-		d := a.Dims[k]
+		var v int64
+		switch x := e.(type) { // leaf subscripts inline
+		case *ir.VarRef:
+			m.cost(1)
+			v = m.ivals[x.Var.ID]
+		case *ir.ConstInt:
+			v = x.V
+		default:
+			v = m.evalInt(x)
+		}
+		d := &a.Dims[k]
 		if v < d.Lo || v > d.Hi {
 			m.fail(SubscriptError(v, a.Name, d.Lo, d.Hi, k+1))
 		}
@@ -559,8 +609,26 @@ func (m *machine) evalInt(e ir.Expr) int64 {
 		m.cost(1 + 2*uint64(len(e.Idx)-1))
 		return m.iarrs[e.Arr.ID][off]
 	case *ir.Bin:
-		l := m.evalInt(e.L)
-		r := m.evalInt(e.R)
+		// Leaf operands inline: the same charges in the same order.
+		var l, r int64
+		switch x := e.L.(type) {
+		case *ir.VarRef:
+			m.cost(1)
+			l = m.ivals[x.Var.ID]
+		case *ir.ConstInt:
+			l = x.V
+		default:
+			l = m.evalInt(x)
+		}
+		switch x := e.R.(type) {
+		case *ir.VarRef:
+			m.cost(1)
+			r = m.ivals[x.Var.ID]
+		case *ir.ConstInt:
+			r = x.V
+		default:
+			r = m.evalInt(x)
+		}
 		m.cost(1)
 		switch e.Op {
 		case ir.OpAdd:
@@ -641,8 +709,25 @@ func (m *machine) evalFloat(e ir.Expr) float64 {
 		m.cost(1 + 2*uint64(len(e.Idx)-1))
 		return m.farrs[e.Arr.ID][off]
 	case *ir.Bin:
-		l := m.evalFloat(e.L)
-		r := m.evalFloat(e.R)
+		var l, r float64
+		switch x := e.L.(type) {
+		case *ir.VarRef:
+			m.cost(1)
+			l = m.fvals[x.Var.ID]
+		case *ir.ConstFloat:
+			l = x.V
+		default:
+			l = m.evalFloat(x)
+		}
+		switch x := e.R.(type) {
+		case *ir.VarRef:
+			m.cost(1)
+			r = m.fvals[x.Var.ID]
+		case *ir.ConstFloat:
+			r = x.V
+		default:
+			r = m.evalFloat(x)
+		}
 		m.cost(1)
 		switch e.Op {
 		case ir.OpAdd:
@@ -722,8 +807,25 @@ func (m *machine) evalBool(e ir.Expr) bool {
 				m.cost(1)
 				return cmpF(e.Op, l, r)
 			}
-			l := m.evalInt(e.L)
-			r := m.evalInt(e.R)
+			var l, r int64
+			switch x := e.L.(type) {
+			case *ir.VarRef:
+				m.cost(1)
+				l = m.ivals[x.Var.ID]
+			case *ir.ConstInt:
+				l = x.V
+			default:
+				l = m.evalInt(x)
+			}
+			switch x := e.R.(type) {
+			case *ir.VarRef:
+				m.cost(1)
+				r = m.ivals[x.Var.ID]
+			case *ir.ConstInt:
+				r = x.V
+			default:
+				r = m.evalInt(x)
+			}
 			m.cost(1)
 			return cmpI(e.Op, l, r)
 		}

@@ -59,9 +59,13 @@ type Forest struct {
 	fn *ir.Func
 	// Loops in innermost-first order (children before parents), the
 	// processing order for preheader insertion (paper §3.3).
-	Loops  []*Loop
-	byHead map[*ir.Block]*Loop
-	inner  map[*ir.Block]*Loop // innermost loop containing each block
+	Loops []*Loop
+	// NewPreheaders counts the preheaders Analyze created. When it is
+	// zero the CFG is unchanged, so a dominator tree computed before
+	// Analyze still holds.
+	NewPreheaders int
+	byHead        map[*ir.Block]*Loop
+	inner         map[*ir.Block]*Loop // innermost loop containing each block
 }
 
 // LoopOf returns the innermost loop containing b, or nil.
@@ -187,6 +191,7 @@ func (forest *Forest) ensurePreheader(f *ir.Func, l *Loop) *ir.Block {
 		}
 	}
 	pre := f.NewBlock("preheader")
+	forest.NewPreheaders++
 	pre.Term = &ir.Goto{Target: l.Header}
 	for _, p := range outsidePreds {
 		p.ReplaceSucc(l.Header, pre)

@@ -6,6 +6,7 @@ import (
 	"nascent/internal/dom"
 	"nascent/internal/ir"
 	"nascent/internal/loops"
+	"nascent/internal/suite"
 	"nascent/internal/testutil"
 )
 
@@ -252,4 +253,48 @@ end
 			t.Error("SortedBlocks not sorted")
 		}
 	}
+}
+
+// TestNewPreheadersCountsCreatedBlocks checks that Forest.NewPreheaders
+// is exactly the number of blocks Analyze added, so zero means the CFG
+// (and a dominator tree computed before Analyze) is unchanged: over
+// every suite function after critical-edge splitting, as core runs it,
+// and again on the same function, which must need no new preheader.
+func TestNewPreheadersCountsCreatedBlocks(t *testing.T) {
+	// A loop entered from two blocks has no preheader until Analyze
+	// makes one: entry branches to a and b, both jump to header h.
+	p := &ir.Program{}
+	f := &ir.Func{Name: "main", IsMain: true}
+	p.RegisterFunc(f)
+	entry, a, b, h, body, exit := f.NewBlock("entry"), f.NewBlock("a"), f.NewBlock("b"),
+		f.NewBlock("h"), f.NewBlock("body"), f.NewBlock("exit")
+	cond := &ir.Bin{Op: ir.OpLt, L: &ir.ConstInt{V: 0}, R: &ir.ConstInt{V: 1}, Typ: ir.Bool}
+	entry.Term = &ir.If{Cond: cond, Then: a, Else: b}
+	a.Term = &ir.Goto{Target: h}
+	b.Term = &ir.Goto{Target: h}
+	h.Term = &ir.If{Cond: cond, Then: body, Else: exit}
+	body.Term = &ir.Goto{Target: h}
+	exit.Term = &ir.Ret{}
+	f.RecomputePreds()
+	if forest := loops.Analyze(f, dom.Compute(f)); forest.NewPreheaders != 1 || len(f.Blocks) != 7 {
+		t.Errorf("two-entry loop: NewPreheaders = %d with %d blocks, want 1 and 7", forest.NewPreheaders, len(f.Blocks))
+	}
+
+	created := 0
+	for _, sp := range suite.Programs {
+		p := testutil.BuildIR(t, sp.Source, true)
+		for _, f := range p.Funcs {
+			f.SplitCriticalEdges()
+			n := len(f.Blocks)
+			forest := loops.Analyze(f, dom.Compute(f))
+			if got := len(f.Blocks) - n; forest.NewPreheaders != got {
+				t.Errorf("%s/%s: NewPreheaders = %d, Analyze added %d blocks", sp.Name, f.Name, forest.NewPreheaders, got)
+			}
+			created += forest.NewPreheaders
+			if again := loops.Analyze(f, dom.Compute(f)); again.NewPreheaders != 0 {
+				t.Errorf("%s/%s: second Analyze created %d preheaders", sp.Name, f.Name, again.NewPreheaders)
+			}
+		}
+	}
+	t.Logf("%d preheaders created over the suite", created)
 }

@@ -202,19 +202,22 @@ func (c *Cache) Put(k Key, e *Entry) error {
 		c.count(func(m *Metrics) { m.WriteErrors++ })
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	// The temp file is removed only on a failure path: after a
+	// successful rename it no longer exists.
+	fail := func(err error) error {
+		os.Remove(tmp.Name())
+		c.count(func(m *Metrics) { m.WriteErrors++ })
+		return err
+	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		c.count(func(m *Metrics) { m.WriteErrors++ })
-		return err
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		c.count(func(m *Metrics) { m.WriteErrors++ })
-		return err
+		return fail(err)
 	}
 	if err := os.Rename(tmp.Name(), c.path(k)); err != nil {
-		c.count(func(m *Metrics) { m.WriteErrors++ })
-		return err
+		return fail(err)
 	}
 	c.count(func(m *Metrics) { m.Puts++ })
 	return nil

@@ -275,3 +275,38 @@ func BenchmarkWarmDecode(b *testing.B) {
 		})
 	}
 }
+
+// TestPutLeavesNoTempFiles: Put writes a put-*.tmp file and renames it
+// into place. After successful Puts, and after one whose rename fails
+// (the final path is a directory), the cache directory holds no temp
+// file.
+func TestPutLeavesNoTempFiles(t *testing.T) {
+	c, err := progcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nascent.Options{BoundsChecks: true}
+	e := compileEntry(t, "qcd", opts, false)
+	for _, src := range []string{"one", "two", "three"} {
+		if err := c.Put(progcache.KeyOf(src, "qcd.mf", opts, nascent.EngineVM), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := progcache.KeyOf("blocked", "qcd.mf", opts, nascent.EngineVM)
+	if err := os.Mkdir(filepath.Join(c.Dir(), blocked.String()+".npc"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(blocked, e); err == nil {
+		t.Fatal("Put onto a directory succeeded, want a rename error")
+	}
+	if m := c.Metrics(); m.Puts != 3 || m.WriteErrors != 1 {
+		t.Errorf("metrics = %+v, want 3 puts and 1 write error", m)
+	}
+	tmps, err := filepath.Glob(filepath.Join(c.Dir(), "put-*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Errorf("cache directory holds temp files %v", tmps)
+	}
+}

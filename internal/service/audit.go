@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"nascent"
 	"nascent/internal/chaos"
@@ -61,6 +62,10 @@ type auditStats struct {
 	Clean      uint64 `json:"clean"`
 	Violations uint64 `json:"violations"`
 	Errors     uint64 `json:"errors"`
+	// ReferenceSeconds is the summed wall time of the audits'
+	// reference compiles and tree runs: work done after the response,
+	// which no request's latency shows.
+	ReferenceSeconds float64 `json:"reference_seconds"`
 }
 
 func (s *Server) auditSnapshot() auditStats {
@@ -70,6 +75,8 @@ func (s *Server) auditSnapshot() auditStats {
 		Clean:      s.nAuditClean.Load(),
 		Violations: s.nAuditViolations.Load(),
 		Errors:     s.nAuditErrors.Load(),
+
+		ReferenceSeconds: time.Duration(s.nAuditRefNanos.Load()).Seconds(),
 	}
 }
 
@@ -109,8 +116,10 @@ func (s *Server) audit(res *resolved, served *RunResponse) {
 	if opts.Filename == "" {
 		opts.Filename = "input.mf"
 	}
+	start := time.Now()
 	prog, err := nascent.Compile(res.source, opts)
 	if err != nil {
+		s.nAuditRefNanos.Add(int64(time.Since(start)))
 		// The served run compiled this same (source, opts); a fresh
 		// compile failing is itself suspicious, but inconclusive.
 		s.nAuditErrors.Add(1)
@@ -121,6 +130,7 @@ func (s *Server) audit(res *resolved, served *RunResponse) {
 	runCfg.Engine = nascent.EngineTree
 	runCfg.Context = ctx
 	ref, err := prog.RunWith(runCfg)
+	s.nAuditRefNanos.Add(int64(time.Since(start)))
 	if err != nil {
 		if s.draining.Load() {
 			return // drain cancelled the audit: abandoned, not an error

@@ -62,9 +62,12 @@ func TestMetricsDocFields(t *testing.T) {
 	}
 
 	audit, _ := m["audit"].(map[string]any)
-	assertFields(t, "audit", audit, []string{"every", "sampled", "clean", "violations", "errors"})
+	assertFields(t, "audit", audit, []string{"every", "sampled", "clean", "violations", "errors", "reference_seconds"})
 	if audit["sampled"].(float64) != 1 || audit["clean"].(float64) != 1 {
 		t.Errorf("audit section = %v, want one clean sample", audit)
+	}
+	if audit["reference_seconds"].(float64) <= 0 {
+		t.Errorf("audit.reference_seconds = %v after one audit, want > 0", audit["reference_seconds"])
 	}
 
 	requests, _ := m["requests"].(map[string]any)

@@ -164,6 +164,9 @@ type Server struct {
 	nAuditClean      atomic.Uint64
 	nAuditViolations atomic.Uint64
 	nAuditErrors     atomic.Uint64
+	// nAuditRefNanos sums the wall time of audit reference compiles
+	// and tree runs.
+	nAuditRefNanos atomic.Int64
 
 	// request counters (wire form in metricsDoc).
 	nCompile atomic.Uint64

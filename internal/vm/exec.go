@@ -235,7 +235,7 @@ loop:
 		}
 		// Central cost charge. Zero-cost instructions (check-term work,
 		// constant moves) skip budget and poll entirely, exactly like
-		// the reference engine's inCheck/zero-cost paths. Fused
+		// the reference engine's uncharged check terms and constants. Fused
 		// check+access opcodes split their charge: the pre-check part
 		// rides in.cost here, the post-check part is recharged after
 		// the checks pass (see recharge).
