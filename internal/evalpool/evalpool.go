@@ -11,11 +11,13 @@
 //     iterates the result slice produces byte-identical output at any
 //     worker count (the golden-table tests in internal/report pin this).
 //
-//   - Shared front ends: compile artifacts are memoized by (source
-//     hash, filename), so the ~20 optimizer variants of one program
-//     share a single parse/semantic-analysis. Each job still lowers and
-//     optimizes fresh IR — nascent.Frontend is immutable and safe for
-//     concurrent Compile calls — so no mutable state crosses jobs.
+//   - Shared front ends: Evaluate memoizes front ends by (source hash,
+//     filename), so the ~20 optimizer variants of one program share a
+//     single parse/semantic-analysis. Each job still lowers, optimizes
+//     and runs fresh IR — nascent.Frontend is immutable and safe for
+//     concurrent Compile calls — so no mutable state crosses jobs. The
+//     pool keeps no compiled programs: callers that reuse them (the
+//     service cache) hand them in as Precompiled jobs.
 //
 //   - Observable cost: the pool aggregates per-stage wall-clock and
 //     interpreter counters into Metrics, and an optional Trace hook
@@ -25,16 +27,12 @@ package evalpool
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"nascent"
-	"nascent/internal/progcache"
-	"nascent/internal/vm"
 )
 
 // Job is one independent evaluation: compile Source under Opts and
@@ -145,13 +143,6 @@ type Metrics struct {
 	// FrontendCompiles / FrontendHits split the memo table's traffic.
 	FrontendCompiles int
 	FrontendHits     int
-	// BytecodeCompiles / BytecodeHits split the bytecode memo's traffic
-	// (bytecode-engine jobs only; tree-walker jobs never touch it).
-	// BytecodeDiskHits counts memo fills satisfied by the disk cache — a
-	// decode instead of a compile.
-	BytecodeCompiles int
-	BytecodeHits     int
-	BytecodeDiskHits int
 	// Stage wall-clock totals, summed across workers (under full
 	// parallelism the sum exceeds elapsed time).
 	FrontendTime time.Duration
@@ -185,41 +176,15 @@ type Pool struct {
 	workers int
 	cfg     Config
 	trace   TraceFunc
-	disk    *progcache.Cache // nil = memory-only; see SetDiskCache
 
 	mu      sync.Mutex
 	memo    map[feKey]*feEntry
-	bcMemo  map[bcKey]*bcEntry
 	metrics Metrics
 }
 
 type feKey struct {
 	hash     [sha256.Size]byte
 	filename string
-}
-
-// bcKey identifies one compiled bytecode program: the front-end key,
-// the full backend option set, and the engine tier (plain vm and the
-// optimized vmopt rewrite are distinct programs). The whole compile
-// pipeline is deterministic, so two jobs with equal keys lower to
-// equivalent IR and can share one immutable vm.Program. For the vmjit
-// engine the entry instead carries a JitHandle — the closure-compiled
-// program plus its run and tier counters — keyed alongside the same
-// content hash, so every job for the same (source, options, engine)
-// runs on the same handle.
-type bcKey struct {
-	fe     feKey
-	opts   nascent.Options
-	engine nascent.Engine
-}
-
-// bcEntry is a once-guarded bytecode memo slot, like feEntry. Exactly
-// one of prog/jit is set after a successful fill, by engine.
-type bcEntry struct {
-	once sync.Once
-	prog *vm.Program   // vm / vmopt / vmrce: shared immutable program
-	jit  *vm.JitHandle // vmjit: closure tier compiled at fill
-	err  error
 }
 
 // feEntry is a once-guarded memo slot: the first job to need a front
@@ -251,21 +216,11 @@ func NewSupervised(cfg Config) *Pool {
 		workers: workers,
 		cfg:     cfg,
 		memo:    make(map[feKey]*feEntry),
-		bcMemo:  make(map[bcKey]*bcEntry),
 	}
 }
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
-
-// SetDiskCache layers a disk-backed program cache under the bytecode
-// memo: memo fills consult it before compiling (a warm process decodes
-// instead of compiling) and write fresh compiles back for the next
-// process. Install it before Evaluate. The disk is strictly an
-// accelerator — any read failure falls through to a compile, and the
-// decoded program is bit-identical to a compiled one by the codec's
-// conformance suite.
-func (p *Pool) SetDiskCache(c *progcache.Cache) { p.disk = c }
 
 // SetTrace installs a trace hook (nil disables tracing). Install it
 // before Evaluate; the hook applies to subsequent jobs.
@@ -309,7 +264,7 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 	}
 	if n <= 1 {
 		for i := range jobs {
-			results[i] = p.superviseJob(ctx, i, &jobs[i])
+			results[i] = p.superviseJob(ctx, i, &jobs[i], true)
 		}
 		return results
 	}
@@ -321,7 +276,7 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = p.superviseJob(ctx, i, &jobs[i])
+				results[i] = p.superviseJob(ctx, i, &jobs[i], true)
 			}
 		}()
 	}
@@ -338,17 +293,26 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 // goroutine's attempt supervisor. Unlike EvaluateCtx it does not pass
 // through the pool's worker queue: the caller is expected to bound its
 // own concurrency (the service layer's admission limiter does), while
-// the pool contributes supervision, the memo tables, and metrics.
-// Cancelling ctx stops an in-flight engine run at its next poll point
-// and surfaces a typed cancellation error.
+// the pool contributes supervision and metrics. A job that is not
+// Precompiled analyzes its source afresh: SubmitCtx neither reads nor
+// fills the frontend memo, so a one-off compile leaves nothing behind
+// in the pool. Cancelling ctx stops an in-flight engine run at its next
+// poll point and surfaces a typed cancellation error.
 func (p *Pool) SubmitCtx(ctx context.Context, job Job) Result {
-	return p.superviseJob(ctx, 0, &job)
+	return p.superviseJob(ctx, 0, &job, false)
 }
 
-// frontend returns the memoized front end for a job, compiling it on
-// first use. The duration returned is the compile cost when this call
-// populated the entry, zero on a hit.
-func (p *Pool) frontend(job *Job, key feKey) (*nascent.Frontend, time.Duration, bool, error) {
+// frontend returns the front end for a job. With memo set it comes
+// from the memo table, compiled on first use; otherwise it is analyzed
+// afresh. The duration returned is the compile cost when this call ran
+// the analysis, zero on a hit.
+func (p *Pool) frontend(job *Job, memo bool) (*nascent.Frontend, time.Duration, bool, error) {
+	if !memo {
+		t0 := time.Now()
+		fe, err := nascent.Analyze(job.Source, job.Filename)
+		return fe, time.Since(t0), false, err
+	}
+	key := feKey{hash: sha256.Sum256([]byte(job.Source)), filename: job.Filename}
 	p.mu.Lock()
 	e := p.memo[key]
 	if e == nil {
@@ -379,22 +343,13 @@ func (p *Pool) frontend(job *Job, key feKey) (*nascent.Frontend, time.Duration, 
 	return e.fe, e.dur, false, e.err
 }
 
-// bytecodeEngine reports whether eng runs through the bytecode memo.
-func bytecodeEngine(eng nascent.Engine) bool {
-	switch eng {
-	case nascent.EngineVM, nascent.EngineVMOpt, nascent.EngineVMRCE, nascent.EngineVMJit:
-		return true
-	}
-	return false
-}
-
 // execute runs a compiled job under its configured engine. A job with a
 // RunMemo and no Mutate hook first looks its program up there by
 // fingerprint, engine and limits; a miss runs, and a successful run is
 // stored for the next identical program.
-func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunResult, error) {
+func (p *Pool) execute(job *Job, prog *nascent.Program) (nascent.RunResult, error) {
 	if job.RunMemo == nil || job.Mutate != nil {
-		return p.executeRun(job, key, prog)
+		return prog.RunWith(job.Run)
 	}
 	rk := runKeyOf(prog, job.Run)
 	if rr, ok := job.RunMemo.get(rk); ok {
@@ -403,99 +358,14 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 		p.mu.Unlock()
 		return rr, nil
 	}
-	rr, err := p.executeRun(job, key, prog)
+	rr, err := prog.RunWith(job.Run)
 	if err == nil {
 		job.RunMemo.put(rk, rr)
 	}
 	return rr, err
 }
 
-// executeRun runs a compiled job on its engine. Bytecode
-// jobs (every engine except the tree walker) without a Mutate hook
-// share compiled programs through the bytecode memo: the compile
-// pipeline is deterministic, so every job with the same (source,
-// filename, options, engine) lowers to equivalent IR, and one
-// immutable vm.Program serves them all — vm.CompileEngine picks each
-// engine's pipeline once per entry — while EngineVMJit entries hold a
-// JitHandle whose closure compile happens once, at fill, and whose
-// counters persist across jobs. A Mutate hook (the oracle's
-// miscompilation injector) changes the IR after compilation, so mutated
-// jobs bypass the memo and run through the ordinary per-run dispatch.
-func (p *Pool) executeRun(job *Job, key feKey, prog *nascent.Program) (nascent.RunResult, error) {
-	eng := job.Run.Engine
-	if !bytecodeEngine(eng) || job.Mutate != nil {
-		return prog.RunWith(job.Run)
-	}
-	opts := job.Opts
-	opts.Filename = "" // ignored by Compile; keep it out of the key
-	bk := bcKey{fe: key, opts: opts, engine: eng}
-	p.mu.Lock()
-	e := p.bcMemo[bk]
-	if e == nil {
-		e = &bcEntry{}
-		p.bcMemo[bk] = e
-	}
-	p.mu.Unlock()
-
-	hit := true
-	diskHit := false
-	e.once.Do(func() {
-		hit = false
-		var vp *vm.Program
-		if p.disk != nil {
-			filename := job.Filename
-			if filename == "" {
-				filename = "input.mf"
-			}
-			dk := progcache.KeyOf(job.Source, filename, opts, eng)
-			if ent, err := p.disk.Get(dk); err == nil {
-				// Warm start: the program comes off disk bit-identical to
-				// a fresh compile (the codec round-trip is pinned by the
-				// progio suite), so the bytecode stage costs one decode.
-				// The closure tier is process state, not program state:
-				// NewJitHandle below compiles it afresh.
-				vp = ent.Prog
-				diskHit = true
-			} else {
-				defer func() {
-					if e.err == nil && vp != nil {
-						// Best-effort persist for the next process.
-						p.disk.Put(dk, &progcache.Entry{Prog: vp, StaticChecks: prog.StaticChecks(), Opt: prog.Opt})
-					}
-				}()
-			}
-		}
-		if vp == nil {
-			if vp, e.err = vm.CompileEngine(prog.IR, eng); e.err != nil {
-				return
-			}
-		}
-		if eng == nascent.EngineVMJit {
-			e.jit = vm.NewJitHandle(vp)
-		} else {
-			e.prog = vp
-		}
-	})
-	p.mu.Lock()
-	switch {
-	case hit:
-		p.metrics.BytecodeHits++
-	case diskHit:
-		p.metrics.BytecodeDiskHits++
-	default:
-		p.metrics.BytecodeCompiles++
-	}
-	p.mu.Unlock()
-	if e.err != nil {
-		return nascent.RunResult{}, e.err
-	}
-	if e.jit != nil {
-		return e.jit.Run(job.Run)
-	}
-	return e.prog.Run(job.Run)
-}
-
-func (p *Pool) runJob(i int, job *Job) Result {
+func (p *Pool) runJob(i int, job *Job, memo bool) Result {
 	var res Result
 
 	if job.Precompiled != nil {
@@ -519,8 +389,7 @@ func (p *Pool) runJob(i int, job *Job) Result {
 		return res
 	}
 
-	key := feKey{hash: sha256.Sum256([]byte(job.Source)), filename: job.Filename}
-	fe, feDur, hit, err := p.frontend(job, key)
+	fe, feDur, hit, err := p.frontend(job, memo)
 	res.Frontend, res.CacheHit = feDur, hit
 	p.emit(Event{Job: i, Name: job.Name, Stage: StageFrontend, Duration: feDur, CacheHit: hit, Err: err})
 	if err != nil {
@@ -545,7 +414,7 @@ func (p *Pool) runJob(i int, job *Job) Result {
 			job.Mutate(prog)
 		}
 		t0 := time.Now()
-		rr, err := p.execute(job, key, prog)
+		rr, err := p.execute(job, prog)
 		res.Run = time.Since(t0)
 		p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
 		if err != nil {
@@ -600,9 +469,6 @@ type MetricsSnapshot struct {
 	Errors           int    `json:"errors"`
 	FrontendCompiles int    `json:"frontend_compiles"`
 	FrontendHits     int    `json:"frontend_hits"`
-	BytecodeCompiles int    `json:"bytecode_compiles"`
-	BytecodeHits     int    `json:"bytecode_hits"`
-	BytecodeDiskHits int    `json:"bytecode_disk_hits"`
 	FrontendTimeNS   int64  `json:"frontend_time_ns"`
 	CompileTimeNS    int64  `json:"compile_time_ns"`
 	RunTimeNS        int64  `json:"run_time_ns"`
@@ -613,40 +479,6 @@ type MetricsSnapshot struct {
 	WorkerDeaths     int    `json:"worker_deaths"`
 	Timeouts         int    `json:"timeouts"`
 	Quarantined      int    `json:"quarantined"`
-	// Tiering state, summed across the pool's vmjit memo entries;
-	// TierPrograms breaks it down per program handle, sorted by key then
-	// engine so the wire form is deterministic.
-	TierPromotions uint64                `json:"tier_promotions"`
-	TierDemotions  uint64                `json:"tier_demotions"`
-	TierPrograms   []TierProgramSnapshot `json:"tier_programs,omitempty"`
-}
-
-// TierProgramSnapshot is the wire form of one vmjit entry's JitHandle
-// state: which tier the program is serving from and the run and
-// promotion counters that got it there.
-type TierProgramSnapshot struct {
-	// Key identifies the program: a hex prefix of its source hash (the
-	// same content hash that keys the bytecode memo).
-	Key          string `json:"key"`
-	Engine       string `json:"engine"`
-	Tier         string `json:"tier"`
-	Runs         uint64 `json:"runs"`
-	Instructions uint64 `json:"instructions"`
-	Promotions   uint64 `json:"promotions"`
-	Demotions    uint64 `json:"demotions"`
-}
-
-// TierRow converts one JitHandle snapshot to its wire row.
-func TierRow(key, engine string, s vm.Snapshot) TierProgramSnapshot {
-	return TierProgramSnapshot{
-		Key:          key,
-		Engine:       engine,
-		Tier:         s.Tier,
-		Runs:         s.Runs,
-		Instructions: s.Instrs,
-		Promotions:   s.Promotions,
-		Demotions:    s.Demotions,
-	}
 }
 
 // Snapshot converts the counters to their wire form.
@@ -656,9 +488,6 @@ func (m Metrics) Snapshot() MetricsSnapshot {
 		Errors:           m.Errors,
 		FrontendCompiles: m.FrontendCompiles,
 		FrontendHits:     m.FrontendHits,
-		BytecodeCompiles: m.BytecodeCompiles,
-		BytecodeHits:     m.BytecodeHits,
-		BytecodeDiskHits: m.BytecodeDiskHits,
 		FrontendTimeNS:   m.FrontendTime.Nanoseconds(),
 		CompileTimeNS:    m.CompileTime.Nanoseconds(),
 		RunTimeNS:        m.RunTime.Nanoseconds(),
@@ -670,32 +499,6 @@ func (m Metrics) Snapshot() MetricsSnapshot {
 		Timeouts:         m.Timeouts,
 		Quarantined:      m.Quarantined,
 	}
-}
-
-// MetricsSnapshot returns the pool's aggregate counters in wire form,
-// including the per-program tier state of every vmjit memo entry.
-func (p *Pool) MetricsSnapshot() MetricsSnapshot {
-	snap := p.Metrics().Snapshot()
-	p.mu.Lock()
-	for k, e := range p.bcMemo {
-		if e.jit != nil {
-			row := TierRow(hex.EncodeToString(k.fe.hash[:8]), k.engine.String(), e.jit.Snapshot())
-			snap.TierPrograms = append(snap.TierPrograms, row)
-		}
-	}
-	p.mu.Unlock()
-	sort.Slice(snap.TierPrograms, func(i, j int) bool {
-		a, b := snap.TierPrograms[i], snap.TierPrograms[j]
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Engine < b.Engine
-	})
-	for _, r := range snap.TierPrograms {
-		snap.TierPromotions += r.Promotions
-		snap.TierDemotions += r.Demotions
-	}
-	return snap
 }
 
 // String renders the metrics as a one-line summary for -trace output.

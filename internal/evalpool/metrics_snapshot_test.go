@@ -15,7 +15,6 @@ func TestMetricsSnapshotFields(t *testing.T) {
 	src := "program p\n  real a(4)\n  integer i\n  do i = 1, 4\n    a(i) = float(i)\n  enddo\n  print a(4)\nend\n"
 	res := p.Evaluate([]Job{
 		{Name: "snap", Source: src, Opts: nascent.Options{BoundsChecks: true}},
-		// A vmjit job populates the per-program tier rows.
 		{Name: "snap-vmjit", Source: src, Opts: nascent.Options{BoundsChecks: true},
 			Run: nascent.RunConfig{Engine: nascent.EngineVMJit}},
 	})
@@ -24,7 +23,7 @@ func TestMetricsSnapshotFields(t *testing.T) {
 			t.Fatalf("evaluate %d: %v", i, res[i].Err)
 		}
 	}
-	raw, err := json.Marshal(p.MetricsSnapshot())
+	raw, err := json.Marshal(p.Metrics().Snapshot())
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -36,11 +35,9 @@ func TestMetricsSnapshotFields(t *testing.T) {
 	want := []string{
 		"jobs", "errors",
 		"frontend_compiles", "frontend_hits",
-		"bytecode_compiles", "bytecode_hits", "bytecode_disk_hits",
 		"frontend_time_ns", "compile_time_ns", "run_time_ns",
 		"instructions", "checks", "shared_runs",
 		"retries", "worker_deaths", "timeouts", "quarantined",
-		"tier_promotions", "tier_demotions", "tier_programs",
 	}
 	for _, k := range want {
 		if _, ok := m[k]; !ok {
@@ -51,26 +48,7 @@ func TestMetricsSnapshotFields(t *testing.T) {
 		t.Errorf("snapshot has %d fields, want %d: %v", len(m), len(want), m)
 	}
 
-	// The per-program tier row has its own pinned field set.
-	rows, ok := m["tier_programs"].([]any)
-	if !ok || len(rows) != 1 {
-		t.Fatalf("tier_programs = %v, want one row", m["tier_programs"])
-	}
-	row, _ := rows[0].(map[string]any)
-	wantRow := []string{"key", "engine", "tier", "runs", "instructions", "promotions", "demotions"}
-	for _, k := range wantRow {
-		if _, ok := row[k]; !ok {
-			t.Errorf("tier_programs row missing field %q", k)
-		}
-	}
-	if len(row) != len(wantRow) {
-		t.Errorf("tier_programs row has %d fields, want %d: %v", len(row), len(wantRow), row)
-	}
-	if row["engine"] != "vmjit" || row["tier"] != "vmjit" {
-		t.Errorf("tier_programs row engine/tier = %v/%v, want vmjit/vmjit", row["engine"], row["tier"])
-	}
-
-	snap := p.MetricsSnapshot()
+	snap := p.Metrics().Snapshot()
 	if snap.Jobs != 2 || snap.Errors != 0 {
 		t.Errorf("jobs/errors = %d/%d, want 2/0", snap.Jobs, snap.Errors)
 	}
@@ -82,8 +60,5 @@ func TestMetricsSnapshotFields(t *testing.T) {
 	}
 	if snap.Retries != 0 || snap.WorkerDeaths != 0 || snap.Timeouts != 0 || snap.Quarantined != 0 {
 		t.Errorf("supervision counters nonzero on a clean run: %+v", snap)
-	}
-	if len(snap.TierPrograms) != 1 || snap.TierPrograms[0].Runs != 1 {
-		t.Errorf("tier program rows = %+v, want one row with one run", snap.TierPrograms)
 	}
 }

@@ -115,8 +115,9 @@ func abnormal(err error) bool {
 	return errors.As(err, &wd) || errors.As(err, &jt)
 }
 
-// superviseJob runs one job under the retry/quarantine policy.
-func (p *Pool) superviseJob(ctx context.Context, i int, job *Job) Result {
+// superviseJob runs one job under the retry/quarantine policy; memo
+// selects whether its front end goes through the memo table.
+func (p *Pool) superviseJob(ctx context.Context, i int, job *Job, memo bool) Result {
 	maxAttempts := p.cfg.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = defaultMaxAttempts
@@ -131,7 +132,7 @@ func (p *Pool) superviseJob(ctx context.Context, i int, job *Job) Result {
 			p.accountSupervised()
 			return Result{Err: fmt.Errorf("%s: pool cancelled: %w", job.Name, err), Attempts: attempt}
 		}
-		res := p.attempt(ctx, i, job, attempt)
+		res := p.attempt(ctx, i, job, attempt, memo)
 		res.Attempts = attempt + 1
 		if !abnormal(res.Err) {
 			return res
@@ -214,7 +215,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // abort path cancels the attempt context, which is threaded into the
 // job's RunConfig so an in-flight engine run stops at its next poll
 // point rather than running to completion.
-func (p *Pool) attempt(ctx context.Context, i int, job *Job, attempt int) Result {
+func (p *Pool) attempt(ctx context.Context, i int, job *Job, attempt int, memo bool) Result {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	j := *job
@@ -255,7 +256,7 @@ func (p *Pool) attempt(ctx context.Context, i int, job *Job, attempt int) Result
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
-		done <- p.runJob(i, &j)
+		done <- p.runJob(i, &j, memo)
 	}()
 
 	var timeout <-chan time.Time

@@ -6,13 +6,13 @@ import (
 	"nascent/internal/ir"
 )
 
-// Engine selects the execution substrate that runs a program. Both
-// engines implement the same observable contract — identical dynamic
+// Engine selects the execution substrate that runs a program. Every
+// engine implements the same observable contract — identical dynamic
 // instruction counts, check counts, outputs, trap positions, trap
 // classes, and resource budgets — so tables, oracle sweeps, and golden
-// files are byte-identical under either. The tree-walker is the
-// reference implementation; the bytecode VM (internal/vm) is the fast
-// path.
+// files are byte-identical under any of them. The tree-walker is the
+// reference implementation; the four bytecode engines (vm, vmopt,
+// vmrce, vmjit) live in internal/vm and register themselves here.
 type Engine uint8
 
 // Execution engines.

@@ -229,16 +229,20 @@ func (c *Cache) count(f func(*Metrics)) {
 	c.mu.Unlock()
 }
 
-// encodeEnvelope serializes an entry to its on-disk form. The header,
-// meta and progio payload are written straight into one buffer of the
-// envelope's exact size; the payload length is patched in once the
-// payload is written.
+// encodeEnvelope serializes an entry to its on-disk form.
 func encodeEnvelope(e *Entry) ([]byte, error) {
 	meta, err := json.Marshal(cacheMeta{StaticChecks: e.StaticChecks, Opt: e.Opt})
 	if err != nil {
 		return nil, err
 	}
-	im := e.Prog.Image()
+	return appendEnvelope(meta, e.Prog.Image()), nil
+}
+
+// appendEnvelope lays out an envelope around an encoded meta block and
+// a program image. The header, meta and progio payload are written
+// straight into one buffer of the envelope's exact size; the payload
+// length is patched in once the payload is written.
+func appendEnvelope(meta []byte, im *vm.Image) []byte {
 	out := make([]byte, 0, len(envelopeMagic)+2+4+len(meta)+4+progio.EncodedSize(im)+4)
 	out = append(out, envelopeMagic[:]...)
 	out = progio.AppendUint16(out, envelopeVersion)
@@ -248,7 +252,7 @@ func encodeEnvelope(e *Entry) ([]byte, error) {
 	out = progio.AppendUint32(out, 0)
 	out = progio.AppendImage(out, im)
 	binary.LittleEndian.PutUint32(out[lenAt:], uint32(len(out)-lenAt-4))
-	return progio.AppendUint32(out, crc32.Checksum(out, crcTable)), nil
+	return progio.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
 func corrupt(reason string) error { return &progio.CorruptError{Reason: "cache envelope: " + reason} }

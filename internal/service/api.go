@@ -167,8 +167,10 @@ type RunRequest struct {
 	CompileRequest
 	// Budget bounds the run (clamped by server ceilings).
 	Budget Budget `json:"budget,omitempty"`
-	// NoCache bypasses the compiled-program cache for this request
-	// (drills use it so injection reaches the compile stages).
+	// NoCache compiles this request afresh and stores the result
+	// nowhere: the memory cache, the disk cache and the pool's frontend
+	// memo are neither read nor filled (drills use it so injection
+	// reaches the compile stages).
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -189,9 +191,9 @@ type VerifyRequest struct {
 type DrillRequest struct {
 	// Spec is the deterministic injection spec "seed:rate[:site]".
 	Spec string `json:"spec"`
-	// Run is the request to execute under injection. Its cache is
-	// bypassed and its frontend memo busted so injection can reach
-	// every pipeline stage.
+	// Run is the request to execute under injection. It bypasses every
+	// compiled-program store, like a no_cache run, so injection can
+	// reach every pipeline stage.
 	Run RunRequest `json:"run"`
 	// Name labels the drill's supervised job; worker-site injection is
 	// keyed by it, so (spec, name) deterministically selects the fate

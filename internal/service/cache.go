@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"nascent"
-	"nascent/internal/evalpool"
 	"nascent/internal/progcache"
 	"nascent/internal/vm"
 )
@@ -163,11 +162,25 @@ func (c *Cache) evictLocked() {
 	}
 }
 
+// TierProgramSnapshot is the wire form of one vmjit cache entry's
+// JitHandle state: which tier the program is serving from and the run
+// and promotion counters that got it there.
+type TierProgramSnapshot struct {
+	// Key identifies the program: a hex prefix of its cache key.
+	Key          string `json:"key"`
+	Engine       string `json:"engine"`
+	Tier         string `json:"tier"`
+	Runs         uint64 `json:"runs"`
+	Instructions uint64 `json:"instructions"`
+	Promotions   uint64 `json:"promotions"`
+	Demotions    uint64 `json:"demotions"`
+}
+
 // tierPrograms snapshots the tier state of every filled vmjit cache
-// entry, sorted by key for a stable wire order. The rows share
-// evalpool's wire type so operators read one schema whether a program
-// ran through the service cache or the pool's bytecode memo.
-func (c *Cache) tierPrograms() []evalpool.TierProgramSnapshot {
+// entry, sorted by key for a stable wire order. The service cache is
+// the only holder of vmjit handles that outlive one run, so these rows
+// cover every handle the server keeps.
+func (c *Cache) tierPrograms() []TierProgramSnapshot {
 	c.mu.Lock()
 	type slot struct {
 		key cacheKey
@@ -179,7 +192,7 @@ func (c *Cache) tierPrograms() []evalpool.TierProgramSnapshot {
 	}
 	c.mu.Unlock()
 
-	var rows []evalpool.TierProgramSnapshot
+	var rows []TierProgramSnapshot
 	for _, s := range slots {
 		// Only inspect filled entries; an in-flight fill's c is not
 		// published yet and must not be raced (filled is stored after
@@ -188,8 +201,16 @@ func (c *Cache) tierPrograms() []evalpool.TierProgramSnapshot {
 		if !ent.filled.Load() || ent.c == nil || ent.c.jit == nil {
 			continue
 		}
-		row := evalpool.TierRow(hex.EncodeToString(s.key[:8]), ent.c.engine.String(), ent.c.jit.Snapshot())
-		rows = append(rows, row)
+		js := ent.c.jit.Snapshot()
+		rows = append(rows, TierProgramSnapshot{
+			Key:          hex.EncodeToString(s.key[:8]),
+			Engine:       ent.c.engine.String(),
+			Tier:         js.Tier,
+			Runs:         js.Runs,
+			Instructions: js.Instrs,
+			Promotions:   js.Promotions,
+			Demotions:    js.Demotions,
+		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
 	return rows

@@ -2,7 +2,9 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -149,5 +151,64 @@ func TestVMJitEntryServesJitFromFirstRun(t *testing.T) {
 	assertFields(t, "tiers row", row, []string{"key", "engine", "tier", "runs", "instructions", "promotions", "demotions"})
 	if row["tier"] != "vmjit" || row["promotions"] != float64(1) || row["runs"] != float64(1) || row["demotions"] != float64(0) {
 		t.Fatalf("tiers row = %v, want tier vmjit, promotions 1, runs 1, demotions 0", row)
+	}
+}
+
+// TestNoCacheBypassesEveryStore: a no_cache /run neither reads nor
+// fills any compiled-program store. With a disk cache configured, two
+// identical requests plus fifty under distinct filenames leave the
+// memory cache, the disk cache and the pool's frontend memo untouched:
+// every request runs its own frontend, and nothing is written.
+func TestNoCacheBypassesEveryStore(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, func(c *Config) { c.ProgCacheDir = dir })
+	run := func(filename string) RunResponse {
+		t.Helper()
+		req := RunRequest{
+			CompileRequest: CompileRequest{Source: progOK, Filename: filename, Engine: "vmopt"},
+			NoCache:        true,
+		}
+		var resp RunResponse
+		if w := do(t, s, "POST", "/run", req, &resp); w.Code != http.StatusOK {
+			t.Fatalf("run %s: %d %s", filename, w.Code, w.Body.String())
+		}
+		if resp.Compile.CacheHit {
+			t.Fatalf("run %s: no_cache request reported a cache hit", filename)
+		}
+		return resp
+	}
+	first := run("same.mf")
+	if second := run("same.mf"); second.Output != first.Output || second.Instructions != first.Instructions {
+		t.Fatalf("repeat run diverges: %+v vs %+v", first, second)
+	}
+	for i := 0; i < 50; i++ {
+		run(fmt.Sprintf("p%d.mf", i))
+	}
+
+	var m struct {
+		Cache     CacheStats `json:"cache"`
+		DiskCache struct {
+			Hits uint64 `json:"hits"`
+			Puts uint64 `json:"puts"`
+		} `json:"disk_cache"`
+		Pool struct {
+			FrontendCompiles int `json:"frontend_compiles"`
+			FrontendHits     int `json:"frontend_hits"`
+		} `json:"pool"`
+	}
+	if w := do(t, s, "GET", "/metrics", nil, &m); w.Code != http.StatusOK {
+		t.Fatalf("metrics status = %d", w.Code)
+	}
+	if m.DiskCache.Puts != 0 || m.DiskCache.Hits != 0 {
+		t.Errorf("disk_cache puts/hits = %d/%d, want 0/0", m.DiskCache.Puts, m.DiskCache.Hits)
+	}
+	if m.Pool.FrontendHits != 0 || m.Pool.FrontendCompiles != 52 {
+		t.Errorf("pool frontend compiles/hits = %d/%d, want 52/0", m.Pool.FrontendCompiles, m.Pool.FrontendHits)
+	}
+	if m.Cache.Entries != 0 || m.Cache.Hits != 0 || m.Cache.Misses != 0 {
+		t.Errorf("memory cache touched: %+v", m.Cache)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("cache dir holds %d entries (err %v), want none", len(entries), err)
 	}
 }

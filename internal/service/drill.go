@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"nascent/internal/chaos"
@@ -13,10 +12,10 @@ import (
 // request. Gated behind Config.AllowDrill — arming injection in a
 // shared process is an operator decision, not a tenant right.
 //
-// The drill's run bypasses the compiled-program cache and the pool's
-// frontend memo (unique per-drill filename) so injection can reach
-// every pipeline stage: lexer, parser, sem, lowering, optimizer, both
-// engines' poll points, and the pool's worker sites. The supervised
+// The drill's run bypasses every compiled-program store (the service
+// cache, the disk cache and the pool's frontend memo) so injection can
+// reach every pipeline stage: lexer, parser, sem, lowering, optimizer,
+// both engines' poll points, and the pool's worker sites. The supervised
 // pool must then either heal the faults through retries (DrillResponse
 // Healed) or quarantine the job behind a typed PoisonedInputError
 // whose error body carries the exact replayable spec.
@@ -71,11 +70,6 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "drill"
 	}
-	// Unique filename per drill invocation busts the pool's frontend
-	// memo, so compile-stage sites (keyed by source content, which IS
-	// deterministic) get a chance to fire on every drill.
-	res.filename = fmt.Sprintf("%s-%d.mf", name, s.nDrill.Load())
-
 	resp := DrillResponse{Spec: spec.String()}
 	runResp, runErr := s.executeDrill(r, res, name)
 	resp.Fired = chaos.Fired()

@@ -260,9 +260,9 @@ func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName s
 		err error
 	)
 	if noCache {
-		// Drills bypass the cache AND the pool's frontend memo (unique
-		// filename per drill) so injection reaches every compile stage
-		// inside the supervised attempt.
+		// No store is read or filled: the pool compiles the job inside
+		// the supervised attempt (SubmitCtx skips its frontend memo), so
+		// drill injection reaches every compile stage.
 		key = contentKey(res.source, res.filename, res.opts, res.engine)
 	} else {
 		c, key, hit, err = s.compile(res.source, res.filename, res.opts, res.engine)
@@ -445,10 +445,9 @@ type metricsDoc struct {
 	DiskCache *progcache.Metrics       `json:"disk_cache,omitempty"`
 	Breaker   breakerStats             `json:"breaker"`
 	Pool      evalpool.MetricsSnapshot `json:"pool"`
-	// Tiers lists per-entry tier state for vmjit programs
-	// resolved through the service cache (the pool's own tier rows
-	// appear under pool.tier_programs).
-	Tiers []evalpool.TierProgramSnapshot `json:"tiers,omitempty"`
+	// Tiers lists per-entry tier state for every vmjit program in the
+	// service cache, the only store that keeps vmjit handles.
+	Tiers []TierProgramSnapshot `json:"tiers,omitempty"`
 	// Audit is the self-audit section (every=0 when disabled).
 	Audit auditStats `json:"audit"`
 	Chaos chaosDoc   `json:"chaos"`
@@ -488,7 +487,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Cache:     s.cache.stats(),
 		DiskCache: s.diskStats(),
 		Breaker:   s.breaker.stats(),
-		Pool:      s.pool.MetricsSnapshot(),
+		Pool:      s.pool.Metrics().Snapshot(),
 		Tiers:     s.cache.tierPrograms(),
 		Audit:     s.auditSnapshot(),
 		Chaos:     currentChaos(),

@@ -76,19 +76,15 @@ func TestMetricsDocFields(t *testing.T) {
 		"errors_4xx", "errors_5xx", "healed", "contained_panics",
 	})
 
-	// The pool section is evalpool's MetricsSnapshot; tier_programs is
-	// omitted while empty (a /run's vmjit handle lives in the service
-	// cache, reported under tiers). /run jobs are Precompiled and never
-	// consult a run memo, so shared_runs stays 0.
+	// The pool section is evalpool's MetricsSnapshot. /run jobs are
+	// Precompiled and never consult a run memo, so shared_runs stays 0.
 	pool, _ := m["pool"].(map[string]any)
 	assertFields(t, "pool", pool, []string{
 		"jobs", "errors",
 		"frontend_compiles", "frontend_hits",
-		"bytecode_compiles", "bytecode_hits", "bytecode_disk_hits",
 		"frontend_time_ns", "compile_time_ns", "run_time_ns",
 		"instructions", "checks", "shared_runs",
 		"retries", "worker_deaths", "timeouts", "quarantined",
-		"tier_promotions", "tier_demotions",
 	})
 	if pool["shared_runs"].(float64) != 0 {
 		t.Errorf("pool.shared_runs = %v after a /run, want 0", pool["shared_runs"])
@@ -109,13 +105,18 @@ func TestMetricsDocFields(t *testing.T) {
 	// breaker.open is omitted while no pair is tripped.
 	breaker, _ := m["breaker"].(map[string]any)
 	assertFields(t, "breaker", breaker, []string{"threshold", "cooldown_ms", "trips", "probes", "degraded"})
+	// tiers is the only place vmjit handles are reported; its row has
+	// its own pinned field set.
 	tiers, _ := m["tiers"].([]any)
-	if len(tiers) == 0 {
+	if len(tiers) != 1 {
 		t.Fatalf("tiers = %v, want the vmjit run's entry", m["tiers"])
 	}
 	assertFields(t, "tiers[0]", tiers[0], []string{
 		"key", "engine", "tier", "runs", "instructions", "promotions", "demotions",
 	})
+	if row, _ := tiers[0].(map[string]any); row["engine"] != "vmjit" || row["tier"] != "vmjit" || row["runs"].(float64) != 1 {
+		t.Errorf("tiers[0] engine/tier/runs = %v/%v/%v, want vmjit/vmjit/1", row["engine"], row["tier"], row["runs"])
+	}
 	// chaos.spec is omitted while no spec is armed.
 	chaosSec, _ := m["chaos"].(map[string]any)
 	assertFields(t, "chaos", chaosSec, []string{"active", "fired"})

@@ -200,7 +200,6 @@ func New(cfg Config) *Server {
 			cfg.Logf("nascentd: program cache disabled: %v", err)
 		} else {
 			s.disk = disk
-			s.pool.SetDiskCache(disk)
 			if cfg.ScrubInterval > 0 {
 				s.scrubStop = disk.StartScrubber(cfg.ScrubInterval, cfg.Logf)
 			}

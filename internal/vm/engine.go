@@ -17,9 +17,10 @@ import (
 // CompileEngine compiles p through the bytecode pipeline engine e
 // executes: vm runs Compile, vmopt CompileOptimized, and vmrce and vmjit
 // CompileRCE (the guard/deopt-rewritten, optimized stream is the jit's
-// input). Every layer that precompiles bytecode for an engine — the
-// registry below, the service cache, the evalpool memo — goes through
-// here, so they cannot disagree on which program an engine runs. The tree walker has no bytecode pipeline.
+// input). Both layers that compile bytecode for an engine — the
+// registry below and the service cache — go through here, so they
+// cannot disagree on which program an engine runs. The tree walker has
+// no bytecode pipeline.
 func CompileEngine(p *ir.Program, e interp.Engine) (*Program, error) {
 	switch e {
 	case interp.EngineVM:
@@ -53,10 +54,10 @@ func init() {
 }
 
 // JitHandle is how every layer runs a vmjit program: the registry
-// above, and the service cache and evalpool memo, which keep one
-// handle per entry. The closure compile happens once, in
-// NewJitHandle — inside the once-guarded fill of a cache or memo entry
-// — so no run ever profiles, blocks on, or races a compile. A failed
+// above builds one per run, and the service cache keeps one per entry.
+// The closure compile happens once, in NewJitHandle — inside the
+// once-guarded fill of a cache entry — so no run ever profiles, blocks
+// on, or races a compile. A failed
 // compile (or a tier.promote.fail injection) leaves the handle on the
 // optimized switch VM, and a contained jit run failure tombstones the
 // closure tier there — never the tree.

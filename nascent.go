@@ -198,11 +198,11 @@ type OptReport struct {
 type RunResult = interp.Result
 
 // RunConfig bounds execution. Its Engine field selects the execution
-// substrate (EngineTree or EngineVM); both produce identical
-// observables.
+// substrate (EngineTree or one of the bytecode engines); every engine
+// produces identical observables.
 type RunConfig = interp.Config
 
-// Engine selects the execution substrate of a run. Both engines
+// Engine selects the execution substrate of a run. All five engines
 // implement the same observable contract — identical dynamic
 // instruction counts, check counts, outputs, traps, and resource
 // budgets — so every table and oracle sweep is engine-independent.
@@ -212,7 +212,8 @@ type Engine = interp.Engine
 const (
 	// EngineTree is the reference tree-walking evaluator (the default).
 	EngineTree = interp.EngineTree
-	// EngineVM is the flat-register bytecode VM, the fast path.
+	// EngineVM is the flat-register bytecode VM running unoptimized
+	// bytecode, the bottom rung of the bytecode engines.
 	EngineVM = interp.EngineVM
 	// EngineVMOpt is the bytecode VM running post-compile-optimized
 	// bytecode (copy propagation, dead-store elimination,
@@ -227,7 +228,7 @@ const (
 	EngineVMRCE = interp.EngineVMRCE
 	// EngineVMJit is the closure-compiled top tier: guard/deopt-rewritten,
 	// optimized bytecode compiled into chained Go closures. Same
-	// observables, no dispatch switch.
+	// observables, no dispatch switch; the fastest engine.
 	EngineVMJit = interp.EngineVMJit
 )
 
