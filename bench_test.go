@@ -267,7 +267,6 @@ func BenchmarkTableRegeneration(b *testing.B) {
 // the VM's speedup (bench/ records the end-to-end numbers).
 func BenchmarkEngines(b *testing.B) {
 	progs := make([]*nascent.Program, len(suite.Programs))
-	bytecode := make([]*vm.Program, len(suite.Programs))
 	optimized := make([]*vm.Program, len(suite.Programs))
 	var instrs uint64
 	for i, p := range suite.Programs {
@@ -276,10 +275,7 @@ func BenchmarkEngines(b *testing.B) {
 			b.Fatal(err)
 		}
 		progs[i] = cp
-		if bytecode[i], err = vm.Compile(cp.IR); err != nil {
-			b.Fatal(err)
-		}
-		if optimized[i], err = vm.Optimize(bytecode[i]); err != nil {
+		if optimized[i], err = vm.CompileOptimized(cp.IR); err != nil {
 			b.Fatal(err)
 		}
 		instrs += runOrFatal(b, cp).Instructions
@@ -293,12 +289,9 @@ func BenchmarkEngines(b *testing.B) {
 				defer wg.Done()
 				for k := w; k < len(progs); k += jobs {
 					var err error
-					switch engine {
-					case nascent.EngineVM:
-						_, err = bytecode[k].Run(nascent.RunConfig{})
-					case nascent.EngineVMOpt:
+					if engine == nascent.EngineVMOpt {
 						_, err = optimized[k].Run(nascent.RunConfig{})
-					default:
+					} else {
 						_, err = progs[k].RunWith(nascent.RunConfig{})
 					}
 					if err != nil {
@@ -312,7 +305,7 @@ func BenchmarkEngines(b *testing.B) {
 			b.Fatal("suite program failed under benchmark")
 		}
 	}
-	for _, engine := range []nascent.Engine{nascent.EngineTree, nascent.EngineVM, nascent.EngineVMOpt} {
+	for _, engine := range []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt} {
 		for _, jobs := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%v/jobs=%d", engine, jobs), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -350,7 +343,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		prog *vm.Program
-	}{{"vm", vp}, {"vmopt", op}} {
+	}{{"unoptimized", vp}, {"vmopt", op}} {
 		if _, err := e.prog.Run(nascent.RunConfig{}); err != nil {
 			t.Fatalf("%s: warmup: %v", e.name, err)
 		}

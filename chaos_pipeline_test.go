@@ -128,8 +128,8 @@ func TestChaosPollBudgetAndCancel(t *testing.T) {
 	}{
 		{chaos.SiteTreeBudget, nascent.EngineTree},
 		{chaos.SiteTreeCancel, nascent.EngineTree},
-		{chaos.SiteVMBudget, nascent.EngineVM},
-		{chaos.SiteVMCancel, nascent.EngineVM},
+		{chaos.SiteVMBudget, nascent.EngineVMOpt},
+		{chaos.SiteVMCancel, nascent.EngineVMOpt},
 	}
 	for _, c := range cases {
 		t.Run(string(c.site), func(t *testing.T) {
@@ -156,7 +156,7 @@ func TestChaosPollPanicContained(t *testing.T) {
 		engine nascent.Engine
 	}{
 		{chaos.SiteTreePanic, nascent.EngineTree},
-		{chaos.SiteVMPanic, nascent.EngineVM},
+		{chaos.SiteVMPanic, nascent.EngineVMOpt},
 	}
 	for _, c := range cases {
 		t.Run(string(c.site), func(t *testing.T) {
@@ -182,7 +182,7 @@ func TestChaosPollPanicContained(t *testing.T) {
 // engines — no chaos residue survives a Disable.
 func TestChaosOffPipelineClean(t *testing.T) {
 	chaos.Disable()
-	for _, engine := range []nascent.Engine{nascent.EngineTree, nascent.EngineVM} {
+	for _, engine := range []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt} {
 		prog, err := nascent.Compile(chaosSrc, nascent.Options{BoundsChecks: true, Scheme: nascent.LLS})
 		if err != nil {
 			t.Fatal(err)

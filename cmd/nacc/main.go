@@ -11,7 +11,7 @@
 //	-scheme naive|NI|CS|LNI|SE|LI|LLS|ALL|MCM  placement scheme (default naive)
 //	-kind   PRX|INX                            check construction (default PRX)
 //	-impl   full|none|cross                    implication mode (default full)
-//	-engine tree|vm|vmopt|vmrce|vmjit          execution engine (default tree);
+//	-engine tree|vmopt|vmrce|vmjit             execution engine (default tree);
 //	                                           with -verify, any bytecode engine
 //	                                           also enables the engine-identity
 //	                                           sweep across every engine up to
@@ -248,7 +248,7 @@ func runVerify(file, src string, engine nascent.Engine, stdout, stderr *os.File)
 
 // engineSweep lists the engines an identity sweep covers for a selected
 // engine: the tree walker plus every engine up to and including the
-// selection (vmjit, the last tier, sweeps all five).
+// selection (vmjit, the last tier, sweeps all four).
 func engineSweep(engine nascent.Engine) []nascent.Engine {
 	if engine == nascent.EngineTree {
 		return nil

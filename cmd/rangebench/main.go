@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rangebench [-table N] [-jobs N]
-//	           [-engine tree|vm|vmopt|vmrce|vmjit]
+//	           [-engine tree|vmopt|vmrce|vmjit]
 //	           [-times] [-trace]
 //	           [-chaos seed:rate[:site]]
 //	           [-cpuprofile file] [-memprofile file]
@@ -14,9 +14,9 @@
 // schemes × {PRX, INX}, -table 3 the implication ablation.
 //
 // -engine selects the execution substrate: the tree-walking reference
-// interpreter (default), the bytecode VM, the superinstruction-
-// optimized VM, the guard/deopt range-check-eliminated VM, or the
-// closure-compiled jit. Table output is byte-identical under every
+// interpreter (default), the superinstruction-optimized bytecode VM,
+// the guard/deopt range-check-eliminated VM, or the closure-compiled
+// jit. Table output is byte-identical under every
 // engine — the CI pipeline diffs them — so the flag only changes
 // wall-clock.
 //

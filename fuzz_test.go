@@ -10,6 +10,8 @@ import (
 	"nascent"
 	"nascent/internal/conformance"
 	"nascent/internal/oracle"
+	"nascent/internal/suite"
+	"nascent/internal/vm"
 )
 
 // This file implements randomized differential testing of the range
@@ -247,19 +249,24 @@ func FuzzPipeline(f *testing.F) {
 
 // FuzzEngineIdentity fuzzes the execution-engine contract directly:
 // for any input that compiles, every registered engine — the
-// tree-walking reference, the bytecode VM, the optimized VM, the
-// guard/deopt VM, and the closure-compiled jit — must produce
+// tree-walking reference, the optimized VM, the guard/deopt VM, and
+// the closure-compiled jit — and the unoptimized bytecode of
+// vm.Compile, the first stage of every bytecode pipeline, must produce
 // identical observables — instruction and check counters, output, trap
 // note/class/position — or identical error text. The seed corpus is
 // the conformance suite, whose cases pin exactly these observables,
-// plus generator output so mutation starts from loop-heavy programs
-// that exercise fusion.
+// generator output so mutation starts from loop-heavy programs that
+// exercise fusion, and the irregular stress programs, whose guards
+// fail and deopt.
 func FuzzEngineIdentity(f *testing.F) {
 	for _, c := range conformance.Corpus {
 		f.Add(c.Src)
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(generate(seed))
+	}
+	for _, p := range suite.Irregular {
+		f.Add(p.Source)
 	}
 	engines := nascent.AllEngines()
 	f.Fuzz(func(t *testing.T, src string) {
@@ -268,26 +275,33 @@ func FuzzEngineIdentity(f *testing.F) {
 			return
 		}
 		type run struct {
-			res nascent.RunResult
-			err error
+			name string
+			res  nascent.RunResult
+			err  error
 		}
-		runs := make([]run, len(engines))
-		for i, e := range engines {
-			runs[i].res, runs[i].err = p.RunWith(nascent.RunConfig{
-				MaxInstructions: 200000,
-				Engine:          e,
-			})
+		runs := make([]run, 0, len(engines)+1)
+		for _, e := range engines {
+			r := run{name: e.String()}
+			r.res, r.err = p.RunWith(nascent.RunConfig{MaxInstructions: 200000, Engine: e})
+			runs = append(runs, r)
 		}
-		for i := 1; i < len(runs); i++ {
-			ref, got := runs[0], runs[i]
+		vp, err := vm.Compile(p.IR)
+		if err != nil {
+			t.Fatalf("vm.Compile: %v\nsource:\n%s", err, src)
+		}
+		plain := run{name: "vm.Compile"}
+		plain.res, plain.err = vp.Run(nascent.RunConfig{MaxInstructions: 200000})
+		runs = append(runs, plain)
+		ref := runs[0]
+		for _, got := range runs[1:] {
 			if (ref.err == nil) != (got.err == nil) ||
 				(ref.err != nil && ref.err.Error() != got.err.Error()) {
-				t.Fatalf("engine %v error mismatch: tree=%v %v=%v\nsource:\n%s",
-					engines[i], ref.err, engines[i], got.err, src)
+				t.Fatalf("%s error mismatch: tree=%v %s=%v\nsource:\n%s",
+					got.name, ref.err, got.name, got.err, src)
 			}
 			if ref.err == nil && !reflect.DeepEqual(ref.res, got.res) {
-				t.Fatalf("engine %v observables diverge:\ntree:  %+v\n%v: %+v\nsource:\n%s",
-					engines[i], ref.res, engines[i], got.res, src)
+				t.Fatalf("%s observables diverge:\ntree:  %+v\n%s: %+v\nsource:\n%s",
+					got.name, ref.res, got.name, got.res, src)
 			}
 		}
 	})

@@ -165,7 +165,7 @@ end
 // poll point — not merely skip queued jobs. The injected slow-job site
 // guarantees the job is mid-run when the cancel lands.
 func TestCancelStopsInFlightRun(t *testing.T) {
-	for _, engine := range []nascent.Engine{nascent.EngineTree, nascent.EngineVM} {
+	for _, engine := range []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt} {
 		t.Run(engine.String(), func(t *testing.T) {
 			enableChaos(t, chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteWorkerSlow})
 

@@ -11,8 +11,8 @@ import (
 // instruction counts, check counts, outputs, trap positions, trap
 // classes, and resource budgets — so tables, oracle sweeps, and golden
 // files are byte-identical under any of them. The tree-walker is the
-// reference implementation; the four bytecode engines (vm, vmopt,
-// vmrce, vmjit) live in internal/vm and register themselves here.
+// reference implementation; the three bytecode engines (vmopt, vmrce,
+// vmjit) live in internal/vm and register themselves here.
 type Engine uint8
 
 // Execution engines.
@@ -20,16 +20,14 @@ const (
 	// EngineTree is the recursive tree-walking evaluator defined in
 	// this package (the reference engine, and the zero value).
 	EngineTree Engine = iota
-	// EngineVM is the flat-register bytecode VM (internal/vm). It must
-	// be linked into the binary to be selectable; importing the nascent
-	// package (or internal/vm itself) links it.
-	EngineVM
-	// EngineVMOpt is the bytecode VM running optimized bytecode: the
-	// post-compile pipeline in internal/vm (copy propagation, dead-store
-	// elimination, superinstruction fusion, frame reuse) rewrites the
-	// program between vm.Compile and execution. Observables are
-	// byte-identical to the other engines; only dispatch count and
-	// wall-clock change. Linked together with EngineVM.
+	// EngineVMOpt is the flat-register bytecode VM (internal/vm)
+	// running optimized bytecode: the post-compile pipeline in
+	// internal/vm (copy propagation, dead-store elimination,
+	// superinstruction fusion, frame reuse) rewrites the program between
+	// vm.Compile and execution. Observables are byte-identical to the
+	// other engines; only dispatch count and wall-clock change. The
+	// bytecode engines must be linked into the binary to be selectable;
+	// importing the nascent package (or internal/vm itself) links them.
 	EngineVMOpt
 	// EngineVMRCE is the bytecode VM running guard/deopt bytecode: after
 	// vm.Compile, the range-check elimination pass (internal/vm rce.go)
@@ -39,19 +37,19 @@ const (
 	// deopt target; the result then runs through the vmopt pipeline.
 	// Observables are byte-identical to the other engines — eliminated
 	// checks are still counted — only executed check instructions and
-	// wall-clock change. Linked together with EngineVM.
+	// wall-clock change. Linked together with EngineVMOpt.
 	EngineVMRCE
 	// EngineVMJit is the closure-compiled top tier: every basic block of
 	// the guard/deopt-rewritten, optimized bytecode is compiled into a
 	// chain of Go closures (computed-goto-style dispatch, no central
 	// switch). Same observables as the other engines. Linked together
-	// with EngineVM.
+	// with EngineVMOpt.
 	EngineVMJit
 
 	numEngines = iota
 )
 
-var engineNames = [numEngines]string{"tree", "vm", "vmopt", "vmrce", "vmjit"}
+var engineNames = [numEngines]string{"tree", "vmopt", "vmrce", "vmjit"}
 
 func (e Engine) String() string {
 	if int(e) < len(engineNames) {
@@ -60,15 +58,15 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", uint8(e))
 }
 
-// ParseEngine maps a flag value ("tree", "vm", "vmopt", "vmrce", or
-// "vmjit") to an Engine.
+// ParseEngine maps a flag value ("tree", "vmopt", "vmrce", or "vmjit")
+// to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	for i, n := range engineNames {
 		if s == n {
 			return Engine(i), nil
 		}
 	}
-	return EngineTree, fmt.Errorf("interp: unknown engine %q (want tree, vm, vmopt, vmrce, or vmjit)", s)
+	return EngineTree, fmt.Errorf("interp: unknown engine %q (want tree, vmopt, vmrce, or vmjit)", s)
 }
 
 // EngineNames lists every engine's flag spelling in Engine order. The
@@ -96,7 +94,7 @@ func AllEngines() []Engine {
 var engines [numEngines]func(*ir.Program, Config) (Result, error)
 
 // RegisterEngine installs an alternative execution engine. It is meant
-// to be called from an init function (internal/vm registers EngineVM);
+// to be called from an init function (internal/vm registers the bytecode engines);
 // registering after programs have started running is a race.
 func RegisterEngine(e Engine, run func(*ir.Program, Config) (Result, error)) {
 	if int(e) >= numEngines {

@@ -97,7 +97,7 @@ func resealEnvelope(data []byte) []byte {
 // heals the entry with a correct result.
 func TestFaults(t *testing.T) {
 	opts := nascent.Options{BoundsChecks: true, Scheme: nascent.SE}
-	key := progcache.KeyOf("src-of-mdg", "mdg.mf", opts, nascent.EngineVM)
+	key := progcache.KeyOf("src-of-mdg", "mdg.mf", opts, nascent.EngineVMOpt)
 	fresh := compileEntry(t, "mdg", opts, false)
 	wantRes, err := fresh.Prog.Run(nascent.RunConfig{})
 	if err != nil {
@@ -197,14 +197,14 @@ func TestFaults(t *testing.T) {
 // TestKeyDisambiguation pins that every field of the request
 // participates in the address.
 func TestKeyDisambiguation(t *testing.T) {
-	base := progcache.KeyOf("a", "f.mf", nascent.Options{}, nascent.EngineVM)
+	base := progcache.KeyOf("a", "f.mf", nascent.Options{}, nascent.EngineVMOpt)
 	variants := []progcache.Key{
-		progcache.KeyOf("b", "f.mf", nascent.Options{}, nascent.EngineVM),
-		progcache.KeyOf("a", "g.mf", nascent.Options{}, nascent.EngineVM),
-		progcache.KeyOf("a", "f.mf", nascent.Options{BoundsChecks: true}, nascent.EngineVM),
-		progcache.KeyOf("a", "f.mf", nascent.Options{RotateLoops: true}, nascent.EngineVM),
-		progcache.KeyOf("a", "f.mf", nascent.Options{Scheme: nascent.LLS}, nascent.EngineVM),
-		progcache.KeyOf("a", "f.mf", nascent.Options{}, nascent.EngineVMOpt),
+		progcache.KeyOf("b", "f.mf", nascent.Options{}, nascent.EngineVMOpt),
+		progcache.KeyOf("a", "g.mf", nascent.Options{}, nascent.EngineVMOpt),
+		progcache.KeyOf("a", "f.mf", nascent.Options{BoundsChecks: true}, nascent.EngineVMOpt),
+		progcache.KeyOf("a", "f.mf", nascent.Options{RotateLoops: true}, nascent.EngineVMOpt),
+		progcache.KeyOf("a", "f.mf", nascent.Options{Scheme: nascent.LLS}, nascent.EngineVMOpt),
+		progcache.KeyOf("a", "f.mf", nascent.Options{}, nascent.EngineVMRCE),
 	}
 	seen := map[progcache.Key]bool{base: true}
 	for i, v := range variants {
@@ -214,8 +214,8 @@ func TestKeyDisambiguation(t *testing.T) {
 		seen[v] = true
 	}
 	// Length prefixing: ("ab","c") and ("a","bc") must not alias.
-	if progcache.KeyOf("ab", "c", nascent.Options{}, nascent.EngineVM) ==
-		progcache.KeyOf("a", "bc", nascent.Options{}, nascent.EngineVM) {
+	if progcache.KeyOf("ab", "c", nascent.Options{}, nascent.EngineVMOpt) ==
+		progcache.KeyOf("a", "bc", nascent.Options{}, nascent.EngineVMOpt) {
 		t.Fatal("field boundary ambiguity")
 	}
 }
@@ -288,11 +288,11 @@ func TestPutLeavesNoTempFiles(t *testing.T) {
 	opts := nascent.Options{BoundsChecks: true}
 	e := compileEntry(t, "qcd", opts, false)
 	for _, src := range []string{"one", "two", "three"} {
-		if err := c.Put(progcache.KeyOf(src, "qcd.mf", opts, nascent.EngineVM), e); err != nil {
+		if err := c.Put(progcache.KeyOf(src, "qcd.mf", opts, nascent.EngineVMOpt), e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blocked := progcache.KeyOf("blocked", "qcd.mf", opts, nascent.EngineVM)
+	blocked := progcache.KeyOf("blocked", "qcd.mf", opts, nascent.EngineVMOpt)
 	if err := os.Mkdir(filepath.Join(c.Dir(), blocked.String()+".npc"), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite the golden .bin fixtures")
 // range: the naive tree baseline, a scheme-optimized build, the
 // superinstruction-fused pipeline, and the guard/deopt (vmrce)
 // pipeline whose opRangeGuard/opCkAdd instructions motivated the
-// format-version 2 rev.
+// format-version 2 rev. "vm" names the plain vm.Compile pipeline.
 var goldenConfigs = []struct {
 	fixture  string
 	program  string
@@ -123,50 +124,60 @@ func TestGoldenVersionGuard(t *testing.T) {
 	}
 }
 
-// TestOldVersionFixtures pins the reader's behavior on streams from a
-// previous format generation. testdata/v1/ holds fixtures frozen at
-// format version 1, exactly as they shipped before the guard/deopt
-// metadata rev; the current reader must reject each with a typed
-// *VersionError naming the old version — never a generic corruption
+// TestOldVersionFixtures pins the reader's behavior on streams from
+// previous format generations. testdata/v1/ holds fixtures frozen at
+// format version 1, before the guard/deopt metadata rev; testdata/v2/
+// holds fixtures frozen at version 2, before the fused-opcode
+// renumbering. The current reader must reject each with a typed
+// *VersionError naming its old version — never a generic corruption
 // error, and never a successful decode. This is the contract the disk
 // cache relies on to know "re-encode" rather than "discard as damaged"
 // when it meets its own stale artifacts after an upgrade.
 func TestOldVersionFixtures(t *testing.T) {
-	old, err := filepath.Glob(filepath.Join("testdata", "v1", "*.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old) == 0 {
-		t.Fatal("no frozen v1 fixtures under testdata/v1")
-	}
-	for _, path := range old {
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+	for gen := uint16(1); gen < progio.Version; gen++ {
+		dir := fmt.Sprintf("v%d", gen)
+		old, err := filepath.Glob(filepath.Join("testdata", dir, "*.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(old) == 0 {
+			t.Fatalf("no frozen %s fixtures under testdata/%s", dir, dir)
+		}
+		for _, path := range old {
+			// v1 subtests keep the bare file names they had before
+			// later generations joined.
+			name := filepath.Base(path)
+			if gen > 1 {
+				name = dir + "/" + name
 			}
-			_, err = progio.Decode(data)
-			if err == nil {
-				t.Fatal("v1 fixture decoded under a v2 reader")
-			}
-			var ve *progio.VersionError
-			if !errors.As(err, &ve) {
-				t.Fatalf("want *VersionError, got %T: %v", err, err)
-			}
-			if ve.Got != 1 {
-				t.Fatalf("VersionError.Got = %d, want 1", ve.Got)
-			}
-			if ve.OpSkew {
-				t.Fatalf("version mismatch misreported as opcode skew: %v", ve)
-			}
-			if !errors.Is(err, progio.ErrVersion) {
-				t.Fatalf("errors.Is(err, ErrVersion) is false for %v", err)
-			}
-			var ce *progio.CorruptError
-			if errors.As(err, &ce) {
-				t.Fatalf("version mismatch surfaced as corruption: %v", err)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = progio.Decode(data)
+				if err == nil {
+					t.Fatalf("%s fixture decoded under a v%d reader", dir, progio.Version)
+				}
+				var ve *progio.VersionError
+				if !errors.As(err, &ve) {
+					t.Fatalf("want *VersionError, got %T: %v", err, err)
+				}
+				if ve.Got != gen {
+					t.Fatalf("VersionError.Got = %d, want %d", ve.Got, gen)
+				}
+				if ve.OpSkew {
+					t.Fatalf("version mismatch misreported as opcode skew: %v", ve)
+				}
+				if !errors.Is(err, progio.ErrVersion) {
+					t.Fatalf("errors.Is(err, ErrVersion) is false for %v", err)
+				}
+				var ce *progio.CorruptError
+				if errors.As(err, &ce) {
+					t.Fatalf("version mismatch surfaced as corruption: %v", err)
+				}
+			})
+		}
 	}
 }
 

@@ -45,7 +45,10 @@ import (
 //	    elimination pass ran. A v1 reader would run such a program as
 //	    corrupt-opcode garbage, so the rev makes old readers reject
 //	    new streams with a typed *VersionError instead.
-const Version uint16 = 2
+//	3 — opcode renumbering: the c1*, cpbinstore* and cpqbinstore*
+//	    fused families were deleted, so every later opcode moved down.
+//	    A v2 stream read by number would run the wrong instructions.
+const Version uint16 = 3
 
 // magic identifies a progio stream ("nascent program").
 var magic = [4]byte{'N', 'P', 'R', 'G'}

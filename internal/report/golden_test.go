@@ -59,36 +59,6 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-// TestGoldenTablesVM regenerates Tables 1–3 under the bytecode VM and
-// diffs them against the SAME golden files as the tree-walker: the two
-// engines share one observable contract, so the goldens are
-// engine-independent by construction. Any VM cost-model drift shows up
-// here as a byte diff.
-func TestGoldenTablesVM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full tables in short mode")
-	}
-	funcs := tableFuncs(report.New(report.Config{Jobs: 4, Engine: nascent.EngineVM}))
-	for n := 1; n <= 3; n++ {
-		n := n
-		t.Run(fmt.Sprintf("table%d", n), func(t *testing.T) {
-			got, err := funcs[n]()
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", "golden", fmt.Sprintf("table%d.txt", n))
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run TestGoldenTables with -update to create)", err)
-			}
-			if got != string(want) {
-				t.Errorf("table %d under the VM engine drifted from golden %s\n--- vm ---\n%s\n--- golden ---\n%s",
-					n, path, got, want)
-			}
-		})
-	}
-}
-
 // TestGoldenTablesVMOpt regenerates Tables 1–3 under the optimized
 // bytecode engine and diffs them against the same engine-independent
 // golden files. Superinstruction fusion and dead-code elimination

@@ -154,7 +154,7 @@ type CompileRequest struct {
 	Filename string `json:"filename,omitempty"`
 	// Options selects the backend configuration.
 	Options Options `json:"options,omitempty"`
-	// Engine: tree|vm|vmopt|vmrce|vmjit (default tree). Compilation is
+	// Engine: tree|vmopt|vmrce|vmjit (default tree). Compilation is
 	// engine-independent at the IR level, but the cache entry is keyed
 	// by engine and bytecode engines precompile their program eagerly;
 	// vmjit entries additionally carry per-entry tier state (run
@@ -182,7 +182,7 @@ type VerifyRequest struct {
 	Filename string `json:"filename,omitempty"`
 	// Engine selects the identity sweep: every engine up to and
 	// including the named one participates (tree → just the
-	// tree-walker; vmjit → all five engines).
+	// tree-walker; vmjit → all four engines).
 	Engine string `json:"engine,omitempty"`
 }
 

@@ -36,7 +36,7 @@ func TestSelfAuditCleanPass(t *testing.T) {
 	trap := RunRequest{CompileRequest: CompileRequest{
 		Source:  progTrap,
 		Options: Options{Scheme: "all"},
-		Engine:  "vm",
+		Engine:  "vmopt",
 	}}
 	var trapResp RunResponse
 	if w := do(t, s, "POST", "/run", trap, &trapResp); w.Code != http.StatusOK {

@@ -84,8 +84,8 @@ func TestBreakerLifecycle(t *testing.T) {
 // restarts the cooldown from the failure.
 func TestBreakerFailedProbe(t *testing.T) {
 	b, clk := newTestBreaker(2, time.Minute)
-	report := func(probe, abnormal bool) { b.report(nascent.LLS, nascent.EngineVM, probe, abnormal) }
-	pair := func() (bool, bool) { return b.allow(nascent.LLS, nascent.EngineVM) }
+	report := func(probe, abnormal bool) { b.report(nascent.LLS, nascent.EngineVMOpt, probe, abnormal) }
+	pair := func() (bool, bool) { return b.allow(nascent.LLS, nascent.EngineVMOpt) }
 
 	report(false, true)
 	report(false, true) // trips

@@ -117,7 +117,7 @@ func TestContentKeyDisambiguation(t *testing.T) {
 		"kind":     contentKey("src", "f.mf", nascent.Options{BoundsChecks: true, Kind: nascent.INX}, nascent.EngineTree),
 		"impl":     contentKey("src", "f.mf", nascent.Options{BoundsChecks: true, Implications: nascent.ImplyNone}, nascent.EngineTree),
 		"rotate":   contentKey("src", "f.mf", nascent.Options{BoundsChecks: true, RotateLoops: true}, nascent.EngineTree),
-		"engine":   contentKey("src", "f.mf", nascent.Options{BoundsChecks: true}, nascent.EngineVM),
+		"engine":   contentKey("src", "f.mf", nascent.Options{BoundsChecks: true}, nascent.EngineVMOpt),
 	}
 	keys := map[cacheKey]string{base: "base"}
 	for name, k := range variants {

@@ -22,7 +22,7 @@ import (
 func FuzzServiceRequest(f *testing.F) {
 	seeds := []string{
 		`{"source": "program p\n  real a(4)\n  integer i\n  do i = 1, 4\n    a(i) = 1.0\n  enddo\n  print a(1)\nend\n"}`,
-		`{"source": "program p\nend\n", "engine": "vm", "options": {"scheme": "all"}}`,
+		`{"source": "program p\nend\n", "engine": "vmopt", "options": {"scheme": "all"}}`,
 		`{"source": ""}`,
 		`{"source": 42}`,
 		`{"source": "program p\nend\n", "bogus": true}`,

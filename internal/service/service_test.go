@@ -134,9 +134,9 @@ func TestCompileEndpoint(t *testing.T) {
 	// A different engine is a different artifact (bytecode is
 	// precompiled per engine), so a different key.
 	var resp3 CompileResponse
-	do(t, s, "POST", "/compile", CompileRequest{Source: progOK, Options: Options{Scheme: "all"}, Engine: "vm"}, &resp3)
+	do(t, s, "POST", "/compile", CompileRequest{Source: progOK, Options: Options{Scheme: "all"}, Engine: "vmopt"}, &resp3)
 	if resp3.CacheKey == resp.CacheKey {
-		t.Error("vm engine shares the tree engine's cache key")
+		t.Error("vmopt engine shares the tree engine's cache key")
 	}
 }
 
@@ -146,7 +146,7 @@ func TestCompileEndpoint(t *testing.T) {
 // library (which is exactly what nacc does).
 func TestRunMatchesDirectExecution(t *testing.T) {
 	s := newTestServer(t, nil)
-	for _, engine := range []string{"tree", "vm", "vmopt"} {
+	for _, engine := range nascent.EngineNames() {
 		for _, scheme := range []string{"naive", "all"} {
 			t.Run(engine+"/"+scheme, func(t *testing.T) {
 				opts := nascent.Options{BoundsChecks: true, Filename: "input.mf"}
@@ -280,6 +280,8 @@ func TestUsageErrors(t *testing.T) {
 			http.StatusBadRequest, ClassUsage, 2},
 		{"bad engine", RunRequest{CompileRequest: CompileRequest{Source: progOK, Engine: "jit"}},
 			http.StatusBadRequest, ClassUsage, 2},
+		{"retired vm engine", RunRequest{CompileRequest: CompileRequest{Source: progOK, Engine: "vm"}},
+			http.StatusBadRequest, ClassUsage, 2},
 		{"budget over ceiling", RunRequest{CompileRequest: CompileRequest{Source: progOK},
 			Budget: Budget{MaxInstructions: 1 << 62}}, http.StatusBadRequest, ClassUsage, 2},
 		{"timeout over ceiling", RunRequest{CompileRequest: CompileRequest{Source: progOK},
@@ -308,7 +310,7 @@ func TestBodyTooLarge(t *testing.T) {
 func TestVerifyEndpoint(t *testing.T) {
 	s := newTestServer(t, nil)
 	var resp VerifyResponse
-	w := do(t, s, "POST", "/verify", VerifyRequest{Source: progOK, Engine: "vm"}, &resp)
+	w := do(t, s, "POST", "/verify", VerifyRequest{Source: progOK, Engine: "vmopt"}, &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
 	}

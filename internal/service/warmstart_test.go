@@ -83,7 +83,7 @@ func TestWarmStart(t *testing.T) {
 // count the corruption, and still answer identically.
 func TestWarmStartCorruption(t *testing.T) {
 	dir := t.TempDir()
-	compileReq := CompileRequest{Source: progOK, Options: Options{Scheme: "lls"}, Engine: "vm"}
+	compileReq := CompileRequest{Source: progOK, Options: Options{Scheme: "lls"}, Engine: "vmopt"}
 
 	s1 := newTestServer(t, func(c *Config) { c.ProgCacheDir = dir })
 	var cold CompileResponse

@@ -15,7 +15,7 @@ import (
 )
 
 // CompileEngine compiles p through the bytecode pipeline engine e
-// executes: vm runs Compile, vmopt CompileOptimized, and vmrce and vmjit
+// executes: vmopt runs CompileOptimized, and vmrce and vmjit
 // CompileRCE (the guard/deopt-rewritten, optimized stream is the jit's
 // input). Both layers that compile bytecode for an engine — the
 // registry below and the service cache — go through here, so they
@@ -23,8 +23,6 @@ import (
 // no bytecode pipeline.
 func CompileEngine(p *ir.Program, e interp.Engine) (*Program, error) {
 	switch e {
-	case interp.EngineVM:
-		return Compile(p)
 	case interp.EngineVMOpt:
 		return CompileOptimized(p)
 	case interp.EngineVMRCE, interp.EngineVMJit:
@@ -34,7 +32,7 @@ func CompileEngine(p *ir.Program, e interp.Engine) (*Program, error) {
 }
 
 func init() {
-	for _, e := range []interp.Engine{interp.EngineVM, interp.EngineVMOpt, interp.EngineVMRCE} {
+	for _, e := range []interp.Engine{interp.EngineVMOpt, interp.EngineVMRCE} {
 		e := e
 		interp.RegisterEngine(e, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
 			vp, err := CompileEngine(p, e)

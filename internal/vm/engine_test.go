@@ -16,9 +16,8 @@ import (
 )
 
 // TestCompileEngine pins the engine → pipeline map every caller shares:
-// vm runs the plain compile, vmopt the optimizer, vmrce and vmjit the
-// guard/deopt rewrite plus the optimizer, and the tree walker has no
-// bytecode at all.
+// vmopt runs the optimizer, vmrce and vmjit the guard/deopt rewrite
+// plus the optimizer, and the tree walker has no bytecode at all.
 func TestCompileEngine(t *testing.T) {
 	cp, err := nascent.Compile(suite.Programs[0].Source, nascent.Options{BoundsChecks: true})
 	if err != nil {
@@ -28,7 +27,6 @@ func TestCompileEngine(t *testing.T) {
 		engine         interp.Engine
 		optimized, rce bool
 	}{
-		{interp.EngineVM, false, false},
 		{interp.EngineVMOpt, true, false},
 		{interp.EngineVMRCE, true, true},
 		{interp.EngineVMJit, true, true},
@@ -263,5 +261,40 @@ func TestCorpusTopTiers(t *testing.T) {
 				t.Fatalf("handle ended at tier %s, want vmjit", got)
 			}
 		})
+	}
+}
+
+// TestIrregularIdentity runs the irregular stress programs, naive and
+// under LLS, on every bytecode engine and requires Results DeepEqual to
+// the tree walker's. These are the programs where vmrce's guards fail
+// and deopt for real and most checks still execute; gather_tail must
+// trap with the same note everywhere.
+func TestIrregularIdentity(t *testing.T) {
+	const gatherNote = "check (idx(i) <= 2000) failed (lhs=2005) [x dim 1 upper]"
+	for _, p := range suite.Irregular {
+		for _, s := range []nascent.Scheme{nascent.Naive, nascent.LLS} {
+			t.Run(p.Name+"/"+s.String(), func(t *testing.T) {
+				cp, err := nascent.Compile(p.Source, nascent.Options{BoundsChecks: true, Scheme: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := cp.RunWith(nascent.RunConfig{})
+				if err != nil {
+					t.Fatalf("tree: %v", err)
+				}
+				if p.Name == "gather_tail" && (!want.Trapped || want.TrapNote != gatherNote) {
+					t.Fatalf("tree: trapped=%v note %q, want a trap with %q", want.Trapped, want.TrapNote, gatherNote)
+				}
+				for _, e := range []nascent.Engine{nascent.EngineVMOpt, nascent.EngineVMRCE, nascent.EngineVMJit} {
+					got, err := cp.RunWith(nascent.RunConfig{Engine: e})
+					if err != nil {
+						t.Fatalf("%v: %v", e, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%v diverges from tree:\n got %+v\nwant %+v", e, got, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -725,49 +725,14 @@ loop:
 				fcel[ar.base+idx-d.lo] = freg[in.a]
 			}
 
-		case opC1LoadI1, opC1LoadF1, opC1StoreI1, opC1StoreF1:
-			// Check+access on one subscript register. The pool tuple is
-			// one [coef, K, checkIdx] triple followed by the access's
-			// [coef, off]; the access cost is deferred in imm's low 16
-			// bits and charged only after the check passes, keeping the
-			// instruction counter exact at trap exits. The pair and
-			// double-pair families below are the same body with the
-			// checks unrolled.
-			t := pool[in.b : in.b+5 : in.b+5]
-			v := ireg[in.imm>>16]
-			checks++
-			if lhs := t[0] * v; lhs > t[1] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[2]], lhs)
-				trapped = true
-				break loop
-			}
-			if dc := uint64(uint16(in.imm)); dc != 0 {
-				instrs += dc
-				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
-						break loop
-					}
-				}
-			}
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			idx := t[3]*v + t[4]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
-				break loop
-			}
-			switch in.op {
-			case opC1LoadI1:
-				ireg[in.a] = icel[ar.base+idx-d.lo]
-			case opC1LoadF1:
-				freg[in.a] = fcel[ar.base+idx-d.lo]
-			case opC1StoreI1:
-				icel[ar.base+idx-d.lo] = ireg[in.a]
-			default:
-				fcel[ar.base+idx-d.lo] = freg[in.a]
-			}
-
 		case opCPLoadI1, opCPLoadF1, opCPStoreI1, opCPStoreF1:
+			// Check pair + access on one subscript register. The pool
+			// tuple is the pair's two [coef, K, checkIdx] triples
+			// followed by the access's [coef, off]; the access cost is
+			// deferred in imm's low 16 bits and charged only after the
+			// checks pass, keeping the instruction counter exact at trap
+			// exits. The double-pair family below is the same body with
+			// the checks unrolled.
 			t := pool[in.b : in.b+8 : in.b+8]
 			v := ireg[in.imm>>16]
 			checks++
@@ -964,146 +929,6 @@ loop:
 				break loop
 			}
 			fcel[ar.base+idx-d.lo] = v
-
-		case opCPBinStoreI1, opCPBinStoreF1:
-			// Check pair + binop + 1-D store: the whole checked
-			// a(idx) = x op y statement. The binop and store cost is
-			// deferred past the pair.
-			t := pool[in.b : in.b+11 : in.b+11]
-			v := ireg[in.a]
-			checks++
-			if lhs := t[0] * v; lhs > t[1] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[2]], lhs)
-				trapped = true
-				break loop
-			}
-			checks++
-			if lhs := t[3] * v; lhs > t[4] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[5]], lhs)
-				trapped = true
-				break loop
-			}
-			if dc := uint64(in.imm); dc != 0 {
-				instrs += dc
-				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
-						break loop
-					}
-				}
-			}
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			idx := t[9]*v + t[10]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
-				break loop
-			}
-			if in.op == opCPBinStoreI1 {
-				var val int64
-				switch t[6] {
-				case 0:
-					val = ireg[t[7]] + ireg[t[8]]
-				case 1:
-					val = ireg[t[7]] - ireg[t[8]]
-				default:
-					val = ireg[t[7]] * ireg[t[8]]
-				}
-				icel[ar.base+idx-d.lo] = val
-			} else {
-				var val float64
-				switch t[6] {
-				case 0:
-					val = freg[t[7]] + freg[t[8]]
-				case 1:
-					val = freg[t[7]] - freg[t[8]]
-				default:
-					val = freg[t[7]] * freg[t[8]]
-				}
-				fcel[ar.base+idx-d.lo] = val
-			}
-
-		case opCPQBinStoreI2, opCPQBinStoreF2:
-			// Two check pairs + binop + 2-D store: the whole checked
-			// m(i,j) = x op y statement. Kinds 3-5 run an integer binop
-			// and convert the result to float. The binop, store, and
-			// chain cost is deferred past both pairs.
-			t := pool[in.b : in.b+19 : in.b+19]
-			v0 := ireg[int32(uint64(in.imm)>>24)&0xffffff]
-			v1 := ireg[int32(in.imm)&0xffffff]
-			checks++
-			if lhs := t[0] * v0; lhs > t[1] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[2]], lhs)
-				trapped = true
-				break loop
-			}
-			checks++
-			if lhs := t[3] * v0; lhs > t[4] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[5]], lhs)
-				trapped = true
-				break loop
-			}
-			checks++
-			if lhs := t[6] * v1; lhs > t[7] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[8]], lhs)
-				trapped = true
-				break loop
-			}
-			checks++
-			if lhs := t[9] * v1; lhs > t[10] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[11]], lhs)
-				trapped = true
-				break loop
-			}
-			if dc := uint64(uint16(uint64(in.imm) >> 48)); dc != 0 {
-				instrs += dc
-				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
-						break loop
-					}
-				}
-			}
-			ar := &arrays[in.c]
-			d0, d1 := &ar.dims[0], &ar.dims[1]
-			i0 := t[15]*v0 + t[16]
-			i1 := t[17]*v1 + t[18]
-			if i0 < d0.lo || i0 > d0.hi {
-				err = interp.SubscriptError(i0, ar.name, d0.lo, d0.hi, 1)
-				break loop
-			}
-			if i1 < d1.lo || i1 > d1.hi {
-				err = interp.SubscriptError(i1, ar.name, d1.lo, d1.hi, 2)
-				break loop
-			}
-			off := (i0-d0.lo)*d1.size + (i1 - d1.lo)
-			if in.op == opCPQBinStoreI2 {
-				var val int64
-				switch t[12] {
-				case 0:
-					val = ireg[t[13]] + ireg[t[14]]
-				case 1:
-					val = ireg[t[13]] - ireg[t[14]]
-				default:
-					val = ireg[t[13]] * ireg[t[14]]
-				}
-				icel[ar.base+off] = val
-			} else {
-				var val float64
-				switch t[12] {
-				case 0:
-					val = freg[t[13]] + freg[t[14]]
-				case 1:
-					val = freg[t[13]] - freg[t[14]]
-				case 2:
-					val = freg[t[13]] * freg[t[14]]
-				case 3:
-					val = float64(ireg[t[13]] + ireg[t[14]])
-				case 4:
-					val = float64(ireg[t[13]] - ireg[t[14]])
-				default:
-					val = float64(ireg[t[13]] * ireg[t[14]])
-				}
-				fcel[ar.base+off] = val
-			}
 
 		case opCheckBlock:
 			// A run of consecutive opCheckPair instructions in one

@@ -35,22 +35,14 @@ const (
 	opAffStoreI1
 	opAffStoreF1
 
-	// opCheck1 + affine 1-D access on the same register.
-	// pool[b:] = [ccoef, K, checkIdx, acoef, aoff];
+	// opCheckPair + affine 1-D access on the same register.
+	// pool[b:] = [c0, K0, ci0, c1, K1, ci1, acoef, aoff];
 	// imm = reg<<16 | deferredCost. The deferred cost (the access and
-	// any collapsed chain) is charged only after the check passes —
+	// any collapsed chain) is charged only after the checks pass —
 	// exactly where the unfused sequence charged it — so the counter
 	// matches at a check trap and at a bounds fault. The cost field
 	// stays central and carries only cost folded in from before the
-	// check.
-	opC1LoadI1
-	opC1LoadF1
-	opC1StoreI1
-	opC1StoreF1
-
-	// opCheckPair + affine 1-D access on the same register.
-	// pool[b:] = [c0, K0, ci0, c1, K1, ci1, acoef, aoff];
-	// imm = reg<<16 | deferredCost.
+	// checks.
 	opCPLoadI1
 	opCPLoadF1
 	opCPStoreI1
@@ -84,23 +76,6 @@ const (
 	// work were all charged before the bounds fault in unfused code.
 	opBinStoreI1
 	opBinStoreF1
-
-	// opCheckPair + opBinStore: the dominant checked do-loop statement
-	// a(idx) = x op y in one dispatch. a = idx register, c = array ID,
-	// pool[b:] = [pair 6][kind, srcL, srcR, acoef, aoff],
-	// imm = deferredCost (the binop, store, and dead cost after the
-	// pair — all charged only once the pair passes).
-	opCPBinStoreI1
-	opCPBinStoreF1
-
-	// Two opCheckPairs + binop + 2-D store with affine subscripts: the
-	// checked m(i,j) = x op y statement in one dispatch. pool[b:] =
-	// [pair0 6][pair1 6][kind, srcL, srcR, c0, off0, c1, off1]; kinds
-	// 0-2 match the store's element type, kinds 3-5 are an integer
-	// binop converted to float (m(i,j) = float(x op y)). imm packs
-	// deferredCost<<48 | root0<<24 | root1 like the CPQ accesses.
-	opCPQBinStoreI2
-	opCPQBinStoreF2
 
 	// A run of consecutive opCheckPair instructions in one dispatch.
 	// pool[b:] holds imm 9-wide entries
@@ -228,13 +203,10 @@ var opNames = [numOps]string{
 	opBrEqF: "breqf", opBrNeF: "brnef", opBrLtF: "brltf", opBrLeF: "brlef", opBrGtF: "brgtf", opBrGeF: "brgef",
 	opLoadI2: "loadi2", opLoadF2: "loadf2", opStoreI2: "storei2", opStoreF2: "storef2",
 	opAffLoadI1: "affloadi1", opAffLoadF1: "affloadf1", opAffStoreI1: "affstorei1", opAffStoreF1: "affstoref1",
-	opC1LoadI1: "c1loadi1", opC1LoadF1: "c1loadf1", opC1StoreI1: "c1storei1", opC1StoreF1: "c1storef1",
 	opCPLoadI1: "cploadi1", opCPLoadF1: "cploadf1", opCPStoreI1: "cpstorei1", opCPStoreF1: "cpstoref1",
 	opCP2LoadI1: "cp2loadi1", opCP2LoadF1: "cp2loadf1", opCP2StoreI1: "cp2storei1", opCP2StoreF1: "cp2storef1",
 	opCPQLoadI2: "cpqloadi2", opCPQLoadF2: "cpqloadf2", opCPQStoreI2: "cpqstorei2", opCPQStoreF2: "cpqstoref2",
 	opBinStoreI1: "binstorei1", opBinStoreF1: "binstoref1",
-	opCPBinStoreI1: "cpbinstorei1", opCPBinStoreF1: "cpbinstoref1",
-	opCPQBinStoreI2: "cpqbinstorei2", opCPQBinStoreF2: "cpqbinstoref2",
 	opCheckBlock: "checkblock",
 	opAddJmp:     "addjmp",
 	opIncBrEqI:   "incbreqi", opIncBrNeI: "incbrnei", opIncBrLtI: "incbrlti",
@@ -565,20 +537,8 @@ func (o *optimizer) accessShape(in *instr) (base int32, coef, off int64, isLoad,
 	return 0, 0, 0, false, false, false
 }
 
-// checkTuple returns the pool 3-tuple [coef, K, checkIdx] of a check
-// instruction guarding register reg, in sequential order.
-func (o *optimizer) checkTuple(in *instr) []int64 {
-	switch in.op {
-	case opCheck1:
-		return []int64{int64(in.b), in.imm, int64(in.c)}
-	case opCheckPair:
-		return o.pool[in.b : in.b+6]
-	}
-	return nil
-}
-
-// fuseChecks folds opCheck1/opCheckPair instructions into the 1-D or
-// 2-D access they immediately guard. The access's cost (plus any dead
+// fuseChecks folds opCheckPair instructions into the 1-D or 2-D
+// access they immediately guard. The access's cost (plus any dead
 // cost inside the check→access span) becomes the fused instruction's
 // deferred cost, charged after the checks pass.
 func (o *optimizer) fuseChecks(b block) {
@@ -692,7 +652,7 @@ func (o *optimizer) fuseChecks(b block) {
 			continue
 		}
 		p1, skip1 := o.prevKept(i, b.start)
-		if p1 < 0 || o.code[p1].a != base {
+		if p1 < 0 || o.code[p1].op != opCheckPair || o.code[p1].a != base {
 			continue
 		}
 		c1 := &o.code[p1]
@@ -700,41 +660,29 @@ func (o *optimizer) fuseChecks(b block) {
 		if deferred > maxCost || base < 0 {
 			continue
 		}
-		switch c1.op {
-		case opCheck1:
-			tup := int32(len(o.pool))
-			o.pool = append(o.pool, o.checkTuple(c1)...)
-			o.pool = append(o.pool, coef, off)
-			op := pickAccessOp(opC1LoadI1, isLoad, isFloat)
-			o.emitFused(p1, i, op, in, tup, base, deferred, c1.cost)
-		case opCheckPair:
-			// Try the double-pair form first: [pair][pair][access], all
-			// on one register.
-			p0, skip0 := o.prevKept(p1, b.start)
-			if p0 >= 0 && skip0 == 0 && c1.cost == 0 &&
-				o.code[p0].op == opCheckPair && o.code[p0].a == base {
-				tup := int32(len(o.pool))
-				o.pool = append(o.pool, o.pool[o.code[p0].b:o.code[p0].b+6]...)
-				o.pool = append(o.pool, o.pool[c1.b:c1.b+6]...)
-				o.pool = append(o.pool, coef, off)
-				op := pickAccessOp(opCP2LoadI1, isLoad, isFloat)
-				cost0 := o.code[p0].cost
-				o.zeroSkipped(p1, i)
-				o.dead[p1] = true
-				o.code[p1] = instr{op: opNop}
-				o.dead[i] = true
-				fused := instr{op: op, a: in.a, b: tup, c: in.c, cost: cost0,
-					imm: int64(base)<<16 | int64(deferred)}
-				*in = instr{op: opNop}
-				o.code[p0] = fused
-				continue
-			}
-			tup := int32(len(o.pool))
-			o.pool = append(o.pool, o.pool[c1.b:c1.b+6]...)
-			o.pool = append(o.pool, coef, off)
-			op := pickAccessOp(opCPLoadI1, isLoad, isFloat)
-			o.emitFused(p1, i, op, in, tup, base, deferred, c1.cost)
+		// A second pair on the same register right before the first
+		// makes the double-pair form: [pair][pair][access].
+		at, family := p1, uint8(opCPLoadI1)
+		p0, skip0 := o.prevKept(p1, b.start)
+		double := p0 >= 0 && skip0 == 0 && c1.cost == 0 &&
+			o.code[p0].op == opCheckPair && o.code[p0].a == base
+		tup := int32(len(o.pool))
+		if double {
+			o.pool = append(o.pool, o.pool[o.code[p0].b:o.code[p0].b+6]...)
+			at, family = p0, opCP2LoadI1
 		}
+		o.pool = append(o.pool, o.pool[c1.b:c1.b+6]...)
+		o.pool = append(o.pool, coef, off)
+		fused := instr{op: pickAccessOp(family, isLoad, isFloat), a: in.a, b: tup, c: in.c,
+			cost: o.code[at].cost, imm: int64(base)<<16 | int64(deferred)}
+		o.zeroSkipped(p1, i)
+		if double {
+			o.dead[p1] = true
+			o.code[p1] = instr{op: opNop}
+		}
+		o.dead[i] = true
+		*in = instr{op: opNop}
+		o.code[at] = fused
 	}
 }
 
@@ -751,17 +699,6 @@ func pickAccessOp(family uint8, isLoad, isFloat bool) uint8 {
 	return op
 }
 
-// emitFused installs a 1-D check+access superinstruction at the check
-// slot and deletes the access slot.
-func (o *optimizer) emitFused(checkIdx, accIdx int32, op uint8, acc *instr, tup, base int32, deferred uint32, central uint16) {
-	fused := instr{op: op, a: acc.a, b: tup, c: acc.c, cost: central,
-		imm: int64(base)<<16 | int64(deferred)}
-	o.zeroSkipped(checkIdx, accIdx)
-	o.dead[accIdx] = true
-	*acc = instr{op: opNop}
-	o.code[checkIdx] = fused
-}
-
 // fuseBinStores folds [add/sub/mul v, x, y][store v, ...] into one
 // instruction when the value register dies at the store.
 func (o *optimizer) fuseBinStores(b block) {
@@ -770,10 +707,6 @@ func (o *optimizer) fuseBinStores(b block) {
 			continue
 		}
 		in := &o.code[i]
-		if in.op == opStoreI2 || in.op == opStoreF2 {
-			o.fuseBinStore2(b, i)
-			continue
-		}
 		base, coef, off, isLoad, isFloat, ok := o.accessShape(in)
 		if ok && isLoad {
 			continue
@@ -830,34 +763,6 @@ func (o *optimizer) fuseBinStores(b block) {
 			continue
 		}
 		arr := in.c
-
-		// When a check pair on the subscript root immediately precedes
-		// the binop, absorb it too: [pair][bin][store] is the dominant
-		// statement shape in a checked do loop (a(i) = x op y). The
-		// binop and store cost defers past the pair, exactly where the
-		// unfused order charged it.
-		if p2, skip2 := o.prevKept(p, b.start); p2 >= 0 && base >= 0 &&
-			o.code[p2].op == opCheckPair && o.code[p2].a == base &&
-			cost+skip2 <= maxCost {
-			deferred := cost + skip2
-			tup := int32(len(o.pool))
-			o.pool = append(o.pool, o.pool[o.code[p2].b:o.code[p2].b+6]...)
-			o.pool = append(o.pool, kind, int64(bin.b), int64(bin.c), coef, off)
-			op := uint8(opCPBinStoreI1)
-			if isFloat {
-				op = opCPBinStoreF1
-			}
-			central := o.code[p2].cost
-			o.zeroSkipped(p2, i)
-			o.dead[p] = true
-			o.code[p] = instr{op: opNop}
-			o.dead[i] = true
-			*in = instr{op: opNop}
-			o.code[p2] = instr{op: op, a: base, b: tup, c: arr,
-				cost: central, imm: int64(deferred)}
-			continue
-		}
-
 		tup := int32(len(o.pool))
 		o.pool = append(o.pool, kind, int64(bin.b), int64(bin.c), coef, off)
 		op := uint8(opBinStoreI1)
@@ -869,170 +774,6 @@ func (o *optimizer) fuseBinStores(b block) {
 		*in = instr{op: opNop}
 		o.code[p] = instr{op: op, a: base, b: tup, c: arr, cost: uint16(cost)}
 	}
-}
-
-// fuseBinStore2 folds [pair root0][pair root1][binop][i2f?][chains]
-// [store2] — the whole checked m(i,j) = x op y statement — into one
-// dispatch. The binop, optional convert, store, chains, and any dead
-// cost after the second pair form the deferred lump, charged only once
-// both pairs pass: exactly where the unfused order charged them. The
-// value and subscript registers are read in one dispatch at the first
-// pair's slot, which is sound because the only deleted definitions in
-// the span are the binop/convert results (required scratch, dying at
-// the store, and distinct from the subscript roots) and the committed
-// chains.
-func (o *optimizer) fuseBinStore2(b block, i int32) {
-	in := &o.code[i]
-	isFloat := in.op == opStoreF2
-	v := in.a
-	if isFloat {
-		if v < o.nVars+int32(len(o.in.fconsts)) || o.liveOut[i].has(o.fbit(v)) {
-			return
-		}
-	} else if !o.isScratchI(v) || o.liveOut[i].has(o.ibit(v)) {
-		return
-	}
-	r0 := int32(uint64(in.imm) >> 32)
-	r1 := int32(uint32(in.imm))
-	seeds := []int32{o.ibit(r1), o.ibit(v)}
-	if isFloat {
-		seeds[1] = o.fbit(v)
-	}
-	root0, c0, off0, chain0, cc0 := o.affineOf(i, r0, b, seeds...)
-	root1, c1v, off1 := root0, c0, off0
-	var chain1 []int32
-	cc1 := uint32(0)
-	if r1 != r0 {
-		seeds[0] = o.ibit(r0)
-		root1, c1v, off1, chain1, cc1 = o.affineOf(i, r1, b, append(seeds, o.ibit(root0))...)
-	}
-	inChain := func(j int32) bool {
-		for _, k := range chain0 {
-			if k == j {
-				return true
-			}
-		}
-		for _, k := range chain1 {
-			if k == j {
-				return true
-			}
-		}
-		return false
-	}
-	prev := func(from int32) (int32, uint32) {
-		sk := uint32(0)
-		for j := from - 1; j >= b.start; j-- {
-			if o.dead[j] {
-				sk += uint32(o.code[j].cost)
-				continue
-			}
-			if inChain(j) {
-				continue
-			}
-			return j, sk
-		}
-		return -1, sk
-	}
-	pv, skipA := prev(i)
-	if pv < 0 {
-		return
-	}
-	var kind int64
-	conv := int32(-1) // slot of an absorbed i2f, -1 if none
-	extra := uint32(0)
-	binIdx := pv
-	bo := &o.code[pv]
-	if isFloat && bo.op == opI2F && bo.a == v {
-		// m(i,j) = float(x op y): an integer binop feeds the convert.
-		t := bo.b
-		if !o.isScratchI(t) || o.liveOut[i].has(o.ibit(t)) || t == root0 || t == root1 {
-			return
-		}
-		pb, skipB := prev(pv)
-		if pb < 0 {
-			return
-		}
-		conv, extra = pv, uint32(bo.cost)+skipB
-		binIdx = pb
-		bo = &o.code[pb]
-		switch bo.op {
-		case opAddI:
-			kind = 3
-		case opSubI:
-			kind = 4
-		case opMulI:
-			kind = 5
-		default:
-			return
-		}
-		if bo.a != t {
-			return
-		}
-	} else if isFloat {
-		switch bo.op {
-		case opAddF:
-			kind = 0
-		case opSubF:
-			kind = 1
-		case opMulF:
-			kind = 2
-		default:
-			return
-		}
-		if bo.a != v {
-			return
-		}
-	} else {
-		switch bo.op {
-		case opAddI:
-			kind = 0
-		case opSubI:
-			kind = 1
-		case opMulI:
-			kind = 2
-		default:
-			return
-		}
-		if bo.a != v || root0 == v || root1 == v {
-			return
-		}
-	}
-	srcL, srcR := bo.b, bo.c
-	p1, skip1 := prev(binIdx)
-	if p1 < 0 || o.code[p1].op != opCheckPair || o.code[p1].a != root1 {
-		return
-	}
-	p0, skip0 := prev(p1)
-	// Dead cost between the two pairs was charged between their traps;
-	// it cannot join the deferred lump, and the second pair's own cost
-	// has nowhere sound to go unless it is already zero.
-	if p0 < 0 || skip0 != 0 || o.code[p0].op != opCheckPair || o.code[p0].a != root0 || o.code[p1].cost != 0 {
-		return
-	}
-	deferred := uint32(in.cost) + uint32(bo.cost) + extra + skipA + skip1 + cc0 + cc1
-	if deferred > maxCost || root0 >= 1<<24 || root1 >= 1<<24 || root0 < 0 || root1 < 0 {
-		return
-	}
-	tup := int32(len(o.pool))
-	o.pool = append(o.pool, o.pool[o.code[p0].b:o.code[p0].b+6]...)
-	o.pool = append(o.pool, o.pool[o.code[p1].b:o.code[p1].b+6]...)
-	o.pool = append(o.pool, kind, int64(srcL), int64(srcR), c0, off0, c1v, off1)
-	op := uint8(opCPQBinStoreI2)
-	if isFloat {
-		op = opCPQBinStoreF2
-	}
-	fused := instr{op: op, b: tup, c: in.c, cost: o.code[p0].cost,
-		imm: int64(deferred)<<48 | int64(root0)<<24 | int64(root1)}
-	o.commitChain(chain0)
-	o.commitChain(chain1)
-	o.zeroSkipped(p1, i)
-	for _, j := range []int32{p1, binIdx, conv, i} {
-		if j >= 0 {
-			o.dead[j] = true
-			o.code[j] = instr{op: opNop}
-		}
-	}
-	o.code[p0] = fused
 }
 
 // valueOf resolves the runtime value register reg holds when control

@@ -1017,8 +1017,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 
-	case opC1LoadI1, opC1LoadF1, opC1StoreI1, opC1StoreF1,
-		opCPLoadI1, opCPLoadF1, opCPStoreI1, opCPStoreF1,
+	case opCPLoadI1, opCPLoadF1, opCPStoreI1, opCPStoreF1,
 		opCP2LoadI1, opCP2LoadF1, opCP2StoreI1, opCP2StoreF1:
 		o := b.newChk1Acc(in)
 		return func(j *jmach) jop {
@@ -1045,30 +1044,6 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opBinStoreI1, opBinStoreF1:
 		o := b.newBinStore1(in)
-		return func(j *jmach) jop {
-			if cost != 0 && !j.charge(cost) {
-				return nil
-			}
-			if !o.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case opCPBinStoreI1, opCPBinStoreF1:
-		o := b.newCPBinStore1(in)
-		return func(j *jmach) jop {
-			if cost != 0 && !j.charge(cost) {
-				return nil
-			}
-			if !o.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case opCPQBinStoreI2, opCPQBinStoreF2:
-		o := b.newCPQBinStore2(in)
 		return func(j *jmach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
@@ -1571,13 +1546,12 @@ func (o *jCheckBlock) slow(j *jmach) bool {
 	return true
 }
 
-// jChk1Acc covers the opC1*/opCP*/opCP2* families: zero to four
-// checks on one register (npairs half-pairs), a deferred charge, then
-// an affine 1-D access.
+// jChk1Acc covers the opCP*/opCP2* families: two or four checks on
+// one register, a deferred charge, then an affine 1-D access.
 type jChk1Acc struct {
 	vreg        int32
 	areg        int32
-	nchk        int8 // 1 (C1), 2 (CP), or 4 (CP2) checks
+	nchk        int8 // 2 (CP) or 4 (CP2) checks
 	acc         uint8io
 	p0, p1      jpair
 	dc          uint64
@@ -1607,20 +1581,13 @@ func (b *jitBuilder) newChk1Acc(in *instr) *jChk1Acc {
 		areg: in.a,
 	}
 	pool := b.vp.pool
-	switch {
-	case in.op >= opC1LoadI1 && in.op <= opC1StoreF1:
-		t := pool[in.b : in.b+5 : in.b+5]
-		o.nchk = 1
-		o.p0 = jpair{c0: t[0], k0: t[1], cs0: b.vp.checks[t[2]]}
-		o.acoef, o.aoff = t[3], t[4]
-		o.acc = accIO(in.op, opC1LoadI1)
-	case in.op >= opCPLoadI1 && in.op <= opCPStoreF1:
+	if in.op <= opCPStoreF1 {
 		t := pool[in.b : in.b+8 : in.b+8]
 		o.nchk = 2
 		o.p0 = b.pairAt(t)
 		o.acoef, o.aoff = t[6], t[7]
 		o.acc = accIO(in.op, opCPLoadI1)
-	default: // opCP2*
+	} else { // opCP2*
 		t := pool[in.b : in.b+14 : in.b+14]
 		o.nchk = 4
 		o.p0 = b.pairAt(t)
@@ -1638,23 +1605,21 @@ func (o *jChk1Acc) exec(j *jmach) bool {
 		j.trap(o.p0.cs0, lhs)
 		return false
 	}
-	if o.nchk >= 2 {
+	j.checks++
+	if lhs := o.p0.c1 * v; lhs > o.p0.k1 {
+		j.trap(o.p0.cs1, lhs)
+		return false
+	}
+	if o.nchk == 4 {
 		j.checks++
-		if lhs := o.p0.c1 * v; lhs > o.p0.k1 {
-			j.trap(o.p0.cs1, lhs)
+		if lhs := o.p1.c0 * v; lhs > o.p1.k0 {
+			j.trap(o.p1.cs0, lhs)
 			return false
 		}
-		if o.nchk == 4 {
-			j.checks++
-			if lhs := o.p1.c0 * v; lhs > o.p1.k0 {
-				j.trap(o.p1.cs0, lhs)
-				return false
-			}
-			j.checks++
-			if lhs := o.p1.c1 * v; lhs > o.p1.k1 {
-				j.trap(o.p1.cs1, lhs)
-				return false
-			}
+		j.checks++
+		if lhs := o.p1.c1 * v; lhs > o.p1.k1 {
+			j.trap(o.p1.cs1, lhs)
+			return false
 		}
 	}
 	if o.dc != 0 && !j.charge(o.dc) {
@@ -1812,176 +1777,6 @@ func (o *jBinStore1) exec(j *jmach) bool {
 			return false
 		}
 		j.fcel[o.ai.baseAdj+idx] = v
-	}
-	return true
-}
-
-// jCPBinStore1 is opCPBinStoreI1/F1: check pair + binop + 1-D store.
-type jCPBinStore1 struct {
-	isInt       bool
-	idxReg      int32
-	p           jpair
-	dc          uint64
-	kind        int64
-	srcL, srcR  int64
-	acoef, aoff int64
-	ai          jdim1
-}
-
-func (b *jitBuilder) newCPBinStore1(in *instr) *jCPBinStore1 {
-	t := b.vp.pool[in.b : in.b+11 : in.b+11]
-	return &jCPBinStore1{
-		isInt:  in.op == opCPBinStoreI1,
-		idxReg: in.a,
-		p:      b.pairAt(t),
-		dc:     uint64(in.imm),
-		kind:   t[6], srcL: t[7], srcR: t[8],
-		acoef: t[9], aoff: t[10],
-		ai: b.arr1(in.c),
-	}
-}
-
-func (o *jCPBinStore1) exec(j *jmach) bool {
-	v := j.ireg[o.idxReg]
-	j.checks++
-	if lhs := o.p.c0 * v; lhs > o.p.k0 {
-		j.trap(o.p.cs0, lhs)
-		return false
-	}
-	j.checks++
-	if lhs := o.p.c1 * v; lhs > o.p.k1 {
-		j.trap(o.p.cs1, lhs)
-		return false
-	}
-	if o.dc != 0 && !j.charge(o.dc) {
-		return false
-	}
-	idx := o.acoef*v + o.aoff
-	if idx < o.ai.lo || idx > o.ai.hi {
-		j.fault(interp.SubscriptError(idx, o.ai.name, o.ai.lo, o.ai.hi, 1))
-		return false
-	}
-	if o.isInt {
-		var val int64
-		switch o.kind {
-		case 0:
-			val = j.ireg[o.srcL] + j.ireg[o.srcR]
-		case 1:
-			val = j.ireg[o.srcL] - j.ireg[o.srcR]
-		default:
-			val = j.ireg[o.srcL] * j.ireg[o.srcR]
-		}
-		j.icel[o.ai.baseAdj+idx] = val
-	} else {
-		var val float64
-		switch o.kind {
-		case 0:
-			val = j.freg[o.srcL] + j.freg[o.srcR]
-		case 1:
-			val = j.freg[o.srcL] - j.freg[o.srcR]
-		default:
-			val = j.freg[o.srcL] * j.freg[o.srcR]
-		}
-		j.fcel[o.ai.baseAdj+idx] = val
-	}
-	return true
-}
-
-// jCPQBinStore2 is opCPQBinStoreI2/F2: two check pairs + binop + 2-D
-// store; float kinds 3-5 run an integer binop and convert.
-type jCPQBinStore2 struct {
-	isInt      bool
-	r0, r1     int32
-	p0, p1     jpair
-	dc         uint64
-	kind       int64
-	srcL, srcR int64
-	c0, off0   int64
-	c1, off1   int64
-	ai         jdim2
-}
-
-func (b *jitBuilder) newCPQBinStore2(in *instr) *jCPQBinStore2 {
-	t := b.vp.pool[in.b : in.b+19 : in.b+19]
-	return &jCPQBinStore2{
-		isInt: in.op == opCPQBinStoreI2,
-		r0:    int32(uint64(in.imm)>>24) & 0xffffff,
-		r1:    int32(in.imm) & 0xffffff,
-		p0:    b.pairAt(t),
-		p1:    b.pairAt(t[6:]),
-		dc:    uint64(uint16(uint64(in.imm) >> 48)),
-		kind:  t[12], srcL: t[13], srcR: t[14],
-		c0: t[15], off0: t[16],
-		c1: t[17], off1: t[18],
-		ai: b.arr2(in.c),
-	}
-}
-
-func (o *jCPQBinStore2) exec(j *jmach) bool {
-	v0 := j.ireg[o.r0]
-	v1 := j.ireg[o.r1]
-	j.checks++
-	if lhs := o.p0.c0 * v0; lhs > o.p0.k0 {
-		j.trap(o.p0.cs0, lhs)
-		return false
-	}
-	j.checks++
-	if lhs := o.p0.c1 * v0; lhs > o.p0.k1 {
-		j.trap(o.p0.cs1, lhs)
-		return false
-	}
-	j.checks++
-	if lhs := o.p1.c0 * v1; lhs > o.p1.k0 {
-		j.trap(o.p1.cs0, lhs)
-		return false
-	}
-	j.checks++
-	if lhs := o.p1.c1 * v1; lhs > o.p1.k1 {
-		j.trap(o.p1.cs1, lhs)
-		return false
-	}
-	if o.dc != 0 && !j.charge(o.dc) {
-		return false
-	}
-	i0 := o.c0*v0 + o.off0
-	i1 := o.c1*v1 + o.off1
-	if i0 < o.ai.lo0 || i0 > o.ai.hi0 {
-		j.fault(interp.SubscriptError(i0, o.ai.name, o.ai.lo0, o.ai.hi0, 1))
-		return false
-	}
-	if i1 < o.ai.lo1 || i1 > o.ai.hi1 {
-		j.fault(interp.SubscriptError(i1, o.ai.name, o.ai.lo1, o.ai.hi1, 2))
-		return false
-	}
-	cell := o.ai.baseAdj + i0*o.ai.size1 + i1
-	if o.isInt {
-		var val int64
-		switch o.kind {
-		case 0:
-			val = j.ireg[o.srcL] + j.ireg[o.srcR]
-		case 1:
-			val = j.ireg[o.srcL] - j.ireg[o.srcR]
-		default:
-			val = j.ireg[o.srcL] * j.ireg[o.srcR]
-		}
-		j.icel[cell] = val
-	} else {
-		var val float64
-		switch o.kind {
-		case 0:
-			val = j.freg[o.srcL] + j.freg[o.srcR]
-		case 1:
-			val = j.freg[o.srcL] - j.freg[o.srcR]
-		case 2:
-			val = j.freg[o.srcL] * j.freg[o.srcR]
-		case 3:
-			val = float64(j.ireg[o.srcL] + j.ireg[o.srcR])
-		case 4:
-			val = float64(j.ireg[o.srcL] - j.ireg[o.srcR])
-		default:
-			val = float64(j.ireg[o.srcL] * j.ireg[o.srcR])
-		}
-		j.fcel[cell] = val
 	}
 	return true
 }

@@ -33,10 +33,10 @@ func compileSuite(tb testing.TB, opt bool) []*vm.Program {
 	return out
 }
 
-// BenchmarkSuiteVM and BenchmarkSuiteVMOpt are the engine-ratio pair:
-// identical dynamic instruction streams, so
-// ns/op divides into a true dispatch-engine speedup. Programs compile
-// outside the timer.
+// BenchmarkSuiteVM (the unoptimized vm.Compile output) and
+// BenchmarkSuiteVMOpt are the fusion-ratio pair: identical dynamic
+// instruction streams, so ns/op divides into the optimizer's speedup on
+// the switch loop. Programs compile outside the timer.
 func BenchmarkSuiteVM(b *testing.B) {
 	progs := compileSuite(b, false)
 	b.ReportAllocs()

@@ -33,15 +33,26 @@ func build(t *testing.T, src string, checks bool) *ir.Program {
 	return p
 }
 
-// TestCorpusVM pins the corpus observables under the bytecode VM: the
-// same exact instruction counts, check counts, outputs, and trap
+// runPlain runs p as unoptimized bytecode (vm.Compile, no RCE, no
+// fusion) on the switch loop: the first stage of every bytecode
+// pipeline, checked against the tree walker on its own.
+func runPlain(p *ir.Program, cfg interp.Config) (interp.Result, error) {
+	vp, err := vm.Compile(p)
+	if err != nil {
+		return interp.Result{}, err
+	}
+	return vp.Run(cfg)
+}
+
+// TestCorpusVM pins the corpus observables under unoptimized bytecode:
+// the same exact instruction counts, check counts, outputs, and trap
 // fields the tree-walker test pins.
 func TestCorpusVM(t *testing.T) {
 	for _, c := range conformance.Corpus {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			p := build(t, c.Src, true)
-			res, err := interp.Run(p, interp.Config{Engine: interp.EngineVM})
+			res, err := runPlain(p, interp.Config{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -73,7 +84,8 @@ func TestCorpusVM(t *testing.T) {
 }
 
 // TestEngineDifferential runs every corpus program, checked and
-// unchecked, under both engines and requires byte-identical Results —
+// unchecked, on the tree walker and as unoptimized bytecode and
+// requires byte-identical Results —
 // including error identity when a run faults (the unchecked trap
 // program faults with the same subscript error text).
 func TestEngineDifferential(t *testing.T) {
@@ -87,7 +99,7 @@ func TestEngineDifferential(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				p := build(t, c.Src, checked)
 				ref, refErr := interp.Run(p, interp.Config{})
-				got, gotErr := interp.Run(p, interp.Config{Engine: interp.EngineVM})
+				got, gotErr := runPlain(p, interp.Config{})
 				if (refErr == nil) != (gotErr == nil) {
 					t.Fatalf("error mismatch: tree=%v vm=%v", refErr, gotErr)
 				}
@@ -105,15 +117,15 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestBudgetParity exercises the resource budgets under the VM: the
-// instruction budget returns the same typed error (matching both
-// sentinels), and a past deadline aborts the run.
+// TestBudgetParity exercises the resource budgets on unoptimized
+// bytecode: the instruction budget returns the same typed error
+// (matching both sentinels), and a past deadline aborts the run.
 func TestBudgetParity(t *testing.T) {
 	src := conformance.Corpus[1].Src // doloop
 	p := build(t, src, true)
 
 	_, treeErr := interp.Run(p, interp.Config{MaxInstructions: 100})
-	_, vmErr := interp.Run(p, interp.Config{MaxInstructions: 100, Engine: interp.EngineVM})
+	_, vmErr := runPlain(p, interp.Config{MaxInstructions: 100})
 	for _, err := range []error{treeErr, vmErr} {
 		if !errors.Is(err, interp.ErrResourceExhausted) || !errors.Is(err, interp.ErrLimit) {
 			t.Fatalf("instruction budget error = %v, want resource exhausted", err)
@@ -123,16 +135,13 @@ func TestBudgetParity(t *testing.T) {
 		t.Fatalf("budget error text mismatch: tree=%v vm=%v", treeErr, vmErr)
 	}
 
-	_, err := interp.Run(p, interp.Config{
-		Engine:   interp.EngineVM,
-		Deadline: time.Now().Add(-time.Second),
-	})
+	_, err := runPlain(p, interp.Config{Deadline: time.Now().Add(-time.Second)})
 	var re *interp.ResourceError
 	if !errors.As(err, &re) || re.Resource != interp.ResDeadline {
 		t.Fatalf("deadline error = %v, want ResDeadline", err)
 	}
 
-	_, err = interp.Run(p, interp.Config{Engine: interp.EngineVM, MaxArrayCells: 3})
+	_, err = runPlain(p, interp.Config{MaxArrayCells: 3})
 	if !errors.As(err, &re) || re.Resource != interp.ResArrayCells {
 		t.Fatalf("cell budget error = %v, want ResArrayCells", err)
 	}
@@ -171,18 +180,18 @@ func TestEngineNames(t *testing.T) {
 	for _, tc := range []struct {
 		s    string
 		want interp.Engine
-	}{{"tree", interp.EngineTree}, {"vm", interp.EngineVM}} {
+	}{{"tree", interp.EngineTree}, {"vmopt", interp.EngineVMOpt}, {"vmjit", interp.EngineVMJit}} {
 		e, err := interp.ParseEngine(tc.s)
 		if err != nil || e != tc.want {
 			t.Errorf("ParseEngine(%q) = %v, %v", tc.s, e, err)
 		}
 	}
-	for _, s := range []string{"jit", "tiered"} {
+	for _, s := range []string{"vm", "jit", "tiered"} {
 		if _, err := interp.ParseEngine(s); err == nil {
 			t.Errorf("ParseEngine(%s) succeeded", s)
 		}
 	}
-	want := []string{"tree", "vm", "vmopt", "vmrce", "vmjit"}
+	want := []string{"tree", "vmopt", "vmrce", "vmjit"}
 	if got := interp.EngineNames(); !reflect.DeepEqual(got, want) {
 		t.Errorf("EngineNames() = %v, want %v", got, want)
 	}

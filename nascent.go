@@ -31,9 +31,8 @@ import (
 	"nascent/internal/rangecheck"
 	"nascent/internal/sem"
 
-	// Link the bytecode VM so RunConfig{Engine: EngineVM} (and
-	// vmopt/vmrce/vmjit) is available to every importer of the public
-	// API.
+	// Link the bytecode VM so RunConfig{Engine: EngineVMOpt} (and
+	// vmrce/vmjit) is available to every importer of the public API.
 	_ "nascent/internal/vm"
 )
 
@@ -202,7 +201,7 @@ type RunResult = interp.Result
 // produces identical observables.
 type RunConfig = interp.Config
 
-// Engine selects the execution substrate of a run. All five engines
+// Engine selects the execution substrate of a run. All four engines
 // implement the same observable contract — identical dynamic
 // instruction counts, check counts, outputs, traps, and resource
 // budgets — so every table and oracle sweep is engine-independent.
@@ -212,13 +211,10 @@ type Engine = interp.Engine
 const (
 	// EngineTree is the reference tree-walking evaluator (the default).
 	EngineTree = interp.EngineTree
-	// EngineVM is the flat-register bytecode VM running unoptimized
-	// bytecode, the bottom rung of the bytecode engines.
-	EngineVM = interp.EngineVM
-	// EngineVMOpt is the bytecode VM running post-compile-optimized
-	// bytecode (copy propagation, dead-store elimination,
-	// superinstruction fusion, frame reuse). Same observables as the
-	// other engines, fewer dispatches.
+	// EngineVMOpt is the flat-register bytecode VM running
+	// post-compile-optimized bytecode (copy propagation, dead-store
+	// elimination, superinstruction fusion, frame reuse). Same
+	// observables as the other engines, fewer dispatches.
 	EngineVMOpt = interp.EngineVMOpt
 	// EngineVMRCE is the bytecode VM running guard/deopt bytecode:
 	// preheader range guards cover whole families of proven-redundant
@@ -232,7 +228,7 @@ const (
 	EngineVMJit = interp.EngineVMJit
 )
 
-// ParseEngine maps a flag spelling ("tree", "vm", "vmopt", "vmrce", or
+// ParseEngine maps a flag spelling ("tree", "vmopt", "vmrce", or
 // "vmjit") to an Engine.
 func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 

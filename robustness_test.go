@@ -16,17 +16,17 @@ import (
 // TestOracleSuitePrograms runs the differential oracle over every
 // benchmark program in the paper's Table 1 suite: each program is
 // compiled naive and under all twenty optimizer variants, executed
-// under ALL THREE execution engines, and checked against the soundness
-// contract plus the engine-identity invariant (tree, VM, and the
-// superinstruction-optimized VM must produce byte-identical Results
-// for every variant).
+// under three execution engines, and checked against the soundness
+// contract plus the engine-identity invariant (tree, the
+// superinstruction-optimized VM, and the guard/deopt VM must produce
+// byte-identical Results for every variant).
 func TestOracleSuitePrograms(t *testing.T) {
 	for _, p := range suite.Programs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			rep, err := oracle.Verify(p.Source, oracle.Config{
-				Engines: []nascent.Engine{nascent.EngineTree, nascent.EngineVM, nascent.EngineVMOpt},
+				Engines: []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt, nascent.EngineVMRCE},
 			})
 			if err != nil {
 				t.Fatalf("baseline failed: %v", err)
