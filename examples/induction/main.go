@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"nascent/internal/dom"
 	"nascent/internal/induction"
@@ -68,7 +69,9 @@ func main() {
 
 	// Walk the loop body: report the IE of every assignment source and
 	// store subscript/value.
-	for _, b := range loop.SortedBlocks() {
+	body := slices.Clone(loop.Body())
+	slices.SortFunc(body, func(a, b *ir.Block) int { return a.ID - b.ID })
+	for _, b := range body {
 		for _, s := range b.Stmts {
 			switch s := s.(type) {
 			case *ir.AssignStmt:

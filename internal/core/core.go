@@ -21,7 +21,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"nascent/internal/chaos"
 	"nascent/internal/dataflow"
@@ -197,9 +196,16 @@ type funcCtx struct {
 	// passes build shares it.
 	reg *rangecheck.Registry
 	res *Result
-	// hoistVisits is the dataflow work preheader insertion has spent;
-	// see hoistBudget.
-	hoistVisits int
+	// The hoisting passes' indexes (hoist.go), built when first needed:
+	// the blocks holding checks, where the function assigns, stores and
+	// calls, and what each cond-check reads.
+	checks *checkIndex
+	fx     *effectIndex
+	reads  map[*ir.CheckStmt]*exprReads
+	// work counts preheader insertion's dataflow block visits plus the
+	// blocks its per-loop passes touch: the deterministic measure of its
+	// cost that the scaling tests read.
+	work int
 }
 
 // The analyses optimizeFunc builds; tests (export_test.go) wrap them to
@@ -372,7 +378,8 @@ func (c *funcCtx) strengthen() {
 				// anyway. Strengthen if it is stronger than this one.
 				f := env.FamilyOf(chk)
 				if v := st[f.Index]; v != rangecheck.None && v != rangecheck.AllChecks && v < chk.Const {
-					chk.Const = v
+					s = withConst(chk, v)
+					b.Stmts[i] = s
 				}
 			}
 			env.TransferBackward(st, s)
@@ -548,7 +555,7 @@ func (c *funcCtx) placeLatest() {
 				s := b.Stmts[i]
 				if chk, ok := s.(*ir.CheckStmt); ok && chk.Guard == nil && env.FamilyOf(chk) == fam {
 					if chk.Const >= v {
-						chk.Const = v // latest placement = strengthen the use
+						b.Stmts[i] = withConst(chk, v) // latest placement = strengthen the use
 						return true
 					}
 					// A stronger check: every later use is covered by it;
@@ -636,297 +643,6 @@ func (c *funcCtx) placeLatest() {
 }
 
 // ---------------------------------------------------------------------------
-// LI / LLS: preheader insertion (paper §3.3, Figure 6)
-
-// preheaderInsert hoists checks out of counted loops, innermost first.
-// When lls is true, linear checks are hoisted via loop-limit substitution
-// in addition to invariant checks.
-func (c *funcCtx) preheaderInsert(lls bool) {
-	for i, l := range c.forest.Loops { // innermost first
-		if c.hoistVisits > hoistBudget {
-			c.res.Diagnostics = append(c.res.Diagnostics, fmt.Sprintf(
-				"%s: preheader insertion stopped after %d dataflow block visits (budget %d); checks kept in %d of %d loops",
-				c.fn.Name, c.hoistVisits, hoistBudget, len(c.forest.Loops)-i, len(c.forest.Loops)))
-			return
-		}
-		c.hoistLoop(l, lls)
-		c.rehoistCondChecks(l)
-	}
-}
-
-// hoistBudget bounds the work of preheader insertion in one function.
-// Each loop's hoist solves anticipatability over the whole function, so
-// the work grows with loops × blocks: quadratic in a long run of loops,
-// cubic in a deep nest. Once the solves have made more than
-// hoistBudget block visits, the remaining loops are left as they are
-// (their checks stay, which is sound) and Result.Diagnostics says so.
-// The largest function of the benchmark suite spends 1,160 visits
-// under any scheme, kind and mode, so the budget never binds there.
-const hoistBudget = 1_000_000
-
-// hoistLoop hoists anticipatable invariant (and, with lls, linear)
-// checks of loop l into its preheader as (cond-)checks.
-func (c *funcCtx) hoistLoop(l *loops.Loop, lls bool) {
-	if !c.opts.Mode.CrossFamily() {
-		// A hoisted cond-check only pays off through the preheader→body
-		// implication; with cross-family implications disabled, inserting
-		// it would strictly add checks.
-		return
-	}
-	if l.Do == nil {
-		return // while loop: no trip count, no safe guard (paper §3.3)
-	}
-	guard, gok := c.ind.GuardExpr(l)
-	if !gok {
-		return // provably zero-trip (or unavailable): nothing to hoist
-	}
-
-	env := c.newEnv()
-	bodyAnt := env.Anticipatability(dataflow.In).At(l.Do.BodyEntry)
-	c.hoistVisits += env.Visits
-	headerVals := c.ssa.OutValues[l.Header]
-
-	// Profitability (paper §2.1 step 3): hoisting must make some check in
-	// the loop body redundant. Record, per family terms, the weakest
-	// constant occurring on an unguarded in-loop check.
-	inLoopMax := make(map[rangecheck.TermsID]int64)
-	for _, b := range l.SortedBlocks() {
-		for _, s := range b.Stmts {
-			if chk, ok := s.(*ir.CheckStmt); ok && chk.Guard == nil {
-				k := c.reg.TermsID(chk.Terms)
-				if cur, seen := inLoopMax[k]; !seen || chk.Const > cur {
-					inLoopMax[k] = chk.Const
-				}
-			}
-		}
-	}
-
-	hKey := ir.Key(&ir.VarRef{Var: c.ind.HVar(l)})
-	inserted := make(map[hoistKey]bool)
-
-	for _, fam := range env.Families {
-		v := bodyAnt[fam.Index]
-		if v == rangecheck.None || v == rangecheck.AllChecks {
-			continue
-		}
-		if maxC, ok := inLoopMax[fam.TermsID()]; !ok || maxC < v {
-			continue // nothing in the loop would be covered: unprofitable
-		}
-		ie := c.ind.IEOfFormAt(fam.Terms, l, headerVals)
-		var hoisted linform.Form
-		switch {
-		case ie.Class == induction.Invariant:
-			hoisted = ie.Form
-		case lls && ie.Class == induction.Linear:
-			slope := ie.Form.CoefOf(hKey)
-			if slope > 0 {
-				lastH, ok := c.ind.LastH(l)
-				if !ok {
-					continue
-				}
-				hoisted = ie.Form.SubstAtom(hKey, lastH)
-			} else {
-				hoisted = ie.Form.SubstAtom(hKey, linform.Form{}) // h = 0
-			}
-		default:
-			continue
-		}
-
-		terms := ir.NormalizeTerms(cloneTerms(hoisted.Terms))
-		konst := v - hoisted.Const
-		dedupe := hoistKey{c.reg.TermsID(terms), konst}
-		if !inserted[dedupe] {
-			inserted[dedupe] = true
-			var g ir.Expr
-			if guard != nil {
-				g = ir.CloneExpr(guard)
-			}
-			chk := &ir.CheckStmt{
-				Terms: terms,
-				Const: konst,
-				Guard: g,
-				Note:  "hoisted from loop b" + strconv.Itoa(l.Header.ID),
-			}
-			pre := l.Preheader
-			pre.InsertStmts(len(pre.Stmts), chk)
-			c.res.Inserted++
-		}
-
-		// The hoisted check covers every iteration's instance: eliminate
-		// the loop-body checks it implies (the preheader→body CIG edge,
-		// paper §3.4 / Table 3's "only important implications").
-		c.eliminateCovered(l, fam, v)
-	}
-}
-
-// hoistKey identifies a hoisted check: range-expression and constant.
-type hoistKey struct {
-	terms rangecheck.TermsID
-	konst int64
-}
-
-// eliminateCovered removes unguarded checks of fam with constant ≥ v
-// from the blocks of l. The hoisted preheader check covers the value the
-// family's range-expression holds *at loop-body entry* of each iteration;
-// an occurrence downstream of an in-body definition of one of the
-// family's variables (a derived induction variable updated mid-body)
-// reads a different value and must stay. This mirrors the paper's
-// dataflow formulation, where the preheader→body cover fact is killed by
-// such a definition.
-func (c *funcCtx) eliminateCovered(l *loops.Loop, fam *rangecheck.Family, v int64) {
-	unkilledIn := c.unkilledAtEntry(l, fam)
-	for _, b := range l.SortedBlocks() {
-		state := unkilledIn[b]
-		kept := b.Stmts[:0]
-		for _, s := range b.Stmts {
-			if chk, ok := s.(*ir.CheckStmt); ok && chk.Guard == nil && state {
-				if c.reg.TermsID(chk.Terms) == fam.TermsID() && chk.Const >= v {
-					c.res.EliminatedCover++
-					continue
-				}
-			}
-			if kills(s, fam) {
-				state = false
-			}
-			kept = append(kept, s)
-		}
-		b.Stmts = kept
-	}
-}
-
-// unkilledAtEntry computes, per loop block, whether the family's
-// range-expression still holds its loop-body-entry value on every path
-// to the block's entry within one iteration. The loop header resets the
-// fact (each iteration re-reads the family at body entry).
-func (c *funcCtx) unkilledAtEntry(l *loops.Loop, fam *rangecheck.Family) map[*ir.Block]bool {
-	blocks := l.SortedBlocks()
-	killsBlock := make(map[*ir.Block]bool, len(blocks))
-	for _, b := range blocks {
-		for _, s := range b.Stmts {
-			if kills(s, fam) {
-				killsBlock[b] = true
-				break
-			}
-		}
-	}
-	in := make(map[*ir.Block]bool, len(blocks))
-	for _, b := range blocks {
-		in[b] = true
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range blocks {
-			if b == l.Header {
-				continue // each iteration re-enters here: fact holds
-			}
-			val := true
-			for _, p := range b.Preds {
-				if !l.Blocks[p] {
-					continue
-				}
-				if !in[p] || killsBlock[p] {
-					val = false
-					break
-				}
-			}
-			if in[b] != val {
-				in[b] = val
-				changed = true
-			}
-		}
-	}
-	return in
-}
-
-// rehoistCondChecks moves cond-checks sitting in inner preheaders (or any
-// block executing on every iteration) of l out to l's preheader, so
-// checks migrate to the outermost loop possible (paper §3.3).
-func (c *funcCtx) rehoistCondChecks(l *loops.Loop) {
-	if l.Do == nil {
-		return
-	}
-	guard, gok := c.ind.GuardExpr(l)
-	if !gok {
-		return
-	}
-
-	// What can l modify?
-	assigned := make(map[int]bool)
-	stored := make(map[int]bool)
-	hasCall := false
-	for _, b := range l.SortedBlocks() {
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *ir.AssignStmt:
-				assigned[s.Dst.ID] = true
-			case *ir.StoreStmt:
-				stored[s.Arr.ID] = true
-			case *ir.CallStmt:
-				hasCall = true
-			}
-		}
-	}
-	invariant := func(e ir.Expr) bool {
-		ok := true
-		ir.WalkExpr(e, func(x ir.Expr) {
-			switch x := x.(type) {
-			case *ir.VarRef:
-				if assigned[x.Var.ID] || (hasCall && x.Var.Global) {
-					ok = false
-				}
-			case *ir.Load:
-				if stored[x.Arr.ID] || (hasCall && x.Arr.Global) {
-					ok = false
-				}
-			}
-		})
-		return ok
-	}
-
-	for _, b := range l.SortedBlocks() {
-		if b == l.Header {
-			continue
-		}
-		// The block must execute on every iteration of l.
-		domAll := c.dom.Dominates(l.Do.BodyEntry, b) || b == l.Do.BodyEntry
-		for _, latch := range l.Latches {
-			if !c.dom.Dominates(b, latch) {
-				domAll = false
-			}
-		}
-		if !domAll {
-			continue
-		}
-		kept := b.Stmts[:0]
-		for _, s := range b.Stmts {
-			chk, ok := s.(*ir.CheckStmt)
-			if !ok || chk.Guard == nil {
-				kept = append(kept, s)
-				continue
-			}
-			allInv := invariant(chk.Guard)
-			for _, t := range chk.Terms {
-				if !invariant(t.Atom) {
-					allInv = false
-				}
-			}
-			if !allInv {
-				kept = append(kept, s)
-				continue
-			}
-			// Move to l's preheader, conjoining l's entry guard.
-			if guard != nil {
-				chk.Guard = &ir.Bin{Op: ir.OpAnd, L: ir.CloneExpr(guard), R: chk.Guard, Typ: ir.Bool}
-			}
-			pre := l.Preheader
-			pre.InsertStmts(len(pre.Stmts), chk)
-		}
-		b.Stmts = kept
-	}
-}
-
-// ---------------------------------------------------------------------------
 // INX: rewrite checks over induction expressions (paper §2.3, §4.3)
 
 // rewriteINX replaces each in-loop check's range-expression with its
@@ -941,7 +657,7 @@ func (c *funcCtx) rewriteINX() {
 		if l == nil {
 			continue
 		}
-		for _, s := range b.Stmts {
+		for i, s := range b.Stmts {
 			chk, ok := s.(*ir.CheckStmt)
 			if !ok || chk.Guard != nil {
 				continue
@@ -957,8 +673,9 @@ func (c *funcCtx) rewriteINX() {
 			if !c.ind.LoopStableTerms(l, newTerms) {
 				continue
 			}
-			chk.Terms = newTerms
-			chk.Const -= ie.Const
+			inx := *chk
+			inx.Terms, inx.Const = newTerms, chk.Const-ie.Const
+			b.Stmts[i] = &inx
 			h := c.ind.HVar(l)
 			for _, t := range newTerms {
 				if vr, ok := t.Atom.(*ir.VarRef); ok && vr.Var.ID == h.ID {
@@ -1007,6 +724,15 @@ func (c *funcCtx) materializeH(l *loops.Loop) {
 			Src: &ir.Bin{Op: ir.OpAdd, L: &ir.VarRef{Var: h}, R: &ir.ConstInt{V: 1}, Typ: ir.Int},
 		})
 	}
+}
+
+// withConst returns a copy of chk with constant v. Passes replace a
+// check rather than edit it: the function's snapshot shares statements
+// (see ir.Func.Snapshot).
+func withConst(chk *ir.CheckStmt, v int64) *ir.CheckStmt {
+	c := *chk
+	c.Const = v
+	return &c
 }
 
 func cloneTerms(terms []ir.CheckTerm) []ir.CheckTerm {

@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"nascent/internal/chaos"
 	"nascent/internal/core"
 	"nascent/internal/guard"
 	"nascent/internal/interp"
 	"nascent/internal/rangecheck"
+	"nascent/internal/suite"
 	"nascent/internal/testutil"
 )
 
@@ -139,5 +141,43 @@ func TestOptimizeFuncSafeTagsError(t *testing.T) {
 	// The guard sentinel is matchable on the raw error path too.
 	if !errors.Is(&guard.InternalError{Stage: "optimize"}, guard.ErrInternal) {
 		t.Error("InternalError does not match ErrInternal")
+	}
+}
+
+// TestMalformedEveryFunctionRestoresNaive fires the malformed-IR fault
+// on every function. It strikes after every pass has run, so each
+// function is restored from the snapshot Optimize took first, and that
+// snapshot shares its statements and expressions with the body the
+// passes transformed. A pass that edited a statement in place instead
+// of replacing it would leak into the restored body. So every suite
+// program, under every scheme × kind × mode, must come back as the
+// naive lowering, fingerprint for fingerprint. The one difference
+// allowed is the program's count of allocated variables: the passes
+// allocate temporaries (h variables), whose IDs are never reused.
+func TestMalformedEveryFunctionRestoresNaive(t *testing.T) {
+	chaos.Enable(chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteOptMalformed})
+	defer chaos.Disable()
+	schemes := append([]core.Scheme{core.MCM}, core.Schemes...)
+	for _, sp := range suite.Programs {
+		for _, sch := range schemes {
+			for _, kind := range []core.CheckKind{core.PRX, core.INX} {
+				for _, mode := range []rangecheck.Mode{rangecheck.ImplyFull, rangecheck.ImplyNone, rangecheck.ImplyCross} {
+					opts := core.Options{Scheme: sch, Kind: kind, Mode: mode}
+					p := testutil.BuildIR(t, sp.Source, true)
+					res, err := core.Optimize(p, opts)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", sp.Name, opts, err)
+					}
+					if len(res.Degraded) != len(p.Funcs) {
+						t.Fatalf("%s %+v: %d of %d functions degraded", sp.Name, opts, len(res.Degraded), len(p.Funcs))
+					}
+					naive := testutil.BuildIR(t, sp.Source, true)
+					naive.NumVars = p.NumVars
+					if p.Fingerprint() != naive.Fingerprint() {
+						t.Fatalf("%s %+v: restored program differs from the naive lowering", sp.Name, opts)
+					}
+				}
+			}
+		}
 	}
 }

@@ -30,9 +30,13 @@ import (
 // Unlike LLS it performs no general induction analysis and no
 // substitution of arbitrary linear forms.
 func (c *funcCtx) mcmHoist() {
+	c.checks = newCheckIndex(c)
 	for _, l := range c.forest.Loops { // innermost first
 		c.mcmHoistLoop(l)
 		c.rehoistCondChecks(l)
+	}
+	if workProbe != nil {
+		workProbe(c.fn.Name, c.work)
 	}
 }
 
@@ -47,24 +51,28 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 	if !gok {
 		return
 	}
-	hKey := ir.Key(&ir.VarRef{Var: c.ind.HVar(l)})
+	h := c.ind.HVar(l)
 	headerVals := c.ssa.OutValues[l.Header]
 	inserted := make(map[hoistKey]bool)
 
 	// Like the LLS cover (see eliminateCovered): a hoisted check covers
 	// the value at loop-body entry, so an occurrence downstream of an
 	// in-body definition of its variable must stay.
-	unkilledMemo := make(map[*rangecheck.Family]map[*ir.Block]bool)
+	unkilledMemo := make(map[*rangecheck.Family]*unkilled)
 	unkilledAt := func(fam *rangecheck.Family, b *ir.Block) bool {
-		m, ok := unkilledMemo[fam]
+		u, ok := unkilledMemo[fam]
 		if !ok {
-			m = c.unkilledAtEntry(l, fam)
-			unkilledMemo[fam] = m
+			u = c.unkilledAtEntry(l, fam)
+			unkilledMemo[fam] = u
 		}
-		return m[b]
+		return u.at(b)
 	}
 
-	for _, b := range l.SortedBlocks() {
+	blocks := c.checks.in(l)
+	c.work += len(blocks)
+	pre := l.Preheader
+	inserts := 0
+	for _, b := range blocks {
 		if !c.articulation(l, b) {
 			continue
 		}
@@ -96,15 +104,15 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 			case induction.Linear:
 				// Simple expressions over the DO variable only: the same
 				// limit substitution MCM performs on induction variables.
-				if slope := ie.Form.CoefOf(hKey); slope > 0 {
+				if slope := ie.Form.CoefOfVar(h); slope > 0 {
 					lastH, ok := c.ind.LastH(l)
 					if !ok {
 						kept = append(kept, s)
 						continue
 					}
-					hoisted = ie.Form.SubstAtom(hKey, lastH)
+					hoisted = ie.Form.SubstVar(h, lastH)
 				} else {
-					hoisted = ie.Form.SubstAtom(hKey, linform.Form{})
+					hoisted = ie.Form.SubstVar(h, linform.Form{})
 				}
 			default:
 				kept = append(kept, s)
@@ -119,7 +127,7 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 				if guard != nil {
 					g = ir.CloneExpr(guard)
 				}
-				pre := l.Preheader
+				inserts++
 				pre.InsertStmts(len(pre.Stmts), &ir.CheckStmt{
 					Terms: terms,
 					Const: konst,
@@ -132,7 +140,13 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 			// The hoisted check covers this occurrence directly.
 			continue
 		}
-		b.Stmts = kept
+		if len(kept) < len(orig) {
+			b.Stmts = kept
+			c.checks.update(b)
+		}
+	}
+	if inserts > 0 {
+		c.checks.update(pre)
 	}
 }
 

@@ -44,8 +44,8 @@ func rotateWhileLoops(f *ir.Func) int {
 		if !ok {
 			continue
 		}
-		inThen := l.Blocks[ifTerm.Then]
-		inElse := l.Blocks[ifTerm.Else]
+		inThen := l.Contains(ifTerm.Then)
+		inElse := l.Contains(ifTerm.Else)
 		if inThen == inElse {
 			continue // both or neither arm in the loop: not a while shape
 		}

@@ -18,6 +18,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"nascent/internal/ir"
 	"nascent/internal/linform"
 	"nascent/internal/rangecheck"
@@ -403,41 +405,280 @@ func (e *Env) Availability(side Side) Solution {
 // requested side. Only entry states are kept while iterating; exit
 // states, when asked for, are met from the successors' entries once the
 // solution is stable.
+//
+// The solver is a worklist rather than a round of sweeps: a block is
+// revisited only when a successor's entry state changed. Anticipatability
+// has no widening and its transfer is monotone over a finite set of
+// values, so any visit order descends from AllChecks to the same
+// greatest fixpoint; a round of sweeps in reverse RPO needs about as
+// many sweeps as the loop nest is deep.
 func (e *Env) Anticipatability(side Side) Solution {
-	order := e.Order()
-	n, w := len(order), e.width
-	in := make([]int64, n*w)
-	fill(in, rangecheck.AllChecks)
-	st := e.scratch
-
-	changed := true
-	for changed {
-		changed = false
-		e.Visits += n
-		for i := n - 1; i >= 0; i-- {
-			b := order[i]
-			e.antExit(st, b, in)
-			for j := len(b.Stmts) - 1; j >= 0; j-- {
-				e.TransferBackward(st, b.Stmts[j])
-			}
-			inB := row(in, i, w)
-			for k := 0; k < w; k++ {
-				if st[k] > inB[k] {
-					changed = true
-				}
-			}
-			copy(inB, st)
-		}
-	}
+	a := e.Anticipate()
 	if side == In {
-		return Solution{rows: e.rows, width: w, slab: in}
+		return Solution{rows: e.rows, width: e.width, slab: a.in}
 	}
+	order := e.order
+	n, w := len(order), e.width
 	out := make([]int64, n*w)
 	e.Visits += n
 	for i, b := range order {
-		e.antExit(row(out, i, w), b, in)
+		e.antExit(row(out, i, w), b, a.in)
 	}
 	return Solution{rows: e.rows, width: w, slab: out}
+}
+
+// Anticipation is a solved anticipatability problem (entry states) that
+// is kept current while a pass edits the function's checks, instead of
+// being solved again after every edit. The CFG must not change.
+type Anticipation struct {
+	e  *Env
+	in []int64 // entry states: one row of width e.width per RPO position
+
+	queue  []int32 // worklist of rows, FIFO
+	queued []bool
+	// Strengthen's per-row marks: a row is in the current region when
+	// its mark equals epoch, and its summary is current when its sumAt
+	// does.
+	epoch       uint32
+	mark, sumAt []uint32
+	sum         []colSum
+}
+
+// colSum is a block's backward transfer for one family: entry =
+// min(gen, exit) when the block does not kill the family, else pre (the
+// strongest check before the first kill, or None).
+type colSum struct {
+	kills    bool
+	gen, pre int64
+}
+
+// Anticipate solves anticipatability and returns the solution for
+// incremental upkeep (see Weaken and Strengthen).
+func (e *Env) Anticipate() *Anticipation {
+	order := e.Order()
+	n := len(order)
+	a := &Anticipation{e: e, in: make([]int64, n*e.width), queued: make([]bool, n)}
+	fill(a.in, rangecheck.AllChecks)
+	for i := n - 1; i >= 0; i-- {
+		a.push(i)
+	}
+	a.drain()
+	return a
+}
+
+// In returns b's entry state, or nil when b is unreachable. The state
+// aliases the solution and is valid until the next update. It has one
+// value per family the registry held when the solution last grew
+// (Width).
+func (a *Anticipation) In(b *ir.Block) State {
+	r := a.e.rowOf(b)
+	if r < 0 {
+		return nil
+	}
+	return row(a.in, r, a.e.width)
+}
+
+// Width returns the number of families the states cover.
+func (a *Anticipation) Width() int { return a.e.width }
+
+func (a *Anticipation) push(r int) {
+	if !a.queued[r] {
+		a.queued[r] = true
+		a.queue = append(a.queue, int32(r))
+	}
+}
+
+// drain recomputes queued blocks until no entry state changes, queueing
+// the predecessors of every block whose entry state changed.
+func (a *Anticipation) drain() {
+	e := a.e
+	w := e.width
+	st := e.scratch
+	for head := 0; head < len(a.queue); head++ {
+		i := int(a.queue[head])
+		a.queued[i] = false
+		b := e.order[i]
+		e.Visits++
+		e.antExit(st, b, a.in)
+		for j := len(b.Stmts) - 1; j >= 0; j-- {
+			e.TransferBackward(st, b.Stmts[j])
+		}
+		inB := row(a.in, i, w)
+		if slices.Equal(st, inB) {
+			continue
+		}
+		copy(inB, st)
+		for _, p := range b.Preds {
+			if r := e.rowOf(p); r >= 0 {
+				a.push(r)
+			}
+		}
+	}
+	a.queue = a.queue[:0]
+}
+
+// Weaken brings the solution up to date after unguarded checks were
+// removed from the given blocks (and guarded checks added anywhere,
+// which the backward transfer ignores). Removing a check only weakens
+// facts, so the old solution lies above the new greatest fixpoint, and
+// a descent from it that starts at the edited blocks reaches that
+// fixpoint exactly.
+func (a *Anticipation) Weaken(edited []*ir.Block) {
+	for _, b := range edited {
+		if r := a.e.rowOf(b); r >= 0 {
+			a.push(r)
+		}
+	}
+	a.drain()
+}
+
+// Strengthen brings the solution up to date after an unguarded check of
+// family f with constant v was appended to block b0. A new check
+// strengthens facts, which a descent cannot recover around a cycle, so
+// f's column is solved again from AllChecks over the region the check
+// can reach: the blocks that reach b0's entry without killing f and
+// whose value is weaker than v. No other block can change: a path whose
+// value changes runs through such blocks only, since a block whose every
+// path already meets a check at least as strong as v keeps its value.
+// A family the states do not cover yet widens them.
+func (a *Anticipation) Strengthen(b0 *ir.Block, f *rangecheck.Family, v int64) {
+	e := a.e
+	if f.Index >= e.width {
+		a.grow()
+	}
+	n := len(e.order)
+	if a.mark == nil {
+		a.mark, a.sumAt, a.sum = make([]uint32, n), make([]uint32, n), make([]colSum, n)
+	}
+	a.epoch++
+	w, k := e.width, f.Index
+	region := a.queue[:0]
+	add := func(r int) {
+		if r < 0 || a.mark[r] == a.epoch || a.summary(r, f).kills || a.in[r*w+k] <= v {
+			return
+		}
+		a.mark[r] = a.epoch
+		region = append(region, int32(r))
+	}
+	add(e.rowOf(b0))
+	for j := 0; j < len(region); j++ {
+		for _, p := range e.order[region[j]].Preds {
+			add(e.rowOf(p))
+		}
+	}
+	e.Visits += len(region)
+	for _, r := range region {
+		a.in[int(r)*w+k] = rangecheck.AllChecks
+		a.queued[r] = true
+	}
+	a.queue = region
+	a.solveColumn(f, func(r int) bool { return a.mark[r] == a.epoch })
+}
+
+// solveColumn iterates f's column over the queued rows until it is
+// stable, queueing again only the predecessors inside the region.
+func (a *Anticipation) solveColumn(f *rangecheck.Family, inRegion func(r int) bool) {
+	e := a.e
+	w, k := e.width, f.Index
+	for head := 0; head < len(a.queue); head++ {
+		i := int(a.queue[head])
+		a.queued[i] = false
+		b := e.order[i]
+		e.Visits++
+		sm := a.summary(i, f)
+		v := sm.pre
+		if !sm.kills {
+			v = min(sm.gen, a.exit(b, k))
+		}
+		if v == a.in[i*w+k] {
+			continue
+		}
+		a.in[i*w+k] = v
+		for _, p := range b.Preds {
+			if r := e.rowOf(p); r >= 0 && inRegion(r) {
+				a.push(r)
+			}
+		}
+	}
+	a.queue = a.queue[:0]
+}
+
+// exit returns column k of b's exit state.
+func (a *Anticipation) exit(b *ir.Block, k int) int64 {
+	e := a.e
+	w := e.width
+	switch t := b.Term.(type) {
+	case *ir.Goto:
+		return a.in[e.rowOf(t.Target)*w+k]
+	case *ir.If:
+		return max(a.in[e.rowOf(t.Then)*w+k], a.in[e.rowOf(t.Else)*w+k])
+	}
+	return rangecheck.None
+}
+
+// summary returns row r's transfer for family f, computed once per
+// Strengthen call.
+func (a *Anticipation) summary(r int, f *rangecheck.Family) colSum {
+	if a.sumAt[r] == a.epoch {
+		return a.sum[r]
+	}
+	sm := colSum{gen: rangecheck.None, pre: rangecheck.None}
+	for _, s := range a.e.order[r].Stmts {
+		if chk, ok := s.(*ir.CheckStmt); ok {
+			if chk.Guard == nil && a.e.FamilyOf(chk) == f {
+				sm.gen = min(sm.gen, chk.Const)
+				if !sm.kills {
+					sm.pre = sm.gen
+				}
+			}
+			continue
+		}
+		sm.kills = sm.kills || killsFamily(s, f)
+	}
+	a.sum[r], a.sumAt[r] = sm, a.epoch
+	return sm
+}
+
+// killsFamily reports whether s kills f.
+func killsFamily(s ir.Stmt, f *rangecheck.Family) bool {
+	switch s := s.(type) {
+	case *ir.AssignStmt:
+		return f.KillsVar(s.Dst.ID)
+	case *ir.StoreStmt:
+		return f.KillsArray(s.Arr.ID)
+	case *ir.CallStmt:
+		return f.KilledByCall
+	}
+	return false
+}
+
+// grow widens the states to every family the registry holds and solves
+// the new columns over the whole function.
+func (a *Anticipation) grow() {
+	e := a.e
+	old, w := e.width, len(e.Reg.Families)
+	n := len(e.order)
+	in := make([]int64, n*w)
+	fill(in, rangecheck.AllChecks)
+	for r := 0; r < n; r++ {
+		copy(in[r*w:r*w+old], a.in[r*old:(r+1)*old])
+	}
+	a.in = in
+	e.width = w
+	e.scratch = make(State, w)
+	for len(e.present) < w {
+		e.present = append(e.present, false)
+	}
+	if a.mark == nil {
+		a.mark, a.sumAt, a.sum = make([]uint32, n), make([]uint32, n), make([]colSum, n)
+	}
+	for _, f := range e.Reg.Families[old:w] {
+		a.epoch++
+		for r := n - 1; r >= 0; r-- {
+			a.push(r)
+		}
+		a.solveColumn(f, func(int) bool { return true })
+	}
 }
 
 // antExit meets the entry states of b's successors into st: None at a

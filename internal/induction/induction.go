@@ -99,35 +99,41 @@ func Analyze(f *ir.Func, forest *loops.Forest, info *ssa.Info) *Analysis {
 		hasCall:    make(map[*loops.Loop]bool),
 	}
 	for _, l := range forest.Loops {
-		stores := make(map[int]bool)
-		assigned := make(map[int]bool)
-		for b := range l.Blocks {
-			for _, st := range b.Stmts {
-				switch st := st.(type) {
-				case *ir.StoreStmt:
-					stores[st.Arr.ID] = true
-				case *ir.AssignStmt:
-					assigned[st.Dst.ID] = true
-				case *ir.CallStmt:
-					a.hasCall[l] = true
-				}
+		a.storesArr[l] = make(map[int]bool)
+		a.assignedIn[l] = make(map[int]bool)
+	}
+	// Each block's effects go to its innermost loop; each loop then
+	// passes its effects to its parent (children come first in Loops),
+	// so effects in inner loops affect outer loops too.
+	for _, b := range f.Blocks {
+		l := forest.LoopOf(b)
+		if l == nil {
+			continue
+		}
+		for _, st := range b.Stmts {
+			switch st := st.(type) {
+			case *ir.StoreStmt:
+				a.storesArr[l][st.Arr.ID] = true
+			case *ir.AssignStmt:
+				a.assignedIn[l][st.Dst.ID] = true
+			case *ir.CallStmt:
+				a.hasCall[l] = true
 			}
 		}
-		a.storesArr[l] = stores
-		a.assignedIn[l] = assigned
 	}
-	// Effects in inner loops affect outer loops too.
 	for _, l := range forest.Loops {
-		for p := l.Parent; p != nil; p = p.Parent {
-			if a.hasCall[l] {
-				a.hasCall[p] = true
-			}
-			for id := range a.storesArr[l] {
-				a.storesArr[p][id] = true
-			}
-			for id := range a.assignedIn[l] {
-				a.assignedIn[p][id] = true
-			}
+		p := l.Parent
+		if p == nil {
+			continue
+		}
+		if a.hasCall[l] {
+			a.hasCall[p] = true
+		}
+		for id := range a.storesArr[l] {
+			a.storesArr[p][id] = true
+		}
+		for id := range a.assignedIn[l] {
+			a.assignedIn[p][id] = true
 		}
 	}
 	return a
@@ -201,15 +207,10 @@ func (a *Analysis) IsHVar(l *loops.Loop, v *ir.Var) bool {
 	return a.hvars[l] == v
 }
 
-// hKey returns the atom key of l's h variable.
-func (a *Analysis) hKey(l *loops.Loop) string {
-	return ir.Key(&ir.VarRef{Var: a.HVar(l)})
-}
-
 // SlopeOf splits an IE form into (slope of h, rest without h).
 func (a *Analysis) SlopeOf(l *loops.Loop, f linform.Form) (int64, linform.Form) {
-	k := a.hKey(l)
-	return f.CoefOf(k), f.Without(k)
+	h := a.HVar(l)
+	return f.CoefOfVar(h), f.WithoutVar(h)
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ func (a *Analysis) opaqueAtomIEAt(atom ir.Expr, l *loops.Loop, vals map[int]*ssa
 // so that naming the variable at the preheader (or anywhere in the loop)
 // reads exactly v.
 func (a *Analysis) stableAtPreheader(v *ssa.Value, l *loops.Loop) bool {
-	if l.Blocks[v.Block] {
+	if l.Contains(v.Block) {
 		return false
 	}
 	return a.SSA.ValueAtEnd(l.Preheader, v.Var) == v
@@ -373,7 +374,7 @@ func (a *Analysis) ieOfValue(v *ssa.Value, l *loops.Loop) IE {
 
 func (a *Analysis) computeIE(v *ssa.Value, l *loops.Loop) IE {
 	// Defined outside the loop: invariant if preheader-stable.
-	if !l.Blocks[v.Block] {
+	if !l.Contains(v.Block) {
 		// Fold through the defining expression when possible: constants
 		// (m = 5 in Figure 2) and affine chains over values that are
 		// themselves still current at the preheader (j = i + 1 in a DO
@@ -447,7 +448,7 @@ func (a *Analysis) solveMu(mu *ssa.Value, l *loops.Loop) IE {
 		if arg == nil {
 			return IE{Class: Unknown}
 		}
-		if l.Blocks[mu.Block.Preds[i]] {
+		if l.Contains(mu.Block.Preds[i]) {
 			tails = append(tails, arg)
 		} else {
 			if init != nil && init != arg {
@@ -468,7 +469,6 @@ func (a *Analysis) solveMu(mu *ssa.Value, l *loops.Loop) IE {
 		Terms: []ir.CheckTerm{{Coef: 1, Atom: &ir.VarRef{Var: muMarker}}},
 	}}
 
-	muKey := ir.Key(&ir.VarRef{Var: muMarker})
 	step := int64(0)
 	polynomial := false
 	for i, tail := range tails {
@@ -484,11 +484,11 @@ func (a *Analysis) solveMu(mu *ssa.Value, l *loops.Loop) IE {
 			polynomial = true
 			continue
 		}
-		if ie.Form.CoefOf(muKey) != 1 {
+		if ie.Form.CoefOfVar(muMarker) != 1 {
 			a.memo[key] = IE{Class: Unknown}
 			return IE{Class: Unknown}
 		}
-		rest := ie.Form.Without(muKey)
+		rest := ie.Form.WithoutVar(muMarker)
 		if !rest.IsConst() {
 			// Symbolic or h-dependent step: recognized but not linear.
 			polynomial = true

@@ -1,13 +1,18 @@
 package ir
 
-// Snapshot returns a restorable deep copy of f's body: blocks,
-// statements, terminators, and DoLoop info are copied; Var, Array, and
-// callee Func pointers are shared (they are program-level identities the
-// optimizer never mutates). The copy is not registered with any Program.
+// Snapshot returns a restorable copy of f's CFG shape: blocks,
+// statement slices, terminators and DoLoop info are copied, while the
+// statements and expressions themselves are shared with f, like the
+// Var, Array and callee Func pointers. The copy is not registered with
+// any Program.
 //
 // The optimizer snapshots each function before transforming it so that a
 // failing pass can be undone with RestoreFrom, leaving the function with
-// its naive (fully checked) body instead of a half-transformed one.
+// its naive (fully checked) body instead of a half-transformed one. So a
+// pass between Snapshot and RestoreFrom may insert, remove, reorder or
+// replace statements and rewire terminators, but must not edit a
+// statement or expression in place: it replaces a statement with an
+// edited copy instead.
 func (f *Func) Snapshot() *Func {
 	snap := &Func{
 		Name:        f.Name,
@@ -19,39 +24,43 @@ func (f *Func) Snapshot() *Func {
 		Program:     f.Program,
 		nextBlockID: f.nextBlockID,
 	}
-	remap := make(map[*Block]*Block, len(f.Blocks))
+	maxID := 0
 	for _, b := range f.Blocks {
-		nb := &Block{ID: b.ID, Label: b.Label, Func: snap}
-		remap[b] = nb
-		snap.Blocks = append(snap.Blocks, nb)
+		maxID = max(maxID, b.ID)
 	}
-	for _, b := range f.Blocks {
-		nb := remap[b]
-		nb.Stmts = make([]Stmt, len(b.Stmts))
-		for i, s := range b.Stmts {
-			nb.Stmts[i] = CloneStmt(s)
+	// Block IDs are unique within a function: remap through a slice.
+	remap := make([]*Block, maxID+1)
+	blocks := make([]Block, len(f.Blocks))
+	snap.Blocks = make([]*Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		nb := &blocks[i]
+		*nb = Block{ID: b.ID, Label: b.Label, Func: snap}
+		remap[b.ID] = nb
+		snap.Blocks[i] = nb
+	}
+	at := func(b *Block) *Block {
+		if b == nil {
+			return nil
 		}
+		return remap[b.ID]
+	}
+	for i, b := range f.Blocks {
+		nb := snap.Blocks[i]
+		nb.Stmts = append([]Stmt(nil), b.Stmts...)
 		switch t := b.Term.(type) {
 		case *Goto:
-			nb.Term = &Goto{Target: remap[t.Target]}
+			nb.Term = &Goto{Target: at(t.Target)}
 		case *If:
-			nb.Term = &If{Cond: CloneExpr(t.Cond), Then: remap[t.Then], Else: remap[t.Else]}
+			nb.Term = &If{Cond: t.Cond, Then: at(t.Then), Else: at(t.Else)}
 		case *Ret:
 			nb.Term = &Ret{}
 		}
 	}
 	snap.RecomputePreds()
 	for _, l := range f.DoLoops {
-		snap.DoLoops = append(snap.DoLoops, &DoLoopInfo{
-			Preheader: remap[l.Preheader],
-			Header:    remap[l.Header],
-			BodyEntry: remap[l.BodyEntry],
-			Latch:     remap[l.Latch],
-			Var:       l.Var,
-			Lo:        CloneExpr(l.Lo),
-			Limit:     CloneExpr(l.Limit),
-			Step:      l.Step,
-		})
+		dl := *l
+		dl.Preheader, dl.Header, dl.BodyEntry, dl.Latch = at(l.Preheader), at(l.Header), at(l.BodyEntry), at(l.Latch)
+		snap.DoLoops = append(snap.DoLoops, &dl)
 	}
 	return snap
 }

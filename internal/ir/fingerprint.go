@@ -31,9 +31,9 @@ import (
 func (p *Program) Fingerprint() [sha256.Size]byte {
 	e := fpEncoder{
 		h:      sha256.New(),
-		vars:   make(map[*Var]int),
-		arrays: make(map[*Array]int),
-		funcs:  make(map[*Func]int, len(p.Funcs)),
+		buf:    make([]byte, 0, fpFlush+fpSlack),
+		vars:   newFpIDs[Var](p.NumVars),
+		arrays: newFpIDs[Array](p.NumArrays),
 	}
 	e.program(p)
 	e.flush()
@@ -42,16 +42,72 @@ func (p *Program) Fingerprint() [sha256.Size]byte {
 	return sum
 }
 
-// fpFlush is the buffered byte count at which the encoder feeds the hash.
-const fpFlush = 4096
+// fpFlush is the buffered byte count at which the encoder feeds the
+// hash. The buffer is allocated once with fpSlack bytes to spare, room
+// for the varint that crosses the threshold; only a long string grows
+// it. The chunking does not change the hash.
+const (
+	fpFlush = 512
+	fpSlack = 64
+)
 
 type fpEncoder struct {
 	h      hash.Hash
 	buf    []byte
-	vars   map[*Var]int
-	arrays map[*Array]int
-	funcs  map[*Func]int
-	blocks map[*Block]int // blocks of the function being encoded
+	vars   fpIDs[Var]   // by Var.ID: order of first occurrence
+	arrays fpIDs[Array] // by Array.ID: order of first occurrence
+	funcs  []*Func
+	blocks fpIDs[Block] // by Block.ID: index in the function being encoded
+}
+
+// fpIDs numbers pointers by a dense ID field through a slice: slot id
+// holds the pointer seen with that ID and its number. A pointer whose ID
+// is out of range, or shares its ID with another pointer already
+// numbered, goes to a map instead, so numbering stays by identity.
+type fpIDs[T any] struct {
+	ptr   []*T
+	num   []int32
+	other map[*T]int
+	n     int // numbers handed out
+}
+
+func newFpIDs[T any](size int) fpIDs[T] {
+	return fpIDs[T]{ptr: make([]*T, size), num: make([]int32, size)}
+}
+
+// lookup returns x's number, or -1 when x has none yet.
+func (ids *fpIDs[T]) lookup(x *T, id int) int {
+	if id >= 0 && id < len(ids.ptr) && ids.ptr[id] == x {
+		return int(ids.num[id])
+	}
+	if n, ok := ids.other[x]; ok {
+		return n
+	}
+	return -1
+}
+
+// assign gives x the number n.
+func (ids *fpIDs[T]) assign(x *T, id, n int) {
+	if id >= 0 && id < len(ids.ptr) && ids.ptr[id] == nil {
+		ids.ptr[id], ids.num[id] = x, int32(n)
+		return
+	}
+	if ids.other == nil {
+		ids.other = make(map[*T]int)
+	}
+	ids.other[x] = n
+}
+
+// next numbers x in order of first occurrence, returning its number
+// and whether x was new.
+func (ids *fpIDs[T]) next(x *T, id int) (n int, fresh bool) {
+	if n := ids.lookup(x, id); n >= 0 {
+		return n, false
+	}
+	n = ids.n
+	ids.n++
+	ids.assign(x, id, n)
+	return n, true
 }
 
 func (e *fpEncoder) flush() {
@@ -97,9 +153,7 @@ func (e *fpEncoder) pos(p source.Pos) {
 }
 
 func (e *fpEncoder) program(p *Program) {
-	for i, f := range p.Funcs {
-		e.funcs[f] = i
-	}
+	e.funcs = p.Funcs
 	e.int(int64(p.NumVars))
 	e.int(int64(p.NumArrays))
 	e.count(len(p.Globals))
@@ -123,11 +177,10 @@ func (e *fpEncoder) varRef(v *Var) {
 		e.uint(0)
 		return
 	}
-	if n, ok := e.vars[v]; ok {
+	if n, fresh := e.vars.next(v, v.ID); !fresh {
 		e.uint(uint64(2 + n))
 		return
 	}
-	e.vars[v] = len(e.vars)
 	e.uint(1)
 	e.str(v.Name)
 	e.int(int64(v.Type))
@@ -142,11 +195,10 @@ func (e *fpEncoder) arrayRef(a *Array) {
 		e.uint(0)
 		return
 	}
-	if n, ok := e.arrays[a]; ok {
+	if n, fresh := e.arrays.next(a, a.ID); !fresh {
 		e.uint(uint64(2 + n))
 		return
 	}
-	e.arrays[a] = len(e.arrays)
 	e.uint(1)
 	e.str(a.Name)
 	e.int(int64(a.Elem))
@@ -166,9 +218,11 @@ func (e *fpEncoder) funcRef(f *Func) {
 		e.int(-2)
 		return
 	}
-	if n, ok := e.funcs[f]; ok {
-		e.int(int64(n))
-		return
+	for i := len(e.funcs) - 1; i >= 0; i-- { // a handful of functions
+		if e.funcs[i] == f {
+			e.int(int64(i))
+			return
+		}
 	}
 	e.int(-1)
 }
@@ -180,7 +234,7 @@ func (e *fpEncoder) blockRef(b *Block) {
 		e.int(-2)
 		return
 	}
-	if n, ok := e.blocks[b]; ok {
+	if n := e.blocks.lookup(b, b.ID); n >= 0 {
 		e.int(int64(n))
 		return
 	}
@@ -203,9 +257,15 @@ func (e *fpEncoder) fn(f *Func) {
 	for _, a := range f.Arrays {
 		e.arrayRef(a)
 	}
-	e.blocks = make(map[*Block]int, len(f.Blocks))
+	maxID := 0
+	for _, b := range f.Blocks {
+		maxID = max(maxID, b.ID)
+	}
+	e.blocks = newFpIDs[Block](maxID + 1)
 	for i, b := range f.Blocks {
-		e.blocks[b] = i
+		if e.blocks.lookup(b, b.ID) < 0 {
+			e.blocks.assign(b, b.ID, i)
+		}
 	}
 	e.count(len(f.Blocks))
 	for _, b := range f.Blocks {

@@ -388,3 +388,34 @@ func (w *fpWalker) fieldHashed(prog *Program, base [32]byte, st reflect.Type, fi
 	}
 	return false
 }
+
+// TestFingerprintNumbersByIdentity checks that numbering Vars by ID
+// through a slice keeps identity semantics: a second Var that reuses an
+// ID, or a Var whose ID lies outside the program's range, is still a
+// distinct Var, and its fingerprint differs from the one where a single
+// Var is referenced twice.
+func TestFingerprintNumbersByIdentity(t *testing.T) {
+	build := func(second func(p *Program, i *Var) *Var) [32]byte {
+		fx := newFPFixture()
+		main := fx.prog.Main()
+		i := main.Locals[0]
+		v := second(fx.prog, i)
+		b := main.Blocks[0]
+		b.Stmts = append(b.Stmts, &AssignStmt{Dst: v, Src: &VarRef{Var: i}})
+		return fx.prog.Fingerprint()
+	}
+	same := build(func(_ *Program, i *Var) *Var { return i })
+	for name, second := range map[string]func(p *Program, i *Var) *Var{
+		"shared ID":   func(_ *Program, i *Var) *Var { c := *i; return &c },
+		"ID past end": func(p *Program, i *Var) *Var { c := *i; c.ID = p.NumVars + 7; return &c },
+		"negative ID": func(_ *Program, i *Var) *Var { c := *i; c.ID = -3; return &c },
+	} {
+		got := build(second)
+		if got == same {
+			t.Errorf("%s: a distinct Var fingerprints like the same Var", name)
+		}
+		if again := build(second); again != got {
+			t.Errorf("%s: fingerprint is not deterministic", name)
+		}
+	}
+}

@@ -73,6 +73,9 @@ func verifyCanonical(c *CheckStmt) error {
 		if t.Coef == 0 {
 			return fmt.Errorf("zero coefficient for atom %s", ExprString(t.Atom))
 		}
+		if len(c.Terms) == 1 {
+			break // one term is sorted: skip building its key
+		}
 		k := Key(t.Atom)
 		if prev != "" && k <= prev {
 			return fmt.Errorf("terms not sorted/merged at atom %s", ExprString(t.Atom))

@@ -87,36 +87,42 @@ func (f Form) Sub(g Form) Form { return f.Add(g.Scale(-1)) }
 // IsConst reports whether the form has no symbolic terms.
 func (f Form) IsConst() bool { return len(f.Terms) == 0 }
 
-// CoefOf returns the coefficient of the atom with the given key (0 if the
-// atom does not appear).
-func (f Form) CoefOf(atomKey string) int64 {
+// CoefOfVar returns the coefficient of the scalar variable v (0 if it
+// does not appear). Variable atoms are matched by Var.ID, the identity
+// ir.Key gives them, so no key string is built.
+func (f Form) CoefOfVar(v *ir.Var) int64 {
 	for _, t := range f.Terms {
-		if ir.Key(t.Atom) == atomKey {
+		if isVar(t.Atom, v) {
 			return t.Coef
 		}
 	}
 	return 0
 }
 
-// Without returns the form with the atom of the given key removed.
-func (f Form) Without(atomKey string) Form {
+// WithoutVar returns the form with the scalar variable v removed.
+func (f Form) WithoutVar(v *ir.Var) Form {
 	out := Form{Const: f.Const}
 	for _, t := range f.Terms {
-		if ir.Key(t.Atom) != atomKey {
+		if !isVar(t.Atom, v) {
 			out.Terms = append(out.Terms, t)
 		}
 	}
 	return out
 }
 
-// SubstAtom replaces the atom with the given key by the form g, returning
-// f.Without(key) + coef·g. If the atom is absent, f is returned unchanged.
-func (f Form) SubstAtom(atomKey string, g Form) Form {
-	coef := f.CoefOf(atomKey)
+// SubstVar replaces the scalar variable v by the form g, returning
+// f.WithoutVar(v) + coef·g. If v is absent, f is returned unchanged.
+func (f Form) SubstVar(v *ir.Var, g Form) Form {
+	coef := f.CoefOfVar(v)
 	if coef == 0 {
 		return f
 	}
-	return f.Without(atomKey).Add(g.Scale(coef))
+	return f.WithoutVar(v).Add(g.Scale(coef))
+}
+
+func isVar(atom ir.Expr, v *ir.Var) bool {
+	vr, ok := atom.(*ir.VarRef)
+	return ok && vr.Var.ID == v.ID
 }
 
 // Key returns the canonical family key of the form's terms (ignoring the

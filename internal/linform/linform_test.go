@@ -70,8 +70,9 @@ func TestDecomposeCoefficients(t *testing.T) {
 	if f.Const != 4 || len(f.Terms) != 2 {
 		t.Fatalf("got %s", f)
 	}
-	if f.CoefOf(ir.Key(i)) != 2 || f.CoefOf(ir.Key(j)) != 5 {
-		t.Errorf("coefs: i=%d j=%d", f.CoefOf(ir.Key(i)), f.CoefOf(ir.Key(j)))
+	iv, jv := e.vars[0], e.vars[1]
+	if f.CoefOfVar(iv) != 2 || f.CoefOfVar(jv) != 5 {
+		t.Errorf("coefs: i=%d j=%d", f.CoefOfVar(iv), f.CoefOfVar(jv))
 	}
 }
 
@@ -100,14 +101,19 @@ func TestSubstAtom(t *testing.T) {
 	// f = 2i + 1; substitute i := n - 1  =>  2n - 1
 	f := Decompose(add(mul(ci(2), i), ci(1)))
 	g := Decompose(sub(n, ci(1)))
-	got := f.SubstAtom(ir.Key(i), g)
-	if got.Const != -1 || got.CoefOf(ir.Key(n)) != 2 || len(got.Terms) != 1 {
+	got := f.SubstVar(e.vars[0], g)
+	if got.Const != -1 || got.CoefOfVar(e.vars[3]) != 2 || len(got.Terms) != 1 {
 		t.Errorf("got %s", got)
 	}
-	// Absent atom: unchanged.
-	same := f.SubstAtom("nope", g)
+	// Absent variable: unchanged.
+	same := f.SubstVar(e.vars[4], g)
 	if same.Key() != f.Key() || same.Const != f.Const {
-		t.Error("substituting absent atom changed form")
+		t.Error("substituting an absent variable changed form")
+	}
+	// Only variable atoms match: an opaque atom reading i is kept.
+	h := Decompose(add(mul(i, n), i))
+	if w := h.WithoutVar(e.vars[0]); len(w.Terms) != 1 || ir.Key(w.Terms[0].Atom) != ir.Key(mul(i, n)) {
+		t.Errorf("WithoutVar(i) of i*n + i = %s, want i*n", w)
 	}
 }
 

@@ -128,8 +128,8 @@ end
 	if a.Parent != nil || b.Parent != nil {
 		t.Error("sequential loops must not nest")
 	}
-	for blk := range a.Blocks {
-		if b.Blocks[blk] {
+	for _, blk := range a.Body() {
+		if b.Contains(blk) {
 			t.Errorf("block b%d shared by both loops", blk.ID)
 		}
 	}
@@ -211,7 +211,7 @@ end
 	if succ := l.Preheader.Succs(); len(succ) != 1 || succ[0] != l.Header {
 		t.Error("preheader must have the header as its only successor")
 	}
-	if l.Blocks[l.Preheader] {
+	if l.Contains(l.Preheader) {
 		t.Error("preheader must be outside the loop")
 	}
 	if err := f.Verify(); err != nil {
@@ -243,14 +243,91 @@ end
 			t.Errorf("inner exit leaves the outer loop: b%d", e[1].ID)
 		}
 	}
-	// SortedBlocks is sorted and complete.
-	blocks := inner.SortedBlocks()
-	if len(blocks) != len(inner.Blocks) {
-		t.Error("SortedBlocks incomplete")
+	// The inner body is a sub-interval of the outer one.
+	ilo, ihi := inner.Span()
+	olo, ohi := outer.Span()
+	if ilo <= olo || ihi > ohi {
+		t.Errorf("inner span [%d,%d) not strictly inside outer [%d,%d)", ilo, ihi, olo, ohi)
 	}
-	for i := 1; i < len(blocks); i++ {
-		if blocks[i-1].ID >= blocks[i].ID {
-			t.Error("SortedBlocks not sorted")
+}
+
+// TestIntervalsMatchNaturalLoops checks the pre-order intervals against
+// the textbook definition over every suite function: a loop's body is its
+// header plus every block that reaches a latch without passing through
+// the header (plus the preheaders Analyze created for nested loops). It
+// also checks the forest against that definition: parents are the
+// smallest enclosing loops, and LoopOf names the smallest loop holding
+// each block.
+func TestIntervalsMatchNaturalLoops(t *testing.T) {
+	for _, sp := range suite.Programs {
+		p := testutil.BuildIR(t, sp.Source, true)
+		for _, f := range p.Funcs {
+			f.SplitCriticalEdges()
+			forest := loops.Analyze(f, dom.Compute(f))
+			if got := len(forest.Order()); got != len(f.Blocks) {
+				t.Fatalf("%s/%s: Order has %d blocks, function %d", sp.Name, f.Name, got, len(f.Blocks))
+			}
+			for i, b := range forest.Order() {
+				if forest.Pos(b) != i {
+					t.Fatalf("%s/%s: Pos(b%d) = %d, want %d", sp.Name, f.Name, b.ID, forest.Pos(b), i)
+				}
+			}
+			body := make(map[*loops.Loop]map[*ir.Block]bool)
+			for _, l := range forest.Loops {
+				set := map[*ir.Block]bool{l.Header: true}
+				var walk func(b *ir.Block)
+				walk = func(b *ir.Block) {
+					if set[b] {
+						return
+					}
+					set[b] = true
+					for _, p := range b.Preds {
+						walk(p)
+					}
+				}
+				for _, latch := range l.Latches {
+					walk(latch)
+				}
+				// A preheader Analyze created sits in every enclosing loop.
+				body[l] = set
+			}
+			for _, l := range forest.Loops {
+				for anc := l.Parent; anc != nil; anc = anc.Parent {
+					body[anc][l.Preheader] = true
+				}
+			}
+			for i, l := range forest.Loops {
+				set := body[l]
+				for _, b := range f.Blocks {
+					if l.Contains(b) != set[b] {
+						t.Errorf("%s/%s: loop b%d Contains(b%d) = %v, natural loop says %v",
+							sp.Name, f.Name, l.Header.ID, b.ID, l.Contains(b), set[b])
+					}
+				}
+				if len(l.Body()) != len(set) {
+					t.Errorf("%s/%s: loop b%d body has %d blocks, want %d", sp.Name, f.Name, l.Header.ID, len(l.Body()), len(set))
+				}
+				var want *loops.Loop
+				for _, cand := range forest.Loops[i+1:] {
+					if body[cand][l.Header] && (want == nil || len(body[cand]) < len(body[want])) {
+						want = cand
+					}
+				}
+				if l.Parent != want {
+					t.Errorf("%s/%s: loop b%d has the wrong parent", sp.Name, f.Name, l.Header.ID)
+				}
+			}
+			for _, b := range f.Blocks {
+				var want *loops.Loop
+				for _, l := range forest.Loops {
+					if body[l][b] && (want == nil || len(body[l]) < len(body[want])) {
+						want = l
+					}
+				}
+				if forest.LoopOf(b) != want {
+					t.Errorf("%s/%s: LoopOf(b%d) is not the smallest loop holding it", sp.Name, f.Name, b.ID)
+				}
+			}
 		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"nascent"
+	"nascent/internal/dom"
 	"nascent/internal/ir"
+	"nascent/internal/loops"
 	"nascent/internal/oracle"
 	"nascent/internal/suite"
 )
@@ -312,13 +314,15 @@ func TestDeepDoNestCompilesNaive(t *testing.T) {
 	}
 }
 
-// TestHoistBudgetBoundsManyLoops compiles 2,000 loops in a row and a
-// 1,000-deep nest under LLS. Preheader insertion solves a whole-function
-// dataflow problem per loop, so before its work budget the first took
-// 10 s and the second 75 s. Both now stop hoisting
-// once the budget is spent, keep the remaining checks, say so in the
-// diagnostics, and print what the naive build prints.
-func TestHoistBudgetBoundsManyLoops(t *testing.T) {
+// TestHoistsEveryLoop compiles 2,000 loops in a row and a 1,000-deep
+// nest under LLS. Preheader insertion once solved a whole-function
+// dataflow problem per loop (10 s and 75 s for these shapes) and then
+// stopped at a work budget, leaving the checks of all but a few loops in
+// place. It now keeps one solution per function up to date, so every
+// loop is hoisted: no diagnostic reports a stopped pass, no check is
+// left inside a loop, and the program prints what the naive build
+// prints.
+func TestHoistsEveryLoop(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		n      int
@@ -334,8 +338,23 @@ func TestHoistBudgetBoundsManyLoops(t *testing.T) {
 			if d := time.Since(start); d > 20*time.Second {
 				t.Fatalf("LLS compile took %v, want under 20s", d)
 			}
-			if !strings.Contains(strings.Join(opt.Opt.Diagnostics, "\n"), "preheader insertion stopped") {
-				t.Errorf("diagnostics do not report the spent budget: %q", opt.Opt.Diagnostics)
+			if d := strings.Join(opt.Opt.Diagnostics, "\n"); strings.Contains(d, "stopped") {
+				t.Errorf("diagnostics report a stopped pass: %q", d)
+			}
+			f := opt.IR.Main()
+			forest := loops.Analyze(f, dom.Compute(f))
+			if len(forest.Loops) != c.n {
+				t.Fatalf("found %d loops, want %d", len(forest.Loops), c.n)
+			}
+			for _, b := range f.Blocks {
+				if forest.LoopOf(b) == nil {
+					continue
+				}
+				for _, s := range b.Stmts {
+					if chk, ok := s.(*ir.CheckStmt); ok {
+						t.Fatalf("loop block b%d keeps a check: %s", b.ID, chk)
+					}
+				}
 			}
 			naive, err := nascent.Compile(src, nascent.Options{BoundsChecks: true})
 			if err != nil {
