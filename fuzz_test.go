@@ -90,7 +90,7 @@ func FuzzPipeline(f *testing.F) {
 }
 
 // FuzzEngineIdentity fuzzes the execution-engine contract directly:
-// for any input that compiles, every registered engine — the
+// for any input that compiles, every engine — the
 // tree-walking reference, the optimized VM, the guard/deopt VM, and
 // the closure-compiled jit — and the unoptimized bytecode of
 // vm.Compile, the first stage of every bytecode pipeline, must produce

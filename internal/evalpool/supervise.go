@@ -32,16 +32,14 @@ type Config struct {
 	// context is cancelled — an in-flight engine run stops at its next
 	// poll point — and the job is retried (0 means no deadline).
 	JobTimeout time.Duration
-	// Backoff is the delay before the first retry; it doubles per
-	// attempt, capped at MaxBackoff (defaults 1ms, capped at 250ms).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 }
 
 const (
 	defaultMaxAttempts = 3
-	defaultBackoff     = time.Millisecond
-	defaultMaxBackoff  = 250 * time.Millisecond
+	// The delay before the first retry is defaultBackoff; it doubles
+	// per attempt, capped at defaultMaxBackoff.
+	defaultBackoff    = time.Millisecond
+	defaultMaxBackoff = 250 * time.Millisecond
 	// hangSafety bounds an injected hang when no JobTimeout is armed, so
 	// a chaos sweep without supervision deadlines cannot deadlock.
 	hangSafety = 2 * time.Second
@@ -156,7 +154,7 @@ func (p *Pool) superviseJob(ctx context.Context, i int, job *Job, memo bool) Res
 		p.mu.Lock()
 		p.metrics.Retries++
 		p.mu.Unlock()
-		if !sleepCtx(ctx, p.backoff(attempt)) {
+		if !sleepCtx(ctx, backoff(attempt)) {
 			p.accountSupervised()
 			return Result{Err: fmt.Errorf("%s: pool cancelled: %w", job.Name, ctx.Err()), Attempts: attempt + 1}
 		}
@@ -164,21 +162,13 @@ func (p *Pool) superviseJob(ctx context.Context, i int, job *Job, memo bool) Res
 }
 
 // backoff returns the capped exponential delay before retry attempt+1.
-func (p *Pool) backoff(attempt int) time.Duration {
-	base := p.cfg.Backoff
-	if base <= 0 {
-		base = defaultBackoff
-	}
-	cap := p.cfg.MaxBackoff
-	if cap <= 0 {
-		cap = defaultMaxBackoff
-	}
+func backoff(attempt int) time.Duration {
 	if attempt > 20 {
 		attempt = 20
 	}
-	d := base << uint(attempt)
-	if d <= 0 || d > cap {
-		d = cap
+	d := defaultBackoff << uint(attempt)
+	if d > defaultMaxBackoff {
+		d = defaultMaxBackoff
 	}
 	return d
 }

@@ -46,7 +46,7 @@ func TestWorkerKillRetry(t *testing.T) {
 	enableChaos(t, spec)
 
 	pool := evalpool.NewSupervised(evalpool.Config{
-		Workers: 1, MaxAttempts: 3, Backoff: time.Microsecond,
+		Workers: 1, MaxAttempts: 3,
 	})
 	res := pool.Evaluate([]evalpool.Job{{
 		Name: name, Source: srcN(1), Filename: "victim.mf",
@@ -74,7 +74,7 @@ func TestWorkerKillQuarantine(t *testing.T) {
 	enableChaos(t, spec)
 
 	pool := evalpool.NewSupervised(evalpool.Config{
-		Workers: 2, MaxAttempts: 3, Backoff: time.Microsecond,
+		Workers: 2, MaxAttempts: 3,
 	})
 	results := pool.Evaluate([]evalpool.Job{
 		{Name: "doomed", Source: srcN(2), Filename: "doomed.mf",
@@ -127,7 +127,7 @@ func TestWorkerHangTimeout(t *testing.T) {
 	enableChaos(t, spec)
 
 	pool := evalpool.NewSupervised(evalpool.Config{
-		Workers: 1, MaxAttempts: 3, JobTimeout: 30 * time.Millisecond, Backoff: time.Microsecond,
+		Workers: 1, MaxAttempts: 3, JobTimeout: 30 * time.Millisecond,
 	})
 	res := pool.Evaluate([]evalpool.Job{{
 		Name: name, Source: srcN(3), Filename: "stuck.mf",

@@ -1,18 +1,16 @@
 package interp
 
-import (
-	"fmt"
-
-	"nascent/internal/ir"
-)
+import "fmt"
 
 // Engine selects the execution substrate that runs a program. Every
 // engine implements the same observable contract — identical dynamic
 // instruction counts, check counts, outputs, trap positions, trap
 // classes, and resource budgets — so tables, oracle sweeps, and golden
 // files are byte-identical under any of them. The tree-walker is the
-// reference implementation; the three bytecode engines (vmopt, vmrce,
-// vmjit) live in internal/vm and register themselves here.
+// reference implementation and the only engine Run executes; the three
+// bytecode engines (vmopt, vmrce, vmjit) live in internal/vm, and the
+// nascent package sends a run to whichever one Config.Engine names.
+// All four share the budget and poll shell in interp.go.
 type Engine uint8
 
 // Execution engines.
@@ -25,9 +23,7 @@ const (
 	// internal/vm (copy propagation, dead-store elimination,
 	// superinstruction fusion, frame reuse) rewrites the program between
 	// vm.Compile and execution. Observables are byte-identical to the
-	// other engines; only dispatch count and wall-clock change. The
-	// bytecode engines must be linked into the binary to be selectable;
-	// importing the nascent package (or internal/vm itself) links them.
+	// other engines; only dispatch count and wall-clock change.
 	EngineVMOpt
 	// EngineVMRCE is the bytecode VM running guard/deopt bytecode: after
 	// vm.Compile, the range-check elimination pass (internal/vm rce.go)
@@ -37,13 +33,12 @@ const (
 	// deopt target; the result then runs through the vmopt pipeline.
 	// Observables are byte-identical to the other engines — eliminated
 	// checks are still counted — only executed check instructions and
-	// wall-clock change. Linked together with EngineVMOpt.
+	// wall-clock change.
 	EngineVMRCE
 	// EngineVMJit is the closure-compiled top tier: every basic block of
 	// the guard/deopt-rewritten, optimized bytecode is compiled into a
 	// chain of Go closures (computed-goto-style dispatch, no central
-	// switch). Same observables as the other engines. Linked together
-	// with EngineVMOpt.
+	// switch). Same observables as the other engines.
 	EngineVMJit
 
 	numEngines = iota
@@ -70,48 +65,19 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // EngineNames lists every engine's flag spelling in Engine order. The
-// slice is fresh per call; mutating it cannot reach the registry.
+// slice is fresh per call; mutating it cannot reach the engine table.
 func EngineNames() []string {
 	return append([]string(nil), engineNames[:]...)
 }
 
-// AllEngines lists every engine in registry order (tree first). Tools
+// AllEngines lists every engine in Engine order (tree first). Tools
 // that sweep "all engines" (the oracle's engine-identity mode,
 // FuzzEngineIdentity, nacc) iterate this instead of hard-coding the list,
-// so a newly registered engine is covered automatically.
+// so a newly added engine is covered automatically.
 func AllEngines() []Engine {
 	es := make([]Engine, numEngines)
 	for i := range es {
 		es[i] = Engine(i)
 	}
 	return es
-}
-
-// engines holds the registered Run implementations. Slot EngineTree is
-// never consulted (Run handles it inline); other engines register at
-// package init time, so the table is read-only by the time any program
-// executes and needs no locking.
-var engines [numEngines]func(*ir.Program, Config) (Result, error)
-
-// RegisterEngine installs an alternative execution engine. It is meant
-// to be called from an init function (internal/vm registers the bytecode engines);
-// registering after programs have started running is a race.
-func RegisterEngine(e Engine, run func(*ir.Program, Config) (Result, error)) {
-	if int(e) >= numEngines {
-		panic(fmt.Sprintf("interp: RegisterEngine(%v): unknown engine", e))
-	}
-	engines[e] = run
-}
-
-// dispatch routes Run to the configured engine, or reports that the
-// engine is not linked into this binary.
-func dispatch(p *ir.Program, cfg Config) (Result, error) {
-	if int(cfg.Engine) >= numEngines {
-		return Result{}, fmt.Errorf("interp: unknown engine %v", cfg.Engine)
-	}
-	run := engines[cfg.Engine]
-	if run == nil {
-		return Result{}, fmt.Errorf("interp: engine %v not linked (import nascent or nascent/internal/vm)", cfg.Engine)
-	}
-	return run(p, cfg)
 }

@@ -61,7 +61,8 @@ type Config struct {
 	Context context.Context
 	// Engine selects the execution substrate (default EngineTree, the
 	// reference tree-walker). Every engine produces identical
-	// observables; see Engine.
+	// observables; see Engine. Run executes only EngineTree;
+	// nascent.Program.RunWith executes every engine.
 	Engine Engine
 }
 
@@ -174,22 +175,19 @@ type trapSignal struct {
 
 type runtimeError struct{ err error }
 
+// The run contract's budget and poll shell. Every engine — the tree
+// walker here, the switch VM and the jit in internal/vm — applies the
+// same limit defaults, charges cost against one threshold, and takes
+// the same slow path when the count crosses it.
+
 // pollInterval is how many counted instructions pass between
 // deadline/cancellation polls (a power of two; the check itself is a
 // couple of nanoseconds so the poll is invisible in the cost model).
 const pollInterval = 1 << 14
 
-// Run executes the program from its main function. It never panics:
-// range violations surface as a trapped Result, exhausted budgets as a
-// *ResourceError, and internal invariant violations as a
-// *guard.InternalError.
-func Run(p *ir.Program, cfg Config) (res Result, err error) {
-	if p == nil || len(p.Funcs) == 0 {
-		return Result{}, errors.New("interp: no program")
-	}
-	if cfg.Engine != EngineTree {
-		return dispatch(p, cfg)
-	}
+// WithDefaults returns cfg with each zero limit set to its default: 2e9
+// instructions, 1 MiB of output, 64 Mi array cells.
+func (cfg Config) WithDefaults() Config {
 	if cfg.MaxInstructions == 0 {
 		cfg.MaxInstructions = 2e9
 	}
@@ -199,6 +197,80 @@ func Run(p *ir.Program, cfg Config) (res Result, err error) {
 	if cfg.MaxArrayCells == 0 {
 		cfg.MaxArrayCells = 64 << 20
 	}
+	return cfg
+}
+
+// FirstThreshold is the instruction count past which a run's cost
+// charge first leaves its fast path. A run polls when it has a
+// Deadline or a Context, or when a chaos spec is installed (injection
+// rides the poll cadence); its threshold starts at 0, so the first
+// charge polls. Otherwise it never polls, and the threshold is the
+// budget. With injection off, the chaos test is one atomic read.
+func (cfg *Config) FirstThreshold() uint64 {
+	if !cfg.Deadline.IsZero() || cfg.Context != nil || chaos.Active() {
+		return 0
+	}
+	return cfg.MaxInstructions
+}
+
+// PollSites names the chaos sites an engine's polls fire: a spurious
+// budget exhaustion, a spurious cancellation, and an induced panic that
+// the engine's Run boundary must contain as an *InternalError with
+// stage "run".
+type PollSites struct{ Budget, Cancel, Panic chaos.Site }
+
+var treePoll = PollSites{chaos.SiteTreeBudget, chaos.SiteTreeCancel, chaos.SiteTreePanic}
+
+// Recharge is every engine's cost-charge slow path: the count instr
+// crossed the threshold, so either the budget is blown or a poll is
+// due. A poll fires the chaos sites, keyed by fn (the executing
+// function, so a fault is deterministic per run), then checks the
+// context, then the deadline. Recharge returns the next threshold: one
+// poll interval on, capped at the budget.
+func (cfg *Config) Recharge(instr uint64, sites *PollSites, fn string) (uint64, error) {
+	if instr > cfg.MaxInstructions {
+		return 0, &ResourceError{Resource: ResInstructions, Limit: cfg.MaxInstructions}
+	}
+	if chaos.Active() {
+		if chaos.Fire(sites.Budget, fn) {
+			return 0, &ResourceError{Resource: ResInstructions, Limit: cfg.MaxInstructions}
+		}
+		if chaos.Fire(sites.Cancel, fn) {
+			return 0, &ResourceError{Resource: ResCancelled}
+		}
+		if chaos.Fire(sites.Panic, fn) {
+			panic(chaos.PanicValue(sites.Panic, fn))
+		}
+	}
+	if ctx := cfg.Context; ctx != nil {
+		select {
+		case <-ctx.Done():
+			return 0, &ResourceError{Resource: ResCancelled}
+		default:
+		}
+	}
+	if !cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline) {
+		return 0, &ResourceError{Resource: ResDeadline}
+	}
+	if cfg.MaxInstructions-instr < pollInterval {
+		return cfg.MaxInstructions, nil
+	}
+	return instr + pollInterval - 1, nil
+}
+
+// Run executes the program on the tree walker, from its main function.
+// Given any other Config.Engine it returns an error. It never panics:
+// range violations surface as a trapped Result, exhausted budgets as a
+// *ResourceError, and internal invariant violations as a
+// *guard.InternalError.
+func Run(p *ir.Program, cfg Config) (res Result, err error) {
+	if p == nil || len(p.Funcs) == 0 {
+		return Result{}, errors.New("interp: no program")
+	}
+	if cfg.Engine != EngineTree {
+		return Result{}, fmt.Errorf("interp: engine %v is not the tree walker (run bytecode engines through internal/vm)", cfg.Engine)
+	}
+	cfg = cfg.WithDefaults()
 	m := &machine{
 		prog:      p,
 		cfg:       cfg,
@@ -209,11 +281,7 @@ func Run(p *ir.Program, cfg Config) (res Result, err error) {
 		active:    make([]bool, len(p.Funcs)),
 		zeroLists: make([][]*ir.Var, len(p.Funcs)),
 	}
-	// Chaos injection rides the poll cadence, so an installed spec also
-	// forces polling; with injection off (the normal case) this reads one
-	// atomic and adds nothing to the hot path.
-	m.timed = !cfg.Deadline.IsZero() || cfg.Context != nil || chaos.Active()
-	m.setNext()
+	m.thr = m.cfg.FirstThreshold()
 	// Frame scratch, hoisted out of the call path: the non-param locals
 	// each function must zero on entry are computed once per run, not
 	// once per call.
@@ -292,9 +360,9 @@ type machine struct {
 	iarrs [][]int64
 	farrs [][]float64
 	instr uint64
-	// next is the count at which cost leaves its fast path: one past
-	// MaxInstructions, or the next poll when that comes first.
-	next   uint64
+	// thr is the count past which cost leaves its fast path: the
+	// budget, or the next poll when that comes first.
+	thr    uint64
 	checks uint64
 	// inCheck says a CheckStmt's terms are being evaluated, and
 	// checkBase is the instruction count from before that check began.
@@ -306,8 +374,6 @@ type machine struct {
 	active    []bool      // call-active bit per Func.Index (recursion guard)
 	zeroLists [][]*ir.Var // per Func.Index: non-param locals zeroed on entry
 	curFn     string      // function currently executing, for error tags
-	timed     bool        // a Deadline or Context is configured
-	nextPoll  uint64
 }
 
 func (m *machine) result() Result {
@@ -318,68 +384,24 @@ func (m *machine) fail(err error) {
 	panic(runtimeError{err})
 }
 
-// cost charges n instructions: one add and one compare against next.
-// Crossing next means the budget is blown or a poll is due; costSlow
+// cost charges n instructions: one add and one compare against thr.
+// Crossing thr means the budget is blown or a poll is due; costSlow
 // tells them apart.
 func (m *machine) cost(n uint64) {
 	m.instr += n
-	if m.instr >= m.next {
+	if m.instr > m.thr {
 		m.costSlow()
 	}
 }
 
-// costSlow exits on a blown instruction budget, runs a due
-// deadline/context/chaos poll, and sets the next threshold.
+// costSlow takes the shared slow path (Config.Recharge) with the tree
+// engine's chaos sites.
 func (m *machine) costSlow() {
-	if m.instr > m.cfg.MaxInstructions {
-		m.fail(&ResourceError{Resource: ResInstructions, Limit: m.cfg.MaxInstructions})
+	thr, err := m.cfg.Recharge(m.instr, &treePoll, m.curFn)
+	if err != nil {
+		m.fail(err)
 	}
-	if m.timed && m.instr >= m.nextPoll {
-		m.nextPoll = m.instr + pollInterval
-		if chaos.Active() {
-			m.chaosPoll()
-		}
-		if ctx := m.cfg.Context; ctx != nil {
-			select {
-			case <-ctx.Done():
-				m.fail(&ResourceError{Resource: ResCancelled})
-			default:
-			}
-		}
-		if !m.cfg.Deadline.IsZero() && time.Now().After(m.cfg.Deadline) {
-			m.fail(&ResourceError{Resource: ResDeadline})
-		}
-	}
-	m.setNext()
-}
-
-// setNext points next at whichever comes first: one past the
-// instruction budget, or (timed runs) the next poll.
-func (m *machine) setNext() {
-	m.next = m.cfg.MaxInstructions + 1
-	if m.next == 0 { // a budget of MaxUint64 cannot be exceeded
-		m.next = math.MaxUint64
-	}
-	if m.timed && m.nextPoll < m.next {
-		m.next = m.nextPoll
-	}
-}
-
-// chaosPoll fires the tree engine's poll-point injection sites, keyed
-// by the executing function so a fault is deterministic per run: a
-// spurious budget exhaustion, a spurious cancellation (both typed
-// *ResourceError), or an induced panic that the Run boundary must
-// contain as an *InternalError with stage "run".
-func (m *machine) chaosPoll() {
-	if chaos.Fire(chaos.SiteTreeBudget, m.curFn) {
-		m.fail(&ResourceError{Resource: ResInstructions, Limit: m.cfg.MaxInstructions})
-	}
-	if chaos.Fire(chaos.SiteTreeCancel, m.curFn) {
-		m.fail(&ResourceError{Resource: ResCancelled})
-	}
-	if chaos.Fire(chaos.SiteTreePanic, m.curFn) {
-		panic(chaos.PanicValue(chaos.SiteTreePanic, m.curFn))
-	}
+	m.thr = thr
 }
 
 func (m *machine) exec(f *ir.Func) {
@@ -454,10 +476,10 @@ func (m *machine) execStmt(s ir.Stmt) {
 		}
 		m.checks++
 		// Term evaluation is part of the check, which is counted
-		// separately: with next raised, cost stays on its fast path (no
+		// separately: with thr raised, cost stays on its fast path (no
 		// budget exit, no poll), and the count is put back afterwards.
-		next := m.next
-		m.next = math.MaxUint64
+		thr := m.thr
+		m.thr = math.MaxUint64
 		m.inCheck, m.checkBase = true, m.instr
 		lhs := int64(0)
 		for _, t := range s.Terms {
@@ -467,7 +489,7 @@ func (m *machine) execStmt(s ir.Stmt) {
 				lhs += t.Coef * m.evalInt(t.Atom)
 			}
 		}
-		m.instr, m.next, m.inCheck = m.checkBase, next, false
+		m.instr, m.thr, m.inCheck = m.checkBase, thr, false
 		if lhs > s.Const {
 			panic(trapSignal{
 				note:  fmt.Sprintf("%s failed (lhs=%d) [%s]", s.String(), lhs, s.Note),

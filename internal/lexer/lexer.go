@@ -61,19 +61,6 @@ func (s *Stream) Next() Token {
 	}
 }
 
-// Scan collects the whole stream, ending with EOF.
-func Scan(src string, errs *source.ErrorList) []Token {
-	s := NewStream(src, errs)
-	var toks []Token
-	for {
-		t := s.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}
-
 func (l *scanner) pos() source.Pos { return source.Pos{Line: l.line, Col: l.col} }
 
 func (l *scanner) peek() byte {

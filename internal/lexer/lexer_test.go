@@ -7,10 +7,23 @@ import (
 	"nascent/internal/token"
 )
 
+// scan collects the whole stream, ending with EOF.
+func scan(src string, errs *source.ErrorList) []Token {
+	s := NewStream(src, errs)
+	var toks []Token
+	for {
+		t := s.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
 func scanKinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
 	var errs source.ErrorList
-	toks := Scan(src, &errs)
+	toks := scan(src, &errs)
 	if errs.Len() != 0 {
 		t.Fatalf("unexpected lex errors: %v", errs.Err())
 	}
@@ -46,7 +59,7 @@ func TestScanOperators(t *testing.T) {
 	}
 	for _, c := range cases {
 		var errs source.ErrorList
-		toks := Scan(c.src, &errs)
+		toks := scan(c.src, &errs)
 		if errs.Len() != 0 {
 			t.Fatalf("%q: unexpected errors %v", c.src, errs.Err())
 		}
@@ -58,7 +71,7 @@ func TestScanOperators(t *testing.T) {
 
 func TestScanKeywordsCaseInsensitive(t *testing.T) {
 	var errs source.ErrorList
-	toks := Scan("DO EndDo WHILE Program", &errs)
+	toks := scan("DO EndDo WHILE Program", &errs)
 	want := []token.Kind{token.KwDo, token.KwEnddo, token.KwWhile, token.KwProgram, token.EOF}
 	for i, k := range want {
 		if toks[i].Kind != k {
@@ -85,7 +98,7 @@ func TestScanNumbers(t *testing.T) {
 	}
 	for _, c := range cases {
 		var errs source.ErrorList
-		toks := Scan(c.src, &errs)
+		toks := scan(c.src, &errs)
 		if errs.Len() != 0 {
 			t.Fatalf("%q: unexpected errors %v", c.src, errs.Err())
 		}
@@ -114,7 +127,7 @@ func TestScanCommentsAndBlankLines(t *testing.T) {
 
 func TestScanPositions(t *testing.T) {
 	var errs source.ErrorList
-	toks := Scan("a = 1\n  b = 2\n", &errs)
+	toks := scan("a = 1\n  b = 2\n", &errs)
 	// token "b" is on line 2, column 3
 	var bTok *Token
 	for i := range toks {
@@ -132,7 +145,7 @@ func TestScanPositions(t *testing.T) {
 
 func TestScanIllegalChar(t *testing.T) {
 	var errs source.ErrorList
-	toks := Scan("a = $\n", &errs)
+	toks := scan("a = $\n", &errs)
 	if errs.Len() == 0 {
 		t.Error("expected an error for '$'")
 	}
@@ -150,7 +163,7 @@ func TestScanIllegalChar(t *testing.T) {
 func TestScanExponentBacktrack(t *testing.T) {
 	// "1e" followed by an identifier char is int then ident, not a real.
 	var errs source.ErrorList
-	toks := Scan("x = 1e\n", &errs)
+	toks := scan("x = 1e\n", &errs)
 	kinds := []token.Kind{}
 	for _, tk := range toks {
 		kinds = append(kinds, tk.Kind)

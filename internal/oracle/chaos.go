@@ -185,7 +185,6 @@ func ChaosSweep(src string, cfg ChaosConfig) (*ChaosReport, error) {
 		pool := evalpool.NewSupervised(evalpool.Config{
 			Workers:     max(cfg.Jobs, 1),
 			MaxAttempts: 3,
-			Backoff:     time.Millisecond,
 			JobTimeout:  jobTimeout,
 		})
 		results := pool.Evaluate(jobs)

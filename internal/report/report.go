@@ -207,12 +207,6 @@ func buildRow1(p suite.Program, plain, checked evalpool.Result) (Table1Row, erro
 	return row, nil
 }
 
-// Measure1 computes Table 1 for one program.
-func Measure1(p suite.Program) (Table1Row, error) {
-	results := New(Config{}).evaluate(table1Jobs(p))
-	return buildRow1(p, results[0], results[1])
-}
-
 func countLines(src string) int {
 	n := 0
 	for _, line := range strings.Split(src, "\n") {
@@ -271,27 +265,4 @@ func buildCell(name string, res evalpool.Result, naiveChecks uint64) Table2Cell 
 	}
 	cell.Eliminated = 100 * (1 - float64(res.Res.Checks)/float64(naiveChecks))
 	return cell
-}
-
-// Measure2 runs one scheme/kind over one program and reports the
-// elimination percentage against the naive dynamic check count.
-func Measure2(p suite.Program, scheme nascent.Scheme, kind nascent.CheckKind, impl nascent.Implications, naiveChecks uint64) (Table2Cell, error) {
-	job := optJob(p, scheme, kind, impl)
-	res := New(Config{}).evaluate([]evalpool.Job{job})[0]
-	cell := buildCell(job.Name, res, naiveChecks)
-	return cell, cell.Err
-}
-
-// NaiveChecks runs the unoptimized checked build and returns its dynamic
-// check count (the Table 2/3 denominators).
-func NaiveChecks(p suite.Program) (uint64, error) {
-	prog, err := nascent.Compile(p.Source, nascent.Options{Filename: p.Name + ".mf", BoundsChecks: true})
-	if err != nil {
-		return 0, err
-	}
-	res, err := prog.Run()
-	if err != nil {
-		return 0, err
-	}
-	return res.Checks, nil
 }

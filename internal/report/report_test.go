@@ -1,11 +1,11 @@
-package report_test
+package report
 
 import (
 	"strings"
 	"testing"
 
 	"nascent"
-	"nascent/internal/report"
+	"nascent/internal/evalpool"
 	"nascent/internal/suite"
 )
 
@@ -13,7 +13,8 @@ func TestMeasure1AllPrograms(t *testing.T) {
 	for _, p := range suite.Programs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			row, err := report.Measure1(p)
+			results := New(Config{}).evaluate(table1Jobs(p))
+			row, err := buildRow1(p, results[0], results[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,16 +48,18 @@ func TestMeasure2Sanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := report.NaiveChecks(p)
-	if err != nil {
-		t.Fatal(err)
+	r := New(Config{})
+	naive := r.evaluate(table1Jobs(p))[1] // the checked build
+	if naive.Err != nil {
+		t.Fatal(naive.Err)
 	}
-	if naive == 0 {
+	if naive.Res.Checks == 0 {
 		t.Fatal("no naive checks")
 	}
-	cell, err := report.Measure2(p, nascent.LLS, nascent.PRX, nascent.ImplyFull, naive)
-	if err != nil {
-		t.Fatal(err)
+	job := optJob(p, nascent.LLS, nascent.PRX, nascent.ImplyFull)
+	cell := buildCell(job.Name, r.evaluate([]evalpool.Job{job})[0], naive.Res.Checks)
+	if cell.Err != nil {
+		t.Fatal(cell.Err)
 	}
 	if cell.Eliminated < 90 || cell.Eliminated > 100 {
 		t.Errorf("vortex LLS eliminated = %.2f%%, want 90-100", cell.Eliminated)
@@ -70,7 +73,7 @@ func TestTable1Renders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table in short mode")
 	}
-	out, err := report.Table1()
+	out, err := New(Config{}).Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestTable1Renders(t *testing.T) {
 
 func TestTable3VariantsWellFormed(t *testing.T) {
 	labels := map[string]bool{}
-	for _, v := range report.Table3Variants {
+	for _, v := range Table3Variants {
 		if labels[v.Label] {
 			t.Errorf("duplicate label %q", v.Label)
 		}

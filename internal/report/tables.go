@@ -10,15 +10,6 @@ import (
 	"nascent/internal/suite"
 )
 
-// Table1 renders the paper's Table 1 on a sequential Runner.
-func Table1() (string, error) { return New(Config{}).Table1() }
-
-// Table2 renders the paper's Table 2 on a sequential Runner.
-func Table2() (string, error) { return New(Config{}).Table2() }
-
-// Table3 renders the paper's Table 3 on a sequential Runner.
-func Table3() (string, error) { return New(Config{}).Table3() }
-
 // measure1 evaluates the Table 1 job matrix: one row per suite
 // program, with per-row errors aligned by index (nil = measured).
 func (r *Runner) measure1() ([]Table1Row, []error) {
@@ -285,10 +276,6 @@ type SummaryRow struct {
 	Kind    nascent.CheckKind
 	Percent map[string]float64
 }
-
-// Summarize runs the full Table 2 + Table 3 measurement grid and returns
-// the rows in a deterministic order.
-func Summarize() ([]SummaryRow, error) { return New(Config{}).Summarize() }
 
 // Summarize runs the full Table 2 + Table 3 measurement grid on the
 // Runner's pool and returns the rows in a deterministic order.

@@ -239,7 +239,7 @@ type Program struct {
 
 	// mcache recycles machines (register files + array slabs) across
 	// runs of this program; a pointer so Program copies stay legal.
-	mcache    *machCache[mach]
+	mcache    *machCache
 	optimized bool // rewritten by Optimize (opt.go)
 	rce       bool // rewritten by RCE (rce.go)
 }
@@ -291,7 +291,7 @@ func Compile(p *ir.Program) (vp *Program, err error) {
 	out.nFloatRegs = int(b.fScratch) + int(c2.maxDepthF)
 	out.numVars = p.NumVars
 	out.mainIdx = int32(p.Main().Index)
-	out.mcache = new(machCache[mach])
+	out.mcache = new(machCache)
 	return out, nil
 }
 

@@ -1,7 +1,7 @@
 package vm
 
-// engine.go — the engine → bytecode pipeline map, the engine registry
-// entries, and the vmjit handle every layer runs that engine through.
+// engine.go — the engine → bytecode pipeline map and the vmjit handle
+// every layer runs that engine through.
 
 import (
 	"errors"
@@ -17,10 +17,10 @@ import (
 // CompileEngine compiles p through the bytecode pipeline engine e
 // executes: vmopt runs CompileOptimized, and vmrce and vmjit
 // CompileRCE (the guard/deopt-rewritten, optimized stream is the jit's
-// input). Both layers that compile bytecode for an engine — the
-// registry below and the service cache — go through here, so they
-// cannot disagree on which program an engine runs. The tree walker has
-// no bytecode pipeline.
+// input). Both layers that compile bytecode for an engine —
+// nascent.Program.RunWith and the service cache — go through here, so
+// they cannot disagree on which program an engine runs. The tree
+// walker has no bytecode pipeline.
 func CompileEngine(p *ir.Program, e interp.Engine) (*Program, error) {
 	switch e {
 	case interp.EngineVMOpt:
@@ -31,28 +31,9 @@ func CompileEngine(p *ir.Program, e interp.Engine) (*Program, error) {
 	return nil, fmt.Errorf("vm: engine %v has no bytecode pipeline", e)
 }
 
-func init() {
-	for _, e := range []interp.Engine{interp.EngineVMOpt, interp.EngineVMRCE} {
-		e := e
-		interp.RegisterEngine(e, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-			vp, err := CompileEngine(p, e)
-			if err != nil {
-				return interp.Result{}, err
-			}
-			return vp.Run(cfg)
-		})
-	}
-	interp.RegisterEngine(interp.EngineVMJit, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-		vp, err := CompileEngine(p, interp.EngineVMJit)
-		if err != nil {
-			return interp.Result{}, err
-		}
-		return NewJitHandle(vp).Run(cfg)
-	})
-}
-
-// JitHandle is how every layer runs a vmjit program: the registry
-// above builds one per run, and the service cache keeps one per entry.
+// JitHandle is how every layer runs a vmjit program:
+// nascent.Program.RunWith builds one per run, and the service cache
+// keeps one per entry.
 // The closure compile happens once, in NewJitHandle — inside the
 // once-guarded fill of a cache entry — so no run ever profiles, blocks
 // on, or races a compile. A failed

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nascent/internal/chaos"
 	"nascent/internal/guard"
@@ -16,18 +15,16 @@ import (
 	"nascent/internal/source"
 )
 
-// pollInterval matches the reference engine's deadline/cancellation
-// cadence: one poll per 2^14 counted instructions.
-const pollInterval = 1 << 14
-
 type frame struct {
 	ret int32 // return pc
 	fn  int32 // caller's Func.Index
 }
 
-// mach is the mutable state of one run. Programs are immutable, so one
-// compiled Program serves any number of concurrent machines. Machines
-// recycle through the program's frame pool: repeated runs (bench
+// mach is the mutable state of one run, whichever executor runs it:
+// the switch loop here or the jit's closures (jit.go). Programs are
+// immutable, so one compiled Program serves any number of concurrent
+// machines. Machines recycle through the program's machine cache,
+// which Program.Run and JITProgram.Run share: repeated runs (bench
 // -times, oracle sweeps, evalpool) reuse the register files and array
 // slabs instead of reallocating them.
 type mach struct {
@@ -41,14 +38,25 @@ type mach struct {
 	frames []frame
 	fn     int32
 	out    []byte
-	disp   *DispatchStats
+	disp   *DispatchStats // switch loop only
+
+	// The jit's counters and cost threshold, which its closures reach
+	// through the machine. The switch loop keeps its own in locals.
+	instrs, checks, costThr uint64
+
+	// How the run stopped: the jit's runtime error, or a trap.
+	err       error
+	trapped   bool
+	trapNote  string
+	trapClass interp.TrapClass
+	trapPos   source.Pos
 }
 
 // Run executes the compiled program from main. It implements exactly
 // the reference engine's contract: same counters, output, traps, and
 // budget errors (see the package comment for the identity argument).
 func (vp *Program) Run(cfg interp.Config) (interp.Result, error) {
-	return vp.runWith(cfg, nil)
+	return vp.run(cfg, nil, nil)
 }
 
 // RunDispatch is Run with dispatch accounting: the returned stats
@@ -56,27 +64,20 @@ func (vp *Program) Run(cfg interp.Config) (interp.Result, error) {
 // deterministic proxy CI pins instead of wall clock.
 func (vp *Program) RunDispatch(cfg interp.Config) (interp.Result, DispatchStats, error) {
 	ds := DispatchStats{Static: len(vp.code)}
-	res, err := vp.runWith(cfg, &ds)
+	res, err := vp.run(cfg, &ds, nil)
 	return res, ds, err
 }
 
 // Optimized reports whether this program went through Optimize.
 func (vp *Program) Optimized() bool { return vp.optimized }
 
-func (vp *Program) runWith(cfg interp.Config, disp *DispatchStats) (res interp.Result, err error) {
-	if cfg.MaxInstructions == 0 {
-		cfg.MaxInstructions = 2e9
-	}
-	if cfg.MaxOutputBytes == 0 {
-		cfg.MaxOutputBytes = 1 << 20
-	}
-	if cfg.MaxArrayCells == 0 {
-		cfg.MaxArrayCells = 64 << 20
-	}
-
-	// Enforce the cell budget in the reference engine's allocation
-	// order so the same array trips it, then allocate one slab per
-	// element type instead of one slice per array.
+// run is the prologue both executors share. It applies the limit
+// defaults, charges the cell budget in the reference engine's array
+// order (so the same array trips it), takes a reset machine, and
+// contains panics the way the tree walker does. Then it runs the jit's
+// closures from heads, or the switch loop when heads is nil.
+func (vp *Program) run(cfg interp.Config, disp *DispatchStats, heads []jop) (res interp.Result, err error) {
+	cfg = cfg.WithDefaults()
 	cells := int64(0)
 	for _, id := range vp.arrOrder {
 		ar := &vp.arrays[id]
@@ -89,8 +90,7 @@ func (vp *Program) runWith(cfg interp.Config, disp *DispatchStats) (res interp.R
 		}
 	}
 
-	m := vp.getMach(cfg)
-	m.disp = disp
+	m := vp.getMach(cfg, disp)
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -101,57 +101,53 @@ func (vp *Program) runWith(cfg interp.Config, disp *DispatchStats) (res interp.R
 			// Stage "run" matches the tree-walker's containment tag: the
 			// engines share one observable contract, including how their
 			// contained panics are labeled. The machine is not returned
-			// to the pool: a panic may have interrupted it anywhere.
+			// to the cache: a panic may have interrupted it anywhere.
 			res = interp.Result{Output: string(m.out)}
 			err = &guard.InternalError{Stage: "run", Fn: fnName, Recovered: r}
 		}
 	}()
 
-	res, err = m.run()
-	vp.putMach(m)
+	if heads != nil {
+		res, err = m.trampoline(heads)
+	} else {
+		res, err = m.run()
+	}
+	vp.mcache.put(m)
 	return res, err
 }
 
-// getMach returns a reset machine, reusing a pooled one when
-// available. A reused machine only has to restore what a run observes:
-// variables zero, constants in place, slabs zero, no active frames, no
-// output. The steady state of a repeated run is allocation-free.
-func (vp *Program) getMach(cfg interp.Config) *mach {
-	if vp.mcache != nil {
-		if m := vp.mcache.get(); m != nil {
-			clear(m.ireg)
-			clear(m.freg)
-			copy(m.ireg[vp.numVars:], vp.iconsts)
-			copy(m.freg[vp.numVars:], vp.fconsts)
-			clear(m.icel)
-			clear(m.fcel)
-			clear(m.active)
-			m.frames = m.frames[:0]
-			m.out = m.out[:0]
-			m.cfg = cfg
-			m.fn = 0
-			m.disp = nil
-			return m
+// getMach returns a machine reset for a run of main, reusing a cached
+// one when available. A reused machine only has to restore what a run
+// observes: variables zero, constants in place, slabs zero, no active
+// frames, no output, zero counters and the run's first cost threshold.
+// The steady state of a repeated run is allocation-free.
+func (vp *Program) getMach(cfg interp.Config, disp *DispatchStats) *mach {
+	m := vp.mcache.get()
+	if m == nil {
+		m = &mach{
+			ireg:   make([]int64, vp.nIntRegs),
+			freg:   make([]float64, vp.nFloatRegs),
+			icel:   make([]int64, vp.iCells),
+			fcel:   make([]float64, vp.fCells),
+			active: make([]bool, len(vp.funcs)),
 		}
+	} else {
+		clear(m.ireg)
+		clear(m.freg)
+		clear(m.icel)
+		clear(m.fcel)
+		clear(m.active)
 	}
-	m := &mach{
-		p:      vp,
-		cfg:    cfg,
-		ireg:   make([]int64, vp.nIntRegs),
-		freg:   make([]float64, vp.nFloatRegs),
-		icel:   make([]int64, vp.iCells),
-		fcel:   make([]float64, vp.fCells),
-		active: make([]bool, len(vp.funcs)),
+	*m = mach{
+		p: vp, cfg: cfg, disp: disp, costThr: cfg.FirstThreshold(),
+		ireg: m.ireg, freg: m.freg, icel: m.icel, fcel: m.fcel,
+		active: m.active, frames: m.frames[:0], out: m.out[:0],
+		fn: vp.mainIdx,
 	}
 	copy(m.ireg[vp.numVars:], vp.iconsts)
 	copy(m.freg[vp.numVars:], vp.fconsts)
+	m.active[vp.mainIdx] = true
 	return m
-}
-
-func (vp *Program) putMach(m *mach) {
-	if vp.mcache != nil {
-		vp.mcache.put(m)
-	}
 }
 
 // machCache recycles a program's machines across runs. A one-slot cache
@@ -160,27 +156,129 @@ func (vp *Program) putMach(m *mach) {
 // steady state never depends on the pool retaining items (the race
 // detector drops pooled items at random), while concurrent callers
 // overflow to the pool.
-type machCache[M any] struct {
-	slot atomic.Pointer[M]
+type machCache struct {
+	slot atomic.Pointer[mach]
 	pool sync.Pool
 }
 
 // get returns a recycled machine, or nil when none is cached.
-func (c *machCache[M]) get() *M {
+func (c *machCache) get() *mach {
 	if m := c.slot.Swap(nil); m != nil {
 		return m
 	}
 	if v := c.pool.Get(); v != nil {
-		return v.(*M)
+		return v.(*mach)
 	}
 	return nil
 }
 
 // put recycles m: into the slot when it is empty, else into the pool.
-func (c *machCache[M]) put(m *M) {
+func (c *machCache) put(m *mach) {
 	if !c.slot.CompareAndSwap(nil, m) {
 		c.pool.Put(m)
 	}
+}
+
+// result is the run's outcome once an executor stops with the given
+// counters and error.
+func (m *mach) result(instrs, checks uint64, err error) (interp.Result, error) {
+	res := interp.Result{Instructions: instrs, Checks: checks, Output: string(m.out)}
+	if m.trapped {
+		res.Trapped = true
+		res.TrapNote, res.TrapClass, res.TrapPos = m.trapNote, m.trapClass, m.trapPos
+	}
+	return res, err
+}
+
+// vmPoll names the chaos sites the bytecode executors' polls fire.
+var vmPoll = interp.PollSites{Budget: chaos.SiteVMBudget, Cancel: chaos.SiteVMCancel, Panic: chaos.SiteVMPanic}
+
+// recharge is the cost-charge slow path of both executors, shared by
+// the central charge and the fused opcodes' deferred (post-check)
+// charges: the run contract's Config.Recharge with the vm.poll.* chaos
+// sites. It returns the next threshold.
+func (m *mach) recharge(instrs uint64) (uint64, error) {
+	return m.cfg.Recharge(instrs, &vmPoll, m.p.funcs[m.fn].name)
+}
+
+// trap records one failed check. It returns nil, which stops the jit's
+// trampoline.
+func (m *mach) trap(cs checkInfo, lhs int64) jop {
+	m.trapNote, m.trapClass, m.trapPos = checkTrap(cs, lhs)
+	m.trapped = true
+	return nil
+}
+
+// trapStmt records the compile-time range violation traps[i].
+func (m *mach) trapStmt(i int32) {
+	ts := m.p.traps[i]
+	m.trapNote = fmt.Sprintf("compile-time range violation: %s", ts.note)
+	m.trapClass, m.trapPos = interp.TrapStatic, ts.pos
+	m.trapped = true
+}
+
+// fail is the runtime fault of opFail: the reference engine's message
+// for an IR construct it rejects at run time.
+func (m *mach) fail(i int32) error { return errors.New(m.p.fails[i]) }
+
+// call enters function fn, to return to pc ret. It zeroes fn's locals
+// and local arrays, then refuses recursion (the reference engine's
+// CallStmt/exec order), and returns fn's entry pc.
+func (m *mach) call(fn, ret int32) (int32, error) {
+	fi := &m.p.funcs[fn]
+	for _, v := range fi.zeroVars {
+		m.ireg[v] = 0
+		m.freg[v] = 0
+	}
+	for _, ai := range fi.clrArrs {
+		ar := &m.p.arrays[ai]
+		if ar.elem == ir.Int {
+			clear(m.icel[ar.base : ar.base+ar.length])
+		} else {
+			clear(m.fcel[ar.base : ar.base+ar.length])
+		}
+	}
+	if m.active[fn] {
+		return 0, fmt.Errorf("%w: %s", interp.ErrRecursion, fi.name)
+	}
+	m.active[fn] = true
+	m.frames = append(m.frames, frame{ret: ret, fn: m.fn})
+	m.fn = fn
+	return fi.entry, nil
+}
+
+// ret leaves the current function and returns the caller's resume pc;
+// false means main returned.
+func (m *mach) ret() (int32, bool) {
+	m.active[m.fn] = false
+	n := len(m.frames)
+	if n == 0 {
+		return 0, false
+	}
+	fr := m.frames[n-1]
+	m.frames = m.frames[:n-1]
+	m.fn = fr.fn
+	return fr.ret, true
+}
+
+// print appends one output line: ents holds one pool entry per
+// argument (register<<1, plus 1 for a float). Output already at
+// MaxOutputBytes takes no more lines.
+func (m *mach) print(ents []int64) {
+	if len(m.out) >= m.cfg.MaxOutputBytes {
+		return
+	}
+	for k, e := range ents {
+		if k > 0 {
+			m.out = append(m.out, ' ')
+		}
+		if e&1 != 0 {
+			m.out = strconv.AppendFloat(m.out, m.freg[e>>1], 'g', 10, 64)
+		} else {
+			m.out = strconv.AppendInt(m.out, m.ireg[e>>1], 10)
+		}
+	}
+	m.out = append(m.out, '\n')
 }
 
 func (m *mach) run() (interp.Result, error) {
@@ -195,35 +293,20 @@ func (m *mach) run() (interp.Result, error) {
 		funcs  = p.funcs
 		arrays = p.arrays
 
-		maxInstr       = m.cfg.MaxInstructions
 		instrs, checks uint64
 		// elim tracks the checks counted in bulk without being evaluated
 		// (opCkAdd, opCheckBlock implied pairs); a diagnostic, not an
 		// observable — flushed to DispatchStats at exit for CheckStats.
 		elim uint64
 
-		err       error
-		trapped   bool
-		trapNote  string
-		trapClass interp.TrapClass
-		trapPos   source.Pos
-
+		err  error
 		disp = m.disp
 	)
 	// costThr folds the budget bound and the next poll tick into one
 	// compare on the hot path: the instruction counter crossing it means
 	// either the budget is blown or a deadline/context poll is due (the
-	// slow path below tells them apart). Untimed runs never poll, so the
-	// threshold is simply the budget.
-	// An installed chaos spec forces polling too, so the injection sites
-	// get the same cadence as deadline checks; with injection off this
-	// is one atomic read before the loop starts.
-	costThr := maxInstr
-	if !m.cfg.Deadline.IsZero() || m.cfg.Context != nil || chaos.Active() {
-		costThr = 0
-	}
-	m.fn = p.mainIdx
-	m.active[p.mainIdx] = true
+	// slow path, recharge, tells them apart).
+	costThr := m.costThr
 	pc := funcs[p.mainIdx].entry
 
 loop:
@@ -242,7 +325,7 @@ loop:
 		if c := in.cost; c != 0 {
 			instrs += uint64(c)
 			if instrs > costThr {
-				if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+				if costThr, err = m.recharge(instrs); err != nil {
 					break loop
 				}
 			}
@@ -471,8 +554,7 @@ loop:
 		case opCheck1:
 			checks++
 			if lhs := int64(in.b) * ireg[in.a]; lhs > in.imm {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[in.c], lhs)
-				trapped = true
+				m.trap(p.checks[in.c], lhs)
 				break loop
 			}
 
@@ -481,14 +563,12 @@ loop:
 			v := ireg[in.a]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[2]], lhs)
-				trapped = true
+				m.trap(p.checks[t[2]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[3] * v; lhs > t[4] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[5]], lhs)
-				trapped = true
+				m.trap(p.checks[t[5]], lhs)
 				break loop
 			}
 
@@ -496,8 +576,7 @@ loop:
 			checks++
 			t := pool[in.a : in.a+4 : in.a+4]
 			if lhs := t[0]*ireg[t[1]] + t[2]*ireg[t[3]]; lhs > in.imm {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[in.c], lhs)
-				trapped = true
+				m.trap(p.checks[in.c], lhs)
 				break loop
 			}
 
@@ -509,8 +588,7 @@ loop:
 				lhs += terms[k] * ireg[terms[k+1]]
 			}
 			if lhs > in.imm {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[in.c], lhs)
-				trapped = true
+				m.trap(p.checks[in.c], lhs)
 				break loop
 			}
 
@@ -554,11 +632,7 @@ loop:
 			elim += uint64(in.a)
 
 		case opTrapStmt:
-			ts := p.traps[in.a]
-			trapped = true
-			trapNote = fmt.Sprintf("compile-time range violation: %s", ts.note)
-			trapClass = interp.TrapStatic
-			trapPos = ts.pos
+			m.trapStmt(in.a)
 			break loop
 
 		case opJmp:
@@ -644,61 +718,24 @@ loop:
 			}
 
 		case opCall:
-			fi := &funcs[in.a]
-			// Zero locals first, then refuse recursion: the reference
-			// engine's CallStmt/exec order.
-			for _, v := range fi.zeroVars {
-				ireg[v] = 0
-				freg[v] = 0
-			}
-			for _, ai := range fi.clrArrs {
-				ar := &arrays[ai]
-				if ar.elem == ir.Int {
-					clear(icel[ar.base : ar.base+ar.length])
-				} else {
-					clear(fcel[ar.base : ar.base+ar.length])
-				}
-			}
-			if m.active[in.a] {
-				err = fmt.Errorf("%w: %s", interp.ErrRecursion, fi.name)
+			if pc, err = m.call(in.a, pc); err != nil {
 				break loop
 			}
-			m.active[in.a] = true
-			m.frames = append(m.frames, frame{ret: pc, fn: m.fn})
-			m.fn = in.a
-			pc = fi.entry
 
 		case opRet:
-			m.active[m.fn] = false
-			n := len(m.frames)
-			if n == 0 {
+			var ok bool
+			if pc, ok = m.ret(); !ok {
 				break loop // main returned
 			}
-			fr := m.frames[n-1]
-			m.frames = m.frames[:n-1]
-			pc, m.fn = fr.ret, fr.fn
 
 		case opPrint:
-			if len(m.out) < m.cfg.MaxOutputBytes {
-				for k := int32(0); k < in.b; k++ {
-					if k > 0 {
-						m.out = append(m.out, ' ')
-					}
-					e := pool[in.a+k]
-					if e&1 != 0 {
-						m.out = strconv.AppendFloat(m.out, freg[e>>1], 'g', 10, 64)
-					} else {
-						m.out = strconv.AppendInt(m.out, ireg[e>>1], 10)
-					}
-				}
-				m.out = append(m.out, '\n')
-			}
+			m.print(pool[in.a : in.a+in.b])
 
 		case opNop:
 			// cost carrier only
 
 		case opFail:
-			err = errors.New(p.fails[in.a])
+			err = m.fail(in.a)
 			break loop
 
 		// ---- fused opcodes (emitted only by Optimize) ----
@@ -737,20 +774,18 @@ loop:
 			v := ireg[in.imm>>16]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[2]], lhs)
-				trapped = true
+				m.trap(p.checks[t[2]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[3] * v; lhs > t[4] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[5]], lhs)
-				trapped = true
+				m.trap(p.checks[t[5]], lhs)
 				break loop
 			}
 			if dc := uint64(uint16(in.imm)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+					if costThr, err = m.recharge(instrs); err != nil {
 						break loop
 					}
 				}
@@ -778,32 +813,28 @@ loop:
 			v := ireg[in.imm>>16]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[2]], lhs)
-				trapped = true
+				m.trap(p.checks[t[2]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[3] * v; lhs > t[4] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[5]], lhs)
-				trapped = true
+				m.trap(p.checks[t[5]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[6] * v; lhs > t[7] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[8]], lhs)
-				trapped = true
+				m.trap(p.checks[t[8]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[9] * v; lhs > t[10] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[11]], lhs)
-				trapped = true
+				m.trap(p.checks[t[11]], lhs)
 				break loop
 			}
 			if dc := uint64(uint16(in.imm)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+					if costThr, err = m.recharge(instrs); err != nil {
 						break loop
 					}
 				}
@@ -835,32 +866,28 @@ loop:
 			v1 := ireg[int32(in.imm)&0xffffff]
 			checks++
 			if lhs := t[0] * v0; lhs > t[1] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[2]], lhs)
-				trapped = true
+				m.trap(p.checks[t[2]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[3] * v0; lhs > t[4] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[5]], lhs)
-				trapped = true
+				m.trap(p.checks[t[5]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[6] * v1; lhs > t[7] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[8]], lhs)
-				trapped = true
+				m.trap(p.checks[t[8]], lhs)
 				break loop
 			}
 			checks++
 			if lhs := t[9] * v1; lhs > t[10] {
-				trapNote, trapClass, trapPos = checkTrap(p.checks[t[11]], lhs)
-				trapped = true
+				m.trap(p.checks[t[11]], lhs)
 				break loop
 			}
 			if dc := uint64(uint16(uint64(in.imm) >> 48)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+					if costThr, err = m.recharge(instrs); err != nil {
 						break loop
 					}
 				}
@@ -944,7 +971,7 @@ loop:
 				if dc := uint64(t[0]); dc != 0 {
 					instrs += dc
 					if instrs > costThr {
-						if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+						if costThr, err = m.recharge(instrs); err != nil {
 							break loop
 						}
 					}
@@ -960,8 +987,7 @@ loop:
 					// two-register term [_, _, -2, ra, rb, ca, cb, K, idx].
 					checks++
 					if lhs := t[5]*ireg[t[3]] + t[6]*ireg[t[4]]; lhs > t[7] {
-						trapNote, trapClass, trapPos = checkTrap(p.checks[t[8]], lhs)
-						trapped = true
+						m.trap(p.checks[t[8]], lhs)
 						break loop
 					}
 					continue
@@ -970,13 +996,11 @@ loop:
 				checks += 2
 				if lhs := t[3] * v; lhs > t[4] {
 					checks--
-					trapNote, trapClass, trapPos = checkTrap(p.checks[t[5]], lhs)
-					trapped = true
+					m.trap(p.checks[t[5]], lhs)
 					break loop
 				}
 				if lhs := t[6] * v; lhs > t[7] {
-					trapNote, trapClass, trapPos = checkTrap(p.checks[t[8]], lhs)
-					trapped = true
+					m.trap(p.checks[t[8]], lhs)
 					break loop
 				}
 			}
@@ -1093,7 +1117,7 @@ loop:
 			if dc := uint64(uint32(in.imm)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+					if costThr, err = m.recharge(instrs); err != nil {
 						break loop
 					}
 				}
@@ -1142,7 +1166,7 @@ loop:
 			if dc := (u >> 16) & 0xffff; dc != 0 {
 				instrs += dc
 				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+					if costThr, err = m.recharge(instrs); err != nil {
 						break loop
 					}
 				}
@@ -1158,7 +1182,7 @@ loop:
 			if dc := u & 0xffff; dc != 0 {
 				instrs += dc
 				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+					if costThr, err = m.recharge(instrs); err != nil {
 						break loop
 					}
 				}
@@ -1204,7 +1228,7 @@ loop:
 			if dc := u & 0xffffffff; dc != 0 {
 				instrs += dc
 				if instrs > costThr {
-					if costThr, err = m.recharge(instrs, maxInstr); err != nil {
+					if costThr, err = m.recharge(instrs); err != nil {
 						break loop
 					}
 				}
@@ -1409,62 +1433,7 @@ loop:
 	if disp != nil {
 		disp.ChecksEliminated += elim
 	}
-	res := interp.Result{Instructions: instrs, Checks: checks, Output: string(m.out)}
-	if trapped {
-		res.Trapped = true
-		res.TrapNote = trapNote
-		res.TrapClass = trapClass
-		res.TrapPos = trapPos
-	}
-	return res, err
-}
-
-// recharge is the cost-charge slow path, shared by the central charge
-// and the fused opcodes' deferred (post-check) charges: the counter
-// crossed the threshold, so either the budget is blown or a
-// deadline/context poll is due. Returns the next threshold.
-func (m *mach) recharge(instrs, maxInstr uint64) (uint64, error) {
-	if instrs > maxInstr {
-		return 0, &interp.ResourceError{Resource: interp.ResInstructions, Limit: maxInstr}
-	}
-	// A poll tick: one poll per 2^14 counted instructions, exactly the
-	// reference engine's cadence.
-	if e := m.poll(); e != nil {
-		return 0, e
-	}
-	thr := instrs + pollInterval - 1
-	if maxInstr < thr {
-		thr = maxInstr
-	}
-	return thr, nil
-}
-
-func (m *mach) poll() error {
-	if chaos.Active() {
-		fn := m.p.funcs[m.fn].name
-		if chaos.Fire(chaos.SiteVMBudget, fn) {
-			return &interp.ResourceError{Resource: interp.ResInstructions, Limit: m.cfg.MaxInstructions}
-		}
-		if chaos.Fire(chaos.SiteVMCancel, fn) {
-			return &interp.ResourceError{Resource: interp.ResCancelled}
-		}
-		if chaos.Fire(chaos.SiteVMPanic, fn) {
-			// Recovered by Run's containment boundary as an
-			// *InternalError with stage "run", like the tree engine.
-			panic(chaos.PanicValue(chaos.SiteVMPanic, fn))
-		}
-	}
-	if ctx := m.cfg.Context; ctx != nil {
-		select {
-		case <-ctx.Done():
-			return &interp.ResourceError{Resource: interp.ResCancelled}
-		default:
-		}
-	}
-	if !m.cfg.Deadline.IsZero() && time.Now().After(m.cfg.Deadline) {
-		return &interp.ResourceError{Resource: interp.ResDeadline}
-	}
-	return nil
+	return m.result(instrs, checks, err)
 }
 
 func b2i(b bool) int64 {

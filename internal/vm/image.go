@@ -296,7 +296,7 @@ func FromImage(im *Image) (*Program, error) {
 		fCells:     im.FCells,
 		numVars:    int(im.NumVars),
 		mainIdx:    im.MainIdx,
-		mcache:     new(machCache[mach]),
+		mcache:     new(machCache),
 		optimized:  im.Optimized,
 		rce:        im.RCE,
 	}

@@ -16,37 +16,33 @@ package vm
 // The observable contract is exec.go's, bit for bit: identical
 // instruction and check counters (including the deferred-cost charge
 // points inside fused opcodes), identical trap notes/classes/positions,
-// identical budget errors and poll cadence (one poll per 2^14 counted
-// instructions, same chaos sites and keys), identical output. Every
-// closure body below is a transliteration of the corresponding
-// exec.go switch case with the decode work hoisted to compile time.
+// identical budget errors and poll cadence, identical output. The jit
+// runs on exec.go's machine (mach) behind the same prologue, and its
+// frame, output, trap and recharge paths call the same mach methods as
+// the switch cases. Every other closure body below is a
+// transliteration of the corresponding exec.go switch case with the
+// decode work hoisted to compile time.
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"strconv"
-	"time"
 
 	"nascent/internal/chaos"
 	"nascent/internal/guard"
 	"nascent/internal/interp"
-	"nascent/internal/ir"
-	"nascent/internal/source"
 )
 
 // jop is one compiled closure: execute, then return the successor
 // closure (nil stops the trampoline — halt, fault, or trap, told apart
 // by the machine's result fields).
-type jop func(*jmach) jop
+type jop func(*mach) jop
 
 // JITProgram is a closure-compiled program. Like Program it is
 // immutable after JITCompile and safe for concurrent Run calls; the
-// mutable state lives in pooled per-run machines.
+// mutable state lives in the source Program's cached machines.
 type JITProgram struct {
-	vp     *Program
-	heads  []jop
-	mcache *machCache[jmach]
+	vp    *Program
+	heads []jop
 }
 
 // Source returns the bytecode Program this jit was compiled from.
@@ -70,204 +66,46 @@ func JITCompile(vp *Program, prof *DispatchStats) (jp *JITProgram, err error) {
 	for pc := len(vp.code) - 1; pc >= 0; pc-- {
 		b.heads[pc] = b.build1(int32(pc))
 	}
-	return &JITProgram{vp: vp, heads: b.heads, mcache: new(machCache[jmach])}, nil
+	return &JITProgram{vp: vp, heads: b.heads}, nil
 }
 
-// jmach is the mutable state of one jit run: mach's fields plus the
-// counters the switch loop kept in locals, which closures must reach
-// through the machine pointer.
-type jmach struct {
-	p      *JITProgram
-	cfg    interp.Config
-	ireg   []int64
-	freg   []float64
-	icel   []int64
-	fcel   []float64
-	active []bool
-	frames []frame
-	fn     int32
-	out    []byte
-
-	instrs, checks    uint64
-	maxInstr, costThr uint64
-	err               error
-	trapped           bool
-	trapNote          string
-	trapClass         interp.TrapClass
-	trapPos           source.Pos
+// Run executes the closure-compiled program from main, on the source
+// Program's machines and prologue: exactly the switch VM's contract
+// (see Program.Run).
+func (jp *JITProgram) Run(cfg interp.Config) (interp.Result, error) {
+	return jp.vp.run(cfg, nil, jp.heads)
 }
 
-// Run executes the closure-compiled program from main, with exactly
-// the switch VM's contract (see Program.Run).
-func (jp *JITProgram) Run(cfg interp.Config) (res interp.Result, err error) {
-	if cfg.MaxInstructions == 0 {
-		cfg.MaxInstructions = 2e9
+// trampoline runs the closures from main's entry until one returns nil.
+func (m *mach) trampoline(heads []jop) (interp.Result, error) {
+	for f := heads[m.p.funcs[m.p.mainIdx].entry]; f != nil; f = f(m) {
 	}
-	if cfg.MaxOutputBytes == 0 {
-		cfg.MaxOutputBytes = 1 << 20
-	}
-	if cfg.MaxArrayCells == 0 {
-		cfg.MaxArrayCells = 64 << 20
-	}
-	vp := jp.vp
-
-	cells := int64(0)
-	for _, id := range vp.arrOrder {
-		ar := &vp.arrays[id]
-		if ar.length < 0 {
-			return interp.Result{}, fmt.Errorf("interp: array %s has invalid extent", ar.name)
-		}
-		cells += ar.length
-		if cells > cfg.MaxArrayCells {
-			return interp.Result{}, &interp.ResourceError{Resource: interp.ResArrayCells, Limit: uint64(cfg.MaxArrayCells)}
-		}
-	}
-
-	j := jp.getMach(cfg)
-
-	defer func() {
-		if r := recover(); r != nil {
-			fnName := ""
-			if int(j.fn) < len(vp.funcs) {
-				fnName = vp.funcs[j.fn].name
-			}
-			// Stage "run", like the tree walker and the switch VM: the
-			// engines share one containment label. The machine is not
-			// pooled — a panic may have interrupted it anywhere.
-			res = interp.Result{Output: string(j.out)}
-			err = &guard.InternalError{Stage: "run", Fn: fnName, Recovered: r}
-		}
-	}()
-
-	res, err = j.run()
-	jp.putMach(j)
-	return res, err
-}
-
-func (jp *JITProgram) getMach(cfg interp.Config) *jmach {
-	vp := jp.vp
-	if j := jp.mcache.get(); j != nil {
-		clear(j.ireg)
-		clear(j.freg)
-		copy(j.ireg[vp.numVars:], vp.iconsts)
-		copy(j.freg[vp.numVars:], vp.fconsts)
-		clear(j.icel)
-		clear(j.fcel)
-		clear(j.active)
-		j.frames = j.frames[:0]
-		j.out = j.out[:0]
-		j.cfg = cfg
-		j.fn = 0
-		j.instrs, j.checks = 0, 0
-		j.err = nil
-		j.trapped = false
-		j.trapNote, j.trapClass, j.trapPos = "", "", source.Pos{}
-		return j
-	}
-	j := &jmach{
-		p:      jp,
-		cfg:    cfg,
-		ireg:   make([]int64, vp.nIntRegs),
-		freg:   make([]float64, vp.nFloatRegs),
-		icel:   make([]int64, vp.iCells),
-		fcel:   make([]float64, vp.fCells),
-		active: make([]bool, len(vp.funcs)),
-	}
-	copy(j.ireg[vp.numVars:], vp.iconsts)
-	copy(j.freg[vp.numVars:], vp.fconsts)
-	return j
-}
-
-func (jp *JITProgram) putMach(j *jmach) { jp.mcache.put(j) }
-
-func (j *jmach) run() (interp.Result, error) {
-	vp := j.p.vp
-	j.maxInstr = j.cfg.MaxInstructions
-	j.costThr = j.maxInstr
-	if !j.cfg.Deadline.IsZero() || j.cfg.Context != nil || chaos.Active() {
-		j.costThr = 0
-	}
-	j.fn = vp.mainIdx
-	j.active[vp.mainIdx] = true
-
-	for f := j.p.heads[vp.funcs[vp.mainIdx].entry]; f != nil; f = f(j) {
-	}
-
-	res := interp.Result{Instructions: j.instrs, Checks: j.checks, Output: string(j.out)}
-	if j.trapped {
-		res.Trapped = true
-		res.TrapNote = j.trapNote
-		res.TrapClass = j.trapClass
-		res.TrapPos = j.trapPos
-	}
-	return res, j.err
+	return m.result(m.instrs, m.checks, m.err)
 }
 
 // charge adds one captured cost lump to the counter and takes the
 // recharge slow path when it crosses the threshold; false stops the
-// trampoline (budget blown or poll failed, j.err set).
-func (j *jmach) charge(c uint64) bool {
-	j.instrs += c
-	if j.instrs > j.costThr {
-		return j.recharge()
+// trampoline (budget blown or poll failed, m.err set).
+func (m *mach) charge(c uint64) bool {
+	m.instrs += c
+	if m.instrs > m.costThr {
+		return m.chargeSlow()
 	}
 	return true
 }
 
-func (j *jmach) recharge() bool {
-	if j.instrs > j.maxInstr {
-		j.err = &interp.ResourceError{Resource: interp.ResInstructions, Limit: j.maxInstr}
-		return false
-	}
-	if e := j.poll(); e != nil {
-		j.err = e
-		return false
-	}
-	thr := j.instrs + pollInterval - 1
-	if j.maxInstr < thr {
-		thr = j.maxInstr
-	}
-	j.costThr = thr
-	return true
-}
-
-// poll mirrors mach.poll: same chaos sites, same keys, same order.
-func (j *jmach) poll() error {
-	if chaos.Active() {
-		fn := j.p.vp.funcs[j.fn].name
-		if chaos.Fire(chaos.SiteVMBudget, fn) {
-			return &interp.ResourceError{Resource: interp.ResInstructions, Limit: j.cfg.MaxInstructions}
-		}
-		if chaos.Fire(chaos.SiteVMCancel, fn) {
-			return &interp.ResourceError{Resource: interp.ResCancelled}
-		}
-		if chaos.Fire(chaos.SiteVMPanic, fn) {
-			panic(chaos.PanicValue(chaos.SiteVMPanic, fn))
-		}
-	}
-	if ctx := j.cfg.Context; ctx != nil {
-		select {
-		case <-ctx.Done():
-			return &interp.ResourceError{Resource: interp.ResCancelled}
-		default:
-		}
-	}
-	if !j.cfg.Deadline.IsZero() && time.Now().After(j.cfg.Deadline) {
-		return &interp.ResourceError{Resource: interp.ResDeadline}
-	}
-	return nil
-}
-
-// trap records one failed check and stops the trampoline.
-func (j *jmach) trap(cs checkInfo, lhs int64) jop {
-	j.trapNote, j.trapClass, j.trapPos = checkTrap(cs, lhs)
-	j.trapped = true
-	return nil
+// chargeSlow stays out of line so that charge fits the inliner's
+// budget.
+//
+//go:noinline
+func (m *mach) chargeSlow() bool {
+	m.costThr, m.err = m.recharge(m.instrs)
+	return m.err == nil
 }
 
 // fault records a runtime error and stops the trampoline.
-func (j *jmach) fault(e error) jop {
-	j.err = e
+func (m *mach) fault(e error) jop {
+	m.err = e
 	return nil
 }
 
@@ -336,7 +174,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	switch in.op {
 	case opMovI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -344,7 +182,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opMovF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -353,7 +191,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 
 	case opAddI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -361,7 +199,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opSubI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -369,7 +207,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opMulI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -377,7 +215,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opDivI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -389,7 +227,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opNegI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -398,7 +236,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 
 	case opAddF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -406,7 +244,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opSubF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -414,7 +252,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opMulF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -422,7 +260,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opDivF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -430,7 +268,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opNegF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -440,7 +278,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opEqI, opNeI, opLtI, opLeI, opGtI, opGeI:
 		kind := in.op - opEqI
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -465,7 +303,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 	case opEqF, opNeF, opLtF, opLeF, opGtF, opGeF:
 		kind := in.op - opEqF
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -490,7 +328,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 
 	case opAndB:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -498,7 +336,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opOrB:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -506,7 +344,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opNotB:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -515,7 +353,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 
 	case opModI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -527,7 +365,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opAbsI:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -541,7 +379,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 	case opMinI, opMaxI:
 		regs := append([]int64(nil), pool[bb:bb+c]...)
 		max := in.op == opMaxI
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -556,7 +394,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opModF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -564,7 +402,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opAbsF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -572,7 +410,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opSqrtF:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -582,7 +420,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 	case opMinF, opMaxF:
 		regs := append([]int64(nil), pool[bb:bb+c]...)
 		max := in.op == opMaxF
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -598,7 +436,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opI2F:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -606,7 +444,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 			return next
 		}
 	case opF2I:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -617,7 +455,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 	case opLoadI1, opLoadF1, opStoreI1, opStoreF1:
 		ai := b.arr1(c)
 		op := in.op
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -643,7 +481,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		r0 := int32(uint64(in.imm) >> 32)
 		r1 := int32(uint32(in.imm))
 		op := in.op
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -675,7 +513,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		idxRegs := append([]int64(nil), pool[bb:bb+int32(len(ar.dims))]...)
 		name, base := ar.name, ar.base
 		op := in.op
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -706,7 +544,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		coef := int64(bb)
 		k := in.imm
 		cs := vp.checks[c]
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -719,7 +557,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opCheckPair:
 		o := b.newCheckPair(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -734,7 +572,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		c0, r0, c1, r1 := t[0], t[1], t[2], t[3]
 		k := in.imm
 		cs := vp.checks[c]
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -747,7 +585,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opCheck:
 		o := b.newCheck(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -764,9 +602,9 @@ func (b *jitBuilder) build1(pc int32) jop {
 		// deopt-on-overflow.
 		phFast, phDeopt := b.target(a), b.target(int32(in.imm))
 		perIter := int64(in.c)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			pass, trip := rangeGuardPass(pool, bb, j.ireg)
-			if pass && chaos.Active() && chaos.Fire(chaos.SiteRCEGuardFail, j.p.vp.funcs[j.fn].name) {
+			if pass && chaos.Active() && chaos.Fire(chaos.SiteRCEGuardFail, j.p.funcs[j.fn].name) {
 				pass = false
 			}
 			if pass && perIter > 0 {
@@ -785,7 +623,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		// Eliminated-check stand-in: bulk-count a checks, charge the
 		// replaced instruction's cost, evaluate nothing.
 		n := uint64(a)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -794,23 +632,17 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 
 	case opTrapStmt:
-		ts := vp.traps[a]
-		note := fmt.Sprintf("compile-time range violation: %s", ts.note)
-		pos := ts.pos
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
-			j.trapped = true
-			j.trapNote = note
-			j.trapClass = interp.TrapStatic
-			j.trapPos = pos
+			j.trapStmt(a)
 			return nil
 		}
 
 	case opJmp:
 		ph := b.target(a)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -818,7 +650,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 	case opBr:
 		phT, phF := b.target(a), b.target(bb)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -831,7 +663,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 	case opBrEqI, opBrNeI, opBrLtI, opBrLeI, opBrGtI, opBrGeI:
 		kind := in.op - opBrEqI
 		phT, phF := b.target(a), b.target(int32(in.imm))
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -859,7 +691,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 	case opBrEqF, opBrNeF, opBrLtF, opBrLeF, opBrGtF, opBrGeF:
 		kind := in.op - opBrEqF
 		phT, phF := b.target(a), b.target(int32(in.imm))
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -886,93 +718,43 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 
 	case opCall:
-		fi := &vp.funcs[a]
-		fidx := a
-		name := fi.name
-		zeroVars := append([]int32(nil), fi.zeroVars...)
-		type clrRange struct {
-			isInt  bool
-			lo, hi int64
-		}
-		var clears []clrRange
-		for _, aiID := range fi.clrArrs {
-			ar := &vp.arrays[aiID]
-			clears = append(clears, clrRange{isInt: ar.elem == ir.Int, lo: ar.base, hi: ar.base + ar.length})
-		}
 		retPC := pc + 1
-		phEntry := b.target(fi.entry)
-		return func(j *jmach) jop {
+		phEntry := b.target(vp.funcs[a].entry)
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
-			for _, v := range zeroVars {
-				j.ireg[v] = 0
-				j.freg[v] = 0
+			if _, err := j.call(a, retPC); err != nil {
+				return j.fault(err)
 			}
-			for _, cr := range clears {
-				if cr.isInt {
-					clear(j.icel[cr.lo:cr.hi])
-				} else {
-					clear(j.fcel[cr.lo:cr.hi])
-				}
-			}
-			if j.active[fidx] {
-				return j.fault(fmt.Errorf("%w: %s", interp.ErrRecursion, name))
-			}
-			j.active[fidx] = true
-			j.frames = append(j.frames, frame{ret: retPC, fn: j.fn})
-			j.fn = fidx
 			return *phEntry
 		}
 
 	case opRet:
-		return func(j *jmach) jop {
+		heads := b.heads
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
-			j.active[j.fn] = false
-			n := len(j.frames)
-			if n == 0 {
+			ret, ok := j.ret()
+			if !ok {
 				return nil // main returned
 			}
-			fr := j.frames[n-1]
-			j.frames = j.frames[:n-1]
-			j.fn = fr.fn
-			return j.p.heads[fr.ret]
+			return heads[ret]
 		}
 
 	case opPrint:
-		type prEnt struct {
-			isF bool
-			reg int64
-		}
-		ents := make([]prEnt, in.b)
-		for k := int32(0); k < in.b; k++ {
-			e := pool[a+k]
-			ents[k] = prEnt{isF: e&1 != 0, reg: e >> 1}
-		}
-		return func(j *jmach) jop {
+		ents := pool[a : a+bb : a+bb]
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
-			if len(j.out) < j.cfg.MaxOutputBytes {
-				for k, e := range ents {
-					if k > 0 {
-						j.out = append(j.out, ' ')
-					}
-					if e.isF {
-						j.out = strconv.AppendFloat(j.out, j.freg[e.reg], 'g', 10, 64)
-					} else {
-						j.out = strconv.AppendInt(j.out, j.ireg[e.reg], 10)
-					}
-				}
-				j.out = append(j.out, '\n')
-			}
+			j.print(ents)
 			return next
 		}
 
 	case opNop:
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -980,12 +762,11 @@ func (b *jitBuilder) build1(pc int32) jop {
 		}
 
 	case opFail:
-		msg := vp.fails[a]
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
-			return j.fault(errors.New(msg))
+			return j.fault(j.fail(a))
 		}
 
 	// ---- fused opcodes (emitted only by Optimize) ----
@@ -996,7 +777,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		ai := b.arr1(c)
 		vreg := in.imm
 		op := in.op
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1020,7 +801,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 	case opCPLoadI1, opCPLoadF1, opCPStoreI1, opCPStoreF1,
 		opCP2LoadI1, opCP2LoadF1, opCP2StoreI1, opCP2StoreF1:
 		o := b.newChk1Acc(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1032,7 +813,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opCPQLoadI2, opCPQLoadF2, opCPQStoreI2, opCPQStoreF2:
 		o := b.newCPQAcc(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1044,7 +825,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opBinStoreI1, opBinStoreF1:
 		o := b.newBinStore1(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1056,7 +837,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opCheckBlock:
 		o := b.newCheckBlock(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1070,7 +851,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		delta := in.imm
 		reg := bb
 		ph := b.target(a)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1082,7 +863,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		kind := in.op - opIncBrEqI
 		delta := int64(int32(uint32(in.imm)))
 		phT, phF := b.target(a), b.target(int32(uint64(in.imm)>>32))
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1112,7 +893,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opBinBinF:
 		o := b.newBinBinF(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1122,7 +903,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opLoadBinF1:
 		o := b.newLoadBinF1(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1134,7 +915,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opLLBinF1:
 		o := b.newLLBinF1(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1146,7 +927,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opLoadBinF2:
 		o := b.newLoadBinF2(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1163,7 +944,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 		r0 := int32(uint64(in.imm) >> 32)
 		r1 := int32(uint32(in.imm))
 		op := in.op
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1191,7 +972,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opBinStoreF2:
 		o := b.newBinStoreF2(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1203,7 +984,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opBinBinStoreF1:
 		o := b.newBinBinStoreF1(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1215,7 +996,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	case opBinBinStoreF2:
 		o := b.newBinBinStoreF2(in)
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			if cost != 0 && !j.charge(cost) {
 				return nil
 			}
@@ -1227,7 +1008,7 @@ func (b *jitBuilder) build1(pc int32) jop {
 
 	default:
 		badOp, badPC := in.op, pc
-		return func(j *jmach) jop {
+		return func(j *mach) jop {
 			return j.fault(fmt.Errorf("vm: bad opcode %d at pc %d", badOp, badPC))
 		}
 	}
@@ -1267,7 +1048,7 @@ func (b *jitBuilder) newCheckPair(in *instr) *jCheckPair {
 	return &jCheckPair{reg: in.a, p: b.pairAt(b.vp.pool[in.b : in.b+6 : in.b+6])}
 }
 
-func (o *jCheckPair) exec(j *jmach) bool {
+func (o *jCheckPair) exec(j *mach) bool {
 	v := j.ireg[o.reg]
 	j.checks++
 	if lhs := o.p.c0 * v; lhs > o.p.k0 {
@@ -1297,7 +1078,7 @@ func (b *jitBuilder) newCheck(in *instr) *jCheck {
 	}
 }
 
-func (o *jCheck) exec(j *jmach) bool {
+func (o *jCheck) exec(j *mach) bool {
 	j.checks++
 	lhs := int64(0)
 	for k := 0; k+1 < len(o.terms); k += 2 {
@@ -1454,7 +1235,7 @@ func (b *jitBuilder) newCheckBlock(in *instr) *jCheckBlock {
 	return o
 }
 
-func (o *jCheckBlock) exec(j *jmach) bool {
+func (o *jCheckBlock) exec(j *mach) bool {
 	if o.fast != nil {
 		// Two-entry blocks dominate the compiled suite; unrolling them
 		// lets both entries' loads and multiplies overlap instead of
@@ -1513,7 +1294,7 @@ func (o *jCheckBlock) exec(j *jmach) bool {
 	return o.slow(j)
 }
 
-func (o *jCheckBlock) slow(j *jmach) bool {
+func (o *jCheckBlock) slow(j *mach) bool {
 	for i := range o.ents {
 		e := &o.ents[i]
 		if e.dc != 0 && !j.charge(e.dc) {
@@ -1598,7 +1379,7 @@ func (b *jitBuilder) newChk1Acc(in *instr) *jChk1Acc {
 	return o
 }
 
-func (o *jChk1Acc) exec(j *jmach) bool {
+func (o *jChk1Acc) exec(j *mach) bool {
 	v := j.ireg[o.vreg]
 	j.checks++
 	if lhs := o.p0.c0 * v; lhs > o.p0.k0 {
@@ -1673,7 +1454,7 @@ func (b *jitBuilder) newCPQAcc(in *instr) *jCPQAcc {
 	}
 }
 
-func (o *jCPQAcc) exec(j *jmach) bool {
+func (o *jCPQAcc) exec(j *mach) bool {
 	v0 := j.ireg[o.r0]
 	v1 := j.ireg[o.r1]
 	j.checks++
@@ -1745,7 +1526,7 @@ func (b *jitBuilder) newBinStore1(in *instr) *jBinStore1 {
 	}
 }
 
-func (o *jBinStore1) exec(j *jmach) bool {
+func (o *jBinStore1) exec(j *mach) bool {
 	idx := o.acoef*j.ireg[o.idxReg] + o.aoff
 	if o.isInt {
 		var v int64
@@ -1842,7 +1623,7 @@ func (b *jitBuilder) newBinBinF(in *instr) *jBinBinF {
 	return &jBinBinF{dst: in.a, k0: t[0], rL: t[1], rR: t[2], k1: t[3], rS: t[4]}
 }
 
-func (o *jBinBinF) exec(j *jmach) {
+func (o *jBinBinF) exec(j *mach) {
 	u := fbin1(o.k0, j.freg[o.rL], j.freg[o.rR])
 	j.freg[o.dst] = fbin2(o.k1, u, j.freg[o.rS])
 }
@@ -1871,7 +1652,7 @@ func (b *jitBuilder) newLoadBinF1(in *instr) *jLoadBinF1 {
 	}
 }
 
-func (o *jLoadBinF1) exec(j *jmach) bool {
+func (o *jLoadBinF1) exec(j *mach) bool {
 	idx := o.acoef*j.ireg[o.sreg] + o.aoff
 	if idx < o.ai.lo || idx > o.ai.hi {
 		j.fault(interp.SubscriptError(idx, o.ai.name, o.ai.lo, o.ai.hi, 1))
@@ -1911,7 +1692,7 @@ func (b *jitBuilder) newLLBinF1(in *instr) *jLLBinF1 {
 	}
 }
 
-func (o *jLLBinF1) exec(j *jmach) bool {
+func (o *jLLBinF1) exec(j *mach) bool {
 	i0 := o.c0*j.ireg[o.r0] + o.off0
 	if i0 < o.ai0.lo || i0 > o.ai0.hi {
 		j.fault(interp.SubscriptError(i0, o.ai0.name, o.ai0.lo, o.ai0.hi, 1))
@@ -1979,7 +1760,7 @@ func (b *jitBuilder) newLoadBinF2(in *instr) *jLoadBinF2 {
 	}
 }
 
-func (o *jLoadBinF2) exec(j *jmach) bool {
+func (o *jLoadBinF2) exec(j *mach) bool {
 	i0 := o.c0*j.ireg[o.r0] + o.off0
 	if i0 < o.ai.lo0 || i0 > o.ai.hi0 {
 		j.fault(interp.SubscriptError(i0, o.ai.name, o.ai.lo0, o.ai.hi0, 1))
@@ -2019,7 +1800,7 @@ func (b *jitBuilder) newBinStoreF2(in *instr) *jBinStoreF2 {
 	}
 }
 
-func (o *jBinStoreF2) exec(j *jmach) bool {
+func (o *jBinStoreF2) exec(j *mach) bool {
 	v := fbin1(o.kind, j.freg[o.srcL], j.freg[o.srcR])
 	i0 := o.c0*j.ireg[o.r0] + o.off0
 	if i0 < o.ai.lo0 || i0 > o.ai.hi0 {
@@ -2058,7 +1839,7 @@ func (b *jitBuilder) newBinBinStoreF1(in *instr) *jBinBinStoreF1 {
 	}
 }
 
-func (o *jBinBinStoreF1) exec(j *jmach) bool {
+func (o *jBinBinStoreF1) exec(j *mach) bool {
 	u := fbin1(o.k0, j.freg[o.rL], j.freg[o.rR])
 	v := fbin2(o.k1, u, j.freg[o.rS])
 	idx := o.acoef*j.ireg[o.idxReg] + o.aoff
@@ -2095,7 +1876,7 @@ func (b *jitBuilder) newBinBinStoreF2(in *instr) *jBinBinStoreF2 {
 	}
 }
 
-func (o *jBinBinStoreF2) exec(j *jmach) bool {
+func (o *jBinBinStoreF2) exec(j *mach) bool {
 	u := fbin1(o.k0, j.freg[o.rL], j.freg[o.rR])
 	v := fbin2(o.k1, u, j.freg[o.rS])
 	i0 := o.c0*j.ireg[o.r0] + o.off0

@@ -180,8 +180,8 @@ func newOptimizer(vp *Program) *optimizer {
 	}
 	cp := *vp
 	cp.optimized = true
-	cp.loops = nil                   // pc-based loop metadata is stale after compaction
-	cp.mcache = new(machCache[mach]) // fresh machine cache for the rewritten program
+	cp.loops = nil             // pc-based loop metadata is stale after compaction
+	cp.mcache = new(machCache) // fresh machine cache for the rewritten program
 	o.out = &cp
 	return o
 }

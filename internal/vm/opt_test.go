@@ -7,13 +7,14 @@ import (
 	"nascent/internal/conformance"
 	"nascent/internal/guard"
 	"nascent/internal/interp"
+	"nascent/internal/ir"
 	"nascent/internal/vm"
 )
 
 // optimize compiles and optimizes, failing loudly if either step errors.
-// The engine registration degrades an optimizer failure to the plain
-// program; tests must not, or a broken pass would hide behind the
-// fallback.
+// vmopt's pipeline (CompileOptimized) degrades an optimizer failure to
+// the plain program; tests must not, or a broken pass would hide behind
+// the fallback.
 func optimize(t *testing.T, src string, checks bool) *vm.Program {
 	t.Helper()
 	p := build(t, src, checks)
@@ -73,6 +74,17 @@ func TestCorpusVMOpt(t *testing.T) {
 	}
 }
 
+// runVMOpt runs p on the vmopt engine: its bytecode pipeline, then the
+// switch VM.
+func runVMOpt(t *testing.T, p *ir.Program, cfg interp.Config) (interp.Result, error) {
+	t.Helper()
+	vp, err := vm.CompileEngine(p, interp.EngineVMOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vp.Run(cfg)
+}
+
 // TestEngineDifferentialVMOpt runs every corpus program, checked and
 // unchecked, under tree and vmopt and requires byte-identical Results —
 // including error identity when a run faults.
@@ -87,7 +99,7 @@ func TestEngineDifferentialVMOpt(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				p := build(t, c.Src, checked)
 				ref, refErr := interp.Run(p, interp.Config{})
-				got, gotErr := interp.Run(p, interp.Config{Engine: interp.EngineVMOpt})
+				got, gotErr := runVMOpt(t, p, interp.Config{})
 				if (refErr == nil) != (gotErr == nil) {
 					t.Fatalf("error mismatch: tree=%v vmopt=%v", refErr, gotErr)
 				}
@@ -114,7 +126,7 @@ func TestBudgetParityVMOpt(t *testing.T) {
 	p := build(t, src, true)
 	for budget := uint64(1); budget < 120; budget++ {
 		_, treeErr := interp.Run(p, interp.Config{MaxInstructions: budget})
-		_, optErr := interp.Run(p, interp.Config{MaxInstructions: budget, Engine: interp.EngineVMOpt})
+		_, optErr := runVMOpt(t, p, interp.Config{MaxInstructions: budget})
 		if (treeErr == nil) != (optErr == nil) {
 			t.Fatalf("budget %d: error mismatch: tree=%v vmopt=%v", budget, treeErr, optErr)
 		}

@@ -134,7 +134,7 @@ func RCE(vp *Program) (out *Program, err error) {
 	cp := *vp
 	cp.rce = true
 	cp.loops = nil
-	cp.mcache = new(machCache[mach])
+	cp.mcache = new(machCache)
 	if len(vp.loops) == 0 {
 		return &cp, nil
 	}

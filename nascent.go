@@ -30,10 +30,7 @@ import (
 	"nascent/internal/parser"
 	"nascent/internal/rangecheck"
 	"nascent/internal/sem"
-
-	// Link the bytecode VM so RunConfig{Engine: EngineVMOpt} (and
-	// vmrce/vmjit) is available to every importer of the public API.
-	_ "nascent/internal/vm"
+	"nascent/internal/vm"
 )
 
 // InternalError is a recovered internal invariant violation, tagged with
@@ -235,7 +232,7 @@ func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 // EngineNames lists every engine's flag spelling in Engine order.
 func EngineNames() []string { return interp.EngineNames() }
 
-// AllEngines lists every engine in registry order (tree first).
+// AllEngines lists every engine in Engine order (tree first).
 func AllEngines() []Engine { return interp.AllEngines() }
 
 // Frontend holds the parse and semantic-analysis artifacts of one
@@ -375,9 +372,22 @@ func (p *Program) Run() (RunResult, error) {
 	return interp.Run(p.IR, interp.Config{})
 }
 
-// RunWith executes the program with explicit limits.
+// RunWith executes the program with explicit limits on the engine
+// cfg.Engine names. A bytecode engine compiles the program through its
+// pipeline first (vm.CompileEngine); vmjit then runs it through a
+// JitHandle, so a failed closure compile falls back to the switch VM.
 func (p *Program) RunWith(cfg RunConfig) (RunResult, error) {
-	return interp.Run(p.IR, cfg)
+	if cfg.Engine == EngineTree {
+		return interp.Run(p.IR, cfg)
+	}
+	vp, err := vm.CompileEngine(p.IR, cfg.Engine)
+	if err != nil {
+		return RunResult{}, err
+	}
+	if cfg.Engine == EngineVMJit {
+		return vm.NewJitHandle(vp).Run(cfg)
+	}
+	return vp.Run(cfg)
 }
 
 // StaticChecks returns the number of range check statements currently in

@@ -16,25 +16,30 @@ import (
 )
 
 // TestOracleSuitePrograms runs the differential oracle over every
-// benchmark program in the paper's Table 1 suite: each program is
-// compiled naive and under all twenty optimizer variants, executed
-// under three execution engines, and checked against the soundness
-// contract plus the engine-identity invariant (tree, the
-// superinstruction-optimized VM, and the guard/deopt VM must produce
-// byte-identical Results for every variant).
+// benchmark program in the paper's Table 1 suite and over the irregular
+// stress set: each program is compiled naive and under all twenty
+// optimizer variants, executed under every engine, and checked against
+// the soundness contract plus the engine-identity invariant (tree and
+// the three bytecode engines must produce byte-identical Results for
+// every variant). gather_tail traps naive, so the trap-verdict
+// invariant requires every variant to trap as well.
 func TestOracleSuitePrograms(t *testing.T) {
-	for _, p := range suite.Programs {
+	progs := append(append([]suite.Program(nil), suite.Programs...), suite.Irregular...)
+	for _, p := range progs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			rep, err := oracle.Verify(p.Source, oracle.Config{
-				Engines: []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt, nascent.EngineVMRCE},
+				Engines: []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt, nascent.EngineVMRCE, nascent.EngineVMJit},
 			})
 			if err != nil {
 				t.Fatalf("baseline failed: %v", err)
 			}
 			if !rep.OK() {
 				t.Fatalf("%s", rep.Summary())
+			}
+			if wantTrap := p.Name == "gather_tail"; rep.Naive.Trapped != wantTrap {
+				t.Errorf("naive trapped = %v, want %v", rep.Naive.Trapped, wantTrap)
 			}
 		})
 	}
