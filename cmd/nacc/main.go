@@ -11,7 +11,8 @@
 //	-scheme naive|NI|CS|LNI|SE|LI|LLS|ALL|MCM  placement scheme (default naive)
 //	-kind   PRX|INX                            check construction (default PRX)
 //	-impl   full|none|cross                    implication mode (default full)
-//	-engine tree|vmopt|vmrce|vmjit             execution engine (default tree);
+//	-engine tree|vmopt|vmrce|vmjit             execution engine (default tree;
+//	                                           vmjit is a second name for vmrce);
 //	                                           with -verify, any bytecode engine
 //	                                           also enables the engine-identity
 //	                                           sweep across every engine up to
@@ -223,7 +224,7 @@ func run(argv []string, stdout, stderr *os.File) int {
 // variant and compares each against the naive baseline. The sweep is
 // sharded across all CPUs; the report is identical to a sequential run.
 // Selecting a bytecode engine additionally runs every variant under the
-// tree walker and each bytecode tier up to the selected one, asserting
+// tree walker and each bytecode engine up to the selected one, asserting
 // the engine-identity invariant across all of them.
 func runVerify(file, src string, engine nascent.Engine, stdout, stderr *os.File) int {
 	cfg := oracle.Config{Jobs: runtime.GOMAXPROCS(0)}
@@ -248,7 +249,7 @@ func runVerify(file, src string, engine nascent.Engine, stdout, stderr *os.File)
 
 // engineSweep lists the engines an identity sweep covers for a selected
 // engine: the tree walker plus every engine up to and including the
-// selection (vmjit, the last tier, sweeps all four).
+// selection (vmjit, the last in engine order, sweeps all four).
 func engineSweep(engine nascent.Engine) []nascent.Engine {
 	if engine == nascent.EngineTree {
 		return nil
@@ -265,8 +266,8 @@ func engineSweep(engine nascent.Engine) []nascent.Engine {
 // runChaosSweep runs the oracle's fault-injection sweep: seeds 1..8 at
 // rate 0.05 with every site armed, asserting each faulted evaluation is
 // correct or a typed error. Selecting a bytecode engine sweeps the tree
-// walker and each bytecode tier up to it, covering the poll sites of
-// both the plain and the optimized interpreter loop.
+// walker and each bytecode engine up to it, covering the poll sites of
+// both the tree walker and the switch VM.
 func runChaosSweep(file, src string, engine nascent.Engine, stdout, stderr *os.File) int {
 	cfg := oracle.ChaosConfig{Jobs: runtime.GOMAXPROCS(0)}
 	if sweep := engineSweep(engine); sweep != nil {

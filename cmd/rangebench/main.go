@@ -15,10 +15,9 @@
 //
 // -engine selects the execution substrate: the tree-walking reference
 // interpreter (default), the superinstruction-optimized bytecode VM,
-// the guard/deopt range-check-eliminated VM, or the closure-compiled
-// jit. Table output is byte-identical under every
-// engine — the CI pipeline diffs them — so the flag only changes
-// wall-clock.
+// or the guard/deopt range-check-eliminated VM (vmjit is a second name
+// for it). Table output is byte-identical under every engine — the CI
+// pipeline diffs them — so the flag only changes wall-clock.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
 // chasing interpreter hot spots (`go tool pprof`).

@@ -91,8 +91,8 @@ func FuzzPipeline(f *testing.F) {
 
 // FuzzEngineIdentity fuzzes the execution-engine contract directly:
 // for any input that compiles, every engine — the
-// tree-walking reference, the optimized VM, the guard/deopt VM, and
-// the closure-compiled jit — and the unoptimized bytecode of
+// tree-walking reference, the optimized VM, and the guard/deopt VM
+// under both of its names — and the unoptimized bytecode of
 // vm.Compile, the first stage of every bytecode pipeline, must produce
 // identical observables — instruction and check counters, output, trap
 // note/class/position — or identical error text. The seed corpus is

@@ -77,12 +77,11 @@ const (
 	SiteVMCancel Site = "vm.poll.cancel"
 	SiteVMPanic  Site = "vm.poll.panic"
 	// SiteRCEGuardFail forces a passing preheader range guard (the rce
-	// pass's opRangeGuard, in both the switch VM and the jit) to take
-	// its deopt edge anyway: the original fully-checked loop code runs
-	// instead of the guard-free fast copy. Deopt is the original
-	// semantics, so every observable must stay byte-identical — this
-	// site exists to keep the deopt path continuously exercised. Keyed
-	// by the containing function's name.
+	// pass's opRangeGuard) to take its deopt edge anyway: the original
+	// fully-checked loop code runs instead of the guard-free fast copy.
+	// Deopt is the original semantics, so every observable must stay
+	// byte-identical — this site exists to keep the deopt path
+	// continuously exercised. Keyed by the containing function's name.
 	SiteRCEGuardFail Site = "vm.rce.guard.fail"
 	// SiteWorkerKill kills an evalpool worker mid-job (a panic the
 	// supervisor must catch and retry on a fresh worker). Keyed by
@@ -95,12 +94,6 @@ const (
 	// SiteWorkerSlow delays a worker briefly before the job runs
 	// (the job still completes correctly). Keyed by job name.
 	SiteWorkerSlow Site = "pool.worker.slow"
-	// SiteTierPromote fails the vmjit closure compile at cache fill
-	// (the JITCompile vm.NewJitHandle runs once, at construction). The
-	// program must keep serving runs on vmrce — promotion failure is
-	// contained, never observable in results. Keyed by the target tier
-	// name ("vmjit").
-	SiteTierPromote Site = "tier.promote.fail"
 	// SiteScrubCorrupt flips a byte of a disk-cache entry as the
 	// progcache scrubber reads it (simulated bit rot): the CRC must
 	// catch it, the entry must be unlinked and counted, and the next
@@ -122,7 +115,6 @@ var Sites = []Site{
 	SiteVMBudget, SiteVMCancel, SiteVMPanic,
 	SiteRCEGuardFail,
 	SiteWorkerKill, SiteWorkerHang, SiteWorkerSlow,
-	SiteTierPromote,
 	SiteScrubCorrupt, SiteAuditMismatch,
 }
 

@@ -35,10 +35,9 @@ const (
 	// checks are still counted — only executed check instructions and
 	// wall-clock change.
 	EngineVMRCE
-	// EngineVMJit is the closure-compiled top tier: every basic block of
-	// the guard/deopt-rewritten, optimized bytecode is compiled into a
-	// chain of Go closures (computed-goto-style dispatch, no central
-	// switch). Same observables as the other engines.
+	// EngineVMJit is a second name for EngineVMRCE: vm.CompileEngine
+	// gives it the same pipeline, run on the same switch VM. It stays
+	// parseable, with its own cache key, for clients that send it.
 	EngineVMJit
 
 	numEngines = iota

@@ -176,7 +176,7 @@ type trapSignal struct {
 type runtimeError struct{ err error }
 
 // The run contract's budget and poll shell. Every engine — the tree
-// walker here, the switch VM and the jit in internal/vm — applies the
+// walker here and the switch VM in internal/vm — applies the
 // same limit defaults, charges cost against one threshold, and takes
 // the same slow path when the count crosses it.
 

@@ -57,34 +57,6 @@ func oracleSweepConfig() ChaosConfig {
 	}
 }
 
-// TestChaosSweepTierPromote arms ONLY the tier.promote.fail site at
-// rate 1 and sweeps the vmjit engine: every closure compile is killed
-// at handle construction, so every run must be served by vmrce with
-// observables identical to the chaos-off reference — a failed
-// promotion is invisible, never an error and never a wrong result.
-func TestChaosSweepTierPromote(t *testing.T) {
-	rep, err := ChaosSweep(sweepSrc, ChaosConfig{
-		Seeds:      []uint64{1, 2, 3},
-		Rate:       1,
-		Site:       chaos.SiteTierPromote,
-		Engines:    []nascent.Engine{nascent.EngineVMJit},
-		Jobs:       8,
-		JobTimeout: 250 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("baseline failed: %v", err)
-	}
-	if !rep.OK() {
-		t.Fatalf("tier.promote.fail sweep found violations:\n%s", rep.Summary())
-	}
-	if rep.TypedErrors != 0 {
-		t.Errorf("failed promotions surfaced %d errors; degradation must be silent", rep.TypedErrors)
-	}
-	if rep.Faults == 0 {
-		t.Error("sweep failed no promotion — tier.promote.fail never fired")
-	}
-}
-
 // TestChaosSweepRejectsActiveRegistry pins the exclusivity guard.
 func TestChaosSweepRejectsActiveRegistry(t *testing.T) {
 	chaos.Enable(chaos.Spec{Seed: 1, Rate: 1})

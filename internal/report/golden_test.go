@@ -90,12 +90,11 @@ func TestGoldenTablesVMOpt(t *testing.T) {
 	}
 }
 
-// TestGoldenTablesVMJit regenerates Tables 1–3 under the
-// closure-compiled top tier and diffs them against the same
-// engine-independent golden files. The jit rewrites dispatch into
-// chained closures and block-level fast paths, but every counter,
-// trap, and output byte must land exactly where the tree-walker puts
-// it; a fast-path accounting slip shows up here as a golden diff.
+// TestGoldenTablesVMJit regenerates Tables 1–3 under the vmjit engine
+// name, which runs vmrce's guard/deopt pipeline on the switch VM, and
+// diffs them against the same engine-independent golden files: a
+// request naming vmjit must land every counter, trap, and output byte
+// exactly where the tree-walker puts it.
 func TestGoldenTablesVMJit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tables in short mode")

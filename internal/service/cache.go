@@ -2,8 +2,6 @@ package service
 
 import (
 	"container/list"
-	"encoding/hex"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -36,36 +34,17 @@ func contentKey(source, filename string, opts nascent.Options, engine nascent.En
 type compiled struct {
 	prog         *nascent.Program
 	vmProg       *vm.Program
-	jit          *vm.JitHandle // vmjit entries: closure tier and tier counters per cache entry
-	engine       nascent.Engine
 	staticChecks int
 	opt          *nascent.OptReport
 }
 
 // Run executes the cached program under cfg; it satisfies
 // evalpool.Runner so cache hits ride the pool's supervision unchanged.
-// vmjit entries run through their JitHandle, so repeated requests for
-// the same cache entry share its counters and its closure tier, which
-// compiled once, at fill.
 func (c *compiled) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
-	switch {
-	case c.jit != nil:
-		return c.jit.Run(cfg)
-	case c.vmProg != nil:
+	if c.vmProg != nil {
 		return c.vmProg.Run(cfg)
 	}
 	return c.prog.RunWith(cfg)
-}
-
-// wrapJit attaches a JitHandle to a vmjit entry, closure-compiling it
-// inside the entry's once-guarded fill. The handle lives exactly as
-// long as the cache entry, so an eviction also drops its tier state —
-// by design, since tier state must never outlive the artifact it
-// describes.
-func (c *compiled) wrapJit() {
-	if c.vmProg != nil && c.engine == nascent.EngineVMJit {
-		c.jit = vm.NewJitHandle(c.vmProg)
-	}
 }
 
 // cacheEntry is a once-guarded singleflight slot: the first request
@@ -160,60 +139,6 @@ func (c *Cache) evictLocked() {
 		}
 		c.evictions++
 	}
-}
-
-// TierProgramSnapshot is the wire form of one vmjit cache entry's
-// JitHandle state: which tier the program is serving from and the run
-// and promotion counters that got it there.
-type TierProgramSnapshot struct {
-	// Key identifies the program: a hex prefix of its cache key.
-	Key          string `json:"key"`
-	Engine       string `json:"engine"`
-	Tier         string `json:"tier"`
-	Runs         uint64 `json:"runs"`
-	Instructions uint64 `json:"instructions"`
-	Promotions   uint64 `json:"promotions"`
-	Demotions    uint64 `json:"demotions"`
-}
-
-// tierPrograms snapshots the tier state of every filled vmjit cache
-// entry, sorted by key for a stable wire order. The service cache is
-// the only holder of vmjit handles that outlive one run, so these rows
-// cover every handle the server keeps.
-func (c *Cache) tierPrograms() []TierProgramSnapshot {
-	c.mu.Lock()
-	type slot struct {
-		key cacheKey
-		ent *cacheEntry
-	}
-	slots := make([]slot, 0, len(c.entries))
-	for k, e := range c.entries {
-		slots = append(slots, slot{k, e})
-	}
-	c.mu.Unlock()
-
-	var rows []TierProgramSnapshot
-	for _, s := range slots {
-		// Only inspect filled entries; an in-flight fill's c is not
-		// published yet and must not be raced (filled is stored after
-		// c, so observing it true makes c safe to read).
-		ent := s.ent
-		if !ent.filled.Load() || ent.c == nil || ent.c.jit == nil {
-			continue
-		}
-		js := ent.c.jit.Snapshot()
-		rows = append(rows, TierProgramSnapshot{
-			Key:          hex.EncodeToString(s.key[:8]),
-			Engine:       ent.c.engine.String(),
-			Tier:         js.Tier,
-			Runs:         js.Runs,
-			Instructions: js.Instrs,
-			Promotions:   js.Promotions,
-			Demotions:    js.Demotions,
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	return rows
 }
 
 // stats snapshots the cache counters.

@@ -32,7 +32,7 @@ func TestCacheSingleflight(t *testing.T) {
 			defer wg.Done()
 			got, _, err := c.get(key(1), func() (*compiled, error) {
 				fills.Add(1)
-				return &compiled{engine: nascent.EngineTree}, nil
+				return &compiled{}, nil
 			})
 			if err != nil {
 				t.Errorf("get: %v", err)
@@ -125,32 +125,6 @@ func TestContentKeyDisambiguation(t *testing.T) {
 			t.Errorf("variant %q collides with %q", name, prev)
 		}
 		keys[k] = name
-	}
-}
-
-// TestVMJitEntryServesJitFromFirstRun: a vmjit cache entry compiles its
-// closure tier inside the fill, so the first /run on a fresh key
-// already executes on the jit and /metrics reports the entry on vmjit
-// with its one promotion — no settle, no sleep, no profiling run.
-func TestVMJitEntryServesJitFromFirstRun(t *testing.T) {
-	s := newTestServer(t, nil)
-	req := RunRequest{CompileRequest: CompileRequest{Source: progOK, Engine: "vmjit"}}
-	if w := do(t, s, "POST", "/run", req, nil); w.Code != http.StatusOK {
-		t.Fatalf("run status = %d, body %s", w.Code, w.Body.String())
-	}
-	var m struct {
-		Tiers []map[string]any `json:"tiers"`
-	}
-	if w := do(t, s, "GET", "/metrics", nil, &m); w.Code != http.StatusOK {
-		t.Fatalf("metrics status = %d", w.Code)
-	}
-	if len(m.Tiers) != 1 {
-		t.Fatalf("tiers = %v, want one row", m.Tiers)
-	}
-	row := m.Tiers[0]
-	assertFields(t, "tiers row", row, []string{"key", "engine", "tier", "runs", "instructions", "promotions", "demotions"})
-	if row["tier"] != "vmjit" || row["promotions"] != float64(1) || row["runs"] != float64(1) || row["demotions"] != float64(0) {
-		t.Fatalf("tiers row = %v, want tier vmjit, promotions 1, runs 1, demotions 0", row)
 	}
 }
 

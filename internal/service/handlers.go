@@ -138,19 +138,13 @@ func (s *Server) resolve(req *RunRequest) (*resolved, *Error) {
 	degraded, probe := s.breaker.allow(opts.Scheme, engine)
 	r.probe = probe
 	if degraded {
-		// A tripped top tier degrades down the ladder, not to the floor:
-		// vmjit falls to the guard/deopt switch VM (vmrce), vmrce to the
-		// optimized switch VM (vmopt) — identical observables, a tier's
-		// worth of speed each step — skipping any rung whose own circuit
-		// is open; when the whole ladder is open the reference
-		// configuration serves.
+		// A tripped guard/deopt pipeline (vmrce, or vmjit, its second
+		// name) degrades to the optimized switch VM (vmopt) — identical
+		// observables, without the guards — unless vmopt's own circuit
+		// is open; otherwise the reference configuration serves.
 		toScheme, toEngine := nascent.Naive, nascent.EngineTree
-		switch {
-		case engine == nascent.EngineVMJit &&
-			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMRCE):
-			toScheme, toEngine = opts.Scheme, nascent.EngineVMRCE
-		case (engine == nascent.EngineVMJit || engine == nascent.EngineVMRCE) &&
-			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMOpt):
+		if (engine == nascent.EngineVMJit || engine == nascent.EngineVMRCE) &&
+			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMOpt) {
 			toScheme, toEngine = opts.Scheme, nascent.EngineVMOpt
 		}
 		r.degraded = &Degraded{
@@ -286,7 +280,7 @@ func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName s
 	if c == nil {
 		// no-cache path: the pool compiled it; synthesize the compile
 		// section from the job's own program.
-		c = &compiled{prog: result.Prog, engine: res.engine}
+		c = &compiled{prog: result.Prog}
 		if result.Prog != nil {
 			c.staticChecks = result.Prog.StaticChecks()
 			c.opt = result.Prog.Opt
@@ -348,9 +342,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	cfg.Run, _, _ = s.clampBudget(Budget{})
 	cfg.Run.Context = ctx
 	if engine != nascent.EngineTree {
-		// Identity-sweep every engine up to the requested tier, in
-		// registry order: verifying vmjit also cross-checks the tiers it
-		// promotes through.
+		// Identity-sweep every engine up to the requested one, in
+		// engine order: verifying vmjit also cross-checks vmopt and
+		// vmrce.
 		for _, e := range nascent.AllEngines() {
 			if e <= engine {
 				cfg.Engines = append(cfg.Engines, e)
@@ -445,9 +439,6 @@ type metricsDoc struct {
 	DiskCache *progcache.Metrics       `json:"disk_cache,omitempty"`
 	Breaker   breakerStats             `json:"breaker"`
 	Pool      evalpool.MetricsSnapshot `json:"pool"`
-	// Tiers lists per-entry tier state for every vmjit program in the
-	// service cache, the only store that keeps vmjit handles.
-	Tiers []TierProgramSnapshot `json:"tiers,omitempty"`
 	// Audit is the self-audit section (every=0 when disabled).
 	Audit auditStats `json:"audit"`
 	Chaos chaosDoc   `json:"chaos"`
@@ -488,7 +479,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		DiskCache: s.diskStats(),
 		Breaker:   s.breaker.stats(),
 		Pool:      s.pool.Metrics().Snapshot(),
-		Tiers:     s.cache.tierPrograms(),
 		Audit:     s.auditSnapshot(),
 		Chaos:     currentChaos(),
 	})

@@ -37,7 +37,7 @@ func TestMetricsDocFields(t *testing.T) {
 		c.ProgCacheDir = t.TempDir()
 		c.AuditEvery = 1
 	})
-	// A vmjit run populates the tiers section and one audit sample.
+	// A vmjit run populates one audit sample.
 	req := RunRequest{CompileRequest: CompileRequest{Source: progOK, Engine: "vmjit"}}
 	if w := do(t, s, "POST", "/run", req, nil); w.Code != http.StatusOK {
 		t.Fatalf("run status = %d, body %s", w.Code, w.Body.String())
@@ -50,7 +50,7 @@ func TestMetricsDocFields(t *testing.T) {
 	}
 	want := []string{
 		"uptime_ms", "draining", "requests", "admission", "cache",
-		"disk_cache", "breaker", "pool", "tiers", "audit", "chaos",
+		"disk_cache", "breaker", "pool", "audit", "chaos",
 	}
 	for _, k := range want {
 		if _, ok := m[k]; !ok {
@@ -105,18 +105,6 @@ func TestMetricsDocFields(t *testing.T) {
 	// breaker.open is omitted while no pair is tripped.
 	breaker, _ := m["breaker"].(map[string]any)
 	assertFields(t, "breaker", breaker, []string{"threshold", "cooldown_ms", "trips", "probes", "degraded"})
-	// tiers is the only place vmjit handles are reported; its row has
-	// its own pinned field set.
-	tiers, _ := m["tiers"].([]any)
-	if len(tiers) != 1 {
-		t.Fatalf("tiers = %v, want the vmjit run's entry", m["tiers"])
-	}
-	assertFields(t, "tiers[0]", tiers[0], []string{
-		"key", "engine", "tier", "runs", "instructions", "promotions", "demotions",
-	})
-	if row, _ := tiers[0].(map[string]any); row["engine"] != "vmjit" || row["tier"] != "vmjit" || row["runs"].(float64) != 1 {
-		t.Errorf("tiers[0] engine/tier/runs = %v/%v/%v, want vmjit/vmjit/1", row["engine"], row["tier"], row["runs"])
-	}
 	// chaos.spec is omitted while no spec is armed.
 	chaosSec, _ := m["chaos"].(map[string]any)
 	assertFields(t, "chaos", chaosSec, []string{"active", "fired"})

@@ -381,16 +381,11 @@ func (s *Server) compile(source, filename string, opts nascent.Options, engine n
 	c, hit, err := s.cache.get(key, func() (*compiled, error) {
 		if s.disk != nil && bytecode {
 			if ent, err := s.disk.Get(key); err == nil {
-				out := &compiled{
+				return &compiled{
 					vmProg:       ent.Prog,
-					engine:       engine,
 					staticChecks: ent.StaticChecks,
 					opt:          ent.Opt,
-				}
-				// Tier state is process state — bytecode from disk gets
-				// its closure tier compiled here, at fill.
-				out.wrapJit()
-				return out, nil
+				}, nil
 			}
 		}
 		opts.Filename = filename
@@ -398,13 +393,12 @@ func (s *Server) compile(source, filename string, opts nascent.Options, engine n
 		if err != nil {
 			return nil, err
 		}
-		out := &compiled{prog: prog, engine: engine, staticChecks: prog.StaticChecks(), opt: prog.Opt}
+		out := &compiled{prog: prog, staticChecks: prog.StaticChecks(), opt: prog.Opt}
 		if bytecode {
 			if out.vmProg, err = vm.CompileEngine(prog.IR, engine); err != nil {
 				return nil, err
 			}
 		}
-		out.wrapJit()
 		if s.disk != nil && bytecode {
 			// Best-effort persist; a write failure only costs the next
 			// cold start its warm path.

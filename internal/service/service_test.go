@@ -421,3 +421,42 @@ func TestDegradedRun(t *testing.T) {
 		t.Errorf("degraded output diverges: %q vs %q", resp.Output, want.Output)
 	}
 }
+
+// TestDegradeLadder pins the breaker ladder: a tripped vmrce or vmjit
+// pair (vmjit is a second name for vmrce's pipeline) serves on vmopt
+// under the same scheme, and with vmopt's circuit open too, on the
+// reference configuration.
+func TestDegradeLadder(t *testing.T) {
+	for _, tc := range []struct {
+		vmoptOpen              bool
+		req                    string
+		wantScheme, wantEngine string
+	}{
+		{req: "vmrce", wantScheme: "LLS", wantEngine: "vmopt"},
+		{req: "vmjit", wantScheme: "LLS", wantEngine: "vmopt"},
+		{req: "vmjit", vmoptOpen: true, wantScheme: "naive", wantEngine: "tree"},
+	} {
+		s := newTestServer(t, nil)
+		e, err := nascent.ParseEngine(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			s.breaker.report(nascent.LLS, e, false, true)
+			if tc.vmoptOpen {
+				s.breaker.report(nascent.LLS, nascent.EngineVMOpt, false, true)
+			}
+		}
+		var resp RunResponse
+		w := do(t, s, "POST", "/run", RunRequest{
+			CompileRequest: CompileRequest{Source: progOK, Options: Options{Scheme: "lls"}, Engine: tc.req},
+		}, &resp)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %s", tc.req, w.Code, w.Body.String())
+		}
+		if resp.Compile.Degraded == nil || resp.Compile.Scheme != tc.wantScheme || resp.Compile.Engine != tc.wantEngine {
+			t.Errorf("%s (vmopt open %v): served (%s, %s) degraded=%v, want (%s, %s)",
+				tc.req, tc.vmoptOpen, resp.Compile.Scheme, resp.Compile.Engine, resp.Compile.Degraded != nil, tc.wantScheme, tc.wantEngine)
+		}
+	}
+}

@@ -47,8 +47,8 @@ func censusSources() map[string]string {
 // schemes, through both optimizing pipelines (Compile → Optimize and
 // Compile → RCE → Optimize), and each fused opcode — affloadi1 through
 // binbinstoref2 — must be emitted by at least one of them or be on
-// censusAllow. A family the inputs never reach is three copies of dead
-// code (its fuse.go pattern, its exec.go case and its jit.go builder).
+// censusAllow. A family the inputs never reach is two copies of dead
+// code (its fuse.go pattern and its exec.go case).
 func TestFusedOpcodeCensus(t *testing.T) {
 	byName := make(map[string]uint8)
 	for op := 0; op < vm.KnownOps(); op++ {

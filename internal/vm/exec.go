@@ -20,13 +20,11 @@ type frame struct {
 	fn  int32 // caller's Func.Index
 }
 
-// mach is the mutable state of one run, whichever executor runs it:
-// the switch loop here or the jit's closures (jit.go). Programs are
-// immutable, so one compiled Program serves any number of concurrent
-// machines. Machines recycle through the program's machine cache,
-// which Program.Run and JITProgram.Run share: repeated runs (bench
-// -times, oracle sweeps, evalpool) reuse the register files and array
-// slabs instead of reallocating them.
+// mach is the mutable state of one run of the switch loop. Programs
+// are immutable, so one compiled Program serves any number of
+// concurrent machines. Machines recycle through the program's machine
+// cache: repeated runs (bench -times, oracle sweeps, evalpool) reuse
+// the register files and array slabs instead of reallocating them.
 type mach struct {
 	p      *Program
 	cfg    interp.Config
@@ -38,14 +36,15 @@ type mach struct {
 	frames []frame
 	fn     int32
 	out    []byte
-	disp   *DispatchStats // switch loop only
+	disp   *DispatchStats
 
-	// The jit's counters and cost threshold, which its closures reach
-	// through the machine. The switch loop keeps its own in locals.
-	instrs, checks, costThr uint64
+	// costThr is the run's first cost threshold. getMach computes it:
+	// a call to Config.FirstThreshold inside run, which is too large
+	// for the inliner to take the call in, makes the compiler keep
+	// run's hot locals on the stack (about 12% more spill code).
+	costThr uint64
 
-	// How the run stopped: the jit's runtime error, or a trap.
-	err       error
+	// How the run stopped, when it stopped on a trap.
 	trapped   bool
 	trapNote  string
 	trapClass interp.TrapClass
@@ -56,7 +55,7 @@ type mach struct {
 // the reference engine's contract: same counters, output, traps, and
 // budget errors (see the package comment for the identity argument).
 func (vp *Program) Run(cfg interp.Config) (interp.Result, error) {
-	return vp.run(cfg, nil, nil)
+	return vp.run(cfg, nil)
 }
 
 // RunDispatch is Run with dispatch accounting: the returned stats
@@ -64,19 +63,18 @@ func (vp *Program) Run(cfg interp.Config) (interp.Result, error) {
 // deterministic proxy CI pins instead of wall clock.
 func (vp *Program) RunDispatch(cfg interp.Config) (interp.Result, DispatchStats, error) {
 	ds := DispatchStats{Static: len(vp.code)}
-	res, err := vp.run(cfg, &ds, nil)
+	res, err := vp.run(cfg, &ds)
 	return res, ds, err
 }
 
 // Optimized reports whether this program went through Optimize.
 func (vp *Program) Optimized() bool { return vp.optimized }
 
-// run is the prologue both executors share. It applies the limit
-// defaults, charges the cell budget in the reference engine's array
-// order (so the same array trips it), takes a reset machine, and
-// contains panics the way the tree walker does. Then it runs the jit's
-// closures from heads, or the switch loop when heads is nil.
-func (vp *Program) run(cfg interp.Config, disp *DispatchStats, heads []jop) (res interp.Result, err error) {
+// run is the prologue of every run. It applies the limit defaults,
+// charges the cell budget in the reference engine's array order (so
+// the same array trips it), takes a reset machine, and contains panics
+// the way the tree walker does. Then it runs the switch loop.
+func (vp *Program) run(cfg interp.Config, disp *DispatchStats) (res interp.Result, err error) {
 	cfg = cfg.WithDefaults()
 	cells := int64(0)
 	for _, id := range vp.arrOrder {
@@ -107,11 +105,7 @@ func (vp *Program) run(cfg interp.Config, disp *DispatchStats, heads []jop) (res
 		}
 	}()
 
-	if heads != nil {
-		res, err = m.trampoline(heads)
-	} else {
-		res, err = m.run()
-	}
+	res, err = m.run()
 	vp.mcache.put(m)
 	return res, err
 }
@@ -119,8 +113,8 @@ func (vp *Program) run(cfg interp.Config, disp *DispatchStats, heads []jop) (res
 // getMach returns a machine reset for a run of main, reusing a cached
 // one when available. A reused machine only has to restore what a run
 // observes: variables zero, constants in place, slabs zero, no active
-// frames, no output, zero counters and the run's first cost threshold.
-// The steady state of a repeated run is allocation-free.
+// frames, no output and the run's first cost threshold. The steady
+// state of a repeated run is allocation-free.
 func (vp *Program) getMach(cfg interp.Config, disp *DispatchStats) *mach {
 	m := vp.mcache.get()
 	if m == nil {
@@ -190,23 +184,21 @@ func (m *mach) result(instrs, checks uint64, err error) (interp.Result, error) {
 	return res, err
 }
 
-// vmPoll names the chaos sites the bytecode executors' polls fire.
+// vmPoll names the chaos sites the switch VM's polls fire.
 var vmPoll = interp.PollSites{Budget: chaos.SiteVMBudget, Cancel: chaos.SiteVMCancel, Panic: chaos.SiteVMPanic}
 
-// recharge is the cost-charge slow path of both executors, shared by
-// the central charge and the fused opcodes' deferred (post-check)
-// charges: the run contract's Config.Recharge with the vm.poll.* chaos
-// sites. It returns the next threshold.
+// recharge is the cost-charge slow path, shared by the central charge
+// and the fused opcodes' deferred (post-check) charges: the run
+// contract's Config.Recharge with the vm.poll.* chaos sites. It returns
+// the next threshold.
 func (m *mach) recharge(instrs uint64) (uint64, error) {
 	return m.cfg.Recharge(instrs, &vmPoll, m.p.funcs[m.fn].name)
 }
 
-// trap records one failed check. It returns nil, which stops the jit's
-// trampoline.
-func (m *mach) trap(cs checkInfo, lhs int64) jop {
+// trap records one failed check.
+func (m *mach) trap(cs checkInfo, lhs int64) {
 	m.trapNote, m.trapClass, m.trapPos = checkTrap(cs, lhs)
 	m.trapped = true
-	return nil
 }
 
 // trapStmt records the compile-time range violation traps[i].
@@ -621,6 +613,9 @@ loop:
 				pc = in.a
 			} else {
 				pc = int32(in.imm)
+				if disp != nil {
+					disp.GuardFails++
+				}
 			}
 
 		case opCkAdd:

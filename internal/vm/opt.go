@@ -56,6 +56,11 @@ type DispatchStats struct {
 	// carried, one per sub-check per guard dispatch: the deterministic
 	// proxy for rangeGuardPass's work.
 	GuardTerms uint64
+
+	// GuardFails counts the range-guard dispatches that took the deopt
+	// edge (failed, chaos-forced, or bulk-count overflow): each one ran
+	// the original fully-checked loop instead of its fast copy.
+	GuardFails uint64
 }
 
 func (s *DispatchStats) count(op uint8) {
@@ -98,8 +103,9 @@ func (s *DispatchStats) String() string {
 // failure (a contained panic surfacing as *guard.InternalError)
 // degrades to the unoptimized program rather than failing the run —
 // the same degrade-don't-fail posture as the IR optimizer — so a vmopt
-// run is never worse than a vm run. Optimizer correctness is pinned
-// directly by opt_test.go, which calls Optimize and fails loudly.
+// run never fails where the plain Compile output would run. Optimizer
+// correctness is pinned directly by opt_test.go, which calls Optimize
+// and fails loudly.
 func CompileOptimized(p *ir.Program) (*Program, error) {
 	vp, err := Compile(p)
 	if err != nil {

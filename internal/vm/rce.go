@@ -51,9 +51,7 @@
 // header test fails before any body check would run.
 //
 // RCE runs on freshly compiled (unoptimized) bytecode and its output
-// feeds the regular vmopt pipeline; the vmjit tier compiles the
-// guard-rewritten, optimized result (CompileRCE), making vmrce the
-// jit's input rather than a separate profiling stop — see DESIGN.md
+// feeds the regular vmopt pipeline (CompileRCE) — see DESIGN.md
 // ("Check elimination in the VM") for why.
 package vm
 
@@ -84,11 +82,11 @@ type loopMeta struct {
 }
 
 // CompileRCE is Compile followed by RCE followed by Optimize — the
-// full vmrce (and vmjit input) pipeline. Like CompileOptimized, each
-// rewrite stage degrades rather than fails: a contained RCE panic
+// full vmrce pipeline, which vmjit names too. Like CompileOptimized,
+// each rewrite stage degrades rather than fails: a contained RCE panic
 // falls back to the plain compile, a contained Optimize panic to the
-// (possibly guard-rewritten) input, so a vmrce run is never worse than
-// a vm run.
+// (possibly guard-rewritten) input, so a vmrce run never fails where
+// the plain Compile output would run.
 func CompileRCE(p *ir.Program) (*Program, error) {
 	vp, err := Compile(p)
 	if err != nil {
@@ -632,10 +630,9 @@ func onePerForm(subs []subCheck) []subCheck {
 // original fully-checked code. On pass it also returns the loop's trip
 // count — the number of body executions the fast header test will
 // admit — so a bulk-counting guard (perIter > 0) can commit
-// trip × perIter checks up front. Shared by the switch VM and the jit
-// (chaos-forced spurious failures are the callers' concern). It is
-// deliberately conservative: any overflow risk in the endpoint
-// arithmetic deopts.
+// trip × perIter checks up front. Chaos-forced spurious failures are
+// the caller's concern. It is deliberately conservative: any overflow
+// risk in the endpoint arithmetic deopts.
 func rangeGuardPass(pool []int64, off int32, ireg []int64) (bool, int64) {
 	vReg, limReg := pool[off], pool[off+1]
 	step := pool[off+2]

@@ -169,7 +169,7 @@ func pct(a, b uint64) float64 {
 // take its deopt edge (chaos site vm.rce.guard.fail at rate 1) and
 // requires all observables to stay byte-identical to the plain vm run:
 // deopt is the original semantics, so a spurious guard failure may
-// only cost wall-clock. Covers both the switch VM and the jit.
+// only cost wall-clock.
 func TestRCEChaosGuardFail(t *testing.T) {
 	naive := compileSuite(t, false)
 	rce := compileRCESuite(t)
@@ -186,17 +186,6 @@ func TestRCEChaosGuardFail(t *testing.T) {
 		}
 		if !reflect.DeepEqual(vres, rres) {
 			t.Fatalf("%s: deopt path diverges from vm:\nvm:    %+v\nvmrce: %+v", p.Name, vres, rres)
-		}
-		jp, err := vm.JITCompile(rce[i], nil)
-		if err != nil {
-			t.Fatalf("%s: jit compile: %v", p.Name, err)
-		}
-		jres, err := jp.Run(interp.Config{})
-		if err != nil {
-			t.Fatalf("%s: jit deopt run: %v", p.Name, err)
-		}
-		if !reflect.DeepEqual(vres, jres) {
-			t.Fatalf("%s: jit deopt path diverges from vm:\nvm:  %+v\njit: %+v", p.Name, vres, jres)
 		}
 		t.Logf("%-10s deopt ok, eliminated=%d (forced deopt keeps opCheckBlock bulk adds only)",
 			p.Name, rcs.Eliminated)
@@ -356,5 +345,58 @@ end
 	if rcs.Eliminated != 0 {
 		// The violating loop must have deopted: its checks execute.
 		t.Errorf("trapping loop eliminated %d checks; guard failed to deopt", rcs.Eliminated)
+	}
+}
+
+// TestGuardFailCounts pins DispatchStats.GuardFails, the range-guard
+// dispatches that took the deopt edge, next to the guard dispatches
+// themselves, for every suite and irregular program on the vmrce
+// pipeline, naive and under LLS. Both are exact functions of (program,
+// pipeline). histogram's is the only guard that fails: under LLS it
+// deopts on its only entry, naive on one of four.
+func TestGuardFailCounts(t *testing.T) {
+	rangeGuard := -1
+	for op := 0; op < vm.KnownOps(); op++ {
+		if vm.OpName(uint8(op)) == "rangeguard" {
+			rangeGuard = op
+		}
+	}
+	if rangeGuard < 0 {
+		t.Fatal("no rangeguard opcode")
+	}
+	// name → {naive, LLS} × {guard dispatches, guard fails}
+	want := map[string][2][2]uint64{
+		"vortex": {{179, 0}, {0, 0}}, "arc2d": {{660, 0}, {0, 0}},
+		"bdna": {{275, 0}, {6, 0}}, "dyfesm": {{1425, 0}, {0, 0}},
+		"mdg": {{2106, 0}, {2, 0}}, "qcd": {{288, 0}, {0, 0}},
+		"spec77": {{495, 0}, {4, 0}}, "trfd": {{1068, 0}, {75, 0}},
+		"linpackd": {{322, 0}, {24, 0}}, "simple": {{389, 0}, {0, 0}},
+		"csr": {{20, 0}, {0, 0}}, "histogram": {{4, 1}, {1, 1}},
+		"bfs": {{510, 0}, {0, 0}}, "gather_tail": {{7, 0}, {0, 0}},
+	}
+	for _, p := range append(append([]suite.Program(nil), suite.Programs...), suite.Irregular...) {
+		w, ok := want[p.Name]
+		if !ok {
+			t.Errorf("%s: no guard counts pinned", p.Name)
+		}
+		for k, s := range []nascent.Scheme{nascent.Naive, nascent.LLS} {
+			cp, err := nascent.Compile(p.Source, nascent.Options{BoundsChecks: true, Scheme: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vp, err := vm.CompileRCE(cp.IR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ds, err := vp.RunDispatch(interp.Config{})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", p.Name, s, err)
+			}
+			got := [2]uint64{ds.ByOp[rangeGuard], ds.GuardFails}
+			if got != w[k] {
+				t.Errorf("%s/%v: guards, fails = %v, want %v", p.Name, s, got, w[k])
+			}
+			t.Logf("%-12s %-5v guards=%d fails=%d", p.Name, s, got[0], got[1])
+		}
 	}
 }

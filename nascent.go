@@ -219,9 +219,8 @@ const (
 	// guard deopts to the original fully-checked code. Same observables
 	// as the other engines — eliminated checks are still counted.
 	EngineVMRCE = interp.EngineVMRCE
-	// EngineVMJit is the closure-compiled top tier: guard/deopt-rewritten,
-	// optimized bytecode compiled into chained Go closures. Same
-	// observables, no dispatch switch; the fastest engine.
+	// EngineVMJit is a second name for EngineVMRCE's pipeline, run on
+	// the same switch VM. It stays parseable for clients that send it.
 	EngineVMJit = interp.EngineVMJit
 )
 
@@ -374,8 +373,7 @@ func (p *Program) Run() (RunResult, error) {
 
 // RunWith executes the program with explicit limits on the engine
 // cfg.Engine names. A bytecode engine compiles the program through its
-// pipeline first (vm.CompileEngine); vmjit then runs it through a
-// JitHandle, so a failed closure compile falls back to the switch VM.
+// pipeline first (vm.CompileEngine), then runs it on the switch VM.
 func (p *Program) RunWith(cfg RunConfig) (RunResult, error) {
 	if cfg.Engine == EngineTree {
 		return interp.Run(p.IR, cfg)
@@ -383,9 +381,6 @@ func (p *Program) RunWith(cfg RunConfig) (RunResult, error) {
 	vp, err := vm.CompileEngine(p.IR, cfg.Engine)
 	if err != nil {
 		return RunResult{}, err
-	}
-	if cfg.Engine == EngineVMJit {
-		return vm.NewJitHandle(vp).Run(cfg)
 	}
 	return vp.Run(cfg)
 }
