@@ -231,10 +231,10 @@ end
 // BenchmarkTableRegeneration measures one full regeneration of Tables
 // 1–3 through the parallel evaluation engine at several worker counts —
 // the wall-clock claim behind `rangebench -jobs`. Each iteration uses a
-// fresh Runner, so the cost includes parsing every suite program once
-// and sharing that front end across the whole job matrix (the
-// frontend-compiles/op metric pins the memoization: 10 programs, 290
-// jobs). Output is byte-identical at every worker count (the golden
+// fresh Runner, so the cost includes parsing and lowering every suite
+// program once and sharing that front end across the whole job matrix
+// (the frontend-compiles/op metric pins the memoization: 10 programs,
+// 290 jobs named, 210 evaluated). Output is byte-identical at every worker count (the golden
 // tests prove it); only the wall-clock may differ, and on a single-core
 // host jobs=4 simply matches jobs=1.
 func BenchmarkTableRegeneration(b *testing.B) {

@@ -145,20 +145,31 @@ func (r *Result) merge(o *Result) {
 // mutating p in place.
 //
 // Optimize never panics and degrades gracefully: each function is
-// snapshotted before transformation, and when a pass fails on one
-// function — returned error or contained panic — that function's naive
-// body is restored, the failure is recorded in Result.Degraded and
-// Result.Diagnostics, and the remaining functions are still optimized.
+// snapshotted before transformation (a function of an ir.Program.Fork
+// needs no snapshot: its origin is the naive body), and when a pass
+// fails on one function — returned error or contained panic — that
+// function's naive body is restored, the failure is recorded in
+// Result.Degraded and Result.Diagnostics, and the remaining functions
+// are still optimized.
 // An error is returned only when the whole program is unusable (the
 // final IR fails verification even after restoration).
 func Optimize(p *ir.Program, opts Options) (res *Result, err error) {
 	defer guard.Recover("optimize", "", &err)
 	res = &Result{Options: opts, ChecksBefore: p.CountChecks()}
 	for _, f := range p.Funcs {
-		snap := f.Snapshot()
+		// A forked function restores from its origin, the unoptimized
+		// lowering; any other function needs a snapshot of its own.
+		var snap *ir.Func
+		if !f.Forked() {
+			snap = f.Snapshot()
+		}
 		fres := &Result{Options: opts}
 		if ferr := optimizeFuncSafe(f, opts, fres); ferr != nil {
-			f.RestoreFrom(snap)
+			if snap != nil {
+				f.RestoreFrom(snap)
+			} else {
+				f.RestoreOrigin()
+			}
 			res.Degraded = append(res.Degraded, f.Name)
 			res.Diagnostics = append(res.Diagnostics, fmt.Sprintf(
 				"%s: optimizer failed (%v); naive checks kept for this function", f.Name, ferr))

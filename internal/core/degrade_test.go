@@ -9,6 +9,7 @@ import (
 	"nascent/internal/core"
 	"nascent/internal/guard"
 	"nascent/internal/interp"
+	"nascent/internal/ir"
 	"nascent/internal/rangecheck"
 	"nascent/internal/suite"
 	"nascent/internal/testutil"
@@ -176,6 +177,48 @@ func TestMalformedEveryFunctionRestoresNaive(t *testing.T) {
 					if p.Fingerprint() != naive.Fingerprint() {
 						t.Fatalf("%s %+v: restored program differs from the naive lowering", sp.Name, opts)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestMalformedForkRestoresOrigin is the same fault on forks of one
+// shared lowering per program: Optimize takes no snapshot of a forked
+// function and restores it from its origin instead. Each restored fork
+// must be the naive lowering, must call only its own functions, and
+// must leave the shared lowering as irbuild built it.
+func TestMalformedForkRestoresOrigin(t *testing.T) {
+	chaos.Enable(chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteOptMalformed})
+	defer chaos.Disable()
+	schemes := append([]core.Scheme{core.MCM}, core.Schemes...)
+	for _, sp := range suite.Programs {
+		shared := testutil.BuildIR(t, sp.Source, true)
+		naive := shared.Fingerprint()
+		for _, sch := range schemes {
+			for _, kind := range []core.CheckKind{core.PRX, core.INX} {
+				opts := core.Options{Scheme: sch, Kind: kind}
+				p := shared.Fork()
+				res, err := core.Optimize(p, opts)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", sp.Name, opts, err)
+				}
+				if len(res.Degraded) != len(p.Funcs) {
+					t.Fatalf("%s %+v: %d of %d functions degraded", sp.Name, opts, len(res.Degraded), len(p.Funcs))
+				}
+				for _, f := range p.Funcs {
+					f.ForEachStmt(func(_ *ir.Block, _ int, s ir.Stmt) {
+						if c, ok := s.(*ir.CallStmt); ok && c.Callee != p.Funcs[c.Callee.Index] {
+							t.Fatalf("%s %+v: restored %s calls %s outside its fork", sp.Name, opts, f.Name, c.Callee.Name)
+						}
+					})
+				}
+				p.NumVars = shared.NumVars
+				if p.Fingerprint() != naive {
+					t.Fatalf("%s %+v: restored fork differs from the naive lowering", sp.Name, opts)
+				}
+				if shared.Fingerprint() != naive {
+					t.Fatalf("%s %+v: optimizing a fork changed the shared lowering", sp.Name, opts)
 				}
 			}
 		}

@@ -13,11 +13,12 @@
 //
 //   - Shared front ends: Evaluate memoizes front ends by (source hash,
 //     filename), so the ~20 optimizer variants of one program share a
-//     single parse/semantic-analysis. Each job still lowers, optimizes
-//     and runs fresh IR — nascent.Frontend is immutable and safe for
-//     concurrent Compile calls — so no mutable state crosses jobs. The
-//     pool keeps no compiled programs: callers that reuse them (the
-//     service cache) hand them in as Precompiled jobs.
+//     single parse/semantic-analysis and one lowering per BoundsChecks
+//     value (nascent.AnalyzeShared). Each job optimizes and runs its
+//     own copy-on-write fork of that lowering, so no mutable state
+//     crosses jobs. SubmitCtx's one-off compiles lower fresh IR and
+//     copy nothing. The pool keeps no compiled programs: callers that
+//     reuse them (the service cache) hand them in as Precompiled jobs.
 //
 //   - Observable cost: the pool aggregates per-stage wall-clock and
 //     interpreter counters into Metrics, and an optional Trace hook
@@ -56,7 +57,9 @@ type Job struct {
 	// Mutate, when non-nil, is applied to the compiled program before
 	// it runs. The oracle uses it to inject deliberate miscompilations;
 	// it runs on the worker goroutine and must only touch the program
-	// it is handed.
+	// it is handed. That program may be a fork sharing its statements
+	// with other jobs (see Result.Prog), so Mutate replaces statements
+	// rather than editing them.
 	Mutate func(*nascent.Program)
 	// Precompiled, when non-nil, bypasses the compile pipeline
 	// entirely: the pool executes it directly under supervision
@@ -85,7 +88,10 @@ type Runner interface {
 type Result struct {
 	// Prog is the compiled program (nil when compilation failed). It is
 	// owned by the caller after Evaluate returns: post-processing that
-	// mutates its IR (e.g. loop analysis inserting preheaders) is safe.
+	// rewires its blocks (e.g. loop analysis inserting preheaders) is
+	// safe. Its statements and expressions may be shared with the
+	// front end's lowering (an ir.Program.Fork), so they are replaced,
+	// never edited in place.
 	Prog *nascent.Program
 	// Res is the run result (zero when SkipRun or on error).
 	Res nascent.RunResult
@@ -325,7 +331,7 @@ func (p *Pool) frontend(job *Job, memo bool) (*nascent.Frontend, time.Duration, 
 	e.once.Do(func() {
 		hit = false
 		t0 := time.Now()
-		e.fe, e.err = nascent.Analyze(job.Source, job.Filename)
+		e.fe, e.err = nascent.AnalyzeShared(job.Source, job.Filename)
 		e.dur = time.Since(t0)
 		if e.err != nil {
 			// A failure is not memoized: an injected or transient fault

@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // Snapshot returns a restorable copy of f's CFG shape: blocks,
 // statement slices, terminators and DoLoop info are copied, while the
 // statements and expressions themselves are shared with f, like the
@@ -14,29 +16,82 @@ package ir
 // statement or expression in place: it replaces a statement with an
 // edited copy instead.
 func (f *Func) Snapshot() *Func {
-	snap := &Func{
+	snap := &Func{}
+	f.copyShape(snap, f.Program)
+	return snap
+}
+
+// Fork returns a copy-on-write copy of p for one optimizer run. Each
+// function's CFG shape is copied as Snapshot copies it, and each
+// CallStmt is replaced by one that calls the fork's own function; every
+// other statement, expression, Var and Array is shared with p.
+//
+// p must never change while forks of it live. Optimizing a fork keeps
+// that rule for free, since a pass replaces a statement rather than
+// editing it (see Snapshot). Each forked function remembers its origin
+// in p, so a failed pass restores it with RestoreOrigin and needs no
+// Snapshot of its own.
+func (p *Program) Fork() *Program {
+	q := &Program{
+		Funcs:        make([]*Func, len(p.Funcs)),
+		Globals:      slices.Clip(p.Globals),
+		GlobalArrays: slices.Clip(p.GlobalArrays),
+		funcByName:   make(map[string]*Func, len(p.Funcs)),
+		NumVars:      p.NumVars,
+		NumArrays:    p.NumArrays,
+	}
+	funcs := make([]Func, len(p.Funcs))
+	for i, f := range p.Funcs {
+		q.Funcs[i] = &funcs[i]
+		q.funcByName[f.Name] = &funcs[i]
+	}
+	for i, f := range p.Funcs {
+		f.copyShape(q.Funcs[i], q)
+		q.Funcs[i].origin = f
+	}
+	return q
+}
+
+// Forked reports whether f belongs to a Fork and can be restored from
+// its origin.
+func (f *Func) Forked() bool { return f.origin != nil }
+
+// RestoreOrigin replaces the body of a forked function with a fresh copy
+// of the function it was forked from: its unoptimized lowering.
+func (f *Func) RestoreOrigin() {
+	fresh := &Func{}
+	f.origin.copyShape(fresh, f.Program)
+	f.RestoreFrom(fresh)
+}
+
+// copyShape fills dst with a copy of f's CFG shape that belongs to
+// prog. When prog is not f's own program, every CallStmt is replaced by
+// one whose callee is prog's function of the same index.
+func (f *Func) copyShape(dst *Func, prog *Program) {
+	*dst = Func{
 		Name:        f.Name,
 		Index:       f.Index,
 		IsMain:      f.IsMain,
 		Params:      append([]*Var(nil), f.Params...),
 		Locals:      append([]*Var(nil), f.Locals...),
 		Arrays:      append([]*Array(nil), f.Arrays...),
-		Program:     f.Program,
+		Program:     prog,
 		nextBlockID: f.nextBlockID,
 	}
-	maxID := 0
+	maxID, nstmts := 0, 0
 	for _, b := range f.Blocks {
 		maxID = max(maxID, b.ID)
+		nstmts += len(b.Stmts)
 	}
 	// Block IDs are unique within a function: remap through a slice.
 	remap := make([]*Block, maxID+1)
 	blocks := make([]Block, len(f.Blocks))
-	snap.Blocks = make([]*Block, len(f.Blocks))
+	dst.Blocks = make([]*Block, len(f.Blocks))
 	for i, b := range f.Blocks {
 		nb := &blocks[i]
-		*nb = Block{ID: b.ID, Label: b.Label, Func: snap}
+		*nb = Block{ID: b.ID, Label: b.Label, Func: dst}
 		remap[b.ID] = nb
-		snap.Blocks[i] = nb
+		dst.Blocks[i] = nb
 	}
 	at := func(b *Block) *Block {
 		if b == nil {
@@ -44,9 +99,22 @@ func (f *Func) Snapshot() *Func {
 		}
 		return remap[b.ID]
 	}
+	// One backing array holds every block's statements; each block's
+	// slice is clipped, so a pass that grows one block reallocates it
+	// instead of writing into the next.
+	stmts := make([]Stmt, 0, nstmts)
 	for i, b := range f.Blocks {
-		nb := snap.Blocks[i]
-		nb.Stmts = append([]Stmt(nil), b.Stmts...)
+		nb := dst.Blocks[i]
+		start := len(stmts)
+		for _, s := range b.Stmts {
+			if c, ok := s.(*CallStmt); ok && prog != f.Program {
+				call := *c
+				call.Callee = prog.Funcs[c.Callee.Index]
+				s = &call
+			}
+			stmts = append(stmts, s)
+		}
+		nb.Stmts = stmts[start:len(stmts):len(stmts)]
 		switch t := b.Term.(type) {
 		case *Goto:
 			nb.Term = &Goto{Target: at(t.Target)}
@@ -56,13 +124,17 @@ func (f *Func) Snapshot() *Func {
 			nb.Term = &Ret{}
 		}
 	}
-	snap.RecomputePreds()
-	for _, l := range f.DoLoops {
-		dl := *l
-		dl.Preheader, dl.Header, dl.BodyEntry, dl.Latch = at(l.Preheader), at(l.Header), at(l.BodyEntry), at(l.Latch)
-		snap.DoLoops = append(snap.DoLoops, &dl)
+	dst.RecomputePreds()
+	if len(f.DoLoops) > 0 {
+		loops := make([]DoLoopInfo, len(f.DoLoops))
+		dst.DoLoops = make([]*DoLoopInfo, len(f.DoLoops))
+		for i, l := range f.DoLoops {
+			loops[i] = *l
+			dl := &loops[i]
+			dl.Preheader, dl.Header, dl.BodyEntry, dl.Latch = at(l.Preheader), at(l.Header), at(l.BodyEntry), at(l.Latch)
+			dst.DoLoops[i] = dl
+		}
 	}
-	return snap
 }
 
 // RestoreFrom replaces f's body with snap's (a value previously returned

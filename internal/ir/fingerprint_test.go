@@ -23,6 +23,7 @@ var fingerprintExcluded = map[string]string{
 	"Program.funcByName": "derived: the name index over Funcs, rebuilt by RegisterFunc",
 	"Func.Program":       "back-pointer to the enclosing program",
 	"Func.nextBlockID":   "allocator state for NewBlock; no engine reads it",
+	"Func.origin":        "restore source of a Fork; a fork must hash like a fresh lowering",
 	"Block.Func":         "back-pointer to the enclosing function",
 	"Block.Preds":        "derived from the terminators by RecomputePreds",
 }

@@ -140,6 +140,7 @@ type Func struct {
 	DoLoops []*DoLoopInfo // counted loops, in lowering order (outer before inner)
 
 	nextBlockID int
+	origin      *Func // the function a Fork copied this one from, if any
 }
 
 // Entry returns the entry block.

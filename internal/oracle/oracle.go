@@ -181,7 +181,9 @@ type Config struct {
 	// Mutate, when non-nil, is applied to each optimized program before
 	// it is executed. Tests use it to inject deliberate
 	// miscompilations and assert the oracle catches them. It runs on a
-	// worker goroutine and must only touch the program it is handed.
+	// worker goroutine and must only touch the program it is handed,
+	// replacing statements rather than editing them: the variants'
+	// programs share statements with one lowering (evalpool.Job.Mutate).
 	Mutate func(v Variant, p *nascent.Program)
 }
 

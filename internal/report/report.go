@@ -20,6 +20,7 @@ import (
 	"nascent/internal/dom"
 	"nascent/internal/evalpool"
 	"nascent/internal/interp"
+	"nascent/internal/ir"
 	"nascent/internal/loops"
 	"nascent/internal/suite"
 )
@@ -168,43 +169,52 @@ type Table1Row struct {
 	DynRatio    float64
 }
 
-// table1Jobs is the two-job measurement of one program: the unchecked
-// build (instruction counts) and the naive checked build (check counts).
-func table1Jobs(p suite.Program) []evalpool.Job {
-	return []evalpool.Job{
-		{Name: p.Name + "/plain", Source: p.Source, Filename: p.Name + ".mf"},
-		{Name: p.Name + "/checked", Source: p.Source, Filename: p.Name + ".mf",
-			Opts: nascent.Options{BoundsChecks: true}},
+// naiveJob is the naive checked build of one program. It is Table 1's
+// only measurement and the denominator of every Table 2 and 3 cell.
+func naiveJob(p suite.Program) evalpool.Job {
+	return evalpool.Job{
+		Name:     p.Name + "/naive",
+		Source:   p.Source,
+		Filename: p.Name + ".mf",
+		Opts:     nascent.Options{BoundsChecks: true},
 	}
 }
 
-// buildRow1 folds the two Table 1 measurements of one program into a row.
-func buildRow1(p suite.Program, plain, checked evalpool.Result) (Table1Row, error) {
+// buildRow1 folds the naive checked measurement of one program into a
+// Table 1 row. A range check costs nothing in the instruction counts,
+// static or dynamic, and inserting checks adds no loop or subroutine,
+// so the instruction columns are the unchecked program's
+// (TestCheckedBuildCountsAsPlain pins this).
+func buildRow1(p suite.Program, naive evalpool.Result) (Table1Row, error) {
 	row := Table1Row{Program: p.Name, Suite: p.Suite, Lines: countLines(p.Source)}
-	if plain.Err != nil {
-		return row, plain.Err
+	if naive.Err != nil {
+		return row, naive.Err
 	}
-	if checked.Err != nil {
-		return row, checked.Err
+	prog := naive.Prog.IR
+	row.Subroutines = len(prog.Funcs) - 1
+	row.StaticInstr = interp.StaticCost(prog)
+	row.DynInstr = naive.Res.Instructions
+	row.StaticChk = naive.Prog.StaticChecks()
+	if naive.Res.Trapped {
+		return row, fmt.Errorf("%s: naive run trapped: %s", p.Name, naive.Res.TrapNote)
 	}
-	row.Subroutines = len(plain.Prog.IR.Funcs) - 1
-	row.StaticInstr = interp.StaticCost(plain.Prog.IR)
-	row.DynInstr = plain.Res.Instructions
-	row.StaticChk = checked.Prog.StaticChecks()
-	if checked.Res.Trapped {
-		return row, fmt.Errorf("%s: naive run trapped: %s", p.Name, checked.Res.TrapNote)
-	}
-	row.DynChk = checked.Res.Checks
-	// Loop analysis inserts preheader blocks, so it runs on a snapshot:
-	// the Runner may hand the same result to a later table.
-	for _, f := range plain.Prog.IR.Funcs {
-		snap := f.Snapshot()
-		forest := loops.Analyze(snap, dom.Compute(snap))
-		row.Loops += len(forest.Loops)
-	}
+	row.DynChk = naive.Res.Checks
+	row.Loops = countLoops(prog)
 	row.StaticRatio = 100 * float64(row.StaticChk) / float64(row.StaticInstr)
 	row.DynRatio = 100 * float64(row.DynChk) / float64(row.DynInstr)
 	return row, nil
+}
+
+// countLoops counts the natural loops of every function of prog. Loop
+// analysis inserts preheader blocks, so it runs on snapshots: the
+// Runner may hand the same result to a later table.
+func countLoops(prog *ir.Program) int {
+	n := 0
+	for _, f := range prog.Funcs {
+		snap := f.Snapshot()
+		n += len(loops.Analyze(snap, dom.Compute(snap)).Loops)
+	}
+	return n
 }
 
 func countLines(src string) int {

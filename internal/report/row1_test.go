@@ -5,6 +5,7 @@ import (
 
 	"nascent"
 	"nascent/internal/evalpool"
+	"nascent/internal/interp"
 	"nascent/internal/ir"
 	"nascent/internal/suite"
 )
@@ -32,10 +33,9 @@ func TestBuildRow1LeavesResultIntact(t *testing.T) {
 	exit.Term = &ir.Ret{}
 	f.RecomputePreds()
 
-	plain := evalpool.Result{Prog: &nascent.Program{IR: p}, Res: nascent.RunResult{Instructions: 40}}
-	checked := evalpool.Result{Prog: &nascent.Program{IR: p}, Res: nascent.RunResult{Checks: 1}}
+	naive := evalpool.Result{Prog: &nascent.Program{IR: p}, Res: nascent.RunResult{Instructions: 40, Checks: 1}}
 	before := p.Fingerprint()
-	row, err := buildRow1(suite.Program{Name: "loop"}, plain, checked)
+	row, err := buildRow1(suite.Program{Name: "loop"}, naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,5 +44,51 @@ func TestBuildRow1LeavesResultIntact(t *testing.T) {
 	}
 	if p.Fingerprint() != before || len(f.Blocks) != 6 {
 		t.Error("building the Table 1 row changed the measured program")
+	}
+}
+
+// TestCheckedBuildCountsAsPlain pins what lets Table 1 read every
+// column from one run: a program compiled with naive range checks has
+// the unchecked program's subroutines, loops, static instruction cost
+// and dynamic instruction count, since checks cost nothing in either
+// count. It holds for the suite and the irregular stress programs, with
+// one exception by design: gather_tail's checked run traps before the
+// out-of-range access that stops its unchecked run, so it counts
+// fewer dynamic instructions. Table 1 rejects a trapping naive run.
+func TestCheckedBuildCountsAsPlain(t *testing.T) {
+	for _, p := range append(append([]suite.Program(nil), suite.Programs...), suite.Irregular...) {
+		t.Run(p.Name, func(t *testing.T) {
+			type counts struct {
+				subroutines, loops int
+				static, dynamic    uint64
+			}
+			measure := func(checks bool) (counts, nascent.RunResult, error) {
+				prog, err := nascent.Compile(p.Source, nascent.Options{Filename: p.Name + ".mf", BoundsChecks: checks})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := prog.Run()
+				return counts{len(prog.IR.Funcs) - 1, countLoops(prog.IR), interp.StaticCost(prog.IR), res.Instructions}, res, err
+			}
+			plain, plainRes, plainErr := measure(false)
+			checked, checkedRes, err := measure(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checkedRes.Trapped {
+				// The unchecked run must fail at the access the check
+				// caught, after the instructions the checked run counted.
+				if plainErr == nil || plainRes.Trapped || plain.dynamic < checked.dynamic {
+					t.Errorf("checked run trapped at %d instructions; unchecked run: %d instructions, err %v",
+						checked.dynamic, plain.dynamic, plainErr)
+				}
+				plain.dynamic = checked.dynamic
+			} else if plainErr != nil {
+				t.Fatal(plainErr)
+			}
+			if plain != checked {
+				t.Errorf("unchecked %+v, naive checked %+v", plain, checked)
+			}
+		})
 	}
 }

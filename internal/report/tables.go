@@ -10,18 +10,19 @@ import (
 	"nascent/internal/suite"
 )
 
-// measure1 evaluates the Table 1 job matrix: one row per suite
-// program, with per-row errors aligned by index (nil = measured).
+// measure1 evaluates the Table 1 job matrix, one naive checked job per
+// suite program: one row per program, with per-row errors aligned by
+// index (nil = measured).
 func (r *Runner) measure1() ([]Table1Row, []error) {
-	var jobs []evalpool.Job
-	for _, p := range suite.Programs {
-		jobs = append(jobs, table1Jobs(p)...)
+	jobs := make([]evalpool.Job, len(suite.Programs))
+	for i, p := range suite.Programs {
+		jobs[i] = naiveJob(p)
 	}
 	results := r.evaluate(jobs)
 	rows := make([]Table1Row, len(suite.Programs))
 	errs := make([]error, len(suite.Programs))
 	for i, p := range suite.Programs {
-		rows[i], errs[i] = buildRow1(p, results[2*i], results[2*i+1])
+		rows[i], errs[i] = buildRow1(p, results[i])
 	}
 	return rows, errs
 }
@@ -88,12 +89,7 @@ func (r *Runner) grid(rows []rowSpec) []rowResult {
 	nprog := len(suite.Programs)
 	jobs := make([]evalpool.Job, 0, nprog+len(rows)*nprog)
 	for _, p := range suite.Programs {
-		jobs = append(jobs, evalpool.Job{
-			Name:     p.Name + "/naive",
-			Source:   p.Source,
-			Filename: p.Name + ".mf",
-			Opts:     nascent.Options{BoundsChecks: true},
-		})
+		jobs = append(jobs, naiveJob(p))
 	}
 	for _, row := range rows {
 		for _, p := range suite.Programs {

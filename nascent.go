@@ -19,6 +19,7 @@ package nascent
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"nascent/internal/ast"
@@ -238,16 +239,32 @@ func AllEngines() []Engine { return interp.AllEngines() }
 // source text. The front half of compilation is independent of every
 // backend option (bounds checking, scheme, kind, implications,
 // rotation), so one Frontend can be reused across all optimizer
-// configurations of the same program: each Compile call lowers fresh IR
-// from the shared analysis.
+// configurations of the same program.
 //
-// A Frontend is immutable after construction and safe for concurrent
-// Compile calls; internal/evalpool memoizes Frontends keyed by source
-// hash to share the parse/analyze cost across a job matrix.
+// A Frontend from Analyze lowers fresh IR on every Compile call, which
+// is all a one-shot compile needs. A Frontend from AnalyzeShared lowers
+// the program once per BoundsChecks value, on first use, and hands each
+// Compile call a copy-on-write ir.Program.Fork of that lowering to
+// optimize; the shared lowering itself is never edited.
+//
+// A Frontend is immutable after construction apart from that lowering
+// memo, and safe for concurrent Compile calls; internal/evalpool
+// memoizes shared Frontends keyed by source hash to share the parse,
+// analysis and lowering across a job matrix.
 type Frontend struct {
 	file     *ast.File
 	sem      *sem.Program
 	filename string
+	// lowered is the memo of an AnalyzeShared front end, indexed by
+	// BoundsChecks; nil for Analyze.
+	lowered *[2]lowering
+}
+
+// lowering is one memoized irbuild.Build result. A failed build is not
+// kept: the next Compile call tries again.
+type lowering struct {
+	mu   sync.Mutex
+	prog *ir.Program
 }
 
 // Analyze runs the parse and semantic-analysis stages once. An empty
@@ -277,6 +294,56 @@ func Analyze(src, filename string) (fe *Frontend, err error) {
 	return &Frontend{file: file, sem: semProg, filename: filename}, nil
 }
 
+// AnalyzeShared is Analyze for a Frontend that will compile many
+// configurations: its Compile calls share one lowering per
+// BoundsChecks value and each optimize a fork of it (see Frontend).
+func AnalyzeShared(src, filename string) (*Frontend, error) {
+	fe, err := Analyze(src, filename)
+	if err != nil {
+		return nil, err
+	}
+	fe.lowered = new([2]lowering)
+	return fe, nil
+}
+
+// lower returns the IR one Compile call may optimize: a fresh lowering,
+// or a fork of the shared one.
+func (fe *Frontend) lower(checks bool) (*ir.Program, error) {
+	if fe.lowered == nil {
+		return irbuild.Build(fe.sem, irbuild.Options{BoundsChecks: checks})
+	}
+	l := &fe.lowered[0]
+	if checks {
+		l = &fe.lowered[1]
+	}
+	prog, err := l.get(fe, checks)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Fork(), nil
+}
+
+// get returns the kept lowering, building it on first use.
+func (l *lowering) get(fe *Frontend, checks bool) (*ir.Program, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.prog == nil {
+		prog, err := irbuild.Build(fe.sem, irbuild.Options{BoundsChecks: checks})
+		if err != nil {
+			return nil, err
+		}
+		if sharedLowered != nil {
+			sharedLowered(fe, checks, prog)
+		}
+		l.prog = prog
+	}
+	return l.prog, nil
+}
+
+// sharedLowered, when set by tests (export_test.go), is handed every
+// lowering an AnalyzeShared front end keeps.
+var sharedLowered func(fe *Frontend, checks bool, prog *ir.Program)
+
 // Filename returns the diagnostic filename the Frontend was built with.
 func (fe *Frontend) Filename() string { return fe.filename }
 
@@ -289,8 +356,8 @@ type StageTimes struct {
 
 // Compile lowers and (per Options) optimizes the analyzed program. The
 // Options' Filename field is ignored (the Frontend's filename already
-// seeded all positions). Safe for concurrent use: every call builds
-// fresh IR.
+// seeded all positions). Safe for concurrent use: every call optimizes
+// IR of its own, a fresh lowering or a fork of the shared one.
 func (fe *Frontend) Compile(opts Options) (*Program, error) {
 	return fe.CompileTimed(opts, nil)
 }
@@ -307,7 +374,7 @@ func (fe *Frontend) CompileTimed(opts Options, st *StageTimes) (prog *Program, e
 	}()
 
 	t0 := time.Now()
-	irProg, err := irbuild.Build(fe.sem, irbuild.Options{BoundsChecks: opts.BoundsChecks})
+	irProg, err := fe.lower(opts.BoundsChecks)
 	if st != nil {
 		st.Lower = time.Since(t0)
 	}
