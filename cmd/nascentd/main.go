@@ -27,8 +27,9 @@
 //   - -progcache dir persists compiled bytecode programs on disk
 //     (content-addressed, CRC-sealed): a restarted server answers
 //     /compile and /run for known programs without parsing source
-//   - -audit-every N re-executes every Nth /run on the tree reference
-//     engine off the hot path; a divergence is a typed
+//   - -audit-every N compares every Nth /run, off the hot path, with
+//     the tree reference engine's outcome (stored per request shape,
+//     recomputed on any mismatch); a divergence is a typed
 //     SelfAuditViolation that trips the pair's breaker
 //   - -scrub-interval runs a background disk-cache scrubber (re-CRC +
 //     decode→re-encode fixpoint; corrupt entries unlinked and healed
@@ -79,7 +80,7 @@ func run(argv []string) int {
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive quarantines that trip a (scheme, engine) breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "breaker cooldown before a recovery probe")
 	progCacheDir := fs.String("progcache", "", "disk-backed compiled-program cache directory (warm restarts skip the frontend)")
-	auditEvery := fs.Int("audit-every", 16, "re-execute every Nth /run on the tree reference engine and compare observables (0 = off)")
+	auditEvery := fs.Int("audit-every", 16, "compare every Nth /run with the tree reference engine's observables (0 = off)")
 	scrubInterval := fs.Duration("scrub-interval", time.Minute, "background disk-cache scrub period (0 = off; needs -progcache)")
 	chaosSpec := fs.String("chaos", "", `arm deterministic fault injection "seed:rate[:site,...]" in this process`)
 	if err := fs.Parse(argv); err != nil {

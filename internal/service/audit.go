@@ -1,17 +1,21 @@
 package service
 
 import (
+	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"sync"
 	"time"
 
 	"nascent"
 	"nascent/internal/chaos"
+	"nascent/internal/progcache"
 )
 
 // Self-audit: a sampled, in-service differential check of production
 // traffic. Every Config.AuditEvery-th successful /run on a non-tree
-// engine is re-executed — off the hot path, on a background goroutine —
+// engine is checked — off the hot path, on a background goroutine —
 // against a fresh compile on the tree reference engine, and the six
 // observable fields (output, instruction count, check count, trap
 // state, trap note, trap class) are compared. The fresh compile is
@@ -27,10 +31,21 @@ import (
 // run that itself fails (budget, cancellation) is inconclusive — an
 // audit error, never a violation.
 //
+// The reference is deterministic in the request, so a clean fresh
+// reference is memoized (auditMemo) and later samples of the same
+// request shape compare against it without compiling or running
+// anything. The memo only ever confirms: a sample that disagrees with
+// a stored reference takes the fresh path, and the violation, its
+// Diff and the breaker trip all come from that fresh reference. A
+// stale or corrupted memo entry therefore costs one fresh reference,
+// never a false violation.
+//
 // The service.audit.mismatch chaos site fires here, keyed by the
-// served response's cache key: it corrupts the reference output after
-// a healthy comparison run, drilling the whole detect-trip-degrade
-// path without a real miscompile.
+// served response's cache key, once the reference is in hand on
+// either path: it corrupts the reference output after a healthy run
+// (or fails the memo comparison, sending the audit down the fresh
+// path where the same decision corrupts the fresh reference), drilling
+// the whole detect-trip-degrade path without a real miscompile.
 
 // SelfAuditViolation reports that a sampled production response
 // diverged from a fresh reference execution of the same request. Its
@@ -62,10 +77,13 @@ type auditStats struct {
 	Clean      uint64 `json:"clean"`
 	Violations uint64 `json:"violations"`
 	Errors     uint64 `json:"errors"`
-	// ReferenceSeconds is the summed wall time of the audits'
+	// ReferenceSeconds is the summed wall time of the audits' fresh
 	// reference compiles and tree runs: work done after the response,
 	// which no request's latency shows.
 	ReferenceSeconds float64 `json:"reference_seconds"`
+	// ReferenceReused counts audits settled clean against a stored
+	// reference, with no compile or run.
+	ReferenceReused uint64 `json:"reference_reused"`
 }
 
 func (s *Server) auditSnapshot() auditStats {
@@ -77,6 +95,7 @@ func (s *Server) auditSnapshot() auditStats {
 		Errors:     s.nAuditErrors.Load(),
 
 		ReferenceSeconds: time.Duration(s.nAuditRefNanos.Load()).Seconds(),
+		ReferenceReused:  s.nAuditReused.Load(),
 	}
 }
 
@@ -97,9 +116,10 @@ func (s *Server) maybeAudit(res *resolved, resp *RunResponse) {
 	go s.audit(res, resp)
 }
 
-// audit re-executes one served request on the reference configuration
-// and compares observables. Runs on its own goroutine under baseCtx:
-// drain cancels it at the next engine poll point.
+// audit checks one served response against the reference
+// configuration: against a stored reference when one matches it,
+// otherwise by re-executing the request. Runs on its own goroutine
+// under baseCtx: drain cancels it at the next engine poll point.
 func (s *Server) audit(res *resolved, served *RunResponse) {
 	defer s.auditWG.Done()
 	defer func() {
@@ -108,14 +128,26 @@ func (s *Server) audit(res *resolved, served *RunResponse) {
 			s.cfg.Logf("nascentd: self-audit panic contained: %v", rec)
 		}
 	}()
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Ceilings.MaxTimeout)
-	defer cancel()
-
 	opts := res.opts
 	opts.Filename = res.filename
 	if opts.Filename == "" {
 		opts.Filename = "input.mf"
 	}
+	key := auditKeyOf(res.source, opts, res.runCfg)
+	// Each audit decides the chaos site at most once, on whichever
+	// reference it compares first.
+	decided, forced := false, false
+	if ref, ok := s.auditRefs.get(key); ok {
+		decided, forced = true, fireAuditMismatch(served)
+		if !forced && ref.matches(served) {
+			s.nAuditReused.Add(1)
+			s.nAuditClean.Add(1)
+			return
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Ceilings.MaxTimeout)
+	defer cancel()
 	start := time.Now()
 	prog, err := nascent.Compile(res.source, opts)
 	if err != nil {
@@ -139,7 +171,13 @@ func (s *Server) audit(res *resolved, served *RunResponse) {
 		s.cfg.Logf("nascentd: self-audit reference run failed (key %s): %v", served.Compile.CacheKey, err)
 		return
 	}
-	if chaos.Active() && chaos.Fire(chaos.SiteAuditMismatch, served.Compile.CacheKey) {
+	if prog.Opt == nil || len(prog.Opt.Degraded) == 0 {
+		// Only a reference from a whole optimizer run is stored: a
+		// degraded function kept its naive body, so its observables
+		// speak for this compile, not for the request.
+		s.auditRefs.put(key, refOf(ref))
+	}
+	if forced || (!decided && fireAuditMismatch(served)) {
 		ref.Output += "\x00chaos: forced audit divergence"
 	}
 	if d := diffAudit(served, ref); d != "" {
@@ -155,6 +193,12 @@ func (s *Server) audit(res *resolved, served *RunResponse) {
 		return
 	}
 	s.nAuditClean.Add(1)
+}
+
+// fireAuditMismatch decides the service.audit.mismatch site for one
+// served response.
+func fireAuditMismatch(served *RunResponse) bool {
+	return chaos.Active() && chaos.Fire(chaos.SiteAuditMismatch, served.Compile.CacheKey)
 }
 
 // diffAudit compares the served response against the reference result
@@ -177,6 +221,117 @@ func diffAudit(served *RunResponse, ref nascent.RunResult) string {
 		return fmt.Sprintf("trap_class: served %q, reference %q", served.TrapClass, ref.TrapClass)
 	}
 	return ""
+}
+
+// auditKey addresses one audit reference: everything that can change
+// what the tree engine observes for a request. prog is the request's
+// content address with the engine fixed to tree, so vmopt, vmrce and
+// vmjit runs of one request share one reference; the clamped run
+// limits follow it because a budget can truncate output or end a run.
+type auditKey struct {
+	prog            progcache.Key
+	maxInstructions uint64
+	maxOutputBytes  int
+	maxArrayCells   int64
+}
+
+// auditKeyOf derives the audit key of one request; opts.Filename must
+// already carry the resolved filename.
+func auditKeyOf(source string, opts nascent.Options, cfg nascent.RunConfig) auditKey {
+	return auditKey{
+		prog:            progcache.KeyOf(source, opts.Filename, opts, nascent.EngineTree),
+		maxInstructions: cfg.MaxInstructions,
+		maxOutputBytes:  cfg.MaxOutputBytes,
+		maxArrayCells:   cfg.MaxArrayCells,
+	}
+}
+
+// auditRef is one stored reference outcome: the six compared
+// observables, with the output kept as its sha256 digest so an entry
+// is small whatever the output size.
+type auditRef struct {
+	output       [sha256.Size]byte
+	instructions uint64
+	checks       uint64
+	trapped      bool
+	trapNote     string
+	trapClass    string
+}
+
+func refOf(r nascent.RunResult) auditRef {
+	return auditRef{
+		output:       sha256.Sum256([]byte(r.Output)),
+		instructions: r.Instructions,
+		checks:       r.Checks,
+		trapped:      r.Trapped,
+		trapNote:     r.TrapNote,
+		trapClass:    string(r.TrapClass),
+	}
+}
+
+// matches reports whether served shows exactly the stored observables.
+func (r *auditRef) matches(served *RunResponse) bool {
+	return r.instructions == served.Instructions &&
+		r.checks == served.Checks &&
+		r.trapped == served.Trapped &&
+		r.trapNote == served.TrapNote &&
+		r.trapClass == served.TrapClass &&
+		r.output == sha256.Sum256([]byte(served.Output))
+}
+
+// auditMemo is the LRU of stored audit references, capped at
+// Config.CacheEntries.
+type auditMemo struct {
+	mu  sync.Mutex
+	max int
+	m   map[auditKey]*list.Element
+	lru *list.List // front = most recent; values are *auditMemoEntry
+}
+
+type auditMemoEntry struct {
+	key auditKey
+	ref auditRef
+}
+
+func newAuditMemo(max int) *auditMemo {
+	return &auditMemo{max: max, m: make(map[auditKey]*list.Element), lru: list.New()}
+}
+
+// get returns the stored reference for key, touching it.
+func (a *auditMemo) get(key auditKey) (auditRef, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	el, ok := a.m[key]
+	if !ok {
+		return auditRef{}, false
+	}
+	a.lru.MoveToFront(el)
+	return el.Value.(*auditMemoEntry).ref, true
+}
+
+// put stores (or replaces) the reference for key, evicting the least
+// recently used entries beyond capacity.
+func (a *auditMemo) put(key auditKey, ref auditRef) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if el, ok := a.m[key]; ok {
+		el.Value.(*auditMemoEntry).ref = ref
+		a.lru.MoveToFront(el)
+		return
+	}
+	a.m[key] = a.lru.PushFront(&auditMemoEntry{key: key, ref: ref})
+	for a.lru.Len() > a.max {
+		back := a.lru.Back()
+		delete(a.m, back.Value.(*auditMemoEntry).key)
+		a.lru.Remove(back)
+	}
+}
+
+// len reports how many references are stored.
+func (a *auditMemo) len() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.m)
 }
 
 // settleAudits waits for every in-flight background audit; tests use

@@ -62,7 +62,7 @@ func TestMetricsDocFields(t *testing.T) {
 	}
 
 	audit, _ := m["audit"].(map[string]any)
-	assertFields(t, "audit", audit, []string{"every", "sampled", "clean", "violations", "errors", "reference_seconds"})
+	assertFields(t, "audit", audit, []string{"every", "sampled", "clean", "violations", "errors", "reference_seconds", "reference_reused"})
 	if audit["sampled"].(float64) != 1 || audit["clean"].(float64) != 1 {
 		t.Errorf("audit section = %v, want one clean sample", audit)
 	}

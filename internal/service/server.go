@@ -60,8 +60,10 @@ type Config struct {
 
 	// AuditEvery > 0 enables the in-service differential self-audit:
 	// every AuditEvery-th successful /run on a non-tree engine is
-	// re-executed on the tree reference engine off the hot path and
-	// compared field for field (audit.go). Zero disables auditing.
+	// compared field for field, off the hot path, with the tree
+	// reference engine's outcome for the same request: a stored one
+	// when it matches, a fresh one otherwise (audit.go). Zero disables
+	// auditing.
 	AuditEvery int
 
 	// ScrubInterval > 0 runs the disk program cache's background
@@ -164,9 +166,12 @@ type Server struct {
 	nAuditClean      atomic.Uint64
 	nAuditViolations atomic.Uint64
 	nAuditErrors     atomic.Uint64
-	// nAuditRefNanos sums the wall time of audit reference compiles
-	// and tree runs.
+	// nAuditRefNanos sums the wall time of fresh audit reference
+	// compiles and tree runs; nAuditReused counts audits settled
+	// against a stored reference in auditRefs instead.
 	nAuditRefNanos atomic.Int64
+	nAuditReused   atomic.Uint64
+	auditRefs      *auditMemo
 
 	// request counters (wire form in metricsDoc).
 	nCompile atomic.Uint64
@@ -188,6 +193,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		pool:       evalpool.NewSupervised(cfg.Pool),
 		cache:      newCache(cfg.CacheEntries),
+		auditRefs:  newAuditMemo(cfg.CacheEntries),
 		limiter:    newLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
 		breaker:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		baseCtx:    ctx,

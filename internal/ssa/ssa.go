@@ -11,6 +11,7 @@ package ssa
 
 import (
 	"fmt"
+	"slices"
 
 	"nascent/internal/dom"
 	"nascent/internal/ir"
@@ -75,8 +76,11 @@ type Info struct {
 	CallDefs map[ir.Stmt][]*Value
 	// PhisAt lists the phi values at each block, by increasing var ID.
 	PhisAt map[*ir.Block][]*Value
-	// OutValues maps each block to the value of every tracked variable at
-	// the end of the block (after all statements).
+	// OutValues maps each loop header and each block entering a loop
+	// header (a preheader, once loop analysis has made one) to the
+	// value of every tracked variable at the end of the block (after
+	// all statements). A loop header is a block that dominates one of
+	// its predecessors. Other blocks are absent.
 	OutValues map[*ir.Block]map[int]*Value
 
 	universe []*ir.Var
@@ -84,7 +88,7 @@ type Info struct {
 }
 
 // ValueAtEnd returns the SSA value of v at the end of block b, or nil if
-// v is not tracked in this function.
+// v is not tracked in this function or b is not in OutValues.
 func (s *Info) ValueAtEnd(b *ir.Block, v *ir.Var) *Value {
 	return s.OutValues[b][v.ID]
 }
@@ -107,6 +111,18 @@ func Build(f *ir.Func, t *dom.Tree) *Info {
 	s.placePhis(defSites)
 	s.rename()
 	return s
+}
+
+// keepsExit reports whether OutValues records b: b is a loop header
+// (it dominates one of its predecessors) or enters one.
+func (s *Info) keepsExit(b *ir.Block, succs []*ir.Block) bool {
+	isHeader := func(h *ir.Block) bool {
+		return slices.ContainsFunc(h.Preds, func(p *ir.Block) bool { return s.Dom.Dominates(h, p) })
+	}
+	if isHeader(b) {
+		return true
+	}
+	return slices.ContainsFunc(succs, func(h *ir.Block) bool { return !s.Dom.Dominates(h, b) && isHeader(h) })
 }
 
 func (s *Info) newValue(v *ir.Var, k ValueKind, b *ir.Block, st ir.Stmt) *Value {
@@ -271,13 +287,16 @@ func (s *Info) rename() {
 			renameExpr(t.Cond)
 		}
 
-		out := make(map[int]*Value, len(s.universe))
-		for _, v := range s.universe {
-			out[v.ID] = top(v)
+		succs := b.Succs()
+		if s.keepsExit(b, succs) {
+			out := make(map[int]*Value, len(s.universe))
+			for _, v := range s.universe {
+				out[v.ID] = top(v)
+			}
+			s.OutValues[b] = out
 		}
-		s.OutValues[b] = out
 
-		for _, succ := range b.Succs() {
+		for _, succ := range succs {
 			predIdx := -1
 			for i, p := range succ.Preds {
 				if p == b {

@@ -205,6 +205,32 @@ end
 	}
 }
 
+// TestOutValuesOnlyAtLoopEdges: block-exit values are kept for every
+// loop header and preheader, and for no block outside a loop edge.
+func TestOutValuesOnlyAtLoopEdges(t *testing.T) {
+	a := testutil.AnalyzeMain(t, `program p
+  integer i, j
+  real a(10)
+  do i = 1, 10
+    if (i > 5) then
+      j = i
+    endif
+    a(i) = float(j)
+  enddo
+  print a(10)
+end
+`, false)
+	l := a.Forest.Loops[0]
+	for _, b := range []*ir.Block{l.Header, l.Preheader} {
+		if a.SSA.OutValues[b] == nil {
+			t.Errorf("no exit values at %s", b.Label)
+		}
+	}
+	if n := len(a.SSA.OutValues); n != 2 {
+		t.Errorf("exit values kept at %d blocks, want the header and the preheader", n)
+	}
+}
+
 func TestEntryDefForUnassignedVar(t *testing.T) {
 	a := testutil.AnalyzeMain(t, `program p
   j = n
