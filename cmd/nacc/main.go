@@ -25,8 +25,7 @@
 //	                                           naive with the soundness oracle
 //	-chaos seed:rate[:site]                    deterministic fault injection
 //	                                           (see docs/ROBUSTNESS.md); used to
-//	                                           replay CI chaos failures and
-//	                                           quarantined inputs
+//	                                           replay CI chaos failures
 //	-chaossweep                                sweep seeds 1..8 at rate 0.05
 //	                                           through every injection site and
 //	                                           assert correct-or-typed-error on

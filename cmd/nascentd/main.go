@@ -17,11 +17,8 @@
 //     most -max-queue wait; the rest shed with 429 + Retry-After
 //   - per-request budgets clamped by server ceilings; deadlines
 //     propagate into both engines' poll points
-//   - supervised execution: worker panics and hangs retry with
-//     backoff, repeat offenders quarantine behind typed errors
-//     carrying a replayable chaos spec
-//   - a circuit breaker degrades a repeatedly-quarantining
-//     (scheme, engine) pair to naive/tree and probes for recovery
+//   - each run executes once; its request timeout is its only
+//     deadline, and a panic is a typed internal error
 //   - SIGTERM/SIGINT/SIGHUP drain gracefully: stop admitting, finish
 //     or cancel in-flight work within -drain-timeout, flush metrics
 //   - -progcache dir persists compiled bytecode programs on disk
@@ -30,7 +27,8 @@
 //   - -audit-every N compares every Nth /run, off the hot path, with
 //     the tree reference engine's outcome (stored per request shape,
 //     recomputed on any mismatch); a divergence is a typed
-//     SelfAuditViolation that trips the pair's breaker
+//     SelfAuditViolation that trips the pair's breaker: the pair is
+//     served degraded for -breaker-cooldown
 //   - -scrub-interval runs a background disk-cache scrubber (re-CRC +
 //     decode→re-encode fixpoint; corrupt entries unlinked and healed
 //     by the next compile)
@@ -74,11 +72,7 @@ func run(argv []string) int {
 	maxTimeout := fs.Duration("ceil-timeout", 30*time.Second, "per-run wall-clock ceiling")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful drain deadline on SIGTERM")
 	allowDrill := fs.Bool("allow-drill", false, "enable POST /drill (chaos fault injection)")
-	workers := fs.Int("workers", 0, "evalpool worker bound for /report (0 = GOMAXPROCS)")
-	jobTimeout := fs.Duration("job-timeout", 5*time.Second, "supervised per-attempt deadline (0 = none)")
-	maxAttempts := fs.Int("max-attempts", 3, "supervised attempts before quarantine")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive quarantines that trip a (scheme, engine) breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "breaker cooldown before a recovery probe")
+	breakerCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "how long a (scheme, engine) pair tripped by the self-audit is served degraded")
 	progCacheDir := fs.String("progcache", "", "disk-backed compiled-program cache directory (warm restarts skip the frontend)")
 	auditEvery := fs.Int("audit-every", 16, "compare every Nth /run with the tree reference engine's observables (0 = off)")
 	scrubInterval := fs.Duration("scrub-interval", time.Minute, "background disk-cache scrub period (0 = off; needs -progcache)")
@@ -99,24 +93,20 @@ func run(argv []string) int {
 		chaos.Enable(spec)
 	}
 	cfg := service.Config{
-		MaxConcurrent:    *maxConcurrent,
-		MaxQueue:         *maxQueue,
-		CacheEntries:     *cacheEntries,
-		ProgCacheDir:     *progCacheDir,
-		MaxSourceBytes:   *maxSource,
-		DrainTimeout:     *drainTimeout,
-		AllowDrill:       *allowDrill,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		AuditEvery:       *auditEvery,
-		ScrubInterval:    *scrubInterval,
+		MaxConcurrent:   *maxConcurrent,
+		MaxQueue:        *maxQueue,
+		CacheEntries:    *cacheEntries,
+		ProgCacheDir:    *progCacheDir,
+		MaxSourceBytes:  *maxSource,
+		DrainTimeout:    *drainTimeout,
+		AllowDrill:      *allowDrill,
+		BreakerCooldown: *breakerCooldown,
+		AuditEvery:      *auditEvery,
+		ScrubInterval:   *scrubInterval,
 	}
 	cfg.Ceilings.MaxInstructions = *maxInstr
 	cfg.Ceilings.MaxArrayCells = *maxCells
 	cfg.Ceilings.MaxTimeout = *maxTimeout
-	cfg.Pool.Workers = *workers
-	cfg.Pool.JobTimeout = *jobTimeout
-	cfg.Pool.MaxAttempts = *maxAttempts
 
 	srv := service.New(cfg)
 	httpSrv := &http.Server{

@@ -37,8 +37,8 @@
 //
 // -chaos seed:rate[:site] turns on deterministic fault injection (see
 // internal/chaos and docs/ROBUSTNESS.md). The same spec replays the
-// same faults, so a failure logged by CI or a quarantine error is
-// reproducible with one flag.
+// same faults, so a failure logged by CI or an injected panic's error
+// is reproducible with one flag.
 //
 // Exit codes: 0 all requested tables complete; 1 a table failed
 // outright; 2 usage or profile-file errors; 3 every table rendered but

@@ -85,6 +85,8 @@ func TestRunContractAllEngines(t *testing.T) {
 	t.Cleanup(chaos.Disable)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
 	cases := []contractCase{
 		{"defaults", contractSrc, func() nascent.RunConfig { return nascent.RunConfig{} }, true,
 			func(t *testing.T, res nascent.RunResult, err error) {
@@ -95,7 +97,7 @@ func TestRunContractAllEngines(t *testing.T) {
 		{"budget", contractSrc, func() nascent.RunConfig { return nascent.RunConfig{MaxInstructions: 50000} }, false,
 			wantResource(interp.ResInstructions, 50000)},
 		{"deadline", contractSrc, func() nascent.RunConfig {
-			return nascent.RunConfig{Deadline: time.Now().Add(-time.Second)}
+			return nascent.RunConfig{Context: expired}
 		}, true, wantResource(interp.ResDeadline, 0)},
 		{"cancelled", contractSrc, func() nascent.RunConfig { return nascent.RunConfig{Context: cancelled} }, true,
 			wantResource(interp.ResCancelled, 0)},

@@ -1,11 +1,12 @@
 // Package chaos is a deterministic, seeded fault-injection registry.
 //
 // Every recovery path in the pipeline — guard containment, per-function
-// degradation, resource budgets, evalpool supervision — exists to turn
+// degradation, resource budgets, the service's self-audit — exists to turn
 // internal failures into typed, positioned errors. Nothing exercises
 // those paths systematically on organic bugs alone, so this package
 // plants *named injection sites* throughout the pipeline (lexer, parser,
-// sem, irbuild, optimizer, both execution engines, evalpool workers) and
+// sem, irbuild, optimizer, both execution engines, the disk cache's
+// scrubber, the self-audit) and
 // lets tests, the oracle chaos sweep, and the CLIs provoke each failure
 // mode on demand.
 //
@@ -18,8 +19,8 @@
 //
 //	seed:rate[:site]
 //
-// (e.g. "42:0.05" or "7:1:pool.worker.kill") replays any logged failure:
-// quarantine errors and sweep reports carry the spec that produced them.
+// (e.g. "42:0.05" or "7:1:optimize.panic") replays any logged failure:
+// injected panics and sweep reports carry the spec that produced them.
 //
 // # Cost when disabled
 //
@@ -83,17 +84,6 @@ const (
 	// byte-identical — this site exists to keep the deopt path
 	// continuously exercised. Keyed by the containing function's name.
 	SiteRCEGuardFail Site = "vm.rce.guard.fail"
-	// SiteWorkerKill kills an evalpool worker mid-job (a panic the
-	// supervisor must catch and retry on a fresh worker). Keyed by
-	// "job#attempt", so a retried attempt re-rolls its fate.
-	SiteWorkerKill Site = "pool.worker.kill"
-	// SiteWorkerHang hangs an evalpool worker until its attempt is
-	// cancelled; the supervisor's job deadline must detect and retry it.
-	// Keyed by "job#attempt".
-	SiteWorkerHang Site = "pool.worker.hang"
-	// SiteWorkerSlow delays a worker briefly before the job runs
-	// (the job still completes correctly). Keyed by job name.
-	SiteWorkerSlow Site = "pool.worker.slow"
 	// SiteScrubCorrupt flips a byte of a disk-cache entry as the
 	// progcache scrubber reads it (simulated bit rot): the CRC must
 	// catch it, the entry must be unlinked and counted, and the next
@@ -114,7 +104,6 @@ var Sites = []Site{
 	SiteTreeBudget, SiteTreeCancel, SiteTreePanic,
 	SiteVMBudget, SiteVMCancel, SiteVMPanic,
 	SiteRCEGuardFail,
-	SiteWorkerKill, SiteWorkerHang, SiteWorkerSlow,
 	SiteScrubCorrupt, SiteAuditMismatch,
 }
 
@@ -136,7 +125,7 @@ type Spec struct {
 	Rate float64
 	// Site restricts injection to a set of sites: "" means every site,
 	// one site name means that site only, and a comma-separated list
-	// ("pool.worker.kill,progcache.scrub.corrupt") arms exactly those
+	// ("tree.poll.budget,progcache.scrub.corrupt") arms exactly those
 	// sites — the form soak drills use to combine faults under one
 	// seed while leaving the rest of the pipeline quiet.
 	Site Site
@@ -153,7 +142,7 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses "seed:rate[:site[,site...]]" (e.g. "42:0.05",
-// "7:1:pool.worker.kill", "9:0.2:pool.worker.kill,pool.worker.hang").
+// "7:1:optimize.panic", "9:0.2:optimize.panic,tree.poll.budget").
 func ParseSpec(text string) (Spec, error) {
 	parts := strings.SplitN(text, ":", 3)
 	if len(parts) < 2 {
@@ -306,7 +295,7 @@ func CurrentSpec() (Spec, bool) {
 }
 
 // SpecString returns the canonical replay spec of the installed
-// configuration, or "" when injection is off. Quarantine errors embed it
+// configuration, or "" when injection is off. Injected panics embed it
 // so any logged failure is replayable from the log line alone.
 func SpecString() string {
 	s, ok := CurrentSpec()
@@ -365,8 +354,8 @@ var ErrDrillBusy = errors.New("chaos: a drill is already in progress")
 //
 // Scoping is temporal, not spatial: while a drill is live, every
 // injection site in the process is armed, so concurrent organic
-// requests may observe injected faults too — and must heal through the
-// same supervision machinery. Fired records are reset on acquire, so
+// requests may observe injected faults too, and must surface them as
+// the same typed outcomes. Fired records are reset on acquire, so
 // Fired()/Records() read back exactly what this drill provoked (plus
 // any collateral hits on concurrent traffic).
 func AcquireDrill(s Spec) (release func(), err error) {
@@ -450,11 +439,4 @@ func SourceKey(src string) string {
 		h = (h ^ uint64(src[i])) * prime
 	}
 	return strconv.FormatUint(h, 16)
-}
-
-// AttemptKey keys per-attempt worker faults: retrying a job re-rolls
-// its fate, so a seed can be chosen where attempt 0 dies and attempt 1
-// survives (self-healing) or where every attempt dies (quarantine).
-func AttemptKey(job string, attempt int) string {
-	return job + "#" + strconv.Itoa(attempt)
 }

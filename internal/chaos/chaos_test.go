@@ -10,7 +10,7 @@ import (
 func TestSpecRoundTrip(t *testing.T) {
 	for _, spec := range []Spec{
 		{Seed: 42, Rate: 0.05},
-		{Seed: 7, Rate: 1, Site: SiteWorkerKill},
+		{Seed: 7, Rate: 1, Site: SiteOptPanic},
 		{Seed: 0, Rate: 0.125, Site: SiteVMPanic},
 	} {
 		got, err := ParseSpec(spec.String())
@@ -77,12 +77,12 @@ func TestDecideRateIsRoughlyCalibrated(t *testing.T) {
 }
 
 func TestSiteFilter(t *testing.T) {
-	spec := Spec{Seed: 5, Rate: 1, Site: SiteWorkerKill}
-	if !Decide(spec, SiteWorkerKill, "j#0") {
+	spec := Spec{Seed: 5, Rate: 1, Site: SiteOptPanic}
+	if !Decide(spec, SiteOptPanic, "j#0") {
 		t.Error("filtered-in site did not fire at rate 1")
 	}
 	for _, site := range Sites {
-		if site == SiteWorkerKill {
+		if site == SiteOptPanic {
 			continue
 		}
 		if Decide(spec, site, "j#0") {
@@ -92,8 +92,8 @@ func TestSiteFilter(t *testing.T) {
 }
 
 func TestMultiSiteSpec(t *testing.T) {
-	armed := []Site{SiteWorkerKill, SiteWorkerHang, SiteScrubCorrupt}
-	text := "11:1:pool.worker.kill,pool.worker.hang,progcache.scrub.corrupt"
+	armed := []Site{SiteOptPanic, SiteTreeBudget, SiteScrubCorrupt}
+	text := "11:1:optimize.panic,tree.poll.budget,progcache.scrub.corrupt"
 	spec, err := ParseSpec(text)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", text, err)
@@ -115,7 +115,7 @@ func TestMultiSiteSpec(t *testing.T) {
 		}
 	}
 	// A list with one bad entry is rejected wholesale.
-	if _, err := ParseSpec("11:1:pool.worker.kill,no.such.site"); err == nil {
+	if _, err := ParseSpec("11:1:optimize.panic,no.such.site"); err == nil {
 		t.Error("ParseSpec accepted a list containing an unknown site")
 	}
 }

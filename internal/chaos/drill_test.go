@@ -13,7 +13,7 @@ func TestAcquireDrill(t *testing.T) {
 	if Active() {
 		t.Fatal("chaos registry already enabled; drill test needs it off")
 	}
-	spec := Spec{Seed: 7, Rate: 1, Site: SiteWorkerKill}
+	spec := Spec{Seed: 7, Rate: 1, Site: SiteOptPanic}
 
 	release, err := AcquireDrill(spec)
 	if err != nil {

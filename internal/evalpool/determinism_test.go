@@ -108,7 +108,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestConformanceCorpusDeterministicAcrossJobs runs the conformance
-// corpus through the supervised pool at jobs ∈ {1, 4, 16} with chaos
+// corpus through the pool at jobs ∈ {1, 4, 16} with chaos
 // off and asserts every pinned observable — instructions, checks,
 // output, trap verdict — exactly, at every worker count. This is the
 // corpus-level half of the chaos-off determinism guarantee (the
@@ -135,9 +135,6 @@ func TestConformanceCorpusDeterministicAcrossJobs(t *testing.T) {
 				if r.Err != nil {
 					t.Errorf("%s: %v", c.Name, r.Err)
 					continue
-				}
-				if r.Attempts != 1 {
-					t.Errorf("%s: Attempts = %d, want 1 chaos-off", c.Name, r.Attempts)
 				}
 				res := r.Res
 				if res.Instructions != c.Instr || res.Checks != c.Checks {

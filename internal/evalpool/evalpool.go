@@ -23,6 +23,11 @@
 //   - Observable cost: the pool aggregates per-stage wall-clock and
 //     interpreter counters into Metrics, and an optional Trace hook
 //     receives one event per completed stage for -trace style output.
+//
+// Each job runs exactly once, under its caller's context. Every failure
+// the pipeline produces is deterministic — compile errors, traps,
+// budgets, contained panics — so rerunning a job cannot change its
+// outcome, and the caller's context is the job's only deadline.
 package evalpool
 
 import (
@@ -30,14 +35,16 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"nascent"
+	"nascent/internal/guard"
 )
 
 // Job is one independent evaluation: compile Source under Opts and
-// (unless SkipRun) execute it under Run limits.
+// execute it under Run limits.
 type Job struct {
 	// Name labels the job in traces and errors (e.g. "mdg/LLS/PRX").
 	Name string
@@ -50,10 +57,9 @@ type Job struct {
 	// Kind, Implications, RotateLoops). Opts.Filename is ignored; use
 	// the Filename field.
 	Opts nascent.Options
-	// Run bounds execution (zero value = interpreter defaults).
+	// Run bounds execution (zero value = interpreter defaults). A
+	// Run.Context is honored alongside the caller's context.
 	Run nascent.RunConfig
-	// SkipRun compiles without executing (Result.Res stays zero).
-	SkipRun bool
 	// Mutate, when non-nil, is applied to the compiled program before
 	// it runs. The oracle uses it to inject deliberate miscompilations;
 	// it runs on the worker goroutine and must only touch the program
@@ -62,10 +68,9 @@ type Job struct {
 	// rather than editing them.
 	Mutate func(*nascent.Program)
 	// Precompiled, when non-nil, bypasses the compile pipeline
-	// entirely: the pool executes it directly under supervision
-	// (retry/backoff, quarantine, job timeout, worker chaos sites).
-	// Source/Opts should still describe the program for labeling and
-	// replay purposes, but are not recompiled. The handle must be safe
+	// entirely: the pool executes it directly. Source/Opts should still
+	// describe the program for labeling and replay purposes, but are
+	// not recompiled. The handle must be safe
 	// for concurrent Run calls — the service layer shares one compiled
 	// program across every request that hits its cache entry.
 	Precompiled Runner
@@ -93,7 +98,7 @@ type Result struct {
 	// front end's lowering (an ir.Program.Fork), so they are replaced,
 	// never edited in place.
 	Prog *nascent.Program
-	// Res is the run result (zero when SkipRun or on error).
+	// Res is the run result (zero on error).
 	Res nascent.RunResult
 	// Err is the first error of the job's pipeline, wrapped with the
 	// job name and stage.
@@ -104,9 +109,6 @@ type Result struct {
 	Frontend, Lower, Optimize, Run time.Duration
 	// CacheHit reports that the front end came from the memo table.
 	CacheHit bool
-	// Attempts is how many times the job ran before this result (1
-	// unless supervision retried it after a worker death or timeout).
-	Attempts int
 }
 
 // Stage names used in trace events.
@@ -139,10 +141,7 @@ type TraceFunc func(Event)
 
 // Metrics aggregates what a pool has done across all Evaluate calls.
 type Metrics struct {
-	// Jobs is the number of jobs evaluated (including failed ones). An
-	// attempt abandoned at its deadline may still drain to completion on
-	// its orphaned worker, so under fault injection Jobs can exceed the
-	// number of input jobs; with no abnormal failures it matches exactly.
+	// Jobs is the number of jobs evaluated (including failed ones).
 	Jobs int
 	// Errors is the number of jobs that returned an error.
 	Errors int
@@ -162,15 +161,6 @@ type Metrics struct {
 	// instead of executing. Their counters still add to Instructions and
 	// Checks, so those totals do not depend on sharing.
 	SharedRuns int
-	// Supervision counters. Retries counts attempts re-dispatched after
-	// an abnormal failure; WorkerDeaths counts recovered worker panics;
-	// Timeouts counts attempts abandoned at Config.JobTimeout;
-	// Quarantined counts jobs that exhausted MaxAttempts and returned a
-	// *PoisonedInputError. All stay zero when nothing goes wrong.
-	Retries      int
-	WorkerDeaths int
-	Timeouts     int
-	Quarantined  int
 }
 
 // Pool is a bounded-concurrency evaluation engine with a memoized
@@ -180,7 +170,6 @@ type Metrics struct {
 // metrics accumulate. Evaluate itself may be called concurrently.
 type Pool struct {
 	workers int
-	cfg     Config
 	trace   TraceFunc
 
 	mu      sync.Mutex
@@ -207,20 +196,11 @@ type feEntry struct {
 // New returns a pool running at most workers jobs concurrently.
 // workers <= 0 selects GOMAXPROCS.
 func New(workers int) *Pool {
-	return NewSupervised(Config{Workers: workers})
-}
-
-// NewSupervised returns a pool with explicit supervision policy; see
-// Config for the retry/quarantine knobs. Config{} is equivalent to
-// New(0).
-func NewSupervised(cfg Config) *Pool {
-	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{
 		workers: workers,
-		cfg:     cfg,
 		memo:    make(map[feKey]*feEntry),
 	}
 }
@@ -253,24 +233,15 @@ func (p *Pool) Evaluate(jobs []Job) []Result {
 
 // EvaluateCtx is Evaluate under a context. Cancelling ctx stops the
 // pool promptly: queued jobs return a cancellation error without
-// running, and in-flight engine runs stop at their next poll point (the
-// attempt context is threaded into each job's RunConfig). Results
-// remain ordered and complete — a cancelled cell holds a typed error,
-// never a hole.
-//
-// Every job runs under supervision: a worker panic or a Config.JobTimeout
-// overrun abandons the attempt and retries the job on a fresh worker
-// with capped exponential backoff, up to Config.MaxAttempts; a job that
-// fails abnormally every time is quarantined behind *PoisonedInputError.
+// running, and in-flight engine runs stop at their next poll point (ctx
+// is threaded into each job's RunConfig). Results remain ordered and
+// complete — a cancelled cell holds a typed error, never a hole.
 func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
-	n := p.workers
-	if n > len(jobs) {
-		n = len(jobs)
-	}
+	n := min(p.workers, len(jobs))
 	if n <= 1 {
 		for i := range jobs {
-			results[i] = p.superviseJob(ctx, i, &jobs[i], true)
+			results[i] = p.runJob(ctx, i, &jobs[i], true)
 		}
 		return results
 	}
@@ -282,7 +253,7 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = p.superviseJob(ctx, i, &jobs[i], true)
+				results[i] = p.runJob(ctx, i, &jobs[i], true)
 			}
 		}()
 	}
@@ -294,18 +265,17 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
-// SubmitCtx runs one job to completion under the pool's supervision
-// policy (retry/backoff, quarantine, job timeout) on the calling
-// goroutine's attempt supervisor. Unlike EvaluateCtx it does not pass
-// through the pool's worker queue: the caller is expected to bound its
-// own concurrency (the service layer's admission limiter does), while
-// the pool contributes supervision and metrics. A job that is not
+// SubmitCtx runs one job to completion on the calling goroutine. Unlike
+// EvaluateCtx it does not pass through the pool's worker queue: the
+// caller bounds its own concurrency (the service layer's admission
+// limiter does), and the pool contributes metrics. A job that is not
 // Precompiled analyzes its source afresh: SubmitCtx neither reads nor
 // fills the frontend memo, so a one-off compile leaves nothing behind
-// in the pool. Cancelling ctx stops an in-flight engine run at its next
-// poll point and surfaces a typed cancellation error.
+// in the pool. ctx is the run's deadline: its expiry or cancellation
+// stops an in-flight engine run at its next poll point and surfaces a
+// typed resource error.
 func (p *Pool) SubmitCtx(ctx context.Context, job Job) Result {
-	return p.superviseJob(ctx, 0, &job, false)
+	return p.runJob(ctx, 0, &job, false)
 }
 
 // frontend returns the front end for a job. With memo set it comes
@@ -349,48 +319,63 @@ func (p *Pool) frontend(job *Job, memo bool) (*nascent.Frontend, time.Duration, 
 	return e.fe, e.dur, false, e.err
 }
 
-// execute runs a compiled job under its configured engine. A job with a
-// RunMemo and no Mutate hook first looks its program up there by
-// fingerprint, engine and limits; a miss runs, and a successful run is
-// stored for the next identical program.
-func (p *Pool) execute(job *Job, prog *nascent.Program) (nascent.RunResult, error) {
+// execute runs a compiled job under cfg, its Run with the pool's
+// context threaded in. A job with a RunMemo and no Mutate hook first
+// looks its program up there by fingerprint, engine and limits; a miss
+// runs, and a successful run is stored for the next identical program.
+func (p *Pool) execute(job *Job, prog *nascent.Program, cfg nascent.RunConfig) (nascent.RunResult, error) {
 	if job.RunMemo == nil || job.Mutate != nil {
-		return prog.RunWith(job.Run)
+		return prog.RunWith(cfg)
 	}
-	rk := runKeyOf(prog, job.Run)
+	rk := runKeyOf(prog, cfg)
 	if rr, ok := job.RunMemo.get(rk); ok {
 		p.mu.Lock()
 		p.metrics.SharedRuns++
 		p.mu.Unlock()
 		return rr, nil
 	}
-	rr, err := prog.RunWith(job.Run)
+	rr, err := prog.RunWith(cfg)
 	if err == nil {
 		job.RunMemo.put(rk, rr)
 	}
 	return rr, err
 }
 
-func (p *Pool) runJob(i int, job *Job, memo bool) Result {
-	var res Result
+// runJob evaluates one job, once, on the calling goroutine; memo
+// selects whether its front end goes through the memo table. A job
+// whose ctx is already done returns a cancellation error without
+// running. A panic anywhere in the job becomes that job's
+// *guard.InternalError, so Evaluate never panics.
+func (p *Pool) runJob(ctx context.Context, i int, job *Job, memo bool) (res Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			ierr := &guard.InternalError{Stage: "job", Fn: job.Name, Recovered: r, Stack: debug.Stack()}
+			res = Result{Err: fmt.Errorf("%s: %w", job.Name, ierr)}
+			p.accountFailed()
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		p.accountFailed()
+		return Result{Err: fmt.Errorf("%s: pool cancelled: %w", job.Name, err)}
+	}
+	runCfg := job.Run
+	var stop context.CancelFunc
+	runCfg.Context, stop = runContext(ctx, job.Run.Context)
+	defer stop()
 
 	if job.Precompiled != nil {
 		// Precompiled job: execute directly, skipping the compile
-		// pipeline. Supervision (worker chaos sites, retry, timeout)
-		// wraps this path exactly like a compiled one.
-		if !job.SkipRun {
-			t0 := time.Now()
-			rr, err := job.Precompiled.Run(job.Run)
-			res.Run = time.Since(t0)
-			p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
-			if err != nil {
-				res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
-				p.account(&res)
-				return res
-			}
+		// pipeline.
+		t0 := time.Now()
+		rr, err := job.Precompiled.Run(runCfg)
+		res.Run = time.Since(t0)
+		res.CacheHit = true // the compile came from the caller's cache
+		p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
+		if err != nil {
+			res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
+		} else {
 			res.Res = rr
 		}
-		res.CacheHit = true // the compile came from the caller's cache
 		p.account(&res)
 		return res
 	}
@@ -415,33 +400,56 @@ func (p *Pool) runJob(i int, job *Job, memo bool) Result {
 	}
 	res.Prog = prog
 
-	if !job.SkipRun {
-		if job.Mutate != nil {
-			job.Mutate(prog)
-		}
-		t0 := time.Now()
-		rr, err := p.execute(job, prog)
-		res.Run = time.Since(t0)
-		p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
-		if err != nil {
-			res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
-			p.account(&res)
-			return res
-		}
+	if job.Mutate != nil {
+		job.Mutate(prog)
+	}
+	t0 := time.Now()
+	rr, err := p.execute(job, prog, runCfg)
+	res.Run = time.Since(t0)
+	p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
+	if err != nil {
+		res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
+	} else {
 		res.Res = rr
 	}
 	p.account(&res)
 	return res
 }
 
+// runContext merges the pool's ctx into a job's own run context jc. A
+// ctx that can never be done adds nothing, so a job with neither
+// context runs without polling. Merging keeps ctx's cause, so a run
+// stopped by its caller's deadline still reads as a deadline.
+func runContext(ctx, jc context.Context) (context.Context, context.CancelFunc) {
+	switch {
+	case ctx.Done() == nil:
+		return jc, func() {}
+	case jc == nil:
+		return ctx, func() {}
+	}
+	merged, cancel := context.WithCancelCause(jc)
+	stop := context.AfterFunc(ctx, func() { cancel(context.Cause(ctx)) })
+	return merged, func() { stop(); cancel(nil) }
+}
+
 // emit delivers a trace event under the pool lock so concurrent
-// workers never interleave inside the hook.
+// workers never interleave inside the hook. The unlock is deferred so
+// a panicking hook, which runJob recovers, cannot leave the pool
+// locked.
 func (p *Pool) emit(ev Event) {
 	p.mu.Lock()
-	f := p.trace
-	if f != nil {
-		f(ev)
+	defer p.mu.Unlock()
+	if p.trace != nil {
+		p.trace(ev)
 	}
+}
+
+// accountFailed records a job that ended before its pipeline could
+// account it (a cancelled pool, a contained panic).
+func (p *Pool) accountFailed() {
+	p.mu.Lock()
+	p.metrics.Jobs++
+	p.metrics.Errors++
 	p.mu.Unlock()
 }
 
@@ -481,10 +489,6 @@ type MetricsSnapshot struct {
 	Instructions     uint64 `json:"instructions"`
 	Checks           uint64 `json:"checks"`
 	SharedRuns       int    `json:"shared_runs"`
-	Retries          int    `json:"retries"`
-	WorkerDeaths     int    `json:"worker_deaths"`
-	Timeouts         int    `json:"timeouts"`
-	Quarantined      int    `json:"quarantined"`
 }
 
 // Snapshot converts the counters to their wire form.
@@ -500,16 +504,10 @@ func (m Metrics) Snapshot() MetricsSnapshot {
 		Instructions:     m.Instructions,
 		Checks:           m.Checks,
 		SharedRuns:       m.SharedRuns,
-		Retries:          m.Retries,
-		WorkerDeaths:     m.WorkerDeaths,
-		Timeouts:         m.Timeouts,
-		Quarantined:      m.Quarantined,
 	}
 }
 
 // String renders the metrics as a one-line summary for -trace output.
-// Supervision counters are appended only when something abnormal
-// happened, so the healthy-path line is unchanged.
 func (m Metrics) String() string {
 	s := fmt.Sprintf(
 		"evalpool: %d jobs (%d errors), frontends %d compiled / %d shared, frontend %s, compile %s, run %s, %d instr, %d checks",
@@ -520,10 +518,6 @@ func (m Metrics) String() string {
 		m.Instructions, m.Checks)
 	if m.SharedRuns != 0 {
 		s += fmt.Sprintf(", %d runs shared", m.SharedRuns)
-	}
-	if m.Retries != 0 || m.WorkerDeaths != 0 || m.Timeouts != 0 || m.Quarantined != 0 {
-		s += fmt.Sprintf(", %d retries, %d worker deaths, %d timeouts, %d quarantined",
-			m.Retries, m.WorkerDeaths, m.Timeouts, m.Quarantined)
 	}
 	return s
 }

@@ -111,7 +111,6 @@ func TestJobFailureIsolation(t *testing.T) {
 func TestSkipRunAndMutate(t *testing.T) {
 	pool := evalpool.New(1)
 	results := pool.Evaluate([]evalpool.Job{
-		{Name: "skip", Source: srcN(2), Opts: nascent.Options{BoundsChecks: true}, SkipRun: true},
 		{
 			Name:   "mutated",
 			Source: srcN(3),
@@ -124,17 +123,7 @@ func TestSkipRunAndMutate(t *testing.T) {
 			},
 		},
 	})
-	skip := results[0]
-	if skip.Err != nil {
-		t.Fatal(skip.Err)
-	}
-	if skip.Prog == nil {
-		t.Fatal("SkipRun job lost its program")
-	}
-	if skip.Res.Instructions != 0 || skip.Res.Output != "" {
-		t.Errorf("SkipRun executed: %+v", skip.Res)
-	}
-	mut := results[1]
+	mut := results[0]
 	if mut.Err != nil {
 		t.Fatal(mut.Err)
 	}

@@ -25,9 +25,9 @@ type RunMemo struct {
 	runs map[runKey]nascent.RunResult
 }
 
-// runKey is every input a successful run result depends on. Deadline
-// and Context only decide whether a run fails, and failures are never
-// stored, so they stay out of the key.
+// runKey is every input a successful run result depends on. Context
+// only decides whether a run fails, and failures are never stored, so
+// it stays out of the key.
 type runKey struct {
 	prog           [sha256.Size]byte
 	engine         nascent.Engine

@@ -1,6 +1,7 @@
 package evalpool_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -106,23 +107,25 @@ func TestRunMemoKeepsNoFailure(t *testing.T) {
 	}
 }
 
-// TestRunMemoTimeoutDoesNotBlock abandons one run at its job deadline
+// TestRunMemoTimeoutDoesNotBlock abandons one run at its deadline
 // while an identical job runs on another pool: the identical job must
 // complete on its own, and only its success is stored.
 func TestRunMemoTimeoutDoesNotBlock(t *testing.T) {
 	memo := evalpool.NewRunMemo()
 	job := evalpool.Job{Name: "slow", Source: loopSrc(300000), Opts: nascent.Options{BoundsChecks: true}, RunMemo: memo}
-	timed := evalpool.NewSupervised(evalpool.Config{Workers: 1, MaxAttempts: 1, JobTimeout: time.Millisecond})
+	timed := evalpool.New(1)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
 	free := evalpool.New(1)
 
 	var wg sync.WaitGroup
 	var abandoned, finished evalpool.Result
 	wg.Add(2)
-	go func() { defer wg.Done(); abandoned = timed.Evaluate([]evalpool.Job{job})[0] }()
+	go func() { defer wg.Done(); abandoned = timed.SubmitCtx(ctx, job) }()
 	go func() { defer wg.Done(); finished = free.Evaluate([]evalpool.Job{job})[0] }()
 	wg.Wait()
-	if !errors.Is(abandoned.Err, evalpool.ErrPoisoned) {
-		t.Fatalf("timed job: err = %v, want a quarantined timeout", abandoned.Err)
+	if !errors.Is(abandoned.Err, nascent.ErrResourceExhausted) && !errors.Is(abandoned.Err, context.DeadlineExceeded) {
+		t.Fatalf("timed job: err = %v, want a deadline", abandoned.Err)
 	}
 	if finished.Err != nil {
 		t.Fatalf("identical job next to the abandoned one: %v", finished.Err)

@@ -157,6 +157,8 @@ func TestCheckTermFaultCount(t *testing.T) {
 func TestNoPollInsideCheckTerms(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
@@ -165,7 +167,7 @@ func TestNoPollInsideCheckTerms(t *testing.T) {
 		exitAt uint64 // the first poll is due at the first charge
 	}{
 		{"context", Config{Context: cancelled}, false, ResCancelled, 1},
-		{"deadline", Config{Deadline: time.Now().Add(-time.Second)}, false, ResDeadline, 1},
+		{"deadline", Config{Context: expired}, false, ResDeadline, 1},
 		{"chaos", Config{}, true, ResInstructions, 1},
 		{"budget", Config{MaxInstructions: 1}, false, ResInstructions, 2},
 	} {

@@ -31,7 +31,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"nascent/internal/chaos"
 	"nascent/internal/guard"
@@ -53,11 +52,9 @@ type Config struct {
 	// for one run, across all arrays of the program (0 means the 64 Mi
 	// default). Exceeding it fails before execution starts.
 	MaxArrayCells int64
-	// Deadline aborts the run once the wall clock passes it (zero means
-	// no deadline). Checked every few thousand instructions.
-	Deadline time.Time
-	// Context, when non-nil, cancels the run when its Done channel
-	// closes. Checked on the same cadence as Deadline.
+	// Context, when non-nil, stops the run when its Done channel
+	// closes: a deadline as ResDeadline, any other cancellation as
+	// ResCancelled. Checked every few thousand instructions.
 	Context context.Context
 	// Engine selects the execution substrate (default EngineTree, the
 	// reference tree-walker). Every engine produces identical
@@ -115,9 +112,9 @@ const (
 	ResInstructions Resource = iota
 	// ResArrayCells: Config.MaxArrayCells.
 	ResArrayCells
-	// ResDeadline: Config.Deadline passed.
+	// ResDeadline: Config.Context's deadline passed.
 	ResDeadline
-	// ResCancelled: Config.Context was cancelled.
+	// ResCancelled: Config.Context was cancelled otherwise.
 	ResCancelled
 )
 
@@ -202,12 +199,11 @@ func (cfg Config) WithDefaults() Config {
 
 // FirstThreshold is the instruction count past which a run's cost
 // charge first leaves its fast path. A run polls when it has a
-// Deadline or a Context, or when a chaos spec is installed (injection
-// rides the poll cadence); its threshold starts at 0, so the first
-// charge polls. Otherwise it never polls, and the threshold is the
+// Context, or when a chaos spec is installed (injection rides the poll
+// cadence); its threshold starts at 0, so the first charge polls. Otherwise it never polls, and the threshold is the
 // budget. With injection off, the chaos test is one atomic read.
 func (cfg *Config) FirstThreshold() uint64 {
-	if !cfg.Deadline.IsZero() || cfg.Context != nil || chaos.Active() {
+	if cfg.Context != nil || chaos.Active() {
 		return 0
 	}
 	return cfg.MaxInstructions
@@ -225,8 +221,8 @@ var treePoll = PollSites{chaos.SiteTreeBudget, chaos.SiteTreeCancel, chaos.SiteT
 // crossed the threshold, so either the budget is blown or a poll is
 // due. A poll fires the chaos sites, keyed by fn (the executing
 // function, so a fault is deterministic per run), then checks the
-// context, then the deadline. Recharge returns the next threshold: one
-// poll interval on, capped at the budget.
+// context. Recharge returns the next threshold: one poll interval on,
+// capped at the budget.
 func (cfg *Config) Recharge(instr uint64, sites *PollSites, fn string) (uint64, error) {
 	if instr > cfg.MaxInstructions {
 		return 0, &ResourceError{Resource: ResInstructions, Limit: cfg.MaxInstructions}
@@ -245,12 +241,12 @@ func (cfg *Config) Recharge(instr uint64, sites *PollSites, fn string) (uint64, 
 	if ctx := cfg.Context; ctx != nil {
 		select {
 		case <-ctx.Done():
+			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
+				return 0, &ResourceError{Resource: ResDeadline}
+			}
 			return 0, &ResourceError{Resource: ResCancelled}
 		default:
 		}
-	}
-	if !cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline) {
-		return 0, &ResourceError{Resource: ResDeadline}
 	}
 	if cfg.MaxInstructions-instr < pollInterval {
 		return cfg.MaxInstructions, nil

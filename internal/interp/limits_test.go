@@ -57,7 +57,9 @@ func TestInstructionBudgetIsTypedResourceError(t *testing.T) {
 func TestDeadlineAbortsRun(t *testing.T) {
 	p := buildProg(t, spinSrc, false)
 	start := time.Now()
-	_, err := Run(p, Config{Deadline: start.Add(30 * time.Millisecond)})
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(30*time.Millisecond))
+	defer cancel()
+	_, err := Run(p, Config{Context: ctx})
 	var re *ResourceError
 	if !errors.As(err, &re) || re.Resource != ResDeadline {
 		t.Fatalf("err = %v, want deadline ResourceError", err)
@@ -68,8 +70,9 @@ func TestDeadlineAbortsRun(t *testing.T) {
 }
 
 func TestContextCancelAbortsRun(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	time.AfterFunc(30*time.Millisecond, cancel)
 	p := buildProg(t, spinSrc, false)
 	_, err := Run(p, Config{Context: ctx})
 	var re *ResourceError

@@ -3,8 +3,8 @@ package oracle
 // Chaos sweep mode: re-run the differential oracle under deterministic
 // fault injection and assert the pipeline's containment contract —
 // every evaluation is *correct or a typed error*. A faulted run may
-// fail (injected errors, contained panics, exhausted budgets,
-// quarantined workers all surface as typed errors) or degrade (a
+// fail (injected errors, contained panics and exhausted budgets all
+// surface as typed errors) or degrade (a
 // panicking optimizer falls back to the naive body), but it must never
 // return a wrong result silently and never leak an unclassified
 // failure. Every violation carries the chaos spec that produced it, so
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"nascent"
 	"nascent/internal/chaos"
@@ -42,10 +41,6 @@ type ChaosConfig struct {
 	// Jobs shards each seed's evaluation across workers (<= 0 means
 	// sequential).
 	Jobs int
-	// JobTimeout bounds one evaluation attempt (0 means 2s). Injected
-	// hangs cost exactly this long before the supervisor abandons them,
-	// so small inputs sweep faster with a tighter bound.
-	JobTimeout time.Duration
 }
 
 // ChaosViolation is one breach of the correct-or-typed-error contract.
@@ -101,13 +96,12 @@ func (r *ChaosReport) Summary() string {
 
 // typedFailure reports whether err belongs to the pipeline's typed
 // failure taxonomy: an injected (or amplified) error, a contained
-// panic, an exhausted resource budget, or a supervision verdict. Any
-// other failure under chaos is an "untyped-error" violation.
+// panic, or an exhausted resource budget. Any other failure under chaos
+// is an "untyped-error" violation.
 func typedFailure(err error) bool {
 	return errors.Is(err, chaos.ErrInjected) ||
 		errors.Is(err, nascent.ErrInternal) ||
 		errors.Is(err, interp.ErrResourceExhausted) ||
-		errors.Is(err, evalpool.ErrPoisoned) ||
 		chaos.InjectedMessage(err)
 }
 
@@ -174,20 +168,10 @@ func ChaosSweep(src string, cfg ChaosConfig) (*ChaosReport, error) {
 	for _, seed := range seeds {
 		spec := chaos.Spec{Seed: seed, Rate: rate, Site: cfg.Site}
 		chaos.Enable(spec)
-		// A fresh supervised pool per seed: worker faults retry and
-		// quarantine under this seed's spec, and nothing is memoized
-		// across specs (the front-end memo must not serve one seed's
-		// injected failure to the next).
-		jobTimeout := cfg.JobTimeout
-		if jobTimeout == 0 {
-			jobTimeout = 2 * time.Second
-		}
-		pool := evalpool.NewSupervised(evalpool.Config{
-			Workers:     max(cfg.Jobs, 1),
-			MaxAttempts: 3,
-			JobTimeout:  jobTimeout,
-		})
-		results := pool.Evaluate(jobs)
+		// A fresh pool per seed: nothing is memoized across specs (the
+		// front-end memo must not serve one seed's injected failure to
+		// the next).
+		results := evalpool.New(max(cfg.Jobs, 1)).Evaluate(jobs)
 		rep.Faults += chaos.Fired()
 		chaos.Disable()
 

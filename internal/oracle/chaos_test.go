@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"nascent"
 	"nascent/internal/chaos"
@@ -51,9 +50,6 @@ func oracleSweepConfig() ChaosConfig {
 	return ChaosConfig{
 		Jobs:    8,
 		Engines: nascent.AllEngines(),
-		// The probe program runs in microseconds; a tight attempt bound
-		// keeps the injected-hang cost of the sweep low.
-		JobTimeout: 250 * time.Millisecond,
 	}
 }
 
@@ -133,7 +129,6 @@ func TestTypedFailureTaxonomy(t *testing.T) {
 		{"injected", &chaos.InjectedError{Site: chaos.SiteParseError, Key: "k"}, true},
 		{"internal", &nascent.InternalError{Stage: "lower", Recovered: "x"}, true},
 		{"resource", nascent.ErrResourceExhausted, true},
-		{"poisoned", &evalpool.PoisonedInputError{Job: "j", Attempts: 3, LastErr: errors.New("d")}, true},
 		{"injected-message", errors.New("run: chaos: injected panic at tree.poll.panic"), true},
 		{"plain", errors.New("plain failure"), false},
 		{"none", nil, false},

@@ -37,7 +37,7 @@ func (e *PartialError) Error() string {
 func (e *PartialError) Is(target error) bool { return target == ErrPartial }
 
 // Unwrap exposes every cell failure to errors.Is/As, so a caller can
-// still detect e.g. a quarantined input inside a partial table.
+// still detect e.g. a contained internal error inside a partial table.
 func (e *PartialError) Unwrap() []error {
 	errs := make([]error, len(e.Cells))
 	for i, c := range e.Cells {

@@ -92,8 +92,7 @@ func New(cfg Config) *Runner {
 
 // NewOnPool returns a Runner that measures on an existing pool instead
 // of creating its own. nascentd uses it so report requests share the
-// service pool's memoized front ends (and its supervision policy)
-// across requests. Config.Jobs and Config.Trace are ignored — the pool
+// service pool's memoized front ends across requests. Config.Jobs and Config.Trace are ignored — the pool
 // owns both.
 func NewOnPool(pool *evalpool.Pool, cfg Config) *Runner {
 	return &Runner{

@@ -3,8 +3,7 @@
 //
 // The package promotes the pipeline's existing robustness machinery —
 // typed resource budgets with cancellation (internal/interp), panic
-// containment (internal/guard), the supervised self-healing evalpool,
-// and deterministic fault injection (internal/chaos) — into a
+// containment (internal/guard), the evaluation pool, and deterministic fault injection (internal/chaos) — into a
 // long-running service that survives heavy concurrent traffic:
 //
 //   - a content-addressed compiled-program cache (key = hash(source,
@@ -13,9 +12,10 @@
 //   - admission control: a concurrency limiter plus a bounded wait
 //     queue; excess load is shed with 429 + Retry-After instead of
 //     degrading every request (limiter.go);
-//   - a circuit breaker per (scheme, engine) pair that degrades to
-//     naive/tree after repeated quarantines and probes for recovery
-//     (breaker.go);
+//   - a sampled self-audit that re-runs served responses on the tree
+//     reference engine (audit.go), and a circuit breaker per (scheme,
+//     engine) pair that the audit trips: the pair is served degraded
+//     for one cooldown (breaker.go);
 //   - per-request resource budgets clamped by server-side ceilings,
 //     with deadline propagation from request context into both
 //     engines' poll points;
@@ -64,10 +64,6 @@ const (
 	// ClassDraining: the server is shutting down. HTTP 503 with
 	// Retry-After; no nacc analog.
 	ClassDraining = "draining"
-	// ClassPoisoned: the supervised pool quarantined the request after
-	// repeated abnormal failures; the error carries the chaos replay
-	// spec when injection produced it. HTTP 500.
-	ClassPoisoned = "poisoned"
 	// ClassInternal: a contained internal invariant violation. HTTP 500.
 	ClassInternal = "internal"
 	// ClassDrill: drill-specific failures (disabled endpoint HTTP 403,
@@ -89,16 +85,9 @@ type Error struct {
 	// Resource names the exhausted budget for ClassResource errors
 	// ("instruction budget", "array cell budget", "deadline", "context").
 	Resource string `json:"resource,omitempty"`
-	// ChaosSpec is the replayable "seed:rate[:site]" injection spec for
-	// ClassPoisoned errors produced under fault injection; feed it to
-	// `nacc -chaos` / `rangebench -chaos` to reproduce the failure.
-	ChaosSpec string `json:"chaos_spec,omitempty"`
 	// RetryAfter is the suggested backoff in seconds for ClassShed and
 	// ClassDraining errors (also sent as the Retry-After header).
 	RetryAfter int `json:"retry_after,omitempty"`
-	// Attempts is how many supervised attempts ran before a
-	// ClassPoisoned quarantine.
-	Attempts int `json:"attempts,omitempty"`
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Class, e.Message) }
@@ -194,9 +183,7 @@ type DrillRequest struct {
 	// compiled-program store, like a no_cache run, so injection can
 	// reach every pipeline stage.
 	Run RunRequest `json:"run"`
-	// Name labels the drill's supervised job; worker-site injection is
-	// keyed by it, so (spec, name) deterministically selects the fate
-	// (default "drill").
+	// Name labels the drill's job in error messages (default "drill").
 	Name string `json:"name,omitempty"`
 }
 
@@ -258,9 +245,6 @@ type RunResponse struct {
 	Trapped   bool   `json:"trapped"`
 	TrapNote  string `json:"trap_note,omitempty"`
 	TrapClass string `json:"trap_class,omitempty"`
-	// Attempts is how many supervised attempts the run took (>1 means
-	// the pool healed an abnormal failure by retrying).
-	Attempts int `json:"attempts"`
 	// NaccExit is the exit code nacc would report for this outcome
 	// (0 clean, 1 trapped).
 	NaccExit int `json:"nacc_exit"`
@@ -283,16 +267,10 @@ type DrillResponse struct {
 	Spec string `json:"spec"`
 	// Fired is how many injections fired while the drill was armed.
 	Fired uint64 `json:"fired"`
-	// Healed reports the run succeeded after at least one supervised
-	// retry — the self-healing path did its job.
-	Healed bool `json:"healed"`
-	// Attempts is the supervised attempt count of the drill's run.
-	Attempts int `json:"attempts"`
-	// Result is the run's outcome when it completed (possibly after
-	// retries); nil when the run failed.
+	// Result is the run's outcome when it completed; nil when the run
+	// failed.
 	Result *RunResponse `json:"result,omitempty"`
-	// Error is the typed failure when the run did not complete; a
-	// quarantine carries class "poisoned" and the replayable spec.
+	// Error is the typed failure when the run did not complete.
 	Error *Error `json:"error,omitempty"`
 }
 

@@ -28,8 +28,10 @@ import (
 // the served (scheme, engine) pair's circuit is tripped open so
 // subsequent traffic degrades to the reference configuration, and the
 // violation is logged with enough detail to reproduce. A reference
-// run that itself fails (budget, cancellation) is inconclusive — an
-// audit error, never a violation.
+// that cannot speak for the request — a failed compile, a compile that
+// degraded a function to its naive body, a failed run — is
+// inconclusive: an audit error, never a violation. The audit is the
+// breaker's only input, so an inconclusive reference must not trip it.
 //
 // The reference is deterministic in the request, so a clean fresh
 // reference is memoized (auditMemo) and later samples of the same
@@ -158,6 +160,14 @@ func (s *Server) audit(res *resolved, served *RunResponse) {
 		s.cfg.Logf("nascentd: self-audit reference compile failed (key %s): %v", served.Compile.CacheKey, err)
 		return
 	}
+	if prog.Opt != nil && len(prog.Opt.Degraded) > 0 {
+		// A degraded function kept its naive body, so its check count
+		// speaks for this compile, not for the request.
+		s.nAuditRefNanos.Add(int64(time.Since(start)))
+		s.nAuditErrors.Add(1)
+		s.cfg.Logf("nascentd: self-audit reference compile degraded %v (key %s)", prog.Opt.Degraded, served.Compile.CacheKey)
+		return
+	}
 	runCfg := res.runCfg
 	runCfg.Engine = nascent.EngineTree
 	runCfg.Context = ctx
@@ -171,12 +181,7 @@ func (s *Server) audit(res *resolved, served *RunResponse) {
 		s.cfg.Logf("nascentd: self-audit reference run failed (key %s): %v", served.Compile.CacheKey, err)
 		return
 	}
-	if prog.Opt == nil || len(prog.Opt.Degraded) == 0 {
-		// Only a reference from a whole optimizer run is stored: a
-		// degraded function kept its naive body, so its observables
-		// speak for this compile, not for the request.
-		s.auditRefs.put(key, refOf(ref))
-	}
+	s.auditRefs.put(key, refOf(ref))
 	if forced || (!decided && fireAuditMismatch(served)) {
 		ref.Output += "\x00chaos: forced audit divergence"
 	}

@@ -280,7 +280,8 @@ func TestSelfAuditConcurrentSamples(t *testing.T) {
 }
 
 // TestSelfAuditSkipsDegradedReference: a reference whose compile
-// degraded a function is compared but never stored.
+// degraded a function is an inconclusive audit error. It is neither
+// compared with the served response nor stored, and it trips nothing.
 func TestSelfAuditSkipsDegradedReference(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.AuditEvery = 2 })
 	// The first run is not sampled; it fills the compile cache so the
@@ -292,11 +293,14 @@ func TestSelfAuditSkipsDegradedReference(t *testing.T) {
 	runVMOpt(t, s)
 	a := settled(t, s)
 	chaos.Disable()
-	if a.Sampled != 1 {
-		t.Fatalf("audit counters = %+v, want 1 sampled", a)
+	if a.Sampled != 1 || a.Errors != 1 || a.Violations != 0 {
+		t.Fatalf("audit counters = %+v, want 1 sampled, 1 error, 0 violations", a)
 	}
 	if n := s.auditRefs.len(); n != 0 {
 		t.Fatalf("a degraded reference was stored (%d entries)", n)
+	}
+	if st := s.breaker.stats(); st.Trips != 0 || len(st.Open) != 0 {
+		t.Fatalf("a degraded reference tripped the breaker: %+v", st)
 	}
 }
 

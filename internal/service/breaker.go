@@ -7,30 +7,23 @@ import (
 	"nascent"
 )
 
-// breaker is a circuit breaker over (scheme, engine) pairs. The
-// supervised pool already heals transient faults by retrying; what it
-// cannot do is stop a systematically sick configuration (say, a vmopt
-// miscompile or an optimizer bug tripped by one scheme) from burning
-// every tenant's retry budget. After `threshold` consecutive
-// quarantine-level failures on one pair, the breaker trips: requests
-// for that pair are served degraded (naive scheme on the tree engine —
-// the reference configuration that every other layer validates
-// against) until a cooldown passes, then a single probe request is let
-// through on the real pair; success closes the circuit, failure
-// re-trips it.
+// breaker is a circuit breaker over (scheme, engine) pairs. Its one
+// input is the self-audit: when a sampled response proves wrong, trip
+// opens the served pair until a cooldown passes. Requests for an open
+// pair are served degraded (see Server.resolve); once the cooldown has
+// passed the pair serves verbatim again, and later audit samples judge
+// it afresh.
 //
 // Degradation preserves program semantics — output and traps are
 // engine- and scheme-independent — but not the check counters (naive
 // keeps every check), so responses carry an explicit Degraded marker.
 type breaker struct {
 	mu        sync.Mutex
-	threshold int
 	cooldown  time.Duration
 	now       func() time.Time // injectable for tests
-	states    map[pairKey]*pairState
+	openUntil map[pairKey]time.Time
 
 	trips  uint64
-	probes uint64
 	served uint64 // requests served degraded
 }
 
@@ -39,20 +32,11 @@ type pairKey struct {
 	engine nascent.Engine
 }
 
-type pairState struct {
-	consecutive int       // consecutive abnormal failures while closed
-	open        bool      // circuit open: serve degraded
-	openedAt    time.Time // when the circuit opened (cooldown base)
-	probing     bool      // one probe is in flight
-}
-
 // breakerStats is the wire form of the breaker counters.
 type breakerStats struct {
-	Threshold  int            `json:"threshold"`
 	CooldownMS int64          `json:"cooldown_ms"`
 	Open       []breakerState `json:"open,omitempty"`
 	Trips      uint64         `json:"trips"`
-	Probes     uint64         `json:"probes"`
 	Degraded   uint64         `json:"degraded"`
 }
 
@@ -61,119 +45,59 @@ type breakerState struct {
 	Engine string `json:"engine"`
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
+func newBreaker(cooldown time.Duration) *breaker {
 	if cooldown <= 0 {
 		cooldown = 30 * time.Second
 	}
 	return &breaker{
-		threshold: threshold,
 		cooldown:  cooldown,
 		now:       time.Now,
-		states:    map[pairKey]*pairState{},
+		openUntil: map[pairKey]time.Time{},
 	}
 }
 
-// allow decides how to serve a request for (scheme, engine): verbatim
-// (closed circuit, or an open one whose cooldown elapsed — then this
-// request is the recovery probe), or degraded to (naive, tree).
-func (b *breaker) allow(scheme nascent.Scheme, engine nascent.Engine) (degraded bool, probe bool) {
+// allow reports whether a request for (scheme, engine) must be served
+// degraded, counting it if so.
+func (b *breaker) allow(scheme nascent.Scheme, engine nascent.Engine) (degraded bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := b.states[pairKey{scheme, engine}]
-	if st == nil || !st.open {
-		return false, false
-	}
-	if !st.probing && b.now().Sub(st.openedAt) >= b.cooldown {
-		st.probing = true
-		b.probes++
-		return false, true
+	if !b.now().Before(b.openUntil[pairKey{scheme, engine}]) {
+		return false
 	}
 	b.served++
-	return true, false
+	return true
 }
 
-// trip forces the pair's circuit open immediately, bypassing the
-// consecutive-failure threshold. The self-auditor uses it: one proven
-// wrong answer outranks any number of healthy-looking responses, so
-// the pair degrades to the reference configuration at once and earns
-// its way back through the normal cooldown-and-probe cycle.
+// trip opens the pair's circuit for one cooldown from now. The
+// self-auditor calls it: one proven wrong answer is enough to degrade
+// the pair to the reference configuration at once.
 func (b *breaker) trip(scheme nascent.Scheme, engine nascent.Engine) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	key := pairKey{scheme, engine}
-	st := b.states[key]
-	if st == nil {
-		st = &pairState{}
-		b.states[key] = st
-	}
-	st.open = true
-	st.probing = false
-	st.openedAt = b.now()
+	b.openUntil[pairKey{scheme, engine}] = b.now().Add(b.cooldown)
 	b.trips++
 }
 
 // isOpen reports whether the pair's circuit is currently open, without
-// moving any counter or starting a probe. resolve uses it to pick a
-// degradation target that is itself healthy.
+// moving any counter. resolve uses it to pick a degradation target that
+// is itself healthy.
 func (b *breaker) isOpen(scheme nascent.Scheme, engine nascent.Engine) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := b.states[pairKey{scheme, engine}]
-	return st != nil && st.open
-}
-
-// report feeds one outcome back. abnormal means a quarantine-level
-// failure (PoisonedInputError — every supervised attempt died);
-// deterministic failures (compile errors, traps, budgets) are the
-// input's fault and never move the breaker.
-func (b *breaker) report(scheme nascent.Scheme, engine nascent.Engine, probe, abnormal bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	key := pairKey{scheme, engine}
-	st := b.states[key]
-	if st == nil {
-		st = &pairState{}
-		b.states[key] = st
-	}
-	switch {
-	case probe && abnormal:
-		// Failed probe: re-open, restart the cooldown.
-		st.open = true
-		st.probing = false
-		st.openedAt = b.now()
-		b.trips++
-	case probe:
-		// Successful probe: close the circuit.
-		*st = pairState{}
-	case abnormal:
-		st.consecutive++
-		if !st.open && st.consecutive >= b.threshold {
-			st.open = true
-			st.openedAt = b.now()
-			b.trips++
-		}
-	default:
-		if !st.open {
-			st.consecutive = 0
-		}
-	}
+	return b.now().Before(b.openUntil[pairKey{scheme, engine}])
 }
 
 func (b *breaker) stats() breakerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := breakerStats{
-		Threshold:  b.threshold,
 		CooldownMS: b.cooldown.Milliseconds(),
 		Trips:      b.trips,
-		Probes:     b.probes,
 		Degraded:   b.served,
 	}
-	for k, st := range b.states {
-		if st.open {
+	now := b.now()
+	for k, until := range b.openUntil {
+		if now.Before(until) {
 			s.Open = append(s.Open, breakerState{Scheme: k.scheme.String(), Engine: k.engine.String()})
 		}
 	}

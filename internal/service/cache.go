@@ -39,7 +39,7 @@ type compiled struct {
 }
 
 // Run executes the cached program under cfg; it satisfies
-// evalpool.Runner so cache hits ride the pool's supervision unchanged.
+// evalpool.Runner so cache hits run on the pool like fresh compiles.
 func (c *compiled) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
 	if c.vmProg != nil {
 		return c.vmProg.Run(cfg)

@@ -14,18 +14,16 @@ import (
 //
 // The drill's run bypasses every compiled-program store (the service
 // cache, the disk cache and the pool's frontend memo) so injection can
-// reach every pipeline stage: lexer, parser, sem, lowering, optimizer,
-// both engines' poll points, and the pool's worker sites. The supervised
-// pool must then either heal the faults through retries (DrillResponse
-// Healed) or quarantine the job behind a typed PoisonedInputError
-// whose error body carries the exact replayable spec.
+// reach every pipeline stage: lexer, parser, sem, lowering, optimizer
+// and both engines' poll points. The run executes once; the response
+// reports how many injections fired together with the run's typed
+// outcome — a result (possibly degraded) or a typed error.
 //
 // Scoping is temporal: while one drill is armed, concurrent organic
 // requests share the process-global registry and may observe injected
-// faults too — they heal through the same supervision machinery, which
-// is precisely the property an in-service drill exists to rehearse.
-// Drills never queue behind each other: a second concurrent drill gets
-// a typed 409.
+// faults too; they surface them as the same typed outcomes. Drills
+// never queue behind each other: a second concurrent drill gets a typed
+// 409.
 func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	s.nDrill.Add(1)
 	if !s.cfg.AllowDrill {
@@ -70,23 +68,11 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "drill"
 	}
-	resp := DrillResponse{Spec: spec.String()}
-	runResp, runErr := s.executeDrill(r, res, name)
-	resp.Fired = chaos.Fired()
-	if runErr != nil {
-		resp.Error = runErr
-		resp.Attempts = runErr.Attempts
-	} else {
-		resp.Result = runResp
-		resp.Attempts = runResp.Attempts
-		resp.Healed = runResp.Attempts > 1
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// executeDrill runs the drill's request with a drill-scoped job name
-// (worker-site injection keys on it, so (spec, name) deterministically
-// selects the fate) and the cache bypassed.
-func (s *Server) executeDrill(r *http.Request, res *resolved, name string) (*RunResponse, *Error) {
-	return s.execute(r, res, true /* noCache */, name)
+	runResp, runErr := s.execute(r, res, true /* noCache */, name)
+	writeJSON(w, http.StatusOK, DrillResponse{
+		Spec:   spec.String(),
+		Fired:  chaos.Fired(),
+		Result: runResp,
+		Error:  runErr,
+	})
 }

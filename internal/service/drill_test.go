@@ -8,21 +8,8 @@ import (
 	"nascent"
 	"nascent/internal/chaos"
 	"nascent/internal/evalpool"
+	"nascent/internal/guard"
 )
-
-// findDrillSeed searches for a deterministic seed whose fate function
-// satisfies pred over the drill job's attempt keys.
-func findDrillSeed(t *testing.T, rate float64, site chaos.Site, pred func(chaos.Spec) bool) chaos.Spec {
-	t.Helper()
-	for seed := uint64(1); seed < 5000; seed++ {
-		spec := chaos.Spec{Seed: seed, Rate: rate, Site: site}
-		if pred(spec) {
-			return spec
-		}
-	}
-	t.Fatal("no seed found")
-	return chaos.Spec{}
-}
 
 func TestDrillDisabled(t *testing.T) {
 	s := newTestServer(t, nil) // AllowDrill off
@@ -38,79 +25,63 @@ func TestDrillBadSpec(t *testing.T) {
 
 func TestDrillBusy(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.AllowDrill = true })
-	release, err := chaos.AcquireDrill(chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteWorkerSlow})
+	release, err := chaos.AcquireDrill(chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteOptPanic})
 	if err != nil {
 		t.Fatalf("AcquireDrill: %v", err)
 	}
 	defer release()
-	w := do(t, s, "POST", "/drill", DrillRequest{Spec: "1:1:pool.worker.slow", Run: RunRequest{CompileRequest: CompileRequest{Source: progOK}}}, nil)
+	w := do(t, s, "POST", "/drill", DrillRequest{Spec: "1:1:optimize.panic", Run: RunRequest{CompileRequest: CompileRequest{Source: progOK}}}, nil)
 	wantError(t, w, http.StatusConflict, ClassDrill)
 }
 
-// TestDrillHeals: a fault that fires on the first attempt but not the
-// second is healed by supervised retry — the drill reports Healed with
-// the run's real result.
-func TestDrillHeals(t *testing.T) {
-	if chaos.Active() {
-		t.Fatal("chaos already enabled")
-	}
+// TestDrillDegradesOptimizer: an optimizer panic injected by a drill
+// degrades the function to its naive body; the run still succeeds, and
+// the response reports the fired injections.
+func TestDrillDegradesOptimizer(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.AllowDrill = true })
-	spec := findDrillSeed(t, 0.5, chaos.SiteWorkerKill, func(sp chaos.Spec) bool {
-		return chaos.Decide(sp, chaos.SiteWorkerKill, chaos.AttemptKey("drill", 0)) &&
-			!chaos.Decide(sp, chaos.SiteWorkerKill, chaos.AttemptKey("drill", 1))
-	})
-
 	var resp DrillResponse
 	w := do(t, s, "POST", "/drill", DrillRequest{
-		Spec: spec.String(),
-		Run:  RunRequest{CompileRequest: CompileRequest{Source: progOK}},
+		Spec: "7:1:optimize.panic",
+		Run:  RunRequest{CompileRequest: CompileRequest{Source: progOK, Options: Options{Scheme: "lls"}, Engine: "vmrce"}},
 	}, &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
 	}
-	if resp.Error != nil {
-		t.Fatalf("drill failed instead of healing: %+v", resp.Error)
-	}
-	if !resp.Healed || resp.Attempts != 2 {
-		t.Errorf("healed=%v attempts=%d, want healed in 2 attempts", resp.Healed, resp.Attempts)
+	if resp.Error != nil || resp.Result == nil {
+		t.Fatalf("drill failed: %+v", resp.Error)
 	}
 	if resp.Fired == 0 {
 		t.Error("drill reports zero injections fired")
 	}
-	if resp.Result == nil || resp.Result.Output == "" {
-		t.Errorf("healed drill has no result: %+v", resp.Result)
+	if opt := resp.Result.Compile.Opt; opt == nil || len(opt.Degraded) == 0 {
+		t.Errorf("optimizer panic did not degrade a function: %+v", opt)
+	}
+	want, err := nascent.Compile(progOK, nascent.Options{BoundsChecks: true, Filename: "input.mf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := want.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Result.Output != rr.Output {
+		t.Errorf("degraded run output %q, want %q", resp.Result.Output, rr.Output)
 	}
 	if chaos.Active() {
 		t.Error("injection still armed after the drill returned")
 	}
-
-	// The healed run's observables match an uninjected run exactly.
-	prog, err := nascent.Compile(progOK, nascent.Options{BoundsChecks: true, Filename: "input.mf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := prog.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Result.Output != want.Output || resp.Result.Checks != want.Checks {
-		t.Errorf("healed run diverges: output %q checks %d, want %q / %d",
-			resp.Result.Output, resp.Result.Checks, want.Output, want.Checks)
-	}
 }
 
-// TestDrillQuarantineRoundTrip is the replay-spec contract end to end:
-// inject an unhealable fault via POST /drill, read the exact
-// "seed:rate[:site]" spec back out of the typed error body, re-parse
-// it, and replay it against a fresh supervised pool to reproduce the
-// same quarantine — the path an operator follows from a production log
-// line to `nacc -chaos`.
-func TestDrillQuarantineRoundTrip(t *testing.T) {
+// TestDrillReplayRoundTrip is the replay contract end to end: a drill
+// whose fault fails the run reports a typed error and echoes its spec;
+// re-arming that spec on a fresh pool reproduces the same typed
+// failure, the path an operator follows from a drill to `nacc -chaos`.
+func TestDrillReplayRoundTrip(t *testing.T) {
 	if chaos.Active() {
 		t.Fatal("chaos already enabled")
 	}
 	s := newTestServer(t, func(c *Config) { c.AllowDrill = true })
-	spec := chaos.Spec{Seed: 7, Rate: 1, Site: chaos.SiteWorkerKill} // rate 1: every attempt dies
+	spec := chaos.Spec{Seed: 7, Rate: 1, Site: chaos.SiteTreePanic} // rate 1: the first poll panics
 
 	var resp DrillResponse
 	w := do(t, s, "POST", "/drill", DrillRequest{
@@ -120,27 +91,21 @@ func TestDrillQuarantineRoundTrip(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
 	}
-	if resp.Error == nil {
-		t.Fatalf("rate-1 worker-kill drill did not fail: %+v", resp)
+	if resp.Error == nil || resp.Result != nil {
+		t.Fatalf("rate-1 tree.poll.panic drill did not fail: %+v", resp)
 	}
-	if resp.Error.Class != ClassPoisoned {
-		t.Fatalf("error class = %q, want %q", resp.Error.Class, ClassPoisoned)
+	if resp.Error.Class != ClassInternal {
+		t.Fatalf("error class = %q, want %q", resp.Error.Class, ClassInternal)
 	}
-	if resp.Error.ChaosSpec != spec.String() {
-		t.Fatalf("chaos_spec = %q, want the armed spec %q", resp.Error.ChaosSpec, spec.String())
-	}
-	if resp.Error.Attempts == 0 {
-		t.Error("quarantine error has no attempt count")
-	}
-	if resp.Healed {
-		t.Error("quarantined drill claims it healed")
+	if resp.Fired == 0 {
+		t.Error("drill reports zero injections fired")
 	}
 
-	// Replay: parse the spec out of the error body and reproduce the
-	// quarantine on a fresh pool, exactly as -chaos would.
-	parsed, err := chaos.ParseSpec(resp.Error.ChaosSpec)
+	// Replay: parse the echoed spec and reproduce the failure on a
+	// fresh pool, exactly as -chaos would.
+	parsed, err := chaos.ParseSpec(resp.Spec)
 	if err != nil {
-		t.Fatalf("replay spec %q does not parse: %v", resp.Error.ChaosSpec, err)
+		t.Fatalf("replay spec %q does not parse: %v", resp.Spec, err)
 	}
 	if parsed != spec {
 		t.Fatalf("replay spec round-trip changed: %+v vs %+v", parsed, spec)
@@ -150,24 +115,19 @@ func TestDrillQuarantineRoundTrip(t *testing.T) {
 		t.Fatalf("arm replay: %v", err)
 	}
 	defer release()
-	pool := evalpool.NewSupervised(evalpool.Config{Workers: 1})
-	res := pool.Evaluate([]evalpool.Job{{
+	res := evalpool.New(1).Evaluate([]evalpool.Job{{
 		Name: "drill", Source: progOK, Filename: "replay.mf",
 		Opts: nascent.Options{BoundsChecks: true},
 	}})
-	var pe *evalpool.PoisonedInputError
-	if !errors.As(res[0].Err, &pe) {
-		t.Fatalf("replay err = %v, want PoisonedInputError", res[0].Err)
-	}
-	if pe.ChaosSpec != resp.Error.ChaosSpec {
-		t.Errorf("replayed quarantine spec = %q, want %q", pe.ChaosSpec, resp.Error.ChaosSpec)
+	if !errors.Is(res[0].Err, guard.ErrInternal) {
+		t.Fatalf("replay err = %v, want a contained internal error", res[0].Err)
 	}
 
-	// The service-level metrics recorded the quarantine.
+	// The service-level metrics recorded the drill and its failed job.
 	release() // disarm before reading metrics so currentChaos is quiet
 	var m metricsDoc
 	do(t, s, "GET", "/metrics", nil, &m)
-	if m.Pool.Quarantined == 0 || m.Pool.WorkerDeaths == 0 {
+	if m.Pool.Errors == 0 {
 		t.Errorf("pool metrics missed the drill: %+v", m.Pool)
 	}
 	if m.Requests.Drill == 0 {

@@ -47,19 +47,8 @@ func wireOptReport(o *nascent.OptReport) *OptReport {
 	}
 }
 
-// classifyRunErr maps a supervised run failure to a typed wire error.
+// classifyRunErr maps a run failure to a typed wire error.
 func classifyRunErr(err error) *Error {
-	var poisoned *evalpool.PoisonedInputError
-	if errors.As(err, &poisoned) {
-		return &Error{
-			Class:     ClassPoisoned,
-			Message:   poisoned.Error(),
-			Status:    http.StatusInternalServerError,
-			NaccExit:  -1,
-			ChaosSpec: poisoned.ChaosSpec,
-			Attempts:  poisoned.Attempts,
-		}
-	}
 	var res *interp.ResourceError
 	if errors.As(err, &res) {
 		status := http.StatusRequestTimeout
@@ -101,10 +90,6 @@ type resolved struct {
 	runCfg   nascent.RunConfig
 	timeout  time.Duration
 	degraded *Degraded
-	// requested pair for breaker reporting (pre-degradation).
-	reqScheme nascent.Scheme
-	reqEngine nascent.Engine
-	probe     bool
 }
 
 // resolve validates a run request, clamps its budget, and routes it
@@ -126,18 +111,14 @@ func (s *Server) resolve(req *RunRequest) (*resolved, *Error) {
 		return nil, apiErr
 	}
 	r := &resolved{
-		source:    req.Source,
-		filename:  req.Filename,
-		opts:      opts,
-		engine:    engine,
-		runCfg:    runCfg,
-		timeout:   timeout,
-		reqScheme: opts.Scheme,
-		reqEngine: engine,
+		source:   req.Source,
+		filename: req.Filename,
+		opts:     opts,
+		engine:   engine,
+		runCfg:   runCfg,
+		timeout:  timeout,
 	}
-	degraded, probe := s.breaker.allow(opts.Scheme, engine)
-	r.probe = probe
-	if degraded {
+	if s.breaker.allow(opts.Scheme, engine) {
 		// A tripped guard/deopt pipeline (vmrce, or vmjit, its second
 		// name) degrades to the optimized switch VM (vmopt) — identical
 		// observables, without the guards — unless vmopt's own circuit
@@ -152,7 +133,7 @@ func (s *Server) resolve(req *RunRequest) (*resolved, *Error) {
 			FromEngine: engine.String(),
 			ToScheme:   toScheme.String(),
 			ToEngine:   toEngine.String(),
-			Reason:     "circuit open: repeated quarantines on this (scheme, engine) pair",
+			Reason:     "circuit open: the self-audit caught a wrong answer on this (scheme, engine) pair",
 		}
 		r.opts.Scheme = toScheme
 		r.engine = toEngine
@@ -183,7 +164,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	c, key, hit, err := s.compile(res.source, res.filename, res.opts, res.engine)
-	s.breaker.report(res.reqScheme, res.reqEngine, res.probe, false)
 	if err != nil {
 		s.fail(w, classifyCompileErr(err))
 		return
@@ -203,8 +183,8 @@ func (s *Server) compileResponse(c *compiled, key cacheKey, hit bool, res *resol
 	}
 }
 
-// handleRun serves POST /run: compile through the cache, execute under
-// the supervised pool with the clamped budget and deadline.
+// handleRun serves POST /run: compile through the cache, execute on the
+// pool with the clamped budget and deadline.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.nRun.Add(1)
 	var req RunRequest
@@ -232,8 +212,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// execute runs one resolved request to completion under supervision.
-// Admission must already be held.
+// execute runs one resolved request to completion, once, under its
+// request deadline. Admission must already be held.
 func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName string) (*RunResponse, *Error) {
 	ctx, cancel := s.runCtx(r, res.timeout)
 	defer cancel()
@@ -254,27 +234,21 @@ func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName s
 		err error
 	)
 	if noCache {
-		// No store is read or filled: the pool compiles the job inside
-		// the supervised attempt (SubmitCtx skips its frontend memo), so
-		// drill injection reaches every compile stage.
+		// No store is read or filled: the pool compiles the job itself
+		// (SubmitCtx skips its frontend memo), so drill injection
+		// reaches every compile stage.
 		key = contentKey(res.source, res.filename, res.opts, res.engine)
 	} else {
 		c, key, hit, err = s.compile(res.source, res.filename, res.opts, res.engine)
 		if err != nil {
-			s.breaker.report(res.reqScheme, res.reqEngine, res.probe, false)
 			return nil, classifyCompileErr(err)
 		}
 		job.Precompiled = c
 	}
 
 	result := s.pool.SubmitCtx(ctx, job)
-	abnormal := errors.Is(result.Err, evalpool.ErrPoisoned)
-	s.breaker.report(res.reqScheme, res.reqEngine, res.probe, abnormal)
 	if result.Err != nil {
 		return nil, classifyRunErr(result.Err)
-	}
-	if result.Attempts > 1 {
-		s.nHealed.Add(1)
 	}
 
 	if c == nil {
@@ -294,7 +268,6 @@ func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName s
 		Trapped:      result.Res.Trapped,
 		TrapNote:     result.Res.TrapNote,
 		TrapClass:    string(result.Res.TrapClass),
-		Attempts:     result.Attempts,
 	}
 	if resp.Trapped {
 		resp.NaccExit = 1
@@ -452,12 +425,11 @@ type requestCounters struct {
 	Drill     uint64 `json:"drill"`
 	Errors4xx uint64 `json:"errors_4xx"`
 	Errors5xx uint64 `json:"errors_5xx"`
-	Healed    uint64 `json:"healed"`
 	Panics    uint64 `json:"contained_panics"`
 }
 
 // handleMetrics serves GET /metrics: service counters plus the pool's
-// supervision snapshot. It stays available while draining (operators
+// snapshot. It stays available while draining (operators
 // watch it to confirm the drain).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, metricsDoc{
@@ -471,7 +443,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Drill:     s.nDrill.Load(),
 			Errors4xx: s.nErr4xx.Load(),
 			Errors5xx: s.nErr5xx.Load(),
-			Healed:    s.nHealed.Load(),
 			Panics:    s.nPanics.Load(),
 		},
 		Admission: s.limiter.stats(),

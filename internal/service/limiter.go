@@ -11,9 +11,9 @@ import (
 // beyond that is shed immediately with a typed 429 — bounded latency
 // for admitted requests instead of unbounded degradation for everyone.
 //
-// The limiter sits OVER the supervised evalpool: admitted work is
-// submitted via Pool.SubmitCtx, so the pool contributes supervision
-// (retry, quarantine, timeout) while the limiter owns concurrency.
+// The limiter sits over the evalpool: admitted work runs through
+// Pool.SubmitCtx on the request's goroutine, so the limiter alone owns
+// concurrency.
 type limiter struct {
 	sem    chan struct{} // buffered to maxConcurrent; a token = a slot
 	queued atomic.Int64

@@ -73,7 +73,7 @@ func TestMetricsDocFields(t *testing.T) {
 	requests, _ := m["requests"].(map[string]any)
 	assertFields(t, "requests", requests, []string{
 		"compile", "run", "verify", "report", "drill",
-		"errors_4xx", "errors_5xx", "healed", "contained_panics",
+		"errors_4xx", "errors_5xx", "contained_panics",
 	})
 
 	// The pool section is evalpool's MetricsSnapshot. /run jobs are
@@ -84,7 +84,6 @@ func TestMetricsDocFields(t *testing.T) {
 		"frontend_compiles", "frontend_hits",
 		"frontend_time_ns", "compile_time_ns", "run_time_ns",
 		"instructions", "checks", "shared_runs",
-		"retries", "worker_deaths", "timeouts", "quarantined",
 	})
 	if pool["shared_runs"].(float64) != 0 {
 		t.Errorf("pool.shared_runs = %v after a /run, want 0", pool["shared_runs"])
@@ -104,7 +103,7 @@ func TestMetricsDocFields(t *testing.T) {
 	assertFields(t, "cache", cache, []string{"entries", "capacity", "hits", "misses", "evictions"})
 	// breaker.open is omitted while no pair is tripped.
 	breaker, _ := m["breaker"].(map[string]any)
-	assertFields(t, "breaker", breaker, []string{"threshold", "cooldown_ms", "trips", "probes", "degraded"})
+	assertFields(t, "breaker", breaker, []string{"cooldown_ms", "trips", "degraded"})
 	// chaos.spec is omitted while no spec is armed.
 	chaosSec, _ := m["chaos"].(map[string]any)
 	assertFields(t, "chaos", chaosSec, []string{"active", "fired"})

@@ -53,10 +53,9 @@ type Config struct {
 	// default: arming fault injection is an operator decision.
 	AllowDrill bool
 
-	// BreakerThreshold / BreakerCooldown tune the (scheme, engine)
-	// circuit breaker (defaults 3 consecutive quarantines, 30 s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long a (scheme, engine) pair stays
+	// degraded after the self-audit trips it (default 30 s).
+	BreakerCooldown time.Duration
 
 	// AuditEvery > 0 enables the in-service differential self-audit:
 	// every AuditEvery-th successful /run on a non-tree engine is
@@ -72,8 +71,14 @@ type Config struct {
 	// ProgCacheDir.
 	ScrubInterval time.Duration
 
-	// Pool configures the supervised evalpool (retry/quarantine policy).
-	Pool evalpool.Config
+	// Pool is ignored: each run executes once, bounded only by its
+	// request's timeout. Both fields remain because the frozen
+	// benchmark harness (bench/run.go) still sets them; the next
+	// benchmark change stops setting them and deletes this struct.
+	Pool struct {
+		JobTimeout  time.Duration
+		MaxAttempts int
+	}
 
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
@@ -181,7 +186,6 @@ type Server struct {
 	nDrill   atomic.Uint64
 	nErr4xx  atomic.Uint64
 	nErr5xx  atomic.Uint64
-	nHealed  atomic.Uint64
 	nPanics  atomic.Uint64
 }
 
@@ -191,11 +195,11 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		pool:       evalpool.NewSupervised(cfg.Pool),
+		pool:       evalpool.New(0),
 		cache:      newCache(cfg.CacheEntries),
 		auditRefs:  newAuditMemo(cfg.CacheEntries),
 		limiter:    newLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
-		breaker:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker:    newBreaker(cfg.BreakerCooldown),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		started:    time.Now(),
@@ -235,8 +239,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // guarded wraps a handler with the drain gate and panic containment:
-// the compile/run pipeline already contains its panics (guard,
-// supervision), so a panic escaping to here is a service-layer bug —
+// the compile/run pipeline already contains its panics (guard, the
+// pool's per-job recover), so a panic escaping to here is a service-layer bug —
 // it is still turned into a typed 500 instead of killing the
 // connection, mirroring guard's contain-and-classify contract at the
 // HTTP boundary.

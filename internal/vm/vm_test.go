@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -135,7 +136,9 @@ func TestBudgetParity(t *testing.T) {
 		t.Fatalf("budget error text mismatch: tree=%v vm=%v", treeErr, vmErr)
 	}
 
-	_, err := runPlain(p, interp.Config{Deadline: time.Now().Add(-time.Second)})
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := runPlain(p, interp.Config{Context: expired})
 	var re *interp.ResourceError
 	if !errors.As(err, &re) || re.Resource != interp.ResDeadline {
 		t.Fatalf("deadline error = %v, want ResDeadline", err)
