@@ -319,8 +319,8 @@ func BenchmarkEngines(b *testing.B) {
 
 // TestEngineSteadyStateAllocs pins the bytecode engines' per-run
 // allocation ceiling. Machines recycle register files and array slabs
-// through the program's frame pool, so a steady-state run allocates
-// only pool bookkeeping (~1 alloc). The ceiling is loose enough for
+// through the process-wide machine cache, so a steady-state run
+// allocates only its result (~1 alloc). The ceiling is loose enough for
 // runtime noise but fails hard if per-run frame allocation regresses.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const ceiling = 8.0

@@ -24,6 +24,7 @@
 package progcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -64,11 +65,17 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // derivation exists exactly once.
 func KeyOf(source, filename string, opts nascent.Options, engine nascent.Engine) Key {
 	h := sha256.New()
-	var buf [8]byte
+	// buf stages the length prefixes, the strings in chunks and the
+	// option bytes, so hashing a request copies none of its source.
+	var buf [512]byte
 	put := func(s string) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-		h.Write(buf[:])
-		h.Write([]byte(s))
+		binary.LittleEndian.PutUint64(buf[:8], uint64(len(s)))
+		h.Write(buf[:8])
+		for len(s) > 0 {
+			n := copy(buf[:], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
 	}
 	put(source)
 	put(filename)
@@ -79,13 +86,12 @@ func KeyOf(source, filename string, opts nascent.Options, engine nascent.Engine)
 	if opts.RotateLoops {
 		flags |= 2
 	}
-	h.Write([]byte{
-		flags,
-		byte(opts.Scheme),
-		byte(opts.Kind),
-		byte(opts.Implications),
-		byte(engine),
-	})
+	buf[0] = flags
+	buf[1] = byte(opts.Scheme)
+	buf[2] = byte(opts.Kind)
+	buf[3] = byte(opts.Implications)
+	buf[4] = byte(engine)
+	h.Write(buf[:5])
 	var k Key
 	h.Sum(k[:0])
 	return k
@@ -163,7 +169,9 @@ func (c *Cache) path(k Key) string {
 // is unlinked best-effort so the caller's recompile can restore it).
 // Every failure counts as a miss in the metrics.
 func (c *Cache) Get(k Key) (*Entry, error) {
-	data, err := os.ReadFile(c.path(k))
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	data, err := readFile(c.path(k), buf)
 	if err != nil {
 		c.count(func(m *Metrics) { m.Misses++ })
 		if os.IsNotExist(err) {
@@ -186,6 +194,26 @@ func (c *Cache) Get(k Key) (*Entry, error) {
 	}
 	c.count(func(m *Metrics) { m.Hits++ })
 	return e, nil
+}
+
+// readBufs recycles the buffers Get reads entries into. Nothing
+// decoded aliases the buffer (progio and encoding/json copy every
+// string and slice out of their input), so it is reusable as soon as
+// the entry is decoded.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readFile reads the named file into buf, replacing its contents.
+func readFile(name string, buf *bytes.Buffer) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf.Reset()
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Put writes the entry for k atomically (temp file + rename). Write
@@ -235,7 +263,8 @@ func encodeEnvelope(e *Entry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendEnvelope(meta, e.Prog.Image()), nil
+	im := e.Prog.Image()
+	return appendEnvelope(meta, &im), nil
 }
 
 // appendEnvelope lays out an envelope around an encoded meta block and

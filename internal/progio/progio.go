@@ -409,13 +409,18 @@ func AppendImage(dst []byte, im *vm.Image) []byte {
 	return AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
 }
 
-// Encode serializes a compiled program in the current format version.
-func Encode(p *vm.Program) []byte { return EncodeImage(p.Image()) }
+// Encode serializes a compiled program in the current format version,
+// straight from the program's own slices.
+func Encode(p *vm.Program) []byte {
+	im := p.Image()
+	return EncodeImage(&im)
+}
 
 // DecodeImage parses a progio stream into an Image without building a
 // runnable program (and therefore without vm.FromImage's structural
 // validation — callers that intend to run the result must go through
-// Decode).
+// Decode). Every string and slice of the Image is allocated afresh:
+// nothing aliases data, so the caller may reuse it at once.
 func DecodeImage(data []byte) (*vm.Image, error) {
 	if len(data) < len(magic)+2 {
 		return nil, corrupt("%d bytes is shorter than the header", len(data))
@@ -624,9 +629,10 @@ func DecodeImage(data []byte) (*vm.Image, error) {
 }
 
 // Decode parses and validates a progio stream into a runnable
-// program. Structure vm.FromImage refuses decodes as *CorruptError:
-// from the caller's point of view a semantically impossible program
-// and a flipped bit are the same fault.
+// program, which adopts the decoded slices without copying them.
+// Structure vm.FromImage refuses decodes as *CorruptError: from the
+// caller's point of view a semantically impossible program and a
+// flipped bit are the same fault.
 func Decode(data []byte) (*vm.Program, error) {
 	im, err := DecodeImage(data)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -44,12 +45,12 @@ func TestEncodedSizeExact(t *testing.T) {
 	for _, p := range suite.Programs {
 		for _, optimized := range []bool{false, true} {
 			im := compileVM(t, p.Source, p.Name+".mf", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, optimized).Image()
-			enc := progio.EncodeImage(im)
-			if n := progio.EncodedSize(im); n != len(enc) || cap(enc) != len(enc) {
+			enc := progio.EncodeImage(&im)
+			if n := progio.EncodedSize(&im); n != len(enc) || cap(enc) != len(enc) {
 				t.Errorf("%s: EncodedSize %d, encoding len %d cap %d", p.Name, n, len(enc), cap(enc))
 			}
 			prefix := []byte("prefix")
-			if got := progio.AppendImage(prefix, im); !bytes.Equal(got[len(prefix):], enc) {
+			if got := progio.AppendImage(prefix, &im); !bytes.Equal(got[len(prefix):], enc) {
 				t.Errorf("%s: AppendImage after a prefix differs from EncodeImage", p.Name)
 			}
 		}
@@ -133,6 +134,40 @@ func TestRoundTripCorpusTraps(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodeAliasesNoInput pins that nothing a decoded program holds
+// aliases the bytes it was decoded from, which is what lets the disk
+// cache read entries into a recycled buffer: after Decode the input is
+// overwritten with garbage, and the program must still re-encode to
+// the same bytes and run with the same Result, trap text included.
+func TestDecodeAliasesNoInput(t *testing.T) {
+	var progs []*vm.Program
+	for _, p := range suite.Programs {
+		progs = append(progs, compileVM(t, p.Source, p.Name+".mf", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, true))
+	}
+	for _, c := range conformance.Corpus {
+		progs = append(progs, compileVM(t, c.Src, c.Name+".mf", nascent.Options{BoundsChecks: true}, false))
+	}
+	for _, fresh := range progs {
+		enc := progio.Encode(fresh)
+		buf := bytes.Clone(enc)
+		decoded, err := progio.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = byte(0xa5 ^ i)
+		}
+		if re := progio.Encode(decoded); !bytes.Equal(re, enc) {
+			t.Fatalf("re-encode after overwriting the input differs: %d vs %d bytes", len(re), len(enc))
+		}
+		want, wantErr := fresh.Run(nascent.RunConfig{})
+		got, gotErr := decoded.Run(nascent.RunConfig{})
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("run after overwriting the input diverges:\n got %+v (%v)\nwant %+v (%v)", got, gotErr, want, wantErr)
+		}
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 
 	"nascent/internal/guard"
 	"nascent/internal/ir"
-	"nascent/internal/source"
 )
 
 // Opcodes. Operand conventions are noted per opcode; a, b, c are
@@ -154,66 +153,16 @@ const (
 	opStoreF2
 )
 
-// instr is one bytecode instruction. cost is the fused abstract
-// instruction cost charged when the instruction executes (0 inside
-// check terms); imm carries the constant of a check.
-type instr struct {
-	imm     int64
-	a, b, c int32
-	cost    uint16
-	op      uint8
-}
-
-// dimInfo is one array dimension with its extent precomputed.
-type dimInfo struct {
-	lo, hi, size int64
-}
-
-// arrayInfo is the compile-time layout of one array: its slab base
-// offset and strides are precomputed so element addressing is pure
-// arithmetic at run time.
-type arrayInfo struct {
-	name   string
-	elem   ir.Type
-	base   int64 // offset into the int or float cell slab
-	length int64
-	dims   []dimInfo
-}
-
-// funcInfo is the frame layout of one function.
-type funcInfo struct {
-	name     string
-	entry    int32   // pc of the entry block
-	params   int     // parameter count (call cost is 2+params)
-	zeroVars []int32 // non-param local slots zeroed on entry (both files)
-	clrArrs  []int32 // local array IDs cleared on entry
-}
-
-// checkInfo is the trap-rendering residue of one ir.CheckStmt: the
-// pre-rendered inequality text plus the optimizer note and source
-// position. Capturing values instead of IR pointers keeps Program
-// self-contained, so progio can serialize it without the IR.
-type checkInfo struct {
-	str  string // CheckStmt.String() rendering of the inequality
-	note string
-	pos  source.Pos
-}
-
-// trapInfo is the serializable residue of one ir.TrapStmt.
-type trapInfo struct {
-	note string
-	pos  source.Pos
-}
-
 // Program is a compiled bytecode program. It is immutable after
 // Compile and safe for concurrent Run calls: all mutable execution
 // state lives in the per-run machine. It holds no references into the
-// IR it was compiled from — every field is plain data, which is what
-// makes it serializable (internal/progio).
+// IR it was compiled from: every field is plain data of the types an
+// Image carries, which is what makes it serializable (internal/progio)
+// without a copy in either direction.
 type Program struct {
-	code   []instr
-	funcs  []funcInfo
-	arrays []arrayInfo
+	code   []Instr
+	funcs  []FuncImage
+	arrays []ArrayImage
 	// arrOrder lists array IDs in the tree-walker's allocation order
 	// (globals first, then per-function), so the cell-budget check
 	// aborts on the same array.
@@ -221,8 +170,8 @@ type Program struct {
 	pool     []int64
 	iconsts  []int64
 	fconsts  []float64
-	checks   []checkInfo
-	traps    []trapInfo
+	checks   []CheckImage
+	traps    []TrapImage
 	fails    []string
 
 	nIntRegs, nFloatRegs int
@@ -237,9 +186,6 @@ type Program struct {
 	// has no loops left to rewrite.
 	loops []loopMeta
 
-	// mcache recycles machines (register files + array slabs) across
-	// runs of this program; a pointer so Program copies stay legal.
-	mcache    *machCache
 	optimized bool // rewritten by Optimize (opt.go)
 	rce       bool // rewritten by RCE (rce.go)
 }
@@ -291,7 +237,6 @@ func Compile(p *ir.Program) (vp *Program, err error) {
 	out.nFloatRegs = int(b.fScratch) + int(c2.maxDepthF)
 	out.numVars = p.NumVars
 	out.mainIdx = int32(p.Main().Index)
-	out.mcache = new(machCache)
 	return out, nil
 }
 
@@ -340,12 +285,12 @@ func newCompiler(p *ir.Program, b bases, sized *Program) *compiler {
 		final:     sized != nil,
 	}
 	if sized != nil {
-		c.prog.code = make([]instr, 0, len(sized.code))
+		c.prog.code = make([]Instr, 0, len(sized.code))
 		c.prog.pool = make([]int64, 0, len(sized.pool))
 		c.prog.iconsts = make([]int64, 0, len(sized.iconsts))
 		c.prog.fconsts = make([]float64, 0, len(sized.fconsts))
-		c.prog.checks = make([]checkInfo, 0, len(sized.checks))
-		c.prog.traps = make([]trapInfo, 0, len(sized.traps))
+		c.prog.checks = make([]CheckImage, 0, len(sized.checks))
+		c.prog.traps = make([]TrapImage, 0, len(sized.traps))
 		c.prog.fails = make([]string, 0, len(sized.fails))
 	}
 	return c
@@ -353,7 +298,7 @@ func newCompiler(p *ir.Program, b bases, sized *Program) *compiler {
 
 func (c *compiler) compileAll() {
 	c.layoutArrays()
-	c.prog.funcs = make([]funcInfo, len(c.p.Funcs))
+	c.prog.funcs = make([]FuncImage, len(c.p.Funcs))
 	for _, f := range c.p.Funcs {
 		c.prog.funcs[f.Index] = c.fn(f)
 	}
@@ -363,25 +308,26 @@ func (c *compiler) compileAll() {
 // tree-walker's allocation order for the run-time cell budget.
 func (c *compiler) layoutArrays() {
 	pr := c.prog
-	pr.arrays = make([]arrayInfo, c.p.NumArrays)
+	pr.arrays = make([]ArrayImage, c.p.NumArrays)
 	ordered := append([]*ir.Array(nil), c.p.GlobalArrays...)
 	for _, f := range c.p.Funcs {
 		ordered = append(ordered, f.Arrays...)
 	}
 	for _, a := range ordered {
-		info := arrayInfo{name: a.Name, elem: a.Elem, length: a.Len()}
+		info := ArrayImage{Name: a.Name, Elem: ElemInt, Length: a.Len()}
 		for _, d := range a.Dims {
-			info.dims = append(info.dims, dimInfo{lo: d.Lo, hi: d.Hi, size: d.Size()})
+			info.Dims = append(info.Dims, DimImage{Lo: d.Lo, Hi: d.Hi, Size: d.Size()})
 		}
 		if a.Elem == ir.Int {
-			info.base = pr.iCells
-			if info.length > 0 {
-				pr.iCells += info.length
+			info.Base = pr.iCells
+			if info.Length > 0 {
+				pr.iCells += info.Length
 			}
 		} else {
-			info.base = pr.fCells
-			if info.length > 0 {
-				pr.fCells += info.length
+			info.Elem = ElemFloat
+			info.Base = pr.fCells
+			if info.Length > 0 {
+				pr.fCells += info.Length
 			}
 		}
 		pr.arrays[a.ID] = info
@@ -389,9 +335,9 @@ func (c *compiler) layoutArrays() {
 	}
 }
 
-func (c *compiler) emit(in instr) int32 {
+func (c *compiler) emit(in Instr) int32 {
 	if c.costFree {
-		in.cost = 0
+		in.Cost = 0
 	}
 	c.prog.code = append(c.prog.code, in)
 	return int32(len(c.prog.code) - 1)
@@ -400,7 +346,7 @@ func (c *compiler) emit(in instr) int32 {
 func (c *compiler) emitFail(cost uint16, format string, args ...interface{}) {
 	idx := int32(len(c.prog.fails))
 	c.prog.fails = append(c.prog.fails, fmt.Sprintf(format, args...))
-	c.emit(instr{op: opFail, a: idx, cost: cost})
+	c.emit(Instr{Op: opFail, A: idx, Cost: cost})
 }
 
 func (c *compiler) iconst(v int64) int32 {
@@ -445,11 +391,11 @@ func (c *compiler) pushF() int32 {
 // ---------------------------------------------------------------------------
 // Functions, blocks, statements
 
-func (c *compiler) fn(f *ir.Func) funcInfo {
+func (c *compiler) fn(f *ir.Func) FuncImage {
 	c.curFn = f
 	c.blockPC = make(map[*ir.Block]int32, len(f.Blocks))
 	c.patches = c.patches[:0]
-	fi := funcInfo{name: f.Name, entry: int32(len(c.prog.code)), params: len(f.Params)}
+	fi := FuncImage{Name: f.Name, Entry: int32(len(c.prog.code)), Params: int32(len(f.Params))}
 	for _, b := range f.Blocks {
 		c.blockPC[b] = int32(len(c.prog.code))
 		for _, s := range b.Stmts {
@@ -466,20 +412,20 @@ func (c *compiler) fn(f *ir.Func) funcInfo {
 		}
 		switch pt.field {
 		case 'a':
-			c.prog.code[pt.instr].a = pc
+			c.prog.code[pt.instr].A = pc
 		case 'b':
-			c.prog.code[pt.instr].b = pc
+			c.prog.code[pt.instr].B = pc
 		default:
-			c.prog.code[pt.instr].imm = int64(pc)
+			c.prog.code[pt.instr].Imm = int64(pc)
 		}
 	}
 	for _, v := range f.Locals {
 		if !isParam(f, v) {
-			fi.zeroVars = append(fi.zeroVars, int32(v.ID))
+			fi.ZeroVars = append(fi.ZeroVars, int32(v.ID))
 		}
 	}
 	for _, a := range f.Arrays {
-		fi.clrArrs = append(fi.clrArrs, int32(a.ID))
+		fi.ClrArrs = append(fi.ClrArrs, int32(a.ID))
 	}
 	if c.final {
 		c.captureLoops(f)
@@ -610,16 +556,16 @@ func (c *compiler) stmt(s ir.Stmt) {
 		cost += vf + uint16(1+2*(len(s.Idx)-1))
 		switch len(regs) {
 		case 1:
-			c.emit(instr{op: op1, a: vreg, b: regs[0], c: int32(s.Arr.ID), cost: cost})
+			c.emit(Instr{Op: op1, A: vreg, B: regs[0], C: int32(s.Arr.ID), Cost: cost})
 		case 2:
 			op2 := uint8(opStoreI2)
 			if s.Arr.Elem != ir.Int {
 				op2 = opStoreF2
 			}
-			c.emit(instr{op: op2, a: vreg, c: int32(s.Arr.ID), cost: cost, imm: packRegs(regs[0], regs[1])})
+			c.emit(Instr{Op: op2, A: vreg, C: int32(s.Arr.ID), Cost: cost, Imm: packRegs(regs[0], regs[1])})
 		default:
 			off := c.poolRegs(regs)
-			c.emit(instr{op: opN, a: vreg, b: off, c: int32(s.Arr.ID), cost: cost})
+			c.emit(Instr{Op: opN, A: vreg, B: off, C: int32(s.Arr.ID), Cost: cost})
 		}
 
 	case *ir.CheckStmt:
@@ -629,7 +575,7 @@ func (c *compiler) stmt(s ir.Stmt) {
 			// The guard of a cond-check is an ordinary charged test; a
 			// false guard skips the check entirely.
 			brIdx, brField = c.condBr(s.Guard)
-			c.prog.code[brIdx].a = brIdx + 1 // true: fall through to the check
+			c.prog.code[brIdx].A = brIdx + 1 // true: fall through to the check
 		}
 		// Term atoms are part of the check: compiled cost-free.
 		c.costFree = true
@@ -644,9 +590,9 @@ func (c *compiler) stmt(s ir.Stmt) {
 		}
 		c.costFree = false
 		ci := int32(len(c.prog.checks))
-		ck := checkInfo{note: s.Note, pos: s.SrcPos}
+		ck := CheckImage{Note: s.Note, Pos: s.SrcPos}
 		if c.final {
-			ck.str = s.String()
+			ck.Str = s.String()
 		}
 		c.prog.checks = append(c.prog.checks, ck)
 		switch {
@@ -660,16 +606,16 @@ func (c *compiler) stmt(s ir.Stmt) {
 			// after its check, which must stay addressable.
 			if s.Guard == nil && wasPairable >= 0 {
 				prev := &c.prog.code[wasPairable]
-				if prev.op == opCheck1 && prev.a == pairs[0].reg {
+				if prev.Op == opCheck1 && prev.A == pairs[0].reg {
 					off := int32(len(c.prog.pool))
 					c.prog.pool = append(c.prog.pool,
-						int64(prev.b), prev.imm, int64(prev.c),
+						int64(prev.B), prev.Imm, int64(prev.C),
 						pairs[0].coef, s.Const, int64(ci))
-					*prev = instr{op: opCheckPair, a: pairs[0].reg, b: off}
+					*prev = Instr{Op: opCheckPair, A: pairs[0].reg, B: off}
 					break
 				}
 			}
-			idx := c.emit(instr{op: opCheck1, a: pairs[0].reg, b: int32(pairs[0].coef), c: ci, imm: s.Const})
+			idx := c.emit(Instr{Op: opCheck1, A: pairs[0].reg, B: int32(pairs[0].coef), C: ci, Imm: s.Const})
 			if s.Guard == nil {
 				c.pairable = idx
 			}
@@ -677,20 +623,20 @@ func (c *compiler) stmt(s ir.Stmt) {
 			off := int32(len(c.prog.pool))
 			c.prog.pool = append(c.prog.pool,
 				pairs[0].coef, int64(pairs[0].reg), pairs[1].coef, int64(pairs[1].reg))
-			c.emit(instr{op: opCheck2, a: off, c: ci, imm: s.Const})
+			c.emit(Instr{Op: opCheck2, A: off, C: ci, Imm: s.Const})
 		default:
 			off := int32(len(c.prog.pool))
 			for _, p := range pairs {
 				c.prog.pool = append(c.prog.pool, p.coef, int64(p.reg))
 			}
-			c.emit(instr{op: opCheck, a: off, b: int32(len(s.Terms)), c: ci, imm: s.Const})
+			c.emit(Instr{Op: opCheck, A: off, B: int32(len(s.Terms)), C: ci, Imm: s.Const})
 		}
 		if brIdx >= 0 {
 			// false: skip past the check
 			if brField == 'i' {
-				c.prog.code[brIdx].imm = int64(len(c.prog.code))
+				c.prog.code[brIdx].Imm = int64(len(c.prog.code))
 			} else {
-				c.prog.code[brIdx].b = int32(len(c.prog.code))
+				c.prog.code[brIdx].B = int32(len(c.prog.code))
 			}
 		}
 
@@ -701,10 +647,10 @@ func (c *compiler) stmt(s ir.Stmt) {
 		callee := s.Callee
 		callCost := uint16(2 + len(callee.Params))
 		if len(callee.Params) == 0 {
-			c.emit(instr{op: opCall, a: int32(callee.Index), cost: callCost})
+			c.emit(Instr{Op: opCall, A: int32(callee.Index), Cost: callCost})
 			return
 		}
-		c.emit(instr{op: opNop, cost: callCost})
+		c.emit(Instr{Op: opNop, Cost: callCost})
 		for i, prm := range callee.Params {
 			if prm.Type == ir.Int {
 				c.intTo(s.Args[i], int32(prm.ID), 0)
@@ -712,7 +658,7 @@ func (c *compiler) stmt(s ir.Stmt) {
 				c.floatTo(s.Args[i], int32(prm.ID), 0)
 			}
 		}
-		c.emit(instr{op: opCall, a: int32(callee.Index)})
+		c.emit(Instr{Op: opCall, A: int32(callee.Index)})
 
 	case *ir.PrintStmt:
 		entries := make([]int64, 0, len(s.Args))
@@ -730,12 +676,12 @@ func (c *compiler) stmt(s ir.Stmt) {
 		}
 		off := int32(len(c.prog.pool))
 		c.prog.pool = append(c.prog.pool, entries...)
-		c.emit(instr{op: opPrint, a: off, b: int32(len(s.Args)), cost: cost})
+		c.emit(Instr{Op: opPrint, A: off, B: int32(len(s.Args)), Cost: cost})
 
 	case *ir.TrapStmt:
 		ti := int32(len(c.prog.traps))
-		c.prog.traps = append(c.prog.traps, trapInfo{note: s.Note, pos: s.SrcPos})
-		c.emit(instr{op: opTrapStmt, a: ti})
+		c.prog.traps = append(c.prog.traps, TrapImage{Note: s.Note, Pos: s.SrcPos})
+		c.emit(Instr{Op: opTrapStmt, A: ti})
 
 	default:
 		c.emitFail(0, "interp: unknown statement %T", s)
@@ -746,7 +692,7 @@ func (c *compiler) term(b *ir.Block) {
 	c.pairable = -1 // the next block's first check is a jump target
 	switch t := b.Term.(type) {
 	case *ir.Goto:
-		idx := c.emit(instr{op: opJmp, cost: 1})
+		idx := c.emit(Instr{Op: opJmp, Cost: 1})
 		c.patches = append(c.patches, patch{idx, 'a', t.Target})
 	case *ir.If:
 		idx, ff := c.condBr(t.Cond)
@@ -754,7 +700,7 @@ func (c *compiler) term(b *ir.Block) {
 			patch{idx, 'a', t.Then},
 			patch{idx, ff, t.Else})
 	case *ir.Ret:
-		c.emit(instr{op: opRet, cost: 1})
+		c.emit(Instr{Op: opRet, Cost: 1})
 	default:
 		c.emitFail(0, "interp: block b%d of %s has no terminator", b.ID, c.curFn.Name)
 	}
@@ -775,15 +721,15 @@ func (c *compiler) condBr(cond ir.Expr) (int32, byte) {
 		if e.L.Type() == ir.Float || e.R.Type() == ir.Float {
 			l, lf := c.floatOperand(e.L)
 			r, rf := c.floatOperand(e.R)
-			return c.emit(instr{op: opBrEqF + uint8(e.Op-ir.OpEq), b: l, c: r, cost: lf + rf + 2}), 'i'
+			return c.emit(Instr{Op: opBrEqF + uint8(e.Op-ir.OpEq), B: l, C: r, Cost: lf + rf + 2}), 'i'
 		}
 		l, lf := c.intOperand(e.L)
 		r, rf := c.intOperand(e.R)
-		return c.emit(instr{op: opBrEqI + uint8(e.Op-ir.OpEq), b: l, c: r, cost: lf + rf + 2}), 'i'
+		return c.emit(Instr{Op: opBrEqI + uint8(e.Op-ir.OpEq), B: l, C: r, Cost: lf + rf + 2}), 'i'
 	}
 	g := c.pushI()
 	c.boolTo(cond, g, 0)
-	return c.emit(instr{op: opBr, c: g, cost: 1}), 'b'
+	return c.emit(Instr{Op: opBr, C: g, Cost: 1}), 'b'
 }
 
 // poolRegs appends a register list to the operand pool and returns its
@@ -842,9 +788,9 @@ func (c *compiler) intTo(e ir.Expr, dst int32, extra uint16) {
 
 	switch e := e.(type) {
 	case *ir.ConstInt:
-		c.emit(instr{op: opMovI, a: dst, b: c.iconst(e.V), cost: extra})
+		c.emit(Instr{Op: opMovI, A: dst, B: c.iconst(e.V), Cost: extra})
 	case *ir.VarRef:
-		c.emit(instr{op: opMovI, a: dst, b: int32(e.Var.ID), cost: 1 + extra})
+		c.emit(Instr{Op: opMovI, A: dst, B: int32(e.Var.ID), Cost: 1 + extra})
 	case *ir.Load:
 		c.loadTo(e, dst, extra, ir.Int)
 	case *ir.Bin:
@@ -869,11 +815,11 @@ func (c *compiler) intTo(e ir.Expr, dst int32, extra uint16) {
 		}
 		l, lf := c.intOperand(e.L)
 		r, rf := c.intOperand(e.R)
-		c.emit(instr{op: op, a: dst, b: l, c: r, cost: lf + rf + 1 + extra})
+		c.emit(Instr{Op: op, A: dst, B: l, C: r, Cost: lf + rf + 1 + extra})
 	case *ir.Un:
 		if e.Op == ir.OpNeg {
 			x, xf := c.intOperand(e.X)
-			c.emit(instr{op: opNegI, a: dst, b: x, cost: xf + 1 + extra})
+			c.emit(Instr{Op: opNegI, A: dst, B: x, Cost: xf + 1 + extra})
 			return
 		}
 		c.emitFail(0, "interp: bad int expression %s", ir.ExprString(e))
@@ -890,7 +836,7 @@ func (c *compiler) intCallTo(e *ir.Call, dst int32, extra uint16) {
 	case ir.IntrMod:
 		l, lf := c.intOperand(e.Args[0])
 		r, rf := c.intOperand(e.Args[1])
-		c.emit(instr{op: opModI, a: dst, b: l, c: r, cost: lf + rf + 1 + extra})
+		c.emit(Instr{Op: opModI, A: dst, B: l, C: r, Cost: lf + rf + 1 + extra})
 	case ir.IntrMin, ir.IntrMax:
 		op := uint8(opMinI)
 		if e.Fn == ir.IntrMax {
@@ -904,13 +850,13 @@ func (c *compiler) intCallTo(e *ir.Call, dst int32, extra uint16) {
 			cost += f
 		}
 		off := c.poolRegs(regs)
-		c.emit(instr{op: op, a: dst, b: off, c: int32(len(regs)), cost: cost})
+		c.emit(Instr{Op: op, A: dst, B: off, C: int32(len(regs)), Cost: cost})
 	case ir.IntrAbs:
 		x, xf := c.intOperand(e.Args[0])
-		c.emit(instr{op: opAbsI, a: dst, b: x, cost: xf + 1 + extra})
+		c.emit(Instr{Op: opAbsI, A: dst, B: x, Cost: xf + 1 + extra})
 	case ir.IntrInt:
 		x, xf := c.floatOperand(e.Args[0])
-		c.emit(instr{op: opF2I, a: dst, b: x, cost: xf + 1 + extra})
+		c.emit(Instr{Op: opF2I, A: dst, B: x, Cost: xf + 1 + extra})
 	default:
 		c.emitFail(1, "interp: intrinsic %s does not yield int", e.Fn)
 	}
@@ -923,11 +869,11 @@ func (c *compiler) floatTo(e ir.Expr, dst int32, extra uint16) {
 
 	switch e := e.(type) {
 	case *ir.ConstFloat:
-		c.emit(instr{op: opMovF, a: dst, b: c.fconst(e.V), cost: extra})
+		c.emit(Instr{Op: opMovF, A: dst, B: c.fconst(e.V), Cost: extra})
 	case *ir.ConstInt:
-		c.emit(instr{op: opMovF, a: dst, b: c.fconst(float64(e.V)), cost: extra})
+		c.emit(Instr{Op: opMovF, A: dst, B: c.fconst(float64(e.V)), Cost: extra})
 	case *ir.VarRef:
-		c.emit(instr{op: opMovF, a: dst, b: int32(e.Var.ID), cost: 1 + extra})
+		c.emit(Instr{Op: opMovF, A: dst, B: int32(e.Var.ID), Cost: 1 + extra})
 	case *ir.Load:
 		c.loadTo(e, dst, extra, ir.Float)
 	case *ir.Bin:
@@ -950,11 +896,11 @@ func (c *compiler) floatTo(e ir.Expr, dst int32, extra uint16) {
 		}
 		l, lf := c.floatOperand(e.L)
 		r, rf := c.floatOperand(e.R)
-		c.emit(instr{op: op, a: dst, b: l, c: r, cost: lf + rf + 1 + extra})
+		c.emit(Instr{Op: op, A: dst, B: l, C: r, Cost: lf + rf + 1 + extra})
 	case *ir.Un:
 		if e.Op == ir.OpNeg {
 			x, xf := c.floatOperand(e.X)
-			c.emit(instr{op: opNegF, a: dst, b: x, cost: xf + 1 + extra})
+			c.emit(Instr{Op: opNegF, A: dst, B: x, Cost: xf + 1 + extra})
 			return
 		}
 		c.emitFail(0, "interp: bad float expression %s", ir.ExprString(e))
@@ -969,26 +915,26 @@ func (c *compiler) floatCallTo(e *ir.Call, dst int32, extra uint16) {
 	switch e.Fn {
 	case ir.IntrSqrt:
 		x, xf := c.floatOperand(e.Args[0])
-		c.emit(instr{op: opSqrtF, a: dst, b: x, cost: xf + 1 + extra})
+		c.emit(Instr{Op: opSqrtF, A: dst, B: x, Cost: xf + 1 + extra})
 	case ir.IntrFloat:
 		if e.Args[0].Type() == ir.Int {
 			x, xf := c.intOperand(e.Args[0])
-			c.emit(instr{op: opI2F, a: dst, b: x, cost: xf + 1 + extra})
+			c.emit(Instr{Op: opI2F, A: dst, B: x, Cost: xf + 1 + extra})
 			return
 		}
 		// float(x) of a float is the identity with the intrinsic's
 		// charge of 1; fold it into the argument's final instruction.
 		switch arg := e.Args[0].(type) {
 		case *ir.ConstFloat:
-			c.emit(instr{op: opMovF, a: dst, b: c.fconst(arg.V), cost: 1 + extra})
+			c.emit(Instr{Op: opMovF, A: dst, B: c.fconst(arg.V), Cost: 1 + extra})
 		case *ir.VarRef:
-			c.emit(instr{op: opMovF, a: dst, b: int32(arg.Var.ID), cost: 2 + extra})
+			c.emit(Instr{Op: opMovF, A: dst, B: int32(arg.Var.ID), Cost: 2 + extra})
 		default:
 			c.floatTo(e.Args[0], dst, 1+extra)
 		}
 	case ir.IntrAbs:
 		x, xf := c.floatOperand(e.Args[0])
-		c.emit(instr{op: opAbsF, a: dst, b: x, cost: xf + 1 + extra})
+		c.emit(Instr{Op: opAbsF, A: dst, B: x, Cost: xf + 1 + extra})
 	case ir.IntrMin, ir.IntrMax:
 		op := uint8(opMinF)
 		if e.Fn == ir.IntrMax {
@@ -1002,11 +948,11 @@ func (c *compiler) floatCallTo(e *ir.Call, dst int32, extra uint16) {
 			cost += f
 		}
 		off := c.poolRegs(regs)
-		c.emit(instr{op: op, a: dst, b: off, c: int32(len(regs)), cost: cost})
+		c.emit(Instr{Op: op, A: dst, B: off, C: int32(len(regs)), Cost: cost})
 	case ir.IntrMod:
 		l, lf := c.floatOperand(e.Args[0])
 		r, rf := c.floatOperand(e.Args[1])
-		c.emit(instr{op: opModF, a: dst, b: l, c: r, cost: lf + rf + 1 + extra})
+		c.emit(Instr{Op: opModF, A: dst, B: l, C: r, Cost: lf + rf + 1 + extra})
 	default:
 		c.emitFail(1, "interp: intrinsic %s does not yield float", e.Fn)
 	}
@@ -1031,18 +977,18 @@ func (c *compiler) boolTo(e ir.Expr, dst int32, extra uint16) {
 			c.boolTo(e.L, l, 0)
 			r := c.pushI()
 			c.boolTo(e.R, r, 0)
-			c.emit(instr{op: op, a: dst, b: l, c: r, cost: 1 + extra})
+			c.emit(Instr{Op: op, A: dst, B: l, C: r, Cost: 1 + extra})
 			return
 		}
 		if e.Op.IsComparison() {
 			if e.L.Type() == ir.Float || e.R.Type() == ir.Float {
 				l, lf := c.floatOperand(e.L)
 				r, rf := c.floatOperand(e.R)
-				c.emit(instr{op: opEqF + uint8(e.Op-ir.OpEq), a: dst, b: l, c: r, cost: lf + rf + 1 + extra})
+				c.emit(Instr{Op: opEqF + uint8(e.Op-ir.OpEq), A: dst, B: l, C: r, Cost: lf + rf + 1 + extra})
 			} else {
 				l, lf := c.intOperand(e.L)
 				r, rf := c.intOperand(e.R)
-				c.emit(instr{op: opEqI + uint8(e.Op-ir.OpEq), a: dst, b: l, c: r, cost: lf + rf + 1 + extra})
+				c.emit(Instr{Op: opEqI + uint8(e.Op-ir.OpEq), A: dst, B: l, C: r, Cost: lf + rf + 1 + extra})
 			}
 			return
 		}
@@ -1050,7 +996,7 @@ func (c *compiler) boolTo(e ir.Expr, dst int32, extra uint16) {
 		if e.Op == ir.OpNot {
 			x := c.pushI()
 			c.boolTo(e.X, x, 0)
-			c.emit(instr{op: opNotB, a: dst, b: x, cost: 1 + extra})
+			c.emit(Instr{Op: opNotB, A: dst, B: x, Cost: 1 + extra})
 			return
 		}
 	}
@@ -1080,12 +1026,12 @@ func (c *compiler) loadTo(e *ir.Load, dst int32, extra uint16, want ir.Type) {
 	}
 	switch len(regs) {
 	case 1:
-		c.emit(instr{op: op1, a: dst, b: regs[0], c: int32(e.Arr.ID), cost: cost})
+		c.emit(Instr{Op: op1, A: dst, B: regs[0], C: int32(e.Arr.ID), Cost: cost})
 	case 2:
-		c.emit(instr{op: op2, a: dst, c: int32(e.Arr.ID), cost: cost, imm: packRegs(regs[0], regs[1])})
+		c.emit(Instr{Op: op2, A: dst, C: int32(e.Arr.ID), Cost: cost, Imm: packRegs(regs[0], regs[1])})
 	default:
 		off := c.poolRegs(regs)
-		c.emit(instr{op: opN, a: dst, b: off, c: int32(e.Arr.ID), cost: cost})
+		c.emit(Instr{Op: opN, A: dst, B: off, C: int32(e.Arr.ID), Cost: cost})
 	}
 }
 

@@ -6,12 +6,10 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"nascent/internal/chaos"
 	"nascent/internal/guard"
 	"nascent/internal/interp"
-	"nascent/internal/ir"
 	"nascent/internal/source"
 )
 
@@ -22,9 +20,10 @@ type frame struct {
 
 // mach is the mutable state of one run of the switch loop. Programs
 // are immutable, so one compiled Program serves any number of
-// concurrent machines. Machines recycle through the program's machine
-// cache: repeated runs (bench -times, oracle sweeps, evalpool) reuse
-// the register files and array slabs instead of reallocating them.
+// concurrent machines. Machines recycle through one process-wide
+// cache: later runs of any program (bench -times, oracle sweeps,
+// evalpool, a program just decoded from disk) reuse the register files
+// and array slabs instead of reallocating them.
 type mach struct {
 	p      *Program
 	cfg    interp.Config
@@ -79,10 +78,10 @@ func (vp *Program) run(cfg interp.Config, disp *DispatchStats) (res interp.Resul
 	cells := int64(0)
 	for _, id := range vp.arrOrder {
 		ar := &vp.arrays[id]
-		if ar.length < 0 {
-			return interp.Result{}, fmt.Errorf("interp: array %s has invalid extent", ar.name)
+		if ar.Length < 0 {
+			return interp.Result{}, fmt.Errorf("interp: array %s has invalid extent", ar.Name)
 		}
-		cells += ar.length
+		cells += ar.Length
 		if cells > cfg.MaxArrayCells {
 			return interp.Result{}, &interp.ResourceError{Resource: interp.ResArrayCells, Limit: uint64(cfg.MaxArrayCells)}
 		}
@@ -94,7 +93,7 @@ func (vp *Program) run(cfg interp.Config, disp *DispatchStats) (res interp.Resul
 		if r := recover(); r != nil {
 			fnName := ""
 			if int(m.fn) < len(vp.funcs) {
-				fnName = vp.funcs[m.fn].name
+				fnName = vp.funcs[m.fn].Name
 			}
 			// Stage "run" matches the tree-walker's containment tag: the
 			// engines share one observable contract, including how their
@@ -106,36 +105,28 @@ func (vp *Program) run(cfg interp.Config, disp *DispatchStats) (res interp.Resul
 	}()
 
 	res, err = m.run()
-	vp.mcache.put(m)
+	machines.put(m)
 	return res, err
 }
 
-// getMach returns a machine reset for a run of main, reusing a cached
-// one when available. A reused machine only has to restore what a run
-// observes: variables zero, constants in place, slabs zero, no active
-// frames, no output and the run's first cost threshold. The steady
-// state of a repeated run is allocation-free.
+// getMach returns a machine reset for a run of main. Machines fit any
+// program: a recycled one is resliced to this program's register
+// files, slabs and function count, and only that prefix is cleared.
+// A reused machine only has to restore what a run observes: variables
+// zero, constants in place, slabs zero, no active frames, no output
+// and the run's first cost threshold. The steady state of a repeated
+// run is allocation-free, and so is the first run of a program that
+// fits a machine an earlier run released.
 func (vp *Program) getMach(cfg interp.Config, disp *DispatchStats) *mach {
-	m := vp.mcache.get()
-	if m == nil {
-		m = &mach{
-			ireg:   make([]int64, vp.nIntRegs),
-			freg:   make([]float64, vp.nFloatRegs),
-			icel:   make([]int64, vp.iCells),
-			fcel:   make([]float64, vp.fCells),
-			active: make([]bool, len(vp.funcs)),
-		}
-	} else {
-		clear(m.ireg)
-		clear(m.freg)
-		clear(m.icel)
-		clear(m.fcel)
-		clear(m.active)
-	}
+	m := machines.get()
 	*m = mach{
 		p: vp, cfg: cfg, disp: disp, costThr: cfg.FirstThreshold(),
-		ireg: m.ireg, freg: m.freg, icel: m.icel, fcel: m.fcel,
-		active: m.active, frames: m.frames[:0], out: m.out[:0],
+		ireg:   fit(m.ireg, vp.nIntRegs),
+		freg:   fit(m.freg, vp.nFloatRegs),
+		icel:   fit(m.icel, int(vp.iCells)),
+		fcel:   fit(m.fcel, int(vp.fCells)),
+		active: fit(m.active, len(vp.funcs)),
+		frames: m.frames[:0], out: m.out[:0],
 		fn: vp.mainIdx,
 	}
 	copy(m.ireg[vp.numVars:], vp.iconsts)
@@ -144,31 +135,49 @@ func (vp *Program) getMach(cfg interp.Config, disp *DispatchStats) *mach {
 	return m
 }
 
-// machCache recycles a program's machines across runs. A one-slot cache
-// owned by the program handle sits in front of a sync.Pool: a single
-// caller always gets its previous machine back from the slot, so its
-// steady state never depends on the pool retaining items (the race
-// detector drops pooled items at random), while concurrent callers
-// overflow to the pool.
+// fit returns s resliced to n zero elements, allocating only when its
+// capacity is short.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// machines recycles machines across every program in the process: a
+// sync.Pool backed by one slot. put fills an empty slot first, so a
+// single caller's machine goes to the slot and comes back from it, and
+// its steady state never depends on the pool retaining items (the race
+// detector drops pooled items at random). Concurrent callers overflow
+// to the pool, which get tries first: its per-processor lists keep a
+// machine's memory in the cache of the processor that last ran it,
+// where one shared slot would move it between processors. Neither
+// layer keeps an idle machine's memory alive: the slot holds its
+// machine weakly (machslot.go), so a garbage collection that finds it
+// idle reclaims it, and the pool drops what two collections find idle.
+var machines machCache
+
 type machCache struct {
-	slot atomic.Pointer[mach]
+	slot machSlot
 	pool sync.Pool
 }
 
-// get returns a recycled machine, or nil when none is cached.
+// get returns a recycled machine, or a new empty one.
 func (c *machCache) get() *mach {
-	if m := c.slot.Swap(nil); m != nil {
-		return m
-	}
 	if v := c.pool.Get(); v != nil {
 		return v.(*mach)
 	}
-	return nil
+	if m := c.slot.take(); m != nil {
+		return m
+	}
+	return new(mach)
 }
 
 // put recycles m: into the slot when it is empty, else into the pool.
 func (c *machCache) put(m *mach) {
-	if !c.slot.CompareAndSwap(nil, m) {
+	if !c.slot.offer(m) {
 		c.pool.Put(m)
 	}
 }
@@ -192,11 +201,11 @@ var vmPoll = interp.PollSites{Budget: chaos.SiteVMBudget, Cancel: chaos.SiteVMCa
 // contract's Config.Recharge with the vm.poll.* chaos sites. It returns
 // the next threshold.
 func (m *mach) recharge(instrs uint64) (uint64, error) {
-	return m.cfg.Recharge(instrs, &vmPoll, m.p.funcs[m.fn].name)
+	return m.cfg.Recharge(instrs, &vmPoll, m.p.funcs[m.fn].Name)
 }
 
 // trap records one failed check.
-func (m *mach) trap(cs checkInfo, lhs int64) {
+func (m *mach) trap(cs CheckImage, lhs int64) {
 	m.trapNote, m.trapClass, m.trapPos = checkTrap(cs, lhs)
 	m.trapped = true
 }
@@ -204,8 +213,8 @@ func (m *mach) trap(cs checkInfo, lhs int64) {
 // trapStmt records the compile-time range violation traps[i].
 func (m *mach) trapStmt(i int32) {
 	ts := m.p.traps[i]
-	m.trapNote = fmt.Sprintf("compile-time range violation: %s", ts.note)
-	m.trapClass, m.trapPos = interp.TrapStatic, ts.pos
+	m.trapNote = fmt.Sprintf("compile-time range violation: %s", ts.Note)
+	m.trapClass, m.trapPos = interp.TrapStatic, ts.Pos
 	m.trapped = true
 }
 
@@ -218,25 +227,25 @@ func (m *mach) fail(i int32) error { return errors.New(m.p.fails[i]) }
 // CallStmt/exec order), and returns fn's entry pc.
 func (m *mach) call(fn, ret int32) (int32, error) {
 	fi := &m.p.funcs[fn]
-	for _, v := range fi.zeroVars {
+	for _, v := range fi.ZeroVars {
 		m.ireg[v] = 0
 		m.freg[v] = 0
 	}
-	for _, ai := range fi.clrArrs {
+	for _, ai := range fi.ClrArrs {
 		ar := &m.p.arrays[ai]
-		if ar.elem == ir.Int {
-			clear(m.icel[ar.base : ar.base+ar.length])
+		if ar.Elem == ElemInt {
+			clear(m.icel[ar.Base : ar.Base+ar.Length])
 		} else {
-			clear(m.fcel[ar.base : ar.base+ar.length])
+			clear(m.fcel[ar.Base : ar.Base+ar.Length])
 		}
 	}
 	if m.active[fn] {
-		return 0, fmt.Errorf("%w: %s", interp.ErrRecursion, fi.name)
+		return 0, fmt.Errorf("%w: %s", interp.ErrRecursion, fi.Name)
 	}
 	m.active[fn] = true
 	m.frames = append(m.frames, frame{ret: ret, fn: m.fn})
 	m.fn = fn
-	return fi.entry, nil
+	return fi.Entry, nil
 }
 
 // ret leaves the current function and returns the caller's resume pc;
@@ -299,14 +308,14 @@ func (m *mach) run() (interp.Result, error) {
 	// either the budget is blown or a deadline/context poll is due (the
 	// slow path, recharge, tells them apart).
 	costThr := m.costThr
-	pc := funcs[p.mainIdx].entry
+	pc := funcs[p.mainIdx].Entry
 
 loop:
 	for {
 		in := &code[pc]
 		pc++
 		if disp != nil {
-			disp.count(in.op)
+			disp.count(in.Op)
 		}
 		// Central cost charge. Zero-cost instructions (check-term work,
 		// constant moves) skip budget and poll entirely, exactly like
@@ -314,7 +323,7 @@ loop:
 		// check+access opcodes split their charge: the pre-check part
 		// rides in.cost here, the post-check part is recharged after
 		// the checks pass (see recharge).
-		if c := in.cost; c != 0 {
+		if c := in.Cost; c != 0 {
 			instrs += uint64(c)
 			if instrs > costThr {
 				if costThr, err = m.recharge(instrs); err != nil {
@@ -323,236 +332,236 @@ loop:
 			}
 		}
 
-		switch in.op {
+		switch in.Op {
 		case opMovI:
-			ireg[in.a] = ireg[in.b]
+			ireg[in.A] = ireg[in.B]
 		case opMovF:
-			freg[in.a] = freg[in.b]
+			freg[in.A] = freg[in.B]
 
 		case opAddI:
-			ireg[in.a] = ireg[in.b] + ireg[in.c]
+			ireg[in.A] = ireg[in.B] + ireg[in.C]
 		case opSubI:
-			ireg[in.a] = ireg[in.b] - ireg[in.c]
+			ireg[in.A] = ireg[in.B] - ireg[in.C]
 		case opMulI:
-			ireg[in.a] = ireg[in.b] * ireg[in.c]
+			ireg[in.A] = ireg[in.B] * ireg[in.C]
 		case opDivI:
-			d := ireg[in.c]
+			d := ireg[in.C]
 			if d == 0 {
 				err = interp.ErrDivZero
 				break loop
 			}
-			ireg[in.a] = ireg[in.b] / d
+			ireg[in.A] = ireg[in.B] / d
 		case opNegI:
-			ireg[in.a] = -ireg[in.b]
+			ireg[in.A] = -ireg[in.B]
 
 		case opAddF:
-			freg[in.a] = freg[in.b] + freg[in.c]
+			freg[in.A] = freg[in.B] + freg[in.C]
 		case opSubF:
-			freg[in.a] = freg[in.b] - freg[in.c]
+			freg[in.A] = freg[in.B] - freg[in.C]
 		case opMulF:
-			freg[in.a] = freg[in.b] * freg[in.c]
+			freg[in.A] = freg[in.B] * freg[in.C]
 		case opDivF:
-			freg[in.a] = freg[in.b] / freg[in.c]
+			freg[in.A] = freg[in.B] / freg[in.C]
 		case opNegF:
-			freg[in.a] = -freg[in.b]
+			freg[in.A] = -freg[in.B]
 
 		case opEqI:
-			ireg[in.a] = b2i(ireg[in.b] == ireg[in.c])
+			ireg[in.A] = b2i(ireg[in.B] == ireg[in.C])
 		case opNeI:
-			ireg[in.a] = b2i(ireg[in.b] != ireg[in.c])
+			ireg[in.A] = b2i(ireg[in.B] != ireg[in.C])
 		case opLtI:
-			ireg[in.a] = b2i(ireg[in.b] < ireg[in.c])
+			ireg[in.A] = b2i(ireg[in.B] < ireg[in.C])
 		case opLeI:
-			ireg[in.a] = b2i(ireg[in.b] <= ireg[in.c])
+			ireg[in.A] = b2i(ireg[in.B] <= ireg[in.C])
 		case opGtI:
-			ireg[in.a] = b2i(ireg[in.b] > ireg[in.c])
+			ireg[in.A] = b2i(ireg[in.B] > ireg[in.C])
 		case opGeI:
-			ireg[in.a] = b2i(ireg[in.b] >= ireg[in.c])
+			ireg[in.A] = b2i(ireg[in.B] >= ireg[in.C])
 		case opEqF:
-			ireg[in.a] = b2i(freg[in.b] == freg[in.c])
+			ireg[in.A] = b2i(freg[in.B] == freg[in.C])
 		case opNeF:
-			ireg[in.a] = b2i(freg[in.b] != freg[in.c])
+			ireg[in.A] = b2i(freg[in.B] != freg[in.C])
 		case opLtF:
-			ireg[in.a] = b2i(freg[in.b] < freg[in.c])
+			ireg[in.A] = b2i(freg[in.B] < freg[in.C])
 		case opLeF:
-			ireg[in.a] = b2i(freg[in.b] <= freg[in.c])
+			ireg[in.A] = b2i(freg[in.B] <= freg[in.C])
 		case opGtF:
-			ireg[in.a] = b2i(freg[in.b] > freg[in.c])
+			ireg[in.A] = b2i(freg[in.B] > freg[in.C])
 		case opGeF:
-			ireg[in.a] = b2i(freg[in.b] >= freg[in.c])
+			ireg[in.A] = b2i(freg[in.B] >= freg[in.C])
 
 		case opAndB:
-			ireg[in.a] = ireg[in.b] & ireg[in.c]
+			ireg[in.A] = ireg[in.B] & ireg[in.C]
 		case opOrB:
-			ireg[in.a] = ireg[in.b] | ireg[in.c]
+			ireg[in.A] = ireg[in.B] | ireg[in.C]
 		case opNotB:
-			ireg[in.a] = ireg[in.b] ^ 1
+			ireg[in.A] = ireg[in.B] ^ 1
 
 		case opModI:
-			d := ireg[in.c]
+			d := ireg[in.C]
 			if d == 0 {
 				err = interp.ErrModZero
 				break loop
 			}
-			ireg[in.a] = ireg[in.b] % d
+			ireg[in.A] = ireg[in.B] % d
 		case opAbsI:
-			v := ireg[in.b]
+			v := ireg[in.B]
 			if v < 0 {
 				v = -v
 			}
-			ireg[in.a] = v
+			ireg[in.A] = v
 		case opMinI:
-			v := ireg[pool[in.b]]
-			for k := int32(1); k < in.c; k++ {
-				if w := ireg[pool[in.b+k]]; w < v {
+			v := ireg[pool[in.B]]
+			for k := int32(1); k < in.C; k++ {
+				if w := ireg[pool[in.B+k]]; w < v {
 					v = w
 				}
 			}
-			ireg[in.a] = v
+			ireg[in.A] = v
 		case opMaxI:
-			v := ireg[pool[in.b]]
-			for k := int32(1); k < in.c; k++ {
-				if w := ireg[pool[in.b+k]]; w > v {
+			v := ireg[pool[in.B]]
+			for k := int32(1); k < in.C; k++ {
+				if w := ireg[pool[in.B+k]]; w > v {
 					v = w
 				}
 			}
-			ireg[in.a] = v
+			ireg[in.A] = v
 		case opModF:
-			freg[in.a] = math.Mod(freg[in.b], freg[in.c])
+			freg[in.A] = math.Mod(freg[in.B], freg[in.C])
 		case opAbsF:
-			freg[in.a] = math.Abs(freg[in.b])
+			freg[in.A] = math.Abs(freg[in.B])
 		case opSqrtF:
-			freg[in.a] = math.Sqrt(freg[in.b])
+			freg[in.A] = math.Sqrt(freg[in.B])
 		case opMinF:
-			v := freg[pool[in.b]]
-			for k := int32(1); k < in.c; k++ {
-				v = math.Min(v, freg[pool[in.b+k]])
+			v := freg[pool[in.B]]
+			for k := int32(1); k < in.C; k++ {
+				v = math.Min(v, freg[pool[in.B+k]])
 			}
-			freg[in.a] = v
+			freg[in.A] = v
 		case opMaxF:
-			v := freg[pool[in.b]]
-			for k := int32(1); k < in.c; k++ {
-				v = math.Max(v, freg[pool[in.b+k]])
+			v := freg[pool[in.B]]
+			for k := int32(1); k < in.C; k++ {
+				v = math.Max(v, freg[pool[in.B+k]])
 			}
-			freg[in.a] = v
+			freg[in.A] = v
 		case opI2F:
-			freg[in.a] = float64(ireg[in.b])
+			freg[in.A] = float64(ireg[in.B])
 		case opF2I:
-			ireg[in.a] = int64(freg[in.b])
+			ireg[in.A] = int64(freg[in.B])
 
 		case opLoadI1:
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			v := ireg[in.b]
-			if v < d.lo || v > d.hi {
-				err = interp.SubscriptError(v, ar.name, d.lo, d.hi, 1)
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			v := ireg[in.B]
+			if v < d.Lo || v > d.Hi {
+				err = interp.SubscriptError(v, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			ireg[in.a] = icel[ar.base+v-d.lo]
+			ireg[in.A] = icel[ar.Base+v-d.Lo]
 		case opLoadF1:
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			v := ireg[in.b]
-			if v < d.lo || v > d.hi {
-				err = interp.SubscriptError(v, ar.name, d.lo, d.hi, 1)
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			v := ireg[in.B]
+			if v < d.Lo || v > d.Hi {
+				err = interp.SubscriptError(v, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			freg[in.a] = fcel[ar.base+v-d.lo]
+			freg[in.A] = fcel[ar.Base+v-d.Lo]
 		case opStoreI1:
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			v := ireg[in.b]
-			if v < d.lo || v > d.hi {
-				err = interp.SubscriptError(v, ar.name, d.lo, d.hi, 1)
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			v := ireg[in.B]
+			if v < d.Lo || v > d.Hi {
+				err = interp.SubscriptError(v, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			icel[ar.base+v-d.lo] = ireg[in.a]
+			icel[ar.Base+v-d.Lo] = ireg[in.A]
 		case opStoreF1:
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			v := ireg[in.b]
-			if v < d.lo || v > d.hi {
-				err = interp.SubscriptError(v, ar.name, d.lo, d.hi, 1)
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			v := ireg[in.B]
+			if v < d.Lo || v > d.Hi {
+				err = interp.SubscriptError(v, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			fcel[ar.base+v-d.lo] = freg[in.a]
+			fcel[ar.Base+v-d.Lo] = freg[in.A]
 
 		case opLoadI2:
-			ar := &arrays[in.c]
-			off, e := elemOff2(ar, in.imm, ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff2(ar, in.Imm, ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			ireg[in.a] = icel[ar.base+off]
+			ireg[in.A] = icel[ar.Base+off]
 		case opLoadF2:
-			ar := &arrays[in.c]
-			off, e := elemOff2(ar, in.imm, ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff2(ar, in.Imm, ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			freg[in.a] = fcel[ar.base+off]
+			freg[in.A] = fcel[ar.Base+off]
 		case opStoreI2:
-			ar := &arrays[in.c]
-			off, e := elemOff2(ar, in.imm, ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff2(ar, in.Imm, ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			icel[ar.base+off] = ireg[in.a]
+			icel[ar.Base+off] = ireg[in.A]
 		case opStoreF2:
-			ar := &arrays[in.c]
-			off, e := elemOff2(ar, in.imm, ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff2(ar, in.Imm, ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			fcel[ar.base+off] = freg[in.a]
+			fcel[ar.Base+off] = freg[in.A]
 
 		case opLoadI:
-			ar := &arrays[in.c]
-			off, e := elemOff(ar, pool[in.b:], ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff(ar, pool[in.B:], ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			ireg[in.a] = icel[ar.base+off]
+			ireg[in.A] = icel[ar.Base+off]
 		case opLoadF:
-			ar := &arrays[in.c]
-			off, e := elemOff(ar, pool[in.b:], ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff(ar, pool[in.B:], ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			freg[in.a] = fcel[ar.base+off]
+			freg[in.A] = fcel[ar.Base+off]
 		case opStoreI:
-			ar := &arrays[in.c]
-			off, e := elemOff(ar, pool[in.b:], ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff(ar, pool[in.B:], ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			icel[ar.base+off] = ireg[in.a]
+			icel[ar.Base+off] = ireg[in.A]
 		case opStoreF:
-			ar := &arrays[in.c]
-			off, e := elemOff(ar, pool[in.b:], ireg)
+			ar := &arrays[in.C]
+			off, e := elemOff(ar, pool[in.B:], ireg)
 			if e != nil {
 				err = e
 				break loop
 			}
-			fcel[ar.base+off] = freg[in.a]
+			fcel[ar.Base+off] = freg[in.A]
 
 		case opCheck1:
 			checks++
-			if lhs := int64(in.b) * ireg[in.a]; lhs > in.imm {
-				m.trap(p.checks[in.c], lhs)
+			if lhs := int64(in.B) * ireg[in.A]; lhs > in.Imm {
+				m.trap(p.checks[in.C], lhs)
 				break loop
 			}
 
 		case opCheckPair:
-			t := pool[in.b : in.b+6 : in.b+6]
-			v := ireg[in.a]
+			t := pool[in.B : in.B+6 : in.B+6]
+			v := ireg[in.A]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
 				m.trap(p.checks[t[2]], lhs)
@@ -566,21 +575,21 @@ loop:
 
 		case opCheck2:
 			checks++
-			t := pool[in.a : in.a+4 : in.a+4]
-			if lhs := t[0]*ireg[t[1]] + t[2]*ireg[t[3]]; lhs > in.imm {
-				m.trap(p.checks[in.c], lhs)
+			t := pool[in.A : in.A+4 : in.A+4]
+			if lhs := t[0]*ireg[t[1]] + t[2]*ireg[t[3]]; lhs > in.Imm {
+				m.trap(p.checks[in.C], lhs)
 				break loop
 			}
 
 		case opCheck:
 			checks++
 			lhs := int64(0)
-			terms := pool[in.a : in.a+2*in.b]
+			terms := pool[in.A : in.A+2*in.B]
 			for k := 0; k+1 < len(terms); k += 2 {
 				lhs += terms[k] * ireg[terms[k+1]]
 			}
-			if lhs > in.imm {
-				m.trap(p.checks[in.c], lhs)
+			if lhs > in.Imm {
+				m.trap(p.checks[in.C], lhs)
 				break loop
 			}
 
@@ -595,24 +604,24 @@ loop:
 			// eliminated-check count here — trip × perIter — instead of
 			// per-iteration opCkAdds; if that product would overflow it
 			// deopts, keeping the count exact the slow way.
-			pass, trip := rangeGuardPass(pool, in.b, ireg)
+			pass, trip := rangeGuardPass(pool, in.B, ireg)
 			if disp != nil {
-				disp.GuardTerms += uint64(pool[in.b+3])
+				disp.GuardTerms += uint64(pool[in.B+3])
 			}
-			if pass && chaos.Active() && chaos.Fire(chaos.SiteRCEGuardFail, funcs[m.fn].name) {
+			if pass && chaos.Active() && chaos.Fire(chaos.SiteRCEGuardFail, funcs[m.fn].Name) {
 				pass = false
 			}
-			if pass && in.c > 0 {
+			if pass && in.C > 0 {
 				var bulk int64
-				if bulk, pass = mulOvf(trip, int64(in.c)); pass {
+				if bulk, pass = mulOvf(trip, int64(in.C)); pass {
 					checks += uint64(bulk)
 					elim += uint64(bulk)
 				}
 			}
 			if pass {
-				pc = in.a
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 				if disp != nil {
 					disp.GuardFails++
 				}
@@ -623,97 +632,97 @@ loop:
 			// checks (a) without evaluating them. Its cost field was
 			// already charged centrally above, so counters and poll
 			// cadence match the checked original exactly.
-			checks += uint64(in.a)
-			elim += uint64(in.a)
+			checks += uint64(in.A)
+			elim += uint64(in.A)
 
 		case opTrapStmt:
-			m.trapStmt(in.a)
+			m.trapStmt(in.A)
 			break loop
 
 		case opJmp:
-			pc = in.a
+			pc = in.A
 		case opBr:
-			if ireg[in.c] != 0 {
-				pc = in.a
+			if ireg[in.C] != 0 {
+				pc = in.A
 			} else {
-				pc = in.b
+				pc = in.B
 			}
 
 		case opBrEqI:
-			if ireg[in.b] == ireg[in.c] {
-				pc = in.a
+			if ireg[in.B] == ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrNeI:
-			if ireg[in.b] != ireg[in.c] {
-				pc = in.a
+			if ireg[in.B] != ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrLtI:
-			if ireg[in.b] < ireg[in.c] {
-				pc = in.a
+			if ireg[in.B] < ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrLeI:
-			if ireg[in.b] <= ireg[in.c] {
-				pc = in.a
+			if ireg[in.B] <= ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrGtI:
-			if ireg[in.b] > ireg[in.c] {
-				pc = in.a
+			if ireg[in.B] > ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrGeI:
-			if ireg[in.b] >= ireg[in.c] {
-				pc = in.a
+			if ireg[in.B] >= ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrEqF:
-			if freg[in.b] == freg[in.c] {
-				pc = in.a
+			if freg[in.B] == freg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrNeF:
-			if freg[in.b] != freg[in.c] {
-				pc = in.a
+			if freg[in.B] != freg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrLtF:
-			if freg[in.b] < freg[in.c] {
-				pc = in.a
+			if freg[in.B] < freg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrLeF:
-			if freg[in.b] <= freg[in.c] {
-				pc = in.a
+			if freg[in.B] <= freg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrGtF:
-			if freg[in.b] > freg[in.c] {
-				pc = in.a
+			if freg[in.B] > freg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 		case opBrGeF:
-			if freg[in.b] >= freg[in.c] {
-				pc = in.a
+			if freg[in.B] >= freg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(in.imm)
+				pc = int32(in.Imm)
 			}
 
 		case opCall:
-			if pc, err = m.call(in.a, pc); err != nil {
+			if pc, err = m.call(in.A, pc); err != nil {
 				break loop
 			}
 
@@ -724,13 +733,13 @@ loop:
 			}
 
 		case opPrint:
-			m.print(pool[in.a : in.a+in.b])
+			m.print(pool[in.A : in.A+in.B])
 
 		case opNop:
 			// cost carrier only
 
 		case opFail:
-			err = m.fail(in.a)
+			err = m.fail(in.A)
 			break loop
 
 		// ---- fused opcodes (emitted only by Optimize) ----
@@ -738,23 +747,23 @@ loop:
 		case opAffLoadI1, opAffLoadF1, opAffStoreI1, opAffStoreF1:
 			// One collapsed affine 1-D access: subscript coef*reg+off
 			// with the chain's arithmetic folded into the pool tuple.
-			t := pool[in.b : in.b+2 : in.b+2]
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			idx := t[0]*ireg[in.imm] + t[1]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
+			t := pool[in.B : in.B+2 : in.B+2]
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			idx := t[0]*ireg[in.Imm] + t[1]
+			if idx < d.Lo || idx > d.Hi {
+				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			switch in.op {
+			switch in.Op {
 			case opAffLoadI1:
-				ireg[in.a] = icel[ar.base+idx-d.lo]
+				ireg[in.A] = icel[ar.Base+idx-d.Lo]
 			case opAffLoadF1:
-				freg[in.a] = fcel[ar.base+idx-d.lo]
+				freg[in.A] = fcel[ar.Base+idx-d.Lo]
 			case opAffStoreI1:
-				icel[ar.base+idx-d.lo] = ireg[in.a]
+				icel[ar.Base+idx-d.Lo] = ireg[in.A]
 			default:
-				fcel[ar.base+idx-d.lo] = freg[in.a]
+				fcel[ar.Base+idx-d.Lo] = freg[in.A]
 			}
 
 		case opCPLoadI1, opCPLoadF1, opCPStoreI1, opCPStoreF1:
@@ -765,8 +774,8 @@ loop:
 			// checks pass, keeping the instruction counter exact at trap
 			// exits. The double-pair family below is the same body with
 			// the checks unrolled.
-			t := pool[in.b : in.b+8 : in.b+8]
-			v := ireg[in.imm>>16]
+			t := pool[in.B : in.B+8 : in.B+8]
+			v := ireg[in.Imm>>16]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
 				m.trap(p.checks[t[2]], lhs)
@@ -777,7 +786,7 @@ loop:
 				m.trap(p.checks[t[5]], lhs)
 				break loop
 			}
-			if dc := uint64(uint16(in.imm)); dc != 0 {
+			if dc := uint64(uint16(in.Imm)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
 					if costThr, err = m.recharge(instrs); err != nil {
@@ -785,27 +794,27 @@ loop:
 					}
 				}
 			}
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
 			idx := t[6]*v + t[7]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
+			if idx < d.Lo || idx > d.Hi {
+				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			switch in.op {
+			switch in.Op {
 			case opCPLoadI1:
-				ireg[in.a] = icel[ar.base+idx-d.lo]
+				ireg[in.A] = icel[ar.Base+idx-d.Lo]
 			case opCPLoadF1:
-				freg[in.a] = fcel[ar.base+idx-d.lo]
+				freg[in.A] = fcel[ar.Base+idx-d.Lo]
 			case opCPStoreI1:
-				icel[ar.base+idx-d.lo] = ireg[in.a]
+				icel[ar.Base+idx-d.Lo] = ireg[in.A]
 			default:
-				fcel[ar.base+idx-d.lo] = freg[in.a]
+				fcel[ar.Base+idx-d.Lo] = freg[in.A]
 			}
 
 		case opCP2LoadI1, opCP2LoadF1, opCP2StoreI1, opCP2StoreF1:
-			t := pool[in.b : in.b+14 : in.b+14]
-			v := ireg[in.imm>>16]
+			t := pool[in.B : in.B+14 : in.B+14]
+			v := ireg[in.Imm>>16]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
 				m.trap(p.checks[t[2]], lhs)
@@ -826,7 +835,7 @@ loop:
 				m.trap(p.checks[t[11]], lhs)
 				break loop
 			}
-			if dc := uint64(uint16(in.imm)); dc != 0 {
+			if dc := uint64(uint16(in.Imm)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
 					if costThr, err = m.recharge(instrs); err != nil {
@@ -834,31 +843,31 @@ loop:
 					}
 				}
 			}
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
 			idx := t[12]*v + t[13]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
+			if idx < d.Lo || idx > d.Hi {
+				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			switch in.op {
+			switch in.Op {
 			case opCP2LoadI1:
-				ireg[in.a] = icel[ar.base+idx-d.lo]
+				ireg[in.A] = icel[ar.Base+idx-d.Lo]
 			case opCP2LoadF1:
-				freg[in.a] = fcel[ar.base+idx-d.lo]
+				freg[in.A] = fcel[ar.Base+idx-d.Lo]
 			case opCP2StoreI1:
-				icel[ar.base+idx-d.lo] = ireg[in.a]
+				icel[ar.Base+idx-d.Lo] = ireg[in.A]
 			default:
-				fcel[ar.base+idx-d.lo] = freg[in.a]
+				fcel[ar.Base+idx-d.Lo] = freg[in.A]
 			}
 
 		case opCPQLoadI2, opCPQLoadF2, opCPQStoreI2, opCPQStoreF2:
 			// Two check pairs + a 2-D access with affine subscripts:
 			// pair 0 guards the row root register, pair 1 the column
 			// root. imm packs deferredCost<<48 | rowReg<<24 | colReg.
-			t := pool[in.b : in.b+16 : in.b+16]
-			v0 := ireg[int32(uint64(in.imm)>>24)&0xffffff]
-			v1 := ireg[int32(in.imm)&0xffffff]
+			t := pool[in.B : in.B+16 : in.B+16]
+			v0 := ireg[int32(uint64(in.Imm)>>24)&0xffffff]
+			v1 := ireg[int32(in.Imm)&0xffffff]
 			checks++
 			if lhs := t[0] * v0; lhs > t[1] {
 				m.trap(p.checks[t[2]], lhs)
@@ -879,7 +888,7 @@ loop:
 				m.trap(p.checks[t[11]], lhs)
 				break loop
 			}
-			if dc := uint64(uint16(uint64(in.imm) >> 48)); dc != 0 {
+			if dc := uint64(uint16(uint64(in.Imm) >> 48)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
 					if costThr, err = m.recharge(instrs); err != nil {
@@ -887,34 +896,34 @@ loop:
 					}
 				}
 			}
-			ar := &arrays[in.c]
-			d0, d1 := &ar.dims[0], &ar.dims[1]
+			ar := &arrays[in.C]
+			d0, d1 := &ar.Dims[0], &ar.Dims[1]
 			i0 := t[12]*v0 + t[13]
 			i1 := t[14]*v1 + t[15]
-			if i0 < d0.lo || i0 > d0.hi {
-				err = interp.SubscriptError(i0, ar.name, d0.lo, d0.hi, 1)
+			if i0 < d0.Lo || i0 > d0.Hi {
+				err = interp.SubscriptError(i0, ar.Name, d0.Lo, d0.Hi, 1)
 				break loop
 			}
-			if i1 < d1.lo || i1 > d1.hi {
-				err = interp.SubscriptError(i1, ar.name, d1.lo, d1.hi, 2)
+			if i1 < d1.Lo || i1 > d1.Hi {
+				err = interp.SubscriptError(i1, ar.Name, d1.Lo, d1.Hi, 2)
 				break loop
 			}
-			off := (i0-d0.lo)*d1.size + (i1 - d1.lo)
-			switch in.op {
+			off := (i0-d0.Lo)*d1.Size + (i1 - d1.Lo)
+			switch in.Op {
 			case opCPQLoadI2:
-				ireg[in.a] = icel[ar.base+off]
+				ireg[in.A] = icel[ar.Base+off]
 			case opCPQLoadF2:
-				freg[in.a] = fcel[ar.base+off]
+				freg[in.A] = fcel[ar.Base+off]
 			case opCPQStoreI2:
-				icel[ar.base+off] = ireg[in.a]
+				icel[ar.Base+off] = ireg[in.A]
 			default:
-				fcel[ar.base+off] = freg[in.a]
+				fcel[ar.Base+off] = freg[in.A]
 			}
 
 		case opBinStoreI1:
 			// a(idx) = x op y in one dispatch: pool tuple is
 			// [kind, srcL, srcR, coef, off], idx register in a.
-			t := pool[in.b : in.b+5 : in.b+5]
+			t := pool[in.B : in.B+5 : in.B+5]
 			var v int64
 			switch t[0] {
 			case 0:
@@ -924,16 +933,16 @@ loop:
 			default:
 				v = ireg[t[1]] * ireg[t[2]]
 			}
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			idx := t[3]*ireg[in.a] + t[4]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			idx := t[3]*ireg[in.A] + t[4]
+			if idx < d.Lo || idx > d.Hi {
+				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			icel[ar.base+idx-d.lo] = v
+			icel[ar.Base+idx-d.Lo] = v
 		case opBinStoreF1:
-			t := pool[in.b : in.b+5 : in.b+5]
+			t := pool[in.B : in.B+5 : in.B+5]
 			var v float64
 			switch t[0] {
 			case 0:
@@ -943,14 +952,14 @@ loop:
 			default:
 				v = freg[t[1]] * freg[t[2]]
 			}
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			idx := t[3]*ireg[in.a] + t[4]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			idx := t[3]*ireg[in.A] + t[4]
+			if idx < d.Lo || idx > d.Hi {
+				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			fcel[ar.base+idx-d.lo] = v
+			fcel[ar.Base+idx-d.Lo] = v
 
 		case opCheckBlock:
 			// A run of consecutive opCheckPair instructions in one
@@ -961,7 +970,7 @@ loop:
 			// counts pairs the fuser proved implied by earlier entries —
 			// charged and counted, never evaluated. reg < 0 is a
 			// trailing implied lump with no pair of its own.
-			t := pool[in.b : in.b+9*int32(in.imm)]
+			t := pool[in.B : in.B+9*int32(in.Imm)]
 			for ; len(t) >= 9; t = t[9:] {
 				if dc := uint64(t[0]); dc != 0 {
 					instrs += dc
@@ -1002,62 +1011,62 @@ loop:
 
 		case opAddJmp:
 			// Loop latch: reg += delta; goto target.
-			ireg[in.b] += in.imm
-			pc = in.a
+			ireg[in.B] += in.Imm
+			pc = in.A
 		case opIncBrEqI:
-			v := ireg[in.b] + int64(int32(uint32(in.imm)))
-			ireg[in.b] = v
-			if v == ireg[in.c] {
-				pc = in.a
+			v := ireg[in.B] + int64(int32(uint32(in.Imm)))
+			ireg[in.B] = v
+			if v == ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(uint64(in.imm) >> 32)
+				pc = int32(uint64(in.Imm) >> 32)
 			}
 		case opIncBrNeI:
-			v := ireg[in.b] + int64(int32(uint32(in.imm)))
-			ireg[in.b] = v
-			if v != ireg[in.c] {
-				pc = in.a
+			v := ireg[in.B] + int64(int32(uint32(in.Imm)))
+			ireg[in.B] = v
+			if v != ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(uint64(in.imm) >> 32)
+				pc = int32(uint64(in.Imm) >> 32)
 			}
 		case opIncBrLtI:
-			v := ireg[in.b] + int64(int32(uint32(in.imm)))
-			ireg[in.b] = v
-			if v < ireg[in.c] {
-				pc = in.a
+			v := ireg[in.B] + int64(int32(uint32(in.Imm)))
+			ireg[in.B] = v
+			if v < ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(uint64(in.imm) >> 32)
+				pc = int32(uint64(in.Imm) >> 32)
 			}
 		case opIncBrLeI:
-			v := ireg[in.b] + int64(int32(uint32(in.imm)))
-			ireg[in.b] = v
-			if v <= ireg[in.c] {
-				pc = in.a
+			v := ireg[in.B] + int64(int32(uint32(in.Imm)))
+			ireg[in.B] = v
+			if v <= ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(uint64(in.imm) >> 32)
+				pc = int32(uint64(in.Imm) >> 32)
 			}
 		case opIncBrGtI:
-			v := ireg[in.b] + int64(int32(uint32(in.imm)))
-			ireg[in.b] = v
-			if v > ireg[in.c] {
-				pc = in.a
+			v := ireg[in.B] + int64(int32(uint32(in.Imm)))
+			ireg[in.B] = v
+			if v > ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(uint64(in.imm) >> 32)
+				pc = int32(uint64(in.Imm) >> 32)
 			}
 		case opIncBrGeI:
-			v := ireg[in.b] + int64(int32(uint32(in.imm)))
-			ireg[in.b] = v
-			if v >= ireg[in.c] {
-				pc = in.a
+			v := ireg[in.B] + int64(int32(uint32(in.Imm)))
+			ireg[in.B] = v
+			if v >= ireg[in.C] {
+				pc = in.A
 			} else {
-				pc = int32(uint64(in.imm) >> 32)
+				pc = int32(uint64(in.Imm) >> 32)
 			}
 
 		case opBinBinF:
 			// Two chained float binops; pure, so both charges ride the
 			// central cost. The second op's code folds side and kind
 			// into one jump table: 0-3 t k z, 4-7 z k t, 8-11 t k t.
-			t := pool[in.b : in.b+5 : in.b+5]
+			t := pool[in.B : in.B+5 : in.B+5]
 			var u float64
 			switch t[0] {
 			case 0:
@@ -1071,45 +1080,45 @@ loop:
 			}
 			switch t[3] {
 			case 0:
-				freg[in.a] = u + freg[t[4]]
+				freg[in.A] = u + freg[t[4]]
 			case 1:
-				freg[in.a] = u - freg[t[4]]
+				freg[in.A] = u - freg[t[4]]
 			case 2:
-				freg[in.a] = u * freg[t[4]]
+				freg[in.A] = u * freg[t[4]]
 			case 3:
-				freg[in.a] = u / freg[t[4]]
+				freg[in.A] = u / freg[t[4]]
 			case 4:
-				freg[in.a] = freg[t[4]] + u
+				freg[in.A] = freg[t[4]] + u
 			case 5:
-				freg[in.a] = freg[t[4]] - u
+				freg[in.A] = freg[t[4]] - u
 			case 6:
-				freg[in.a] = freg[t[4]] * u
+				freg[in.A] = freg[t[4]] * u
 			case 7:
-				freg[in.a] = freg[t[4]] / u
+				freg[in.A] = freg[t[4]] / u
 			case 8:
-				freg[in.a] = u + u
+				freg[in.A] = u + u
 			case 9:
-				freg[in.a] = u - u
+				freg[in.A] = u - u
 			case 10:
-				freg[in.a] = u * u
+				freg[in.A] = u * u
 			default:
-				freg[in.a] = u / u
+				freg[in.A] = u / u
 			}
 
 		case opLoadBinF1:
 			// Affine 1-D float load + binop; the binop's charge defers
 			// past the load's bounds fault. t[2] folds side and kind:
 			// 0-3 v k s, 4-7 s k v, 8-11 v k v.
-			t := pool[in.b : in.b+4 : in.b+4]
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			idx := t[0]*ireg[uint64(in.imm)>>32] + t[1]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
+			t := pool[in.B : in.B+4 : in.B+4]
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			idx := t[0]*ireg[uint64(in.Imm)>>32] + t[1]
+			if idx < d.Lo || idx > d.Hi {
+				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			v := fcel[ar.base+idx-d.lo]
-			if dc := uint64(uint32(in.imm)); dc != 0 {
+			v := fcel[ar.Base+idx-d.Lo]
+			if dc := uint64(uint32(in.Imm)); dc != 0 {
 				instrs += dc
 				if instrs > costThr {
 					if costThr, err = m.recharge(instrs); err != nil {
@@ -1119,45 +1128,45 @@ loop:
 			}
 			switch t[2] {
 			case 0:
-				freg[in.a] = v + freg[t[3]]
+				freg[in.A] = v + freg[t[3]]
 			case 1:
-				freg[in.a] = v - freg[t[3]]
+				freg[in.A] = v - freg[t[3]]
 			case 2:
-				freg[in.a] = v * freg[t[3]]
+				freg[in.A] = v * freg[t[3]]
 			case 3:
-				freg[in.a] = v / freg[t[3]]
+				freg[in.A] = v / freg[t[3]]
 			case 4:
-				freg[in.a] = freg[t[3]] + v
+				freg[in.A] = freg[t[3]] + v
 			case 5:
-				freg[in.a] = freg[t[3]] - v
+				freg[in.A] = freg[t[3]] - v
 			case 6:
-				freg[in.a] = freg[t[3]] * v
+				freg[in.A] = freg[t[3]] * v
 			case 7:
-				freg[in.a] = freg[t[3]] / v
+				freg[in.A] = freg[t[3]] / v
 			case 8:
-				freg[in.a] = v + v
+				freg[in.A] = v + v
 			case 9:
-				freg[in.a] = v - v
+				freg[in.A] = v - v
 			case 10:
-				freg[in.a] = v * v
+				freg[in.A] = v * v
 			default:
-				freg[in.a] = v / v
+				freg[in.A] = v / v
 			}
 
 		case opLLBinF1:
 			// Two affine 1-D float loads + binop. dc1 charges between
 			// the loads' fault points, dc2 after the second — the
 			// unfused charge order exactly.
-			t := pool[in.b : in.b+6 : in.b+6]
-			u := uint64(in.imm)
-			ar0 := &arrays[in.c]
-			d0 := &ar0.dims[0]
+			t := pool[in.B : in.B+6 : in.B+6]
+			u := uint64(in.Imm)
+			ar0 := &arrays[in.C]
+			d0 := &ar0.Dims[0]
 			i0 := t[0]*ireg[u>>48] + t[1]
-			if i0 < d0.lo || i0 > d0.hi {
-				err = interp.SubscriptError(i0, ar0.name, d0.lo, d0.hi, 1)
+			if i0 < d0.Lo || i0 > d0.Hi {
+				err = interp.SubscriptError(i0, ar0.Name, d0.Lo, d0.Hi, 1)
 				break loop
 			}
-			x := fcel[ar0.base+i0-d0.lo]
+			x := fcel[ar0.Base+i0-d0.Lo]
 			if dc := (u >> 16) & 0xffff; dc != 0 {
 				instrs += dc
 				if instrs > costThr {
@@ -1167,13 +1176,13 @@ loop:
 				}
 			}
 			ar1 := &arrays[t[2]]
-			d1 := &ar1.dims[0]
+			d1 := &ar1.Dims[0]
 			i1 := t[3]*ireg[(u>>32)&0xffff] + t[4]
-			if i1 < d1.lo || i1 > d1.hi {
-				err = interp.SubscriptError(i1, ar1.name, d1.lo, d1.hi, 1)
+			if i1 < d1.Lo || i1 > d1.Hi {
+				err = interp.SubscriptError(i1, ar1.Name, d1.Lo, d1.Hi, 1)
 				break loop
 			}
-			y := fcel[ar1.base+i1-d1.lo]
+			y := fcel[ar1.Base+i1-d1.Lo]
 			if dc := u & 0xffff; dc != 0 {
 				instrs += dc
 				if instrs > costThr {
@@ -1184,42 +1193,42 @@ loop:
 			}
 			switch t[5] {
 			case 0:
-				freg[in.a] = x + y
+				freg[in.A] = x + y
 			case 1:
-				freg[in.a] = x - y
+				freg[in.A] = x - y
 			case 2:
-				freg[in.a] = x * y
+				freg[in.A] = x * y
 			case 3:
-				freg[in.a] = x / y
+				freg[in.A] = x / y
 			case 4:
-				freg[in.a] = y + x
+				freg[in.A] = y + x
 			case 5:
-				freg[in.a] = y - x
+				freg[in.A] = y - x
 			case 6:
-				freg[in.a] = y * x
+				freg[in.A] = y * x
 			default:
-				freg[in.a] = y / x
+				freg[in.A] = y / x
 			}
 
 		case opLoadBinF2:
 			// Affine 2-D float load + binop; the binop's charge defers
 			// past the load's faults. t[4] folds side and kind like
 			// opLoadBinF1.
-			t := pool[in.b : in.b+6 : in.b+6]
-			u := uint64(in.imm)
-			ar := &arrays[in.c]
-			d0, d1 := &ar.dims[0], &ar.dims[1]
+			t := pool[in.B : in.B+6 : in.B+6]
+			u := uint64(in.Imm)
+			ar := &arrays[in.C]
+			d0, d1 := &ar.Dims[0], &ar.Dims[1]
 			i0 := t[0]*ireg[u>>48] + t[1]
-			if i0 < d0.lo || i0 > d0.hi {
-				err = interp.SubscriptError(i0, ar.name, d0.lo, d0.hi, 1)
+			if i0 < d0.Lo || i0 > d0.Hi {
+				err = interp.SubscriptError(i0, ar.Name, d0.Lo, d0.Hi, 1)
 				break loop
 			}
 			i1 := t[2]*ireg[(u>>32)&0xffff] + t[3]
-			if i1 < d1.lo || i1 > d1.hi {
-				err = interp.SubscriptError(i1, ar.name, d1.lo, d1.hi, 2)
+			if i1 < d1.Lo || i1 > d1.Hi {
+				err = interp.SubscriptError(i1, ar.Name, d1.Lo, d1.Hi, 2)
 				break loop
 			}
-			v := fcel[ar.base+(i0-d0.lo)*d1.size+(i1-d1.lo)]
+			v := fcel[ar.Base+(i0-d0.Lo)*d1.Size+(i1-d1.Lo)]
 			if dc := u & 0xffffffff; dc != 0 {
 				instrs += dc
 				if instrs > costThr {
@@ -1230,64 +1239,64 @@ loop:
 			}
 			switch t[4] {
 			case 0:
-				freg[in.a] = v + freg[t[5]]
+				freg[in.A] = v + freg[t[5]]
 			case 1:
-				freg[in.a] = v - freg[t[5]]
+				freg[in.A] = v - freg[t[5]]
 			case 2:
-				freg[in.a] = v * freg[t[5]]
+				freg[in.A] = v * freg[t[5]]
 			case 3:
-				freg[in.a] = v / freg[t[5]]
+				freg[in.A] = v / freg[t[5]]
 			case 4:
-				freg[in.a] = freg[t[5]] + v
+				freg[in.A] = freg[t[5]] + v
 			case 5:
-				freg[in.a] = freg[t[5]] - v
+				freg[in.A] = freg[t[5]] - v
 			case 6:
-				freg[in.a] = freg[t[5]] * v
+				freg[in.A] = freg[t[5]] * v
 			case 7:
-				freg[in.a] = freg[t[5]] / v
+				freg[in.A] = freg[t[5]] / v
 			case 8:
-				freg[in.a] = v + v
+				freg[in.A] = v + v
 			case 9:
-				freg[in.a] = v - v
+				freg[in.A] = v - v
 			case 10:
-				freg[in.a] = v * v
+				freg[in.A] = v * v
 			default:
-				freg[in.a] = v / v
+				freg[in.A] = v / v
 			}
 
 		case opAffLoadI2, opAffLoadF2, opAffStoreI2, opAffStoreF2:
 			// One collapsed affine 2-D access; subscripts fault in
 			// dimension order like elemOff2.
-			t := pool[in.b : in.b+4 : in.b+4]
-			ar := &arrays[in.c]
-			d0, d1 := &ar.dims[0], &ar.dims[1]
-			i0 := t[0]*ireg[uint64(in.imm)>>32] + t[1]
-			if i0 < d0.lo || i0 > d0.hi {
-				err = interp.SubscriptError(i0, ar.name, d0.lo, d0.hi, 1)
+			t := pool[in.B : in.B+4 : in.B+4]
+			ar := &arrays[in.C]
+			d0, d1 := &ar.Dims[0], &ar.Dims[1]
+			i0 := t[0]*ireg[uint64(in.Imm)>>32] + t[1]
+			if i0 < d0.Lo || i0 > d0.Hi {
+				err = interp.SubscriptError(i0, ar.Name, d0.Lo, d0.Hi, 1)
 				break loop
 			}
-			i1 := t[2]*ireg[uint32(in.imm)] + t[3]
-			if i1 < d1.lo || i1 > d1.hi {
-				err = interp.SubscriptError(i1, ar.name, d1.lo, d1.hi, 2)
+			i1 := t[2]*ireg[uint32(in.Imm)] + t[3]
+			if i1 < d1.Lo || i1 > d1.Hi {
+				err = interp.SubscriptError(i1, ar.Name, d1.Lo, d1.Hi, 2)
 				break loop
 			}
-			off := (i0-d0.lo)*d1.size + (i1 - d1.lo)
-			switch in.op {
+			off := (i0-d0.Lo)*d1.Size + (i1 - d1.Lo)
+			switch in.Op {
 			case opAffLoadI2:
-				ireg[in.a] = icel[ar.base+off]
+				ireg[in.A] = icel[ar.Base+off]
 			case opAffLoadF2:
-				freg[in.a] = fcel[ar.base+off]
+				freg[in.A] = fcel[ar.Base+off]
 			case opAffStoreI2:
-				icel[ar.base+off] = ireg[in.a]
+				icel[ar.Base+off] = ireg[in.A]
 			default:
-				fcel[ar.base+off] = freg[in.a]
+				fcel[ar.Base+off] = freg[in.A]
 			}
 
 		case opBinStoreF2:
 			// m(s0,s1) = x op y, unchecked, affine subscripts. Cost is
 			// central: binop, chains, and store were all charged before
 			// the store's fault.
-			t := pool[in.b : in.b+7 : in.b+7]
+			t := pool[in.B : in.B+7 : in.B+7]
 			var v float64
 			switch t[0] {
 			case 0:
@@ -1299,24 +1308,24 @@ loop:
 			default:
 				v = freg[t[1]] / freg[t[2]]
 			}
-			ar := &arrays[in.c]
-			d0, d1 := &ar.dims[0], &ar.dims[1]
-			i0 := t[3]*ireg[uint64(in.imm)>>32] + t[4]
-			if i0 < d0.lo || i0 > d0.hi {
-				err = interp.SubscriptError(i0, ar.name, d0.lo, d0.hi, 1)
+			ar := &arrays[in.C]
+			d0, d1 := &ar.Dims[0], &ar.Dims[1]
+			i0 := t[3]*ireg[uint64(in.Imm)>>32] + t[4]
+			if i0 < d0.Lo || i0 > d0.Hi {
+				err = interp.SubscriptError(i0, ar.Name, d0.Lo, d0.Hi, 1)
 				break loop
 			}
-			i1 := t[5]*ireg[uint32(in.imm)] + t[6]
-			if i1 < d1.lo || i1 > d1.hi {
-				err = interp.SubscriptError(i1, ar.name, d1.lo, d1.hi, 2)
+			i1 := t[5]*ireg[uint32(in.Imm)] + t[6]
+			if i1 < d1.Lo || i1 > d1.Hi {
+				err = interp.SubscriptError(i1, ar.Name, d1.Lo, d1.Hi, 2)
 				break loop
 			}
-			fcel[ar.base+(i0-d0.lo)*d1.size+(i1-d1.lo)] = v
+			fcel[ar.Base+(i0-d0.Lo)*d1.Size+(i1-d1.Lo)] = v
 
 		case opBinBinStoreF1:
 			// a(s) = (x k0 y) k1 z, unchecked 1-D affine store. Value
 			// chain is opBinBinF's; cost is central.
-			t := pool[in.b : in.b+7 : in.b+7]
+			t := pool[in.B : in.B+7 : in.B+7]
 			var u float64
 			switch t[0] {
 			case 0:
@@ -1355,18 +1364,18 @@ loop:
 			default:
 				v = u / u
 			}
-			ar := &arrays[in.c]
-			d := &ar.dims[0]
-			idx := t[5]*ireg[in.a] + t[6]
-			if idx < d.lo || idx > d.hi {
-				err = interp.SubscriptError(idx, ar.name, d.lo, d.hi, 1)
+			ar := &arrays[in.C]
+			d := &ar.Dims[0]
+			idx := t[5]*ireg[in.A] + t[6]
+			if idx < d.Lo || idx > d.Hi {
+				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
 			}
-			fcel[ar.base+idx-d.lo] = v
+			fcel[ar.Base+idx-d.Lo] = v
 
 		case opBinBinStoreF2:
 			// m(s0,s1) = (x k0 y) k1 z, unchecked 2-D affine store.
-			t := pool[in.b : in.b+9 : in.b+9]
+			t := pool[in.B : in.B+9 : in.B+9]
 			var u float64
 			switch t[0] {
 			case 0:
@@ -1405,22 +1414,22 @@ loop:
 			default:
 				v = u / u
 			}
-			ar := &arrays[in.c]
-			d0, d1 := &ar.dims[0], &ar.dims[1]
-			i0 := t[5]*ireg[uint64(in.imm)>>32] + t[6]
-			if i0 < d0.lo || i0 > d0.hi {
-				err = interp.SubscriptError(i0, ar.name, d0.lo, d0.hi, 1)
+			ar := &arrays[in.C]
+			d0, d1 := &ar.Dims[0], &ar.Dims[1]
+			i0 := t[5]*ireg[uint64(in.Imm)>>32] + t[6]
+			if i0 < d0.Lo || i0 > d0.Hi {
+				err = interp.SubscriptError(i0, ar.Name, d0.Lo, d0.Hi, 1)
 				break loop
 			}
-			i1 := t[7]*ireg[uint32(in.imm)] + t[8]
-			if i1 < d1.lo || i1 > d1.hi {
-				err = interp.SubscriptError(i1, ar.name, d1.lo, d1.hi, 2)
+			i1 := t[7]*ireg[uint32(in.Imm)] + t[8]
+			if i1 < d1.Lo || i1 > d1.Hi {
+				err = interp.SubscriptError(i1, ar.Name, d1.Lo, d1.Hi, 2)
 				break loop
 			}
-			fcel[ar.base+(i0-d0.lo)*d1.size+(i1-d1.lo)] = v
+			fcel[ar.Base+(i0-d0.Lo)*d1.Size+(i1-d1.Lo)] = v
 
 		default:
-			err = fmt.Errorf("vm: bad opcode %d at pc %d", in.op, pc-1)
+			err = fmt.Errorf("vm: bad opcode %d at pc %d", in.Op, pc-1)
 			break loop
 		}
 	}
@@ -1440,15 +1449,15 @@ func b2i(b bool) int64 {
 
 // elemOff flattens a multi-dimensional subscript list (index registers
 // in the pool) into a slab offset, mirroring machine.elemOffset.
-func elemOff(ar *arrayInfo, idxRegs []int64, ireg []int64) (int64, error) {
+func elemOff(ar *ArrayImage, idxRegs []int64, ireg []int64) (int64, error) {
 	off := int64(0)
-	for k := range ar.dims {
-		d := &ar.dims[k]
+	for k := range ar.Dims {
+		d := &ar.Dims[k]
 		v := ireg[idxRegs[k]]
-		if v < d.lo || v > d.hi {
-			return 0, interp.SubscriptError(v, ar.name, d.lo, d.hi, k+1)
+		if v < d.Lo || v > d.Hi {
+			return 0, interp.SubscriptError(v, ar.Name, d.Lo, d.Hi, k+1)
 		}
-		off = off*d.size + (v - d.lo)
+		off = off*d.Size + (v - d.Lo)
 	}
 	return off, nil
 }
@@ -1456,22 +1465,22 @@ func elemOff(ar *arrayInfo, idxRegs []int64, ireg []int64) (int64, error) {
 // elemOff2 is elemOff for the 2-D fast-path opcodes, whose index
 // registers ride the instruction's imm field instead of the pool.
 // Subscripts fault in dimension order, like elemOff.
-func elemOff2(ar *arrayInfo, imm int64, ireg []int64) (int64, error) {
-	d0, d1 := &ar.dims[0], &ar.dims[1]
+func elemOff2(ar *ArrayImage, imm int64, ireg []int64) (int64, error) {
+	d0, d1 := &ar.Dims[0], &ar.Dims[1]
 	v0 := ireg[int32(uint64(imm)>>32)]
-	if v0 < d0.lo || v0 > d0.hi {
-		return 0, interp.SubscriptError(v0, ar.name, d0.lo, d0.hi, 1)
+	if v0 < d0.Lo || v0 > d0.Hi {
+		return 0, interp.SubscriptError(v0, ar.Name, d0.Lo, d0.Hi, 1)
 	}
 	v1 := ireg[uint32(imm)]
-	if v1 < d1.lo || v1 > d1.hi {
-		return 0, interp.SubscriptError(v1, ar.name, d1.lo, d1.hi, 2)
+	if v1 < d1.Lo || v1 > d1.Hi {
+		return 0, interp.SubscriptError(v1, ar.Name, d1.Lo, d1.Hi, 2)
 	}
-	return (v0-d0.lo)*d1.size + (v1 - d1.lo), nil
+	return (v0-d0.Lo)*d1.Size + (v1 - d1.Lo), nil
 }
 
 // checkTrap renders one failed range check's trap fields, shared by the
 // general and specialized check opcodes.
-func checkTrap(cs checkInfo, lhs int64) (string, interp.TrapClass, source.Pos) {
-	note := fmt.Sprintf("%s failed (lhs=%d) [%s]", cs.str, lhs, cs.note)
-	return note, interp.TrapCheck, cs.pos
+func checkTrap(cs CheckImage, lhs int64) (string, interp.TrapClass, source.Pos) {
+	note := fmt.Sprintf("%s failed (lhs=%d) [%s]", cs.Str, lhs, cs.Note)
+	return note, interp.TrapCheck, cs.Pos
 }

@@ -282,35 +282,35 @@ func (o *optimizer) threadLatches() {
 		if o.dead[i] {
 			continue
 		}
-		isAdd := in.op == opAddJmp
-		if !isAdd && in.op != opJmp {
+		isAdd := in.Op == opAddJmp
+		if !isAdd && in.Op != opJmp {
 			continue
 		}
-		h := in.a
+		h := in.A
 		if h < 0 || int(h) >= len(o.code) || o.dead[h] {
 			continue
 		}
 		br := &o.code[h]
-		if br.op < opBrEqI || br.op > opBrGeI || br.b == br.c {
+		if br.Op < opBrEqI || br.Op > opBrGeI || br.B == br.C {
 			continue
 		}
 		var reg int32
 		var delta int64
 		if isAdd {
-			reg, delta = in.b, in.imm
-			if br.b != reg || delta != int64(int32(delta)) {
+			reg, delta = in.B, in.Imm
+			if br.B != reg || delta != int64(int32(delta)) {
 				continue
 			}
 		} else {
-			reg = br.b
+			reg = br.B
 		}
-		cost := uint32(in.cost) + uint32(br.cost)
-		if cost > maxCost || br.imm < 0 || br.imm > int64(len(o.code)) {
+		cost := uint32(in.Cost) + uint32(br.Cost)
+		if cost > maxCost || br.Imm < 0 || br.Imm > int64(len(o.code)) {
 			continue
 		}
-		*in = instr{
-			op: opIncBrEqI + (br.op - opBrEqI), a: br.a, b: reg, c: br.c,
-			cost: uint16(cost), imm: br.imm<<32 | int64(uint32(int32(delta))),
+		*in = Instr{
+			Op: opIncBrEqI + (br.Op - opBrEqI), A: br.A, B: reg, C: br.C,
+			Cost: uint16(cost), Imm: br.Imm<<32 | int64(uint32(int32(delta))),
 		}
 	}
 }
@@ -324,7 +324,7 @@ func (o *optimizer) prevKept(i, start int32) (int32, uint32) {
 		if !o.dead[j] {
 			return j, skipped
 		}
-		skipped += uint32(o.code[j].cost)
+		skipped += uint32(o.code[j].Cost)
 	}
 	return -1, skipped
 }
@@ -335,7 +335,7 @@ func (o *optimizer) prevKept(i, start int32) (int32, uint32) {
 func (o *optimizer) zeroSkipped(from, to int32) {
 	for j := from + 1; j < to; j++ {
 		if o.dead[j] {
-			o.code[j].cost = 0
+			o.code[j].Cost = 0
 		}
 	}
 }
@@ -386,13 +386,13 @@ func (o *optimizer) affineOf(acc, reg int32, b block, seeds ...int32) (root int3
 			break
 		}
 		cj := &o.code[j]
-		if cj.op == opCkAdd {
+		if cj.Op == opCkAdd {
 			// Bulk check counting (rce.go): no defs, no uses, no
 			// observable exit — absorption may cross it. The site itself
 			// stays in place, so the counts still accrue where they did.
 			continue
 		}
-		if cj.op > opStoreF2 || (!instrPure(cj.op) && o.instrDef(cj) != o.ibit(root)) {
+		if cj.Op > opStoreF2 || (!instrPure(cj.Op) && o.instrDef(cj) != o.ibit(root)) {
 			// Fused or impure instruction: absorption beyond here would
 			// move cost across an observable exit.
 			break
@@ -400,35 +400,35 @@ func (o *optimizer) affineOf(acc, reg int32, b block, seeds ...int32) (root int3
 		if o.instrDef(cj) == o.ibit(root) {
 			next := int32(-1)
 			nCoef, nOff := coef, off
-			switch cj.op {
+			switch cj.Op {
 			case opMovI:
-				next = cj.b
+				next = cj.B
 			case opNegI:
-				next = cj.b
+				next = cj.B
 				nCoef = -coef
 			case opAddI:
-				if k, ok := o.isConstSlot(cj.c); ok {
-					next = cj.b
+				if k, ok := o.isConstSlot(cj.C); ok {
+					next = cj.B
 					nOff = off + coef*k
-				} else if k, ok := o.isConstSlot(cj.b); ok {
-					next = cj.c
+				} else if k, ok := o.isConstSlot(cj.B); ok {
+					next = cj.C
 					nOff = off + coef*k
 				}
 			case opSubI:
-				if k, ok := o.isConstSlot(cj.c); ok {
-					next = cj.b
+				if k, ok := o.isConstSlot(cj.C); ok {
+					next = cj.B
 					nOff = off - coef*k
-				} else if k, ok := o.isConstSlot(cj.b); ok {
-					next = cj.c
+				} else if k, ok := o.isConstSlot(cj.B); ok {
+					next = cj.C
 					nOff = off + coef*k
 					nCoef = -coef
 				}
 			case opMulI:
-				if k, ok := o.isConstSlot(cj.c); ok {
-					next = cj.b
+				if k, ok := o.isConstSlot(cj.C); ok {
+					next = cj.B
 					nCoef = coef * k
-				} else if k, ok := o.isConstSlot(cj.b); ok {
-					next = cj.c
+				} else if k, ok := o.isConstSlot(cj.B); ok {
+					next = cj.C
 					nCoef = coef * k
 				}
 			}
@@ -436,10 +436,10 @@ func (o *optimizer) affineOf(acc, reg int32, b block, seeds ...int32) (root int3
 				used.has(o.ibit(root)) ||
 				defd.has(o.ibit(next)) ||
 				o.liveOut[acc].has(o.ibit(root)) ||
-				cost+uint32(cj.cost) > maxCost {
+				cost+uint32(cj.Cost) > maxCost {
 				break
 			}
-			cost += uint32(cj.cost)
+			cost += uint32(cj.Cost)
 			chain = append(chain, j)
 			root, coef, off = next, nCoef, nOff
 			continue
@@ -459,7 +459,7 @@ func (o *optimizer) affineOf(acc, reg int32, b block, seeds ...int32) (root int3
 func (o *optimizer) commitChain(chain []int32) {
 	for _, j := range chain {
 		o.dead[j] = true
-		o.code[j].cost = 0
+		o.code[j].Cost = 0
 	}
 }
 
@@ -475,20 +475,20 @@ func (o *optimizer) collapseChains(b block) {
 		}
 		in := &o.code[i]
 		var seeds []int32
-		switch in.op {
+		switch in.Op {
 		case opLoadI1, opLoadF1:
 		case opStoreI1:
-			seeds = []int32{o.ibit(in.a)}
+			seeds = []int32{o.ibit(in.A)}
 		case opStoreF1:
-			seeds = []int32{o.fbit(in.a)}
+			seeds = []int32{o.fbit(in.A)}
 		default:
 			continue
 		}
-		base, coef, off, chain, cost := o.affineOf(i, in.b, b, seeds...)
+		base, coef, off, chain, cost := o.affineOf(i, in.B, b, seeds...)
 		if len(chain) == 0 {
 			continue
 		}
-		cost += uint32(in.cost)
+		cost += uint32(in.Cost)
 		if cost > maxCost {
 			continue
 		}
@@ -497,7 +497,7 @@ func (o *optimizer) collapseChains(b block) {
 		// same pre-access charge point.
 		o.commitChain(chain)
 		var op uint8
-		switch in.op {
+		switch in.Op {
 		case opLoadI1:
 			op = opAffLoadI1
 		case opLoadF1:
@@ -509,30 +509,30 @@ func (o *optimizer) collapseChains(b block) {
 		}
 		tup := int32(len(o.pool))
 		o.pool = append(o.pool, coef, off)
-		*in = instr{op: op, a: in.a, b: tup, c: in.c, cost: uint16(cost), imm: int64(base)}
+		*in = Instr{Op: op, A: in.A, B: tup, C: in.C, Cost: uint16(cost), Imm: int64(base)}
 	}
 }
 
 // accessShape extracts the uniform view of a fusable 1-D access: its
 // base register, affine pair, and element type/direction.
-func (o *optimizer) accessShape(in *instr) (base int32, coef, off int64, isLoad, isFloat, ok bool) {
-	switch in.op {
+func (o *optimizer) accessShape(in *Instr) (base int32, coef, off int64, isLoad, isFloat, ok bool) {
+	switch in.Op {
 	case opLoadI1:
-		return in.b, 1, 0, true, false, true
+		return in.B, 1, 0, true, false, true
 	case opLoadF1:
-		return in.b, 1, 0, true, true, true
+		return in.B, 1, 0, true, true, true
 	case opStoreI1:
-		return in.b, 1, 0, false, false, true
+		return in.B, 1, 0, false, false, true
 	case opStoreF1:
-		return in.b, 1, 0, false, true, true
+		return in.B, 1, 0, false, true, true
 	case opAffLoadI1:
-		return int32(in.imm), o.pool[in.b], o.pool[in.b+1], true, false, true
+		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], true, false, true
 	case opAffLoadF1:
-		return int32(in.imm), o.pool[in.b], o.pool[in.b+1], true, true, true
+		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], true, true, true
 	case opAffStoreI1:
-		return int32(in.imm), o.pool[in.b], o.pool[in.b+1], false, false, true
+		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], false, false, true
 	case opAffStoreF1:
-		return int32(in.imm), o.pool[in.b], o.pool[in.b+1], false, true, true
+		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], false, true, true
 	}
 	return 0, 0, 0, false, false, false
 }
@@ -552,15 +552,15 @@ func (o *optimizer) fuseChecks(b block) {
 		// registers resolve through their affine chains to the roots
 		// the pairs guard (the checks' linear forms are in loop
 		// variables, the access in scratch computed from them).
-		switch in.op {
+		switch in.Op {
 		case opLoadI2, opLoadF2, opStoreI2, opStoreF2:
-			r0 := int32(uint64(in.imm) >> 32)
-			r1 := int32(uint32(in.imm))
+			r0 := int32(uint64(in.Imm) >> 32)
+			r1 := int32(uint32(in.Imm))
 			seeds := []int32{o.ibit(r1)}
-			if in.op == opStoreI2 {
-				seeds = append(seeds, o.ibit(in.a))
-			} else if in.op == opStoreF2 {
-				seeds = append(seeds, o.fbit(in.a))
+			if in.Op == opStoreI2 {
+				seeds = append(seeds, o.ibit(in.A))
+			} else if in.Op == opStoreF2 {
+				seeds = append(seeds, o.fbit(in.A))
 			}
 			root0, c0, off0, chain0, cc0 := o.affineOf(i, r0, b, seeds...)
 			root1, c1v, off1 := root0, c0, off0
@@ -592,7 +592,7 @@ func (o *optimizer) fuseChecks(b block) {
 				sk := uint32(0)
 				for j := from - 1; j >= b.start; j-- {
 					if o.dead[j] {
-						sk += uint32(o.code[j].cost)
+						sk += uint32(o.code[j].Cost)
 						continue
 					}
 					if inChain(j) {
@@ -603,25 +603,25 @@ func (o *optimizer) fuseChecks(b block) {
 				return -1, sk
 			}
 			p1, skip1 := prev(i)
-			if p1 < 0 || o.code[p1].op != opCheckPair || o.code[p1].a != root1 {
+			if p1 < 0 || o.code[p1].Op != opCheckPair || o.code[p1].A != root1 {
 				continue
 			}
 			p0, skip0 := prev(p1)
 			// Dead cost between the two pairs would have been charged
 			// between their traps; it cannot join the deferred lump.
-			if p0 < 0 || skip0 != 0 || o.code[p0].op != opCheckPair || o.code[p0].a != root0 || o.code[p1].cost != 0 {
+			if p0 < 0 || skip0 != 0 || o.code[p0].Op != opCheckPair || o.code[p0].A != root0 || o.code[p1].Cost != 0 {
 				continue
 			}
-			deferred := uint32(in.cost) + skip1 + cc0 + cc1
+			deferred := uint32(in.Cost) + skip1 + cc0 + cc1
 			if deferred > maxCost || root0 >= 1<<24 || root1 >= 1<<24 || root0 < 0 || root1 < 0 {
 				continue
 			}
 			tup := int32(len(o.pool))
-			o.pool = append(o.pool, o.pool[o.code[p0].b:o.code[p0].b+6]...)
-			o.pool = append(o.pool, o.pool[o.code[p1].b:o.code[p1].b+6]...)
+			o.pool = append(o.pool, o.pool[o.code[p0].B:o.code[p0].B+6]...)
+			o.pool = append(o.pool, o.pool[o.code[p1].B:o.code[p1].B+6]...)
 			o.pool = append(o.pool, c0, off0, c1v, off1)
 			var op uint8
-			switch in.op {
+			switch in.Op {
 			case opLoadI2:
 				op = opCPQLoadI2
 			case opLoadF2:
@@ -631,18 +631,18 @@ func (o *optimizer) fuseChecks(b block) {
 			default:
 				op = opCPQStoreF2
 			}
-			fused := instr{
-				op: op, a: in.a, b: tup, c: in.c,
-				cost: o.code[p0].cost,
-				imm:  int64(deferred)<<48 | int64(root0)<<24 | int64(root1),
+			fused := Instr{
+				Op: op, A: in.A, B: tup, C: in.C,
+				Cost: o.code[p0].Cost,
+				Imm:  int64(deferred)<<48 | int64(root0)<<24 | int64(root1),
 			}
 			o.commitChain(chain0)
 			o.commitChain(chain1)
 			o.zeroSkipped(p1, i)
 			o.dead[p1] = true
-			o.code[p1] = instr{op: opNop}
+			o.code[p1] = Instr{Op: opNop}
 			o.dead[i] = true
-			*in = instr{op: opNop}
+			*in = Instr{Op: opNop}
 			o.code[p0] = fused
 			continue
 		}
@@ -652,11 +652,11 @@ func (o *optimizer) fuseChecks(b block) {
 			continue
 		}
 		p1, skip1 := o.prevKept(i, b.start)
-		if p1 < 0 || o.code[p1].op != opCheckPair || o.code[p1].a != base {
+		if p1 < 0 || o.code[p1].Op != opCheckPair || o.code[p1].A != base {
 			continue
 		}
 		c1 := &o.code[p1]
-		deferred := uint32(in.cost) + skip1
+		deferred := uint32(in.Cost) + skip1
 		if deferred > maxCost || base < 0 {
 			continue
 		}
@@ -664,24 +664,24 @@ func (o *optimizer) fuseChecks(b block) {
 		// makes the double-pair form: [pair][pair][access].
 		at, family := p1, uint8(opCPLoadI1)
 		p0, skip0 := o.prevKept(p1, b.start)
-		double := p0 >= 0 && skip0 == 0 && c1.cost == 0 &&
-			o.code[p0].op == opCheckPair && o.code[p0].a == base
+		double := p0 >= 0 && skip0 == 0 && c1.Cost == 0 &&
+			o.code[p0].Op == opCheckPair && o.code[p0].A == base
 		tup := int32(len(o.pool))
 		if double {
-			o.pool = append(o.pool, o.pool[o.code[p0].b:o.code[p0].b+6]...)
+			o.pool = append(o.pool, o.pool[o.code[p0].B:o.code[p0].B+6]...)
 			at, family = p0, opCP2LoadI1
 		}
-		o.pool = append(o.pool, o.pool[c1.b:c1.b+6]...)
+		o.pool = append(o.pool, o.pool[c1.B:c1.B+6]...)
 		o.pool = append(o.pool, coef, off)
-		fused := instr{op: pickAccessOp(family, isLoad, isFloat), a: in.a, b: tup, c: in.c,
-			cost: o.code[at].cost, imm: int64(base)<<16 | int64(deferred)}
+		fused := Instr{Op: pickAccessOp(family, isLoad, isFloat), A: in.A, B: tup, C: in.C,
+			Cost: o.code[at].Cost, Imm: int64(base)<<16 | int64(deferred)}
 		o.zeroSkipped(p1, i)
 		if double {
 			o.dead[p1] = true
-			o.code[p1] = instr{op: opNop}
+			o.code[p1] = Instr{Op: opNop}
 		}
 		o.dead[i] = true
-		*in = instr{op: opNop}
+		*in = Instr{Op: opNop}
 		o.code[at] = fused
 	}
 }
@@ -721,7 +721,7 @@ func (o *optimizer) fuseBinStores(b block) {
 		bin := &o.code[p]
 		var kind int64
 		if isFloat {
-			switch bin.op {
+			switch bin.Op {
 			case opAddF:
 				kind = 0
 			case opSubF:
@@ -732,7 +732,7 @@ func (o *optimizer) fuseBinStores(b block) {
 				continue
 			}
 		} else {
-			switch bin.op {
+			switch bin.Op {
 			case opAddI:
 				kind = 0
 			case opSubI:
@@ -745,8 +745,8 @@ func (o *optimizer) fuseBinStores(b block) {
 		}
 		// The binop's target must be this store's value register, be
 		// scratch, and die here.
-		v := in.a
-		if bin.a != v {
+		v := in.A
+		if bin.A != v {
 			continue
 		}
 		if isFloat {
@@ -758,21 +758,21 @@ func (o *optimizer) fuseBinStores(b block) {
 				continue
 			}
 		}
-		cost := uint32(bin.cost) + uint32(in.cost) + skip
+		cost := uint32(bin.Cost) + uint32(in.Cost) + skip
 		if cost > maxCost {
 			continue
 		}
-		arr := in.c
+		arr := in.C
 		tup := int32(len(o.pool))
-		o.pool = append(o.pool, kind, int64(bin.b), int64(bin.c), coef, off)
+		o.pool = append(o.pool, kind, int64(bin.B), int64(bin.C), coef, off)
 		op := uint8(opBinStoreI1)
 		if isFloat {
 			op = opBinStoreF1
 		}
 		o.zeroSkipped(p, i)
 		o.dead[i] = true
-		*in = instr{op: opNop}
-		o.code[p] = instr{op: op, a: base, b: tup, c: arr, cost: uint16(cost)}
+		*in = Instr{Op: opNop}
+		o.code[p] = Instr{Op: op, A: base, B: tup, C: arr, Cost: uint16(cost)}
 	}
 }
 
@@ -794,47 +794,47 @@ func (o *optimizer) valueOf(at, reg int32, b block) (root int32, coef, off int64
 			continue
 		}
 		cj := &o.code[j]
-		if cj.op == opCkAdd {
+		if cj.Op == opCkAdd {
 			continue // counts only: no defs, no uses (see affineOf)
 		}
-		if cj.op > opStoreF2 {
+		if cj.Op > opStoreF2 {
 			break // fused op: defs are not visible to instrDef
 		}
-		if !instrPure(cj.op) && !isCheckOp(cj.op) {
+		if !instrPure(cj.Op) && !isCheckOp(cj.Op) {
 			break
 		}
 		if o.instrDef(cj) == o.ibit(root) {
 			next := int32(-1)
 			nCoef, nOff := coef, off
-			switch cj.op {
+			switch cj.Op {
 			case opMovI:
-				next = cj.b
+				next = cj.B
 			case opNegI:
-				next = cj.b
+				next = cj.B
 				nCoef = -coef
 			case opAddI:
-				if k, ok := o.isConstSlot(cj.c); ok {
-					next = cj.b
+				if k, ok := o.isConstSlot(cj.C); ok {
+					next = cj.B
 					nOff = off + coef*k
-				} else if k, ok := o.isConstSlot(cj.b); ok {
-					next = cj.c
+				} else if k, ok := o.isConstSlot(cj.B); ok {
+					next = cj.C
 					nOff = off + coef*k
 				}
 			case opSubI:
-				if k, ok := o.isConstSlot(cj.c); ok {
-					next = cj.b
+				if k, ok := o.isConstSlot(cj.C); ok {
+					next = cj.B
 					nOff = off - coef*k
-				} else if k, ok := o.isConstSlot(cj.b); ok {
-					next = cj.c
+				} else if k, ok := o.isConstSlot(cj.B); ok {
+					next = cj.C
 					nOff = off + coef*k
 					nCoef = -coef
 				}
 			case opMulI:
-				if k, ok := o.isConstSlot(cj.c); ok {
-					next = cj.b
+				if k, ok := o.isConstSlot(cj.C); ok {
+					next = cj.B
 					nCoef = coef * k
-				} else if k, ok := o.isConstSlot(cj.b); ok {
-					next = cj.c
+				} else if k, ok := o.isConstSlot(cj.B); ok {
+					next = cj.C
 					nCoef = coef * k
 				}
 			}
@@ -942,7 +942,7 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		return op == opCheckPair || op == opCheck1 || op == opCheck2
 	}
 	for i := b.start; i < b.end; i++ {
-		if o.dead[i] || !blockable(o.code[i].op) {
+		if o.dead[i] || !blockable(o.code[i].Op) {
 			continue
 		}
 		run := []int32{i}
@@ -951,14 +951,14 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		end := i
 		for j := i + 1; j < b.end; j++ {
 			if o.dead[j] {
-				pend += int64(o.code[j].cost)
+				pend += int64(o.code[j].Cost)
 				continue
 			}
-			if !blockable(o.code[j].op) {
+			if !blockable(o.code[j].Op) {
 				break
 			}
 			run = append(run, j)
-			costs = append(costs, pend+int64(o.code[j].cost))
+			costs = append(costs, pend+int64(o.code[j].Cost))
 			pend = 0
 			end = j
 		}
@@ -975,23 +975,23 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		pendCost, pendChecks := int64(0), int64(0)
 		for k, j := range run {
 			in := &o.code[j]
-			if in.op != opCheckPair {
+			if in.Op != opCheckPair {
 				// opCheck1/opCheck2: one evaluated two-register term,
 				// tagged -2. No implication tracking, but nothing is
 				// written either, so pair intervals stay valid across
 				// it.
-				ra, rb, ca, cb := int64(in.a), int64(in.a), int64(in.b), int64(0)
-				if in.op == opCheck2 {
-					t := o.pool[in.a : in.a+4]
+				ra, rb, ca, cb := int64(in.A), int64(in.A), int64(in.B), int64(0)
+				if in.Op == opCheck2 {
+					t := o.pool[in.A : in.A+4]
 					ra, rb, ca, cb = t[1], t[3], t[0], t[2]
 				}
 				entries = append(entries, pendCost+costs[k], pendChecks,
-					-2, ra, rb, ca, cb, in.imm, int64(in.c))
+					-2, ra, rb, ca, cb, in.Imm, int64(in.C))
 				pendCost, pendChecks = 0, 0
 				continue
 			}
-			t := o.pool[in.b : in.b+6]
-			root, coef, off := o.valueOf(i, in.a, b)
+			t := o.pool[in.B : in.B+6]
+			root, coef, off := o.valueOf(i, in.A, b)
 			sound := fitsImpl(coef) && fitsImpl(off) &&
 				fitsImpl(t[0]) && fitsImpl(t[1]) && fitsImpl(t[3]) && fitsImpl(t[4])
 			c0, k0 := t[0]*coef, t[1]-t[0]*off
@@ -1006,7 +1006,7 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 				continue
 			}
 			entries = append(entries, pendCost+costs[k], pendChecks,
-				int64(in.a), t[0], t[1], t[2], t[3], t[4], t[5])
+				int64(in.A), t[0], t[1], t[2], t[3], t[4], t[5])
 			pendCost, pendChecks = 0, 0
 			if sound {
 				ivs[root] = iv.tighten(c0, k0).tighten(c1, k1)
@@ -1021,10 +1021,10 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		o.zeroSkipped(i, end)
 		for _, j := range run[1:] {
 			o.dead[j] = true
-			o.code[j] = instr{op: opNop}
+			o.code[j] = Instr{Op: opNop}
 		}
-		o.code[i] = instr{op: opCheckBlock, b: tup, cost: first.cost,
-			imm: int64(len(entries) / 9)}
+		o.code[i] = Instr{Op: opCheckBlock, B: tup, Cost: first.Cost,
+			Imm: int64(len(entries) / 9)}
 		i = end
 	}
 }
@@ -1037,8 +1037,8 @@ func (o *optimizer) fuseLatch(b block) {
 		return
 	}
 	term := &o.code[last]
-	isJmp := term.op == opJmp
-	isIncBr := term.op >= opBrEqI && term.op <= opBrGeI
+	isJmp := term.Op == opJmp
+	isIncBr := term.Op >= opBrEqI && term.Op <= opBrGeI
 	if !isJmp && !isIncBr {
 		return
 	}
@@ -1049,51 +1049,51 @@ func (o *optimizer) fuseLatch(b block) {
 	add := &o.code[p]
 	var reg int32
 	var delta int64
-	switch add.op {
+	switch add.Op {
 	case opAddI:
-		if k, ok := o.isConstSlot(add.c); ok && add.a == add.b {
-			reg, delta = add.a, k
-		} else if k, ok := o.isConstSlot(add.b); ok && add.a == add.c {
-			reg, delta = add.a, k
+		if k, ok := o.isConstSlot(add.C); ok && add.A == add.B {
+			reg, delta = add.A, k
+		} else if k, ok := o.isConstSlot(add.B); ok && add.A == add.C {
+			reg, delta = add.A, k
 		} else {
 			return
 		}
 	case opSubI:
-		k, ok := o.isConstSlot(add.c)
-		if !ok || add.a != add.b {
+		k, ok := o.isConstSlot(add.C)
+		if !ok || add.A != add.B {
 			return
 		}
-		reg, delta = add.a, -k
+		reg, delta = add.A, -k
 	default:
 		return
 	}
-	cost := uint32(add.cost) + uint32(term.cost) + skip
+	cost := uint32(add.Cost) + uint32(term.Cost) + skip
 	if cost > maxCost {
 		return
 	}
 	if isJmp {
 		o.zeroSkipped(p, last)
 		o.dead[last] = true
-		o.code[p] = instr{op: opAddJmp, a: term.a, b: reg, cost: uint16(cost), imm: delta}
-		o.code[last] = instr{op: opNop}
+		o.code[p] = Instr{Op: opAddJmp, A: term.A, B: reg, Cost: uint16(cost), Imm: delta}
+		o.code[last] = Instr{Op: opNop}
 		return
 	}
 	// Cond-branch form: the test must read the incremented register on
 	// its left and something else on its right.
-	if term.b != reg || term.c == reg {
+	if term.B != reg || term.C == reg {
 		return
 	}
-	if delta != int64(int32(delta)) || int32(term.imm) < 0 {
+	if delta != int64(int32(delta)) || int32(term.Imm) < 0 {
 		return
 	}
-	op := opIncBrEqI + (term.op - opBrEqI)
+	op := opIncBrEqI + (term.Op - opBrEqI)
 	o.zeroSkipped(p, last)
 	o.dead[last] = true
-	o.code[p] = instr{
-		op: op, a: term.a, b: reg, c: term.c, cost: uint16(cost),
-		imm: term.imm<<32 | int64(uint32(int32(delta))),
+	o.code[p] = Instr{
+		Op: op, A: term.A, B: reg, C: term.C, Cost: uint16(cost),
+		Imm: term.Imm<<32 | int64(uint32(int32(delta))),
 	}
-	o.code[last] = instr{op: opNop}
+	o.code[last] = Instr{Op: opNop}
 }
 
 func (o *optimizer) isScratchF(r int32) bool {
@@ -1134,22 +1134,22 @@ type loadShape struct {
 	dst    int32
 }
 
-func (o *optimizer) floatLoadShape(in *instr) (loadShape, bool) {
-	switch in.op {
+func (o *optimizer) floatLoadShape(in *Instr) (loadShape, bool) {
+	switch in.Op {
 	case opLoadF1:
-		return loadShape{arr: in.c, nd: 1, r0: in.b, c0: 1, dst: in.a}, true
+		return loadShape{arr: in.C, nd: 1, r0: in.B, c0: 1, dst: in.A}, true
 	case opAffLoadF1:
-		return loadShape{arr: in.c, nd: 1, r0: int32(in.imm),
-			c0: o.pool[in.b], o0: o.pool[in.b+1], dst: in.a}, true
+		return loadShape{arr: in.C, nd: 1, r0: int32(in.Imm),
+			c0: o.pool[in.B], o0: o.pool[in.B+1], dst: in.A}, true
 	case opLoadF2:
-		return loadShape{arr: in.c, nd: 2,
-			r0: int32(uint64(in.imm) >> 32), c0: 1,
-			r1: int32(uint32(in.imm)), c1: 1, dst: in.a}, true
+		return loadShape{arr: in.C, nd: 2,
+			r0: int32(uint64(in.Imm) >> 32), c0: 1,
+			r1: int32(uint32(in.Imm)), c1: 1, dst: in.A}, true
 	case opAffLoadF2:
-		t := o.pool[in.b : in.b+4]
-		return loadShape{arr: in.c, nd: 2,
-			r0: int32(uint64(in.imm) >> 32), c0: t[0], o0: t[1],
-			r1: int32(uint32(in.imm)), c1: t[2], o1: t[3], dst: in.a}, true
+		t := o.pool[in.B : in.B+4]
+		return loadShape{arr: in.C, nd: 2,
+			r0: int32(uint64(in.Imm) >> 32), c0: t[0], o0: t[1],
+			r1: int32(uint32(in.Imm)), c1: t[2], o1: t[3], dst: in.A}, true
 	}
 	return loadShape{}, false
 }
@@ -1165,18 +1165,18 @@ func (o *optimizer) fuse2D(b block) {
 			continue
 		}
 		in := &o.code[i]
-		switch in.op {
+		switch in.Op {
 		case opLoadI2, opLoadF2, opStoreI2, opStoreF2:
 		default:
 			continue
 		}
-		r0 := int32(uint64(in.imm) >> 32)
-		r1 := int32(uint32(in.imm))
+		r0 := int32(uint64(in.Imm) >> 32)
+		r1 := int32(uint32(in.Imm))
 		seeds := []int32{o.ibit(r1)}
-		if in.op == opStoreI2 {
-			seeds = append(seeds, o.ibit(in.a))
-		} else if in.op == opStoreF2 {
-			seeds = append(seeds, o.fbit(in.a))
+		if in.Op == opStoreI2 {
+			seeds = append(seeds, o.ibit(in.A))
+		} else if in.Op == opStoreF2 {
+			seeds = append(seeds, o.fbit(in.A))
 		}
 		root0, c0, off0, chain0, cc0 := o.affineOf(i, r0, b, seeds...)
 		root1, c1v, off1 := root0, c0, off0
@@ -1189,14 +1189,14 @@ func (o *optimizer) fuse2D(b block) {
 		if len(chain0)+len(chain1) == 0 {
 			continue
 		}
-		cost := uint32(in.cost) + cc0 + cc1
+		cost := uint32(in.Cost) + cc0 + cc1
 		if cost > maxCost || root0 < 0 || root1 < 0 {
 			continue
 		}
 		o.commitChain(chain0)
 		o.commitChain(chain1)
 		var op uint8
-		switch in.op {
+		switch in.Op {
 		case opLoadI2:
 			op = opAffLoadI2
 		case opLoadF2:
@@ -1208,8 +1208,8 @@ func (o *optimizer) fuse2D(b block) {
 		}
 		tup := int32(len(o.pool))
 		o.pool = append(o.pool, c0, off0, c1v, off1)
-		*in = instr{op: op, a: in.a, b: tup, c: in.c, cost: uint16(cost),
-			imm: packRegs(root0, root1)}
+		*in = Instr{Op: op, A: in.A, B: tup, C: in.C, Cost: uint16(cost),
+			Imm: packRegs(root0, root1)}
 	}
 }
 
@@ -1234,19 +1234,19 @@ func (o *optimizer) fuseBins(b block) {
 			continue
 		}
 		in := &o.code[i]
-		if in.op == opStoreF2 || in.op == opAffStoreF2 {
+		if in.Op == opStoreF2 || in.Op == opAffStoreF2 {
 			o.fuseBinStoreAff2(b, i)
 			continue
 		}
-		if in.op == opStoreF1 || in.op == opAffStoreF1 {
+		if in.Op == opStoreF1 || in.Op == opAffStoreF1 {
 			o.fuseBinBinStore1(b, i)
 			continue
 		}
-		if in.op == opBinStoreF1 {
+		if in.Op == opBinStoreF1 {
 			o.fuseBinChainStore1(b, i)
 			continue
 		}
-		kind, ok := binKindF(in.op)
+		kind, ok := binKindF(in.Op)
 		if !ok {
 			continue
 		}
@@ -1255,7 +1255,7 @@ func (o *optimizer) fuseBins(b block) {
 			continue
 		}
 		d1 := &o.code[p1]
-		dst, opL, opR := in.a, in.b, in.c
+		dst, opL, opR := in.A, in.B, in.C
 
 		// Two dying 1-D loads producing both operands.
 		if sh1, ok := o.floatLoadShape(d1); ok && sh1.nd == 1 && opL != opR &&
@@ -1269,25 +1269,25 @@ func (o *optimizer) fuseBins(b block) {
 				if sh0, ok := o.floatLoadShape(&o.code[p0]); ok && sh0.nd == 1 &&
 					sh0.dst == other && sh0.dst != sh1.dst &&
 					o.isScratchF(sh0.dst) && o.fDiesAt(sh0.dst, i, dst) {
-					dc1 := skip0 + uint32(d1.cost)
-					dc2 := skip1 + uint32(in.cost)
+					dc1 := skip0 + uint32(d1.Cost)
+					dc2 := skip1 + uint32(in.Cost)
 					k := kind
 					if sh0.dst == opR {
 						k |= 4 // loads stay in program order, operands reversed
 					}
 					if dc1 <= maxCost && dc2 <= maxCost &&
 						sh0.r0 >= 0 && sh0.r0 < 1<<16 && sh1.r0 >= 0 && sh1.r0 < 1<<16 {
-						central := o.code[p0].cost
+						central := o.code[p0].Cost
 						tup := int32(len(o.pool))
 						o.pool = append(o.pool, sh0.c0, sh0.o0, int64(sh1.arr), sh1.c0, sh1.o0, k)
 						o.zeroSkipped(p0, i)
 						o.dead[p1] = true
-						o.code[p1] = instr{op: opNop}
+						o.code[p1] = Instr{Op: opNop}
 						o.dead[i] = true
-						*in = instr{op: opNop}
-						o.code[p0] = instr{op: opLLBinF1, a: dst, b: tup, c: sh0.arr,
-							cost: central,
-							imm: int64(sh0.r0)<<48 | int64(sh1.r0)<<32 |
+						*in = Instr{Op: opNop}
+						o.code[p0] = Instr{Op: opLLBinF1, A: dst, B: tup, C: sh0.arr,
+							Cost: central,
+							Imm: int64(sh0.r0)<<48 | int64(sh1.r0)<<32 |
 								int64(dc1)<<16 | int64(dc2)}
 						continue
 					}
@@ -1309,16 +1309,16 @@ func (o *optimizer) fuseBins(b block) {
 			default:
 				code, src = kind+4, int64(opL)
 			}
-			dc := skip1 + uint32(in.cost)
-			central := d1.cost
+			dc := skip1 + uint32(in.Cost)
+			central := d1.Cost
 			if dc <= maxCost && sh.nd == 1 && sh.r0 >= 0 {
 				tup := int32(len(o.pool))
 				o.pool = append(o.pool, sh.c0, sh.o0, code, src)
 				o.zeroSkipped(p1, i)
 				o.dead[i] = true
-				*in = instr{op: opNop}
-				o.code[p1] = instr{op: opLoadBinF1, a: dst, b: tup, c: sh.arr,
-					cost: central, imm: int64(sh.r0)<<32 | int64(dc)}
+				*in = Instr{Op: opNop}
+				o.code[p1] = Instr{Op: opLoadBinF1, A: dst, B: tup, C: sh.arr,
+					Cost: central, Imm: int64(sh.r0)<<32 | int64(dc)}
 				continue
 			}
 			if dc <= maxCost && sh.nd == 2 &&
@@ -1327,19 +1327,19 @@ func (o *optimizer) fuseBins(b block) {
 				o.pool = append(o.pool, sh.c0, sh.o0, sh.c1, sh.o1, code, src)
 				o.zeroSkipped(p1, i)
 				o.dead[i] = true
-				*in = instr{op: opNop}
-				o.code[p1] = instr{op: opLoadBinF2, a: dst, b: tup, c: sh.arr,
-					cost: central, imm: int64(sh.r0)<<48 | int64(sh.r1)<<32 | int64(dc)}
+				*in = Instr{Op: opNop}
+				o.code[p1] = Instr{Op: opLoadBinF2, A: dst, B: tup, C: sh.arr,
+					Cost: central, Imm: int64(sh.r0)<<48 | int64(sh.r1)<<32 | int64(dc)}
 				continue
 			}
 		}
 
 		// A dying binop result feeding this binop: pure pair, one
 		// central charge.
-		if k0, ok := binKindF(d1.op); ok &&
-			(d1.a == opL || d1.a == opR) &&
-			o.isScratchF(d1.a) && o.fDiesAt(d1.a, i, dst) {
-			t := d1.a
+		if k0, ok := binKindF(d1.Op); ok &&
+			(d1.A == opL || d1.A == opR) &&
+			o.isScratchF(d1.A) && o.fDiesAt(d1.A, i, dst) {
+			t := d1.A
 			var code, z int64
 			switch {
 			case opL == t && opR == t:
@@ -1349,14 +1349,14 @@ func (o *optimizer) fuseBins(b block) {
 			default:
 				code, z = kind+4, int64(opL)
 			}
-			cost := uint32(d1.cost) + skip1 + uint32(in.cost)
+			cost := uint32(d1.Cost) + skip1 + uint32(in.Cost)
 			if cost <= maxCost {
 				tup := int32(len(o.pool))
-				o.pool = append(o.pool, k0, int64(d1.b), int64(d1.c), code, z)
+				o.pool = append(o.pool, k0, int64(d1.B), int64(d1.C), code, z)
 				o.zeroSkipped(p1, i)
 				o.dead[i] = true
-				*in = instr{op: opNop}
-				o.code[p1] = instr{op: opBinBinF, a: dst, b: tup, cost: uint16(cost)}
+				*in = Instr{Op: opNop}
+				o.code[p1] = Instr{Op: opBinBinF, A: dst, B: tup, Cost: uint16(cost)}
 				continue
 			}
 		}
@@ -1369,15 +1369,15 @@ func (o *optimizer) fuseBins(b block) {
 // all charged before the store's fault in unfused code.
 func (o *optimizer) fuseBinStoreAff2(b block, i int32) {
 	in := &o.code[i]
-	v := in.a
+	v := in.A
 	if !o.isScratchF(v) || o.liveOut[i].has(o.fbit(v)) {
 		return
 	}
 	var c0, o0v, c1, o1v int64
-	r0 := int32(uint64(in.imm) >> 32)
-	r1 := int32(uint32(in.imm))
-	if in.op == opAffStoreF2 {
-		t := o.pool[in.b : in.b+4]
+	r0 := int32(uint64(in.Imm) >> 32)
+	r1 := int32(uint32(in.Imm))
+	if in.Op == opAffStoreF2 {
+		t := o.pool[in.B : in.B+4]
 		c0, o0v, c1, o1v = t[0], t[1], t[2], t[3]
 	} else {
 		c0, c1 = 1, 1
@@ -1387,36 +1387,36 @@ func (o *optimizer) fuseBinStoreAff2(b block, i int32) {
 		return
 	}
 	bin := &o.code[p]
-	cost := uint32(bin.cost) + skip + uint32(in.cost)
-	if bin.a != v || cost > maxCost || r0 < 0 || r1 < 0 {
+	cost := uint32(bin.Cost) + skip + uint32(in.Cost)
+	if bin.A != v || cost > maxCost || r0 < 0 || r1 < 0 {
 		return
 	}
-	arr := in.c
+	arr := in.C
 	// A binbin chain already fused here extends to the three-op form;
 	// a plain binop takes the two-op form. Either way the whole chain
 	// was charged before the store's fault, so cost stays central.
-	if bin.op == opBinBinF {
+	if bin.Op == opBinBinF {
 		tup := int32(len(o.pool))
-		o.pool = append(o.pool, o.pool[bin.b:bin.b+5]...)
+		o.pool = append(o.pool, o.pool[bin.B:bin.B+5]...)
 		o.pool = append(o.pool, c0, o0v, c1, o1v)
 		o.zeroSkipped(p, i)
 		o.dead[i] = true
-		*in = instr{op: opNop}
-		o.code[p] = instr{op: opBinBinStoreF2, b: tup, c: arr, cost: uint16(cost),
-			imm: packRegs(r0, r1)}
+		*in = Instr{Op: opNop}
+		o.code[p] = Instr{Op: opBinBinStoreF2, B: tup, C: arr, Cost: uint16(cost),
+			Imm: packRegs(r0, r1)}
 		return
 	}
-	kind, ok := binKindF(bin.op)
+	kind, ok := binKindF(bin.Op)
 	if !ok {
 		return
 	}
 	tup := int32(len(o.pool))
-	o.pool = append(o.pool, kind, int64(bin.b), int64(bin.c), c0, o0v, c1, o1v)
+	o.pool = append(o.pool, kind, int64(bin.B), int64(bin.C), c0, o0v, c1, o1v)
 	o.zeroSkipped(p, i)
 	o.dead[i] = true
-	*in = instr{op: opNop}
-	o.code[p] = instr{op: opBinStoreF2, b: tup, c: arr, cost: uint16(cost),
-		imm: packRegs(r0, r1)}
+	*in = Instr{Op: opNop}
+	o.code[p] = Instr{Op: opBinStoreF2, B: tup, C: arr, Cost: uint16(cost),
+		Imm: packRegs(r0, r1)}
 }
 
 // fuseBinBinStore1 folds [opBinBinF][1-D float store] when the chain
@@ -1427,7 +1427,7 @@ func (o *optimizer) fuseBinBinStore1(b block, i int32) {
 	if !ok || isLoad || !isFloat || base < 0 {
 		return
 	}
-	v := in.a
+	v := in.A
 	if !o.isScratchF(v) || o.liveOut[i].has(o.fbit(v)) {
 		return
 	}
@@ -1436,18 +1436,18 @@ func (o *optimizer) fuseBinBinStore1(b block, i int32) {
 		return
 	}
 	bin := &o.code[p]
-	cost := uint32(bin.cost) + skip + uint32(in.cost)
-	if bin.op != opBinBinF || bin.a != v || cost > maxCost {
+	cost := uint32(bin.Cost) + skip + uint32(in.Cost)
+	if bin.Op != opBinBinF || bin.A != v || cost > maxCost {
 		return
 	}
-	arr := in.c
+	arr := in.C
 	tup := int32(len(o.pool))
-	o.pool = append(o.pool, o.pool[bin.b:bin.b+5]...)
+	o.pool = append(o.pool, o.pool[bin.B:bin.B+5]...)
 	o.pool = append(o.pool, coef, off)
 	o.zeroSkipped(p, i)
 	o.dead[i] = true
-	*in = instr{op: opNop}
-	o.code[p] = instr{op: opBinBinStoreF1, a: base, b: tup, c: arr, cost: uint16(cost)}
+	*in = Instr{Op: opNop}
+	o.code[p] = Instr{Op: opBinBinStoreF1, A: base, B: tup, C: arr, Cost: uint16(cost)}
 }
 
 // fuseBinChainStore1 folds a dying float binop (division included)
@@ -1457,17 +1457,17 @@ func (o *optimizer) fuseBinBinStore1(b block, i int32) {
 // sound per the usual kept-adjacency argument.
 func (o *optimizer) fuseBinChainStore1(b block, i int32) {
 	in := &o.code[i]
-	st := o.pool[in.b : in.b+5] // [k1, srcL, srcR, coef, off]
+	st := o.pool[in.B : in.B+5] // [k1, srcL, srcR, coef, off]
 	p, skip := o.prevKept(i, b.start)
 	if p < 0 {
 		return
 	}
 	d := &o.code[p]
-	k0, ok := binKindF(d.op)
+	k0, ok := binKindF(d.Op)
 	if !ok {
 		return
 	}
-	t := d.a
+	t := d.A
 	bl, bc := int32(st[1]), int32(st[2])
 	if (t != bl && t != bc) || !o.isScratchF(t) || o.liveOut[i].has(o.fbit(t)) {
 		return
@@ -1481,15 +1481,15 @@ func (o *optimizer) fuseBinChainStore1(b block, i int32) {
 	default:
 		code, z = st[0]+4, int64(bl)
 	}
-	cost := uint32(d.cost) + skip + uint32(in.cost)
+	cost := uint32(d.Cost) + skip + uint32(in.Cost)
 	if cost > maxCost {
 		return
 	}
-	root, arr := in.a, in.c
+	root, arr := in.A, in.C
 	tup := int32(len(o.pool))
-	o.pool = append(o.pool, k0, int64(d.b), int64(d.c), code, z, st[3], st[4])
+	o.pool = append(o.pool, k0, int64(d.B), int64(d.C), code, z, st[3], st[4])
 	o.zeroSkipped(p, i)
 	o.dead[i] = true
-	*in = instr{op: opNop}
-	o.code[p] = instr{op: opBinBinStoreF1, a: root, b: tup, c: arr, cost: uint16(cost)}
+	*in = Instr{Op: opNop}
+	o.code[p] = Instr{Op: opBinBinStoreF1, A: root, B: tup, C: arr, Cost: uint16(cost)}
 }

@@ -1,7 +1,7 @@
 package vm
 
 // The Image bridge is the serialization boundary of the vm package:
-// an exported, plain-data mirror of the unexported Program internals.
+// an exported, plain-data view of the unexported Program internals.
 // internal/progio encodes and decodes Images; FromImage is the single
 // trust gate where bytes of unknown provenance become a runnable
 // Program, so it re-validates every structural invariant the compiler
@@ -11,7 +11,6 @@ package vm
 import (
 	"fmt"
 
-	"nascent/internal/ir"
 	"nascent/internal/source"
 )
 
@@ -32,7 +31,13 @@ const (
 	maxImageCells = 1 << 36 // per element-type slab
 )
 
-// Instr is the wire form of one bytecode instruction.
+// The element types below are the Program's own representation, and
+// the wire format carries them field for field: converting between a
+// Program and an Image moves slices and copies no element.
+
+// Instr is one bytecode instruction. Cost is the fused abstract
+// instruction cost charged when the instruction executes (0 inside
+// check terms); Imm carries the constant of a check.
 type Instr struct {
 	Imm     int64
 	A, B, C int32
@@ -40,37 +45,42 @@ type Instr struct {
 	Op      uint8
 }
 
-// DimImage is the wire form of one array dimension.
+// DimImage is one array dimension with its extent precomputed.
 type DimImage struct {
 	Lo, Hi, Size int64
 }
 
-// ArrayImage is the wire form of one array layout.
+// ArrayImage is the compile-time layout of one array: its slab base
+// and dimensions are precomputed so element addressing is pure
+// arithmetic at run time.
 type ArrayImage struct {
 	Name   string
 	Elem   uint8 // ElemInt or ElemFloat
-	Base   int64
+	Base   int64 // offset into the int or float cell slab
 	Length int64
 	Dims   []DimImage
 }
 
-// FuncImage is the wire form of one function's frame layout.
+// FuncImage is the frame layout of one function.
 type FuncImage struct {
 	Name     string
-	Entry    int32
-	Params   int32
-	ZeroVars []int32
-	ClrArrs  []int32
+	Entry    int32   // pc of the entry block
+	Params   int32   // parameter count (call cost is 2+Params)
+	ZeroVars []int32 // non-param local slots zeroed on entry (both files)
+	ClrArrs  []int32 // local array IDs cleared on entry
 }
 
-// CheckImage is the wire form of one range check's trap metadata.
+// CheckImage is the trap-rendering residue of one ir.CheckStmt: the
+// pre-rendered inequality text plus the optimizer note and source
+// position. Capturing values instead of IR pointers keeps Program
+// self-contained, so progio can serialize it without the IR.
 type CheckImage struct {
-	Str  string
+	Str  string // CheckStmt.String() rendering of the inequality
 	Note string
 	Pos  source.Pos
 }
 
-// TrapImage is the wire form of one static-trap statement.
+// TrapImage is the serializable residue of one ir.TrapStmt.
 type TrapImage struct {
 	Note string
 	Pos  source.Pos
@@ -99,23 +109,24 @@ type Image struct {
 	MainIdx    int32
 }
 
-// Image snapshots the program as plain exported data. The slices are
-// fresh copies: an Image is caller-owned and mutating it cannot reach
-// back into the immutable Program.
-func (p *Program) Image() *Image {
-	im := &Image{
+// Image returns the program's state as plain exported data. The
+// slices are the program's own, not copies: the Image is a read-only
+// view (progio encodes straight from it), and writing through it would
+// change a program that concurrent runs share.
+func (p *Program) Image() Image {
+	return Image{
 		Optimized:  p.optimized,
 		RCE:        p.rce,
-		Code:       make([]Instr, len(p.code)),
-		Funcs:      make([]FuncImage, len(p.funcs)),
-		Arrays:     make([]ArrayImage, len(p.arrays)),
-		ArrOrder:   append([]int32(nil), p.arrOrder...),
-		Pool:       append([]int64(nil), p.pool...),
-		IConsts:    append([]int64(nil), p.iconsts...),
-		FConsts:    append([]float64(nil), p.fconsts...),
-		Checks:     make([]CheckImage, len(p.checks)),
-		Traps:      make([]TrapImage, len(p.traps)),
-		Fails:      append([]string(nil), p.fails...),
+		Code:       p.code,
+		Funcs:      p.funcs,
+		Arrays:     p.arrays,
+		ArrOrder:   p.arrOrder,
+		Pool:       p.pool,
+		IConsts:    p.iconsts,
+		FConsts:    p.fconsts,
+		Checks:     p.checks,
+		Traps:      p.traps,
+		Fails:      p.fails,
 		NIntRegs:   int32(p.nIntRegs),
 		NFloatRegs: int32(p.nFloatRegs),
 		ICells:     p.iCells,
@@ -123,37 +134,6 @@ func (p *Program) Image() *Image {
 		NumVars:    int32(p.numVars),
 		MainIdx:    p.mainIdx,
 	}
-	for i, in := range p.code {
-		im.Code[i] = Instr{Imm: in.imm, A: in.a, B: in.b, C: in.c, Cost: in.cost, Op: in.op}
-	}
-	for i, f := range p.funcs {
-		im.Funcs[i] = FuncImage{
-			Name:     f.name,
-			Entry:    f.entry,
-			Params:   int32(f.params),
-			ZeroVars: append([]int32(nil), f.zeroVars...),
-			ClrArrs:  append([]int32(nil), f.clrArrs...),
-		}
-	}
-	for i, a := range p.arrays {
-		elem := ElemInt
-		if a.elem == ir.Float {
-			elem = ElemFloat
-		}
-		ai := ArrayImage{Name: a.name, Elem: elem, Base: a.base, Length: a.length,
-			Dims: make([]DimImage, len(a.dims))}
-		for k, d := range a.dims {
-			ai.Dims[k] = DimImage{Lo: d.lo, Hi: d.hi, Size: d.size}
-		}
-		im.Arrays[i] = ai
-	}
-	for i, cs := range p.checks {
-		im.Checks[i] = CheckImage{Str: cs.str, Note: cs.note, Pos: cs.pos}
-	}
-	for i, ts := range p.traps {
-		im.Traps[i] = TrapImage{Note: ts.note, Pos: ts.pos}
-	}
-	return im
 }
 
 // KnownOps reports the number of opcodes this build understands.
@@ -167,14 +147,16 @@ func imageErr(format string, args ...any) error {
 }
 
 // FromImage validates an Image and builds a runnable Program from it.
-// The Image's slices are copied, never aliased. Validation covers
-// every invariant whose violation would escape the executor's panic
-// containment (allocation sizes, the const→register copies, the
-// pre-containment arrOrder walk) plus cheap structural consistency
-// (array layout arithmetic, function entry points, opcode range).
-// Garbage that only an executing instruction can trip — a bad register
-// operand, a wild pool offset — is left to the executor, whose
-// recover turns it into a typed InternalError.
+// The Program adopts the Image's slices instead of copying them: on
+// success the caller gives the Image up and must not modify anything
+// it references. Every check runs before the Program exists.
+// Validation covers every invariant whose violation would escape the
+// executor's panic containment (allocation sizes, the const→register
+// copies, the pre-containment arrOrder walk) plus cheap structural
+// consistency (array layout arithmetic, function entry points, opcode
+// range). Garbage that only an executing instruction can trip — a bad
+// register operand, a wild pool offset — is left to the executor,
+// whose recover turns it into a typed InternalError.
 func FromImage(im *Image) (*Program, error) {
 	if im == nil {
 		return nil, imageErr("nil image")
@@ -279,56 +261,24 @@ func FromImage(im *Image) (*Program, error) {
 		seen[id] = true
 	}
 
-	p := &Program{
-		code:       make([]instr, len(im.Code)),
-		funcs:      make([]funcInfo, len(im.Funcs)),
-		arrays:     make([]arrayInfo, len(im.Arrays)),
-		arrOrder:   append([]int32(nil), im.ArrOrder...),
-		pool:       append([]int64(nil), im.Pool...),
-		iconsts:    append([]int64(nil), im.IConsts...),
-		fconsts:    append([]float64(nil), im.FConsts...),
-		checks:     make([]checkInfo, len(im.Checks)),
-		traps:      make([]trapInfo, len(im.Traps)),
-		fails:      append([]string(nil), im.Fails...),
+	return &Program{
+		code:       im.Code,
+		funcs:      im.Funcs,
+		arrays:     im.Arrays,
+		arrOrder:   im.ArrOrder,
+		pool:       im.Pool,
+		iconsts:    im.IConsts,
+		fconsts:    im.FConsts,
+		checks:     im.Checks,
+		traps:      im.Traps,
+		fails:      im.Fails,
 		nIntRegs:   int(im.NIntRegs),
 		nFloatRegs: int(im.NFloatRegs),
 		iCells:     im.ICells,
 		fCells:     im.FCells,
 		numVars:    int(im.NumVars),
 		mainIdx:    im.MainIdx,
-		mcache:     new(machCache),
 		optimized:  im.Optimized,
 		rce:        im.RCE,
-	}
-	for i, in := range im.Code {
-		p.code[i] = instr{imm: in.Imm, a: in.A, b: in.B, c: in.C, cost: in.Cost, op: in.Op}
-	}
-	for i, f := range im.Funcs {
-		p.funcs[i] = funcInfo{
-			name:     f.Name,
-			entry:    f.Entry,
-			params:   int(f.Params),
-			zeroVars: append([]int32(nil), f.ZeroVars...),
-			clrArrs:  append([]int32(nil), f.ClrArrs...),
-		}
-	}
-	for i, a := range im.Arrays {
-		elem := ir.Int
-		if a.Elem == ElemFloat {
-			elem = ir.Float
-		}
-		ai := arrayInfo{name: a.Name, elem: elem, base: a.Base, length: a.Length,
-			dims: make([]dimInfo, len(a.Dims))}
-		for k, d := range a.Dims {
-			ai.dims[k] = dimInfo{lo: d.Lo, hi: d.Hi, size: d.Size}
-		}
-		p.arrays[i] = ai
-	}
-	for i, cs := range im.Checks {
-		p.checks[i] = checkInfo{str: cs.Str, note: cs.Note, pos: cs.Pos}
-	}
-	for i, ts := range im.Traps {
-		p.traps[i] = trapInfo{note: ts.Note, pos: ts.Pos}
-	}
-	return p, nil
+	}, nil
 }

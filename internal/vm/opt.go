@@ -149,7 +149,7 @@ type optimizer struct {
 	in  *Program
 	out *Program
 
-	code []instr // working copy, rewritten in place
+	code []Instr // working copy, rewritten in place
 	pool []int64 // working copy; fusion appends tuples
 
 	leader []bool  // pc starts a basic block (branch target / entry)
@@ -178,7 +178,7 @@ type block struct {
 func newOptimizer(vp *Program) *optimizer {
 	o := &optimizer{
 		in:     vp,
-		code:   append([]instr(nil), vp.code...),
+		code:   append([]Instr(nil), vp.code...),
 		pool:   append([]int64(nil), vp.pool...),
 		nInt:   int32(vp.nIntRegs),
 		nVars:  int32(vp.numVars),
@@ -186,8 +186,7 @@ func newOptimizer(vp *Program) *optimizer {
 	}
 	cp := *vp
 	cp.optimized = true
-	cp.loops = nil             // pc-based loop metadata is stale after compaction
-	cp.mcache = new(machCache) // fresh machine cache for the rewritten program
+	cp.loops = nil // pc-based loop metadata is stale after compaction
 	o.out = &cp
 	return o
 }
@@ -200,8 +199,8 @@ func (o *optimizer) analyze() {
 	o.leader = make([]bool, n+1)
 	o.depth = make([]int, n)
 	for _, f := range o.in.funcs {
-		if int(f.entry) < n {
-			o.leader[f.entry] = true
+		if int(f.Entry) < n {
+			o.leader[f.Entry] = true
 		}
 	}
 	mark := func(t int32) {
@@ -212,17 +211,17 @@ func (o *optimizer) analyze() {
 	for i := range o.code {
 		in := &o.code[i]
 		switch {
-		case in.op == opJmp:
-			mark(in.a)
-		case in.op == opBr:
-			mark(in.a)
-			mark(in.b)
-		case in.op >= opBrEqI && in.op <= opBrGeF:
-			mark(in.a)
-			mark(int32(in.imm))
-		case in.op == opRangeGuard:
-			mark(in.a)
-			mark(int32(in.imm))
+		case in.Op == opJmp:
+			mark(in.A)
+		case in.Op == opBr:
+			mark(in.A)
+			mark(in.B)
+		case in.Op >= opBrEqI && in.Op <= opBrGeF:
+			mark(in.A)
+			mark(int32(in.Imm))
+		case in.Op == opRangeGuard:
+			mark(in.A)
+			mark(int32(in.Imm))
 		}
 	}
 	// Loop depth: every backward control transfer closes an interval
@@ -239,14 +238,14 @@ func (o *optimizer) analyze() {
 	for i := range o.code {
 		in := &o.code[i]
 		switch {
-		case in.op == opJmp:
-			bump(i, in.a)
-		case in.op == opBr:
-			bump(i, in.a)
-			bump(i, in.b)
-		case in.op >= opBrEqI && in.op <= opBrGeF:
-			bump(i, in.a)
-			bump(i, int32(in.imm))
+		case in.Op == opJmp:
+			bump(i, in.A)
+		case in.Op == opBr:
+			bump(i, in.A)
+			bump(i, in.B)
+		case in.Op >= opBrEqI && in.Op <= opBrGeF:
+			bump(i, in.A)
+			bump(i, int32(in.Imm))
 		}
 	}
 	for start := 0; start < n; {
@@ -273,75 +272,75 @@ func (o *optimizer) fbit(r int32) int32 { return o.nInt + r }
 // instrUses calls f with the combined-space bit of every register the
 // instruction reads. useAll reports instructions whose reads cannot be
 // enumerated (calls: the callee shares the flat register file).
-func (o *optimizer) instrUses(in *instr, f func(bit int32)) (useAll bool) {
-	switch in.op {
+func (o *optimizer) instrUses(in *Instr, f func(bit int32)) (useAll bool) {
+	switch in.Op {
 	case opMovI, opNegI, opAbsI:
-		f(o.ibit(in.b))
+		f(o.ibit(in.B))
 	case opMovF, opNegF, opAbsF, opSqrtF:
-		f(o.fbit(in.b))
+		f(o.fbit(in.B))
 	case opAddI, opSubI, opMulI, opDivI, opModI, opAndB, opOrB,
 		opEqI, opNeI, opLtI, opLeI, opGtI, opGeI:
-		f(o.ibit(in.b))
-		f(o.ibit(in.c))
+		f(o.ibit(in.B))
+		f(o.ibit(in.C))
 	case opNotB:
-		f(o.ibit(in.b))
+		f(o.ibit(in.B))
 	case opAddF, opSubF, opMulF, opDivF, opModF,
 		opEqF, opNeF, opLtF, opLeF, opGtF, opGeF:
-		f(o.fbit(in.b))
-		f(o.fbit(in.c))
+		f(o.fbit(in.B))
+		f(o.fbit(in.C))
 	case opMinI, opMaxI:
-		for k := int32(0); k < in.c; k++ {
-			f(o.ibit(int32(o.pool[in.b+k])))
+		for k := int32(0); k < in.C; k++ {
+			f(o.ibit(int32(o.pool[in.B+k])))
 		}
 	case opMinF, opMaxF:
-		for k := int32(0); k < in.c; k++ {
-			f(o.fbit(int32(o.pool[in.b+k])))
+		for k := int32(0); k < in.C; k++ {
+			f(o.fbit(int32(o.pool[in.B+k])))
 		}
 	case opI2F:
-		f(o.ibit(in.b))
+		f(o.ibit(in.B))
 	case opF2I:
-		f(o.fbit(in.b))
+		f(o.fbit(in.B))
 	case opLoadI1, opLoadF1:
-		f(o.ibit(in.b))
+		f(o.ibit(in.B))
 	case opStoreI1:
-		f(o.ibit(in.a))
-		f(o.ibit(in.b))
+		f(o.ibit(in.A))
+		f(o.ibit(in.B))
 	case opStoreF1:
-		f(o.fbit(in.a))
-		f(o.ibit(in.b))
+		f(o.fbit(in.A))
+		f(o.ibit(in.B))
 	case opLoadI2, opLoadF2:
-		f(o.ibit(int32(uint64(in.imm) >> 32)))
-		f(o.ibit(int32(uint32(in.imm))))
+		f(o.ibit(int32(uint64(in.Imm) >> 32)))
+		f(o.ibit(int32(uint32(in.Imm))))
 	case opStoreI2:
-		f(o.ibit(in.a))
-		f(o.ibit(int32(uint64(in.imm) >> 32)))
-		f(o.ibit(int32(uint32(in.imm))))
+		f(o.ibit(in.A))
+		f(o.ibit(int32(uint64(in.Imm) >> 32)))
+		f(o.ibit(int32(uint32(in.Imm))))
 	case opStoreF2:
-		f(o.fbit(in.a))
-		f(o.ibit(int32(uint64(in.imm) >> 32)))
-		f(o.ibit(int32(uint32(in.imm))))
+		f(o.fbit(in.A))
+		f(o.ibit(int32(uint64(in.Imm) >> 32)))
+		f(o.ibit(int32(uint32(in.Imm))))
 	case opLoadI, opLoadF, opStoreI, opStoreF:
-		nd := len(o.in.arrays[in.c].dims)
+		nd := len(o.in.arrays[in.C].Dims)
 		for k := 0; k < nd; k++ {
-			f(o.ibit(int32(o.pool[in.b+int32(k)])))
+			f(o.ibit(int32(o.pool[in.B+int32(k)])))
 		}
-		if in.op == opStoreI {
-			f(o.ibit(in.a))
-		} else if in.op == opStoreF {
-			f(o.fbit(in.a))
+		if in.Op == opStoreI {
+			f(o.ibit(in.A))
+		} else if in.Op == opStoreF {
+			f(o.fbit(in.A))
 		}
 	case opCheck:
-		for k := int32(0); k < in.b; k++ {
-			f(o.ibit(int32(o.pool[in.a+2*k+1])))
+		for k := int32(0); k < in.B; k++ {
+			f(o.ibit(int32(o.pool[in.A+2*k+1])))
 		}
 	case opCheck1, opCheckPair:
-		f(o.ibit(in.a))
+		f(o.ibit(in.A))
 	case opRangeGuard:
 		// Guard tuple (rce.go): [vReg, limReg, step, n, then per
 		// sub-check K, cv, nInv, (coef, reg) × nInv]. Reads the
 		// induction start, the limit, and every invariant term.
 		t := o.pool
-		p := in.b
+		p := in.B
 		f(o.ibit(int32(t[p])))
 		f(o.ibit(int32(t[p+1])))
 		n := t[p+3]
@@ -355,19 +354,19 @@ func (o *optimizer) instrUses(in *instr, f func(bit int32)) (useAll bool) {
 			}
 		}
 	case opCheck2:
-		f(o.ibit(int32(o.pool[in.a+1])))
-		f(o.ibit(int32(o.pool[in.a+3])))
+		f(o.ibit(int32(o.pool[in.A+1])))
+		f(o.ibit(int32(o.pool[in.A+3])))
 	case opBr:
-		f(o.ibit(in.c))
+		f(o.ibit(in.C))
 	case opBrEqI, opBrNeI, opBrLtI, opBrLeI, opBrGtI, opBrGeI:
-		f(o.ibit(in.b))
-		f(o.ibit(in.c))
+		f(o.ibit(in.B))
+		f(o.ibit(in.C))
 	case opBrEqF, opBrNeF, opBrLtF, opBrLeF, opBrGtF, opBrGeF:
-		f(o.fbit(in.b))
-		f(o.fbit(in.c))
+		f(o.fbit(in.B))
+		f(o.fbit(in.C))
 	case opPrint:
-		for k := int32(0); k < in.b; k++ {
-			e := o.pool[in.a+k]
+		for k := int32(0); k < in.B; k++ {
+			e := o.pool[in.A+k]
 			if e&1 != 0 {
 				f(o.fbit(int32(e >> 1)))
 			} else {
@@ -382,18 +381,18 @@ func (o *optimizer) instrUses(in *instr, f func(bit int32)) (useAll bool) {
 
 // instrDef returns the combined-space bit the instruction writes, or
 // -1. Calls are handled as use-all (never as a def site).
-func (o *optimizer) instrDef(in *instr) int32 {
-	switch in.op {
+func (o *optimizer) instrDef(in *Instr) int32 {
+	switch in.Op {
 	case opMovI, opAddI, opSubI, opMulI, opDivI, opNegI,
 		opEqI, opNeI, opLtI, opLeI, opGtI, opGeI,
 		opEqF, opNeF, opLtF, opLeF, opGtF, opGeF,
 		opAndB, opOrB, opNotB, opModI, opAbsI, opMinI, opMaxI, opF2I,
 		opLoadI, opLoadI1, opLoadI2:
-		return o.ibit(in.a)
+		return o.ibit(in.A)
 	case opMovF, opAddF, opSubF, opMulF, opDivF, opNegF,
 		opModF, opAbsF, opSqrtF, opMinF, opMaxF, opI2F,
 		opLoadF, opLoadF1, opLoadF2:
-		return o.fbit(in.a)
+		return o.fbit(in.A)
 	}
 	return -1
 }
@@ -422,20 +421,20 @@ func instrPure(op uint8) bool {
 func (o *optimizer) succs(i int, f func(pc int32)) {
 	in := &o.code[i]
 	switch {
-	case in.op == opJmp:
-		f(in.a)
-	case in.op == opBr:
-		f(in.a)
-		f(in.b)
-	case in.op >= opBrEqI && in.op <= opBrGeF:
-		f(in.a)
-		f(int32(in.imm))
-	case in.op == opRangeGuard:
+	case in.Op == opJmp:
+		f(in.A)
+	case in.Op == opBr:
+		f(in.A)
+		f(in.B)
+	case in.Op >= opBrEqI && in.Op <= opBrGeF:
+		f(in.A)
+		f(int32(in.Imm))
+	case in.Op == opRangeGuard:
 		// The deopt edge (imm) keeps the original checked code — and
 		// every value it reads — live even when only the fast copy runs.
-		f(in.a)
-		f(int32(in.imm))
-	case in.op == opRet, in.op == opFail, in.op == opTrapStmt:
+		f(in.A)
+		f(int32(in.Imm))
+	case in.Op == opRet, in.Op == opFail, in.Op == opTrapStmt:
 	default:
 		f(int32(i) + 1)
 	}
@@ -508,38 +507,38 @@ func (o *optimizer) propagate() {
 			reset()
 		}
 		in := &o.code[i]
-		switch in.op {
+		switch in.Op {
 		case opMovI:
-			src, v, isConst := resolveI(in.b)
-			in.b = src
-			if in.a == in.b {
+			src, v, isConst := resolveI(in.B)
+			in.B = src
+			if in.A == in.B {
 				// A self-move is a pure cost carrier; turn it into a nop
 				// so elimination can fold the cost forward.
-				*in = instr{op: opNop, cost: in.cost}
+				*in = Instr{Op: opNop, Cost: in.Cost}
 				continue
 			}
-			kill(o.ibit(in.a))
+			kill(o.ibit(in.A))
 			if isConst {
-				known[in.a] = true
-				val[in.a] = v
+				known[in.A] = true
+				val[in.A] = v
 			}
-			copyOf[o.ibit(in.a)] = o.ibit(in.b)
+			copyOf[o.ibit(in.A)] = o.ibit(in.B)
 		case opMovF:
-			in.b = resolveF(in.b)
-			if in.a == in.b {
-				*in = instr{op: opNop, cost: in.cost}
+			in.B = resolveF(in.B)
+			if in.A == in.B {
+				*in = Instr{Op: opNop, Cost: in.Cost}
 				continue
 			}
-			kill(o.fbit(in.a))
-			copyOf[o.fbit(in.a)] = o.fbit(in.b)
+			kill(o.fbit(in.A))
+			copyOf[o.fbit(in.A)] = o.fbit(in.B)
 		case opAddI, opSubI, opMulI:
-			br, bv, bk := resolveI(in.b)
-			cr, cv, ck := resolveI(in.c)
-			in.b, in.c = br, cr
-			kill(o.ibit(in.a))
+			br, bv, bk := resolveI(in.B)
+			cr, cv, ck := resolveI(in.C)
+			in.B, in.C = br, cr
+			kill(o.ibit(in.A))
 			if bk && ck {
 				var v int64
-				switch in.op {
+				switch in.Op {
 				case opAddI:
 					v = bv + cv
 				case opSubI:
@@ -547,73 +546,73 @@ func (o *optimizer) propagate() {
 				default:
 					v = bv * cv
 				}
-				known[in.a] = true
-				val[in.a] = v
+				known[in.A] = true
+				val[in.A] = v
 				if slot, ok := iconstIdx[v]; ok {
-					*in = instr{op: opMovI, a: in.a, b: slot, cost: in.cost}
-					copyOf[o.ibit(in.a)] = o.ibit(slot)
+					*in = Instr{Op: opMovI, A: in.A, B: slot, Cost: in.Cost}
+					copyOf[o.ibit(in.A)] = o.ibit(slot)
 				}
 			}
 		case opNegI:
-			br, bv, bk := resolveI(in.b)
-			in.b = br
-			kill(o.ibit(in.a))
+			br, bv, bk := resolveI(in.B)
+			in.B = br
+			kill(o.ibit(in.A))
 			if bk {
-				known[in.a] = true
-				val[in.a] = -bv
+				known[in.A] = true
+				val[in.A] = -bv
 				if slot, ok := iconstIdx[-bv]; ok {
-					*in = instr{op: opMovI, a: in.a, b: slot, cost: in.cost}
-					copyOf[o.ibit(in.a)] = o.ibit(slot)
+					*in = Instr{Op: opMovI, A: in.A, B: slot, Cost: in.Cost}
+					copyOf[o.ibit(in.A)] = o.ibit(slot)
 				}
 			}
 		case opDivI, opModI, opAndB, opOrB,
 			opEqI, opNeI, opLtI, opLeI, opGtI, opGeI:
-			in.b, _, _ = resolveI(in.b)
-			in.c, _, _ = resolveI(in.c)
-			kill(o.ibit(in.a))
+			in.B, _, _ = resolveI(in.B)
+			in.C, _, _ = resolveI(in.C)
+			kill(o.ibit(in.A))
 		case opNotB, opAbsI:
-			in.b, _, _ = resolveI(in.b)
-			kill(o.ibit(in.a))
+			in.B, _, _ = resolveI(in.B)
+			kill(o.ibit(in.A))
 		case opEqF, opNeF, opLtF, opLeF, opGtF, opGeF:
-			in.b = resolveF(in.b)
-			in.c = resolveF(in.c)
-			kill(o.ibit(in.a))
+			in.B = resolveF(in.B)
+			in.C = resolveF(in.C)
+			kill(o.ibit(in.A))
 		case opAddF, opSubF, opMulF, opDivF, opModF:
-			in.b = resolveF(in.b)
-			in.c = resolveF(in.c)
-			kill(o.fbit(in.a))
+			in.B = resolveF(in.B)
+			in.C = resolveF(in.C)
+			kill(o.fbit(in.A))
 		case opNegF, opAbsF, opSqrtF:
-			in.b = resolveF(in.b)
-			kill(o.fbit(in.a))
+			in.B = resolveF(in.B)
+			kill(o.fbit(in.A))
 		case opI2F:
-			in.b, _, _ = resolveI(in.b)
-			kill(o.fbit(in.a))
+			in.B, _, _ = resolveI(in.B)
+			kill(o.fbit(in.A))
 		case opF2I:
-			in.b = resolveF(in.b)
-			kill(o.ibit(in.a))
+			in.B = resolveF(in.B)
+			kill(o.ibit(in.A))
 		case opLoadI1, opLoadF1:
-			in.b, _, _ = resolveI(in.b)
-			if in.op == opLoadI1 {
-				kill(o.ibit(in.a))
+			in.B, _, _ = resolveI(in.B)
+			if in.Op == opLoadI1 {
+				kill(o.ibit(in.A))
 			} else {
-				kill(o.fbit(in.a))
+				kill(o.fbit(in.A))
 			}
 		case opStoreI1:
-			in.a, _, _ = resolveI(in.a)
-			in.b, _, _ = resolveI(in.b)
+			in.A, _, _ = resolveI(in.A)
+			in.B, _, _ = resolveI(in.B)
 		case opStoreF1:
-			in.a = resolveF(in.a)
-			in.b, _, _ = resolveI(in.b)
+			in.A = resolveF(in.A)
+			in.B, _, _ = resolveI(in.B)
 		case opCheck1, opCheckPair:
-			in.a, _, _ = resolveI(in.a)
+			in.A, _, _ = resolveI(in.A)
 		case opBr:
-			in.c, _, _ = resolveI(in.c)
+			in.C, _, _ = resolveI(in.C)
 		case opBrEqI, opBrNeI, opBrLtI, opBrLeI, opBrGtI, opBrGeI:
-			in.b, _, _ = resolveI(in.b)
-			in.c, _, _ = resolveI(in.c)
+			in.B, _, _ = resolveI(in.B)
+			in.C, _, _ = resolveI(in.C)
 		case opBrEqF, opBrNeF, opBrLtF, opBrLeF, opBrGtF, opBrGeF:
-			in.b = resolveF(in.b)
-			in.c = resolveF(in.c)
+			in.B = resolveF(in.B)
+			in.C = resolveF(in.C)
 		case opCall:
 			reset()
 		default:
@@ -623,10 +622,10 @@ func (o *optimizer) propagate() {
 			if d := o.instrDef(in); d >= 0 {
 				kill(d)
 			}
-			if in.op == opLoadI2 || in.op == opLoadF2 || in.op == opStoreI2 || in.op == opStoreF2 {
-				r0, _, _ := resolveI(int32(uint64(in.imm) >> 32))
-				r1, _, _ := resolveI(int32(uint32(in.imm)))
-				in.imm = packRegs(r0, r1)
+			if in.Op == opLoadI2 || in.Op == opLoadF2 || in.Op == opStoreI2 || in.Op == opStoreF2 {
+				r0, _, _ := resolveI(int32(uint64(in.Imm) >> 32))
+				r1, _, _ := resolveI(int32(uint32(in.Imm)))
+				in.Imm = packRegs(r0, r1)
 			}
 		}
 	}
@@ -699,7 +698,7 @@ func (o *optimizer) liveness() {
 		b := o.blocks[bi]
 		for pc := b.end - 1; pc >= b.start; pc-- {
 			in := &o.code[pc]
-			if in.op == opRet {
+			if in.Op == opRet {
 				// Control returns to an unknown caller; every program
 				// variable may be read there.
 				out.orInto(varsLive)
@@ -754,11 +753,11 @@ func (o *optimizer) eliminate() {
 	o.dead = make([]bool, n)
 	for i := 0; i < n; i++ {
 		in := &o.code[i]
-		if in.op == opNop {
+		if in.Op == opNop {
 			o.dead[i] = true
 			continue
 		}
-		if !instrPure(in.op) {
+		if !instrPure(in.Op) {
 			continue
 		}
 		if d := o.instrDef(in); d >= 0 && !o.liveOut[i].has(d) {
@@ -771,7 +770,7 @@ func (o *optimizer) eliminate() {
 		}
 		// Find the fold target and check the span for leaders and for
 		// cost-field overflow.
-		sum := uint32(o.code[i].cost)
+		sum := uint32(o.code[i].Cost)
 		ok := true
 		j := i + 1
 		for ; j < n; j++ {
@@ -782,18 +781,18 @@ func (o *optimizer) eliminate() {
 			if !o.dead[j] {
 				break
 			}
-			sum += uint32(o.code[j].cost)
+			sum += uint32(o.code[j].Cost)
 		}
 		if j >= n {
 			ok = false // nothing to fold into (cannot happen: terminators survive)
 		}
-		if ok && sum+uint32(o.code[j].cost) > 0xffff {
+		if ok && sum+uint32(o.code[j].Cost) > 0xffff {
 			ok = false
 		}
 		// Zero-cost dead instructions need no fold target: removal is
 		// pure compaction (fall-through adjacency is preserved and
 		// branch targets remap to the next survivor).
-		if !ok && o.code[i].cost != 0 {
+		if !ok && o.code[i].Cost != 0 {
 			o.dead[i] = false
 		}
 	}
@@ -807,12 +806,12 @@ func (o *optimizer) eliminate() {
 func (o *optimizer) compact() {
 	n := len(o.code)
 	newIdx := make([]int32, n+1)
-	out := make([]instr, 0, n)
+	out := make([]Instr, 0, n)
 	pending := uint32(0)
 	for i := 0; i < n; i++ {
 		newIdx[i] = int32(len(out))
 		if o.dead[i] {
-			pending += uint32(o.code[i].cost)
+			pending += uint32(o.code[i].Cost)
 			continue
 		}
 		in := o.code[i]
@@ -820,11 +819,11 @@ func (o *optimizer) compact() {
 			// The folded cost belongs to instructions that executed
 			// before this one; charging it here, centrally and before
 			// the opcode body, advances the counter at the same point.
-			sum := uint32(in.cost) + pending
+			sum := uint32(in.Cost) + pending
 			if sum > maxCost {
 				panic("vm-opt: folded cost overflows the cost field")
 			}
-			in.cost = uint16(sum)
+			in.Cost = uint16(sum)
 			pending = 0
 		}
 		out = append(out, in)
@@ -836,26 +835,26 @@ func (o *optimizer) compact() {
 	for i := range out {
 		in := &out[i]
 		switch {
-		case in.op == opJmp || in.op == opAddJmp:
-			in.a = newIdx[in.a]
-		case in.op == opBr:
-			in.a = newIdx[in.a]
-			in.b = newIdx[in.b]
-		case in.op >= opBrEqI && in.op <= opBrGeF:
-			in.a = newIdx[in.a]
-			in.imm = int64(newIdx[in.imm])
-		case in.op == opRangeGuard:
-			in.a = newIdx[in.a]
-			in.imm = int64(newIdx[in.imm])
-		case in.op >= opIncBrEqI && in.op <= opIncBrGeI:
-			in.a = newIdx[in.a]
-			fpc := newIdx[int32(uint64(in.imm)>>32)]
-			in.imm = int64(fpc)<<32 | int64(uint32(in.imm))
+		case in.Op == opJmp || in.Op == opAddJmp:
+			in.A = newIdx[in.A]
+		case in.Op == opBr:
+			in.A = newIdx[in.A]
+			in.B = newIdx[in.B]
+		case in.Op >= opBrEqI && in.Op <= opBrGeF:
+			in.A = newIdx[in.A]
+			in.Imm = int64(newIdx[in.Imm])
+		case in.Op == opRangeGuard:
+			in.A = newIdx[in.A]
+			in.Imm = int64(newIdx[in.Imm])
+		case in.Op >= opIncBrEqI && in.Op <= opIncBrGeI:
+			in.A = newIdx[in.A]
+			fpc := newIdx[int32(uint64(in.Imm)>>32)]
+			in.Imm = int64(fpc)<<32 | int64(uint32(in.Imm))
 		}
 	}
-	funcs := append([]funcInfo(nil), o.in.funcs...)
+	funcs := append([]FuncImage(nil), o.in.funcs...)
 	for i := range funcs {
-		funcs[i].entry = newIdx[funcs[i].entry]
+		funcs[i].Entry = newIdx[funcs[i].Entry]
 	}
 	o.out.code = out
 	o.out.funcs = funcs

@@ -132,14 +132,13 @@ func RCE(vp *Program) (out *Program, err error) {
 	cp := *vp
 	cp.rce = true
 	cp.loops = nil
-	cp.mcache = new(machCache)
 	if len(vp.loops) == 0 {
 		return &cp, nil
 	}
 
-	code := append([]instr(nil), vp.code...)
+	code := append([]Instr(nil), vp.code...)
 	pool := append([]int64(nil), vp.pool...)
-	funcs := append([]funcInfo(nil), vp.funcs...)
+	funcs := append([]FuncImage(nil), vp.funcs...)
 	ext := funcExtents(vp)
 
 	byFn := map[int32][]loopMeta{}
@@ -228,14 +227,14 @@ func RCE(vp *Program) (out *Program, err error) {
 		leader := map[int32]bool{fnStart: true}
 		for pc := fnStart; pc < fnEnd; pc++ {
 			switch in := &code[pc]; {
-			case in.op == opJmp:
-				leader[in.a] = true
-			case in.op == opBr:
-				leader[in.a] = true
-				leader[in.b] = true
-			case in.op >= opBrEqI && in.op <= opBrGeF:
-				leader[in.a] = true
-				leader[int32(in.imm)] = true
+			case in.Op == opJmp:
+				leader[in.A] = true
+			case in.Op == opBr:
+				leader[in.A] = true
+				leader[in.B] = true
+			case in.Op >= opBrEqI && in.Op <= opBrGeF:
+				leader[in.A] = true
+				leader[int32(in.Imm)] = true
 			}
 		}
 		site := int32(-1) // clone index of the open bulk-count site
@@ -244,14 +243,14 @@ func RCE(vp *Program) (out *Program, err error) {
 				site = -1
 			}
 			if g := guardByHeader[pc]; g != nil {
-				code = append(code, instr{op: opRangeGuard, a: fastPC(pc), b: g.poolOff, c: g.perIter, imm: int64(pc)})
+				code = append(code, Instr{Op: opRangeGuard, A: fastPC(pc), B: g.poolOff, C: g.perIter, Imm: int64(pc)})
 				site = -1
 			}
 			in := code[pc]
 			if bulked[pc] {
 				// The guard counts this check (trip × perIter) when it
 				// passes; only the cost stays behind on a nop.
-				code = append(code, instr{op: opNop, cost: in.cost})
+				code = append(code, Instr{Op: opNop, Cost: in.Cost})
 				continue
 			}
 			if n, ok := claimed[pc]; ok {
@@ -264,33 +263,33 @@ func RCE(vp *Program) (out *Program, err error) {
 				// instruction-budget cadence shifts within the segment,
 				// the same latitude vmopt's opCheckBlock already takes.
 				if site >= 0 {
-					code[site].a += n
-					code = append(code, instr{op: opNop, cost: in.cost})
+					code[site].A += n
+					code = append(code, Instr{Op: opNop, Cost: in.Cost})
 				} else {
-					code = append(code, instr{op: opCkAdd, a: n, cost: in.cost})
+					code = append(code, Instr{Op: opCkAdd, A: n, Cost: in.Cost})
 					site = int32(len(code)) - 1
 				}
 				continue
 			}
-			if !ckAddTransparent(in.op) {
+			if !ckAddTransparent(in.Op) {
 				site = -1
 			}
 			switch {
-			case in.op == opJmp:
-				in.a = remap(pc, in.a)
-			case in.op == opBr:
-				in.a = remap(pc, in.a)
-				in.b = remap(pc, in.b)
-			case in.op >= opBrEqI && in.op <= opBrGeF:
-				in.a = remap(pc, in.a)
-				in.imm = int64(remap(pc, int32(in.imm)))
+			case in.Op == opJmp:
+				in.A = remap(pc, in.A)
+			case in.Op == opBr:
+				in.A = remap(pc, in.A)
+				in.B = remap(pc, in.B)
+			case in.Op >= opBrEqI && in.Op <= opBrGeF:
+				in.A = remap(pc, in.A)
+				in.Imm = int64(remap(pc, int32(in.Imm)))
 			}
 			code = append(code, in)
 		}
 		if guardByHeader[fnStart] != nil {
-			funcs[fi].entry = fastPC(fnStart) - 1
+			funcs[fi].Entry = fastPC(fnStart) - 1
 		} else {
-			funcs[fi].entry = fastPC(fnStart)
+			funcs[fi].Entry = fastPC(fnStart)
 		}
 	}
 
@@ -342,7 +341,7 @@ func spanLen(spans [][2]int32) int32 {
 // byte-identity latitude (see rce_test.go's diverged); claimed checks
 // cannot trap (the guard proved them) and accesses cannot fault (their
 // checks are exactly the fault conditions).
-func bulkPerIter(code []instr, lm loopMeta, claims map[int32]int32) int32 {
+func bulkPerIter(code []Instr, lm loopMeta, claims map[int32]int32) int32 {
 	spans := lm.spans
 	start, end := spans[0][0], spans[len(spans)-1][1]
 	if start != lm.headerPC {
@@ -369,15 +368,15 @@ func bulkPerIter(code []instr, lm loopMeta, claims map[int32]int32) int32 {
 		}
 		in := &code[pc]
 		switch {
-		case in.op == opJmp:
-			if pc != end-1 || in.a != lm.headerPC {
+		case in.Op == opJmp:
+			if pc != end-1 || in.A != lm.headerPC {
 				return 0
 			}
-		case in.op == wantTest && testPC < 0 &&
-			in.b == lm.vReg && in.c == lm.limReg &&
-			in.a == pc+1 && !inSpans(spans, int32(in.imm)):
+		case in.Op == wantTest && testPC < 0 &&
+			in.B == lm.vReg && in.C == lm.limReg &&
+			in.A == pc+1 && !inSpans(spans, int32(in.Imm)):
 			testPC = pc
-		case ckAddTransparent(in.op):
+		case ckAddTransparent(in.Op):
 		default:
 			return 0
 		}
@@ -394,7 +393,7 @@ func funcExtents(vp *Program) [][2]int32 {
 	n := int32(len(vp.code))
 	entries := make([]int32, len(vp.funcs))
 	for i, f := range vp.funcs {
-		entries[i] = f.entry
+		entries[i] = f.Entry
 	}
 	sorted := append([]int32(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -445,14 +444,14 @@ func ckAddTransparent(op uint8) bool {
 // or -1. It mirrors the optimizer's instrDef int arm but is standalone
 // so the rce eligibility scan (which runs before any optimizer exists)
 // can use it.
-func intDefOf(in *instr) int32 {
-	switch in.op {
+func intDefOf(in *Instr) int32 {
+	switch in.Op {
 	case opMovI, opAddI, opSubI, opMulI, opDivI, opNegI,
 		opEqI, opNeI, opLtI, opLeI, opGtI, opGeI,
 		opEqF, opNeF, opLtF, opLeF, opGtF, opGeF,
 		opAndB, opOrB, opNotB, opModI, opAbsI, opMinI, opMaxI, opF2I,
 		opLoadI, opLoadI1, opLoadI2:
-		return in.a
+		return in.A
 	}
 	return -1
 }
@@ -469,7 +468,7 @@ func intDefOf(in *instr) int32 {
 // is not a clean single latch add, or simply no provable checks.
 // claimed lists check pcs already covered by an enclosing loop's
 // guard; they are skipped, not re-claimed.
-func planLoopGuard(vp *Program, code []instr, pool []int64, lm loopMeta, claimed map[int32]int32) (tuple []int64, claims map[int32]int32) {
+func planLoopGuard(vp *Program, code []Instr, pool []int64, lm loopMeta, claimed map[int32]int32) (tuple []int64, claims map[int32]int32) {
 	nVars := int32(vp.numVars)
 	nConst := int32(len(vp.iconsts))
 	isConstReg := func(r int32) bool { return r >= nVars && r < nVars+nConst }
@@ -483,7 +482,7 @@ func planLoopGuard(vp *Program, code []instr, pool []int64, lm loopMeta, claimed
 	for _, sp := range lm.spans {
 		for pc := sp[0]; pc < sp[1]; pc++ {
 			in := &code[pc]
-			if in.op == opCall {
+			if in.Op == opCall {
 				return nil, nil
 			}
 			if d := intDefOf(in); d >= 0 {
@@ -499,8 +498,8 @@ func planLoopGuard(vp *Program, code []instr, pool []int64, lm loopMeta, claimed
 		return nil, nil
 	}
 	add := &code[vDefPC]
-	if add.op != opAddI || add.a != lm.vReg || add.b != lm.vReg ||
-		!isConstReg(add.c) || vp.iconsts[add.c-nVars] != lm.step {
+	if add.Op != opAddI || add.A != lm.vReg || add.B != lm.vReg ||
+		!isConstReg(add.C) || vp.iconsts[add.C-nVars] != lm.step {
 		return nil, nil
 	}
 
@@ -548,26 +547,26 @@ func planLoopGuard(vp *Program, code []instr, pool []int64, lm loopMeta, claimed
 			mark := len(subs)
 			var n int32
 			ok := false
-			switch in.op {
+			switch in.Op {
 			case opCheck1:
-				ok = addCheck(in.imm, [][2]int64{{int64(in.b), int64(in.a)}})
+				ok = addCheck(in.Imm, [][2]int64{{int64(in.B), int64(in.A)}})
 				n = 1
 			case opCheckPair:
-				t := pool[in.b : in.b+6 : in.b+6]
-				ok = addCheck(t[1], [][2]int64{{t[0], int64(in.a)}}) &&
-					addCheck(t[4], [][2]int64{{t[3], int64(in.a)}})
+				t := pool[in.B : in.B+6 : in.B+6]
+				ok = addCheck(t[1], [][2]int64{{t[0], int64(in.A)}}) &&
+					addCheck(t[4], [][2]int64{{t[3], int64(in.A)}})
 				n = 2
 			case opCheck2:
-				t := pool[in.a : in.a+4 : in.a+4]
-				ok = addCheck(in.imm, [][2]int64{{t[0], t[1]}, {t[2], t[3]}})
+				t := pool[in.A : in.A+4 : in.A+4]
+				ok = addCheck(in.Imm, [][2]int64{{t[0], t[1]}, {t[2], t[3]}})
 				n = 1
 			case opCheck:
-				tt := pool[in.a : in.a+2*in.b]
-				terms := make([][2]int64, 0, in.b)
+				tt := pool[in.A : in.A+2*in.B]
+				terms := make([][2]int64, 0, in.B)
 				for k := 0; k+1 < len(tt); k += 2 {
 					terms = append(terms, [2]int64{tt[k], tt[k+1]})
 				}
-				ok = addCheck(in.imm, terms)
+				ok = addCheck(in.Imm, terms)
 				n = 1
 			default:
 				continue
