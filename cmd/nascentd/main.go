@@ -23,15 +23,14 @@
 //     or cancel in-flight work within -drain-timeout, flush metrics
 //   - -progcache dir persists compiled bytecode programs on disk
 //     (content-addressed, CRC-sealed): a restarted server answers
-//     /compile and /run for known programs without parsing source
+//     /compile and /run for known programs without parsing source; an
+//     entry is checked where it is read, and a damaged one is unlinked
+//     and rewritten by the recompile
 //   - -audit-every N compares every Nth /run, off the hot path, with
 //     the tree reference engine's outcome (stored per request shape,
 //     recomputed on any mismatch); a divergence is a typed
 //     SelfAuditViolation that trips the pair's breaker: the pair is
 //     served degraded for -breaker-cooldown
-//   - -scrub-interval runs a background disk-cache scrubber (re-CRC +
-//     decode→re-encode fixpoint; corrupt entries unlinked and healed
-//     by the next compile)
 //   - -chaos arms a deterministic fault-injection spec in this
 //     process, for soak drills
 //
@@ -75,7 +74,6 @@ func run(argv []string) int {
 	breakerCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "how long a (scheme, engine) pair tripped by the self-audit is served degraded")
 	progCacheDir := fs.String("progcache", "", "disk-backed compiled-program cache directory (warm restarts skip the frontend)")
 	auditEvery := fs.Int("audit-every", 16, "compare every Nth /run with the tree reference engine's observables (0 = off)")
-	scrubInterval := fs.Duration("scrub-interval", time.Minute, "background disk-cache scrub period (0 = off; needs -progcache)")
 	chaosSpec := fs.String("chaos", "", `arm deterministic fault injection "seed:rate[:site,...]" in this process`)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -102,7 +100,6 @@ func run(argv []string) int {
 		AllowDrill:      *allowDrill,
 		BreakerCooldown: *breakerCooldown,
 		AuditEvery:      *auditEvery,
-		ScrubInterval:   *scrubInterval,
 	}
 	cfg.Ceilings.MaxInstructions = *maxInstr
 	cfg.Ceilings.MaxArrayCells = *maxCells

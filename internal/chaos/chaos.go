@@ -5,8 +5,7 @@
 // internal failures into typed, positioned errors. Nothing exercises
 // those paths systematically on organic bugs alone, so this package
 // plants *named injection sites* throughout the pipeline (lexer, parser,
-// sem, irbuild, optimizer, both execution engines, the disk cache's
-// scrubber, the self-audit) and
+// sem, irbuild, optimizer, both execution engines, the self-audit) and
 // lets tests, the oracle chaos sweep, and the CLIs provoke each failure
 // mode on demand.
 //
@@ -84,11 +83,6 @@ const (
 	// byte-identical — this site exists to keep the deopt path
 	// continuously exercised. Keyed by the containing function's name.
 	SiteRCEGuardFail Site = "vm.rce.guard.fail"
-	// SiteScrubCorrupt flips a byte of a disk-cache entry as the
-	// progcache scrubber reads it (simulated bit rot): the CRC must
-	// catch it, the entry must be unlinked and counted, and the next
-	// compile must heal it. Keyed by the entry's content-address stem.
-	SiteScrubCorrupt Site = "progcache.scrub.corrupt"
 	// SiteAuditMismatch forces the in-service differential self-audit
 	// to observe a divergence between a served result and its reference
 	// re-execution: the typed SelfAuditViolation path, the breaker
@@ -104,7 +98,7 @@ var Sites = []Site{
 	SiteTreeBudget, SiteTreeCancel, SiteTreePanic,
 	SiteVMBudget, SiteVMCancel, SiteVMPanic,
 	SiteRCEGuardFail,
-	SiteScrubCorrupt, SiteAuditMismatch,
+	SiteAuditMismatch,
 }
 
 // KnownSite reports whether s names a registered injection site.
@@ -125,7 +119,7 @@ type Spec struct {
 	Rate float64
 	// Site restricts injection to a set of sites: "" means every site,
 	// one site name means that site only, and a comma-separated list
-	// ("tree.poll.budget,progcache.scrub.corrupt") arms exactly those
+	// ("tree.poll.budget,service.audit.mismatch") arms exactly those
 	// sites — the form soak drills use to combine faults under one
 	// seed while leaving the rest of the pipeline quiet.
 	Site Site

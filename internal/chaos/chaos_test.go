@@ -92,8 +92,8 @@ func TestSiteFilter(t *testing.T) {
 }
 
 func TestMultiSiteSpec(t *testing.T) {
-	armed := []Site{SiteOptPanic, SiteTreeBudget, SiteScrubCorrupt}
-	text := "11:1:optimize.panic,tree.poll.budget,progcache.scrub.corrupt"
+	armed := []Site{SiteOptPanic, SiteTreeBudget, SiteAuditMismatch}
+	text := "11:1:optimize.panic,tree.poll.budget,service.audit.mismatch"
 	spec, err := ParseSpec(text)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", text, err)

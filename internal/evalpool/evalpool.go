@@ -101,7 +101,7 @@ type Result struct {
 	// Res is the run result (zero on error).
 	Res nascent.RunResult
 	// Err is the first error of the job's pipeline, wrapped with the
-	// job name and stage.
+	// job name and stage; a run-stage failure is a *RunError.
 	Err error
 	// Stage timings for this job. Frontend is zero on a cache hit: the
 	// shared parse/analyze cost is charged to the job that populated
@@ -110,6 +110,17 @@ type Result struct {
 	// CacheHit reports that the front end came from the memo table.
 	CacheHit bool
 }
+
+// RunError is a failure of a job's run stage: the compiled program
+// started executing and its engine returned Err.
+type RunError struct {
+	Job string
+	Err error
+}
+
+func (e *RunError) Error() string { return e.Job + ": run: " + e.Err.Error() }
+
+func (e *RunError) Unwrap() error { return e.Err }
 
 // Stage names used in trace events.
 const (
@@ -372,7 +383,7 @@ func (p *Pool) runJob(ctx context.Context, i int, job *Job, memo bool) (res Resu
 		res.CacheHit = true // the compile came from the caller's cache
 		p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
 		if err != nil {
-			res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
+			res.Err = &RunError{Job: job.Name, Err: err}
 		} else {
 			res.Res = rr
 		}
@@ -408,7 +419,7 @@ func (p *Pool) runJob(ctx context.Context, i int, job *Job, memo bool) (res Resu
 	res.Run = time.Since(t0)
 	p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
 	if err != nil {
-		res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
+		res.Err = &RunError{Job: job.Name, Err: err}
 	} else {
 		res.Res = rr
 	}

@@ -121,15 +121,6 @@ type Metrics struct {
 	BadVersion  uint64 `json:"bad_version"`
 	Puts        uint64 `json:"puts"`
 	WriteErrors uint64 `json:"write_errors"`
-
-	// Scrubber counters. Scrub passes never touch Hits/Misses: a scrub
-	// is maintenance, not traffic, and the warm-start contract (a fully
-	// warmed second generation shows zero misses) must survive any
-	// number of background passes.
-	ScrubPasses  uint64 `json:"scrub_passes"`
-	ScrubScanned uint64 `json:"scrub_scanned"`
-	ScrubCorrupt uint64 `json:"scrub_corrupt"`
-	ScrubRemoved uint64 `json:"scrub_removed"`
 }
 
 // Cache is a disk-backed program cache rooted at one directory. All
@@ -286,51 +277,39 @@ func appendEnvelope(meta []byte, im *vm.Image) []byte {
 
 func corrupt(reason string) error { return &progio.CorruptError{Reason: "cache envelope: " + reason} }
 
-// splitEnvelope verifies the envelope's checksum and structure and
-// returns the meta block and the raw progio payload bytes. The
-// checksum is verified before any structural parse, so arbitrary
-// damage surfaces as one uniform typed error. The scrubber needs the
-// payload bytes themselves — its fixpoint check compares a re-encode
-// against them — which is why this layer is split from decodeEnvelope.
-func splitEnvelope(data []byte) (cacheMeta, []byte, error) {
-	var meta cacheMeta
+// decodeEnvelope parses the on-disk form into an Entry. The checksum
+// is verified before any structural parse, so arbitrary damage
+// surfaces as one uniform typed error.
+func decodeEnvelope(data []byte) (*Entry, error) {
 	if len(data) < len(envelopeMagic)+2+4 {
-		return meta, nil, corrupt("shorter than header")
+		return nil, corrupt("shorter than header")
 	}
 	if string(data[:4]) != string(envelopeMagic[:]) {
-		return meta, nil, corrupt("bad magic")
+		return nil, corrupt("bad magic")
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(trailer) {
-		return meta, nil, corrupt("checksum mismatch")
+		return nil, corrupt("checksum mismatch")
 	}
 	rest := body[4:]
 	v, rest, _ := progio.ReadUint16(rest)
 	if v != envelopeVersion {
-		return meta, nil, &progio.VersionError{Got: v}
+		return nil, &progio.VersionError{Got: v}
 	}
 	metaLen, rest, ok := progio.ReadUint32(rest)
 	if !ok || uint64(metaLen) > uint64(len(rest)) {
-		return meta, nil, corrupt("meta length out of range")
+		return nil, corrupt("meta length out of range")
 	}
 	metaRaw, rest := rest[:metaLen], rest[metaLen:]
+	var meta cacheMeta
 	if err := json.Unmarshal(metaRaw, &meta); err != nil {
-		return meta, nil, corrupt("meta: " + err.Error())
+		return nil, corrupt("meta: " + err.Error())
 	}
 	payLen, rest, ok := progio.ReadUint32(rest)
 	if !ok || uint64(payLen) != uint64(len(rest)) {
-		return meta, nil, corrupt("payload length out of range")
+		return nil, corrupt("payload length out of range")
 	}
-	return meta, rest, nil
-}
-
-// decodeEnvelope parses the on-disk form into an Entry.
-func decodeEnvelope(data []byte) (*Entry, error) {
-	meta, payload, err := splitEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := progio.Decode(payload)
+	prog, err := progio.Decode(rest)
 	if err != nil {
 		return nil, err
 	}

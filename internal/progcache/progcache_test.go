@@ -3,6 +3,7 @@ package progcache_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -90,11 +91,12 @@ func resealEnvelope(data []byte) []byte {
 	return out
 }
 
-// TestFaults damages a cache file every way the satellite checklist
-// names — truncation, bit flips, a wrong envelope version — and
-// requires the same recovery each time: a typed error (never a
-// panic), a miss counted in the metrics, and a recompile + Put that
-// heals the entry with a correct result.
+// TestFaults damages a cache file — truncation, bit flips, a wrong
+// envelope version — and requires the same recovery each time: a typed
+// error (never a panic), a miss counted in the metrics, and a
+// recompile + Put that heals the entry with a correct result. Get is
+// the disk cache's one integrity check, so the last two cases damage a
+// small entry at every byte offset and every shorter length.
 func TestFaults(t *testing.T) {
 	opts := nascent.Options{BoundsChecks: true, Scheme: nascent.SE}
 	key := progcache.KeyOf("src-of-mdg", "mdg.mf", opts, nascent.EngineVMOpt)
@@ -191,6 +193,75 @@ func TestFaults(t *testing.T) {
 				t.Fatalf("healed run diverges:\nfresh:  %+v\nhealed: %+v", wantRes, got)
 			}
 		})
+	}
+
+	t.Run("every-byte-flip", func(t *testing.T) {
+		c, key, data := smallEntryFile(t)
+		for i := range data {
+			b := append([]byte(nil), data...)
+			b[i] ^= 0xFF
+			wantRefused(t, c, key, b, fmt.Sprintf("byte %d of %d flipped", i, len(data)))
+		}
+	})
+	t.Run("every-truncation", func(t *testing.T) {
+		c, key, data := smallEntryFile(t)
+		for n := 0; n < len(data); n++ {
+			wantRefused(t, c, key, data[:n], fmt.Sprintf("truncated to %d of %d bytes", n, len(data)))
+		}
+	})
+}
+
+// smallEntryFile puts one small program in a fresh cache and returns
+// the cache, the entry's key and its file's bytes.
+func smallEntryFile(t *testing.T) (*progcache.Cache, progcache.Key, []byte) {
+	t.Helper()
+	const src = "program p\n  real a(4)\n  integer i\n  do i = 1, 4\n    a(i) = float(i)\n  enddo\n  print a(4)\nend\n"
+	opts := nascent.Options{BoundsChecks: true, Scheme: nascent.LLS, Filename: "small.mf"}
+	prog, err := nascent.Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := vm.Compile(prog.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := progcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := progcache.KeyOf(src, "small.mf", opts, nascent.EngineVMRCE)
+	if err := c.Put(key, &progcache.Entry{Prog: vp, StaticChecks: prog.StaticChecks(), Opt: prog.Opt}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(c.Dir(), key.String()+".npc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, key, data
+}
+
+// wantRefused writes damaged as key's entry and requires Get to refuse
+// it before use: a typed ErrCorrupt, no entry, one Corrupt counted and
+// the file unlinked.
+func wantRefused(t *testing.T, c *progcache.Cache, key progcache.Key, damaged []byte, what string) {
+	t.Helper()
+	path := filepath.Join(c.Dir(), key.String()+".npc")
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Metrics()
+	e, err := c.Get(key)
+	after := c.Metrics()
+	switch {
+	case e != nil:
+		t.Fatalf("%s: Get returned a program", what)
+	case !errors.Is(err, progio.ErrCorrupt):
+		t.Fatalf("%s: Get = %v, want ErrCorrupt", what, err)
+	case after.Corrupt != before.Corrupt+1 || after.BadVersion != before.BadVersion:
+		t.Fatalf("%s: metrics %+v -> %+v, want one more Corrupt", what, before, after)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("%s: damaged entry not unlinked: %v", what, err)
 	}
 }
 

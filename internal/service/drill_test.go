@@ -134,3 +134,41 @@ func TestDrillReplayRoundTrip(t *testing.T) {
 		t.Errorf("drill counter = %d, want > 0", m.Requests.Drill)
 	}
 }
+
+// TestDrillClassIgnoresName: a drill's error class comes from the
+// stage that failed, not from its caller-chosen job name. A name that
+// reads like a run-stage tag must not turn a parse error into a
+// program fault, and an unchecked out-of-range store is a fault under
+// any name.
+func TestDrillClassIgnoresName(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.AllowDrill = true })
+	off := false
+	for _, tc := range []struct {
+		src   string
+		opts  Options
+		class string
+		exit  int
+	}{
+		{progBad, Options{}, ClassCompile, 3},
+		{progTrap, Options{BoundsChecks: &off}, ClassFault, 1},
+	} {
+		for _, name := range []string{"", "x: run: y"} {
+			var resp DrillResponse
+			w := do(t, s, "POST", "/drill", DrillRequest{
+				Spec: "1:0",
+				Name: name,
+				Run:  RunRequest{CompileRequest: CompileRequest{Source: tc.src, Options: tc.opts}},
+			}, &resp)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
+			}
+			if resp.Error == nil {
+				t.Fatalf("name %q: drill did not fail: %+v", name, resp.Result)
+			}
+			if resp.Error.Class != tc.class || resp.Error.NaccExit != tc.exit {
+				t.Errorf("name %q: class %q exit %d, want %q exit %d (%s)",
+					name, resp.Error.Class, resp.Error.NaccExit, tc.class, tc.exit, resp.Error.Message)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"time"
 
 	"nascent"
@@ -63,11 +62,11 @@ func classifyRunErr(err error) *Error {
 	if errors.Is(err, guard.ErrInternal) {
 		return &Error{Class: ClassInternal, Message: err.Error(), Status: http.StatusInternalServerError, NaccExit: -1}
 	}
-	// Untyped errors: the pool tags run-stage failures with "run:"; a
-	// runtime fault of the program (nacc exit 1) is the tenant's
-	// problem, anything else from the pipeline is a compile failure
-	// (nacc exit 3).
-	if strings.Contains(err.Error(), ": run: ") {
+	// Any other run-stage failure is a runtime fault of the program
+	// (nacc exit 1), the tenant's problem; anything else from the
+	// pipeline is a compile failure (nacc exit 3).
+	var run *evalpool.RunError
+	if errors.As(err, &run) {
 		return &Error{Class: ClassFault, Message: err.Error(), Status: http.StatusUnprocessableEntity, NaccExit: 1}
 	}
 	return &Error{Class: ClassCompile, Message: err.Error(), Status: http.StatusUnprocessableEntity, NaccExit: 3}

@@ -92,7 +92,6 @@ func TestMetricsDocFields(t *testing.T) {
 	disk, _ := m["disk_cache"].(map[string]any)
 	assertFields(t, "disk_cache", disk, []string{
 		"hits", "misses", "corrupt", "bad_version", "puts", "write_errors",
-		"scrub_passes", "scrub_scanned", "scrub_corrupt", "scrub_removed",
 	})
 
 	admission, _ := m["admission"].(map[string]any)
