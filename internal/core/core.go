@@ -713,7 +713,7 @@ func (c *funcCtx) inxForm(chk *ir.CheckStmt, l *loops.Loop) *linform.Form {
 			}
 			ie = c.ind.IEOfValue(use, l)
 		} else {
-			ie = c.ind.IEOfOpaqueAtom(t.Atom, l)
+			ie = c.ind.IEOfOpaqueAtom(t.Atom, l, nil)
 		}
 		if ie.Class != induction.Invariant && ie.Class != induction.Linear {
 			return nil

@@ -97,14 +97,13 @@ func (c *funcCtx) hoistLoop(ant *dataflow.Anticipation, l *loops.Loop, lls bool)
 		return
 	}
 
-	headerVals := c.ssa.OutValues[l.Header]
 	pre := l.Preheader
 	inserted := make(map[hoistKey]bool)
 	var unguarded []ir.Stmt // appended to pre once ant has been weakened
 	var edited []*ir.Block
 	for _, cd := range cands {
 		fam, v := cd.fam, cd.v
-		ie := c.ind.IEOfFormAt(fam.Terms, l, headerVals)
+		ie := c.ind.IEOfFormAt(fam.Terms, l, l.Header)
 		var hoisted linform.Form
 		switch {
 		case ie.Class == induction.Invariant:

@@ -52,7 +52,6 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 		return
 	}
 	h := c.ind.HVar(l)
-	headerVals := c.ssa.OutValues[l.Header]
 	inserted := make(map[hoistKey]bool)
 
 	// Like the LLS cover (see eliminateCovered): a hoisted check covers
@@ -96,7 +95,7 @@ func (c *funcCtx) mcmHoistLoop(l *loops.Loop) {
 				kept = append(kept, s)
 				continue
 			}
-			ie := c.ind.IEOfFormAt(chk.Terms, l, headerVals)
+			ie := c.ind.IEOfFormAt(chk.Terms, l, l.Header)
 			var hoisted linform.Form
 			switch ie.Class {
 			case induction.Invariant:

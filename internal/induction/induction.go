@@ -14,6 +14,7 @@ package induction
 
 import (
 	"fmt"
+	"strconv"
 
 	"nascent/internal/ir"
 	"nascent/internal/linform"
@@ -65,43 +66,33 @@ func (e IE) String() string {
 	return fmt.Sprintf("%s[%s]", e.Class, e.Form)
 }
 
-// Analysis holds induction information for one function.
+// Analysis holds induction information for one function, by
+// loops.Loop.Index and ssa.Value.ID.
 type Analysis struct {
 	Fn     *ir.Func
 	Forest *loops.Forest
 	SSA    *ssa.Info
 
-	hvars   map[*loops.Loop]*ir.Var
-	loopOfH map[int]*loops.Loop // h variable ID -> its loop
-	memo    map[memoKey]IE
-	// loop side-effect summaries
-	storesArr  map[*loops.Loop]map[int]bool // array IDs stored in loop
-	assignedIn map[*loops.Loop]map[int]bool // var IDs assigned in loop
-	hasCall    map[*loops.Loop]bool
-}
-
-type memoKey struct {
-	val  *ssa.Value
-	loop *loops.Loop
+	hvars []*ir.Var // a loop's basic variable h, once made
+	// memo holds each IE computed, by loop index and value ID. Few values
+	// are asked about per loop, so this map is smaller than a row of
+	// IEs, or of indexes into them, per loop.
+	memo map[memoKey]IE
+	// Loop side-effect summaries: hasCall, and a row of words bits per
+	// loop in effects, set at the ID of each variable assigned in the
+	// loop and at arrayBit + the ID of each array stored.
+	hasCall         []bool
+	effects         []uint64
+	words, arrayBit int
 }
 
 // Analyze runs induction analysis for every loop of f.
 func Analyze(f *ir.Func, forest *loops.Forest, info *ssa.Info) *Analysis {
-	a := &Analysis{
-		Fn:         f,
-		Forest:     forest,
-		SSA:        info,
-		hvars:      make(map[*loops.Loop]*ir.Var),
-		loopOfH:    make(map[int]*loops.Loop),
-		memo:       make(map[memoKey]IE),
-		storesArr:  make(map[*loops.Loop]map[int]bool),
-		assignedIn: make(map[*loops.Loop]map[int]bool),
-		hasCall:    make(map[*loops.Loop]bool),
-	}
-	for _, l := range forest.Loops {
-		a.storesArr[l] = make(map[int]bool)
-		a.assignedIn[l] = make(map[int]bool)
-	}
+	n := len(forest.Loops)
+	a := &Analysis{Fn: f, Forest: forest, SSA: info, hvars: make([]*ir.Var, n),
+		memo: map[memoKey]IE{}, hasCall: make([]bool, n), arrayBit: f.Program.NumVars}
+	a.words = (f.Program.NumVars + f.Program.NumArrays + 63) / 64
+	a.effects = make([]uint64, n*a.words)
 	// Each block's effects go to its innermost loop; each loop then
 	// passes its effects to its parent (children come first in Loops),
 	// so effects in inner loops affect outer loops too.
@@ -113,30 +104,38 @@ func Analyze(f *ir.Func, forest *loops.Forest, info *ssa.Info) *Analysis {
 		for _, st := range b.Stmts {
 			switch st := st.(type) {
 			case *ir.StoreStmt:
-				a.storesArr[l][st.Arr.ID] = true
+				a.setEffect(l.Index, a.arrayBit+st.Arr.ID)
 			case *ir.AssignStmt:
-				a.assignedIn[l][st.Dst.ID] = true
+				a.setEffect(l.Index, st.Dst.ID)
 			case *ir.CallStmt:
-				a.hasCall[l] = true
+				a.hasCall[l.Index] = true
 			}
 		}
 	}
 	for _, l := range forest.Loops {
-		p := l.Parent
-		if p == nil {
-			continue
-		}
-		if a.hasCall[l] {
-			a.hasCall[p] = true
-		}
-		for id := range a.storesArr[l] {
-			a.storesArr[p][id] = true
-		}
-		for id := range a.assignedIn[l] {
-			a.assignedIn[p][id] = true
+		if p := l.Parent; p != nil {
+			a.hasCall[p.Index] = a.hasCall[p.Index] || a.hasCall[l.Index]
+			for w := range a.words {
+				a.effects[p.Index*a.words+w] |= a.effects[l.Index*a.words+w]
+			}
 		}
 	}
 	return a
+}
+
+func (a *Analysis) setEffect(loop, bit int) { a.effects[loop*a.words+bit/64] |= 1 << (bit % 64) }
+
+// assigns reports whether loop l assigns v. A variable made after
+// Analyze (an h variable) is not in the summary.
+func (a *Analysis) assigns(l *loops.Loop, v *ir.Var) bool {
+	return v.ID < a.arrayBit && a.effect(l, v.ID)
+}
+
+// stores reports whether loop l stores to arr.
+func (a *Analysis) stores(l *loops.Loop, arr *ir.Array) bool { return a.effect(l, a.arrayBit+arr.ID) }
+
+func (a *Analysis) effect(l *loops.Loop, bit int) bool {
+	return bit < a.words*64 && a.effects[l.Index*a.words+bit/64]&(1<<(bit%64)) != 0
 }
 
 // LoopStableTerms reports whether the value every atom of terms reads is
@@ -147,20 +146,19 @@ func Analyze(f *ir.Func, forest *loops.Forest, info *ssa.Info) *Analysis {
 // rewriting) require this; checks hoisted to the preheader only require
 // preheader stability, which IE construction already guarantees.
 func (a *Analysis) LoopStableTerms(l *loops.Loop, terms []ir.CheckTerm) bool {
-	assigned := a.assignedIn[l]
 	ok := true
 	for _, t := range terms {
 		ir.WalkExpr(t.Atom, func(x ir.Expr) {
 			switch x := x.(type) {
 			case *ir.VarRef:
-				if a.hvars[l] == x.Var {
+				if a.hvars[l.Index] == x.Var {
 					return
 				}
-				if assigned[x.Var.ID] || (a.hasCall[l] && x.Var.Global) {
+				if a.assigns(l, x.Var) || (a.hasCall[l.Index] && x.Var.Global) {
 					ok = false
 				}
 			case *ir.Load:
-				if a.storesArr[l][x.Arr.ID] || (a.hasCall[l] && x.Arr.Global) {
+				if a.stores(l, x.Arr) || (a.hasCall[l.Index] && x.Arr.Global) {
 					ok = false
 				}
 			}
@@ -174,12 +172,11 @@ func (a *Analysis) LoopStableTerms(l *loops.Loop, terms []ir.CheckTerm) bool {
 // materialized (h=0 in the preheader, h=h+1 at each latch) when INX
 // checks are placed in the loop body.
 func (a *Analysis) HVar(l *loops.Loop) *ir.Var {
-	if v, ok := a.hvars[l]; ok {
+	if v := a.hvars[l.Index]; v != nil {
 		return v
 	}
-	v := a.Fn.NewTemp(fmt.Sprintf("h.b%d", l.Header.ID), ir.Int)
-	a.hvars[l] = v
-	a.loopOfH[v.ID] = l
+	v := a.Fn.NewTemp("h.b"+strconv.Itoa(l.Header.ID), ir.Int)
+	a.hvars[l.Index] = v
 	return v
 }
 
@@ -187,24 +184,28 @@ func (a *Analysis) HVar(l *loops.Loop) *ir.Var {
 // linear (slope 1) for l itself, invariant for ancestors of l (an outer
 // h does not change while an inner loop runs), unknown otherwise.
 func (a *Analysis) ieOfHVar(h *ir.Var, l2, l *loops.Loop) IE {
-	if l2 == l {
-		return IE{Class: Linear, Form: linform.Form{
-			Terms: []ir.CheckTerm{{Coef: 1, Atom: &ir.VarRef{Var: h}}},
-		}}
-	}
-	for anc := l.Parent; anc != nil; anc = anc.Parent {
-		if anc == l2 {
-			return IE{Class: Invariant, Form: linform.Form{
-				Terms: []ir.CheckTerm{{Coef: 1, Atom: &ir.VarRef{Var: h}}},
-			}}
+	cls := Linear
+	if l2 != l {
+		cls = Invariant
+		anc := l.Parent
+		for anc != nil && anc != l2 {
+			anc = anc.Parent
+		}
+		if anc == nil {
+			return IE{Class: Unknown}
 		}
 	}
-	return IE{Class: Unknown}
+	return IE{Class: cls, Form: linform.Form{Terms: []ir.CheckTerm{{Coef: 1, Atom: &ir.VarRef{Var: h}}}}}
 }
 
-// IsHVar reports whether v is the basic loop variable of l.
-func (a *Analysis) IsHVar(l *loops.Loop, v *ir.Var) bool {
-	return a.hvars[l] == v
+// loopOfH returns the loop whose basic variable is v, or nil.
+func (a *Analysis) loopOfH(v *ir.Var) *loops.Loop {
+	for i, h := range a.hvars {
+		if h != nil && h.ID == v.ID {
+			return a.Forest.Loops[i]
+		}
+	}
+	return nil
 }
 
 // SlopeOf splits an IE form into (slope of h, rest without h).
@@ -220,24 +221,22 @@ func (a *Analysis) SlopeOf(l *loops.Loop, f linform.Form) (int64, linform.Form) 
 // relative to loop l. The VarRef occurrences of e must belong to the
 // function body (the SSA overlay must know them).
 func (a *Analysis) IEOfExpr(e ir.Expr, l *loops.Loop) IE {
-	f := linform.Decompose(e)
+	return a.combine(linform.Decompose(e), l, func(atom ir.Expr) IE {
+		if vr, ok := atom.(*ir.VarRef); ok && a.SSA.UseOf[vr] != nil {
+			return a.IEOfValue(a.SSA.UseOf[vr], l)
+		}
+		// A variable read the overlay does not know (in a synthesized
+		// expression) is treated as opaque.
+		return a.IEOfOpaqueAtom(atom, l, nil)
+	})
+}
+
+// combine sums the IEs of f's terms, each atom classified by ieOf.
+func (a *Analysis) combine(f linform.Form, l *loops.Loop, ieOf func(atom ir.Expr) IE) IE {
 	acc := linform.Form{Const: f.Const}
 	cls := Invariant
 	for _, t := range f.Terms {
-		var ie IE
-		if vr, ok := t.Atom.(*ir.VarRef); ok {
-			use := a.SSA.UseOf[vr]
-			if use == nil {
-				// Expression not part of the function body (e.g. a
-				// synthesized expression): fall back to treating the
-				// variable as opaque.
-				ie = a.opaqueAtomIE(t.Atom, l)
-			} else {
-				ie = a.ieOfValue(use, l)
-			}
-		} else {
-			ie = a.opaqueAtomIE(t.Atom, l)
-		}
+		ie := ieOf(t.Atom)
 		if ie.Class == Polynomial || ie.Class == Unknown {
 			return IE{Class: ie.Class}
 		}
@@ -255,90 +254,51 @@ func (a *Analysis) IEOfExpr(e ir.Expr, l *loops.Loop) IE {
 	return IE{Class: cls, Form: acc}
 }
 
-// IEOfValue computes the induction expression of an SSA value relative
-// to loop l (exported for the INX check rewriter).
-func (a *Analysis) IEOfValue(v *ssa.Value, l *loops.Loop) IE {
-	return a.ieOfValue(v, l)
-}
-
-// IEOfOpaqueAtom classifies a non-affine atom relative to loop l
-// (exported for the INX check rewriter).
-func (a *Analysis) IEOfOpaqueAtom(atom ir.Expr, l *loops.Loop) IE {
-	return a.opaqueAtomIE(atom, l)
-}
-
 // IEOfFormAt computes the combined induction expression of canonical
-// check terms as read at a program point whose variable values are vals
-// (typically ssa.Info.OutValues[loop.Header], i.e. loop-body entry). It
-// is used to classify whole check families for preheader insertion.
-func (a *Analysis) IEOfFormAt(terms []ir.CheckTerm, l *loops.Loop, vals map[int]*ssa.Value) IE {
-	acc := linform.Form{}
-	cls := Invariant
-	for _, t := range terms {
-		var ie IE
-		if vr, ok := t.Atom.(*ir.VarRef); ok {
-			if l2 := a.loopOfH[vr.Var.ID]; l2 != nil {
-				ie = a.ieOfHVar(vr.Var, l2, l)
-			} else if v := vals[vr.Var.ID]; v != nil {
-				ie = a.ieOfValue(v, l)
-			} else {
-				return IE{Class: Unknown}
-			}
-		} else {
-			ie = a.opaqueAtomIEAt(t.Atom, l, vals)
+// check terms as read at the end of block at (typically the loop header,
+// i.e. loop-body entry; see ssa.Info.ValueAtEnd). It is used to classify
+// whole check families for preheader insertion.
+func (a *Analysis) IEOfFormAt(terms []ir.CheckTerm, l *loops.Loop, at *ir.Block) IE {
+	return a.combine(linform.Form{Terms: terms}, l, func(atom ir.Expr) IE {
+		vr, ok := atom.(*ir.VarRef)
+		if !ok {
+			return a.IEOfOpaqueAtom(atom, l, at)
 		}
-		if ie.Class == Polynomial || ie.Class == Unknown {
-			return IE{Class: ie.Class}
+		if l2 := a.loopOfH(vr.Var); l2 != nil {
+			return a.ieOfHVar(vr.Var, l2, l)
 		}
-		if ie.Class == Linear {
-			cls = Linear
+		if v := a.SSA.ValueAtEnd(at, vr.Var); v != nil {
+			return a.IEOfValue(v, l)
 		}
-		acc = acc.Add(ie.Form.Scale(t.Coef))
-	}
-	if cls == Linear {
-		if slope, _ := a.SlopeOf(l, acc); slope == 0 {
-			cls = Invariant
-		}
-	}
-	return IE{Class: cls, Form: acc}
+		return IE{Class: Unknown}
+	})
 }
 
-// opaqueAtomIE classifies a non-VarRef atom (load, product, division,
-// intrinsic call): it is invariant iff every variable it reads is
-// preheader-stable and every array it loads is unmodified by the loop.
-func (a *Analysis) opaqueAtomIE(atom ir.Expr, l *loops.Loop) IE {
-	return a.opaqueAtomIEAt(atom, l, nil)
-}
-
-// opaqueAtomIEAt is opaqueAtomIE with an optional explicit resolution of
-// variable reads (for atoms cloned out of the function body, whose nodes
-// the SSA overlay does not know).
-func (a *Analysis) opaqueAtomIEAt(atom ir.Expr, l *loops.Loop, vals map[int]*ssa.Value) IE {
+// IEOfOpaqueAtom classifies a non-VarRef atom (load, product, division,
+// intrinsic call) relative to loop l: it is invariant iff every variable
+// it reads is preheader-stable and every array it loads is unmodified by
+// the loop. When at is not nil, a variable read the SSA overlay does not
+// know (in an atom cloned out of the function body) reads its value at
+// the end of block at.
+func (a *Analysis) IEOfOpaqueAtom(atom ir.Expr, l *loops.Loop, at *ir.Block) IE {
 	ok := true
 	ir.WalkExpr(atom, func(x ir.Expr) {
 		switch x := x.(type) {
 		case *ir.VarRef:
 			use := a.SSA.UseOf[x]
-			if use == nil && vals != nil {
-				use = vals[x.Var.ID]
+			if use == nil && at != nil {
+				use = a.SSA.ValueAtEnd(at, x.Var)
 			}
-			if use == nil || !a.stableAtPreheader(use, l) {
+			// A call in the loop may modify any global the atom reads.
+			if use == nil || !a.stableAtPreheader(use, l) || (a.hasCall[l.Index] && x.Var.Global) {
 				ok = false
 			}
 		case *ir.Load:
-			if a.storesArr[l][x.Arr.ID] || (a.hasCall[l] && x.Arr.Global) {
+			if a.stores(l, x.Arr) || (a.hasCall[l.Index] && x.Arr.Global) {
 				ok = false
 			}
 		}
 	})
-	if a.hasCall[l] {
-		// A call may modify any global read inside the atom.
-		ir.WalkExpr(atom, func(x ir.Expr) {
-			if vr, ok2 := x.(*ir.VarRef); ok2 && vr.Var.Global {
-				ok = false
-			}
-		})
-	}
 	if !ok {
 		return IE{Class: Unknown}
 	}
@@ -358,9 +318,10 @@ func (a *Analysis) stableAtPreheader(v *ssa.Value, l *loops.Loop) bool {
 	return a.SSA.ValueAtEnd(l.Preheader, v.Var) == v
 }
 
-// ieOfValue computes the IE of SSA value v relative to loop l, memoized.
-func (a *Analysis) ieOfValue(v *ssa.Value, l *loops.Loop) IE {
-	key := memoKey{v, l}
+// IEOfValue computes the induction expression of SSA value v relative to
+// loop l, memoized.
+func (a *Analysis) IEOfValue(v *ssa.Value, l *loops.Loop) IE {
+	key := memoKey{int32(l.Index), int32(v.ID)}
 	if ie, ok := a.memo[key]; ok {
 		return ie
 	}
@@ -371,6 +332,8 @@ func (a *Analysis) ieOfValue(v *ssa.Value, l *loops.Loop) IE {
 	a.memo[key] = ie
 	return ie
 }
+
+type memoKey struct{ loop, value int32 }
 
 func (a *Analysis) computeIE(v *ssa.Value, l *loops.Loop) IE {
 	// Defined outside the loop: invariant if preheader-stable.
@@ -404,9 +367,6 @@ func (a *Analysis) computeIE(v *ssa.Value, l *loops.Loop) IE {
 	case ssa.AssignDef:
 		return a.IEOfExpr(v.Stmt.(*ir.AssignStmt).Src, l)
 
-	case ssa.CallDef:
-		return IE{Class: Unknown}
-
 	case ssa.PhiDef:
 		if v.Block == l.Header {
 			return a.solveMu(v, l)
@@ -418,7 +378,7 @@ func (a *Analysis) computeIE(v *ssa.Value, l *loops.Loop) IE {
 			if arg == nil {
 				return IE{Class: Unknown}
 			}
-			ie := a.ieOfValue(arg, l)
+			ie := a.IEOfValue(arg, l)
 			if ie.Class == Polynomial || ie.Class == Unknown {
 				return IE{Class: ie.Class}
 			}
@@ -462,10 +422,10 @@ func (a *Analysis) solveMu(mu *ssa.Value, l *loops.Loop) IE {
 	}
 
 	// Seed the memo so references to mu inside the cycle resolve to the
-	// symbolic atom μ (a fresh marker variable).
+	// symbolic atom μ (a fresh marker variable). IEOfValue memoizes the
+	// result in its place.
 	muMarker := &ir.Var{Name: "µ", Type: ir.Int, ID: -1 - mu.ID}
-	key := memoKey{mu, l}
-	a.memo[key] = IE{Class: Linear, Form: linform.Form{
+	a.memo[memoKey{int32(l.Index), int32(mu.ID)}] = IE{Class: Linear, Form: linform.Form{
 		Terms: []ir.CheckTerm{{Coef: 1, Atom: &ir.VarRef{Var: muMarker}}},
 	}}
 
@@ -473,11 +433,10 @@ func (a *Analysis) solveMu(mu *ssa.Value, l *loops.Loop) IE {
 	polynomial := false
 	for i, tail := range tails {
 		// Clear tail memos so they re-resolve against the seeded mu.
-		delete(a.memo, memoKey{tail, l})
-		ie := a.ieOfValue(tail, l)
-		delete(a.memo, memoKey{tail, l})
+		delete(a.memo, memoKey{int32(l.Index), int32(tail.ID)})
+		ie := a.IEOfValue(tail, l)
+		delete(a.memo, memoKey{int32(l.Index), int32(tail.ID)})
 		if ie.Class == Unknown {
-			a.memo[key] = IE{Class: Unknown}
 			return IE{Class: Unknown}
 		}
 		if ie.Class == Polynomial {
@@ -485,7 +444,6 @@ func (a *Analysis) solveMu(mu *ssa.Value, l *loops.Loop) IE {
 			continue
 		}
 		if ie.Form.CoefOfVar(muMarker) != 1 {
-			a.memo[key] = IE{Class: Unknown}
 			return IE{Class: Unknown}
 		}
 		rest := ie.Form.WithoutVar(muMarker)
@@ -496,30 +454,23 @@ func (a *Analysis) solveMu(mu *ssa.Value, l *loops.Loop) IE {
 		}
 		if i > 0 && rest.Const != step {
 			// Different steps on different back edges.
-			a.memo[key] = IE{Class: Unknown}
 			return IE{Class: Unknown}
 		}
 		step = rest.Const
 	}
 	if polynomial {
-		a.memo[key] = IE{Class: Polynomial}
 		return IE{Class: Polynomial}
 	}
 
-	initIE := a.ieOfValue(init, l)
+	initIE := a.IEOfValue(init, l)
 	if initIE.Class != Invariant {
-		a.memo[key] = IE{Class: Unknown}
 		return IE{Class: Unknown}
 	}
 	if step == 0 {
-		res := IE{Class: Invariant, Form: initIE.Form}
-		a.memo[key] = res
-		return res
+		return IE{Class: Invariant, Form: initIE.Form}
 	}
 	h := linform.Form{Terms: []ir.CheckTerm{{Coef: step, Atom: &ir.VarRef{Var: a.HVar(l)}}}}
-	res := IE{Class: Linear, Form: initIE.Form.Add(h)}
-	a.memo[key] = res
-	return res
+	return IE{Class: Linear, Form: initIE.Form.Add(h)}
 }
 
 // ---------------------------------------------------------------------------

@@ -390,9 +390,6 @@ end
 	if !strings.HasPrefix(h1.Name, "h.") {
 		t.Errorf("h name = %q", h1.Name)
 	}
-	if !ind.IsHVar(l, h1) {
-		t.Error("IsHVar failed")
-	}
 }
 
 func TestIEOfExprCombinesLinear(t *testing.T) {

@@ -73,14 +73,12 @@ end
 	// terms mentioning h(outer) must be invariant there.
 	hOuter := ind.HVar(outer)
 	terms := []ir.CheckTerm{{Coef: 2, Atom: &ir.VarRef{Var: hOuter}}}
-	vals := a.SSA.OutValues[inner.Header]
-	ie := ind.IEOfFormAt(terms, inner, vals)
+	ie := ind.IEOfFormAt(terms, inner, inner.Header)
 	if ie.Class != induction.Invariant {
 		t.Errorf("outer h from inner loop: %s, want invariant", ie.Class)
 	}
 	// And from its own loop it is linear with slope 2.
-	valsO := a.SSA.OutValues[outer.Header]
-	ieOwn := ind.IEOfFormAt(terms, outer, valsO)
+	ieOwn := ind.IEOfFormAt(terms, outer, outer.Header)
 	if ieOwn.Class != induction.Linear {
 		t.Errorf("own h: %s, want linear", ieOwn.Class)
 	}
@@ -91,7 +89,7 @@ end
 	// from outer perspective varies):
 	hInner := ind.HVar(inner)
 	termsI := []ir.CheckTerm{{Coef: 1, Atom: &ir.VarRef{Var: hInner}}}
-	ieBad := ind.IEOfFormAt(termsI, outer, valsO)
+	ieBad := ind.IEOfFormAt(termsI, outer, outer.Header)
 	if ieBad.Class != induction.Unknown {
 		t.Errorf("inner h from outer loop: %s, want unknown", ieBad.Class)
 	}

@@ -83,6 +83,12 @@ func TestExprStringForms(t *testing.T) {
 	}
 }
 
+func stmtExprs(s Stmt) []Expr {
+	var out []Expr
+	ForEachStmtExpr(s, func(e Expr) { out = append(out, e) })
+	return out
+}
+
 func TestStmtExprsCoverage(t *testing.T) {
 	_, f, v, arr := cloneFixture()
 	guard := &Bin{Op: OpLt, L: &ConstInt{V: 0}, R: &ConstInt{V: 1}, Typ: Bool}
@@ -91,16 +97,16 @@ func TestStmtExprsCoverage(t *testing.T) {
 		Const: 5,
 		Guard: guard,
 	}
-	exprs := StmtExprs(chk)
+	exprs := stmtExprs(chk)
 	if len(exprs) != 2 || exprs[0] != guard {
 		t.Errorf("check exprs = %v", exprs)
 	}
 	st := &StoreStmt{Arr: arr, Idx: []Expr{&ConstInt{V: 1}, &ConstInt{V: 2}}, Val: &ConstFloat{V: 0}}
-	if got := StmtExprs(st); len(got) != 3 {
+	if got := stmtExprs(st); len(got) != 3 {
 		t.Errorf("store exprs = %d, want 3", len(got))
 	}
 	call := &CallStmt{Callee: f, Args: []Expr{&ConstInt{V: 1}}}
-	if got := StmtExprs(call); len(got) != 1 {
+	if got := stmtExprs(call); len(got) != 1 {
 		t.Errorf("call exprs = %d", len(got))
 	}
 }

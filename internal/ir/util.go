@@ -10,30 +10,33 @@ func Defs(s Stmt) *Var {
 	return nil
 }
 
-// StmtExprs returns the expressions evaluated by s, in evaluation order.
-func StmtExprs(s Stmt) []Expr {
+// ForEachStmtExpr calls fn on each expression evaluated by s, in
+// evaluation order.
+func ForEachStmtExpr(s Stmt, fn func(Expr)) {
 	switch s := s.(type) {
 	case *AssignStmt:
-		return []Expr{s.Src}
+		fn(s.Src)
 	case *StoreStmt:
-		out := make([]Expr, 0, len(s.Idx)+1)
-		out = append(out, s.Idx...)
-		return append(out, s.Val)
+		for _, e := range s.Idx {
+			fn(e)
+		}
+		fn(s.Val)
 	case *CheckStmt:
-		var out []Expr
 		if s.Guard != nil {
-			out = append(out, s.Guard)
+			fn(s.Guard)
 		}
 		for _, t := range s.Terms {
-			out = append(out, t.Atom)
+			fn(t.Atom)
 		}
-		return out
 	case *CallStmt:
-		return s.Args
+		for _, e := range s.Args {
+			fn(e)
+		}
 	case *PrintStmt:
-		return s.Args
+		for _, e := range s.Args {
+			fn(e)
+		}
 	}
-	return nil
 }
 
 // ReplaceStmt replaces the statement at index i of block b.

@@ -24,6 +24,7 @@ type Loop struct {
 	Parent    *Loop
 	Children  []*Loop
 	Depth     int // 1 for outermost
+	Index     int // position in Forest.Loops
 	Preheader *ir.Block
 	Do        *ir.DoLoopInfo // non-nil for counted loops
 
@@ -215,7 +216,8 @@ func Analyze(f *ir.Func, t *dom.Tree) *Forest {
 		}
 		return a.Header.ID < b.Header.ID
 	})
-	for _, l := range forest.Loops {
+	for i, l := range forest.Loops {
+		l.Index = i
 		if l.Parent != nil {
 			l.Parent.Children = append(l.Parent.Children, l)
 		}

@@ -15,8 +15,10 @@ import (
 // (go1.24, linux/amd64); lowering each program once per BoundsChecks
 // value and optimizing copy-on-write forks brought it to 37,060,000;
 // keeping SSA block-exit values only at loop headers and the blocks
-// entering them, to 36,302,000. The ceiling leaves 5% over that.
-const regenerationAllocBudget = 38_117_000
+// entering them, to 36,302,000; with the budget then at 38,117,000, the
+// pass read 36,150,560. Dominators, SSA and induction indexed by ID
+// instead of pointer-keyed maps brought it to 30,160,584. The ceiling leaves 5% over that.
+const regenerationAllocBudget = 31_669_000
 
 // TestRegenerationAllocBudget is a deterministic allocation gate on the
 // table path: it measures runtime.MemStats.TotalAlloc growth across one

@@ -95,7 +95,7 @@ end
 `, false)
 	header := a.Fn.DoLoops[0].Header
 	var iPhi *ssa.Value
-	for _, phi := range a.SSA.PhisAt[header] {
+	for _, phi := range a.SSA.PhisAt(header) {
 		if phi.Var.Name == "i" {
 			iPhi = phi
 		}
@@ -221,12 +221,19 @@ func TestOutValuesOnlyAtLoopEdges(t *testing.T) {
 end
 `, false)
 	l := a.Forest.Loops[0]
+	iVar := testutil.FindVar(t, a.Prog, a.Fn, "i")
 	for _, b := range []*ir.Block{l.Header, l.Preheader} {
-		if a.SSA.OutValues[b] == nil {
+		if a.SSA.ValueAtEnd(b, iVar) == nil {
 			t.Errorf("no exit values at %s", b.Label)
 		}
 	}
-	if n := len(a.SSA.OutValues); n != 2 {
+	n := 0
+	for _, b := range a.Fn.Blocks {
+		if a.SSA.ValueAtEnd(b, iVar) != nil {
+			n++
+		}
+	}
+	if n != 2 {
 		t.Errorf("exit values kept at %d blocks, want the header and the preheader", n)
 	}
 }
@@ -300,9 +307,7 @@ end
 		})
 	}
 	a.Fn.ForEachStmt(func(_ *ir.Block, _ int, s ir.Stmt) {
-		for _, e := range ir.StmtExprs(s) {
-			check(e)
-		}
+		ir.ForEachStmtExpr(s, check)
 	})
 	for _, b := range a.Fn.Blocks {
 		if ifT, ok := b.Term.(*ir.If); ok {

@@ -3,8 +3,10 @@
 package testutil
 
 import (
+	"slices"
 	"testing"
 
+	"nascent/internal/conformance"
 	"nascent/internal/dom"
 	"nascent/internal/ir"
 	"nascent/internal/irbuild"
@@ -12,6 +14,7 @@ import (
 	"nascent/internal/parser"
 	"nascent/internal/sem"
 	"nascent/internal/ssa"
+	"nascent/internal/suite"
 )
 
 // BuildIR compiles MF source to IR, failing the test on any error.
@@ -82,4 +85,26 @@ func FindVar(t *testing.T, p *ir.Program, f *ir.Func, name string) *ir.Var {
 	}
 	t.Fatalf("variable %q not found", name)
 	return nil
+}
+
+// ForEachFunc calls fn on every function of the suite, the irregular
+// set and the conformance corpus, built with checks, after critical edge
+// splitting and loop analysis (which may add preheaders): the CFGs the
+// optimizer analyzes.
+func ForEachFunc(t *testing.T, fn func(name string, f *ir.Func)) {
+	t.Helper()
+	var names, srcs []string
+	for _, p := range append(slices.Clone(suite.Programs), suite.Irregular...) {
+		names, srcs = append(names, p.Name), append(srcs, p.Source)
+	}
+	for _, c := range conformance.Corpus {
+		names, srcs = append(names, "corpus/"+c.Name), append(srcs, c.Src)
+	}
+	for i, name := range names {
+		for _, f := range BuildIR(t, srcs[i], true).Funcs {
+			f.SplitCriticalEdges()
+			loops.Analyze(f, dom.Compute(f))
+			fn(name+"/"+f.Name, f)
+		}
+	}
 }
