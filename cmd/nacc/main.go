@@ -12,7 +12,7 @@
 //	-kind   PRX|INX                            check construction (default PRX)
 //	-impl   full|none|cross                    implication mode (default full)
 //	-engine tree|vmopt|vmrce|vmjit             execution engine (default tree;
-//	                                           vmjit is a second name for vmrce);
+//	                                           vmrce and vmjit name vmopt's pipeline);
 //	                                           with -verify, any bytecode engine
 //	                                           also enables the engine-identity
 //	                                           sweep across every engine up to

@@ -14,10 +14,10 @@
 // schemes × {PRX, INX}, -table 3 the implication ablation.
 //
 // -engine selects the execution substrate: the tree-walking reference
-// interpreter (default), the superinstruction-optimized bytecode VM,
-// or the guard/deopt range-check-eliminated VM (vmjit is a second name
-// for it). Table output is byte-identical under every engine — the CI
-// pipeline diffs them — so the flag only changes wall-clock.
+// interpreter (default) or the superinstruction-optimized bytecode VM
+// (vmopt; vmrce and vmjit are names for the same pipeline). Table
+// output is byte-identical under every engine — the CI pipeline diffs
+// them — so the flag only changes wall-clock.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
 // chasing interpreter hot spots (`go tool pprof`).

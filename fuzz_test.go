@@ -91,15 +91,15 @@ func FuzzPipeline(f *testing.F) {
 
 // FuzzEngineIdentity fuzzes the execution-engine contract directly:
 // for any input that compiles, every engine — the
-// tree-walking reference, the optimized VM, and the guard/deopt VM
-// under both of its names — and the unoptimized bytecode of
-// vm.Compile, the first stage of every bytecode pipeline, must produce
+// tree-walking reference and the optimized VM under each of its three
+// names — and the unoptimized bytecode of vm.Compile, the first stage
+// of the bytecode pipeline, must produce
 // identical observables — instruction and check counters, output, trap
 // note/class/position — or identical error text. The seed corpus is
 // the conformance suite, whose cases pin exactly these observables,
 // generator output so mutation starts from loop-heavy programs that
-// exercise fusion, and the irregular stress programs, whose guards
-// fail and deopt.
+// exercise fusion, and the irregular stress programs, whose checks
+// mostly still execute.
 func FuzzEngineIdentity(f *testing.F) {
 	for _, c := range conformance.Corpus {
 		f.Add(c.Src)

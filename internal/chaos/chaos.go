@@ -76,13 +76,6 @@ const (
 	SiteVMBudget Site = "vm.poll.budget"
 	SiteVMCancel Site = "vm.poll.cancel"
 	SiteVMPanic  Site = "vm.poll.panic"
-	// SiteRCEGuardFail forces a passing preheader range guard (the rce
-	// pass's opRangeGuard) to take its deopt edge anyway: the original
-	// fully-checked loop code runs instead of the guard-free fast copy.
-	// Deopt is the original semantics, so every observable must stay
-	// byte-identical — this site exists to keep the deopt path
-	// continuously exercised. Keyed by the containing function's name.
-	SiteRCEGuardFail Site = "vm.rce.guard.fail"
 	// SiteAuditMismatch forces the in-service differential self-audit
 	// to observe a divergence between a served result and its reference
 	// re-execution: the typed SelfAuditViolation path, the breaker
@@ -97,7 +90,6 @@ var Sites = []Site{
 	SiteLowerPanic, SiteOptPanic, SiteOptMalformed,
 	SiteTreeBudget, SiteTreeCancel, SiteTreePanic,
 	SiteVMBudget, SiteVMCancel, SiteVMPanic,
-	SiteRCEGuardFail,
 	SiteAuditMismatch,
 }
 

@@ -7,10 +7,10 @@ import "fmt"
 // instruction counts, check counts, outputs, trap positions, trap
 // classes, and resource budgets — so tables, oracle sweeps, and golden
 // files are byte-identical under any of them. The tree-walker is the
-// reference implementation and the only engine Run executes; the three
-// bytecode engines (vmopt, vmrce, vmjit) live in internal/vm, and the
-// nascent package sends a run to whichever one Config.Engine names.
-// All four share the budget and poll shell in interp.go.
+// reference implementation and the only engine Run executes; the
+// bytecode engine (named vmopt, vmrce or vmjit) lives in internal/vm,
+// and the nascent package sends a run to it when Config.Engine names
+// one of those. Both share the budget and poll shell in interp.go.
 type Engine uint8
 
 // Execution engines.
@@ -25,19 +25,12 @@ const (
 	// vm.Compile and execution. Observables are byte-identical to the
 	// other engines; only dispatch count and wall-clock change.
 	EngineVMOpt
-	// EngineVMRCE is the bytecode VM running guard/deopt bytecode: after
-	// vm.Compile, the range-check elimination pass (internal/vm rce.go)
-	// synthesizes one preheader range guard per eligible loop, clones the
-	// loop's function with the proven-redundant checks replaced by bulk
-	// counter adds, and keeps the original fully-checked code as the
-	// deopt target; the result then runs through the vmopt pipeline.
-	// Observables are byte-identical to the other engines — eliminated
-	// checks are still counted — only executed check instructions and
-	// wall-clock change.
-	EngineVMRCE
-	// EngineVMJit is a second name for EngineVMRCE: vm.CompileEngine
-	// gives it the same pipeline, run on the same switch VM. It stays
+	// EngineVMRCE is a name for EngineVMOpt's pipeline: vm.CompileEngine
+	// gives it the same bytecode, run on the same switch VM. It stays
 	// parseable, with its own cache key, for clients that send it.
+	EngineVMRCE
+	// EngineVMJit is another name for EngineVMOpt's pipeline, kept for
+	// the same reason.
 	EngineVMJit
 
 	numEngines = iota

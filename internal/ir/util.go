@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // Defs returns the scalar variable defined by s, or nil. Only AssignStmt
 // defines a scalar; CallStmt conservatively defines all globals (handled
 // separately via CallKillsGlobals).
@@ -42,9 +44,10 @@ func ForEachStmtExpr(s Stmt, fn func(Expr)) {
 // ReplaceStmt replaces the statement at index i of block b.
 func (b *Block) ReplaceStmt(i int, s Stmt) { b.Stmts[i] = s }
 
-// InsertStmts inserts stmts before index i of block b.
+// InsertStmts inserts stmts before index i of block b, in place when
+// b.Stmts has room.
 func (b *Block) InsertStmts(i int, stmts ...Stmt) {
-	b.Stmts = append(b.Stmts[:i], append(append([]Stmt{}, stmts...), b.Stmts[i:]...)...)
+	b.Stmts = slices.Insert(b.Stmts, i, stmts...)
 }
 
 // RemoveStmt deletes the statement at index i of block b.

@@ -41,15 +41,15 @@ func minBytes(tries int, f func()) uint64 {
 	return least
 }
 
-// lls compiles one suite program under LLS onto the guard engine, the
-// way the service's fill path does.
+// lls compiles one suite program under LLS through the bytecode
+// pipeline, the way the service's fill path does.
 func lls(t *testing.T, p suite.Program) *Entry {
 	t.Helper()
 	prog, err := nascent.Compile(p.Source, nascent.Options{BoundsChecks: true, Scheme: nascent.LLS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, err := vm.CompileRCE(prog.IR)
+	vp, err := vm.CompileOptimized(prog.IR)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,13 @@ func TestFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A program stream frozen at progio format version 3, whose
+	// programs could carry guard/deopt opcodes this build no longer has.
+	v3, err := os.ReadFile(filepath.Join("..", "progio", "testdata", "v3", "mdg_lls_vm.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	damage := []struct {
 		name    string
 		mutate  func([]byte) []byte
@@ -128,6 +135,15 @@ func TestFaults(t *testing.T) {
 			b = append([]byte(nil), b...)
 			binary.LittleEndian.PutUint16(b[4:6], 0x7fff)
 			return resealEnvelope(b)
+		}, true},
+		// An entry a build at progio v3 left on disk: the envelope is
+		// intact and current, its payload is a v3 program stream.
+		{"v3-payload", func(b []byte) []byte {
+			metaLen := binary.LittleEndian.Uint32(b[6:10])
+			out := append([]byte(nil), b[:10+metaLen]...)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(v3)))
+			out = append(out, v3...)
+			return resealEnvelope(append(out, 0, 0, 0, 0))
 		}, true},
 	}
 

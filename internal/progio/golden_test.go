@@ -20,20 +20,20 @@ var update = flag.Bool("update", false, "rewrite the golden .bin fixtures")
 
 // goldenConfigs are the pinned (program, options, pipeline) triples
 // behind testdata/*.bin. Four suite programs across the optimizer
-// range: the naive tree baseline, a scheme-optimized build, the
-// superinstruction-fused pipeline, and the guard/deopt (vmrce)
-// pipeline whose opRangeGuard/opCkAdd instructions motivated the
-// format-version 2 rev. "vm" names the plain vm.Compile pipeline.
+// range: the naive tree baseline, a scheme-optimized build, and two
+// superinstruction-fused builds. "vm" names the plain vm.Compile
+// pipeline, "vmopt" the Compile → Optimize pipeline every bytecode
+// engine runs.
 var goldenConfigs = []struct {
 	fixture  string
 	program  string
 	opts     nascent.Options
-	pipeline string // "vm", "vmopt", or "vmrce"
+	pipeline string // "vm" or "vmopt"
 }{
 	{"vortex_naive_vm.bin", "vortex", nascent.Options{BoundsChecks: true, Scheme: nascent.Naive}, "vm"},
 	{"mdg_lls_vm.bin", "mdg", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, "vm"},
 	{"linpackd_lls_vmopt.bin", "linpackd", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, "vmopt"},
-	{"trfd_lls_vmrce.bin", "trfd", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, "vmrce"},
+	{"trfd_lls_vmopt.bin", "trfd", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, "vmopt"},
 }
 
 // compileGolden builds one golden config through its pinned pipeline.
@@ -49,12 +49,9 @@ func compileGolden(t testing.TB, program string, opts nascent.Options, pipeline 
 		t.Fatalf("compile %s: %v", program, err)
 	}
 	var vp *vm.Program
-	switch pipeline {
-	case "vmopt":
+	if pipeline == "vmopt" {
 		vp, err = vm.CompileOptimized(prog.IR)
-	case "vmrce":
-		vp, err = vm.CompileRCE(prog.IR)
-	default:
+	} else {
 		vp, err = vm.Compile(prog.IR)
 	}
 	if err != nil {
@@ -128,11 +125,13 @@ func TestGoldenVersionGuard(t *testing.T) {
 // previous format generations. testdata/v1/ holds fixtures frozen at
 // format version 1, before the guard/deopt metadata rev; testdata/v2/
 // holds fixtures frozen at version 2, before the fused-opcode
-// renumbering. The current reader must reject each with a typed
-// *VersionError naming its old version — never a generic corruption
-// error, and never a successful decode. This is the contract the disk
-// cache relies on to know "re-encode" rather than "discard as damaged"
-// when it meets its own stale artifacts after an upgrade.
+// renumbering; testdata/v3/ holds fixtures frozen at version 3, before
+// the guard/deopt rewrite was deleted. The current reader must reject
+// each with a typed *VersionError naming its old version — never a
+// generic corruption error, and never a successful decode. This is the
+// contract the disk cache relies on to know "re-encode" rather than
+// "discard as damaged" when it meets its own stale artifacts after an
+// upgrade.
 func TestOldVersionFixtures(t *testing.T) {
 	for gen := uint16(1); gen < progio.Version; gen++ {
 		dir := fmt.Sprintf("v%d", gen)

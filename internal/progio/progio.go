@@ -39,8 +39,8 @@ import (
 // History:
 //
 //	1 — initial format.
-//	2 — guard/deopt metadata: programs may carry opRangeGuard /
-//	    opCkAdd instructions and their pool tuples (the vmrce
+//	2 — guard/deopt metadata: programs may carry range-guard and
+//	    bulk check-count instructions and their pool tuples (the vmrce
 //	    rewrite), and header flags bit 1 records whether the
 //	    elimination pass ran. A v1 reader would run such a program as
 //	    corrupt-opcode garbage, so the rev makes old readers reject
@@ -48,7 +48,11 @@ import (
 //	3 — opcode renumbering: the c1*, cpbinstore* and cpqbinstore*
 //	    fused families were deleted, so every later opcode moved down.
 //	    A v2 stream read by number would run the wrong instructions.
-const Version uint16 = 3
+//	4 — the guard/deopt rewrite was deleted: header flag bit 1 is no
+//	    longer written (a set bit is corruption), and the range-guard
+//	    and bulk check-count opcodes are gone. A v3 stream may carry
+//	    either, so it is refused as a whole rather than read.
+const Version uint16 = 4
 
 // magic identifies a progio stream ("nascent program").
 var magic = [4]byte{'N', 'P', 'R', 'G'}
@@ -332,9 +336,6 @@ func AppendImage(dst []byte, im *vm.Image) []byte {
 	if im.Optimized {
 		flags |= 1
 	}
-	if im.RCE {
-		flags |= 2
-	}
 	b = AppendUint8(b, flags)
 	b = AppendInt32(b, im.NIntRegs)
 	b = AppendInt32(b, im.NFloatRegs)
@@ -450,11 +451,10 @@ func DecodeImage(data []byte) (*vm.Image, error) {
 	if flags, rest, ok = ReadUint8(rest); !ok {
 		return nil, corrupt("truncated header")
 	}
-	if flags&^3 != 0 {
+	if flags&^1 != 0 {
 		return nil, corrupt("unknown flag bits %02x", flags)
 	}
 	im.Optimized = flags&1 != 0
-	im.RCE = flags&2 != 0
 	if im.NIntRegs, rest, ok = ReadInt32(rest); !ok {
 		return nil, corrupt("truncated header")
 	}

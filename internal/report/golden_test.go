@@ -91,10 +91,10 @@ func TestGoldenTablesVMOpt(t *testing.T) {
 }
 
 // TestGoldenTablesVMJit regenerates Tables 1–3 under the vmjit engine
-// name, which runs vmrce's guard/deopt pipeline on the switch VM, and
-// diffs them against the same engine-independent golden files: a
-// request naming vmjit must land every counter, trap, and output byte
-// exactly where the tree-walker puts it.
+// name, which runs vmopt's pipeline on the switch VM, and diffs them
+// against the same engine-independent golden files: a request naming
+// vmjit must land every counter, trap, and output byte exactly where
+// the tree-walker puts it.
 func TestGoldenTablesVMJit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tables in short mode")
@@ -120,13 +120,11 @@ func TestGoldenTablesVMJit(t *testing.T) {
 	}
 }
 
-// TestGoldenTablesVMRCE regenerates Tables 1–3 under the guard/deopt
-// range-check-eliminated engine at two worker counts and diffs them
-// against the same engine-independent golden files. vmrce removes
-// check dispatch from proven loop families behind preheader guards and
-// bulk-counts what it removed, so every counter — including the check
-// columns the tables are built from — must land exactly where the
-// tree-walker puts it, at any parallelism.
+// TestGoldenTablesVMRCE regenerates Tables 1–3 under the vmrce engine
+// name, which runs vmopt's pipeline, at two worker counts and diffs
+// them against the same engine-independent golden files: every
+// counter — including the check columns the tables are built from —
+// must land exactly where the tree-walker puts it, at any parallelism.
 func TestGoldenTablesVMRCE(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tables in short mode")

@@ -143,10 +143,10 @@ type CompileRequest struct {
 	Filename string `json:"filename,omitempty"`
 	// Options selects the backend configuration.
 	Options Options `json:"options,omitempty"`
-	// Engine: tree|vmopt|vmrce|vmjit (default tree; vmjit is a second
-	// name for vmrce's pipeline). Compilation is engine-independent at
-	// the IR level, but the cache entry is keyed by engine and bytecode
-	// engines precompile their program eagerly.
+	// Engine: tree|vmopt|vmrce|vmjit (default tree; vmrce and vmjit
+	// are names for vmopt's pipeline). Compilation is
+	// engine-independent at the IR level, but the cache entry is keyed
+	// by engine and bytecode engines precompile their program eagerly.
 	Engine string `json:"engine,omitempty"`
 }
 

@@ -78,15 +78,6 @@ func (b *breaker) trip(scheme nascent.Scheme, engine nascent.Engine) {
 	b.trips++
 }
 
-// isOpen reports whether the pair's circuit is currently open, without
-// moving any counter. resolve uses it to pick a degradation target that
-// is itself healthy.
-func (b *breaker) isOpen(scheme nascent.Scheme, engine nascent.Engine) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.now().Before(b.openUntil[pairKey{scheme, engine}])
-}
-
 func (b *breaker) stats() breakerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()

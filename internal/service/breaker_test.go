@@ -13,6 +13,14 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// isOpen reports whether the pair's circuit is currently open, without
+// moving any counter.
+func (b *breaker) isOpen(scheme nascent.Scheme, engine nascent.Engine) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.now().Before(b.openUntil[pairKey{scheme, engine}])
+}
+
 func newTestBreaker(cooldown time.Duration) (*breaker, *fakeClock) {
 	b := newBreaker(cooldown)
 	clk := &fakeClock{t: time.Unix(1000, 0)}

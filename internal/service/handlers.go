@@ -118,24 +118,17 @@ func (s *Server) resolve(req *RunRequest) (*resolved, *Error) {
 		timeout:  timeout,
 	}
 	if s.breaker.allow(opts.Scheme, engine) {
-		// A tripped guard/deopt pipeline (vmrce, or vmjit, its second
-		// name) degrades to the optimized switch VM (vmopt) — identical
-		// observables, without the guards — unless vmopt's own circuit
-		// is open; otherwise the reference configuration serves.
-		toScheme, toEngine := nascent.Naive, nascent.EngineTree
-		if (engine == nascent.EngineVMJit || engine == nascent.EngineVMRCE) &&
-			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMOpt) {
-			toScheme, toEngine = opts.Scheme, nascent.EngineVMOpt
-		}
+		// A tripped pair degrades to the reference configuration. Every
+		// bytecode engine name runs the same pipeline, so no other
+		// bytecode rung would serve different code.
+		r.opts.Scheme, r.engine = nascent.Naive, nascent.EngineTree
 		r.degraded = &Degraded{
 			FromScheme: opts.Scheme.String(),
 			FromEngine: engine.String(),
-			ToScheme:   toScheme.String(),
-			ToEngine:   toEngine.String(),
+			ToScheme:   r.opts.Scheme.String(),
+			ToEngine:   r.engine.String(),
 			Reason:     "circuit open: the self-audit caught a wrong answer on this (scheme, engine) pair",
 		}
-		r.opts.Scheme = toScheme
-		r.engine = toEngine
 	}
 	return r, nil
 }

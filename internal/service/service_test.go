@@ -416,19 +416,17 @@ func TestDegradedRun(t *testing.T) {
 	}
 }
 
-// TestDegradeLadder pins the breaker ladder: a tripped vmrce or vmjit
-// pair (vmjit is a second name for vmrce's pipeline) serves on vmopt
-// under the same scheme, and with vmopt's circuit open too, on the
-// reference configuration.
+// TestDegradeLadder pins the breaker ladder: a tripped bytecode pair —
+// vmopt, or vmrce and vmjit, its other names — serves on the reference
+// configuration.
 func TestDegradeLadder(t *testing.T) {
 	for _, tc := range []struct {
-		vmoptOpen              bool
 		req                    string
 		wantScheme, wantEngine string
 	}{
-		{req: "vmrce", wantScheme: "LLS", wantEngine: "vmopt"},
-		{req: "vmjit", wantScheme: "LLS", wantEngine: "vmopt"},
-		{req: "vmjit", vmoptOpen: true, wantScheme: "naive", wantEngine: "tree"},
+		{req: "vmopt", wantScheme: "naive", wantEngine: "tree"},
+		{req: "vmrce", wantScheme: "naive", wantEngine: "tree"},
+		{req: "vmjit", wantScheme: "naive", wantEngine: "tree"},
 	} {
 		s := newTestServer(t, nil)
 		e, err := nascent.ParseEngine(tc.req)
@@ -436,9 +434,6 @@ func TestDegradeLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.breaker.trip(nascent.LLS, e)
-		if tc.vmoptOpen {
-			s.breaker.trip(nascent.LLS, nascent.EngineVMOpt)
-		}
 		var resp RunResponse
 		w := do(t, s, "POST", "/run", RunRequest{
 			CompileRequest: CompileRequest{Source: progOK, Options: Options{Scheme: "lls"}, Engine: tc.req},
@@ -447,8 +442,8 @@ func TestDegradeLadder(t *testing.T) {
 			t.Fatalf("%s: status = %d, body %s", tc.req, w.Code, w.Body.String())
 		}
 		if resp.Compile.Degraded == nil || resp.Compile.Scheme != tc.wantScheme || resp.Compile.Engine != tc.wantEngine {
-			t.Errorf("%s (vmopt open %v): served (%s, %s) degraded=%v, want (%s, %s)",
-				tc.req, tc.vmoptOpen, resp.Compile.Scheme, resp.Compile.Engine, resp.Compile.Degraded != nil, tc.wantScheme, tc.wantEngine)
+			t.Errorf("%s: served (%s, %s) degraded=%v, want (%s, %s)",
+				tc.req, resp.Compile.Scheme, resp.Compile.Engine, resp.Compile.Degraded != nil, tc.wantScheme, tc.wantEngine)
 		}
 	}
 }

@@ -5,11 +5,11 @@ import _ "embed"
 // Irregular lists the stress programs whose hot subscripts come from
 // data: subscripted subscripts, data-dependent loop bounds, and one
 // gather that traps. They exercise what the Table 1 models barely do —
-// range guards that fail and deopt, checks no scheme may remove, a trap
-// raised mid-run — and feed the engine-identity tests, the fused-opcode
-// census, and the FuzzEngineIdentity seeds. They are not part of
-// Programs, so Tables 1–3 never see them. The sources are the
-// programs the bench module's run-irregular workload serves.
+// checks no scheme may remove and a trap raised mid-run — and feed the
+// engine-identity tests, the fused-opcode census, and the
+// FuzzEngineIdentity seeds. They are not part of Programs, so Tables
+// 1–3 never see them. The sources are the programs the bench module's
+// run-irregular workload serves.
 var Irregular = []Program{
 	{"csr", "stress", "CSR sparse matrix-vector product: loaded row bounds, column gather", srcCSR},
 	{"histogram", "stress", "weighted histogram with loaded bins, then an edge-aware smoothing stencil", srcHistogram},

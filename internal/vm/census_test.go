@@ -5,7 +5,6 @@ import (
 
 	"nascent"
 	"nascent/internal/conformance"
-	"nascent/internal/ir"
 	"nascent/internal/suite"
 	"nascent/internal/vm"
 )
@@ -44,8 +43,8 @@ func censusSources() map[string]string {
 
 // TestFusedOpcodeCensus is the ratchet on the fused instruction set.
 // Every census input is compiled under naive and all eight optimizing
-// schemes, through both optimizing pipelines (Compile → Optimize and
-// Compile → RCE → Optimize), and each fused opcode — affloadi1 through
+// schemes through the one optimizing pipeline (Compile → Optimize),
+// and each fused opcode — affloadi1 through
 // binbinstoref2 — must be emitted by at least one of them or be on
 // censusAllow. A family the inputs never reach is two copies of dead
 // code (its fuse.go pattern and its exec.go case).
@@ -66,21 +65,18 @@ func TestFusedOpcodeCensus(t *testing.T) {
 	}
 
 	emitted := make(map[uint8]bool)
-	pipelines := []func(*ir.Program) (*vm.Program, error){vm.CompileOptimized, vm.CompileRCE}
 	for name, src := range censusSources() {
 		for s := nascent.Naive; s <= nascent.MCM; s++ {
 			cp, err := nascent.Compile(src, nascent.Options{BoundsChecks: true, Scheme: s})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, s, err)
 			}
-			for _, pipe := range pipelines {
-				vp, err := pipe(cp.IR)
-				if err != nil {
-					t.Fatalf("%s/%v: %v", name, s, err)
-				}
-				for _, in := range vp.Image().Code {
-					emitted[in.Op] = true
-				}
+			vp, err := vm.CompileOptimized(cp.IR)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, s, err)
+			}
+			for _, in := range vp.Image().Code {
+				emitted[in.Op] = true
 			}
 		}
 	}

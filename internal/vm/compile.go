@@ -38,7 +38,6 @@ package vm
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"nascent/internal/guard"
 	"nascent/internal/ir"
@@ -179,15 +178,7 @@ type Program struct {
 	numVars              int   // register slots reserved for program variables
 	mainIdx              int32 // Func.Index of main (execution entry)
 
-	// loops is the compile-time residue of each function's DoLoops,
-	// consumed by the range-check elimination pass (rce.go). It is
-	// transient analysis metadata, deliberately not serialized by
-	// progio: RCE runs before encoding, and a decoded program simply
-	// has no loops left to rewrite.
-	loops []loopMeta
-
 	optimized bool // rewritten by Optimize (opt.go)
-	rce       bool // rewritten by RCE (rce.go)
 }
 
 // Instructions returns the flat bytecode length (for tests and stats).
@@ -216,11 +207,11 @@ func Compile(p *ir.Program) (vp *Program, err error) {
 	}
 
 	// Pass 1 discovers the constant pools, scratch depths and section
-	// lengths; its code is discarded, so it captures no loop metadata
-	// and renders no check text. Pass 2 re-emits with the final
-	// register bases into sections allocated at pass 1's lengths. The
-	// traversal is deterministic, so both passes agree on every pool
-	// offset, jump target, and constant index.
+	// lengths; its code is discarded, so it renders no check text. Pass
+	// 2 re-emits with the final register bases into sections allocated
+	// at pass 1's lengths. The traversal is deterministic, so both
+	// passes agree on every pool offset, jump target, and constant
+	// index.
 	nv := int32(p.NumVars)
 	c1 := newCompiler(p, bases{iConst: nv, iScratch: nv, fConst: nv, fScratch: nv}, nil)
 	c1.compileAll()
@@ -266,8 +257,7 @@ type compiler struct {
 	blockPC map[*ir.Block]int32
 	patches []patch
 
-	// final marks the kept pass: only it captures loop metadata and
-	// renders check text.
+	// final marks the kept pass: only it renders check text.
 	final bool
 }
 
@@ -427,89 +417,7 @@ func (c *compiler) fn(f *ir.Func) FuncImage {
 	for _, a := range f.Arrays {
 		fi.ClrArrs = append(fi.ClrArrs, int32(a.ID))
 	}
-	if c.final {
-		c.captureLoops(f)
-	}
 	return fi
-}
-
-// captureLoops records each DoLoop's bytecode-level shape (loopMeta,
-// rce.go) for the range-check elimination pass. Capture runs after the
-// function's code is emitted so every block pc and pooled constant is
-// final. Loops whose limit is not addressable as a register (neither a
-// variable nor an already-pooled constant) are skipped — rce treats an
-// absent loop as "leave the code alone".
-func (c *compiler) captureLoops(f *ir.Func) {
-	if len(f.DoLoops) == 0 {
-		return
-	}
-	end := int32(len(c.prog.code))
-	starts := make(map[*ir.Block]int32, len(f.Blocks))
-	ends := make(map[*ir.Block]int32, len(f.Blocks))
-	for i, b := range f.Blocks {
-		starts[b] = c.blockPC[b]
-		if i+1 < len(f.Blocks) {
-			ends[b] = c.blockPC[f.Blocks[i+1]]
-		} else {
-			ends[b] = end
-		}
-	}
-	preds := make(map[*ir.Block][]*ir.Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	for _, dl := range f.DoLoops {
-		if dl.Var == nil || dl.Var.Type != ir.Int || dl.Step == 0 {
-			continue
-		}
-		limReg := int32(-1)
-		switch lim := dl.Limit.(type) {
-		case *ir.VarRef:
-			limReg = int32(lim.Var.ID)
-		case *ir.ConstInt:
-			// Lookup only: inserting a constant here would shift the
-			// scratch bases pass 1 already fixed.
-			if idx, ok := c.iconstIdx[lim.V]; ok {
-				limReg = c.iConst + idx
-			}
-		}
-		if limReg < 0 {
-			continue
-		}
-		// Natural loop of the Latch→Header back edge: the header plus
-		// everything that reaches the latch without passing the header.
-		members := map[*ir.Block]bool{dl.Header: true}
-		work := []*ir.Block{dl.Latch}
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			if members[b] {
-				continue
-			}
-			members[b] = true
-			work = append(work, preds[b]...)
-		}
-		var spans [][2]int32
-		for b := range members {
-			if s, e := starts[b], ends[b]; e > s {
-				spans = append(spans, [2]int32{s, e})
-			}
-		}
-		if len(spans) == 0 {
-			continue
-		}
-		sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
-		c.prog.loops = append(c.prog.loops, loopMeta{
-			fn:       int32(f.Index),
-			headerPC: starts[dl.Header],
-			vReg:     int32(dl.Var.ID),
-			limReg:   limReg,
-			step:     dl.Step,
-			spans:    spans,
-		})
-	}
 }
 
 func isParam(f *ir.Func, v *ir.Var) bool {

@@ -14,52 +14,36 @@ import (
 )
 
 // TestCompileEngine pins the engine → pipeline map every caller shares:
-// vmopt runs the optimizer, vmrce and vmjit the guard/deopt rewrite
-// plus the optimizer, and the tree walker has no bytecode at all. vmjit
-// is only a second name for vmrce's pipeline: over the suite and the
-// irregular programs, naive and under LLS, the two engines compile to
+// every bytecode engine runs CompileOptimized, and the tree walker has
+// no bytecode at all. vmrce and vmjit are only names for vmopt's
+// pipeline: over the suite, the irregular programs and the conformance
+// corpus, naive and under LLS and ALL, all three engines compile to
 // byte-identical encoded programs.
 func TestCompileEngine(t *testing.T) {
-	cp, err := nascent.Compile(suite.Programs[0].Source, nascent.Options{BoundsChecks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		engine         interp.Engine
-		optimized, rce bool
-	}{
-		{interp.EngineVMOpt, true, false},
-		{interp.EngineVMRCE, true, true},
-		{interp.EngineVMJit, true, true},
-	} {
-		vp, err := vm.CompileEngine(cp.IR, tc.engine)
-		if err != nil {
-			t.Fatalf("%v: %v", tc.engine, err)
-		}
-		if vp.Optimized() != tc.optimized || vp.RCEApplied() != tc.rce {
-			t.Errorf("%v: optimized=%v rce=%v, want %v/%v", tc.engine, vp.Optimized(), vp.RCEApplied(), tc.optimized, tc.rce)
-		}
-	}
-	if _, err := vm.CompileEngine(cp.IR, interp.EngineTree); err == nil {
-		t.Error("CompileEngine(tree) succeeded")
-	}
-
-	for _, p := range append(append([]suite.Program(nil), suite.Programs...), suite.Irregular...) {
-		for _, s := range []nascent.Scheme{nascent.Naive, nascent.LLS} {
-			cp, err := nascent.Compile(p.Source, nascent.Options{BoundsChecks: true, Scheme: s})
+	for name, src := range censusSources() {
+		for _, s := range []nascent.Scheme{nascent.Naive, nascent.LLS, nascent.ALL} {
+			cp, err := nascent.Compile(src, nascent.Options{BoundsChecks: true, Scheme: s})
 			if err != nil {
 				t.Fatal(err)
 			}
-			jit, err := vm.CompileEngine(cp.IR, interp.EngineVMJit)
-			if err != nil {
-				t.Fatalf("%s/%v vmjit: %v", p.Name, s, err)
+			if _, err := vm.CompileEngine(cp.IR, interp.EngineTree); err == nil {
+				t.Fatal("CompileEngine(tree) succeeded")
 			}
-			rce, err := vm.CompileEngine(cp.IR, interp.EngineVMRCE)
-			if err != nil {
-				t.Fatalf("%s/%v vmrce: %v", p.Name, s, err)
-			}
-			if !bytes.Equal(progio.Encode(jit), progio.Encode(rce)) {
-				t.Errorf("%s/%v: vmjit and vmrce compile to different programs", p.Name, s)
+			var want []byte
+			for _, e := range []interp.Engine{interp.EngineVMOpt, interp.EngineVMRCE, interp.EngineVMJit} {
+				vp, err := vm.CompileEngine(cp.IR, e)
+				if err != nil {
+					t.Fatalf("%s/%v %v: %v", name, s, e, err)
+				}
+				if !vp.Optimized() {
+					t.Errorf("%s/%v %v: program is not optimized", name, s, e)
+				}
+				enc := progio.Encode(vp)
+				if want == nil {
+					want = enc
+				} else if !bytes.Equal(enc, want) {
+					t.Errorf("%s/%v: %v compiles to a different program than vmopt", name, s, e)
+				}
 			}
 		}
 	}
@@ -67,9 +51,9 @@ func TestCompileEngine(t *testing.T) {
 
 // TestCorpusTopTiers pins the conformance corpus observables — exact
 // instruction counts, check counts, outputs, and trap fields — on the
-// top of the breaker ladder, vmrce and its second name vmjit, both
-// through nascent.Program.RunWith and through repeated runs of one
-// compiled program, whose runs reuse a cached machine.
+// top of the breaker ladder, vmrce and vmjit, both through
+// nascent.Program.RunWith and through repeated runs of one compiled
+// program, whose runs reuse a cached machine.
 func TestCorpusTopTiers(t *testing.T) {
 	for _, c := range conformance.Corpus {
 		c := c
@@ -130,9 +114,8 @@ func TestCorpusTopTiers(t *testing.T) {
 
 // TestIrregularIdentity runs the irregular stress programs, naive and
 // under LLS, on every bytecode engine and requires Results DeepEqual to
-// the tree walker's. These are the programs where vmrce's guards fail
-// and deopt for real and most checks still execute; gather_tail must
-// trap with the same note everywhere.
+// the tree walker's. These are the programs where most checks still
+// execute; gather_tail must trap with the same note everywhere.
 func TestIrregularIdentity(t *testing.T) {
 	const gatherNote = "check (idx(i) <= 2000) failed (lhs=2005) [x dim 1 upper]"
 	for _, p := range suite.Irregular {

@@ -262,14 +262,14 @@ func (m *mach) ret() (int32, bool) {
 	return fr.ret, true
 }
 
-// print appends one output line: ents holds one pool entry per
+// print appends one output line: pool[a:a+n] holds one entry per
 // argument (register<<1, plus 1 for a float). Output already at
 // MaxOutputBytes takes no more lines.
-func (m *mach) print(ents []int64) {
+func (m *mach) print(pool []int64, a, n int32) {
 	if len(m.out) >= m.cfg.MaxOutputBytes {
 		return
 	}
-	for k, e := range ents {
+	for k, e := range pool[a : a+n] {
 		if k > 0 {
 			m.out = append(m.out, ' ')
 		}
@@ -295,10 +295,6 @@ func (m *mach) run() (interp.Result, error) {
 		arrays = p.arrays
 
 		instrs, checks uint64
-		// elim tracks the checks counted in bulk without being evaluated
-		// (opCkAdd, opCheckBlock implied pairs); a diagnostic, not an
-		// observable — flushed to DispatchStats at exit for CheckStats.
-		elim uint64
 
 		err  error
 		disp = m.disp
@@ -593,48 +589,6 @@ loop:
 				break loop
 			}
 
-		case opRangeGuard:
-			// Preheader range guard (rce.go): cost-invisible, writes
-			// nothing. Pass → fast guard-free copy (a); fail → deopt to
-			// the original fully-checked code (imm) with the register
-			// state untouched. A chaos-forced spurious failure exercises
-			// the deopt path; observables are identical either way
-			// because deopt is the original semantics. A bulk-counting
-			// guard (c > 0, see bulkPerIter) commits the whole loop's
-			// eliminated-check count here — trip × perIter — instead of
-			// per-iteration opCkAdds; if that product would overflow it
-			// deopts, keeping the count exact the slow way.
-			pass, trip := rangeGuardPass(pool, in.B, ireg)
-			if disp != nil {
-				disp.GuardTerms += uint64(pool[in.B+3])
-			}
-			if pass && chaos.Active() && chaos.Fire(chaos.SiteRCEGuardFail, funcs[m.fn].Name) {
-				pass = false
-			}
-			if pass && in.C > 0 {
-				var bulk int64
-				if bulk, pass = mulOvf(trip, int64(in.C)); pass {
-					checks += uint64(bulk)
-					elim += uint64(bulk)
-				}
-			}
-			if pass {
-				pc = in.A
-			} else {
-				pc = int32(in.Imm)
-				if disp != nil {
-					disp.GuardFails++
-				}
-			}
-
-		case opCkAdd:
-			// Stand-in for an eliminated check instruction: count its
-			// checks (a) without evaluating them. Its cost field was
-			// already charged centrally above, so counters and poll
-			// cadence match the checked original exactly.
-			checks += uint64(in.A)
-			elim += uint64(in.A)
-
 		case opTrapStmt:
 			m.trapStmt(in.A)
 			break loop
@@ -733,7 +687,12 @@ loop:
 			}
 
 		case opPrint:
-			m.print(pool[in.A : in.A+in.B])
+			// The whole pool, not a subslice: with a subslice here the
+			// compiler allocates this loop's registers worse (each case
+			// exit reloads about ten values from the stack, not three),
+			// and the same bytecode ran 10–20% slower (EXPERIMENTS.md,
+			// "Deleting the bytecode check eliminator").
+			m.print(pool, in.A, in.B)
 
 		case opNop:
 			// cost carrier only
@@ -981,7 +940,9 @@ loop:
 					}
 				}
 				checks += uint64(t[1])
-				elim += uint64(t[1])
+				if disp != nil {
+					disp.ChecksEliminated += uint64(t[1])
+				}
 				r := t[2]
 				if r < 0 {
 					if r == -1 {
@@ -1434,9 +1395,6 @@ loop:
 		}
 	}
 
-	if disp != nil {
-		disp.ChecksEliminated += elim
-	}
 	return m.result(instrs, checks, err)
 }
 

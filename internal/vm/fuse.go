@@ -164,24 +164,7 @@ const (
 	opBinBinStoreF1
 	opBinBinStoreF2
 
-	// Range-check elimination (rce.go). opRangeGuard is the preheader
-	// range guard: it evaluates the covered check family at both
-	// endpoints of the loop's induction range with overflow-checked
-	// arithmetic and branches to the guard-free fast loop copy (a) when
-	// every check is provably safe, or to the original fully-checked
-	// code (imm) — the deopt target — otherwise. b is the pool offset of
-	// the guard tuple (see rce.go for the layout). The guard is cost- and
-	// counter-invisible: it charges nothing and counts nothing, so
-	// observables match the unguarded engines bit for bit.
-	opRangeGuard
-	// opCkAdd stands where an eliminated check instruction stood in the
-	// fast copy: it bulk-adds the check count (a = number of checks the
-	// replaced instruction counted) while keeping the replaced
-	// instruction's centrally charged cost, so instruction and check
-	// counters advance by exactly the original deltas.
-	opCkAdd
-
-	numOps = int(opCkAdd) + 1
+	numOps = int(opBinBinStoreF2) + 1
 )
 
 var opNames = [numOps]string{
@@ -215,7 +198,6 @@ var opNames = [numOps]string{
 	opAffLoadI2: "affloadi2", opAffLoadF2: "affloadf2", opAffStoreI2: "affstorei2", opAffStoreF2: "affstoref2",
 	opBinStoreF2:    "binstoref2",
 	opBinBinStoreF1: "binbinstoref1", opBinBinStoreF2: "binbinstoref2",
-	opRangeGuard: "rangeguard", opCkAdd: "ckadd",
 }
 
 // OpName returns the mnemonic of an opcode, for DispatchStats output.
@@ -386,12 +368,6 @@ func (o *optimizer) affineOf(acc, reg int32, b block, seeds ...int32) (root int3
 			break
 		}
 		cj := &o.code[j]
-		if cj.Op == opCkAdd {
-			// Bulk check counting (rce.go): no defs, no uses, no
-			// observable exit — absorption may cross it. The site itself
-			// stays in place, so the counts still accrue where they did.
-			continue
-		}
 		if cj.Op > opStoreF2 || (!instrPure(cj.Op) && o.instrDef(cj) != o.ibit(root)) {
 			// Fused or impure instruction: absorption beyond here would
 			// move cost across an observable exit.
@@ -794,9 +770,6 @@ func (o *optimizer) valueOf(at, reg int32, b block) (root int32, coef, off int64
 			continue
 		}
 		cj := &o.code[j]
-		if cj.Op == opCkAdd {
-			continue // counts only: no defs, no uses (see affineOf)
-		}
 		if cj.Op > opStoreF2 {
 			break // fused op: defs are not visible to instrDef
 		}

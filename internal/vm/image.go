@@ -89,7 +89,6 @@ type TrapImage struct {
 // Image is the complete serializable state of a compiled Program.
 type Image struct {
 	Optimized bool
-	RCE       bool
 	Code      []Instr
 	Funcs     []FuncImage
 	Arrays    []ArrayImage
@@ -116,7 +115,6 @@ type Image struct {
 func (p *Program) Image() Image {
 	return Image{
 		Optimized:  p.optimized,
-		RCE:        p.rce,
 		Code:       p.code,
 		Funcs:      p.funcs,
 		Arrays:     p.arrays,
@@ -279,6 +277,5 @@ func FromImage(im *Image) (*Program, error) {
 		numVars:    int(im.NumVars),
 		mainIdx:    im.MainIdx,
 		optimized:  im.Optimized,
-		rce:        im.RCE,
 	}, nil
 }

@@ -1,11 +1,11 @@
 // Bytecode optimizer: a post-compile pipeline that rewrites the flat
 // register bytecode produced by Compile into fewer, fatter
-// instructions. It is selected as engine "vmopt" and must preserve the
-// reference engine's observable contract bit for bit — identical
-// dynamic instruction and check counters at every exit (including
-// traps and faults), identical trap notes/classes/positions, identical
-// output, and identical budget/poll cadence wherever that cadence is
-// observable.
+// instructions. Every bytecode engine name (vmopt, vmrce, vmjit)
+// selects it, and it must preserve the reference engine's observable
+// contract bit for bit — identical dynamic instruction and check
+// counters at every exit (including traps and faults), identical trap
+// notes/classes/positions, identical output, and identical budget/poll
+// cadence wherever that cadence is observable.
 //
 // Passes, in order (see DESIGN.md "Bytecode optimizer"):
 //
@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"nascent/internal/guard"
+	"nascent/internal/interp"
 	"nascent/internal/ir"
 )
 
@@ -45,27 +46,34 @@ type DispatchStats struct {
 	ByOp       [numOps]uint64 // Dispatched, split by opcode
 
 	// ChecksEliminated counts dynamic checks that were counted in bulk
-	// without being evaluated (opCkAdd stand-ins from the rce pass,
-	// opCheckBlock implied pairs). Like Dispatched it is a
-	// deterministic diagnostic, not an observable: Result.Checks is
-	// identical across engines regardless. CheckStats (rce.go) derives
-	// the executed-check count from it.
+	// without being evaluated (opCheckBlock implied pairs). Like
+	// Dispatched it is a deterministic diagnostic, not an observable:
+	// Result.Checks is identical across engines regardless. CheckStats
+	// derives the executed-check count from it.
 	ChecksEliminated uint64
-
-	// GuardTerms counts the guard entries the run's range guards
-	// carried, one per sub-check per guard dispatch: the deterministic
-	// proxy for rangeGuardPass's work.
-	GuardTerms uint64
-
-	// GuardFails counts the range-guard dispatches that took the deopt
-	// edge (failed, chaos-forced, or bulk-count overflow): each one ran
-	// the original fully-checked loop instead of its fast copy.
-	GuardFails uint64
 }
 
 func (s *DispatchStats) count(op uint8) {
 	s.Dispatched++
 	s.ByOp[op]++
+}
+
+// CheckStats splits one run's dynamic check counter into checks that
+// were actually evaluated and checks that were counted in bulk without
+// executing (opCheckBlock's implied pairs). All three numbers are
+// deterministic functions of (program, config).
+type CheckStats struct {
+	Counted    uint64 // dynamic checks the observable counter recorded
+	Executed   uint64 // checks evaluated at run time (Counted - Eliminated)
+	Eliminated uint64 // checks counted in bulk, never evaluated
+}
+
+// RunCheckStats is Run with check-execution accounting.
+func (p *Program) RunCheckStats(cfg interp.Config) (interp.Result, CheckStats, error) {
+	res, ds, err := p.RunDispatch(cfg)
+	cs := CheckStats{Counted: res.Checks, Eliminated: ds.ChecksEliminated}
+	cs.Executed = cs.Counted - cs.Eliminated
+	return res, cs, err
 }
 
 // String renders the totals and the hottest opcodes, for -trace style
@@ -186,7 +194,6 @@ func newOptimizer(vp *Program) *optimizer {
 	}
 	cp := *vp
 	cp.optimized = true
-	cp.loops = nil // pc-based loop metadata is stale after compaction
 	o.out = &cp
 	return o
 }
@@ -217,9 +224,6 @@ func (o *optimizer) analyze() {
 			mark(in.A)
 			mark(in.B)
 		case in.Op >= opBrEqI && in.Op <= opBrGeF:
-			mark(in.A)
-			mark(int32(in.Imm))
-		case in.Op == opRangeGuard:
 			mark(in.A)
 			mark(int32(in.Imm))
 		}
@@ -335,24 +339,6 @@ func (o *optimizer) instrUses(in *Instr, f func(bit int32)) (useAll bool) {
 		}
 	case opCheck1, opCheckPair:
 		f(o.ibit(in.A))
-	case opRangeGuard:
-		// Guard tuple (rce.go): [vReg, limReg, step, n, then per
-		// sub-check K, cv, nInv, (coef, reg) × nInv]. Reads the
-		// induction start, the limit, and every invariant term.
-		t := o.pool
-		p := in.B
-		f(o.ibit(int32(t[p])))
-		f(o.ibit(int32(t[p+1])))
-		n := t[p+3]
-		p += 4
-		for k := int64(0); k < n; k++ {
-			nInv := t[p+2]
-			p += 3
-			for j := int64(0); j < nInv; j++ {
-				f(o.ibit(int32(t[p+1])))
-				p += 2
-			}
-		}
 	case opCheck2:
 		f(o.ibit(int32(o.pool[in.A+1])))
 		f(o.ibit(int32(o.pool[in.A+3])))
@@ -427,11 +413,6 @@ func (o *optimizer) succs(i int, f func(pc int32)) {
 		f(in.A)
 		f(in.B)
 	case in.Op >= opBrEqI && in.Op <= opBrGeF:
-		f(in.A)
-		f(int32(in.Imm))
-	case in.Op == opRangeGuard:
-		// The deopt edge (imm) keeps the original checked code — and
-		// every value it reads — live even when only the fast copy runs.
 		f(in.A)
 		f(int32(in.Imm))
 	case in.Op == opRet, in.Op == opFail, in.Op == opTrapStmt:
@@ -841,9 +822,6 @@ func (o *optimizer) compact() {
 			in.A = newIdx[in.A]
 			in.B = newIdx[in.B]
 		case in.Op >= opBrEqI && in.Op <= opBrGeF:
-			in.A = newIdx[in.A]
-			in.Imm = int64(newIdx[in.Imm])
-		case in.Op == opRangeGuard:
 			in.A = newIdx[in.A]
 			in.Imm = int64(newIdx[in.Imm])
 		case in.Op >= opIncBrEqI && in.Op <= opIncBrGeI:

@@ -109,19 +109,14 @@ func TestMachineReuseStartsClean(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			for _, compile := range []func(*nascent.Program) (*vm.Program, error){
-				func(cp *nascent.Program) (*vm.Program, error) { return vm.CompileOptimized(cp.IR) },
-				func(cp *nascent.Program) (*vm.Program, error) { return vm.CompileRCE(cp.IR) },
-			} {
-				vp, err := compile(cp)
-				if err != nil {
-					t.Fatalf("%s/%v: %v", c.name, s, err)
-				}
-				im := vp.Image()
-				regs = max(regs, im.NIntRegs, im.NFloatRegs)
-				icells, fcells = max(icells, im.ICells), max(fcells, im.FCells)
-				progs = append(progs, prepared{fmt.Sprintf("%s/%v", c.name, s), want, progio.Encode(vp)})
+			vp, err := vm.CompileOptimized(cp.IR)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", c.name, s, err)
 			}
+			im := vp.Image()
+			regs = max(regs, im.NIntRegs, im.NFloatRegs)
+			icells, fcells = max(icells, im.ICells), max(fcells, im.FCells)
+			progs = append(progs, prepared{fmt.Sprintf("%s/%v", c.name, s), want, progio.Encode(vp)})
 		}
 	}
 	fcp, err := nascent.Compile(fillerSource(int(regs), icells, fcells), nascent.Options{})

@@ -63,24 +63,6 @@ func BenchmarkSuiteVMOpt(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteVMRCE is the guard/deopt engine's row in the ratio
-// family: same suite, same observables, but proven-redundant check
-// families execute as one preheader guard plus bulk-counted adds. The
-// ns/op ratio against BenchmarkSuiteVMOpt is the dynamic win the
-// CheckStats guard pins statically.
-func BenchmarkSuiteVMRCE(b *testing.B) {
-	progs := compileRCESuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range progs {
-			if _, err := p.Run(interp.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // TestSuiteDispatchGuard is the suite-wide companion of the corpus
 // TestDispatchGuard: every Table-1 program must agree between vm and
 // vmopt on all observables, and the optimizer's dispatch reduction

@@ -34,9 +34,9 @@ func build(t *testing.T, src string, checks bool) *ir.Program {
 	return p
 }
 
-// runPlain runs p as unoptimized bytecode (vm.Compile, no RCE, no
-// fusion) on the switch loop: the first stage of every bytecode
-// pipeline, checked against the tree walker on its own.
+// runPlain runs p as unoptimized bytecode (vm.Compile, no fusion) on
+// the switch loop: the first stage of the bytecode pipeline, checked
+// against the tree walker on its own.
 func runPlain(p *ir.Program, cfg interp.Config) (interp.Result, error) {
 	vp, err := vm.Compile(p)
 	if err != nil {

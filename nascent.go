@@ -199,8 +199,8 @@ type RunResult = interp.Result
 // produces identical observables.
 type RunConfig = interp.Config
 
-// Engine selects the execution substrate of a run. All four engines
-// implement the same observable contract — identical dynamic
+// Engine selects the execution substrate of a run. All four engine
+// names implement the same observable contract — identical dynamic
 // instruction counts, check counts, outputs, traps, and resource
 // budgets — so every table and oracle sweep is engine-independent.
 type Engine = interp.Engine
@@ -214,14 +214,10 @@ const (
 	// elimination, superinstruction fusion, frame reuse). Same
 	// observables as the other engines, fewer dispatches.
 	EngineVMOpt = interp.EngineVMOpt
-	// EngineVMRCE is the bytecode VM running guard/deopt bytecode:
-	// preheader range guards cover whole families of proven-redundant
-	// checks, guarded loops run a check-free fast copy, and a failed
-	// guard deopts to the original fully-checked code. Same observables
-	// as the other engines — eliminated checks are still counted.
+	// EngineVMRCE and EngineVMJit are names for EngineVMOpt's pipeline:
+	// they compile to the same bytecode and run on the same switch VM.
+	// They stay parseable for clients that send them.
 	EngineVMRCE = interp.EngineVMRCE
-	// EngineVMJit is a second name for EngineVMRCE's pipeline, run on
-	// the same switch VM. It stays parseable for clients that send it.
 	EngineVMJit = interp.EngineVMJit
 )
 
