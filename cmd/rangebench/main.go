@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rangebench [-table N] [-jobs N]
-//	           [-engine tree|vmopt|vmrce|vmjit]
+//	           [-engine vmopt|vmrce|vmjit|tree]
 //	           [-times] [-trace]
 //	           [-chaos seed:rate[:site]]
 //	           [-cpuprofile file] [-memprofile file]
@@ -13,11 +13,11 @@
 // characteristics (naive check overhead), -table 2 the seven placement
 // schemes × {PRX, INX}, -table 3 the implication ablation.
 //
-// -engine selects the execution substrate: the tree-walking reference
-// interpreter (default) or the superinstruction-optimized bytecode VM
-// (vmopt; vmrce and vmjit are names for the same pipeline). Table
-// output is byte-identical under every engine — the CI pipeline diffs
-// them — so the flag only changes wall-clock.
+// -engine selects the execution substrate: the superinstruction-
+// optimized bytecode VM (vmopt, the default; vmrce and vmjit are names
+// for the same pipeline) or the tree-walking reference interpreter
+// (tree). Table output is byte-identical under every engine — the CI
+// pipeline diffs them — so the flag only changes wall-clock.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
 // chasing interpreter hot spots (`go tool pprof`).
@@ -64,7 +64,7 @@ import (
 func main() {
 	table := flag.Int("table", 0, "table to print (1, 2, or 3; 0 = all)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "number of parallel evaluation workers")
-	engineFlag := flag.String("engine", "tree", "execution engine: "+strings.Join(nascent.EngineNames(), "|"))
+	engineFlag := flag.String("engine", "vmopt", "execution engine: "+strings.Join(nascent.EngineNames(), "|"))
 	times := flag.Bool("times", false, "include wall-clock columns (non-reproducible) in tables 2-3")
 	trace := flag.Bool("trace", false, "log per-job stage timings to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -121,7 +121,7 @@ func run(table, jobs int, engine nascent.Engine, times, trace bool, cpuprofile, 
 		}
 	}()
 
-	cfg := report.Config{Jobs: jobs, Timings: times, Engine: engine}
+	cfg := report.Config{Jobs: jobs, Timings: times, Tree: engine == nascent.EngineTree}
 	if trace {
 		cfg.Trace = func(ev evalpool.Event) {
 			status := ""

@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -61,40 +61,53 @@ func FamilyKey(terms []CheckTerm) string {
 // TermsString renders a check's range-expression in the paper's style,
 // e.g. "2*n - 1" or "-i".
 func TermsString(terms []CheckTerm) string {
+	var buf [64]byte
+	return string(appendTerms(buf[:0], terms))
+}
+
+func appendTerms(dst []byte, terms []CheckTerm) []byte {
 	if len(terms) == 0 {
-		return "0"
+		return append(dst, '0')
 	}
-	var b strings.Builder
 	for i, t := range terms {
 		c := t.Coef
 		switch {
 		case i == 0 && c == 1:
 		case i == 0 && c == -1:
-			b.WriteByte('-')
+			dst = append(dst, '-')
 		case i == 0:
-			fmt.Fprintf(&b, "%d*", c)
+			dst = append(strconv.AppendInt(dst, c, 10), '*')
 		case c == 1:
-			b.WriteString(" + ")
+			dst = append(dst, " + "...)
 		case c == -1:
-			b.WriteString(" - ")
+			dst = append(dst, " - "...)
 		case c > 0:
-			fmt.Fprintf(&b, " + %d*", c)
+			dst = append(strconv.AppendInt(append(dst, " + "...), c, 10), '*')
 		default:
-			fmt.Fprintf(&b, " - %d*", -c)
+			dst = append(strconv.AppendInt(append(dst, " - "...), -c, 10), '*')
 		}
-		b.WriteString(ExprString(t.Atom))
+		dst = appendExpr(dst, t.Atom)
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the check in the paper's notation, e.g.
 // "check (2*n <= 10)" or "condcheck ((1 <= 2*n), 2*n <= 10)".
 func (s *CheckStmt) String() string {
-	body := fmt.Sprintf("%s <= %d", TermsString(s.Terms), s.Const)
+	var buf [128]byte
+	return string(s.AppendString(buf[:0]))
+}
+
+// AppendString appends s.String() to dst and returns the result.
+func (s *CheckStmt) AppendString(dst []byte) []byte {
 	if s.Guard != nil {
-		return fmt.Sprintf("condcheck (%s, %s)", ExprString(s.Guard), body)
+		dst = appendExpr(append(dst, "condcheck ("...), s.Guard)
+		dst = append(dst, ", "...)
+	} else {
+		dst = append(dst, "check ("...)
 	}
-	return fmt.Sprintf("check (%s)", body)
+	dst = append(appendTerms(dst, s.Terms), " <= "...)
+	return append(strconv.AppendInt(dst, s.Const, 10), ')')
 }
 
 // Family returns the check's family key.

@@ -135,58 +135,59 @@ func (*Call) exprNode()       {}
 
 // ExprString renders an expression for IR dumps and diagnostics.
 func ExprString(e Expr) string {
-	var b strings.Builder
-	writeExpr(&b, e)
-	return b.String()
+	var buf [64]byte
+	return string(appendExpr(buf[:0], e))
 }
 
-func writeExpr(b *strings.Builder, e Expr) {
+// appendExpr appends ExprString(e) to dst and returns the result.
+func appendExpr(dst []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case *ConstInt:
-		fmt.Fprintf(b, "%d", e.V)
+		dst = strconv.AppendInt(dst, e.V, 10)
 	case *ConstFloat:
-		b.WriteString(strconv.FormatFloat(e.V, 'g', -1, 64))
+		dst = strconv.AppendFloat(dst, e.V, 'g', -1, 64)
 	case *VarRef:
-		b.WriteString(e.Var.Name)
+		dst = append(dst, e.Var.Name...)
 	case *Load:
-		b.WriteString(e.Arr.Name)
-		b.WriteByte('(')
+		dst = append(dst, e.Arr.Name...)
+		dst = append(dst, '(')
 		for i, ix := range e.Idx {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			writeExpr(b, ix)
+			dst = appendExpr(dst, ix)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	case *Bin:
-		b.WriteByte('(')
-		writeExpr(b, e.L)
-		b.WriteByte(' ')
-		b.WriteString(e.Op.String())
-		b.WriteByte(' ')
-		writeExpr(b, e.R)
-		b.WriteByte(')')
+		dst = append(dst, '(')
+		dst = appendExpr(dst, e.L)
+		dst = append(dst, ' ')
+		dst = append(dst, e.Op.String()...)
+		dst = append(dst, ' ')
+		dst = appendExpr(dst, e.R)
+		dst = append(dst, ')')
 	case *Un:
-		b.WriteByte('(')
-		b.WriteString(e.Op.String())
+		dst = append(dst, '(')
+		dst = append(dst, e.Op.String()...)
 		if e.Op == OpNot {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		writeExpr(b, e.X)
-		b.WriteByte(')')
+		dst = appendExpr(dst, e.X)
+		dst = append(dst, ')')
 	case *Call:
-		b.WriteString(e.Fn.String())
-		b.WriteByte('(')
+		dst = append(dst, e.Fn.String()...)
+		dst = append(dst, '(')
 		for i, a := range e.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			writeExpr(b, a)
+			dst = appendExpr(dst, a)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	default:
-		fmt.Fprintf(b, "<%T>", e)
+		dst = fmt.Appendf(dst, "<%T>", e)
 	}
+	return dst
 }
 
 // Key returns a structural key for e: two expressions with equal keys are

@@ -9,9 +9,10 @@ import (
 
 // regenerationAllocBudget is the ceiling on bytes allocated by one
 // Tables 1–3 pass of a fresh report.Runner at one worker: ten parses
-// and analyses, the lowerings, 210 optimized compiles and 137 tree
-// engine runs. Each job lowered the program afresh, plus an unchecked
-// Table 1 job per program, until the pass allocated 47,233,000 bytes
+// and analyses, the lowerings, 210 optimized compiles, and 137
+// bytecode compiles and runs on the default engine. Each job lowered
+// the program afresh, plus an unchecked Table 1 job per program, until
+// the pass allocated 47,233,000 bytes
 // (go1.24, linux/amd64); lowering each program once per BoundsChecks
 // value and optimizing copy-on-write forks brought it to 37,060,000;
 // keeping SSA block-exit values only at loop headers and the blocks
@@ -19,7 +20,11 @@ import (
 // pass read 36,150,560. Dominators, SSA and induction indexed by ID
 // instead of pointer-keyed maps brought it to 30,160,584. Inserting
 // statements into a block in place, not through a copied tail, brought
-// it to 29,705,168. The ceiling leaves 5% over that.
+// it to 29,705,168, and the ceiling was set 5% over that. Those runs
+// were on the tree engine. Moving the table path to the bytecode
+// pipeline, whose compile works in a recycled scratch and allocates
+// only the program it keeps, reads about 30,130,000 (30,640,000 under
+// -race, whose pools drop items at random); the ceiling stays.
 const regenerationAllocBudget = 31_191_000
 
 // TestRegenerationAllocBudget is a deterministic allocation gate on the

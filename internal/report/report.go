@@ -35,10 +35,12 @@ type Config struct {
 	// 2–3. They are excluded by default so table output is
 	// reproducible byte for byte.
 	Timings bool
-	// Engine selects the execution substrate for every measurement job
-	// (default the tree-walking reference engine). Table output is
-	// identical under either engine; only wall-clock changes.
-	Engine nascent.Engine
+	// Tree runs every measurement job on the tree-walking reference
+	// engine. By default jobs run on the bytecode pipeline (Compile →
+	// Optimize on the switch VM), which counts the same instructions
+	// and checks: table output is identical under either engine; only
+	// wall-clock changes.
+	Tree bool
 	// Trace, when non-nil, receives one event per completed job stage.
 	Trace evalpool.TraceFunc
 }
@@ -95,10 +97,14 @@ func New(cfg Config) *Runner {
 // service pool's memoized front ends across requests. Config.Jobs and Config.Trace are ignored — the pool
 // owns both.
 func NewOnPool(pool *evalpool.Pool, cfg Config) *Runner {
+	engine := nascent.EngineVMOpt
+	if cfg.Tree {
+		engine = nascent.EngineTree
+	}
 	return &Runner{
 		pool:    pool,
 		timings: cfg.Timings,
-		engine:  cfg.Engine,
+		engine:  engine,
 		runs:    evalpool.NewRunMemo(),
 		done:    make(map[jobKey]evalpool.Result),
 	}

@@ -335,7 +335,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleReport serves GET /report?table=1|2|3: the paper's tables,
+// handleReport serves GET /report?table=1|2|3[&engine=E]: the paper's tables,
 // measured on the service's shared pool (front ends memoized across
 // requests), as structured JSON with the canonical text rendering
 // embedded.
@@ -351,10 +351,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	engine, apiErr := parseEngine(r.URL.Query().Get("engine"))
-	if apiErr != nil {
-		s.fail(w, apiErr)
-		return
+	// With no engine the tables follow the report default, the
+	// bytecode pipeline; engine=tree selects the reference engine.
+	engine := nascent.EngineVMOpt
+	if e := r.URL.Query().Get("engine"); e != "" {
+		var apiErr *Error
+		if engine, apiErr = parseEngine(e); apiErr != nil {
+			s.fail(w, apiErr)
+			return
+		}
 	}
 	release, apiErr := s.admit(r.Context())
 	if apiErr != nil {
@@ -363,7 +368,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	runner := report.NewOnPool(s.pool, report.Config{Engine: engine})
+	runner := report.NewOnPool(s.pool, report.Config{Tree: engine == nascent.EngineTree})
 	doc, err := runner.Doc(table)
 	if err != nil && doc == nil {
 		s.fail(w, &Error{Class: ClassInternal, Message: err.Error(), Status: http.StatusInternalServerError, NaccExit: -1})

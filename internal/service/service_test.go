@@ -340,7 +340,22 @@ func TestReportEndpoint(t *testing.T) {
 		t.Errorf("canonical text rendering missing: %q", doc.Text[:min(80, len(doc.Text))])
 	}
 
+	// With no engine the table runs on the report default, the
+	// bytecode pipeline; engine=tree selects the reference, which must
+	// render the same bytes.
+	var tree struct {
+		Text string `json:"text"`
+	}
+	if w := do(t, s, "GET", "/report?table=1&engine=tree", nil, &tree); w.Code != http.StatusOK {
+		t.Fatalf("engine=tree: status = %d, body %s", w.Code, w.Body.String())
+	}
+	if tree.Text != doc.Text {
+		t.Errorf("engine=tree renders differently from the default:\n%s\n--- default ---\n%s", tree.Text, doc.Text)
+	}
+
 	w = do(t, s, "GET", "/report?table=9", nil, nil)
+	wantError(t, w, http.StatusBadRequest, ClassUsage)
+	w = do(t, s, "GET", "/report?table=1&engine=jit", nil, nil)
 	wantError(t, w, http.StatusBadRequest, ClassUsage)
 }
 

@@ -195,40 +195,53 @@ type bases struct {
 // and IR constructs the reference engine would only reject at run time
 // (malformed expressions, missing terminators) compile to fail
 // instructions that reproduce the same runtime fault.
-func Compile(p *ir.Program) (vp *Program, err error) {
+func Compile(p *ir.Program) (*Program, error) {
+	s := getScratch()
+	if err := s.compile(p); err != nil {
+		return nil, err
+	}
+	vp := s.keep()
+	s.release()
+	return vp, nil
+}
+
+// compile lowers p into the scratch program s.c.prog. Pass 1 discovers
+// the constant pools, scratch depths and section lengths, and renders
+// every check's text; its code is discarded. Pass 2 re-emits with the
+// final register bases. The traversal is deterministic, so both passes
+// agree on every pool offset, jump target, constant index and check
+// index. Both passes write into the scratch's sections; the kept
+// pass allocates only the array layout, the function table's lists
+// and the check text, and keep copies the rest out.
+func (s *scratch) compile(p *ir.Program) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			vp = nil
 			err = &guard.InternalError{Stage: "vm-compile", Recovered: r}
 		}
 	}()
 	if p == nil || len(p.Funcs) == 0 {
-		return nil, fmt.Errorf("vm: no program")
+		return fmt.Errorf("vm: no program")
 	}
-
-	// Pass 1 discovers the constant pools, scratch depths and section
-	// lengths; its code is discarded, so it renders no check text. Pass
-	// 2 re-emits with the final register bases into sections allocated
-	// at pass 1's lengths. The traversal is deterministic, so both
-	// passes agree on every pool offset, jump target, and constant
-	// index.
+	c := &s.c
 	nv := int32(p.NumVars)
-	c1 := newCompiler(p, bases{iConst: nv, iScratch: nv, fConst: nv, fScratch: nv}, nil)
-	c1.compileAll()
+	c.reset(p, bases{iConst: nv, iScratch: nv, fConst: nv, fScratch: nv}, false)
+	c.compileAll()
 	b := bases{
 		iConst:   nv,
-		iScratch: nv + int32(len(c1.prog.iconsts)),
+		iScratch: nv + int32(len(c.prog.iconsts)),
 		fConst:   nv,
-		fScratch: nv + int32(len(c1.prog.fconsts)),
+		fScratch: nv + int32(len(c.prog.fconsts)),
 	}
-	c2 := newCompiler(p, b, c1.prog)
-	c2.compileAll()
-	out := c2.prog
-	out.nIntRegs = int(b.iScratch) + int(c2.maxDepthI)
-	out.nFloatRegs = int(b.fScratch) + int(c2.maxDepthF)
+	c.reset(p, b, true)
+	c.checkText = string(c.text)
+	c.layoutArrays()
+	c.compileAll()
+	out := &c.prog
+	out.nIntRegs = int(b.iScratch) + int(c.maxDepthI)
+	out.nFloatRegs = int(b.fScratch) + int(c.maxDepthF)
 	out.numVars = p.NumVars
 	out.mainIdx = int32(p.Main().Index)
-	return out, nil
+	return nil
 }
 
 type patch struct {
@@ -237,9 +250,11 @@ type patch struct {
 	target *ir.Block
 }
 
+// compiler is one compile pass's state. It lives in a scratch and is
+// reset for each pass; its prog holds the pass's sections.
 type compiler struct {
 	p    *ir.Program
-	prog *Program
+	prog Program
 	bases
 	iconstIdx map[int64]int32
 	fconstIdx map[uint64]int32
@@ -253,51 +268,68 @@ type compiler struct {
 	// land between them).
 	pairable int32
 
-	curFn   *ir.Func
-	blockPC map[*ir.Block]int32
+	curFn *ir.Func
+	// blockPC[id] is the entry pc of the current function's block
+	// whose ID is id, when blockAt[id] is that block.
+	blockPC []int32
+	blockAt []*ir.Block
 	patches []patch
 
-	// final marks the kept pass: only it renders check text.
-	final bool
+	// regs and vals are operand stacks: a statement pushes its
+	// operands' registers (or pool entries) above the entries of the
+	// statements enclosing it and pops them when it is emitted.
+	regs []int32
+	vals []int64
+
+	// final marks the kept pass. The sizing pass renders each check's
+	// text into text, ending at textEnd; the kept pass slices every
+	// check's Str out of checkText, the one string both become.
+	final     bool
+	text      []byte
+	textEnd   []int32
+	checkText string
 }
 
-// newCompiler returns a compiler for one pass. A nil sized makes the
-// discarded sizing pass; otherwise sized is that pass's output, and the
-// kept pass allocates every growing section at its exact length.
-func newCompiler(p *ir.Program, b bases, sized *Program) *compiler {
-	c := &compiler{
-		p:         p,
-		prog:      &Program{},
-		bases:     b,
-		iconstIdx: make(map[int64]int32),
-		fconstIdx: make(map[uint64]int32),
-		pairable:  -1,
-		final:     sized != nil,
+// reset readies c for one pass over p with register bases b: the
+// sizing pass, or with final set the kept one.
+func (c *compiler) reset(p *ir.Program, b bases, final bool) {
+	if c.iconstIdx == nil {
+		c.iconstIdx = make(map[int64]int32)
+		c.fconstIdx = make(map[uint64]int32)
 	}
-	if sized != nil {
-		c.prog.code = make([]Instr, 0, len(sized.code))
-		c.prog.pool = make([]int64, 0, len(sized.pool))
-		c.prog.iconsts = make([]int64, 0, len(sized.iconsts))
-		c.prog.fconsts = make([]float64, 0, len(sized.fconsts))
-		c.prog.checks = make([]CheckImage, 0, len(sized.checks))
-		c.prog.traps = make([]TrapImage, 0, len(sized.traps))
-		c.prog.fails = make([]string, 0, len(sized.fails))
+	clear(c.iconstIdx)
+	clear(c.fconstIdx)
+	pr := &c.prog
+	*pr = Program{
+		code:    pr.code[:0],
+		pool:    pr.pool[:0],
+		iconsts: pr.iconsts[:0],
+		fconsts: pr.fconsts[:0],
+		checks:  pr.checks[:0],
+		traps:   pr.traps[:0],
+		fails:   pr.fails[:0],
+		funcs:   fit(pr.funcs, len(p.Funcs)),
 	}
-	return c
+	c.p, c.bases = p, b
+	c.depthI, c.maxDepthI, c.depthF, c.maxDepthF = 0, 0, 0, 0
+	c.costFree, c.pairable = false, -1
+	c.final = final
+	if !final {
+		c.text, c.textEnd = c.text[:0], c.textEnd[:0]
+	}
 }
 
 func (c *compiler) compileAll() {
-	c.layoutArrays()
-	c.prog.funcs = make([]FuncImage, len(c.p.Funcs))
 	for _, f := range c.p.Funcs {
 		c.prog.funcs[f.Index] = c.fn(f)
 	}
 }
 
 // layoutArrays precomputes every array's slab base and strides, and the
-// tree-walker's allocation order for the run-time cell budget.
+// tree-walker's allocation order for the run-time cell budget. Only
+// the kept pass lays arrays out, into the kept program's own tables.
 func (c *compiler) layoutArrays() {
-	pr := c.prog
+	pr := &c.prog
 	pr.arrays = make([]ArrayImage, c.p.NumArrays)
 	ordered := append([]*ir.Array(nil), c.p.GlobalArrays...)
 	for _, f := range c.p.Funcs {
@@ -335,7 +367,11 @@ func (c *compiler) emit(in Instr) int32 {
 
 func (c *compiler) emitFail(cost uint16, format string, args ...interface{}) {
 	idx := int32(len(c.prog.fails))
-	c.prog.fails = append(c.prog.fails, fmt.Sprintf(format, args...))
+	msg := ""
+	if c.final {
+		msg = fmt.Sprintf(format, args...)
+	}
+	c.prog.fails = append(c.prog.fails, msg)
 	c.emit(Instr{Op: opFail, A: idx, Cost: cost})
 }
 
@@ -381,13 +417,20 @@ func (c *compiler) pushF() int32 {
 // ---------------------------------------------------------------------------
 // Functions, blocks, statements
 
+// fn compiles one function. The kept pass also lists the variables
+// and arrays its entry clears.
 func (c *compiler) fn(f *ir.Func) FuncImage {
 	c.curFn = f
-	c.blockPC = make(map[*ir.Block]int32, len(f.Blocks))
+	maxID := -1
+	for _, b := range f.Blocks {
+		maxID = max(maxID, b.ID)
+	}
+	c.blockPC = fit(c.blockPC, maxID+1)
+	c.blockAt = fit(c.blockAt, maxID+1)
 	c.patches = c.patches[:0]
 	fi := FuncImage{Name: f.Name, Entry: int32(len(c.prog.code)), Params: int32(len(f.Params))}
 	for _, b := range f.Blocks {
-		c.blockPC[b] = int32(len(c.prog.code))
+		c.blockPC[b.ID], c.blockAt[b.ID] = int32(len(c.prog.code)), b
 		for _, s := range b.Stmts {
 			c.stmt(s)
 			c.depthI, c.depthF = 0, 0 // nothing is live across statements
@@ -396,10 +439,11 @@ func (c *compiler) fn(f *ir.Func) FuncImage {
 		c.depthI, c.depthF = 0, 0
 	}
 	for _, pt := range c.patches {
-		pc, ok := c.blockPC[pt.target]
-		if !ok {
+		id := pt.target.ID
+		if id < 0 || id >= len(c.blockAt) || c.blockAt[id] != pt.target {
 			panic(fmt.Sprintf("vm: %s: jump to foreign block b%d", f.Name, pt.target.ID))
 		}
+		pc := c.blockPC[id]
 		switch pt.field {
 		case 'a':
 			c.prog.code[pt.instr].A = pc
@@ -408,6 +452,9 @@ func (c *compiler) fn(f *ir.Func) FuncImage {
 		default:
 			c.prog.code[pt.instr].Imm = int64(pc)
 		}
+	}
+	if !c.final {
+		return fi
 	}
 	for _, v := range f.Locals {
 		if !isParam(f, v) {
@@ -445,11 +492,12 @@ func (c *compiler) stmt(s ir.Stmt) {
 	case *ir.StoreStmt:
 		// Subscripts evaluate before the value, as in the reference
 		// engine's elemOffset-then-value order.
-		regs := make([]int32, len(s.Idx))
+		base := len(c.regs)
+		defer c.popRegs(base)
 		var cost uint16
-		for i, ix := range s.Idx {
+		for _, ix := range s.Idx {
 			r, f := c.intOperand(ix)
-			regs[i] = r
+			c.regs = append(c.regs, r)
 			cost += f
 		}
 		var vreg int32
@@ -462,6 +510,7 @@ func (c *compiler) stmt(s ir.Stmt) {
 			op1, opN = opStoreF1, opStoreF
 		}
 		cost += vf + uint16(1+2*(len(s.Idx)-1))
+		regs := c.regs[base:]
 		switch len(regs) {
 		case 1:
 			c.emit(Instr{Op: op1, A: vreg, B: regs[0], C: int32(s.Arr.ID), Cost: cost})
@@ -485,26 +534,32 @@ func (c *compiler) stmt(s ir.Stmt) {
 			brIdx, brField = c.condBr(s.Guard)
 			c.prog.code[brIdx].A = brIdx + 1 // true: fall through to the check
 		}
-		// Term atoms are part of the check: compiled cost-free.
+		// Term atoms are part of the check: compiled cost-free. Their
+		// registers stack up on regs, in term order.
 		c.costFree = true
-		type pair struct {
-			coef int64
-			reg  int32
-		}
-		pairs := make([]pair, 0, len(s.Terms))
+		base := len(c.regs)
+		defer c.popRegs(base)
 		for _, t := range s.Terms {
 			r, _ := c.intOperand(t.Atom)
-			pairs = append(pairs, pair{t.Coef, r})
+			c.regs = append(c.regs, r)
 		}
 		c.costFree = false
+		regs := c.regs[base:]
 		ci := int32(len(c.prog.checks))
 		ck := CheckImage{Note: s.Note, Pos: s.SrcPos}
 		if c.final {
-			ck.Str = s.String()
+			lo := int32(0)
+			if ci > 0 {
+				lo = c.textEnd[ci-1]
+			}
+			ck.Str = c.checkText[lo:c.textEnd[ci]]
+		} else {
+			c.text = s.AppendString(c.text)
+			c.textEnd = append(c.textEnd, int32(len(c.text)))
 		}
 		c.prog.checks = append(c.prog.checks, ck)
 		switch {
-		case len(pairs) == 1 && pairs[0].coef == int64(int32(pairs[0].coef)):
+		case len(regs) == 1 && s.Terms[0].Coef == int64(int32(s.Terms[0].Coef)):
 			// The dominant shape: one term with a small coefficient
 			// (every PRX check and most INX checks) needs no pool trip.
 			// Two such checks in a row on the same register — the lo/hi
@@ -514,28 +569,28 @@ func (c *compiler) stmt(s ir.Stmt) {
 			// after its check, which must stay addressable.
 			if s.Guard == nil && wasPairable >= 0 {
 				prev := &c.prog.code[wasPairable]
-				if prev.Op == opCheck1 && prev.A == pairs[0].reg {
+				if prev.Op == opCheck1 && prev.A == regs[0] {
 					off := int32(len(c.prog.pool))
 					c.prog.pool = append(c.prog.pool,
 						int64(prev.B), prev.Imm, int64(prev.C),
-						pairs[0].coef, s.Const, int64(ci))
-					*prev = Instr{Op: opCheckPair, A: pairs[0].reg, B: off}
+						s.Terms[0].Coef, s.Const, int64(ci))
+					*prev = Instr{Op: opCheckPair, A: regs[0], B: off}
 					break
 				}
 			}
-			idx := c.emit(Instr{Op: opCheck1, A: pairs[0].reg, B: int32(pairs[0].coef), C: ci, Imm: s.Const})
+			idx := c.emit(Instr{Op: opCheck1, A: regs[0], B: int32(s.Terms[0].Coef), C: ci, Imm: s.Const})
 			if s.Guard == nil {
 				c.pairable = idx
 			}
-		case len(pairs) == 2:
+		case len(regs) == 2:
 			off := int32(len(c.prog.pool))
 			c.prog.pool = append(c.prog.pool,
-				pairs[0].coef, int64(pairs[0].reg), pairs[1].coef, int64(pairs[1].reg))
+				s.Terms[0].Coef, int64(regs[0]), s.Terms[1].Coef, int64(regs[1]))
 			c.emit(Instr{Op: opCheck2, A: off, C: ci, Imm: s.Const})
 		default:
 			off := int32(len(c.prog.pool))
-			for _, p := range pairs {
-				c.prog.pool = append(c.prog.pool, p.coef, int64(p.reg))
+			for i, r := range regs {
+				c.prog.pool = append(c.prog.pool, s.Terms[i].Coef, int64(r))
 			}
 			c.emit(Instr{Op: opCheck, A: off, B: int32(len(s.Terms)), C: ci, Imm: s.Const})
 		}
@@ -569,21 +624,22 @@ func (c *compiler) stmt(s ir.Stmt) {
 		c.emit(Instr{Op: opCall, A: int32(callee.Index)})
 
 	case *ir.PrintStmt:
-		entries := make([]int64, 0, len(s.Args))
+		base := len(c.vals)
+		defer func() { c.vals = c.vals[:base] }()
 		cost := uint16(1)
 		for _, a := range s.Args {
 			if a.Type() == ir.Float {
 				r, f := c.floatOperand(a)
 				cost += f
-				entries = append(entries, int64(r)<<1|1)
+				c.vals = append(c.vals, int64(r)<<1|1)
 			} else {
 				r, f := c.intOperand(a)
 				cost += f
-				entries = append(entries, int64(r)<<1)
+				c.vals = append(c.vals, int64(r)<<1)
 			}
 		}
 		off := int32(len(c.prog.pool))
-		c.prog.pool = append(c.prog.pool, entries...)
+		c.prog.pool = append(c.prog.pool, c.vals[base:]...)
 		c.emit(Instr{Op: opPrint, A: off, B: int32(len(s.Args)), Cost: cost})
 
 	case *ir.TrapStmt:
@@ -639,6 +695,9 @@ func (c *compiler) condBr(cond ir.Expr) (int32, byte) {
 	c.boolTo(cond, g, 0)
 	return c.emit(Instr{Op: opBr, C: g, Cost: 1}), 'b'
 }
+
+// popRegs pops the regs stack back to base.
+func (c *compiler) popRegs(base int) { c.regs = c.regs[:base] }
 
 // poolRegs appends a register list to the operand pool and returns its
 // offset. Callers must finish compiling sub-operands first: nested
@@ -750,15 +809,16 @@ func (c *compiler) intCallTo(e *ir.Call, dst int32, extra uint16) {
 		if e.Fn == ir.IntrMax {
 			op = opMaxI
 		}
-		regs := make([]int32, len(e.Args))
+		base := len(c.regs)
+		defer c.popRegs(base)
 		cost := uint16(1) + extra
-		for i, a := range e.Args {
+		for _, a := range e.Args {
 			r, f := c.intOperand(a)
-			regs[i] = r
+			c.regs = append(c.regs, r)
 			cost += f
 		}
-		off := c.poolRegs(regs)
-		c.emit(Instr{Op: op, A: dst, B: off, C: int32(len(regs)), Cost: cost})
+		off := c.poolRegs(c.regs[base:])
+		c.emit(Instr{Op: op, A: dst, B: off, C: int32(len(e.Args)), Cost: cost})
 	case ir.IntrAbs:
 		x, xf := c.intOperand(e.Args[0])
 		c.emit(Instr{Op: opAbsI, A: dst, B: x, Cost: xf + 1 + extra})
@@ -848,15 +908,16 @@ func (c *compiler) floatCallTo(e *ir.Call, dst int32, extra uint16) {
 		if e.Fn == ir.IntrMax {
 			op = opMaxF
 		}
-		regs := make([]int32, len(e.Args))
+		base := len(c.regs)
+		defer c.popRegs(base)
 		cost := uint16(1) + extra
-		for i, a := range e.Args {
+		for _, a := range e.Args {
 			r, f := c.floatOperand(a)
-			regs[i] = r
+			c.regs = append(c.regs, r)
 			cost += f
 		}
-		off := c.poolRegs(regs)
-		c.emit(Instr{Op: op, A: dst, B: off, C: int32(len(regs)), Cost: cost})
+		off := c.poolRegs(c.regs[base:])
+		c.emit(Instr{Op: op, A: dst, B: off, C: int32(len(e.Args)), Cost: cost})
 	case ir.IntrMod:
 		l, lf := c.floatOperand(e.Args[0])
 		r, rf := c.floatOperand(e.Args[1])
@@ -920,13 +981,15 @@ func (c *compiler) loadTo(e *ir.Load, dst int32, extra uint16, want ir.Type) {
 		c.emitFail(0, "vm: %s load from %s array %s", want, e.Arr.Elem, e.Arr.Name)
 		return
 	}
-	regs := make([]int32, len(e.Idx))
+	base := len(c.regs)
+	defer c.popRegs(base)
 	var cost uint16
-	for i, ix := range e.Idx {
+	for _, ix := range e.Idx {
 		r, f := c.intOperand(ix)
-		regs[i] = r
+		c.regs = append(c.regs, r)
 		cost += f
 	}
+	regs := c.regs[base:]
 	cost += uint16(1+2*(len(e.Idx)-1)) + extra
 	op1, op2, opN := opLoadI1, uint8(opLoadI2), uint8(opLoadI)
 	if want == ir.Float {

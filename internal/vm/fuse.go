@@ -213,10 +213,8 @@ const maxCost = 0xffff
 // fuse runs the superinstruction patterns over every block, hottest
 // first.
 func (o *optimizer) fuse() {
-	nTot := o.nInt + int32(o.in.nFloatRegs)
-	o.tUsed = newBitset(nTot)
-	o.tDefd = newBitset(nTot)
-	order := make([]int, len(o.blocks))
+	o.order = fit(o.order, len(o.blocks))
+	order := o.order
 	for i := range order {
 		order[i] = i
 	}
@@ -918,8 +916,8 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		if o.dead[i] || !blockable(o.code[i].Op) {
 			continue
 		}
-		run := []int32{i}
-		costs := []int64{0} // deferred charge per member; first is central
+		run := append(o.run[:0], i)
+		costs := append(o.runCosts[:0], 0) // deferred charge per member; first is central
 		pend := int64(0)
 		end := i
 		for j := i + 1; j < b.end; j++ {
@@ -935,6 +933,7 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 			pend = 0
 			end = j
 		}
+		o.run, o.runCosts = run, costs
 		if len(run) < 2 {
 			continue
 		}
@@ -943,8 +942,12 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		// nothing, so every member sees the same register values), and
 		// c*v <= K becomes (c*coef)*root <= K - c*off. Evaluation stays
 		// in the original register space — the trap lhs is observable.
-		var entries []int64
-		ivs := map[int32]interval{}
+		entries := o.entries[:0]
+		if o.ivs == nil {
+			o.ivs = make(map[int32]interval)
+		}
+		ivs := o.ivs
+		clear(ivs)
 		pendCost, pendChecks := int64(0), int64(0)
 		for k, j := range run {
 			in := &o.code[j]
@@ -988,6 +991,7 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		if pendCost != 0 || pendChecks != 0 {
 			entries = append(entries, pendCost, pendChecks, -1, 0, 0, 0, 0, 0, 0)
 		}
+		o.entries = entries
 		tup := int32(len(o.pool))
 		o.pool = append(o.pool, entries...)
 		first := o.code[i]

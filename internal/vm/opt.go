@@ -27,6 +27,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -114,14 +115,22 @@ func (s *DispatchStats) String() string {
 // run never fails where the plain Compile output would run. Optimizer
 // correctness is pinned directly by opt_test.go, which calls Optimize
 // and fails loudly.
+//
+// The program is optimized where it was compiled, in the scratch, so
+// only the optimized program is ever allocated. A failed optimization
+// leaves it half rewritten; it is compiled again and kept unoptimized.
 func CompileOptimized(p *ir.Program) (*Program, error) {
-	vp, err := Compile(p)
-	if err != nil {
+	s := getScratch()
+	if err := s.compile(p); err != nil {
 		return nil, err
 	}
-	if ovp, oerr := Optimize(vp); oerr == nil {
-		return ovp, nil
+	if s.o.optimize(&s.c.prog) != nil {
+		if err := s.compile(p); err != nil {
+			return nil, err
+		}
 	}
+	vp := s.keep()
+	s.release()
 	return vp, nil
 }
 
@@ -130,35 +139,39 @@ func CompileOptimized(p *ir.Program) (*Program, error) {
 // is not modified; the two programs share the immutable IR, check, and
 // trap tables. Like Compile, it never panics: internal invariant
 // violations surface as a stage-tagged *guard.InternalError.
-func Optimize(vp *Program) (out *Program, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = nil
-			err = &guard.InternalError{Stage: "vm-opt", Recovered: r}
-		}
-	}()
+func Optimize(vp *Program) (*Program, error) {
 	if vp == nil {
 		return nil, fmt.Errorf("vm: no program")
 	}
 	if vp.optimized {
 		return nil, fmt.Errorf("vm: program already optimized")
 	}
-	o := newOptimizer(vp)
-	o.analyze()
-	o.propagate()
-	o.liveness()
-	o.eliminate()
-	o.fuse()
-	o.compact()
-	return o.out, nil
+	s := getScratch()
+	// The optimizer rewrites code, pool and function entries in place:
+	// code and pool are copied into the scratch's buffers, the function
+	// table into the output's own.
+	work := *vp
+	work.code = append(s.c.prog.code[:0], vp.code...)
+	work.pool = append(s.c.prog.pool[:0], vp.pool...)
+	work.funcs = slices.Clone(vp.funcs)
+	if err := s.o.optimize(&work); err != nil {
+		return nil, err
+	}
+	out := work
+	out.code = slices.Clone(work.code)
+	out.pool = slices.Clone(work.pool)
+	s.c.prog.code, s.c.prog.pool = work.code[:0], work.pool[:0]
+	s.release()
+	return &out, nil
 }
 
+// optimizer is the optimizer's working state. It lives in a scratch:
+// every table below is resliced for each program and reused.
 type optimizer struct {
-	in  *Program
-	out *Program
+	in *Program // the program being optimized, rewritten in place
 
-	code []Instr // working copy, rewritten in place
-	pool []int64 // working copy; fusion appends tuples
+	code []Instr // in.code, rewritten in place
+	pool []int64 // in.pool; fusion appends tuples
 
 	leader []bool  // pc starts a basic block (branch target / entry)
 	depth  []int   // loop-nest depth per pc (back-edge intervals)
@@ -166,14 +179,34 @@ type optimizer struct {
 
 	// Liveness artifacts. Registers are numbered int file first, then
 	// float file shifted by nIntRegs; liveOut[i] is the set live
-	// immediately after instruction i.
+	// immediately after instruction i. Every bitset is carved from
+	// slab.
 	liveOut []bitset
+	liveIn  []bitset
+	blockOf []int
+	slab    []uint64
+	carved  int // slab words handed out
 	dead    []bool
 
 	// Walk scratch for affineOf (fuse.go).
 	tUsed, tDefd bitset
 
-	nInt   int32 // vp.nIntRegs
+	// Propagation tables (propagate).
+	copyOf    []int32
+	known     []bool
+	val       []int64
+	constSlot map[int64]int32
+
+	// Fusion scratch (fuse.go).
+	order    []int
+	run      []int32
+	runCosts []int64
+	entries  []int64
+	ivs      map[int32]interval
+
+	newIdx []int32 // compact's pc remap
+
+	nInt   int32 // in.nIntRegs
 	nVars  int32
 	nConst int32 // len(iconsts); int scratch starts at nVars+nConst
 }
@@ -183,19 +216,26 @@ type block struct {
 	depth      int
 }
 
-func newOptimizer(vp *Program) *optimizer {
-	o := &optimizer{
-		in:     vp,
-		code:   append([]Instr(nil), vp.code...),
-		pool:   append([]int64(nil), vp.pool...),
-		nInt:   int32(vp.nIntRegs),
-		nVars:  int32(vp.numVars),
-		nConst: int32(len(vp.iconsts)),
-	}
-	cp := *vp
-	cp.optimized = true
-	o.out = &cp
-	return o
+// optimize rewrites vp in place: its code, pool and function entries
+// change, the rest is read. On error vp is left half rewritten.
+func (o *optimizer) optimize(vp *Program) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &guard.InternalError{Stage: "vm-opt", Recovered: r}
+		}
+	}()
+	o.in, o.code, o.pool = vp, vp.code, vp.pool
+	o.nInt = int32(vp.nIntRegs)
+	o.nVars = int32(vp.numVars)
+	o.nConst = int32(len(vp.iconsts))
+	o.analyze()
+	o.propagate()
+	o.liveness()
+	o.eliminate()
+	o.fuse()
+	o.compact()
+	vp.code, vp.pool, vp.optimized = o.code, o.pool, true
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -203,8 +243,9 @@ func newOptimizer(vp *Program) *optimizer {
 
 func (o *optimizer) analyze() {
 	n := len(o.code)
-	o.leader = make([]bool, n+1)
-	o.depth = make([]int, n)
+	o.leader = fit(o.leader, n+1)
+	o.depth = fit(o.depth, n)
+	o.blocks = o.blocks[:0]
 	for _, f := range o.in.funcs {
 		if int(f.Entry) < n {
 			o.leader[f.Entry] = true
@@ -432,10 +473,14 @@ func (o *optimizer) succs(i int, f func(pc int32)) {
 // register file.
 func (o *optimizer) propagate() {
 	nTot := o.nInt + int32(o.in.nFloatRegs)
-	copyOf := make([]int32, nTot) // combined-space bit -> equivalent bit, or -1
-	known := make([]bool, o.nInt) // int regs only
-	val := make([]int64, o.nInt)
-	iconstIdx := make(map[int64]int32, o.nConst)
+	o.copyOf = fit(o.copyOf, int(nTot)) // combined-space bit -> equivalent bit, or -1
+	o.known = fit(o.known, int(o.nInt)) // int regs only
+	o.val = fit(o.val, int(o.nInt))
+	if o.constSlot == nil {
+		o.constSlot = make(map[int64]int32)
+	}
+	clear(o.constSlot)
+	copyOf, known, val, iconstIdx := o.copyOf, o.known, o.val, o.constSlot
 	for i, v := range o.in.iconsts {
 		if _, ok := iconstIdx[v]; !ok {
 			iconstIdx[v] = o.nVars + int32(i)
@@ -617,7 +662,35 @@ func (o *optimizer) propagate() {
 
 type bitset []uint64
 
-func newBitset(n int32) bitset { return make(bitset, (n+63)/64) }
+// carveBitsets sizes the slab for every bitset of one program over
+// nTot registers — liveIn per block, liveOut per instruction, and
+// four more for liveness and affineOf — and hands out the per-block
+// and per-instruction sets. newBitset hands out the rest.
+func (o *optimizer) carveBitsets(nTot int32) {
+	w := int((nTot + 63) / 64)
+	n, nb := len(o.code), len(o.blocks)
+	o.slab = fit(o.slab, (n+nb+4)*w)
+	o.carved = 0
+	o.liveOut = fit(o.liveOut, n)
+	for i := range o.liveOut {
+		o.liveOut[i] = o.newBitset()
+	}
+	o.liveIn = fit(o.liveIn, nb)
+	for i := range o.liveIn {
+		o.liveIn[i] = o.newBitset()
+	}
+	o.blockOf = fit(o.blockOf, n)
+	o.tUsed, o.tDefd = o.newBitset(), o.newBitset()
+}
+
+// newBitset carves the next zeroed set from the slab; carveBitsets
+// has sized the slab for every set it hands out.
+func (o *optimizer) newBitset() bitset {
+	w := int((o.nInt+int32(o.in.nFloatRegs))+63) / 64
+	b := bitset(o.slab[o.carved : o.carved+w : o.carved+w])
+	o.carved += w
+	return b
+}
 
 func (b bitset) set(i int32)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) clear(i int32)    { b[i>>6] &^= 1 << (uint(i) & 63) }
@@ -653,25 +726,19 @@ func (b bitset) clearAll() {
 func (o *optimizer) liveness() {
 	nTot := o.nInt + int32(o.in.nFloatRegs)
 	n := len(o.code)
-	liveIn := make([]bitset, len(o.blocks))
-	blockOf := make([]int, n)
+	o.carveBitsets(nTot)
+	liveIn, blockOf := o.liveIn, o.blockOf
 	for bi, b := range o.blocks {
-		liveIn[bi] = newBitset(nTot)
 		for pc := b.start; pc < b.end; pc++ {
 			blockOf[pc] = bi
 		}
 	}
-	o.liveOut = make([]bitset, n)
-	for i := range o.liveOut {
-		o.liveOut[i] = newBitset(nTot)
-	}
-	varsLive := newBitset(nTot)
+	varsLive, tmp := o.newBitset(), o.newBitset()
 	for r := int32(0); r < o.nVars; r++ {
 		varsLive.set(o.ibit(r))
 		varsLive.set(o.fbit(r))
 	}
 
-	tmp := newBitset(nTot)
 	// transfer applies block bi backward starting from out; the final
 	// value is the block's live-in. When record is true the per-
 	// instruction live-out sets are stored.
@@ -731,7 +798,7 @@ func (o *optimizer) liveness() {
 // mark downstream is seen by candidates upstream.
 func (o *optimizer) eliminate() {
 	n := len(o.code)
-	o.dead = make([]bool, n)
+	o.dead = fit(o.dead, n)
 	for i := 0; i < n; i++ {
 		in := &o.code[i]
 		if in.Op == opNop {
@@ -786,8 +853,11 @@ func (o *optimizer) eliminate() {
 
 func (o *optimizer) compact() {
 	n := len(o.code)
-	newIdx := make([]int32, n+1)
-	out := make([]Instr, 0, n)
+	o.newIdx = fit(o.newIdx, n+1)
+	newIdx := o.newIdx
+	// Survivors move down in place: instruction i lands at or before i,
+	// after every earlier instruction has been read.
+	out := o.code[:0]
 	pending := uint32(0)
 	for i := 0; i < n; i++ {
 		newIdx[i] = int32(len(out))
@@ -830,11 +900,8 @@ func (o *optimizer) compact() {
 			in.Imm = int64(fpc)<<32 | int64(uint32(in.Imm))
 		}
 	}
-	funcs := append([]FuncImage(nil), o.in.funcs...)
-	for i := range funcs {
-		funcs[i].Entry = newIdx[funcs[i].Entry]
+	for i := range o.in.funcs {
+		o.in.funcs[i].Entry = newIdx[o.in.funcs[i].Entry]
 	}
-	o.out.code = out
-	o.out.funcs = funcs
-	o.out.pool = o.pool
+	o.code = out
 }
