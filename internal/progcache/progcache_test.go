@@ -113,6 +113,13 @@ func TestFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A program stream frozen at progio format version 4, numbered
+	// before the Aff1 and BinStore1 families were deleted.
+	v4, err := os.ReadFile(filepath.Join("..", "progio", "testdata", "v4", "mdg_lls_vm.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	damage := []struct {
 		name    string
 		mutate  func([]byte) []byte
@@ -143,6 +150,15 @@ func TestFaults(t *testing.T) {
 			out := append([]byte(nil), b[:10+metaLen]...)
 			out = binary.LittleEndian.AppendUint32(out, uint32(len(v3)))
 			out = append(out, v3...)
+			return resealEnvelope(append(out, 0, 0, 0, 0))
+		}, true},
+		// An entry a build at progio v4 left on disk: its opcode
+		// numbers and check-block entries are the old layout.
+		{"v4-payload", func(b []byte) []byte {
+			metaLen := binary.LittleEndian.Uint32(b[6:10])
+			out := append([]byte(nil), b[:10+metaLen]...)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(v4)))
+			out = append(out, v4...)
 			return resealEnvelope(append(out, 0, 0, 0, 0))
 		}, true},
 	}

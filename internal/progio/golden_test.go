@@ -126,12 +126,14 @@ func TestGoldenVersionGuard(t *testing.T) {
 // format version 1, before the guard/deopt metadata rev; testdata/v2/
 // holds fixtures frozen at version 2, before the fused-opcode
 // renumbering; testdata/v3/ holds fixtures frozen at version 3, before
-// the guard/deopt rewrite was deleted. The current reader must reject
-// each with a typed *VersionError naming its old version — never a
-// generic corruption error, and never a successful decode. This is the
-// contract the disk cache relies on to know "re-encode" rather than
-// "discard as damaged" when it meets its own stale artifacts after an
-// upgrade.
+// the guard/deopt rewrite was deleted; testdata/v4/ holds fixtures
+// frozen at version 4, before the Aff1 and BinStore1 families and the
+// implied-pair column of opCheckBlock were deleted. The current reader
+// must reject each with a typed *VersionError naming its old version —
+// never a generic corruption error, and never a successful decode.
+// This is the contract the disk cache relies on to know "re-encode"
+// rather than "discard as damaged" when it meets its own stale
+// artifacts after an upgrade.
 func TestOldVersionFixtures(t *testing.T) {
 	for gen := uint16(1); gen < progio.Version; gen++ {
 		dir := fmt.Sprintf("v%d", gen)

@@ -52,7 +52,13 @@ import (
 //	    longer written (a set bit is corruption), and the range-guard
 //	    and bulk check-count opcodes are gone. A v3 stream may carry
 //	    either, so it is refused as a whole rather than read.
-const Version uint16 = 4
+//	5 — the Aff1 and BinStore1 fused families were deleted, so every
+//	    later opcode moved down; opCheckBlock entries shrank from 9
+//	    words to 8 (the implied-pair count column is gone); and the 1-D
+//	    check-access, load-binop and binop-store tuples lost their
+//	    affine (coef, off) pair. A v4 stream read by number would run
+//	    the wrong instructions.
+const Version uint16 = 5
 
 // magic identifies a progio stream ("nascent program").
 var magic = [4]byte{'N', 'P', 'R', 'G'}

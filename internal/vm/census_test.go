@@ -13,7 +13,6 @@ import (
 // the reason it still exists. The census fails when one of them starts
 // being emitted, so the list can only shrink.
 var censusAllow = map[string]string{
-	"affstorei1": "positional member of Aff1 (collapseChains); no input leaves a collapsed int 1-D store unfused",
 	"cp2storei1": "positional member of CP2 (pickAccessOp); no input has an int store right behind two check pairs on its subscript",
 	"cp2storef1": "positional member of CP2 (pickAccessOp); no input has a float store right behind two check pairs on its subscript",
 	"cpqstorei2": "positional member of CPQ (fuseChecks); no input has an int 2-D store right behind two check pairs",
@@ -44,7 +43,7 @@ func censusSources() map[string]string {
 // TestFusedOpcodeCensus is the ratchet on the fused instruction set.
 // Every census input is compiled under naive and all eight optimizing
 // schemes through the one optimizing pipeline (Compile → Optimize),
-// and each fused opcode — affloadi1 through
+// and each fused opcode — cploadi1 through
 // binbinstoref2 — must be emitted by at least one of them or be on
 // censusAllow. A family the inputs never reach is two copies of dead
 // code (its fuse.go pattern and its exec.go case).
@@ -53,10 +52,10 @@ func TestFusedOpcodeCensus(t *testing.T) {
 	for op := 0; op < vm.KnownOps(); op++ {
 		byName[vm.OpName(uint8(op))] = uint8(op)
 	}
-	first, ok1 := byName["affloadi1"]
+	first, ok1 := byName["cploadi1"]
 	last, ok2 := byName["binbinstoref2"]
 	if !ok1 || !ok2 || first > last {
-		t.Fatalf("fused opcode range not found (affloadi1=%d/%v binbinstoref2=%d/%v)", first, ok1, last, ok2)
+		t.Fatalf("fused opcode range not found (cploadi1=%d/%v binbinstoref2=%d/%v)", first, ok1, last, ok2)
 	}
 	for name := range censusAllow {
 		if op, ok := byName[name]; !ok || op < first || op > last {

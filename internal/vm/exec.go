@@ -703,37 +703,14 @@ loop:
 
 		// ---- fused opcodes (emitted only by Optimize) ----
 
-		case opAffLoadI1, opAffLoadF1, opAffStoreI1, opAffStoreF1:
-			// One collapsed affine 1-D access: subscript coef*reg+off
-			// with the chain's arithmetic folded into the pool tuple.
-			t := pool[in.B : in.B+2 : in.B+2]
-			ar := &arrays[in.C]
-			d := &ar.Dims[0]
-			idx := t[0]*ireg[in.Imm] + t[1]
-			if idx < d.Lo || idx > d.Hi {
-				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
-				break loop
-			}
-			switch in.Op {
-			case opAffLoadI1:
-				ireg[in.A] = icel[ar.Base+idx-d.Lo]
-			case opAffLoadF1:
-				freg[in.A] = fcel[ar.Base+idx-d.Lo]
-			case opAffStoreI1:
-				icel[ar.Base+idx-d.Lo] = ireg[in.A]
-			default:
-				fcel[ar.Base+idx-d.Lo] = freg[in.A]
-			}
-
 		case opCPLoadI1, opCPLoadF1, opCPStoreI1, opCPStoreF1:
 			// Check pair + access on one subscript register. The pool
-			// tuple is the pair's two [coef, K, checkIdx] triples
-			// followed by the access's [coef, off]; the access cost is
-			// deferred in imm's low 16 bits and charged only after the
-			// checks pass, keeping the instruction counter exact at trap
-			// exits. The double-pair family below is the same body with
-			// the checks unrolled.
-			t := pool[in.B : in.B+8 : in.B+8]
+			// tuple is the pair's two [coef, K, checkIdx] triples; the
+			// access cost is deferred in imm's low 16 bits and charged
+			// only after the checks pass, keeping the instruction
+			// counter exact at trap exits. The double-pair family below
+			// is the same body with the checks unrolled.
+			t := pool[in.B : in.B+6 : in.B+6]
 			v := ireg[in.Imm>>16]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
@@ -755,7 +732,7 @@ loop:
 			}
 			ar := &arrays[in.C]
 			d := &ar.Dims[0]
-			idx := t[6]*v + t[7]
+			idx := v
 			if idx < d.Lo || idx > d.Hi {
 				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
@@ -772,7 +749,7 @@ loop:
 			}
 
 		case opCP2LoadI1, opCP2LoadF1, opCP2StoreI1, opCP2StoreF1:
-			t := pool[in.B : in.B+14 : in.B+14]
+			t := pool[in.B : in.B+12 : in.B+12]
 			v := ireg[in.Imm>>16]
 			checks++
 			if lhs := t[0] * v; lhs > t[1] {
@@ -804,7 +781,7 @@ loop:
 			}
 			ar := &arrays[in.C]
 			d := &ar.Dims[0]
-			idx := t[12]*v + t[13]
+			idx := v
 			if idx < d.Lo || idx > d.Hi {
 				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
@@ -879,58 +856,14 @@ loop:
 				fcel[ar.Base+off] = freg[in.A]
 			}
 
-		case opBinStoreI1:
-			// a(idx) = x op y in one dispatch: pool tuple is
-			// [kind, srcL, srcR, coef, off], idx register in a.
-			t := pool[in.B : in.B+5 : in.B+5]
-			var v int64
-			switch t[0] {
-			case 0:
-				v = ireg[t[1]] + ireg[t[2]]
-			case 1:
-				v = ireg[t[1]] - ireg[t[2]]
-			default:
-				v = ireg[t[1]] * ireg[t[2]]
-			}
-			ar := &arrays[in.C]
-			d := &ar.Dims[0]
-			idx := t[3]*ireg[in.A] + t[4]
-			if idx < d.Lo || idx > d.Hi {
-				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
-				break loop
-			}
-			icel[ar.Base+idx-d.Lo] = v
-		case opBinStoreF1:
-			t := pool[in.B : in.B+5 : in.B+5]
-			var v float64
-			switch t[0] {
-			case 0:
-				v = freg[t[1]] + freg[t[2]]
-			case 1:
-				v = freg[t[1]] - freg[t[2]]
-			default:
-				v = freg[t[1]] * freg[t[2]]
-			}
-			ar := &arrays[in.C]
-			d := &ar.Dims[0]
-			idx := t[3]*ireg[in.A] + t[4]
-			if idx < d.Lo || idx > d.Hi {
-				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
-				break loop
-			}
-			fcel[ar.Base+idx-d.Lo] = v
-
 		case opCheckBlock:
-			// A run of consecutive opCheckPair instructions in one
-			// dispatch; the per-pair body matches opCheckPair's. Entry
-			// costs are deferred: each is charged immediately before its
-			// pair, where the unfused run charged it, so the counter and
-			// poll cadence match at every trap exit. preChecks (e[1])
-			// counts pairs the fuser proved implied by earlier entries —
-			// charged and counted, never evaluated. reg < 0 is a
-			// trailing implied lump with no pair of its own.
-			t := pool[in.B : in.B+9*int32(in.Imm)]
-			for ; len(t) >= 9; t = t[9:] {
+			// A run of consecutive check instructions in one dispatch;
+			// the per-pair body matches opCheckPair's. Entry costs are
+			// deferred: each is charged immediately before its entry,
+			// where the unfused run charged it, so the counter and poll
+			// cadence match at every trap exit.
+			t := pool[in.B : in.B+8*int32(in.Imm)]
+			for ; len(t) >= 8; t = t[8:] {
 				if dc := uint64(t[0]); dc != 0 {
 					instrs += dc
 					if instrs > costThr {
@@ -939,33 +872,26 @@ loop:
 						}
 					}
 				}
-				checks += uint64(t[1])
-				if disp != nil {
-					disp.ChecksEliminated += uint64(t[1])
-				}
-				r := t[2]
+				r := t[1]
 				if r < 0 {
-					if r == -1 {
-						continue
-					}
-					// Absorbed opCheck1/opCheck2: one evaluated
-					// two-register term [_, _, -2, ra, rb, ca, cb, K, idx].
+					// Absorbed opCheck1/opCheck2: one two-register term
+					// [_, -1, ra, rb, ca, cb, K, idx].
 					checks++
-					if lhs := t[5]*ireg[t[3]] + t[6]*ireg[t[4]]; lhs > t[7] {
-						m.trap(p.checks[t[8]], lhs)
+					if lhs := t[4]*ireg[t[2]] + t[5]*ireg[t[3]]; lhs > t[6] {
+						m.trap(p.checks[t[7]], lhs)
 						break loop
 					}
 					continue
 				}
 				v := ireg[r]
 				checks += 2
-				if lhs := t[3] * v; lhs > t[4] {
+				if lhs := t[2] * v; lhs > t[3] {
 					checks--
-					m.trap(p.checks[t[5]], lhs)
+					m.trap(p.checks[t[4]], lhs)
 					break loop
 				}
-				if lhs := t[6] * v; lhs > t[7] {
-					m.trap(p.checks[t[8]], lhs)
+				if lhs := t[5] * v; lhs > t[6] {
+					m.trap(p.checks[t[7]], lhs)
 					break loop
 				}
 			}
@@ -1067,13 +993,13 @@ loop:
 			}
 
 		case opLoadBinF1:
-			// Affine 1-D float load + binop; the binop's charge defers
-			// past the load's bounds fault. t[2] folds side and kind:
+			// 1-D float load + binop; the binop's charge defers past
+			// the load's bounds fault. t[0] folds side and kind:
 			// 0-3 v k s, 4-7 s k v, 8-11 v k v.
-			t := pool[in.B : in.B+4 : in.B+4]
+			t := pool[in.B : in.B+2 : in.B+2]
 			ar := &arrays[in.C]
 			d := &ar.Dims[0]
-			idx := t[0]*ireg[uint64(in.Imm)>>32] + t[1]
+			idx := ireg[uint64(in.Imm)>>32]
 			if idx < d.Lo || idx > d.Hi {
 				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop
@@ -1087,23 +1013,23 @@ loop:
 					}
 				}
 			}
-			switch t[2] {
+			switch t[0] {
 			case 0:
-				freg[in.A] = v + freg[t[3]]
+				freg[in.A] = v + freg[t[1]]
 			case 1:
-				freg[in.A] = v - freg[t[3]]
+				freg[in.A] = v - freg[t[1]]
 			case 2:
-				freg[in.A] = v * freg[t[3]]
+				freg[in.A] = v * freg[t[1]]
 			case 3:
-				freg[in.A] = v / freg[t[3]]
+				freg[in.A] = v / freg[t[1]]
 			case 4:
-				freg[in.A] = freg[t[3]] + v
+				freg[in.A] = freg[t[1]] + v
 			case 5:
-				freg[in.A] = freg[t[3]] - v
+				freg[in.A] = freg[t[1]] - v
 			case 6:
-				freg[in.A] = freg[t[3]] * v
+				freg[in.A] = freg[t[1]] * v
 			case 7:
-				freg[in.A] = freg[t[3]] / v
+				freg[in.A] = freg[t[1]] / v
 			case 8:
 				freg[in.A] = v + v
 			case 9:
@@ -1115,14 +1041,14 @@ loop:
 			}
 
 		case opLLBinF1:
-			// Two affine 1-D float loads + binop. dc1 charges between
+			// Two 1-D float loads + binop. dc1 charges between
 			// the loads' fault points, dc2 after the second — the
 			// unfused charge order exactly.
-			t := pool[in.B : in.B+6 : in.B+6]
+			t := pool[in.B : in.B+2 : in.B+2]
 			u := uint64(in.Imm)
 			ar0 := &arrays[in.C]
 			d0 := &ar0.Dims[0]
-			i0 := t[0]*ireg[u>>48] + t[1]
+			i0 := ireg[u>>48]
 			if i0 < d0.Lo || i0 > d0.Hi {
 				err = interp.SubscriptError(i0, ar0.Name, d0.Lo, d0.Hi, 1)
 				break loop
@@ -1136,9 +1062,9 @@ loop:
 					}
 				}
 			}
-			ar1 := &arrays[t[2]]
+			ar1 := &arrays[t[0]]
 			d1 := &ar1.Dims[0]
-			i1 := t[3]*ireg[(u>>32)&0xffff] + t[4]
+			i1 := ireg[(u>>32)&0xffff]
 			if i1 < d1.Lo || i1 > d1.Hi {
 				err = interp.SubscriptError(i1, ar1.Name, d1.Lo, d1.Hi, 1)
 				break loop
@@ -1152,7 +1078,7 @@ loop:
 					}
 				}
 			}
-			switch t[5] {
+			switch t[1] {
 			case 0:
 				freg[in.A] = x + y
 			case 1:
@@ -1284,9 +1210,9 @@ loop:
 			fcel[ar.Base+(i0-d0.Lo)*d1.Size+(i1-d1.Lo)] = v
 
 		case opBinBinStoreF1:
-			// a(s) = (x k0 y) k1 z, unchecked 1-D affine store. Value
+			// a(s) = (x k0 y) k1 z, unchecked 1-D store. Value
 			// chain is opBinBinF's; cost is central.
-			t := pool[in.B : in.B+7 : in.B+7]
+			t := pool[in.B : in.B+5 : in.B+5]
 			var u float64
 			switch t[0] {
 			case 0:
@@ -1327,7 +1253,7 @@ loop:
 			}
 			ar := &arrays[in.C]
 			d := &ar.Dims[0]
-			idx := t[5]*ireg[in.A] + t[6]
+			idx := ireg[in.A]
 			if idx < d.Lo || idx > d.Hi {
 				err = interp.SubscriptError(idx, ar.Name, d.Lo, d.Hi, 1)
 				break loop

@@ -21,37 +21,25 @@ package vm
 // then program order) so the hottest blocks' operand tuples are
 // appended to the pool first and stay contiguous in cache.
 
-import "math"
-
 // Fused opcodes, emitted only by Optimize. Layout notes use the same
 // a/b/c/imm/pool conventions as compile.go.
 const (
-	// Affine 1-D access: subscript = pool[b]*ireg[imm] + pool[b+1].
-	// a = dst (loads) or value reg (stores), c = array ID. The affine
-	// pair absorbs a collapsed addressing chain; cost stays central
-	// (chain and access were both charged before the bounds fault).
-	opAffLoadI1 uint8 = opStoreF2 + 1 + iota
-	opAffLoadF1
-	opAffStoreI1
-	opAffStoreF1
-
-	// opCheckPair + affine 1-D access on the same register.
-	// pool[b:] = [c0, K0, ci0, c1, K1, ci1, acoef, aoff];
-	// imm = reg<<16 | deferredCost. The deferred cost (the access and
-	// any collapsed chain) is charged only after the checks pass —
-	// exactly where the unfused sequence charged it — so the counter
-	// matches at a check trap and at a bounds fault. The cost field
-	// stays central and carries only cost folded in from before the
-	// checks.
-	opCPLoadI1
+	// opCheckPair + 1-D access subscripted by the pair's register.
+	// pool[b:] = [c0, K0, ci0, c1, K1, ci1];
+	// imm = reg<<16 | deferredCost. The deferred cost (the access) is
+	// charged only after the checks pass — exactly where the unfused
+	// sequence charged it — so the counter matches at a check trap and
+	// at a bounds fault. The cost field stays central and carries only
+	// cost folded in from before the checks.
+	opCPLoadI1 uint8 = opStoreF2 + 1 + iota
 	opCPLoadF1
 	opCPStoreI1
 	opCPStoreF1
 
-	// Two opCheckPairs + affine 1-D access, all on the same register —
-	// the dominant a(i) = f(a(i)) shape, where the load pair and store
-	// pair guard one subscript. pool[b:] = [pair0 6][pair1 6][acoef,
-	// aoff]; imm = reg<<16 | deferredCost.
+	// Two opCheckPairs + 1-D access, all on the same register — the
+	// dominant a(i) = f(a(i)) shape, where the load pair and store
+	// pair guard one subscript. pool[b:] = [pair0 6][pair1 6];
+	// imm = reg<<16 | deferredCost.
 	opCP2LoadI1
 	opCP2LoadF1
 	opCP2StoreI1
@@ -69,33 +57,19 @@ const (
 	opCPQStoreI2
 	opCPQStoreF2
 
-	// Value-producing binop fused into a 1-D store:
-	// cell[acoef*ireg[a]+aoff] = srcL op srcR.
-	// pool[b:] = [kind, srcL, srcR, acoef, aoff], kind 0=add 1=sub
-	// 2=mul; c = array ID. Cost is central: op, store, and any folded
-	// work were all charged before the bounds fault in unfused code.
-	opBinStoreI1
-	opBinStoreF1
-
 	// A run of consecutive opCheckPair instructions in one dispatch.
-	// pool[b:] holds imm 9-wide entries
-	// [cost, preChecks, reg, c0, K0, idx0, c1, K1, idx1]: one register
-	// read per pair, two constant-coefficient checks — the same body
-	// the specialized opCheckPair case runs, minus the dispatch. Entry
+	// pool[b:] holds imm 8-wide entries
+	// [cost, reg, c0, K0, idx0, c1, K1, idx1]: one register read per
+	// pair, two constant-coefficient checks — the same body the
+	// specialized opCheckPair case runs, minus the dispatch. Entry
 	// costs are deferred — charged immediately before their pair,
 	// exactly where the unfused run charged them — so the instruction
 	// counter and the poll cadence are identical at every trap exit.
 	// The instruction's own cost field carries the first pair's
-	// (central) charge; its entry cost is zero.
-	//
-	// preChecks carries the check count of preceding pairs the fuser
-	// PROVED implied by the running intersection of the pairs already
-	// passed (the paper's implication analysis, replayed over the
-	// run): an implied pair can never trap, so it is never evaluated —
-	// its cost folds into the next entry's charge and its two checks
-	// land in that entry's preChecks bump. A trailing implied lump
-	// with no following evaluated pair is emitted as a sentinel entry
-	// with reg = -1 (charge and count, no evaluation).
+	// (central) charge; its entry cost is zero. An absorbed
+	// opCheck1/opCheck2 is an entry with reg = -1 (see checkEntry).
+	// Every entry is evaluated: the block removes dispatches, never
+	// checks.
 	opCheckBlock
 
 	// Loop latch: ireg[b] += imm, then jump to a. (i = i + step; goto
@@ -121,15 +95,15 @@ const (
 	// table: kind+0 t k z, +4 z k t, +8 t k t.
 	opBinBinF
 
-	// Affine 1-D float load feeding a float binop: d = load k other.
-	// pool[b:] = [coef, off, code, src]; c = array ID; code = kind+0
+	// 1-D float load feeding a float binop: d = load k other.
+	// pool[b:] = [code, src]; c = array ID; code = kind+0
 	// v k s, +4 s k v, +8 v k v. imm = root<<32 | deferredCost (the
 	// binop's charge, deferred past the load's bounds fault).
 	opLoadBinF1
 
-	// Two affine 1-D float loads feeding one float binop:
+	// Two 1-D float loads feeding one float binop:
 	// d = load0 k load1 (k+4: operands reversed, load order — and so
-	// fault order — kept). pool[b:] = [c0, o0, arr1, c1, o1, k];
+	// fault order — kept). pool[b:] = [arr1, k];
 	// c = array 0; imm = r0<<48 | r1<<32 | dc1<<16 | dc2: dc1 is
 	// charged between the loads' fault points, dc2 after the second.
 	opLLBinF1
@@ -141,8 +115,8 @@ const (
 
 	// Plain affine 2-D access: both subscripts are collapsed affine
 	// chains c*ireg[r]+o. pool[b:] = [c0, o0, c1, o1];
-	// imm = r0<<32 | r1 (packRegs). Cost central, like the 1-D affine
-	// forms: chain and access were both charged before the fault.
+	// imm = r0<<32 | r1 (packRegs). Cost central: chain and access
+	// were both charged before the fault.
 	opAffLoadI2
 	opAffLoadF2
 	opAffStoreI2
@@ -157,9 +131,9 @@ const (
 	// Two chained float binops feeding an unchecked store: the
 	// a(s) = (x k0 y) k1 z statement with a three-op value chain.
 	// pool[b:] = [k0, x, y, code, z, ...subscript] where code is
-	// opBinBinF's side*4+kind encoding; the 1-D form appends
-	// [coef, off] (a = root register), the 2-D form appends
-	// [c0, o0, c1, o1] (imm = r0<<32 | r1). c = array ID. Cost is
+	// opBinBinF's side*4+kind encoding; the 1-D form is subscripted
+	// by register a, the 2-D form appends [c0, o0, c1, o1]
+	// (imm = r0<<32 | r1). c = array ID. Cost is
 	// central: the whole chain was charged before the store's fault.
 	opBinBinStoreF1
 	opBinBinStoreF2
@@ -185,11 +159,9 @@ var opNames = [numOps]string{
 	opBrEqI: "breqi", opBrNeI: "brnei", opBrLtI: "brlti", opBrLeI: "brlei", opBrGtI: "brgti", opBrGeI: "brgei",
 	opBrEqF: "breqf", opBrNeF: "brnef", opBrLtF: "brltf", opBrLeF: "brlef", opBrGtF: "brgtf", opBrGeF: "brgef",
 	opLoadI2: "loadi2", opLoadF2: "loadf2", opStoreI2: "storei2", opStoreF2: "storef2",
-	opAffLoadI1: "affloadi1", opAffLoadF1: "affloadf1", opAffStoreI1: "affstorei1", opAffStoreF1: "affstoref1",
 	opCPLoadI1: "cploadi1", opCPLoadF1: "cploadf1", opCPStoreI1: "cpstorei1", opCPStoreF1: "cpstoref1",
 	opCP2LoadI1: "cp2loadi1", opCP2LoadF1: "cp2loadf1", opCP2StoreI1: "cp2storei1", opCP2StoreF1: "cp2storef1",
 	opCPQLoadI2: "cpqloadi2", opCPQLoadF2: "cpqloadf2", opCPQStoreI2: "cpqstorei2", opCPQStoreF2: "cpqstoref2",
-	opBinStoreI1: "binstorei1", opBinStoreF1: "binstoref1",
 	opCheckBlock: "checkblock",
 	opAddJmp:     "addjmp",
 	opIncBrEqI:   "incbreqi", opIncBrNeI: "incbrnei", opIncBrLtI: "incbrlti",
@@ -232,9 +204,7 @@ func (o *optimizer) fuse() {
 	}
 	for _, bi := range order {
 		b := o.blocks[bi]
-		o.collapseChains(b)
 		o.fuseChecks(b)
-		o.fuseBinStores(b)
 		o.fuseCheckBlocks(b)
 		o.fuse2D(b)
 		o.fuseBins(b)
@@ -437,78 +407,20 @@ func (o *optimizer) commitChain(chain []int32) {
 	}
 }
 
-// collapseChains rewrites 1-D accesses whose subscript is computed by
-// an affine chain into affine access instructions, deleting the chain.
-// The chain cost joins the access's central cost: both were charged
-// between the preceding checks and the bounds fault in unfused code,
-// and the affine access charges at that same point.
-func (o *optimizer) collapseChains(b block) {
-	for i := b.start; i < b.end; i++ {
-		if o.dead[i] {
-			continue
-		}
-		in := &o.code[i]
-		var seeds []int32
-		switch in.Op {
-		case opLoadI1, opLoadF1:
-		case opStoreI1:
-			seeds = []int32{o.ibit(in.A)}
-		case opStoreF1:
-			seeds = []int32{o.fbit(in.A)}
-		default:
-			continue
-		}
-		base, coef, off, chain, cost := o.affineOf(i, in.B, b, seeds...)
-		if len(chain) == 0 {
-			continue
-		}
-		cost += uint32(in.Cost)
-		if cost > maxCost {
-			continue
-		}
-		// Unrelated dead instructions in the span keep their cost:
-		// compaction folds it forward into this access, which is the
-		// same pre-access charge point.
-		o.commitChain(chain)
-		var op uint8
-		switch in.Op {
-		case opLoadI1:
-			op = opAffLoadI1
-		case opLoadF1:
-			op = opAffLoadF1
-		case opStoreI1:
-			op = opAffStoreI1
-		default:
-			op = opAffStoreF1
-		}
-		tup := int32(len(o.pool))
-		o.pool = append(o.pool, coef, off)
-		*in = Instr{Op: op, A: in.A, B: tup, C: in.C, Cost: uint16(cost), Imm: int64(base)}
-	}
-}
-
 // accessShape extracts the uniform view of a fusable 1-D access: its
-// base register, affine pair, and element type/direction.
-func (o *optimizer) accessShape(in *Instr) (base int32, coef, off int64, isLoad, isFloat, ok bool) {
+// subscript register and element type/direction.
+func accessShape(in *Instr) (base int32, isLoad, isFloat, ok bool) {
 	switch in.Op {
 	case opLoadI1:
-		return in.B, 1, 0, true, false, true
+		return in.B, true, false, true
 	case opLoadF1:
-		return in.B, 1, 0, true, true, true
+		return in.B, true, true, true
 	case opStoreI1:
-		return in.B, 1, 0, false, false, true
+		return in.B, false, false, true
 	case opStoreF1:
-		return in.B, 1, 0, false, true, true
-	case opAffLoadI1:
-		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], true, false, true
-	case opAffLoadF1:
-		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], true, true, true
-	case opAffStoreI1:
-		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], false, false, true
-	case opAffStoreF1:
-		return int32(in.Imm), o.pool[in.B], o.pool[in.B+1], false, true, true
+		return in.B, false, true, true
 	}
-	return 0, 0, 0, false, false, false
+	return 0, false, false, false
 }
 
 // fuseChecks folds opCheckPair instructions into the 1-D or 2-D
@@ -621,7 +533,7 @@ func (o *optimizer) fuseChecks(b block) {
 			continue
 		}
 
-		base, coef, off, isLoad, isFloat, ok := o.accessShape(in)
+		base, isLoad, isFloat, ok := accessShape(in)
 		if !ok {
 			continue
 		}
@@ -646,7 +558,6 @@ func (o *optimizer) fuseChecks(b block) {
 			at, family = p0, opCP2LoadI1
 		}
 		o.pool = append(o.pool, o.pool[c1.B:c1.B+6]...)
-		o.pool = append(o.pool, coef, off)
 		fused := Instr{Op: pickAccessOp(family, isLoad, isFloat), A: in.A, B: tup, C: in.C,
 			Cost: o.code[at].Cost, Imm: int64(base)<<16 | int64(deferred)}
 		o.zeroSkipped(p1, i)
@@ -673,220 +584,6 @@ func pickAccessOp(family uint8, isLoad, isFloat bool) uint8 {
 	return op
 }
 
-// fuseBinStores folds [add/sub/mul v, x, y][store v, ...] into one
-// instruction when the value register dies at the store.
-func (o *optimizer) fuseBinStores(b block) {
-	for i := b.start; i < b.end; i++ {
-		if o.dead[i] {
-			continue
-		}
-		in := &o.code[i]
-		base, coef, off, isLoad, isFloat, ok := o.accessShape(in)
-		if ok && isLoad {
-			continue
-		}
-		if !ok {
-			continue
-		}
-		p, skip := o.prevKept(i, b.start)
-		if p < 0 {
-			continue
-		}
-		bin := &o.code[p]
-		var kind int64
-		if isFloat {
-			switch bin.Op {
-			case opAddF:
-				kind = 0
-			case opSubF:
-				kind = 1
-			case opMulF:
-				kind = 2
-			default:
-				continue
-			}
-		} else {
-			switch bin.Op {
-			case opAddI:
-				kind = 0
-			case opSubI:
-				kind = 1
-			case opMulI:
-				kind = 2
-			default:
-				continue
-			}
-		}
-		// The binop's target must be this store's value register, be
-		// scratch, and die here.
-		v := in.A
-		if bin.A != v {
-			continue
-		}
-		if isFloat {
-			if v < o.nVars+int32(len(o.in.fconsts)) || o.liveOut[i].has(o.fbit(v)) {
-				continue
-			}
-		} else {
-			if !o.isScratchI(v) || o.liveOut[i].has(o.ibit(v)) {
-				continue
-			}
-		}
-		cost := uint32(bin.Cost) + uint32(in.Cost) + skip
-		if cost > maxCost {
-			continue
-		}
-		arr := in.C
-		tup := int32(len(o.pool))
-		o.pool = append(o.pool, kind, int64(bin.B), int64(bin.C), coef, off)
-		op := uint8(opBinStoreI1)
-		if isFloat {
-			op = opBinStoreF1
-		}
-		o.zeroSkipped(p, i)
-		o.dead[i] = true
-		*in = Instr{Op: opNop}
-		o.code[p] = Instr{Op: op, A: base, B: tup, C: arr, Cost: uint16(cost)}
-	}
-}
-
-// valueOf resolves the runtime value register reg holds when control
-// reaches instruction at as coef*ireg[root] + off, walking defining
-// instructions backward through the block. Unlike affineOf it deletes
-// nothing, so it needs no liveness or reuse conditions — only value
-// equality: an absorbed def's source must not be redefined between the
-// def and at, and the walk stops at anything impure that could write a
-// register (checks write none, so a walk from inside a check run sees
-// through the run). Used by the implication analysis in
-// fuseCheckBlocks; resolution failure just means no elision.
-func (o *optimizer) valueOf(at, reg int32, b block) (root int32, coef, off int64) {
-	root, coef, off = reg, 1, 0
-	defd := o.tDefd
-	defd.clearAll()
-	for j := at - 1; j >= b.start; j-- {
-		if o.dead[j] {
-			continue
-		}
-		cj := &o.code[j]
-		if cj.Op > opStoreF2 {
-			break // fused op: defs are not visible to instrDef
-		}
-		if !instrPure(cj.Op) && !isCheckOp(cj.Op) {
-			break
-		}
-		if o.instrDef(cj) == o.ibit(root) {
-			next := int32(-1)
-			nCoef, nOff := coef, off
-			switch cj.Op {
-			case opMovI:
-				next = cj.B
-			case opNegI:
-				next = cj.B
-				nCoef = -coef
-			case opAddI:
-				if k, ok := o.isConstSlot(cj.C); ok {
-					next = cj.B
-					nOff = off + coef*k
-				} else if k, ok := o.isConstSlot(cj.B); ok {
-					next = cj.C
-					nOff = off + coef*k
-				}
-			case opSubI:
-				if k, ok := o.isConstSlot(cj.C); ok {
-					next = cj.B
-					nOff = off - coef*k
-				} else if k, ok := o.isConstSlot(cj.B); ok {
-					next = cj.C
-					nOff = off + coef*k
-					nCoef = -coef
-				}
-			case opMulI:
-				if k, ok := o.isConstSlot(cj.C); ok {
-					next = cj.B
-					nCoef = coef * k
-				} else if k, ok := o.isConstSlot(cj.B); ok {
-					next = cj.C
-					nCoef = coef * k
-				}
-			}
-			if next < 0 || defd.has(o.ibit(next)) ||
-				!fitsImpl(nCoef) || !fitsImpl(nOff) {
-				break
-			}
-			root, coef, off = next, nCoef, nOff
-			continue
-		}
-		if o.instrUses(cj, func(bit int32) {}) {
-			break // call: may write anything
-		}
-		if d := o.instrDef(cj); d >= 0 {
-			defd.set(d)
-		}
-	}
-	return root, coef, off
-}
-
-func isCheckOp(op uint8) bool {
-	return op == opCheck1 || op == opCheckPair || op == opCheck2 || op == opCheck
-}
-
-// fitsImpl bounds every operand of the implication rewrite so the
-// int64 products and sums below cannot wrap; a wrapped constraint
-// would prove an elision the runtime check does not.
-func fitsImpl(v int64) bool { return v > -(1<<30) && v < 1<<30 }
-
-// floorDiv and ceilDiv are Euclidean-style divisions (Go's / truncates
-// toward zero, which rounds the wrong way for negative operands).
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) == (b < 0) {
-		q++
-	}
-	return q
-}
-
-// interval is the value range a register is known to lie in once the
-// pairs already emitted in a check run have passed.
-type interval struct{ lo, hi int64 }
-
-// implies reports whether the constraint c*v <= K (the pass condition
-// of one half of a pair) holds for every v in the interval.
-func (iv interval) implies(c, k int64) bool {
-	switch {
-	case c > 0:
-		return iv.hi <= floorDiv(k, c)
-	case c < 0:
-		return iv.lo >= ceilDiv(k, c)
-	default:
-		return k >= 0
-	}
-}
-
-// tighten intersects the interval with the region where c*v <= K
-// holds. Called only after the constraint is emitted for evaluation:
-// execution reaching a later entry proves it passed.
-func (iv interval) tighten(c, k int64) interval {
-	switch {
-	case c > 0:
-		if b := floorDiv(k, c); b < iv.hi {
-			iv.hi = b
-		}
-	case c < 0:
-		if b := ceilDiv(k, c); b > iv.lo {
-			iv.lo = b
-		}
-	}
-	return iv
-}
-
 // fuseCheckBlocks collapses each maximal run of consecutive
 // opCheckPair instructions left over after access fusion into one
 // opCheckBlock. Multi-access statements emit every access's checks up
@@ -897,17 +594,9 @@ func (iv interval) tighten(c, k int64) interval {
 // the run fold their cost into the following entry, which charges it
 // at the same pre-check point the original order did. opCheck1 and
 // opCheck2 join the run as tagged single-term entries (the generic
-// two-register evaluation, reg slot -2), so the guard clusters of
+// two-register evaluation, reg slot -1), so the guard clusters of
 // two-register subscripts collapse into the same block instead of
 // splitting it.
-//
-// Within a run, a pair whose bounds are implied by the intersection
-// of the pairs already emitted on the same register (read-modify-write
-// statements re-check identical subscripts; stencil neighbours pin
-// overlapping ranges) is proved untrappable and compiled to a
-// count-only preChecks bump instead of an evaluated entry. No
-// register is written inside a check run, so the intervals stay valid
-// across it.
 func (o *optimizer) fuseCheckBlocks(b block) {
 	blockable := func(op uint8) bool {
 		return op == opCheckPair || op == opCheck1 || op == opCheck2
@@ -916,8 +605,9 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 		if o.dead[i] || !blockable(o.code[i].Op) {
 			continue
 		}
-		run := append(o.run[:0], i)
-		costs := append(o.runCosts[:0], 0) // deferred charge per member; first is central
+		// The first member's cost stays central; every later entry
+		// carries its own cost plus the dead cost just before it.
+		entries := o.checkEntry(o.entries[:0], &o.code[i], 0)
 		pend := int64(0)
 		end := i
 		for j := i + 1; j < b.end; j++ {
@@ -928,82 +618,44 @@ func (o *optimizer) fuseCheckBlocks(b block) {
 			if !blockable(o.code[j].Op) {
 				break
 			}
-			run = append(run, j)
-			costs = append(costs, pend+int64(o.code[j].Cost))
+			entries = o.checkEntry(entries, &o.code[j], pend+int64(o.code[j].Cost))
 			pend = 0
 			end = j
 		}
-		o.run, o.runCosts = run, costs
-		if len(run) < 2 {
+		o.entries = entries
+		if end == i {
 			continue
 		}
-		// Constraints are compared in root space: each pair's register
-		// is resolved to coef*root + off at the run head (checks write
-		// nothing, so every member sees the same register values), and
-		// c*v <= K becomes (c*coef)*root <= K - c*off. Evaluation stays
-		// in the original register space — the trap lhs is observable.
-		entries := o.entries[:0]
-		if o.ivs == nil {
-			o.ivs = make(map[int32]interval)
-		}
-		ivs := o.ivs
-		clear(ivs)
-		pendCost, pendChecks := int64(0), int64(0)
-		for k, j := range run {
-			in := &o.code[j]
-			if in.Op != opCheckPair {
-				// opCheck1/opCheck2: one evaluated two-register term,
-				// tagged -2. No implication tracking, but nothing is
-				// written either, so pair intervals stay valid across
-				// it.
-				ra, rb, ca, cb := int64(in.A), int64(in.A), int64(in.B), int64(0)
-				if in.Op == opCheck2 {
-					t := o.pool[in.A : in.A+4]
-					ra, rb, ca, cb = t[1], t[3], t[0], t[2]
-				}
-				entries = append(entries, pendCost+costs[k], pendChecks,
-					-2, ra, rb, ca, cb, in.Imm, int64(in.C))
-				pendCost, pendChecks = 0, 0
-				continue
-			}
-			t := o.pool[in.B : in.B+6]
-			root, coef, off := o.valueOf(i, in.A, b)
-			sound := fitsImpl(coef) && fitsImpl(off) &&
-				fitsImpl(t[0]) && fitsImpl(t[1]) && fitsImpl(t[3]) && fitsImpl(t[4])
-			c0, k0 := t[0]*coef, t[1]-t[0]*off
-			c1, k1 := t[3]*coef, t[4]-t[3]*off
-			iv, ok := ivs[root]
-			if !ok {
-				iv = interval{lo: math.MinInt64, hi: math.MaxInt64}
-			}
-			if sound && ok && iv.implies(c0, k0) && iv.implies(c1, k1) {
-				pendCost += costs[k]
-				pendChecks += 2
-				continue
-			}
-			entries = append(entries, pendCost+costs[k], pendChecks,
-				int64(in.A), t[0], t[1], t[2], t[3], t[4], t[5])
-			pendCost, pendChecks = 0, 0
-			if sound {
-				ivs[root] = iv.tighten(c0, k0).tighten(c1, k1)
-			}
-		}
-		if pendCost != 0 || pendChecks != 0 {
-			entries = append(entries, pendCost, pendChecks, -1, 0, 0, 0, 0, 0, 0)
-		}
-		o.entries = entries
 		tup := int32(len(o.pool))
 		o.pool = append(o.pool, entries...)
 		first := o.code[i]
-		o.zeroSkipped(i, end)
-		for _, j := range run[1:] {
+		// Members and the dead slots between them are absorbed: their
+		// cost now rides on the entries.
+		for j := i + 1; j <= end; j++ {
 			o.dead[j] = true
 			o.code[j] = Instr{Op: opNop}
 		}
 		o.code[i] = Instr{Op: opCheckBlock, B: tup, Cost: first.Cost,
-			Imm: int64(len(entries) / 9)}
+			Imm: int64(len(entries) / 8)}
 		i = end
 	}
+}
+
+// checkEntry appends the opCheckBlock entry of one blockable check,
+// charging cost before it.
+func (o *optimizer) checkEntry(entries []int64, in *Instr, cost int64) []int64 {
+	if in.Op == opCheckPair {
+		t := o.pool[in.B : in.B+6]
+		return append(entries, cost, int64(in.A), t[0], t[1], t[2], t[3], t[4], t[5])
+	}
+	// opCheck1/opCheck2: one two-register term
+	// [cost, -1, ra, rb, ca, cb, K, idx].
+	ra, rb, ca, cb := int64(in.A), int64(in.A), int64(in.B), int64(0)
+	if in.Op == opCheck2 {
+		t := o.pool[in.A : in.A+4]
+		ra, rb, ca, cb = t[1], t[3], t[0], t[2]
+	}
+	return append(entries, cost, -1, ra, rb, ca, cb, in.Imm, int64(in.C))
 }
 
 // fuseLatch folds the do-loop latch [i += step][goto header] (and the
@@ -1114,10 +766,7 @@ type loadShape struct {
 func (o *optimizer) floatLoadShape(in *Instr) (loadShape, bool) {
 	switch in.Op {
 	case opLoadF1:
-		return loadShape{arr: in.C, nd: 1, r0: in.B, c0: 1, dst: in.A}, true
-	case opAffLoadF1:
-		return loadShape{arr: in.C, nd: 1, r0: int32(in.Imm),
-			c0: o.pool[in.B], o0: o.pool[in.B+1], dst: in.A}, true
+		return loadShape{arr: in.C, nd: 1, r0: in.B, dst: in.A}, true
 	case opLoadF2:
 		return loadShape{arr: in.C, nd: 2,
 			r0: int32(uint64(in.Imm) >> 32), c0: 1,
@@ -1133,9 +782,9 @@ func (o *optimizer) floatLoadShape(in *Instr) (loadShape, bool) {
 
 // fuse2D collapses the addressing chains of plain 2-D accesses the
 // check fuser left behind (unchecked compiles, or accesses whose pairs
-// were not adjacent) into affine access instructions, exactly like
-// collapseChains does for 1-D. The chain cost joins the access's
-// central cost: both were charged before the bounds fault.
+// were not adjacent) into affine access instructions. The chain cost
+// joins the access's central cost: both were charged before the bounds
+// fault.
 func (o *optimizer) fuse2D(b block) {
 	for i := b.start; i < b.end; i++ {
 		if o.dead[i] {
@@ -1215,12 +864,8 @@ func (o *optimizer) fuseBins(b block) {
 			o.fuseBinStoreAff2(b, i)
 			continue
 		}
-		if in.Op == opStoreF1 || in.Op == opAffStoreF1 {
+		if in.Op == opStoreF1 {
 			o.fuseBinBinStore1(b, i)
-			continue
-		}
-		if in.Op == opBinStoreF1 {
-			o.fuseBinChainStore1(b, i)
 			continue
 		}
 		kind, ok := binKindF(in.Op)
@@ -1256,7 +901,7 @@ func (o *optimizer) fuseBins(b block) {
 						sh0.r0 >= 0 && sh0.r0 < 1<<16 && sh1.r0 >= 0 && sh1.r0 < 1<<16 {
 						central := o.code[p0].Cost
 						tup := int32(len(o.pool))
-						o.pool = append(o.pool, sh0.c0, sh0.o0, int64(sh1.arr), sh1.c0, sh1.o0, k)
+						o.pool = append(o.pool, int64(sh1.arr), k)
 						o.zeroSkipped(p0, i)
 						o.dead[p1] = true
 						o.code[p1] = Instr{Op: opNop}
@@ -1290,7 +935,7 @@ func (o *optimizer) fuseBins(b block) {
 			central := d1.Cost
 			if dc <= maxCost && sh.nd == 1 && sh.r0 >= 0 {
 				tup := int32(len(o.pool))
-				o.pool = append(o.pool, sh.c0, sh.o0, code, src)
+				o.pool = append(o.pool, code, src)
 				o.zeroSkipped(p1, i)
 				o.dead[i] = true
 				*in = Instr{Op: opNop}
@@ -1400,7 +1045,7 @@ func (o *optimizer) fuseBinStoreAff2(b block, i int32) {
 // result dies at the store: a(s) = (x k0 y) k1 z in one dispatch.
 func (o *optimizer) fuseBinBinStore1(b block, i int32) {
 	in := &o.code[i]
-	base, coef, off, isLoad, isFloat, ok := o.accessShape(in)
+	base, isLoad, isFloat, ok := accessShape(in)
 	if !ok || isLoad || !isFloat || base < 0 {
 		return
 	}
@@ -1420,53 +1065,8 @@ func (o *optimizer) fuseBinBinStore1(b block, i int32) {
 	arr := in.C
 	tup := int32(len(o.pool))
 	o.pool = append(o.pool, o.pool[bin.B:bin.B+5]...)
-	o.pool = append(o.pool, coef, off)
 	o.zeroSkipped(p, i)
 	o.dead[i] = true
 	*in = Instr{Op: opNop}
 	o.code[p] = Instr{Op: opBinBinStoreF1, A: base, B: tup, C: arr, Cost: uint16(cost)}
-}
-
-// fuseBinChainStore1 folds a dying float binop (division included)
-// into the opBinStoreF1 that consumes its result: the statement tail
-// a(s) = (x k0 y) k1 z where the binop+store pair already fused in an
-// earlier pass. The producer's operands are read at the combined slot,
-// sound per the usual kept-adjacency argument.
-func (o *optimizer) fuseBinChainStore1(b block, i int32) {
-	in := &o.code[i]
-	st := o.pool[in.B : in.B+5] // [k1, srcL, srcR, coef, off]
-	p, skip := o.prevKept(i, b.start)
-	if p < 0 {
-		return
-	}
-	d := &o.code[p]
-	k0, ok := binKindF(d.Op)
-	if !ok {
-		return
-	}
-	t := d.A
-	bl, bc := int32(st[1]), int32(st[2])
-	if (t != bl && t != bc) || !o.isScratchF(t) || o.liveOut[i].has(o.fbit(t)) {
-		return
-	}
-	var code, z int64
-	switch {
-	case bl == t && bc == t:
-		code = st[0] + 8
-	case bl == t:
-		code, z = st[0], int64(bc)
-	default:
-		code, z = st[0]+4, int64(bl)
-	}
-	cost := uint32(d.Cost) + skip + uint32(in.Cost)
-	if cost > maxCost {
-		return
-	}
-	root, arr := in.A, in.C
-	tup := int32(len(o.pool))
-	o.pool = append(o.pool, k0, int64(d.B), int64(d.C), code, z, st[3], st[4])
-	o.zeroSkipped(p, i)
-	o.dead[i] = true
-	*in = Instr{Op: opNop}
-	o.code[p] = Instr{Op: opBinBinStoreF1, A: root, B: tup, C: arr, Cost: uint16(cost)}
 }

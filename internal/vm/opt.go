@@ -15,9 +15,10 @@
 //     sweep per function. A removed instruction's cost folds forward
 //     into the next surviving instruction so the counter advances by
 //     the same deltas; folding never crosses a branch target.
-//  3. Superinstruction fusion (fuse.go): check+access, addressing
-//     chains, value-op+store, and increment+branch, visited in
-//     loop-nest-weighted order so the hottest blocks fuse first.
+//  3. Superinstruction fusion (fuse.go): check+access, check runs,
+//     2-D addressing chains, float value chains, and
+//     increment+branch, visited in loop-nest-weighted order so the
+//     hottest blocks fuse first.
 //  4. Physical compaction with pc remapping.
 //
 // Frame reuse (the machine cache in exec.go) is the fourth
@@ -45,13 +46,6 @@ type DispatchStats struct {
 	Static     int            // instructions in the compiled program
 	Dispatched uint64         // dynamic dispatch-loop iterations
 	ByOp       [numOps]uint64 // Dispatched, split by opcode
-
-	// ChecksEliminated counts dynamic checks that were counted in bulk
-	// without being evaluated (opCheckBlock implied pairs). Like
-	// Dispatched it is a deterministic diagnostic, not an observable:
-	// Result.Checks is identical across engines regardless. CheckStats
-	// derives the executed-check count from it.
-	ChecksEliminated uint64
 }
 
 func (s *DispatchStats) count(op uint8) {
@@ -59,22 +53,18 @@ func (s *DispatchStats) count(op uint8) {
 	s.ByOp[op]++
 }
 
-// CheckStats splits one run's dynamic check counter into checks that
-// were actually evaluated and checks that were counted in bulk without
-// executing (opCheckBlock's implied pairs). All three numbers are
-// deterministic functions of (program, config).
+// CheckStats is a shim kept for the benchmark module: the VM evaluates
+// every check it counts, so Executed always equals Counted.
 type CheckStats struct {
-	Counted    uint64 // dynamic checks the observable counter recorded
-	Executed   uint64 // checks evaluated at run time (Counted - Eliminated)
-	Eliminated uint64 // checks counted in bulk, never evaluated
+	Counted  uint64 // dynamic checks the observable counter recorded
+	Executed uint64 // checks evaluated at run time; equals Counted
 }
 
-// RunCheckStats is Run with check-execution accounting.
+// RunCheckStats is a shim kept for the benchmark module: Run, with the
+// check counter reported as CheckStats.
 func (p *Program) RunCheckStats(cfg interp.Config) (interp.Result, CheckStats, error) {
-	res, ds, err := p.RunDispatch(cfg)
-	cs := CheckStats{Counted: res.Checks, Eliminated: ds.ChecksEliminated}
-	cs.Executed = cs.Counted - cs.Eliminated
-	return res, cs, err
+	res, err := p.Run(cfg)
+	return res, CheckStats{Counted: res.Checks, Executed: res.Checks}, err
 }
 
 // String renders the totals and the hottest opcodes, for -trace style
@@ -198,11 +188,8 @@ type optimizer struct {
 	constSlot map[int64]int32
 
 	// Fusion scratch (fuse.go).
-	order    []int
-	run      []int32
-	runCosts []int64
-	entries  []int64
-	ivs      map[int32]interval
+	order   []int
+	entries []int64
 
 	newIdx []int32 // compact's pc remap
 
