@@ -8,7 +8,7 @@
 //	POST /verify    differential soundness oracle over all variants
 //	GET  /report    the paper's tables as JSON (+ canonical text)
 //	GET  /healthz   liveness and drain state
-//	GET  /metrics   service, admission, cache, breaker, pool counters
+//	GET  /metrics   service, admission, cache, breaker, audit counters
 //	POST /drill     scoped chaos drill (requires -allow-drill)
 //
 // Robustness properties:
@@ -17,10 +17,11 @@
 //     most -max-queue wait; the rest shed with 429 + Retry-After
 //   - per-request budgets clamped by server ceilings; deadlines
 //     propagate into both engines' poll points
-//   - each run executes once; its request timeout is its only
-//     deadline, and a panic is a typed internal error
+//   - each request compiles and runs once, on its own goroutine; its
+//     request timeout is its only deadline, and a panic is a typed
+//     internal error
 //   - SIGTERM/SIGINT/SIGHUP drain gracefully: stop admitting, finish
-//     or cancel in-flight work within -drain-timeout, flush metrics
+//     or cancel in-flight work within -drain-timeout
 //   - -progcache dir persists compiled bytecode programs on disk
 //     (content-addressed, CRC-sealed): a restarted server answers
 //     /compile and /run for known programs without parsing source; an

@@ -102,11 +102,11 @@ func TestMergedContextKeepsDeadline(t *testing.T) {
 	defer cancelJob()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	res := evalpool.New(1).SubmitCtx(ctx, evalpool.Job{
+	res := evalpool.New(1).EvaluateCtx(ctx, []evalpool.Job{{
 		Name: "merged", Source: slowSrc, Filename: "slow.mf",
 		Opts: nascent.Options{BoundsChecks: true, Scheme: nascent.Naive},
 		Run:  nascent.RunConfig{Engine: nascent.EngineVMOpt, Context: jobCtx},
-	})
+	}})[0]
 	var re *interp.ResourceError
 	if !errors.As(res.Err, &re) || re.Resource != interp.ResDeadline {
 		t.Fatalf("err = %v, want ResourceError{ResDeadline}", res.Err)

@@ -16,9 +16,7 @@
 //     single parse/semantic-analysis and one lowering per BoundsChecks
 //     value (nascent.AnalyzeShared). Each job optimizes and runs its
 //     own copy-on-write fork of that lowering, so no mutable state
-//     crosses jobs. SubmitCtx's one-off compiles lower fresh IR and
-//     copy nothing. The pool keeps no compiled programs: callers that
-//     reuse them (the service cache) hand them in as Precompiled jobs.
+//     crosses jobs. The pool keeps no compiled programs.
 //
 //   - Observable cost: the pool aggregates per-stage wall-clock and
 //     interpreter counters into Metrics, and an optional Trace hook
@@ -67,25 +65,11 @@ type Job struct {
 	// with other jobs (see Result.Prog), so Mutate replaces statements
 	// rather than editing them.
 	Mutate func(*nascent.Program)
-	// Precompiled, when non-nil, bypasses the compile pipeline
-	// entirely: the pool executes it directly. Source/Opts should still
-	// describe the program for labeling and replay purposes, but are
-	// not recompiled. The handle must be safe
-	// for concurrent Run calls — the service layer shares one compiled
-	// program across every request that hits its cache entry.
-	Precompiled Runner
 	// RunMemo, when non-nil, shares this job's run with every other job
 	// carrying the same memo whose compiled program has the same
 	// fingerprint, engine and limits (see RunMemo). Jobs with a Mutate
 	// hook never consult it. nil means no sharing.
 	RunMemo *RunMemo
-}
-
-// Runner is a precompiled program handle a Precompiled job executes
-// directly. Both *vm.Program and the service layer's tree-engine
-// adapter satisfy it; implementations must be safe for concurrent use.
-type Runner interface {
-	Run(cfg nascent.RunConfig) (nascent.RunResult, error)
 }
 
 // Result is the outcome of one Job. Exactly one of Err / (Prog, Res)
@@ -101,7 +85,7 @@ type Result struct {
 	// Res is the run result (zero on error).
 	Res nascent.RunResult
 	// Err is the first error of the job's pipeline, wrapped with the
-	// job name and stage; a run-stage failure is a *RunError.
+	// job name and, for a run-stage failure, "run".
 	Err error
 	// Stage timings for this job. Frontend is zero on a cache hit: the
 	// shared parse/analyze cost is charged to the job that populated
@@ -110,17 +94,6 @@ type Result struct {
 	// CacheHit reports that the front end came from the memo table.
 	CacheHit bool
 }
-
-// RunError is a failure of a job's run stage: the compiled program
-// started executing and its engine returned Err.
-type RunError struct {
-	Job string
-	Err error
-}
-
-func (e *RunError) Error() string { return e.Job + ": run: " + e.Err.Error() }
-
-func (e *RunError) Unwrap() error { return e.Err }
 
 // Stage names used in trace events.
 const (
@@ -252,7 +225,7 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 	n := min(p.workers, len(jobs))
 	if n <= 1 {
 		for i := range jobs {
-			results[i] = p.runJob(ctx, i, &jobs[i], true)
+			results[i] = p.runJob(ctx, i, &jobs[i])
 		}
 		return results
 	}
@@ -264,7 +237,7 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = p.runJob(ctx, i, &jobs[i], true)
+				results[i] = p.runJob(ctx, i, &jobs[i])
 			}
 		}()
 	}
@@ -276,29 +249,10 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
-// SubmitCtx runs one job to completion on the calling goroutine. Unlike
-// EvaluateCtx it does not pass through the pool's worker queue: the
-// caller bounds its own concurrency (the service layer's admission
-// limiter does), and the pool contributes metrics. A job that is not
-// Precompiled analyzes its source afresh: SubmitCtx neither reads nor
-// fills the frontend memo, so a one-off compile leaves nothing behind
-// in the pool. ctx is the run's deadline: its expiry or cancellation
-// stops an in-flight engine run at its next poll point and surfaces a
-// typed resource error.
-func (p *Pool) SubmitCtx(ctx context.Context, job Job) Result {
-	return p.runJob(ctx, 0, &job, false)
-}
-
-// frontend returns the front end for a job. With memo set it comes
-// from the memo table, compiled on first use; otherwise it is analyzed
-// afresh. The duration returned is the compile cost when this call ran
-// the analysis, zero on a hit.
-func (p *Pool) frontend(job *Job, memo bool) (*nascent.Frontend, time.Duration, bool, error) {
-	if !memo {
-		t0 := time.Now()
-		fe, err := nascent.Analyze(job.Source, job.Filename)
-		return fe, time.Since(t0), false, err
-	}
+// frontend returns the front end for a job from the memo table,
+// compiled on first use. The duration returned is the compile cost
+// when this call ran the analysis, zero on a hit.
+func (p *Pool) frontend(job *Job) (*nascent.Frontend, time.Duration, bool, error) {
 	key := feKey{hash: sha256.Sum256([]byte(job.Source)), filename: job.Filename}
 	p.mu.Lock()
 	e := p.memo[key]
@@ -352,12 +306,11 @@ func (p *Pool) execute(job *Job, prog *nascent.Program, cfg nascent.RunConfig) (
 	return rr, err
 }
 
-// runJob evaluates one job, once, on the calling goroutine; memo
-// selects whether its front end goes through the memo table. A job
+// runJob evaluates one job, once, on the calling goroutine. A job
 // whose ctx is already done returns a cancellation error without
 // running. A panic anywhere in the job becomes that job's
 // *guard.InternalError, so Evaluate never panics.
-func (p *Pool) runJob(ctx context.Context, i int, job *Job, memo bool) (res Result) {
+func (p *Pool) runJob(ctx context.Context, i int, job *Job) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			ierr := &guard.InternalError{Stage: "job", Fn: job.Name, Recovered: r, Stack: debug.Stack()}
@@ -374,24 +327,7 @@ func (p *Pool) runJob(ctx context.Context, i int, job *Job, memo bool) (res Resu
 	runCfg.Context, stop = runContext(ctx, job.Run.Context)
 	defer stop()
 
-	if job.Precompiled != nil {
-		// Precompiled job: execute directly, skipping the compile
-		// pipeline.
-		t0 := time.Now()
-		rr, err := job.Precompiled.Run(runCfg)
-		res.Run = time.Since(t0)
-		res.CacheHit = true // the compile came from the caller's cache
-		p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
-		if err != nil {
-			res.Err = &RunError{Job: job.Name, Err: err}
-		} else {
-			res.Res = rr
-		}
-		p.account(&res)
-		return res
-	}
-
-	fe, feDur, hit, err := p.frontend(job, memo)
+	fe, feDur, hit, err := p.frontend(job)
 	res.Frontend, res.CacheHit = feDur, hit
 	p.emit(Event{Job: i, Name: job.Name, Stage: StageFrontend, Duration: feDur, CacheHit: hit, Err: err})
 	if err != nil {
@@ -419,7 +355,7 @@ func (p *Pool) runJob(ctx context.Context, i int, job *Job, memo bool) (res Resu
 	res.Run = time.Since(t0)
 	p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
 	if err != nil {
-		res.Err = &RunError{Job: job.Name, Err: err}
+		res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
 	} else {
 		res.Res = rr
 	}
@@ -482,40 +418,6 @@ func (p *Pool) account(r *Result) {
 	m.RunTime += r.Run
 	m.Instructions += r.Res.Instructions
 	m.Checks += r.Res.Checks
-}
-
-// MetricsSnapshot is the JSON-serializable form of Metrics, served by
-// nascentd's GET /metrics. Field names are wire format: stable,
-// snake_case, durations in nanoseconds. A unit test pins the exact
-// field set — extending it is fine, renaming or dropping is a wire
-// break.
-type MetricsSnapshot struct {
-	Jobs             int    `json:"jobs"`
-	Errors           int    `json:"errors"`
-	FrontendCompiles int    `json:"frontend_compiles"`
-	FrontendHits     int    `json:"frontend_hits"`
-	FrontendTimeNS   int64  `json:"frontend_time_ns"`
-	CompileTimeNS    int64  `json:"compile_time_ns"`
-	RunTimeNS        int64  `json:"run_time_ns"`
-	Instructions     uint64 `json:"instructions"`
-	Checks           uint64 `json:"checks"`
-	SharedRuns       int    `json:"shared_runs"`
-}
-
-// Snapshot converts the counters to their wire form.
-func (m Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		Jobs:             m.Jobs,
-		Errors:           m.Errors,
-		FrontendCompiles: m.FrontendCompiles,
-		FrontendHits:     m.FrontendHits,
-		FrontendTimeNS:   m.FrontendTime.Nanoseconds(),
-		CompileTimeNS:    m.CompileTime.Nanoseconds(),
-		RunTimeNS:        m.RunTime.Nanoseconds(),
-		Instructions:     m.Instructions,
-		Checks:           m.Checks,
-		SharedRuns:       m.SharedRuns,
-	}
 }
 
 // String renders the metrics as a one-line summary for -trace output.

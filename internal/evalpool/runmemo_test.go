@@ -121,7 +121,7 @@ func TestRunMemoTimeoutDoesNotBlock(t *testing.T) {
 	var wg sync.WaitGroup
 	var abandoned, finished evalpool.Result
 	wg.Add(2)
-	go func() { defer wg.Done(); abandoned = timed.SubmitCtx(ctx, job) }()
+	go func() { defer wg.Done(); abandoned = timed.EvaluateCtx(ctx, []evalpool.Job{job})[0] }()
 	go func() { defer wg.Done(); finished = free.Evaluate([]evalpool.Job{job})[0] }()
 	wg.Wait()
 	if !errors.Is(abandoned.Err, nascent.ErrResourceExhausted) && !errors.Is(abandoned.Err, context.DeadlineExceeded) {

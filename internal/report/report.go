@@ -89,14 +89,6 @@ func New(cfg Config) *Runner {
 	if cfg.Trace != nil {
 		pool.SetTrace(cfg.Trace)
 	}
-	return NewOnPool(pool, cfg)
-}
-
-// NewOnPool returns a Runner that measures on an existing pool instead
-// of creating its own. nascentd uses it so report requests share the
-// service pool's memoized front ends across requests. Config.Jobs and Config.Trace are ignored — the pool
-// owns both.
-func NewOnPool(pool *evalpool.Pool, cfg Config) *Runner {
 	engine := nascent.EngineVMOpt
 	if cfg.Tree {
 		engine = nascent.EngineTree

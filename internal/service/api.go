@@ -3,8 +3,9 @@
 //
 // The package promotes the pipeline's existing robustness machinery —
 // typed resource budgets with cancellation (internal/interp), panic
-// containment (internal/guard), the evaluation pool, and deterministic fault injection (internal/chaos) — into a
-// long-running service that survives heavy concurrent traffic:
+// containment (internal/guard) and deterministic fault injection
+// (internal/chaos) — into a long-running service that survives heavy
+// concurrent traffic:
 //
 //   - a content-addressed compiled-program cache (key = hash(source,
 //     filename, options, engine)) with singleflight collapse of
@@ -156,9 +157,8 @@ type RunRequest struct {
 	// Budget bounds the run (clamped by server ceilings).
 	Budget Budget `json:"budget,omitempty"`
 	// NoCache compiles this request afresh and stores the result
-	// nowhere: the memory cache, the disk cache and the pool's frontend
-	// memo are neither read nor filled (drills use it so injection
-	// reaches the compile stages).
+	// nowhere: the memory cache and the disk cache are neither read nor
+	// filled (drills use it so injection reaches the compile stages).
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -183,7 +183,7 @@ type DrillRequest struct {
 	// compiled-program store, like a no_cache run, so injection can
 	// reach every pipeline stage.
 	Run RunRequest `json:"run"`
-	// Name labels the drill's job in error messages (default "drill").
+	// Name prefixes the drill's error message (default "drill").
 	Name string `json:"name,omitempty"`
 }
 

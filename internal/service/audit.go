@@ -19,10 +19,9 @@ import (
 // against a fresh compile on the tree reference engine, and the six
 // observable fields (output, instruction count, check count, trap
 // state, trap note, trap class) are compared. The fresh compile is
-// deliberately independent of every cache layer (in-memory, disk,
-// pool frontend memo), so the audit catches not just engine
-// divergence but a corrupted or stale cache entry serving wrong
-// results with a valid checksum.
+// deliberately independent of every cache layer (in-memory and disk),
+// so the audit catches not just engine divergence but a corrupted or
+// stale cache entry serving wrong results with a valid checksum.
 //
 // A divergence is a SelfAuditViolation: the violation counter moves,
 // the served (scheme, engine) pair's circuit is tripped open so

@@ -38,8 +38,7 @@ type compiled struct {
 	opt          *nascent.OptReport
 }
 
-// Run executes the cached program under cfg; it satisfies
-// evalpool.Runner so cache hits run on the pool like fresh compiles.
+// Run executes the compiled program under cfg.
 func (c *compiled) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
 	if c.vmProg != nil {
 		return c.vmProg.Run(cfg)

@@ -131,8 +131,8 @@ func TestContentKeyDisambiguation(t *testing.T) {
 // TestNoCacheBypassesEveryStore: a no_cache /run neither reads nor
 // fills any compiled-program store. With a disk cache configured, two
 // identical requests plus fifty under distinct filenames leave the
-// memory cache, the disk cache and the pool's frontend memo untouched:
-// every request runs its own frontend, and nothing is written.
+// memory cache and the disk cache untouched: nothing is read or
+// written.
 func TestNoCacheBypassesEveryStore(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, func(c *Config) { c.ProgCacheDir = dir })
@@ -165,19 +165,12 @@ func TestNoCacheBypassesEveryStore(t *testing.T) {
 			Hits uint64 `json:"hits"`
 			Puts uint64 `json:"puts"`
 		} `json:"disk_cache"`
-		Pool struct {
-			FrontendCompiles int `json:"frontend_compiles"`
-			FrontendHits     int `json:"frontend_hits"`
-		} `json:"pool"`
 	}
 	if w := do(t, s, "GET", "/metrics", nil, &m); w.Code != http.StatusOK {
 		t.Fatalf("metrics status = %d", w.Code)
 	}
 	if m.DiskCache.Puts != 0 || m.DiskCache.Hits != 0 {
 		t.Errorf("disk_cache puts/hits = %d/%d, want 0/0", m.DiskCache.Puts, m.DiskCache.Hits)
-	}
-	if m.Pool.FrontendHits != 0 || m.Pool.FrontendCompiles != 52 {
-		t.Errorf("pool frontend compiles/hits = %d/%d, want 52/0", m.Pool.FrontendCompiles, m.Pool.FrontendHits)
 	}
 	if m.Cache.Entries != 0 || m.Cache.Hits != 0 || m.Cache.Misses != 0 {
 		t.Errorf("memory cache touched: %+v", m.Cache)

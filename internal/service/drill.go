@@ -13,9 +13,9 @@ import (
 // shared process is an operator decision, not a tenant right.
 //
 // The drill's run bypasses every compiled-program store (the service
-// cache, the disk cache and the pool's frontend memo) so injection can
-// reach every pipeline stage: lexer, parser, sem, lowering, optimizer
-// and both engines' poll points. The run executes once; the response
+// cache and the disk cache) so injection can reach every pipeline
+// stage: lexer, parser, sem, lowering, optimizer and both engines'
+// poll points. The run executes once; the response
 // reports how many injections fired together with the run's typed
 // outcome — a result (possibly degraded) or a typed error.
 //
@@ -64,11 +64,16 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	}
 	defer disarm()
 
-	name := req.Name
-	if name == "" {
-		name = "drill"
+	// Drills run under armed injection and would audit the fault, not
+	// the service.
+	runResp, runErr := s.execute(r, res, true /* noCache */, false /* audit */)
+	if runErr != nil {
+		name := req.Name
+		if name == "" {
+			name = "drill"
+		}
+		runErr.Message = name + ": " + runErr.Message
 	}
-	runResp, runErr := s.execute(r, res, true /* noCache */, name)
 	writeJSON(w, http.StatusOK, DrillResponse{
 		Spec:   spec.String(),
 		Fired:  chaos.Fired(),

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nascent"
-	"nascent/internal/evalpool"
 	"nascent/internal/guard"
 	"nascent/internal/interp"
 	"nascent/internal/oracle"
@@ -46,7 +45,9 @@ func wireOptReport(o *nascent.OptReport) *OptReport {
 	}
 }
 
-// classifyRunErr maps a run failure to a typed wire error.
+// classifyRunErr maps a run failure to a typed wire error: an exhausted
+// budget or deadline, a contained panic, or else a runtime fault of the
+// program (nacc exit 1), the tenant's problem.
 func classifyRunErr(err error) *Error {
 	var res *interp.ResourceError
 	if errors.As(err, &res) {
@@ -62,14 +63,7 @@ func classifyRunErr(err error) *Error {
 	if errors.Is(err, guard.ErrInternal) {
 		return &Error{Class: ClassInternal, Message: err.Error(), Status: http.StatusInternalServerError, NaccExit: -1}
 	}
-	// Any other run-stage failure is a runtime fault of the program
-	// (nacc exit 1), the tenant's problem; anything else from the
-	// pipeline is a compile failure (nacc exit 3).
-	var run *evalpool.RunError
-	if errors.As(err, &run) {
-		return &Error{Class: ClassFault, Message: err.Error(), Status: http.StatusUnprocessableEntity, NaccExit: 1}
-	}
-	return &Error{Class: ClassCompile, Message: err.Error(), Status: http.StatusUnprocessableEntity, NaccExit: 3}
+	return &Error{Class: ClassFault, Message: err.Error(), Status: http.StatusUnprocessableEntity, NaccExit: 1}
 }
 
 // classifyCompileErr maps a compile failure to a typed wire error.
@@ -155,7 +149,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	c, key, hit, err := s.compile(res.source, res.filename, res.opts, res.engine)
+	c, key, hit, err := s.compile(res, false)
 	if err != nil {
 		s.fail(w, classifyCompileErr(err))
 		return
@@ -175,8 +169,8 @@ func (s *Server) compileResponse(c *compiled, key cacheKey, hit bool, res *resol
 	}
 }
 
-// handleRun serves POST /run: compile through the cache, execute on the
-// pool with the clamped budget and deadline.
+// handleRun serves POST /run: compile through the cache, then run with
+// the clamped budget and deadline.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.nRun.Add(1)
 	var req RunRequest
@@ -196,7 +190,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	resp, apiErr := s.execute(r, res, req.NoCache, "run")
+	resp, apiErr := s.execute(r, res, req.NoCache, true)
 	if apiErr != nil {
 		s.fail(w, apiErr)
 		return
@@ -204,69 +198,38 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// execute runs one resolved request to completion, once, under its
-// request deadline. Admission must already be held.
-func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName string) (*RunResponse, *Error) {
+// execute compiles one resolved request (through the cache unless
+// noCache) and runs it once, both under its request deadline: a run
+// that starts after the deadline stops at its first poll point.
+// Admission must already be held. audit offers a successful run to the
+// self-audit.
+func (s *Server) execute(r *http.Request, res *resolved, noCache, audit bool) (*RunResponse, *Error) {
 	ctx, cancel := s.runCtx(r, res.timeout)
 	defer cancel()
 
-	job := evalpool.Job{
-		Name:     jobName,
-		Source:   res.source,
-		Filename: res.filename,
-		Opts:     res.opts,
-		Run:      res.runCfg,
+	c, key, hit, err := s.compile(res, noCache)
+	if err != nil {
+		return nil, classifyCompileErr(err)
 	}
-	job.Run.Engine = res.engine
-
-	var (
-		c   *compiled
-		key cacheKey
-		hit bool
-		err error
-	)
-	if noCache {
-		// No store is read or filled: the pool compiles the job itself
-		// (SubmitCtx skips its frontend memo), so drill injection
-		// reaches every compile stage.
-		key = contentKey(res.source, res.filename, res.opts, res.engine)
-	} else {
-		c, key, hit, err = s.compile(res.source, res.filename, res.opts, res.engine)
-		if err != nil {
-			return nil, classifyCompileErr(err)
-		}
-		job.Precompiled = c
-	}
-
-	result := s.pool.SubmitCtx(ctx, job)
-	if result.Err != nil {
-		return nil, classifyRunErr(result.Err)
-	}
-
-	if c == nil {
-		// no-cache path: the pool compiled it; synthesize the compile
-		// section from the job's own program.
-		c = &compiled{prog: result.Prog}
-		if result.Prog != nil {
-			c.staticChecks = result.Prog.StaticChecks()
-			c.opt = result.Prog.Opt
-		}
+	cfg := res.runCfg
+	cfg.Engine, cfg.Context = res.engine, ctx
+	rr, err := c.Run(cfg)
+	if err != nil {
+		return nil, classifyRunErr(err)
 	}
 	resp := &RunResponse{
 		Compile:      s.compileResponse(c, key, hit, res),
-		Output:       result.Res.Output,
-		Instructions: result.Res.Instructions,
-		Checks:       result.Res.Checks,
-		Trapped:      result.Res.Trapped,
-		TrapNote:     result.Res.TrapNote,
-		TrapClass:    string(result.Res.TrapClass),
+		Output:       rr.Output,
+		Instructions: rr.Instructions,
+		Checks:       rr.Checks,
+		Trapped:      rr.Trapped,
+		TrapNote:     rr.TrapNote,
+		TrapClass:    string(rr.TrapClass),
 	}
 	if resp.Trapped {
 		resp.NaccExit = 1
 	}
-	if jobName == "run" {
-		// Organic /run traffic only: drills run under armed injection
-		// and would audit the fault, not the service.
+	if audit {
 		s.maybeAudit(res, resp)
 	}
 	return resp, nil
@@ -335,10 +298,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleReport serves GET /report?table=1|2|3[&engine=E]: the paper's tables,
-// measured on the service's shared pool (front ends memoized across
-// requests), as structured JSON with the canonical text rendering
-// embedded.
+// handleReport serves GET /report?table=1|2|3[&engine=E]: the paper's
+// tables, measured on a pool of GOMAXPROCS workers, as structured JSON
+// with the canonical text rendering embedded.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.nReport.Add(1)
 	table := 1
@@ -368,7 +330,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	runner := report.NewOnPool(s.pool, report.Config{Tree: engine == nascent.EngineTree})
+	runner := report.New(report.Config{Jobs: runtime.GOMAXPROCS(0), Tree: engine == nascent.EngineTree})
 	doc, err := runner.Doc(table)
 	if err != nil && doc == nil {
 		s.fail(w, &Error{Class: ClassInternal, Message: err.Error(), Status: http.StatusInternalServerError, NaccExit: -1})
@@ -401,14 +363,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // metricsDoc is the body of GET /metrics.
 type metricsDoc struct {
-	UptimeMS  int64                    `json:"uptime_ms"`
-	Draining  bool                     `json:"draining"`
-	Requests  requestCounters          `json:"requests"`
-	Admission limiterStats             `json:"admission"`
-	Cache     CacheStats               `json:"cache"`
-	DiskCache *progcache.Metrics       `json:"disk_cache,omitempty"`
-	Breaker   breakerStats             `json:"breaker"`
-	Pool      evalpool.MetricsSnapshot `json:"pool"`
+	UptimeMS  int64              `json:"uptime_ms"`
+	Draining  bool               `json:"draining"`
+	Requests  requestCounters    `json:"requests"`
+	Admission limiterStats       `json:"admission"`
+	Cache     CacheStats         `json:"cache"`
+	DiskCache *progcache.Metrics `json:"disk_cache,omitempty"`
+	Breaker   breakerStats       `json:"breaker"`
 	// Audit is the self-audit section (every=0 when disabled).
 	Audit auditStats `json:"audit"`
 	Chaos chaosDoc   `json:"chaos"`
@@ -425,9 +386,8 @@ type requestCounters struct {
 	Panics    uint64 `json:"contained_panics"`
 }
 
-// handleMetrics serves GET /metrics: service counters plus the pool's
-// snapshot. It stays available while draining (operators
-// watch it to confirm the drain).
+// handleMetrics serves GET /metrics: the service's counters. It stays
+// available while draining (operators watch it to confirm the drain).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, metricsDoc{
 		UptimeMS: s.uptime().Milliseconds(),
@@ -446,7 +406,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Cache:     s.cache.stats(),
 		DiskCache: s.diskStats(),
 		Breaker:   s.breaker.stats(),
-		Pool:      s.pool.Metrics().Snapshot(),
 		Audit:     s.auditSnapshot(),
 		Chaos:     currentChaos(),
 	})

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// assertFields pins one wire object's exact field set, following the
-// evalpool MetricsSnapshot convention: marshal to a map, require every
-// expected key, and require no extras. Removing or renaming a field is
+// assertFields pins one wire object's exact field set: marshal to a
+// map, require every expected key, and require no extras. Removing or renaming a field is
 // a breaking API change and must show up as a deliberate edit here.
 func assertFields(t *testing.T, label string, v any, want []string) {
 	t.Helper()
@@ -50,7 +49,7 @@ func TestMetricsDocFields(t *testing.T) {
 	}
 	want := []string{
 		"uptime_ms", "draining", "requests", "admission", "cache",
-		"disk_cache", "breaker", "pool", "audit", "chaos",
+		"disk_cache", "breaker", "audit", "chaos",
 	}
 	for _, k := range want {
 		if _, ok := m[k]; !ok {
@@ -75,19 +74,6 @@ func TestMetricsDocFields(t *testing.T) {
 		"compile", "run", "verify", "report", "drill",
 		"errors_4xx", "errors_5xx", "contained_panics",
 	})
-
-	// The pool section is evalpool's MetricsSnapshot. /run jobs are
-	// Precompiled and never consult a run memo, so shared_runs stays 0.
-	pool, _ := m["pool"].(map[string]any)
-	assertFields(t, "pool", pool, []string{
-		"jobs", "errors",
-		"frontend_compiles", "frontend_hits",
-		"frontend_time_ns", "compile_time_ns", "run_time_ns",
-		"instructions", "checks", "shared_runs",
-	})
-	if pool["shared_runs"].(float64) != 0 {
-		t.Errorf("pool.shared_runs = %v after a /run, want 0", pool["shared_runs"])
-	}
 
 	disk, _ := m["disk_cache"].(map[string]any)
 	assertFields(t, "disk_cache", disk, []string{

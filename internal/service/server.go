@@ -11,7 +11,6 @@ import (
 
 	"nascent"
 	"nascent/internal/chaos"
-	"nascent/internal/evalpool"
 	"nascent/internal/progcache"
 	"nascent/internal/vm"
 )
@@ -134,7 +133,6 @@ func (c *Config) withDefaults() Config {
 // Handler(), and call Drain on shutdown.
 type Server struct {
 	cfg     Config
-	pool    *evalpool.Pool
 	cache   *Cache
 	disk    *progcache.Cache // nil when ProgCacheDir is empty
 	limiter *limiter
@@ -191,7 +189,6 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		pool:       evalpool.New(0),
 		cache:      newCache(cfg.CacheEntries),
 		auditRefs:  newAuditMemo(cfg.CacheEntries),
 		limiter:    newLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
@@ -232,11 +229,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // guarded wraps a handler with the drain gate and panic containment:
-// the compile/run pipeline already contains its panics (guard, the
-// pool's per-job recover), so a panic escaping to here is a service-layer bug —
-// it is still turned into a typed 500 instead of killing the
-// connection, mirroring guard's contain-and-classify contract at the
-// HTTP boundary.
+// the compile and run stages contain their own panics (nascent.Compile,
+// vm.CompileEngine and each engine's Run return them as typed internal
+// errors), so a panic escaping to here is a service-layer bug — it is
+// still turned into a typed 500 instead of killing the connection,
+// mirroring guard's contain-and-classify contract at the HTTP
+// boundary.
 func (s *Server) guarded(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
@@ -366,21 +364,27 @@ func (s *Server) clampBudget(b Budget) (nascent.RunConfig, time.Duration, *Error
 	return cfg, timeout, nil
 }
 
-// compile resolves one compile request through the content-addressed
-// cache: singleflight on a miss, LRU touch on a hit. Bytecode engines
-// precompile their vm.Program at fill time.
+// compile resolves one request to a runnable program through the
+// content-addressed cache: singleflight on a miss, LRU touch on a hit.
+// With noCache it builds the program afresh and neither reads nor
+// fills any store.
 //
 // With a disk cache configured, a fill for a bytecode engine first
 // consults it: a warm entry decodes straight to a runnable vm.Program
 // plus its compile metadata, and the frontend never runs. Any disk
 // failure — miss, corruption, version skew — falls through to a fresh
-// compile whose result is written back, healing the entry.
-func (s *Server) compile(source, filename string, opts nascent.Options, engine nascent.Engine) (*compiled, cacheKey, bool, error) {
+// build whose result is written back, healing the entry.
+func (s *Server) compile(res *resolved, noCache bool) (*compiled, cacheKey, bool, error) {
+	filename := res.filename
 	if filename == "" {
 		filename = "input.mf"
 	}
-	key := contentKey(source, filename, opts, engine)
-	bytecode := engine != nascent.EngineTree
+	key := contentKey(res.source, filename, res.opts, res.engine)
+	if noCache {
+		c, err := build(res.source, filename, res.opts, res.engine)
+		return c, key, false, err
+	}
+	bytecode := res.engine != nascent.EngineTree
 	c, hit, err := s.cache.get(key, func() (*compiled, error) {
 		if s.disk != nil && bytecode {
 			if ent, err := s.disk.Get(key); err == nil {
@@ -391,33 +395,40 @@ func (s *Server) compile(source, filename string, opts nascent.Options, engine n
 				}, nil
 			}
 		}
-		opts.Filename = filename
-		prog, err := nascent.Compile(source, opts)
-		if err != nil {
-			return nil, err
-		}
-		out := &compiled{prog: prog, staticChecks: prog.StaticChecks(), opt: prog.Opt}
-		if bytecode {
-			if out.vmProg, err = vm.CompileEngine(prog.IR, engine); err != nil {
-				return nil, err
-			}
-		}
-		if s.disk != nil && bytecode {
+		c, err := build(res.source, filename, res.opts, res.engine)
+		if err == nil && s.disk != nil && bytecode {
 			// Best-effort persist; a write failure only costs the next
 			// cold start its warm path.
-			s.disk.Put(key, &progcache.Entry{Prog: out.vmProg, StaticChecks: out.staticChecks, Opt: out.opt})
+			s.disk.Put(key, &progcache.Entry{Prog: c.vmProg, StaticChecks: c.staticChecks, Opt: c.opt})
 		}
-		return out, nil
+		return c, err
 	})
 	return c, key, hit, err
+}
+
+// build compiles one program: the frontend, then for a bytecode engine
+// its bytecode pipeline, so that every run of the result goes straight
+// to execution.
+func build(source, filename string, opts nascent.Options, engine nascent.Engine) (*compiled, error) {
+	opts.Filename = filename
+	prog, err := nascent.Compile(source, opts)
+	if err != nil {
+		return nil, err
+	}
+	c := &compiled{prog: prog, staticChecks: prog.StaticChecks(), opt: prog.Opt}
+	if engine != nascent.EngineTree {
+		if c.vmProg, err = vm.CompileEngine(prog.IR, engine); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // Drain performs graceful shutdown: flip the drain gate (new requests
 // get typed 503s), wait for in-flight work to finish, and cancel
 // whatever is still running at the deadline — engine runs stop at
 // their next poll point and surface typed cancellation errors. It
-// returns once all in-flight work has completed, and flushes a final
-// metrics line through Config.Logf.
+// returns once all in-flight work has completed.
 func (s *Server) Drain(ctx context.Context) {
 	s.drainMu.Lock()
 	already := s.draining.Swap(true)
@@ -447,7 +458,6 @@ func (s *Server) Drain(ctx context.Context) {
 	// audit counters (an abandoned audit is uncounted, never a
 	// violation).
 	s.auditWG.Wait()
-	s.cfg.Logf("nascentd: drained; %s", s.pool.Metrics().String())
 }
 
 // diskStats snapshots the disk cache counters (nil when disabled).

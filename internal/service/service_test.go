@@ -379,9 +379,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if m.Requests.Run != 1 {
 		t.Errorf("run counter = %d, want 1", m.Requests.Run)
 	}
-	if m.Pool.Jobs != 1 {
-		t.Errorf("pool jobs = %d, want 1", m.Pool.Jobs)
-	}
 	if m.Cache.Misses != 1 {
 		t.Errorf("cache misses = %d, want 1", m.Cache.Misses)
 	}

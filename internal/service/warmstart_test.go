@@ -42,8 +42,8 @@ func TestWarmStart(t *testing.T) {
 		t.Fatalf("cache dir empty after cold start: %v", err)
 	}
 
-	// Generation 2: a fresh Server (empty memory cache, empty pool
-	// memos) against the same directory.
+	// Generation 2: a fresh Server (empty memory cache) against the
+	// same directory.
 	s2 := mkServer()
 	var warm CompileResponse
 	if w := do(t, s2, "POST", "/compile", compileReq, &warm); w.Code != http.StatusOK {

@@ -196,7 +196,7 @@ type bases struct {
 // (malformed expressions, missing terminators) compile to fail
 // instructions that reproduce the same runtime fault.
 func Compile(p *ir.Program) (*Program, error) {
-	s := getScratch()
+	s := scratches.get()
 	if err := s.compile(p); err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"nascent/internal/chaos"
 	"nascent/internal/guard"
@@ -21,9 +20,9 @@ type frame struct {
 // mach is the mutable state of one run of the switch loop. Programs
 // are immutable, so one compiled Program serves any number of
 // concurrent machines. Machines recycle through one process-wide
-// cache: later runs of any program (bench -times, oracle sweeps,
-// evalpool, a program just decoded from disk) reuse the register files
-// and array slabs instead of reallocating them.
+// recycler (recycle.go): later runs of any program (bench -times,
+// oracle sweeps, the service, a program just decoded from disk) reuse
+// the register files and array slabs instead of reallocating them.
 type mach struct {
 	p      *Program
 	cfg    interp.Config
@@ -97,15 +96,15 @@ func (vp *Program) run(cfg interp.Config, disp *DispatchStats) (res interp.Resul
 			}
 			// Stage "run" matches the tree-walker's containment tag: the
 			// engines share one observable contract, including how their
-			// contained panics are labeled. The machine is not returned
-			// to the cache: a panic may have interrupted it anywhere.
+			// contained panics are labeled. The machine is not recycled:
+			// a panic may have interrupted it anywhere.
 			res = interp.Result{Output: string(m.out)}
 			err = &guard.InternalError{Stage: "run", Fn: fnName, Recovered: r}
 		}
 	}()
 
 	res, err = m.run()
-	machines.put(m)
+	m.release()
 	return res, err
 }
 
@@ -146,40 +145,14 @@ func fit[T any](s []T, n int) []T {
 	return s
 }
 
-// machines recycles machines across every program in the process: a
-// sync.Pool backed by one slot. put fills an empty slot first, so a
-// single caller's machine goes to the slot and comes back from it, and
-// its steady state never depends on the pool retaining items (the race
-// detector drops pooled items at random). Concurrent callers overflow
-// to the pool, which get tries first: its per-processor lists keep a
-// machine's memory in the cache of the processor that last ran it,
-// where one shared slot would move it between processors. Neither
-// layer keeps an idle machine's memory alive: the slot holds its
-// machine weakly (machslot.go), so a garbage collection that finds it
-// idle reclaims it, and the pool drops what two collections find idle.
-var machines machCache
+// machines recycles machines across every program in the process.
+var machines recycler[mach]
 
-type machCache struct {
-	slot machSlot
-	pool sync.Pool
-}
-
-// get returns a recycled machine, or a new empty one.
-func (c *machCache) get() *mach {
-	if v := c.pool.Get(); v != nil {
-		return v.(*mach)
-	}
-	if m := c.slot.take(); m != nil {
-		return m
-	}
-	return new(mach)
-}
-
-// put recycles m: into the slot when it is empty, else into the pool.
-func (c *machCache) put(m *mach) {
-	if !c.slot.offer(m) {
-		c.pool.Put(m)
-	}
+// release keeps only the machine's buffers, so a recycled machine pins
+// no program, request context or dispatch stats, and recycles it.
+func (m *mach) release() {
+	*m = mach{ireg: m.ireg, freg: m.freg, icel: m.icel, fcel: m.fcel, active: m.active, frames: m.frames, out: m.out}
+	machines.put(m, 8*(cap(m.ireg)+cap(m.freg)+cap(m.icel)+cap(m.fcel)+cap(m.frames))+cap(m.active)+cap(m.out))
 }
 
 // result is the run's outcome once an executor stops with the given

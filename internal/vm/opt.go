@@ -110,7 +110,7 @@ func (s *DispatchStats) String() string {
 // only the optimized program is ever allocated. A failed optimization
 // leaves it half rewritten; it is compiled again and kept unoptimized.
 func CompileOptimized(p *ir.Program) (*Program, error) {
-	s := getScratch()
+	s := scratches.get()
 	if err := s.compile(p); err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func Optimize(vp *Program) (*Program, error) {
 	if vp.optimized {
 		return nil, fmt.Errorf("vm: program already optimized")
 	}
-	s := getScratch()
+	s := scratches.get()
 	// The optimizer rewrites code, pool and function entries in place:
 	// code and pool are copied into the scratch's buffers, the function
 	// table into the output's own.

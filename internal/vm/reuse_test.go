@@ -214,3 +214,59 @@ func TestMachineReuseReleasesMemory(t *testing.T) {
 		t.Errorf("live heap grew by %d bytes across the run: the %d-byte slab is still held", after-before, cells*8)
 	}
 }
+
+// TestMachineSlotSurvivesGC pins that a garbage collection between two
+// runs costs the second run nothing: the recycler's slot holds its
+// machine strongly, so mdg/LLS run right after runtime.GC allocates
+// only its output string, as a run with no collection before it does.
+// A slot that let the collector take its idle machine reallocated the
+// register files and slabs on every such run (about 5.3 KB for mdg).
+func TestMachineSlotSurvivesGC(t *testing.T) {
+	sp, err := suite.Get("mdg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := nascent.Compile(sp.Source, nascent.Options{BoundsChecks: true, Scheme: nascent.LLS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := vm.CompileOptimized(cp.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := vp.Run(nascent.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// measure returns the fewest mallocs and bytes of one run over a
+	// few rounds, so a stray allocation elsewhere in the process cannot
+	// fail the test.
+	measure := func(gc bool) (mallocs, bytes uint64) {
+		mallocs, bytes = ^uint64(0), ^uint64(0)
+		var before, after runtime.MemStats
+		for range 5 {
+			if gc {
+				runtime.GC()
+			}
+			runtime.ReadMemStats(&before)
+			if _, err := vp.Run(nascent.RunConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return mallocs, bytes
+	}
+	wantMallocs, wantBytes := measure(false)
+	gotMallocs, gotBytes := measure(true)
+	t.Logf("run after a collection: %d allocs, %d B; without one: %d allocs, %d B (output %d B)",
+		gotMallocs, gotBytes, wantMallocs, wantBytes, len(res.Output))
+	if wantMallocs > 1 {
+		t.Errorf("a repeated run allocates %d times, want at most 1 (its output)", wantMallocs)
+	}
+	if gotMallocs > wantMallocs || gotBytes > wantBytes {
+		t.Errorf("a run right after a collection allocates %d times and %d B, want no more than its output string (%d, %d B)",
+			gotMallocs, gotBytes, wantMallocs, wantBytes)
+	}
+}

@@ -2,11 +2,7 @@ package vm
 
 // scratch.go — the reusable working memory of the bytecode pipeline.
 
-import (
-	"slices"
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
 // scratch is everything one Compile, CompileOptimized or Optimize call
 // works in and drops when it returns: both compile passes' sections,
@@ -22,33 +18,8 @@ type scratch struct {
 	o optimizer
 }
 
-// scratches recycles scratches: one slot, backed by a sync.Pool. The
-// slot holds its scratch across garbage collections, so one caller's
-// compiles stop allocating working memory once it has grown to fit
-// their programs; a pool alone loses it to every second collection,
-// and under the race detector to random drops. The slot takes only a
-// scratch smaller than slotBytes, so one huge compile does not pin its
-// working memory for the life of the process. Larger scratches and
-// concurrent callers' overflow go to the pool, which drops what two
-// collections find idle.
-var scratches struct {
-	slot atomic.Pointer[scratch]
-	pool sync.Pool
-}
-
-// slotBytes bounds the scratch the slot keeps (by size's estimate).
-// The largest suite program's scratch reads about 26 KB.
-const slotBytes = 1 << 20
-
-func getScratch() *scratch {
-	if s := scratches.slot.Swap(nil); s != nil {
-		return s
-	}
-	if v := scratches.pool.Get(); v != nil {
-		return v.(*scratch)
-	}
-	return new(scratch)
-}
+// scratches recycles scratches (recycle.go).
+var scratches recycler[scratch]
 
 // size estimates the bytes the scratch holds from its largest
 // buffers, the code, the operand pool and the bitset slab; the rest
@@ -72,10 +43,7 @@ func (s *scratch) release() {
 	clear(c.prog.funcs)
 	c.prog.arrays, c.prog.arrOrder = nil, nil
 	s.o.in = nil
-	if s.size() < slotBytes && scratches.slot.CompareAndSwap(nil, s) {
-		return
-	}
-	scratches.pool.Put(s)
+	scratches.put(s, s.size())
 }
 
 // keep returns the program s.compile left in the scratch as a Program
