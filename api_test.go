@@ -1,10 +1,14 @@
 package nascent_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"nascent"
+	"nascent/internal/chaos"
+	"nascent/internal/conformance"
+	"nascent/internal/guard"
 )
 
 func TestCompileErrorsSurface(t *testing.T) {
@@ -175,5 +179,52 @@ end
 		} else if d != first {
 			t.Fatalf("nondeterministic compilation at trial %d:\n--- first\n%s\n--- now\n%s", trial, first, d)
 		}
+	}
+}
+
+// TestConformanceCorpusDeterministicAcrossJobs compiles and runs the
+// conformance corpus on guard.Each at jobs ∈ {1, 4, 16}, on the tree
+// walker and the bytecode pipeline, and asserts every pinned observable
+// — instructions, checks, output, trap verdict — exactly: concurrent
+// compiles and runs, which share recycled machines and compile
+// scratches, never leak into a result. Run under -race it is also a
+// data-race stress of that sharing.
+func TestConformanceCorpusDeterministicAcrossJobs(t *testing.T) {
+	if chaos.Active() {
+		t.Fatalf("chaos registry enabled (%s) — determinism test needs it off", chaos.SpecString())
+	}
+	engines := []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt}
+	corpus := conformance.Corpus
+	for _, workers := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("jobs=%d", workers), func(t *testing.T) {
+			results := make([]nascent.RunResult, len(corpus)*len(engines))
+			errs := guard.Each(len(results), workers, func(k int) error {
+				c := corpus[k/len(engines)]
+				prog, err := nascent.Compile(c.Src, nascent.Options{BoundsChecks: true, Filename: c.Name + ".mf"})
+				if err != nil {
+					return err
+				}
+				results[k], err = prog.RunWith(nascent.RunConfig{Engine: engines[k%len(engines)]})
+				return err
+			})
+			for k, res := range results {
+				c, e := corpus[k/len(engines)], engines[k%len(engines)]
+				if errs[k] != nil {
+					t.Errorf("%s on %v: %v", c.Name, e, errs[k])
+					continue
+				}
+				if res.Instructions != c.Instr || res.Checks != c.Checks {
+					t.Errorf("%s on %v: instr/checks = %d/%d, want %d/%d",
+						c.Name, e, res.Instructions, res.Checks, c.Instr, c.Checks)
+				}
+				if res.Output != c.Output {
+					t.Errorf("%s on %v: output = %q, want %q", c.Name, e, res.Output, c.Output)
+				}
+				if res.Trapped != c.Trapped || (c.Trapped && res.TrapNote != c.TrapNote) {
+					t.Errorf("%s on %v: trapped = %v (%q), want %v (%q)",
+						c.Name, e, res.Trapped, res.TrapNote, c.Trapped, c.TrapNote)
+				}
+			}
+		})
 	}
 }

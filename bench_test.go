@@ -229,12 +229,12 @@ end
 }
 
 // BenchmarkTableRegeneration measures one full regeneration of Tables
-// 1–3 through the parallel evaluation engine at several worker counts —
-// the wall-clock claim behind `rangebench -jobs`. Each iteration uses a
-// fresh Runner, so the cost includes parsing and lowering every suite
-// program once and sharing that front end across the whole job matrix
-// (the frontend-compiles/op metric pins the memoization: 10 programs,
-// 290 jobs named, 210 evaluated). Output is byte-identical at every worker count (the golden
+// 1–3 through report.Runner at several worker counts — the wall-clock
+// claim behind `rangebench -jobs`. Each iteration uses a fresh Runner,
+// so the cost includes parsing and lowering every suite program once
+// and sharing that front end across the whole job matrix (the
+// frontends/op metric pins the sharing: 10 programs, 290 jobs named,
+// 210 evaluated). Output is byte-identical at every worker count (the golden
 // tests prove it); only the wall-clock may differ, and on a single-core
 // host jobs=4 simply matches jobs=1.
 func BenchmarkTableRegeneration(b *testing.B) {
@@ -248,9 +248,9 @@ func BenchmarkTableRegeneration(b *testing.B) {
 						b.Fatalf("table %d: %v", n+1, err)
 					}
 				}
-				m = r.Metrics().FrontendCompiles
+				m = r.Metrics().Frontends
 			}
-			b.ReportMetric(float64(m), "frontend-compiles/op")
+			b.ReportMetric(float64(m), "frontends/op")
 		})
 	}
 }
@@ -260,8 +260,8 @@ func BenchmarkTableRegeneration(b *testing.B) {
 // heaviest dynamic load either engine faces). Programs are compiled
 // once outside the timer, so ns/op and allocs/op are pure execution:
 // the substrate cost underneath every table regeneration. jobs=N
-// shards the ten programs across N goroutines the way the evaluation
-// pool shards the table matrix (on a single-core host jobs=4 simply
+// shards the ten programs across N goroutines the way report.Runner
+// spreads the table matrix (on a single-core host jobs=4 simply
 // matches jobs=1). Both engines execute identical dynamic instruction
 // streams — the conformance suite pins that — so the ns/op ratio is
 // the VM's speedup (bench/ records the end-to-end numbers).

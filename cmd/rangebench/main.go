@@ -22,9 +22,9 @@
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
 // chasing interpreter hot spots (`go tool pprof`).
 //
-// -jobs N shards the evaluation matrix across N workers (default: all
-// CPUs). Table output is byte-identical at every -jobs value — the
-// engine merges results in job order and the interpreter counters are
+// -jobs N evaluates up to N jobs of the matrix at once (default: all
+// CPUs). Table output is byte-identical at every -jobs value — results
+// are merged in job order and the interpreter counters are
 // deterministic — so parallelism only changes wall-clock. The golden
 // tests in internal/report pin this.
 //
@@ -32,8 +32,8 @@
 // They vary run to run, so they are excluded by default to keep the
 // output reproducible.
 //
-// -trace logs each evaluation job's stages to stderr, followed by the
-// pool's aggregate metrics.
+// -trace prints the run's work counts to stderr: jobs evaluated, failed
+// jobs, front ends analyzed and runs executed.
 //
 // -chaos seed:rate[:site] turns on deterministic fault injection (see
 // internal/chaos and docs/ROBUSTNESS.md). The same spec replays the
@@ -57,7 +57,6 @@ import (
 
 	"nascent"
 	"nascent/internal/chaos"
-	"nascent/internal/evalpool"
 	"nascent/internal/report"
 )
 
@@ -66,7 +65,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "number of parallel evaluation workers")
 	engineFlag := flag.String("engine", "vmopt", "execution engine: "+strings.Join(nascent.EngineNames(), "|"))
 	times := flag.Bool("times", false, "include wall-clock columns (non-reproducible) in tables 2-3")
-	trace := flag.Bool("trace", false, "log per-job stage timings to stderr")
+	trace := flag.Bool("trace", false, "print the run's work counts to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	chaosFlag := flag.String("chaos", "", "deterministic fault injection spec: seed:rate[:site]")
@@ -121,21 +120,7 @@ func run(table, jobs int, engine nascent.Engine, times, trace bool, cpuprofile, 
 		}
 	}()
 
-	cfg := report.Config{Jobs: jobs, Timings: times, Tree: engine == nascent.EngineTree}
-	if trace {
-		cfg.Trace = func(ev evalpool.Event) {
-			status := ""
-			if ev.CacheHit {
-				status = " (cached)"
-			}
-			if ev.Err != nil {
-				status = fmt.Sprintf(" (error: %v)", ev.Err)
-			}
-			fmt.Fprintf(os.Stderr, "trace: job %3d %-24s %-8s %10s%s\n",
-				ev.Job, ev.Name, ev.Stage, ev.Duration, status)
-		}
-	}
-	r := report.New(cfg)
+	r := report.New(report.Config{Jobs: jobs, Timings: times, Tree: engine == nascent.EngineTree})
 
 	tables := []struct {
 		n int

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 )
 
 // ErrInternal is the sentinel matched by errors.Is for every recovered
@@ -62,4 +64,37 @@ func Recover(stage, fn string, errp *error) {
 	if r := recover(); r != nil {
 		*errp = &InternalError{Stage: stage, Fn: fn, Recovered: r, Stack: debug.Stack()}
 	}
+}
+
+// Each calls f(i) for every i in [0, n) on at most workers goroutines,
+// which pull the indices in order, and returns f's errors indexed by i.
+// A panic in f(i) becomes errs[i], an *InternalError of stage "job",
+// and the other indices still run. workers <= 1 runs every call on the
+// calling goroutine.
+func Each(n, workers int, f func(i int) error) []error {
+	errs := make([]error, n)
+	call := func(i int) {
+		defer Recover("job", "", &errs[i])
+		errs[i] = f(i)
+	}
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := range n {
+			call(i)
+		}
+		return errs
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				call(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
 }

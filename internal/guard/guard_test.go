@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRecoverConvertsPanic(t *testing.T) {
@@ -49,5 +51,87 @@ func TestUnwrapExposesPanickedError(t *testing.T) {
 	}
 	if err := f(); !errors.Is(err, sentinel) {
 		t.Errorf("err = %v, want to unwrap to the panicked error", err)
+	}
+}
+
+// TestEachOrderedResults runs every index exactly once at several
+// worker counts and returns each index's own error in its slot, so a
+// failing call leaves its neighbours' results alone.
+func TestEachOrderedResults(t *testing.T) {
+	for _, workers := range []int{0, 1, 4, 16} {
+		const n = 40
+		var calls [n]atomic.Int32
+		errs := Each(n, workers, func(i int) error {
+			calls[i].Add(1)
+			if i%3 == 0 {
+				return fmt.Errorf("job %d failed", i)
+			}
+			return nil
+		})
+		if len(errs) != n {
+			t.Fatalf("workers=%d: %d errors for %d indices", workers, len(errs), n)
+		}
+		for i, err := range errs {
+			if got := calls[i].Load(); got != 1 {
+				t.Errorf("workers=%d: index %d ran %d times, want once", workers, i, got)
+			}
+			want := ""
+			if i%3 == 0 {
+				want = fmt.Sprintf("job %d failed", i)
+			}
+			if (err == nil) != (want == "") || (err != nil && err.Error() != want) {
+				t.Errorf("workers=%d: errs[%d] = %v, want %q", workers, i, err, want)
+			}
+		}
+	}
+}
+
+// TestEachPanicIsInternalError: a panic in one call is contained as that
+// index's *InternalError of stage "job", after one call, and the other
+// indices still run.
+func TestEachPanicIsInternalError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var calls, others atomic.Int32
+		errs := Each(8, workers, func(i int) error {
+			if i == 2 {
+				calls.Add(1)
+				panic("mutate hook failed")
+			}
+			others.Add(1)
+			return nil
+		})
+		var ie *InternalError
+		if !errors.As(errs[2], &ie) || ie.Stage != "job" || ie.Recovered != "mutate hook failed" {
+			t.Fatalf("workers=%d: errs[2] = %v, want a job *InternalError", workers, errs[2])
+		}
+		if calls.Load() != 1 {
+			t.Errorf("workers=%d: panicking call ran %d times, want once", workers, calls.Load())
+		}
+		if others.Load() != 7 {
+			t.Errorf("workers=%d: %d other calls ran, want 7", workers, others.Load())
+		}
+		for i, err := range errs {
+			if i != 2 && err != nil {
+				t.Errorf("workers=%d: errs[%d] = %v, want nil", workers, i, err)
+			}
+		}
+	}
+}
+
+// TestEachBoundsConcurrency: no more than workers calls are in flight
+// at once.
+func TestEachBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	var inFlight, peak atomic.Int32
+	Each(30, workers, func(int) error {
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return nil
+	})
+	if p := peak.Load(); p > workers || p == 0 {
+		t.Errorf("peak concurrency = %d, want 1..%d", p, workers)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"nascent"
 	"nascent/internal/chaos"
-	"nascent/internal/evalpool"
 	"nascent/internal/interp"
 )
 
@@ -150,34 +149,21 @@ func ChaosSweep(src string, cfg ChaosConfig) (*ChaosReport, error) {
 		runCfg.MaxInstructions = hr
 	}
 
-	jobs := make([]evalpool.Job, 0, len(variants)*len(engines))
-	for _, v := range variants {
-		for _, e := range engines {
-			rc := runCfg
-			rc.Engine = e
-			jobs = append(jobs, evalpool.Job{
-				Name:   fmt.Sprintf("%s@%v", v.String(), e),
-				Source: src,
-				Opts:   v.Options(),
-				Run:    rc,
-			})
-		}
-	}
-
+	// Every job compiles from source, so each one crosses the parse and
+	// analyze sites, and nothing outlives its seed.
+	compile := func(v Variant) (*nascent.Program, error) { return nascent.Compile(src, v.Options()) }
+	ne := len(engines)
 	rep := &ChaosReport{Seeds: len(seeds)}
 	for _, seed := range seeds {
 		spec := chaos.Spec{Seed: seed, Rate: rate, Site: cfg.Site}
 		chaos.Enable(spec)
-		// A fresh pool per seed: nothing is memoized across specs (the
-		// front-end memo must not serve one seed's injected failure to
-		// the next).
-		results := evalpool.New(max(cfg.Jobs, 1)).Evaluate(jobs)
+		results := evaluate(variants, engines, runCfg, cfg.Jobs, compile, nil)
 		rep.Faults += chaos.Fired()
 		chaos.Disable()
 
-		for i, res := range results {
+		for k, res := range results {
 			rep.Runs++
-			rep.judge(spec, jobs[i].Name, res, naive)
+			rep.judge(spec, fmt.Sprintf("%s@%v", variants[k/ne], engines[k%ne]), res, naive)
 		}
 	}
 	return rep, nil
@@ -185,34 +171,34 @@ func ChaosSweep(src string, cfg ChaosConfig) (*ChaosReport, error) {
 
 // judge classifies one faulted evaluation: success must match the
 // chaos-off reference observables, failure must be typed.
-func (r *ChaosReport) judge(spec chaos.Spec, job string, res evalpool.Result, naive nascent.RunResult) {
+func (r *ChaosReport) judge(spec chaos.Spec, job string, res outcome, naive nascent.RunResult) {
 	violate := func(kind, format string, args ...interface{}) {
 		r.Violations = append(r.Violations, ChaosViolation{
 			Spec: spec, Job: job, Kind: kind, Detail: fmt.Sprintf(format, args...),
 		})
 	}
-	if res.Err != nil {
-		if typedFailure(res.Err) {
+	if res.err != nil {
+		if typedFailure(res.err) {
 			r.TypedErrors++
 		} else {
-			violate("untyped-error", "%v", res.Err)
+			violate("untyped-error", "%v", res.err)
 		}
 		return
 	}
 	// The run completed: its observable behavior must match the
 	// chaos-off naive reference (same trap verdict; identical output,
 	// or a prefix on trapping runs — detection may move earlier).
-	if res.Res.Trapped != naive.Trapped {
+	if res.res.Trapped != naive.Trapped {
 		violate("silent-wrong-result", "naive trapped=%v, faulted run trapped=%v (%s)",
-			naive.Trapped, res.Res.Trapped, res.Res.TrapNote)
+			naive.Trapped, res.res.Trapped, res.res.TrapNote)
 		return
 	}
 	if naive.Trapped {
-		if !strings.HasPrefix(naive.Output, res.Res.Output) {
+		if !strings.HasPrefix(naive.Output, res.res.Output) {
 			violate("silent-wrong-result", "trapped output not a prefix of naive: %s",
-				firstOutputDiff(naive.Output, res.Res.Output))
+				firstOutputDiff(naive.Output, res.res.Output))
 		}
-	} else if res.Res.Output != naive.Output {
-		violate("silent-wrong-result", "output differs: %s", firstOutputDiff(naive.Output, res.Res.Output))
+	} else if res.res.Output != naive.Output {
+		violate("silent-wrong-result", "output differs: %s", firstOutputDiff(naive.Output, res.res.Output))
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"nascent"
 	"nascent/internal/chaos"
-	"nascent/internal/evalpool"
 )
 
 const sweepSrc = `program probe
@@ -69,8 +68,8 @@ func TestJudgeCatchesSilentWrongResult(t *testing.T) {
 	spec := chaos.Spec{Seed: 7, Rate: 0.05}
 	naive := nascent.RunResult{Output: "2\n40\n"}
 	rep := &ChaosReport{}
-	rep.judge(spec, "planted@tree", evalpool.Result{
-		Res: nascent.RunResult{Output: "2\n41\n"},
+	rep.judge(spec, "planted@tree", outcome{
+		res: nascent.RunResult{Output: "2\n41\n"},
 	}, naive)
 	if rep.OK() {
 		t.Fatal("wrong output passed the judge")
@@ -85,8 +84,8 @@ func TestJudgeCatchesSilentWrongResult(t *testing.T) {
 
 	// A missed trap is the same class.
 	rep = &ChaosReport{}
-	rep.judge(spec, "planted@tree", evalpool.Result{
-		Res: nascent.RunResult{Output: "2\n"},
+	rep.judge(spec, "planted@tree", outcome{
+		res: nascent.RunResult{Output: "2\n"},
 	}, nascent.RunResult{Output: "2\n", Trapped: true, TrapNote: "a(21)"})
 	if rep.OK() || rep.Violations[0].Kind != "silent-wrong-result" {
 		t.Fatalf("missed trap not flagged: %+v", rep.Violations)
@@ -100,16 +99,16 @@ func TestJudgeClassifiesErrors(t *testing.T) {
 	naive := nascent.RunResult{Output: "ok\n"}
 
 	rep := &ChaosReport{}
-	rep.judge(spec, "typed@tree", evalpool.Result{
-		Err: &nascent.InternalError{Stage: "optimize", Recovered: "boom"},
+	rep.judge(spec, "typed@tree", outcome{
+		err: &nascent.InternalError{Stage: "optimize", Recovered: "boom"},
 	}, naive)
 	if !rep.OK() || rep.TypedErrors != 1 {
 		t.Errorf("InternalError misjudged: violations=%v typed=%d", rep.Violations, rep.TypedErrors)
 	}
 
 	rep = &ChaosReport{}
-	rep.judge(spec, "untyped@tree", evalpool.Result{
-		Err: errors.New("mystery failure"),
+	rep.judge(spec, "untyped@tree", outcome{
+		err: errors.New("mystery failure"),
 	}, naive)
 	if rep.OK() {
 		t.Fatal("untyped error passed the judge")

@@ -27,7 +27,7 @@ import (
 	"strings"
 
 	"nascent"
-	"nascent/internal/evalpool"
+	"nascent/internal/guard"
 )
 
 // Variant identifies one optimizer configuration under test.
@@ -168,9 +168,9 @@ type Config struct {
 	// the naive run actually executed (INX materialization may
 	// legitimately add instructions).
 	Run nascent.RunConfig
-	// Jobs shards the variant sweep across a bounded worker pool
-	// (<= 0 means sequential). The divergence report is identical at
-	// every value: results are merged in variant order.
+	// Jobs is the number of variant jobs evaluated at once (<= 0 means
+	// sequential). The divergence report is identical at every value:
+	// results are merged in variant order.
 	Jobs int
 	// Engines, when it lists more than one engine, runs every variant
 	// (and the naive baseline) under each and adds the engine-identity
@@ -183,7 +183,8 @@ type Config struct {
 	// miscompilations and assert the oracle catches them. It runs on a
 	// worker goroutine and must only touch the program it is handed,
 	// replacing statements rather than editing them: the variants'
-	// programs share statements with one lowering (evalpool.Job.Mutate).
+	// programs share statements with one lowering (see
+	// nascent.AnalyzeShared).
 	Mutate func(v Variant, p *nascent.Program)
 }
 
@@ -193,10 +194,10 @@ type Config struct {
 // — that is the input's fault, not a divergence. Contract violations
 // are returned inside the Report.
 //
-// The variant sweep runs on an evalpool engine: the ~20 configurations
-// share one parse/semantic-analysis via the pool's front-end memo
-// table, and Config.Jobs spreads the compile+run work across workers
-// without changing the report.
+// src is analyzed once: the naive build and every variant compile
+// copy-on-write forks of one shared lowering, and Config.Jobs spreads
+// the variant compiles and runs across workers without changing the
+// report.
 func Verify(src string, cfg Config) (*Report, error) {
 	variants := cfg.Variants
 	if variants == nil {
@@ -212,7 +213,11 @@ func Verify(src string, cfg Config) (*Report, error) {
 	}
 	runCfg.Engine = engines[0]
 
-	naiveProg, err := nascent.Compile(src, nascent.Options{BoundsChecks: true})
+	fe, err := nascent.AnalyzeShared(src, "")
+	if err != nil {
+		return nil, fmt.Errorf("oracle: naive compile: %w", err)
+	}
+	naiveProg, err := fe.Compile(nascent.Options{BoundsChecks: true})
 	if err != nil {
 		return nil, fmt.Errorf("oracle: naive compile: %w", err)
 	}
@@ -228,28 +233,11 @@ func Verify(src string, cfg Config) (*Report, error) {
 		runCfg.MaxInstructions = hr
 	}
 
-	// One job per variant per engine, variant-major: engine 0 carries
-	// the soundness contract, the rest feed the engine-identity check.
+	// Engine 0 carries the soundness contract, the rest feed the
+	// engine-identity check.
+	compile := func(v Variant) (*nascent.Program, error) { return fe.Compile(v.Options()) }
+	results := evaluate(variants, engines, runCfg, cfg.Jobs, compile, cfg.Mutate)
 	ne := len(engines)
-	jobs := make([]evalpool.Job, 0, len(variants)*ne)
-	for _, v := range variants {
-		v := v
-		for _, e := range engines {
-			rc := runCfg
-			rc.Engine = e
-			job := evalpool.Job{
-				Name:   fmt.Sprintf("%s@%v", v.String(), e),
-				Source: src,
-				Opts:   v.Options(),
-				Run:    rc,
-			}
-			if cfg.Mutate != nil {
-				job.Mutate = func(p *nascent.Program) { cfg.Mutate(v, p) }
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	results := evalpool.New(max(cfg.Jobs, 1)).Evaluate(jobs)
 
 	rep := &Report{Variants: len(variants), Naive: naive}
 	naiveIR := naiveProg.Dump()
@@ -283,31 +271,67 @@ func Verify(src string, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
+// outcome is one evaluated job: the compiled program (nil when the
+// compile failed), the run result, and the first error.
+type outcome struct {
+	prog *nascent.Program
+	res  nascent.RunResult
+	err  error
+}
+
+// evaluate compiles every variant once per engine, applies mutate (when
+// non-nil) and runs the program on that engine, up to jobs at a time.
+// Outcomes are variant-major: variant i on engine e is i*len(engines)+e.
+// Errors name no engine, so one failure on every engine reads the same,
+// and a job that fails after compiling keeps its program.
+func evaluate(variants []Variant, engines []nascent.Engine, runCfg nascent.RunConfig, jobs int,
+	compile func(Variant) (*nascent.Program, error), mutate func(Variant, *nascent.Program)) []outcome {
+	ne := len(engines)
+	results := make([]outcome, len(variants)*ne)
+	errs := guard.Each(len(results), jobs, func(k int) error {
+		v, o := variants[k/ne], &results[k]
+		if o.prog, o.err = compile(v); o.err != nil {
+			return o.err
+		}
+		if mutate != nil {
+			mutate(v, o.prog)
+		}
+		rc := runCfg
+		rc.Engine = engines[k%ne]
+		o.res, o.err = o.prog.RunWith(rc)
+		return o.err
+	})
+	for k, err := range errs {
+		results[k].err = err // a contained panic, or the job's own error
+	}
+	return results
+}
+
 // checkEngines asserts the engine-identity invariant across one
 // variant's per-engine results: every engine must agree with engine 0
 // on success/failure, error text, and the full Result.
-func (r *Report) checkEngines(v Variant, engines []nascent.Engine, results []evalpool.Result) {
+func (r *Report) checkEngines(v Variant, engines []nascent.Engine, results []outcome) {
 	ref := results[0]
 	for k, got := range results[1:] {
 		e := engines[k+1]
 		switch {
-		case (ref.Err == nil) != (got.Err == nil):
+		case (ref.err == nil) != (got.err == nil):
 			r.Divergences = append(r.Divergences, Divergence{
 				Variant: v, Invariant: InvEngine,
-				Detail: fmt.Sprintf("%v err=%v, %v err=%v", engines[0], ref.Err, e, got.Err),
+				Detail: fmt.Sprintf("%v err=%v, %v err=%v", engines[0], ref.err, e, got.err),
 			})
-		case ref.Err != nil:
+		case ref.err != nil:
 			// Both failed: the failure must be the same failure.
-			if ref.Err.Error() != got.Err.Error() {
+			if ref.err.Error() != got.err.Error() {
 				r.Divergences = append(r.Divergences, Divergence{
 					Variant: v, Invariant: InvEngine,
-					Detail: fmt.Sprintf("error text differs: %v=%q, %v=%q", engines[0], ref.Err, e, got.Err),
+					Detail: fmt.Sprintf("error text differs: %v=%q, %v=%q", engines[0], ref.err, e, got.err),
 				})
 			}
-		case ref.Res != got.Res:
+		case ref.res != got.res:
 			r.Divergences = append(r.Divergences, Divergence{
 				Variant: v, Invariant: InvEngine,
-				Detail: fmt.Sprintf("results differ: %v=%+v, %v=%+v", engines[0], ref.Res, e, got.Res),
+				Detail: fmt.Sprintf("results differ: %v=%+v, %v=%+v", engines[0], ref.res, e, got.res),
 			})
 		}
 	}
@@ -315,7 +339,7 @@ func (r *Report) checkEngines(v Variant, engines []nascent.Engine, results []eva
 
 // checkVariant validates one evaluated variant against the contract and
 // appends any divergences to the report.
-func (r *Report) checkVariant(v Variant, evaluated evalpool.Result, naive nascent.RunResult, naiveIR string) {
+func (r *Report) checkVariant(v Variant, evaluated outcome, naive nascent.RunResult, naiveIR string) {
 	diverge := func(inv Invariant, optIR, format string, args ...interface{}) {
 		r.Divergences = append(r.Divergences, Divergence{
 			Variant:   v,
@@ -326,9 +350,9 @@ func (r *Report) checkVariant(v Variant, evaluated evalpool.Result, naive nascen
 		})
 	}
 
-	prog := evaluated.Prog
+	prog := evaluated.prog
 	if prog == nil {
-		diverge(InvCompile, "", "compile failed: %v", evaluated.Err)
+		diverge(InvCompile, "", "compile failed: %v", evaluated.err)
 		return
 	}
 	optIR := prog.Dump()
@@ -346,11 +370,11 @@ func (r *Report) checkVariant(v Variant, evaluated evalpool.Result, naive nascen
 		}
 	}
 
-	if evaluated.Err != nil {
-		diverge(InvRun, optIR, "run failed where naive succeeded: %v", evaluated.Err)
+	if evaluated.err != nil {
+		diverge(InvRun, optIR, "run failed where naive succeeded: %v", evaluated.err)
 		return
 	}
-	res := evaluated.Res
+	res := evaluated.res
 
 	if res.Trapped != naive.Trapped {
 		diverge(InvTrap, optIR, "naive trapped=%v (%s), optimized trapped=%v (%s)",

@@ -99,3 +99,40 @@ end
 		t.Errorf("naive baselines differ: %+v vs %+v", seq.Naive, par.Naive)
 	}
 }
+
+// TestVerifySameFailureOnEveryEngine: a Mutate hook that panics fails
+// every variant the same way on every engine. That is one run failure
+// per variant, not an engine divergence, and it is InvRun, not
+// InvCompile: the variant compiled before the hook failed.
+func TestVerifySameFailureOnEveryEngine(t *testing.T) {
+	src := `program p
+  integer a(1:10)
+  integer i
+  do i = 1, 10
+    a(i) = i
+  enddo
+  print a(10)
+end
+`
+	variants := []Variant{{Scheme: nascent.NI}, {Scheme: nascent.LLS, Kind: nascent.INX}}
+	rep, err := Verify(src, Config{
+		Variants: variants,
+		Engines:  []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt},
+		Jobs:     2,
+		Mutate:   func(Variant, *nascent.Program) { panic("boom") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Divergences) != len(variants) {
+		t.Fatalf("%d divergences, want one per variant:\n%s", len(rep.Divergences), rep.Summary())
+	}
+	for i, d := range rep.Divergences {
+		if d.Variant != variants[i] || d.Invariant != InvRun {
+			t.Errorf("divergence %d = %s, want %s: %s", i, d, variants[i], InvRun)
+		}
+		if d.OptIR == "" || !strings.Contains(d.Detail, "boom") {
+			t.Errorf("divergence %d lacks the compiled program or the panic: %s", i, d)
+		}
+	}
+}

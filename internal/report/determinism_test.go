@@ -13,9 +13,9 @@ import (
 // TestChaosOffDeterminism pins the chaos-off guarantee end to end: with
 // the injection registry disabled, Tables 1–3 are byte-identical to the
 // committed goldens at every worker count — the chaos plumbing and the
-// pool must cost exactly nothing in observable behavior. Run under
+// fan-out must cost exactly nothing in observable behavior. Run under
 // -race in CI, the jobs=4/16 passes double as a data-race stress of
-// the pool.
+// the Runner's shared state.
 func TestChaosOffDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tables in short mode")

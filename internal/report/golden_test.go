@@ -161,9 +161,9 @@ func checkGolden(t *testing.T, tree, write bool) {
 	}
 }
 
-// TestParallelMatchesSequential is the engine's core safety claim: a
-// pool with many workers renders byte-identical tables to the
-// sequential pool. Run under -race in CI, it doubles as a data-race
+// TestParallelMatchesSequential is the Runner's core safety claim: a
+// Runner with many workers renders byte-identical tables to a
+// sequential one. Run under -race in CI, it doubles as a data-race
 // stress of the full table pipeline.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {

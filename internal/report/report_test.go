@@ -1,19 +1,19 @@
 package report
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"nascent"
-	"nascent/internal/evalpool"
 	"nascent/internal/suite"
 )
 
 func TestMeasure1AllPrograms(t *testing.T) {
-	for _, p := range suite.Programs {
-		p := p
+	for i, p := range suite.Programs {
+		i, p := i, p
 		t.Run(p.Name, func(t *testing.T) {
-			results := New(Config{}).evaluate([]evalpool.Job{naiveJob(p)})
+			results := New(Config{}).evaluate([]job{naiveJob(i)})
 			row, err := buildRow1(p, results[0])
 			if err != nil {
 				t.Fatal(err)
@@ -44,20 +44,20 @@ func TestMeasure1AllPrograms(t *testing.T) {
 }
 
 func TestMeasure2Sanity(t *testing.T) {
-	p, err := suite.Get("vortex")
-	if err != nil {
-		t.Fatal(err)
+	i := slices.IndexFunc(suite.Programs, func(p suite.Program) bool { return p.Name == "vortex" })
+	if i < 0 {
+		t.Fatal("no vortex in the suite")
 	}
 	r := New(Config{})
-	naive := r.evaluate([]evalpool.Job{naiveJob(p)})[0]
+	naive := r.evaluate([]job{naiveJob(i)})[0]
 	if naive.Err != nil {
 		t.Fatal(naive.Err)
 	}
 	if naive.Res.Checks == 0 {
 		t.Fatal("no naive checks")
 	}
-	job := optJob(p, nascent.LLS, nascent.PRX, nascent.ImplyFull)
-	cell := buildCell(job.Name, r.evaluate([]evalpool.Job{job})[0], naive.Res.Checks)
+	j := optJob(i, nascent.LLS, nascent.PRX, nascent.ImplyFull)
+	cell := buildCell(j.name, r.evaluate([]job{j})[0], naive.Res.Checks)
 	if cell.Err != nil {
 		t.Fatal(cell.Err)
 	}

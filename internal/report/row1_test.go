@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nascent"
-	"nascent/internal/evalpool"
 	"nascent/internal/interp"
 	"nascent/internal/ir"
 	"nascent/internal/suite"
@@ -33,7 +32,7 @@ func TestBuildRow1LeavesResultIntact(t *testing.T) {
 	exit.Term = &ir.Ret{}
 	f.RecomputePreds()
 
-	naive := evalpool.Result{Prog: &nascent.Program{IR: p}, Res: nascent.RunResult{Instructions: 40, Checks: 1}}
+	naive := result{Prog: &nascent.Program{IR: p}, Res: nascent.RunResult{Instructions: 40, Checks: 1}}
 	before := p.Fingerprint()
 	row, err := buildRow1(suite.Program{Name: "loop"}, naive)
 	if err != nil {

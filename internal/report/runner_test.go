@@ -5,23 +5,17 @@ import (
 	"testing"
 
 	"nascent"
-	"nascent/internal/evalpool"
 	"nascent/internal/report"
 	"nascent/internal/suite"
 )
 
 // TestRunnerTimingsAndTrace exercises the opt-in observability paths:
-// wall-clock columns and the per-stage trace hook.
+// wall-clock columns and the work counts rangebench -trace prints.
 func TestRunnerTimingsAndTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table in short mode")
 	}
-	events := 0
-	r := report.New(report.Config{
-		Jobs:    4,
-		Timings: true,
-		Trace:   func(evalpool.Event) { events++ },
-	})
+	r := report.New(report.Config{Jobs: 4, Timings: true})
 	out, err := r.Table2()
 	if err != nil {
 		t.Fatal(err)
@@ -31,16 +25,22 @@ func TestRunnerTimingsAndTrace(t *testing.T) {
 			t.Errorf("timed table 2 missing %q", want)
 		}
 	}
-	if events == 0 {
-		t.Error("trace hook never fired")
-	}
 	m := r.Metrics()
-	if m.Jobs == 0 || m.Errors != 0 {
+	if m.Jobs == 0 || m.Errors != 0 || m.Runs == 0 {
 		t.Errorf("metrics: %+v", m)
 	}
 	// 14 rows × 10 programs + 10 naive jobs share 10 front ends.
-	if m.FrontendCompiles != len(suite.Programs) {
-		t.Errorf("frontend compiles = %d, want %d", m.FrontendCompiles, len(suite.Programs))
+	if m.Frontends != len(suite.Programs) {
+		t.Errorf("front ends analyzed = %d, want %d", m.Frontends, len(suite.Programs))
+	}
+}
+
+// TestMetricsString pins the one line rangebench -trace prints.
+func TestMetricsString(t *testing.T) {
+	m := report.Metrics{Jobs: 210, Errors: 1, Frontends: 10, Runs: 137}
+	want := "report: 210 jobs (1 errors), 10 front ends analyzed, 137 runs executed"
+	if got := m.String(); got != want {
+		t.Errorf("Metrics.String() = %q, want %q", got, want)
 	}
 }
 

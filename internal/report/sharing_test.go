@@ -90,34 +90,44 @@ func TestRunnerSharesWork(t *testing.T) {
 	if m.Jobs != len(configs) || len(configs) != 210 {
 		t.Errorf("jobs = %d, distinct configurations = %d, want 210", m.Jobs, len(configs))
 	}
-	if runs := m.Jobs - m.SharedRuns; runs != len(programs) || runs != 137 {
-		t.Errorf("executed runs = %d (%d jobs, %d shared), want one per distinct program: %d (137)",
-			runs, m.Jobs, m.SharedRuns, len(programs))
+	if m.Runs != len(programs) || m.Runs != 137 {
+		t.Errorf("executed runs = %d (%d jobs), want one per distinct program: %d (137)",
+			m.Runs, m.Jobs, len(programs))
+	}
+	if m.Frontends != len(suite.Programs) || m.Errors != 0 {
+		t.Errorf("front ends analyzed = %d, errors = %d; want %d and 0", m.Frontends, m.Errors, len(suite.Programs))
 	}
 	t.Logf("%d jobs, %d distinct programs", m.Jobs, len(programs))
 }
 
-// TestRunnerReusesNoFailure fails every Table 2 job with an injected
-// semantic error, then lifts the fault: Table 3 on the same Runner
-// shares Table 2's configurations and must still match its golden, so
-// nothing of the failed table may have been kept.
+// TestRunnerReusesNoFailure fails Table 2 with an injected fault, then
+// lifts it: Table 3 on the same Runner shares Table 2's configurations
+// and compiled programs, and must still match its golden, so nothing of
+// the failed table may have been kept. A semantic error fails every
+// job before it compiles; a budget exhaustion in the bytecode run
+// fails jobs whose front end and compile succeeded, so neither the job
+// result nor the run may be kept.
 func TestRunnerReusesNoFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tables in short mode")
 	}
-	r := report.New(report.Config{Jobs: 2})
-	chaos.Enable(chaos.Spec{Seed: 1, Rate: 1, Site: chaos.SiteSemError})
-	_, err := r.Table2()
-	chaos.Disable()
-	if !errors.Is(err, report.ErrPartial) {
-		t.Fatalf("table 2 under sem.error: err = %v, want ErrPartial", err)
-	}
-	got, err := r.Table3()
-	if err != nil {
-		t.Fatalf("table 3 after the fault: %v", err)
-	}
-	if got != readGolden(t, 3) {
-		t.Errorf("table 3 after a failed table 2 drifted from golden\n%s", got)
+	for _, site := range []chaos.Site{chaos.SiteSemError, chaos.SiteVMBudget} {
+		t.Run(string(site), func(t *testing.T) {
+			r := report.New(report.Config{Jobs: 2})
+			chaos.Enable(chaos.Spec{Seed: 1, Rate: 1, Site: site})
+			_, err := r.Table2()
+			chaos.Disable()
+			if !errors.Is(err, report.ErrPartial) {
+				t.Fatalf("table 2 under %s: err = %v, want ErrPartial", site, err)
+			}
+			got, err := r.Table3()
+			if err != nil {
+				t.Fatalf("table 3 after the fault: %v", err)
+			}
+			if got != readGolden(t, 3) {
+				t.Errorf("table 3 after a failed table 2 drifted from golden\n%s", got)
+			}
+		})
 	}
 }
 

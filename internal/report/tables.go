@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nascent"
-	"nascent/internal/evalpool"
 	"nascent/internal/suite"
 )
 
@@ -14,9 +13,9 @@ import (
 // suite program: one row per program, with per-row errors aligned by
 // index (nil = measured).
 func (r *Runner) measure1() ([]Table1Row, []error) {
-	jobs := make([]evalpool.Job, len(suite.Programs))
-	for i, p := range suite.Programs {
-		jobs[i] = naiveJob(p)
+	jobs := make([]job, len(suite.Programs))
+	for i := range suite.Programs {
+		jobs[i] = naiveJob(i)
 	}
 	results := r.evaluate(jobs)
 	rows := make([]Table1Row, len(suite.Programs))
@@ -79,7 +78,7 @@ type rowResult struct {
 	TotT  time.Duration
 }
 
-// grid evaluates every rowSpec over the whole suite in one pool pass.
+// grid evaluates every rowSpec over the whole suite in one fan-out.
 // The job matrix is: one naive job per program (the shared
 // denominators), then one job per (row, program). Results come back in
 // row order regardless of completion order. Failures degrade to cells
@@ -87,13 +86,13 @@ type rowResult struct {
 // column); the grid itself never aborts.
 func (r *Runner) grid(rows []rowSpec) []rowResult {
 	nprog := len(suite.Programs)
-	jobs := make([]evalpool.Job, 0, nprog+len(rows)*nprog)
-	for _, p := range suite.Programs {
-		jobs = append(jobs, naiveJob(p))
+	jobs := make([]job, 0, nprog+len(rows)*nprog)
+	for i := range suite.Programs {
+		jobs = append(jobs, naiveJob(i))
 	}
 	for _, row := range rows {
-		for _, p := range suite.Programs {
-			jobs = append(jobs, optJob(p, row.Scheme, row.Kind, row.Impl))
+		for i := range suite.Programs {
+			jobs = append(jobs, optJob(i, row.Scheme, row.Kind, row.Impl))
 		}
 	}
 	results := r.evaluate(jobs)
@@ -274,7 +273,7 @@ type SummaryRow struct {
 }
 
 // Summarize runs the full Table 2 + Table 3 measurement grid on the
-// Runner's pool and returns the rows in a deterministic order.
+// Runner and returns the rows in a deterministic order.
 func (r *Runner) Summarize() ([]SummaryRow, error) {
 	var rows []rowSpec
 	for _, kind := range []nascent.CheckKind{nascent.PRX, nascent.INX} {

@@ -7,7 +7,6 @@ import (
 
 	"nascent"
 	"nascent/internal/chaos"
-	"nascent/internal/evalpool"
 	"nascent/internal/guard"
 )
 
@@ -101,8 +100,8 @@ func TestDrillReplayRoundTrip(t *testing.T) {
 		t.Error("drill reports zero injections fired")
 	}
 
-	// Replay: parse the echoed spec and reproduce the failure on a
-	// fresh pool, exactly as -chaos would.
+	// Replay: parse the echoed spec and reproduce the failure in a
+	// fresh compile and run, exactly as -chaos would.
 	parsed, err := chaos.ParseSpec(resp.Spec)
 	if err != nil {
 		t.Fatalf("replay spec %q does not parse: %v", resp.Spec, err)
@@ -115,12 +114,12 @@ func TestDrillReplayRoundTrip(t *testing.T) {
 		t.Fatalf("arm replay: %v", err)
 	}
 	defer release()
-	res := evalpool.New(1).Evaluate([]evalpool.Job{{
-		Name: "drill", Source: progOK, Filename: "replay.mf",
-		Opts: nascent.Options{BoundsChecks: true},
-	}})
-	if !errors.Is(res[0].Err, guard.ErrInternal) {
-		t.Fatalf("replay err = %v, want a contained internal error", res[0].Err)
+	prog, err := nascent.Compile(progOK, nascent.Options{BoundsChecks: true, Filename: "replay.mf"})
+	if err == nil {
+		_, err = prog.RunWith(nascent.RunConfig{})
+	}
+	if !errors.Is(err, guard.ErrInternal) {
+		t.Fatalf("replay err = %v, want a contained internal error", err)
 	}
 
 	// The service-level metrics recorded the drill.

@@ -244,9 +244,9 @@ func AllEngines() []Engine { return interp.AllEngines() }
 // optimize; the shared lowering itself is never edited.
 //
 // A Frontend is immutable after construction apart from that lowering
-// memo, and safe for concurrent Compile calls; internal/evalpool
-// memoizes shared Frontends keyed by source hash to share the parse,
-// analysis and lowering across a job matrix.
+// memo, and safe for concurrent Compile calls; report.Runner keeps one
+// shared Frontend per suite program, and the oracle one per Verify, to
+// share the parse, analysis and lowering across a job matrix.
 type Frontend struct {
 	file     *ast.File
 	sem      *sem.Program
