@@ -55,17 +55,19 @@ func TestUnwrapExposesPanickedError(t *testing.T) {
 }
 
 // TestEachOrderedResults runs every index exactly once at several
-// worker counts and returns each index's own error in its slot, so a
-// failing call leaves its neighbours' results alone.
+// worker counts: whatever order the calls complete in, what f(i) stores
+// lands in slot i.
 func TestEachOrderedResults(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 16} {
 		const n = 40
 		var calls [n]atomic.Int32
+		var out [n]string
 		errs := Each(n, workers, func(i int) error {
 			calls[i].Add(1)
-			if i%3 == 0 {
-				return fmt.Errorf("job %d failed", i)
+			if i%5 == 0 {
+				time.Sleep(time.Millisecond) // let later indices finish first
 			}
+			out[i] = fmt.Sprintf("result %d", i)
 			return nil
 		})
 		if len(errs) != n {
@@ -75,13 +77,47 @@ func TestEachOrderedResults(t *testing.T) {
 			if got := calls[i].Load(); got != 1 {
 				t.Errorf("workers=%d: index %d ran %d times, want once", workers, i, got)
 			}
-			want := ""
+			if err != nil {
+				t.Errorf("workers=%d: errs[%d] = %v, want nil", workers, i, err)
+			}
+			if want := fmt.Sprintf("result %d", i); out[i] != want {
+				t.Errorf("workers=%d: slot %d holds %q, want %q", workers, i, out[i], want)
+			}
+		}
+	}
+}
+
+// TestEachFailureIsolation: each index's own error lands in its slot,
+// and a failing call leaves its neighbours' results alone.
+func TestEachFailureIsolation(t *testing.T) {
+	for _, workers := range []int{0, 1, 4, 16} {
+		const n = 40
+		var out [n]string
+		errs := Each(n, workers, func(i int) error {
 			if i%3 == 0 {
-				want = fmt.Sprintf("job %d failed", i)
+				return fmt.Errorf("job %d failed", i)
+			}
+			out[i] = fmt.Sprintf("result %d", i)
+			return nil
+		})
+		failed := 0
+		for i, err := range errs {
+			want, wantOut := "", fmt.Sprintf("result %d", i)
+			if i%3 == 0 {
+				want, wantOut = fmt.Sprintf("job %d failed", i), ""
+			}
+			if err != nil {
+				failed++
 			}
 			if (err == nil) != (want == "") || (err != nil && err.Error() != want) {
 				t.Errorf("workers=%d: errs[%d] = %v, want %q", workers, i, err, want)
 			}
+			if out[i] != wantOut {
+				t.Errorf("workers=%d: slot %d holds %q, want %q", workers, i, out[i], wantOut)
+			}
+		}
+		if want := (n + 2) / 3; failed != want {
+			t.Errorf("workers=%d: %d failed indices, want %d", workers, failed, want)
 		}
 	}
 }

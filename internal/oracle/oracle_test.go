@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nascent"
+	"nascent/internal/ir"
 )
 
 func TestDefaultVariantsCoverTheGrid(t *testing.T) {
@@ -133,6 +134,59 @@ end
 		}
 		if d.OptIR == "" || !strings.Contains(d.Detail, "boom") {
 			t.Errorf("divergence %d lacks the compiled program or the panic: %s", i, d)
+		}
+	}
+}
+
+// TestEvaluateRunsMutatedProgram: the Mutate hook edits the program
+// that job then runs, on every engine, and only the jobs it is handed.
+func TestEvaluateRunsMutatedProgram(t *testing.T) {
+	src := `program p
+  integer a(1:10)
+  integer i
+  do i = 1, 10
+    a(i) = 3
+  enddo
+  print a(3)
+end
+`
+	fe, err := nascent.AnalyzeShared(src, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The mutated variant runs first, so a leak into the shared
+	// lowering would show in the NI runs after it.
+	variants := []Variant{{Scheme: nascent.LLS}, {Scheme: nascent.NI}}
+	engines := []nascent.Engine{nascent.EngineTree, nascent.EngineVMOpt}
+	compile := func(v Variant) (*nascent.Program, error) { return fe.Compile(v.Options()) }
+	mutate := func(v Variant, p *nascent.Program) {
+		if v.Scheme != nascent.LLS {
+			return
+		}
+		// Prepend an always-failing trap so the run must observe the
+		// mutation. The entry block is shared with the other variants'
+		// programs, so its statement list is replaced, not edited.
+		entry := p.IR.Main().Blocks[0]
+		entry.Stmts = append([]ir.Stmt{&ir.TrapStmt{Note: "injected"}}, entry.Stmts...)
+	}
+	run := nascent.RunConfig{MaxInstructions: 1e6}
+	for _, jobs := range []int{1, 4} {
+		results := evaluate(variants, engines, run, jobs, compile, mutate)
+		if len(results) != len(variants)*len(engines) {
+			t.Fatalf("jobs=%d: %d outcomes, want %d", jobs, len(results), len(variants)*len(engines))
+		}
+		for k, o := range results {
+			v, e := variants[k/len(engines)], engines[k%len(engines)]
+			if o.err != nil || o.prog == nil {
+				t.Fatalf("jobs=%d: %s on %v: prog %v, err %v", jobs, v, e, o.prog != nil, o.err)
+			}
+			if v.Scheme == nascent.LLS {
+				if !o.res.Trapped || !strings.Contains(o.res.TrapNote, "injected") {
+					t.Errorf("jobs=%d: %s on %v: mutation not observed: %+v", jobs, v, e, o.res)
+				}
+			} else if o.res.Trapped || o.res.Output != "3\n" {
+				t.Errorf("jobs=%d: %s on %v: unmutated run = %+v, want output 3", jobs, v, e, o.res)
+			}
 		}
 	}
 }
